@@ -19,12 +19,11 @@ from .errors import (BandwidthViolation, DivergentAtOrigin, IllPosed,
                      StabilityCheckFailed, UnstableEntry, ZeroDenominator,
                      ZeroPolynomial)
 from .freq import (FrequencyGrid, HinfResult, default_grid, hinf_norm,
-                   rf_abs_jomega, rf_log_abs_jomega, rf_response_jomega)
+                   rf_abs_jomega, rf_log_abs_jomega)
 from .parsing import parse_rational
-from .poly import Polynomial, hurwitz_stable, poly_gcd, poly_op
+from .poly import Polynomial, hurwitz_stable, poly_gcd
 from .ratfun import (RationalFunction, StabilityReport, closed_loop,
-                     internal_stability, rf_eval, rf_normalize,
-                     scale_frequency)
+                     internal_stability, scale_frequency)
 from .synthesis import (Certificate, ControllerFamily, YoulaData, band_grid,
                         candidate_controller, certify_controller,
                         family_from_json, family_grid, family_product_check,
@@ -50,8 +49,7 @@ __all__ = [
     "homogeneous_growth", "hurwitz_stable", "internal_stability",
     "invariance_check", "invert_bidiagonal", "lift_order",
     "middleton_integral", "parse_rational", "pd_mistune_experiment",
-    "plant", "poly_gcd", "poly_op", "q1_shape", "rf_abs_jomega", "rf_eval",
-    "rf_log_abs_jomega", "rf_normalize", "rf_response_jomega",
+    "plant", "poly_gcd", "q1_shape", "rf_abs_jomega", "rf_log_abs_jomega",
     "scale_frequency", "scaled_family", "search_parameters",
     "sensitivity_matrix", "time_scale", "verify_bandwidth",
     "verify_factorization", "youla_coprime",

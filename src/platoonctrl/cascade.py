@@ -23,14 +23,9 @@ from .errors import DivergentAtOrigin, InvalidRange, StabilityCheckFailed
 from .freq import FrequencyGrid, default_grid, hinf_norm, rf_log_abs_jomega
 from .poly import Polynomial, hurwitz_stable
 from .ratfun import RationalFunction, closed_loop, internal_stability
+from .synthesis import plant
 
 _DB = 20.0 / math.log(10.0)
-
-
-def _plant(m: int) -> RationalFunction:
-    if m < 1:
-        raise InvalidRange("m must be >= 1")
-    return RationalFunction(Polynomial([1]), Polynomial([0, 1]) ** m)
 
 
 # ----------------------------------------------------------------------
@@ -64,7 +59,7 @@ def cascade_gain(controllers: Sequence[RationalFunction], m: int,
         raise InvalidRange("need at least one controller")
     if grid is None:
         grid = default_grid()
-    p = _plant(m)
+    p = plant(m)
     total = np.zeros(len(grid.omegas))
     for i, c in enumerate(controllers, start=1):
         if not internal_stability(p, c).internally_stable:
@@ -124,8 +119,8 @@ def middleton_integral(T: RationalFunction, omega_lo: float = 1e-6,
         raise StabilityCheckFailed("T must be nonzero and strictly proper")
     if not hurwitz_stable(T.den):
         raise StabilityCheckFailed("T must be stable")
-    t0 = T(Fraction(0)) if T.exact else T(0.0)
-    if (t0 != 1) if T.exact else (abs(t0 - 1.0) > 1e-9):
+    t0 = T(Fraction(0))
+    if t0 != 1:
         raise DivergentAtOrigin(f"T(0) = {t0} != 1")
 
     def g(u: float) -> float:
@@ -183,7 +178,7 @@ def homogeneous_growth(c: RationalFunction, m: int, n_max: int,
     """
     if n_max < 1:
         raise InvalidRange("n_max must be >= 1")
-    p = _plant(m)
+    p = plant(m)
     if not internal_stability(p, c).internally_stable:
         raise StabilityCheckFailed(f"controller does not internally stabilise 1/s^{m}")
     res = hinf_norm(closed_loop(p, c)[1], grid if grid is not None else default_grid())

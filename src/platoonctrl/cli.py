@@ -327,6 +327,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # exact rationals are written and read as decimal strings, and family
+    # coefficients run past the default int/str cap of 4300 digits (the cap
+    # exists from Python 3.10.7 on)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     _setup_logging()
     parser = _build_parser()
     try:

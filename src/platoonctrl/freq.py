@@ -76,31 +76,24 @@ def default_grid() -> FrequencyGrid:
 # ----------------------------------------------------------------------
 # log-magnitude engine
 
-def _log_abs_coeff(c) -> float:
-    """log|c| for a nonzero Fraction or float, immune to float overflow."""
-    if isinstance(c, Fraction):
-        return math.log(abs(c.numerator)) - math.log(c.denominator)
-    return math.log(abs(c))
+def _log_abs_coeff(c: Fraction) -> float:
+    """log|c| for a nonzero Fraction, immune to float overflow."""
+    return math.log(abs(c.numerator)) - math.log(c.denominator)
 
 
 def _scaled_descending(p: Polynomial):
     """(descending float coeffs scaled to max |coeff| = 1, log of the scale)."""
     if p.is_zero:
         return None, -math.inf
-    if p.exact:
-        logs = [(-math.inf if c == 0 else _log_abs_coeff(c)) for c in p.coeffs]
-        top = max(logs)
-        scaled = []
-        for c, lg in zip(p.coeffs, logs):
-            if c == 0:
-                scaled.append(0.0)
-            else:
-                mag = math.exp(lg - top)
-                scaled.append(mag if c > 0 else -mag)
-    else:
-        m = max(abs(c) for c in p.coeffs)
-        top = math.log(m)
-        scaled = [c / m for c in p.coeffs]
+    logs = [(-math.inf if c == 0 else _log_abs_coeff(c)) for c in p.coeffs]
+    top = max(logs)
+    scaled = []
+    for c, lg in zip(p.coeffs, logs):
+        if c == 0:
+            scaled.append(0.0)
+        else:
+            mag = math.exp(lg - top)
+            scaled.append(mag if c > 0 else -mag)
     return np.array(scaled[::-1], dtype=float), top
 
 
@@ -134,19 +127,6 @@ def rf_abs_jomega(f: RationalFunction, omegas) -> np.ndarray:
     """|f(j*omega)| per sample."""
     with np.errstate(over="ignore"):
         return np.exp(rf_log_abs_jomega(f, omegas))
-
-
-def rf_response_jomega(f: RationalFunction, omegas) -> np.ndarray:
-    """Complex f(j*omega) per sample.
-
-    Plain float Horner; meant for moderate coefficient scales (matrix
-    entries, certified loops). Extreme family members should go through the
-    log-magnitude path instead.
-    """
-    z = 1j * np.asarray(omegas, dtype=float)
-    num = [float(c) for c in reversed(f.num.coeffs)] or [0.0]
-    den = [float(c) for c in reversed(f.den.coeffs)]
-    return np.polyval(num, z) / np.polyval(den, z)
 
 
 # ----------------------------------------------------------------------

@@ -1,15 +1,11 @@
-"""Polynomials in the indeterminate s, with exact or floating coefficients.
+"""Polynomials in the indeterminate s with exact rational coefficients.
 
-Two coefficient modes exist side by side:
-
-* exact mode stores `fractions.Fraction` entries and supports bit-exact
-  identities (gcd reduction, Routh tables, factorization checks);
-* float mode stores machine doubles and is meant for frequency sweeps.
-
-Conversion between the modes is explicit (`to_float`, `to_exact`); arithmetic
-between mixed modes raises TypeError rather than silently degrading, except
-that the zero polynomial is mode neutral. Coefficients are kept in ascending
-order of degree and the zero polynomial is the empty coefficient tuple.
+Every coefficient is a `fractions.Fraction`, so identities (gcd reduction,
+Routh tables, factorization checks) hold bit for bit. Coefficients and scalar
+operands pass through `Fraction(c)`: ints, Fractions and decimal strings are
+read exactly, and a float is lifted to its exact binary value. Coefficients
+are kept in ascending order of degree and the zero polynomial is the empty
+coefficient tuple.
 """
 
 from __future__ import annotations
@@ -26,29 +22,17 @@ Scalar = Union[int, float, Fraction]
 class Polynomial:
     """Immutable dense polynomial; ``coeffs[k]`` multiplies s^k.
 
-    The mode is inferred from the inputs (any float forces float mode, the
-    default is exact) unless ``exact`` is passed explicitly. Plain ints are
-    accepted in either mode.
+    Each coefficient is stored as ``Fraction(c)``: ints, Fractions and
+    decimal strings exactly, floats as their exact binary value.
     """
 
-    __slots__ = ("coeffs", "exact")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[Scalar] = (), exact: bool | None = None):
-        items = list(coeffs)
-        if exact is None:
-            has_float = any(isinstance(c, float) for c in items)
-            has_frac = any(isinstance(c, Fraction) for c in items)
-            if has_float and has_frac:
-                raise TypeError("mixed float and Fraction coefficients; pass exact= explicitly")
-            exact = not has_float
-        if exact:
-            vals = [Fraction(c) for c in items]
-        else:
-            vals = [float(c) for c in items]
+    def __init__(self, coeffs: Iterable[Scalar] = ()):
+        vals = [Fraction(c) for c in coeffs]
         while vals and vals[-1] == 0:
             vals.pop()
         self.coeffs = tuple(vals)
-        self.exact = bool(exact)
 
     # ------------------------------------------------------------------
     # basic queries
@@ -62,59 +46,36 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def leading(self) -> Scalar:
+    def leading(self) -> Fraction:
         if self.is_zero:
             raise ZeroPolynomial("the zero polynomial has no leading coefficient")
         return self.coeffs[-1]
-
-    def _zero(self) -> Scalar:
-        return Fraction(0) if self.exact else 0.0
-
-    def _coerce_scalar(self, x) -> Scalar:
-        if self.exact:
-            if isinstance(x, float):
-                raise TypeError("float scalar with an exact polynomial; convert explicitly")
-            return Fraction(x)
-        if isinstance(x, Fraction):
-            raise TypeError("Fraction scalar with a float polynomial; convert explicitly")
-        return float(x)
-
-    def _result_mode(self, other: "Polynomial") -> bool:
-        # zero operands adopt the other side's mode
-        if self.exact == other.exact:
-            return self.exact
-        if self.is_zero:
-            return other.exact
-        if other.is_zero:
-            return self.exact
-        raise TypeError("cannot mix exact and float polynomials; convert explicitly")
 
     # ------------------------------------------------------------------
     # arithmetic
 
     def __add__(self, other):
         if isinstance(other, (int, float, Fraction)):
-            other = Polynomial([self._coerce_scalar(other)], exact=self.exact)
+            other = Polynomial([other])
         if not isinstance(other, Polynomial):
             return NotImplemented
-        exact = self._result_mode(other)
         a, b = self.coeffs, other.coeffs
-        zero = Fraction(0) if exact else 0.0
+        zero = Fraction(0)
         out = []
         for i in range(max(len(a), len(b))):
             x = a[i] if i < len(a) else zero
             y = b[i] if i < len(b) else zero
             out.append(x + y)
-        return Polynomial(out, exact=exact)
+        return Polynomial(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial([-c for c in self.coeffs], exact=self.exact)
+        return Polynomial([-c for c in self.coeffs])
 
     def __sub__(self, other):
         if isinstance(other, (int, float, Fraction)):
-            other = Polynomial([self._coerce_scalar(other)], exact=self.exact)
+            other = Polynomial([other])
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self + (-other)
@@ -124,28 +85,26 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, float, Fraction)):
-            c = self._coerce_scalar(other)
-            return Polynomial([c * x for x in self.coeffs], exact=self.exact)
+            c = Fraction(other)
+            return Polynomial([c * x for x in self.coeffs])
         if not isinstance(other, Polynomial):
             return NotImplemented
-        exact = self._result_mode(other)
         if self.is_zero or other.is_zero:
-            return Polynomial([], exact=exact)
-        zero = Fraction(0) if exact else 0.0
-        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
+            return Polynomial()
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, x in enumerate(self.coeffs):
             if x == 0:
                 continue
             for j, y in enumerate(other.coeffs):
                 out[i + j] += x * y
-        return Polynomial(out, exact=exact)
+        return Polynomial(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers take a nonnegative integer")
-        result = Polynomial([1], exact=self.exact) if self.exact else Polynomial([1.0], exact=False)
+        result = Polynomial([1])
         base = self
         while n:
             if n & 1:
@@ -156,16 +115,15 @@ class Polynomial:
 
     def __divmod__(self, other):
         if isinstance(other, (int, float, Fraction)):
-            other = Polynomial([self._coerce_scalar(other)], exact=self.exact)
+            other = Polynomial([other])
         if not isinstance(other, Polynomial):
             return NotImplemented
-        exact = self._result_mode(other)
         if other.is_zero:
             raise ZeroPolynomial("division by the zero polynomial")
-        zero = Fraction(0) if exact else 0.0
+        zero = Fraction(0)
         dq = self.degree - other.degree
         if dq < 0:
-            return Polynomial([], exact=exact), self
+            return Polynomial(), self
         lead = other.coeffs[-1]
         db = other.degree
         q = [zero] * (dq + 1)
@@ -179,7 +137,7 @@ class Polynomial:
             for i, bc in enumerate(other.coeffs[:-1]):
                 rem[i + k] -= c * bc
             rem[db + k] = zero
-        return Polynomial(q, exact=exact), Polynomial(rem, exact=exact)
+        return Polynomial(q), Polynomial(rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -201,29 +159,19 @@ class Polynomial:
 
     def scale(self, gamma) -> "Polynomial":
         """Return p(gamma * s)."""
-        g = self._coerce_scalar(gamma)
+        g = Fraction(gamma)
         out = []
-        gk = Fraction(1) if self.exact else 1.0
+        gk = Fraction(1)
         for c in self.coeffs:
             out.append(c * gk)
             gk *= g
-        return Polynomial(out, exact=self.exact)
+        return Polynomial(out)
 
     def monic(self) -> "Polynomial":
         lc = self.leading()
         if lc == 1:
             return self
-        return Polynomial([c / lc for c in self.coeffs], exact=self.exact)
-
-    def to_float(self) -> "Polynomial":
-        if not self.exact:
-            return self
-        return Polynomial([float(c) for c in self.coeffs], exact=False)
-
-    def to_exact(self) -> "Polynomial":
-        if self.exact:
-            return self
-        return Polynomial([Fraction(c) for c in self.coeffs], exact=True)
+        return Polynomial([c / lc for c in self.coeffs])
 
     # ------------------------------------------------------------------
     # text form
@@ -250,44 +198,20 @@ class Polynomial:
         return " + ".join(parts).replace("+ -", "- ")
 
     def __repr__(self):
-        mode = "" if self.exact else ", float"
-        return f"Polynomial({self.to_text()!r}{mode})"
+        return f"Polynomial({self.to_text()!r})"
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if self.is_zero and other.is_zero:
-            return True
-        return self.exact == other.exact and self.coeffs == other.coeffs
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
-        if self.is_zero:
-            return hash(())
-        return hash((self.exact, self.coeffs))
+        return hash(self.coeffs)
 
 
-def _coef_str(c) -> str:
-    if isinstance(c, Fraction):
-        s = str(c)
-    else:
-        s = repr(c)
+def _coef_str(c: Fraction) -> str:
+    s = str(c)
     return f"({s})" if "/" in s or (s.startswith("-")) else s
-
-
-def poly_op(a: Polynomial, b: Polynomial, op: str) -> Polynomial:
-    """Named dispatch over {add, sub, mul} for scripted callers.
-
-    The operators themselves are the normal API; this exists so table-driven
-    code can pass the operation by name.
-    """
-    try:
-        fn = {"add": Polynomial.__add__, "sub": Polynomial.__sub__, "mul": Polynomial.__mul__}[op]
-    except KeyError:
-        raise ValueError(f"unknown op {op!r}; expected add, sub or mul") from None
-    out = fn(a, b)
-    if out is NotImplemented:
-        raise TypeError("poly_op arguments must be Polynomials")
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -329,15 +253,13 @@ def _int_prem(a, b):
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd of two exact polynomials.
+    """Monic gcd of two polynomials.
 
     Implemented as a primitive pseudo-remainder sequence over the integers
     (denominators cleared, content stripped every round), which keeps the
     intermediate coefficient growth tame for the degree ~50 inputs produced
     by the factorization checks.
     """
-    if not (a.exact and b.exact):
-        raise TypeError("poly_gcd is exact-mode only")
     if a.is_zero:
         return b.monic() if not b.is_zero else b
     if b.is_zero:
@@ -346,7 +268,7 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     while fb:
         r = _int_prem(fa, fb)
         fa, fb = fb, (_int_primitive(r) if r else r)
-    return Polynomial([Fraction(c) for c in fa], exact=True).monic()
+    return Polynomial(fa).monic()
 
 
 # ----------------------------------------------------------------------
@@ -355,14 +277,14 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 def hurwitz_stable(p: Polynomial) -> bool:
     """Strict Hurwitz test (all roots in Re(s) < 0) via an exact Routh table.
 
-    Float coefficients are lifted to exact rationals first (floats are
-    rationals), so the verdict carries no rounding. Any zero pivot in the
-    table means the polynomial is not strictly Hurwitz and reports False;
-    nonzero constants are vacuously stable.
+    The table is built from the exact coefficients, so the verdict carries
+    no rounding. Any zero pivot in the table means the polynomial is not
+    strictly Hurwitz and reports False; nonzero constants are vacuously
+    stable.
     """
     if p.is_zero:
         raise ZeroPolynomial("stability of the zero polynomial is undefined")
-    desc = [Fraction(c) for c in reversed(p.coeffs)]
+    desc = list(reversed(p.coeffs))
     if len(desc) == 1:
         return True
     if desc[0] < 0:

@@ -1,98 +1,43 @@
 """Rational functions in s: the carrier for plants, controllers and
 closed-loop maps.
 
-Exact mode keeps every value gcd-reduced with a monic denominator, so
-equality is literal coefficient equality. Float mode cancels only root pairs
-that agree within 1e-9 in the complex plane and otherwise leaves the ratio
-untouched; this avoids manufacturing a stable function out of a genuinely
-near-unstable pole/zero pair.
+Every value is kept gcd-reduced with a monic denominator over exact
+rational coefficients, so equality is literal coefficient equality. Scalar
+operands follow the `Polynomial` coefficient rule: they pass through
+`Fraction(c)`, so a float enters as its exact binary value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple, Union
-
-import numpy as np
+from typing import Tuple
 
 from .errors import IllPosed, NonPositiveGamma, PoleAtPoint, ZeroDenominator
 from .poly import Polynomial, hurwitz_stable, poly_gcd
 
-Scalar = Union[int, float, Fraction]
-
-_ROOT_MATCH_TOL = 1e-9
-
-
 def _as_poly(x) -> Polynomial:
     if isinstance(x, Polynomial):
         return x
-    if isinstance(x, (int, Fraction)):
-        return Polynomial([Fraction(x)], exact=True)
-    if isinstance(x, float):
-        return Polynomial([x], exact=False)
+    if isinstance(x, (int, float, Fraction)):
+        return Polynomial([x])
     raise TypeError(f"cannot interpret {x!r} as a polynomial")
 
 
-def _cancel_matched_roots(num: Polynomial, den: Polynomial):
-    """Float-mode reduction: cancel root pairs agreeing within 1e-9 absolute."""
-    if num.degree < 1 or den.degree < 1:
-        return num, den
-    rn = list(np.roots(list(reversed(num.coeffs))))
-    rd = list(np.roots(list(reversed(den.coeffs))))
-    remaining_n = []
-    matched = False
-    for r in rn:
-        hit = None
-        for i, q in enumerate(rd):
-            if q is not None and abs(r - q) <= _ROOT_MATCH_TOL:
-                hit = i
-                break
-        if hit is None:
-            remaining_n.append(r)
-        else:
-            rd[hit] = None
-            matched = True
-    if not matched:
-        return num, den
-    remaining_d = [q for q in rd if q is not None]
-    ln, ld = num.coeffs[-1], den.coeffs[-1]
-    pn = np.atleast_1d(np.poly(remaining_n)).real * ln if remaining_n else np.array([ln])
-    pd = np.atleast_1d(np.poly(remaining_d)).real * ld if remaining_d else np.array([ld])
-    return (Polynomial([float(c) for c in pn[::-1]], exact=False),
-            Polynomial([float(c) for c in pd[::-1]], exact=False))
-
-
 def _canonicalize(num: Polynomial, den: Polynomial):
-    exact = den.exact if not den.is_zero else num.exact
-    if num.exact != den.exact:
-        if num.is_zero:
-            num = Polynomial([], exact=den.exact)
-        elif den.is_zero:
-            den = Polynomial([], exact=num.exact)
-        else:
-            raise TypeError("cannot mix exact and float polynomials in a rational function")
     if den.is_zero:
         raise ZeroDenominator("denominator is the zero polynomial")
     if num.is_zero:
-        one = Polynomial([1], exact=True) if exact else Polynomial([1.0], exact=False)
-        return Polynomial([], exact=exact), one
-    if exact:
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num = num // g
-            den = den // g
-        lc = den.coeffs[-1]
-        if lc != 1:
-            inv = 1 / lc
-            num = num * inv
-            den = den * inv
-        return num, den
-    num, den = _cancel_matched_roots(num, den)
+        return Polynomial(), Polynomial([1])
+    g = poly_gcd(num, den)
+    if g.degree > 0:
+        num = num // g
+        den = den // g
     lc = den.coeffs[-1]
-    if lc != 1.0:
-        num = num * (1.0 / lc)
-        den = den * (1.0 / lc)
+    if lc != 1:
+        inv = 1 / lc
+        num = num * inv
+        den = den * inv
     return num, den
 
 
@@ -109,10 +54,6 @@ class RationalFunction:
     # ------------------------------------------------------------------
 
     @property
-    def exact(self) -> bool:
-        return self.den.exact
-
-    @property
     def is_proper(self) -> bool:
         """deg(num) <= deg(den): membership in the proper real-rationals."""
         return self.num.degree <= self.den.degree
@@ -121,16 +62,6 @@ class RationalFunction:
     def is_strictly_proper(self) -> bool:
         return self.num.degree < self.den.degree
 
-    def to_float(self) -> "RationalFunction":
-        if not self.exact:
-            return self
-        return RationalFunction(self.num.to_float(), self.den.to_float())
-
-    def to_exact(self) -> "RationalFunction":
-        if self.exact:
-            return self
-        return RationalFunction(self.num.to_exact(), self.den.to_exact())
-
     # ------------------------------------------------------------------
     # arithmetic
 
@@ -138,14 +69,7 @@ class RationalFunction:
         if isinstance(other, RationalFunction):
             return other
         if isinstance(other, (int, float, Fraction)):
-            if self.exact and isinstance(other, float):
-                raise TypeError("float scalar with an exact rational function; convert explicitly")
-            if not self.exact and isinstance(other, Fraction):
-                raise TypeError("Fraction scalar with a float rational function; convert explicitly")
-            if self.exact:
-                return RationalFunction(Polynomial([Fraction(other)]), Polynomial([1]))
-            return RationalFunction(Polynomial([float(other)], exact=False),
-                                    Polynomial([1.0], exact=False))
+            return RationalFunction(Polynomial([other]), Polynomial([1]))
         return None
 
     def __add__(self, other):
@@ -155,7 +79,7 @@ class RationalFunction:
         # reduce by the denominator gcd up front; keeps long exact sums
         # (shared power-form denominators) from ballooning before the
         # constructor's canonicalization
-        if self.exact and other.exact and self.den.degree > 0 and other.den.degree > 0:
+        if self.den.degree > 0 and other.den.degree > 0:
             g = poly_gcd(self.den, other.den)
             if g.degree > 0:
                 da = self.den // g
@@ -227,9 +151,7 @@ class RationalFunction:
         return self.num(z) / dv
 
     def maclaurin(self, count: int):
-        """First `count` Taylor coefficients at s = 0 (exact mode only)."""
-        if not self.exact:
-            raise TypeError("maclaurin expansion is exact-mode only")
+        """First `count` Taylor coefficients at s = 0."""
         d = self.den.coeffs
         if d[0] == 0:
             raise PoleAtPoint("pole at the origin")
@@ -257,21 +179,14 @@ class RationalFunction:
         return f"RationalFunction({self.to_text()!r})"
 
     def to_json_dict(self) -> dict:
-        """{"num": [...], "den": [...]}, coefficients as exact strings.
-
-        Exact mode writes rational strings ('56', '3/4'); float mode writes
-        repr strings. Both round-trip bit-exactly through from_json_dict.
-        """
-        enc = str if self.exact else repr
-        return {"num": [enc(c) for c in self.num.coeffs],
-                "den": [enc(c) for c in self.den.coeffs]}
+        """{"num": [...], "den": [...]}, coefficients as rational strings
+        ('56', '3/4') that round-trip exactly through from_json_dict."""
+        return {"num": [str(c) for c in self.num.coeffs],
+                "den": [str(c) for c in self.den.coeffs]}
 
     @classmethod
-    def from_json_dict(cls, doc: dict, exact: bool = True) -> "RationalFunction":
-        conv = Fraction if exact else float
-        num = Polynomial([conv(t) for t in doc["num"]], exact=exact)
-        den = Polynomial([conv(t) for t in doc["den"]], exact=exact)
-        return cls(num, den)
+    def from_json_dict(cls, doc: dict) -> "RationalFunction":
+        return cls(Polynomial(doc["num"]), Polynomial(doc["den"]))
 
 
 # ----------------------------------------------------------------------
@@ -281,25 +196,15 @@ s = RationalFunction(Polynomial([0, 1]), Polynomial([1]))
 one = RationalFunction(Polynomial([1]), Polynomial([1]))
 
 
-def rf_normalize(num, den) -> RationalFunction:
-    """Canonical rational function from a num/den pair (the constructor)."""
-    return RationalFunction(num, den)
-
-
-def rf_eval(f: RationalFunction, z):
-    """Pointwise Horner evaluation num(z)/den(z)."""
-    return f(z)
-
-
 def scale_frequency(f: RationalFunction, gamma) -> RationalFunction:
     """Return f(gamma * s), re-canonicalized.
 
-    gamma may be an int, Fraction or float; with an exact f a float gamma is
-    lifted to its exact binary value, so the substitution stays exact.
+    gamma may be an int, Fraction or float; a float gamma is lifted to its
+    exact binary value, so the substitution stays exact.
     """
     if gamma <= 0:
         raise NonPositiveGamma("gamma must be positive")
-    g = Fraction(gamma) if f.exact else float(gamma)
+    g = Fraction(gamma)
     return RationalFunction(f.num.scale(g), f.den.scale(g))
 
 
@@ -310,8 +215,7 @@ def closed_loop(p: RationalFunction, c: RationalFunction) -> Tuple[RationalFunct
     """(S, T) = (1/(1+pc), pc/(1+pc)) for the unity-feedback loop.
 
     Both maps are formed from the cleared characteristic polynomial
-    d_p*d_c + n_p*n_c and returned canonical; S + T = 1 exactly in exact
-    mode.
+    d_p*d_c + n_p*n_c and returned canonical; S + T = 1 exactly.
     """
     char = p.den * c.den + p.num * c.num
     if char.is_zero:

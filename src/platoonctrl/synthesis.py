@@ -310,8 +310,6 @@ def scaled_family(c: RationalFunction, cert: Certificate, m: int, omega_bw: floa
             "and members beyond the cap stop being representable in a float sweep")
     if omega_bw <= 0:
         raise InvalidRange("omega_bw must be positive")
-    if not c.exact:
-        raise TypeError("family construction is exact-mode only")
     gamma = Fraction(cert.omega_high) / Fraction(omega_bw)
     ratio = Fraction(cert.omega_high) / Fraction(cert.omega_low)
     p = plant(m)

@@ -176,11 +176,11 @@ def test_sensitivity_numeric_inversion_oracle():
         H = np.zeros((n, n), dtype=complex)
         for i, j, f in st.X.entries():
             if not f.num.is_zero:
-                X[i, j] = f.to_float()(z)
+                X[i, j] = f(z)
         for i in range(n):
-            H[i, i] = st.H.rows[i][i].to_float()(z)
+            H[i, i] = st.H.rows[i][i](z)
         dense = np.linalg.inv(np.eye(n) + X @ H @ X.T)
-        sym = np.array([[Sn.rows[i][j].to_float()(z) for j in range(n)] for i in range(n)])
+        sym = np.array([[Sn.rows[i][j](z) for j in range(n)] for i in range(n)])
         rel = np.abs(sym - dense) / np.maximum(np.abs(dense), 1e-300)
         assert rel.max() <= 1e-9, f"numeric oracle disagrees at omega={om}"
 
@@ -221,8 +221,8 @@ def test_time_scale_magnitude_substitution():
     for om in 10.0 ** rng.uniform(-2, 2, size=10):
         for i in range(2):
             for j in range(2):
-                lhs = abs(scaled.rows[i][j].to_float()(1j * om))
-                rhs = abs(S2.rows[i][j].to_float()(1j * om / 4))
+                lhs = abs(scaled.rows[i][j](1j * om))
+                rhs = abs(S2.rows[i][j](1j * om / 4))
                 assert lhs == pytest.approx(rhs, rel=1e-9)
 
 

@@ -108,6 +108,23 @@ def test_synth_family(tmp_path, m):
     assert rep2["results"]["members_stable"] is True
 
 
+def test_family_check_reads_long_coefficients(tmp_path):
+    # D/D with a 5001-digit D: past Python's default int/str digit cap
+    big = "1" + "0" * 5000
+    doc = {
+        "schema": "family/1", "m": 1, "epsilon": 0.1, "omega_bw": 1.0, "count": 1,
+        "gammas": ["1"],
+        "controllers": [{"num": [big], "den": [big]}],
+        "certificate": {"epsilon": 0.1, "peak": 1.0, "omega_low": 1.0,
+                        "omega_high": 1.0, "band_empty": True,
+                        "gamma_a": None, "gamma_b": None},
+    }
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(doc))
+    assert main(["family-check", "--file", str(path), "--out", str(tmp_path)]) == 0
+    assert _report(str(tmp_path))["results"]["product_ok"] is True
+
+
 def test_family_check_rejects_bad_schema(tmp_path):
     path = tmp_path / "family.json"
     path.write_text('{"schema": "family/9"}')

@@ -54,8 +54,8 @@ def test_nested_division():
 
 
 def test_exact_by_default():
-    assert parse_rational("1+s").exact
-    assert parse_rational("0.1+s").exact, "decimals become exact rationals"
+    f = parse_rational("0.1+s")
+    assert f.num.coeffs[0] == Fraction(1, 10), "decimals become exact rationals"
 
 
 def test_parse_errors():

@@ -11,8 +11,8 @@ import pytest
 from platoonctrl.errors import PoleAtPoint, ZeroDenominator
 from platoonctrl.poly import Polynomial
 from platoonctrl.ratfun import (RationalFunction, closed_loop,
-                                internal_stability, one, rf_eval,
-                                rf_normalize, s, scale_frequency)
+                                internal_stability, one, s,
+                                scale_frequency)
 
 ONE = Polynomial([1])
 S = Polynomial([0, 1])
@@ -56,16 +56,10 @@ def test_zero_denominator_rejected():
         RationalFunction(ONE, ONE) / RationalFunction(Polynomial([]), ONE)
 
 
-def test_float_mode_root_cancellation():
-    f = RationalFunction(Polynomial([-1.0, 0.0, 1.0]), Polynomial([-1.0, 1.0]))
-    assert f.den.degree == 0, "matched root at 1 should cancel"
-    assert abs(f(2.0) - 3.0) < 1e-9
-
-
-def test_rf_normalize_and_eval():
-    f = rf_normalize(S * S - ONE, S - ONE)
+def test_constructor_normalizes_and_evaluates():
+    f = RationalFunction(S * S - ONE, S - ONE)
     assert f == RationalFunction(ONE + S, ONE)
-    assert rf_eval(f, Fraction(3)) == 4
+    assert f(Fraction(3)) == 4
 
 
 # ---------------------------------------------------------------- arithmetic
@@ -88,6 +82,9 @@ def test_scalar_coercion():
     assert 2 * f == RationalFunction(Polynomial([2]), ONE + S)
     assert f + Fraction(1, 2) == RationalFunction(
         Polynomial([Fraction(3, 2), Fraction(1, 2)]), ONE + S)
+    # a float scalar enters as its exact binary value
+    assert f + 0.25 == f + Fraction(1, 4) == RationalFunction(
+        Polynomial([Fraction(5, 4), Fraction(1, 4)]), ONE + S)
 
 
 def test_powers():
@@ -187,13 +184,6 @@ def test_json_round_trip_exact():
     f = RationalFunction(Polynomial([Fraction(1, 3), 2]), Polynomial([1, 0, 5]))
     doc = f.to_json_dict()
     assert RationalFunction.from_json_dict(doc) == f
-
-
-def test_json_round_trip_float():
-    f = RationalFunction(Polynomial([0.25, 1.5]), Polynomial([1.0, 2.0]))
-    doc = f.to_json_dict()
-    g = RationalFunction.from_json_dict(doc)
-    assert g.to_float().num.coeffs == f.num.coeffs
 
 
 def test_to_text():
