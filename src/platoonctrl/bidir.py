@@ -3,9 +3,12 @@
 The closed-loop sensitivity of the n-vehicle bidirectional design is
 S_n = (I + X_n H_n X_n^T)^{-1}. The whole point of the construction is that
 I + X_n H_n X_n^T factors exactly as (1/s^2) U_n L_n with U_n, L_n
-bidiagonal, so S_n = s^2 L_n^{-1} U_n^{-1} and the leading blocks of S_n do
-not change as vehicles are appended. Everything here is exact rational
-arithmetic; floats only enter in the Bode sweep.
+bidiagonal, so S_n = s^2 L_n^{-1} U_n^{-1}. That product has a closed form
+whose entries do not depend on n, so the leading blocks of S_n do not change
+as vehicles are appended. `sensitivity_matrix` builds the entries from the
+closed form and checks L_n S_n U_n = s^2 I_n exactly; `invert_bidiagonal`
+keeps the substitution route as an independent oracle. Everything here is
+exact rational arithmetic; floats only enter in the Bode sweep.
 """
 
 from __future__ import annotations
@@ -179,7 +182,8 @@ def invert_bidiagonal(T: RationalMatrix, shape: str) -> RationalMatrix:
 
     Back (upper) or forward (lower) substitution column by column; the
     diagonal must be nonzero. The product T times the result is checked to
-    be the identity before returning.
+    be the identity before returning. `sensitivity_matrix` does not use it;
+    it is the independent route the tests compare that matrix against.
     """
     if shape not in ("upper", "lower"):
         raise InvalidRange("shape must be 'upper' or 'lower'")
@@ -208,18 +212,37 @@ def invert_bidiagonal(T: RationalMatrix, shape: str) -> RationalMatrix:
     return inv
 
 
+def _verify_sensitivity(S: RationalMatrix) -> None:
+    """Raise unless L_n S U_n == s^2 I_n exactly, n the size of S."""
+    n = S.n_rows
+    st = build_structures(n)
+    s2 = RationalFunction(_S * _S, _ONE)
+    if st.L @ S @ st.U != _eye(n).map_entries(lambda f: f * s2):
+        raise ArithmeticError("sensitivity verification failed; construction bug")
+
+
 @lru_cache(maxsize=None)
 def sensitivity_matrix(n: int) -> RationalMatrix:
     """S_n = s^2 L_n^{-1} U_n^{-1}, fully canonical.
 
-    The factorized route, not general inversion: both inverses come from
-    substitution and the result is a single bidiagonal-inverse product.
+    Entry (i, j), 0-based, is the closed form
+    s (1 + s sum_{k=1..min(i,j)} (s+1)^(2k-1)) / (s+1)^(i+j+1): the
+    numerator is a sum of binomial rows, the denominator the binomial row of
+    (s+1)^(i+j+1). The numerator is -1 at s = -1, so the pair is coprime and
+    the constructor leaves it as built. The whole matrix is then checked
+    against L_n S_n U_n = s^2 I_n.
     """
-    st = build_structures(n)
-    li = invert_bidiagonal(st.L, "lower")
-    ui = invert_bidiagonal(st.U, "upper")
-    s2 = RationalFunction(_S * _S, _ONE)
-    return (li @ ui).map_entries(lambda f: f * s2)
+    if n < 1:
+        raise InvalidRange("n must be >= 1")
+    nums = [Polynomial([0, 1] + [sum(math.comb(2 * k - 1, t) for k in range(1, m + 1))
+                                 for t in range(2 * m)])
+            for m in range(n)]
+    dens = [Polynomial([math.comb(p, t) for t in range(p + 1)]) for p in range(2 * n)]
+    S = RationalMatrix(tuple(
+        tuple(RationalFunction(nums[min(i, j)], dens[i + j + 1]) for j in range(n))
+        for i in range(n)))
+    _verify_sensitivity(S)
+    return S
 
 
 def invariance_check(k: int, ns: Sequence[int]) -> bool:

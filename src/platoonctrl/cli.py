@@ -77,8 +77,20 @@ def _write_text(out_dir: str, name: str, text: str) -> str:
     return path
 
 
+def _finite_or_null(x):
+    # JSON has no token for inf or NaN; such a float is written as null
+    if isinstance(x, float):
+        return x if math.isfinite(x) else None
+    if isinstance(x, dict):
+        return {k: _finite_or_null(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite_or_null(v) for v in x]
+    return x
+
+
 def _write_json(out_dir: str, name: str, doc: dict) -> str:
-    return _write_text(out_dir, name, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    text = json.dumps(_finite_or_null(doc), sort_keys=True, indent=2, allow_nan=False)
+    return _write_text(out_dir, name, text + "\n")
 
 
 def _write_report(out_dir: str, command: str, params: dict, results: dict,

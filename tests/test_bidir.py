@@ -11,7 +11,8 @@ import pytest
 from platoonctrl.bidir import (RationalMatrix, bode_table, build_structures,
                                invariance_check, invert_bidiagonal,
                                sensitivity_matrix, time_scale,
-                               verify_factorization, _eye)
+                               verify_factorization, _eye,
+                               _verify_sensitivity)
 from platoonctrl.errors import (InvalidRange, NonPositiveScale,
                                 SingularDiagonal, UnstableEntry)
 from platoonctrl.freq import FrequencyGrid
@@ -143,6 +144,33 @@ def test_sensitivity_closed_form_oracle():
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 assert Sn.rows[i - 1][j - 1] == _closed_form(i, j), f"entry ({i},{j}) of S_{n}"
+
+
+def test_sensitivity_matches_bidiagonal_inverse_oracle():
+    # the substitution route: s^2 L_n^{-1} U_n^{-1}, entry for entry
+    s2 = RationalFunction(S * S, ONE)
+    for n in range(1, 13):
+        st = build_structures(n)
+        oracle = invert_bidiagonal(st.L, "lower") @ invert_bidiagonal(st.U, "upper")
+        Sn = sensitivity_matrix(n)
+        for i, j, f in oracle.entries():
+            assert Sn.rows[i][j] == f * s2, f"entry ({i + 1},{j + 1}) of S_{n}"
+
+
+def test_sensitivity_closed_form_large_n():
+    n = 30
+    Sn = sensitivity_matrix(n)
+    for i, j in [(1, 1), (1, n), (n, 1), (n, n)] + [(k, k) for k in range(1, n + 1)]:
+        assert Sn.rows[i - 1][j - 1] == _closed_form(i, j), f"entry ({i},{j}) of S_{n}"
+
+
+def test_sensitivity_verification_rejects_perturbed_entry():
+    Sn = sensitivity_matrix(3)
+    _verify_sensitivity(Sn)
+    rows = [list(r) for r in Sn.rows]
+    rows[1][2] = rows[1][2] + RationalFunction(ONE, (ONE + S) ** 5)
+    with pytest.raises(ArithmeticError, match="construction bug"):
+        _verify_sensitivity(RationalMatrix(rows))
 
 
 def test_sensitivity_leading_entry_all_n():

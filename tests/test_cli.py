@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from platoonctrl.cli import main
+from platoonctrl.cli import _write_json, main
 
 
 def _read(path):
@@ -85,6 +85,19 @@ def test_sensitivity_export(tmp_path):
     e11 = next(e for e in doc["entries"] if e["row"] == 1 and e["col"] == 1)
     assert e11["num"] == ["0", "1"]
     assert e11["den"] == ["1", "1"]
+
+
+def test_write_json_nonfinite_as_null(tmp_path):
+    doc = {"peak": float("nan"), "bands": [1.5, float("inf"), {"low": float("-inf")}],
+           "nested": {"x": (2.0, float("nan"))}}
+    path = _write_json(str(tmp_path), "doc.json", doc)
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    back = json.loads(_read(path), parse_constant=reject)
+    assert back == {"peak": None, "bands": [1.5, None, {"low": None}],
+                    "nested": {"x": [2.0, None]}}
 
 
 # ---------------------------------------------------------------- synth and family-check
