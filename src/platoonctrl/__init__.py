@@ -25,11 +25,11 @@ from .poly import Polynomial, hurwitz_stable, poly_gcd
 from .ratfun import (RationalFunction, StabilityReport, closed_loop,
                      internal_stability, scale_frequency)
 from .synthesis import (Certificate, ControllerFamily, YoulaData, band_grid,
-                        candidate_controller, certify_controller,
-                        family_from_json, family_grid, family_product_check,
-                        family_to_json, lift_order, plant, q1_shape,
-                        scaled_family, search_parameters, verify_bandwidth,
-                        youla_coprime)
+                        candidate_controller, certify_closed_loop,
+                        certify_controller, family_from_json, family_grid,
+                        family_product_check, family_to_json, lift_order,
+                        plant, q1_shape, scaled_family, search_parameters,
+                        verify_bandwidth, youla_closed_loop, youla_coprime)
 
 __version__ = "0.1.0"
 
@@ -43,7 +43,8 @@ __all__ = [
     "SearchExhausted", "SingularDiagonal", "StabilityCheckFailed",
     "StabilityReport", "UnstableEntry", "YoulaData", "ZeroDenominator",
     "ZeroPolynomial", "band_grid", "bode_table", "build_structures",
-    "candidate_controller", "cascade_gain", "certify_controller",
+    "candidate_controller", "cascade_gain", "certify_closed_loop",
+    "certify_controller",
     "closed_loop", "default_grid", "family_from_json", "family_grid",
     "family_product_check", "family_to_json", "hinf_norm",
     "homogeneous_growth", "hurwitz_stable", "internal_stability",
@@ -52,5 +53,5 @@ __all__ = [
     "plant", "poly_gcd", "q1_shape", "rf_abs_jomega", "rf_log_abs_jomega",
     "scale_frequency", "scaled_family", "search_parameters",
     "sensitivity_matrix", "time_scale", "verify_bandwidth",
-    "verify_factorization", "youla_coprime",
+    "verify_factorization", "youla_closed_loop", "youla_coprime",
 ]

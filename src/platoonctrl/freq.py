@@ -4,9 +4,11 @@ norm estimator.
 The magnitude engine works in log space throughout: polynomial coefficients
 are rescaled by their largest magnitude (computed from exact big-integer
 logs when needed), and evaluation at |z| > 1 uses the reversed-coefficient
-identity p(z) = z^deg * p_rev(1/z). Controller families scaled by extreme
-gamma factors therefore sweep cleanly even when their coefficients overflow
-double precision by hundreds of orders of magnitude.
+identity p(z) = z^deg * p_rev(1/z). Coefficients beyond double range
+therefore evaluate without overflow; terms more than about 10^308 below the
+largest coefficient underflow to zero, which is why scaled controller
+families are swept on their base closed loop at scaled frequencies rather
+than on their exact members.
 """
 
 from __future__ import annotations

@@ -6,11 +6,19 @@ certify the peak and the amplification band on a grid, then fan the certified
 design out into a geometrically frequency-scaled family whose amplification
 bands are pairwise disjoint. Everything structural is exact rational
 arithmetic; floats appear only in grid sweeps and in certificate frequencies.
+
+Two identities carry the pipeline. Youla parametrisation makes
+T = N*X*(1 - M*Q1) internally stable for every stable Q1, so the scan
+certifies that T directly and a controller is built (and cross-checked)
+only for the winner. A scaled member c_k = gamma_k^{-m} c(gamma_k s) has
+T_k(s) = T(gamma_k s), so a family is stored as one base controller plus
+its gammas, and its checks evaluate the base T at gamma_k * omega.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -88,6 +96,16 @@ def q1_shape(m: int, gamma_a, gamma_b) -> RationalFunction:
     return RationalFunction((_ONE + _S) ** m, den)
 
 
+def youla_closed_loop(m: int, gamma_a, gamma_b) -> RationalFunction:
+    """T = N*X*(1 - M*Q1): the closed loop of the Youla candidate, no controller built.
+
+    Q = -X*Q1 is stable for positive gammas, so this T belongs to an
+    internally stable loop by construction.
+    """
+    yd = youla_coprime(m)
+    return yd.N * yd.X * (_ONE_RF - yd.M * q1_shape(m, gamma_a, gamma_b))
+
+
 def candidate_controller(m: int, gamma_a, gamma_b) -> RationalFunction:
     """Youla-parametrized candidate c = (X + M*Q)/(Y - N*Q) with Q = -X*Q1.
 
@@ -108,9 +126,7 @@ def candidate_controller(m: int, gamma_a, gamma_b) -> RationalFunction:
     if not internal_stability(plant(m), c).internally_stable:
         raise StabilityCheckFailed(
             f"candidate (m={m}, gamma_a={gamma_a}, gamma_b={gamma_b}) failed the gang-of-four test")
-    T_direct = closed_loop(plant(m), c)[1]
-    T_youla = yd.N * yd.X * (_ONE_RF - yd.M * q1)
-    if T_direct != T_youla:
+    if closed_loop(plant(m), c)[1] != youla_closed_loop(m, gamma_a, gamma_b):
         raise ArithmeticError("closed-loop and Youla expressions for T disagree; construction bug")
     return c
 
@@ -160,24 +176,21 @@ def _bisect_crossing(T, a: float, b: float, keep_low: bool) -> float:
     return a if keep_low else b
 
 
-def certify_controller(c: RationalFunction, m: int, epsilon: float,
-                       grid: FrequencyGrid | None = None) -> Certificate:
-    """Certify peak <= 1 + epsilon and extract the amplification band.
+def certify_closed_loop(T: RationalFunction, epsilon: float,
+                        grid: FrequencyGrid | None = None) -> Certificate:
+    """Certify peak |T| <= 1 + epsilon and extract the amplification band.
 
     omega_low sits strictly below the first grid sample with |T| > 1 and
     omega_high strictly above the last, both refined by bisection while
     staying on the |T| <= 1 side, so the band is placed conservatively.
     Raises PeakExceedsBudget when the refined peak is over budget, and
     InvalidRange when the band touches the grid edge (the grid, not the
-    controller, is at fault then).
+    design, is at fault then). Internal stability is the caller's to show.
     """
     if epsilon <= 0:
         raise InvalidRange("epsilon must be positive")
     if grid is None:
         grid = default_grid()
-    if not internal_stability(plant(m), c).internally_stable:
-        raise StabilityCheckFailed("controller does not internally stabilise 1/s^m")
-    T = closed_loop(plant(m), c)[1]
     res = hinf_norm(T, grid)
     if not res.finite:
         raise StabilityCheckFailed("closed loop has no finite peak")
@@ -195,6 +208,14 @@ def certify_controller(c: RationalFunction, m: int, epsilon: float,
     w_lo = _bisect_crossing(T, float(grid.omegas[first - 1]), float(grid.omegas[first]), True)
     w_hi = _bisect_crossing(T, float(grid.omegas[last]), float(grid.omegas[last + 1]), False)
     return Certificate(float(epsilon), res.norm, w_lo, w_hi, band_empty=False)
+
+
+def certify_controller(c: RationalFunction, m: int, epsilon: float,
+                       grid: FrequencyGrid | None = None) -> Certificate:
+    """Gang-of-four test of c on 1/s^m, then certify_closed_loop on its T."""
+    if not internal_stability(plant(m), c).internally_stable:
+        raise StabilityCheckFailed("controller does not internally stabilise 1/s^m")
+    return certify_closed_loop(closed_loop(plant(m), c)[1], epsilon, grid)
 
 
 # ----------------------------------------------------------------------
@@ -218,13 +239,15 @@ def band_grid(gamma_b) -> FrequencyGrid:
 @lru_cache(maxsize=8)
 def search_parameters(m: int, epsilon: float,
                       grid: FrequencyGrid | None = None) -> Tuple[Fraction, Fraction]:
-    """First (gamma_a, gamma_b) on the documented scan grid whose candidate certifies.
+    """First (gamma_a, gamma_b) on the documented scan grid whose Youla T certifies.
 
     Scan order is lexicographic: gamma_a descends from 1 by quarter decades
     down to 1e-6, and for each gamma_a, gamma_b descends from gamma_a by the
-    same steps. When no grid is passed, each candidate is certified on a
-    band-aware grid (band_grid) so small-gamma bands are not missed below
-    the default sweep floor.
+    same steps. Each candidate's youla_closed_loop is certified directly;
+    no controller is built, since Youla parametrisation already makes the
+    loop internally stable. When no grid is passed, each candidate is
+    certified on a band-aware grid (band_grid) so small-gamma bands are not
+    missed below the default sweep floor.
     """
     if m % 4 != 0:
         raise InvalidRange("search_parameters requires m divisible by 4")
@@ -235,11 +258,8 @@ def search_parameters(m: int, epsilon: float,
         for step in vals:
             gb = ga * step
             try:
-                c = candidate_controller(m, ga, gb)
-            except StabilityCheckFailed:
-                continue
-            try:
-                certify_controller(c, m, epsilon, grid if grid is not None else band_grid(gb))
+                certify_closed_loop(youla_closed_loop(m, ga, gb), epsilon,
+                                    grid if grid is not None else band_grid(gb))
             except (PeakExceedsBudget, InvalidRange):
                 continue
             return ga, gb
@@ -277,16 +297,41 @@ def lift_order(c_bar: RationalFunction, ell: int, m: int) -> RationalFunction:
 
 @dataclass(frozen=True)
 class ControllerFamily:
-    """Certified base design fanned out as c_k = gamma_k^{-m} c(gamma_k s)."""
+    """Certified base controller c and the gammas of its members.
+
+    Member k is c_k = gamma_k^{-m} c(gamma_k s) (member(k), built on
+    demand). For the plant 1/s^m this gives p*c_k = (p*c)(gamma_k s), so
+    T_k(s) = T(gamma_k s): every member check runs on the base T at scaled
+    frequencies, and internal stability, invariant under s -> gamma s for
+    gamma > 0, is the base's.
+    """
 
     m: int
-    controllers: tuple
+    base: RationalFunction
     gammas: tuple
     omega_bw: float
     base_certificate: Certificate
 
+    def __post_init__(self):
+        # member checks read the base T at gamma_k * omega in double precision;
+        # compared exactly first, since float() of a Fraction past that range raises
+        if not all(0 < g <= sys.float_info.max and float(g) > 0 for g in self.gammas):
+            raise InvalidRange("gammas must be positive and within double range; reduce count")
+
     def __len__(self):
-        return len(self.controllers)
+        return len(self.gammas)
+
+    def member(self, k: int) -> RationalFunction:
+        """The exact controller c_k = gamma_k^{-m} c(gamma_k s), k counted from 0."""
+        g = self.gammas[k]
+        return scale_frequency(self.base, g) / g ** self.m
+
+
+def _member_log_abs(family: ControllerFamily, m: int, omegas):
+    # member k's ln|T_k(j omega)|, read as the base ln|T(j gamma_k omega)|
+    T = closed_loop(plant(m), family.base)[1]
+    for g in family.gammas:
+        yield rf_log_abs_jomega(T, omegas * float(g))
 
 
 def scaled_family(c: RationalFunction, cert: Certificate, m: int, omega_bw: float,
@@ -296,46 +341,43 @@ def scaled_family(c: RationalFunction, cert: Certificate, m: int, omega_bw: floa
     gamma_1 = omega_high/omega_bw and gamma_{k+1} = (omega_high/omega_low) *
     gamma_k, held as exact rationals, so adjacent amplification bands
     (omega_low/gamma_k, omega_high/gamma_k) share endpoints exactly and can
-    never overlap. Each member is re-verified: internal stability by exact
-    Routh test, and |T_k| <= 1 on the grid at and above omega_bw (1e-12
-    multiplicative slack for the float sweep). A degenerate certificate
-    (band_empty) gives ratio 1: all members coincide and the product bound
-    is 1 everywhere.
+    never overlap. The base is Routh-tested once for internal stability,
+    which every member inherits, and verify_bandwidth checks the members'
+    |T_k| <= 1 at and above omega_bw on the base T at gamma_k * omega. A
+    degenerate certificate (band_empty) gives ratio 1: all members coincide
+    and the product bound is 1 everywhere. count is capped at 25: the
+    gammas grow geometrically, and the sweeps read T at gamma_k * omega in
+    double precision.
     """
     if count < 1:
         raise InvalidRange("count must be >= 1")
     if count > _FAMILY_CAP:
         raise InvalidRange(
-            f"count capped at {_FAMILY_CAP}; the geometric gammas grow astronomically "
-            "and members beyond the cap stop being representable in a float sweep")
+            f"count capped at {_FAMILY_CAP}; the gammas grow geometrically and the "
+            "family sweep grid must span every member's band in double precision")
     if omega_bw <= 0:
         raise InvalidRange("omega_bw must be positive")
+    if not internal_stability(plant(m), c).internally_stable:
+        raise StabilityCheckFailed("base controller fails internal stability")
     gamma = Fraction(cert.omega_high) / Fraction(omega_bw)
     ratio = Fraction(cert.omega_high) / Fraction(cert.omega_low)
-    p = plant(m)
-    controllers = []
-    gammas = []
-    for k in range(count):
-        ck = scale_frequency(c, gamma) * (Fraction(1) / gamma ** m)
-        if not internal_stability(p, ck).internally_stable:
-            raise StabilityCheckFailed(f"family member {k + 1} failed internal stability")
-        controllers.append(ck)
-        gammas.append(gamma)
-        gamma = gamma * ratio
-    fam = ControllerFamily(m, tuple(controllers), tuple(gammas), float(omega_bw), cert)
+    gammas = tuple(gamma * ratio ** k for k in range(count))
+    fam = ControllerFamily(m, c, gammas, float(omega_bw), cert)
     verify_bandwidth(fam, grid)
     return fam
 
 
 def verify_bandwidth(family: ControllerFamily, grid: FrequencyGrid | None = None) -> None:
-    """Check |T_k(j omega)| <= 1 for every member at every grid omega >= omega_bw."""
+    """Check |T_k(j omega)| <= 1 for every member at every grid omega >= omega_bw.
+
+    T_k(j omega) is read as the base T at j gamma_k omega; 1e-12 of
+    multiplicative slack absorbs the float sweep.
+    """
     g = grid if grid is not None else default_grid()
     om = g.omegas[g.omegas >= family.omega_bw * (1 - 1e-12)]
     if om.size == 0:
         raise InvalidRange("grid has no samples at or above omega_bw")
-    p = plant(family.m)
-    for k, ck in enumerate(family.controllers):
-        logs = rf_log_abs_jomega(closed_loop(p, ck)[1], om)
+    for k, logs in enumerate(_member_log_abs(family, family.m, om)):
         if (logs > 1e-12).any():
             w = float(om[int(np.argmax(logs))])
             raise BandwidthViolation(
@@ -348,8 +390,6 @@ def family_grid(family: ControllerFamily) -> FrequencyGrid:
     if cert.band_empty or not family.gammas:
         return default_grid()
     gmax, gmin = float(max(family.gammas)), float(min(family.gammas))
-    if not (math.isfinite(gmax) and gmin > 0):
-        raise InvalidRange("gamma range exceeds double precision; reduce count")
     wmin = min(1e-4, cert.omega_low / gmax / 10)
     wmax = max(1e4, cert.omega_high / gmin * 10)
     return FrequencyGrid(wmin, wmax, 200)
@@ -361,17 +401,15 @@ def family_product_check(family: ControllerFamily, m: int,
                          tol: float = 1e-6) -> Tuple[float, bool]:
     """(grid max of prod_k |T_k(j omega)|, max <= 1 + epsilon + tol).
 
-    The empty product is 1. The default grid comes from family_grid so no
-    member's band falls outside the sweep.
+    Each factor |T_k(j omega)| is the base |T(j gamma_k omega)|. The empty
+    product is 1. The default grid comes from family_grid so no member's
+    band falls outside the sweep.
     """
     if epsilon is None:
         epsilon = family.base_certificate.epsilon
     if grid is None:
         grid = family_grid(family)
-    p = plant(m)
-    total = np.zeros(len(grid.omegas))
-    for ck in family.controllers:
-        total = total + rf_log_abs_jomega(closed_loop(p, ck)[1], grid.omegas)
+    total = sum(_member_log_abs(family, m, grid.omegas), np.zeros(len(grid.omegas)))
     max_product = float(np.exp(np.float64(total.max())))
     return max_product, bool(max_product <= 1 + epsilon + tol)
 
@@ -379,20 +417,24 @@ def family_product_check(family: ControllerFamily, m: int,
 # ----------------------------------------------------------------------
 # JSON form
 
-_FAMILY_SCHEMA = "family/1"
+_FAMILY_SCHEMA = "family/2"
+# the older form stores every member in full; it is still read, as the base
+# recovered from member 1, and only when every stored member is its scaled copy
+_FAMILY_SCHEMA_V1 = "family/1"
 
 
 def family_to_json(family: ControllerFamily,
                    product_check: Tuple[float, bool] | None = None) -> dict:
+    """The family/2 document: base controller, exact gammas, certificate."""
     cert = family.base_certificate
     doc = {
         "schema": _FAMILY_SCHEMA,
         "m": family.m,
         "epsilon": cert.epsilon,
         "omega_bw": family.omega_bw,
-        "count": len(family.controllers),
+        "count": len(family),
         "gammas": [str(g) for g in family.gammas],
-        "controllers": [c.to_json_dict() for c in family.controllers],
+        "controller": family.base.to_json_dict(),
         "certificate": {
             "epsilon": cert.epsilon,
             "peak": cert.peak,
@@ -409,8 +451,10 @@ def family_to_json(family: ControllerFamily,
 
 
 def family_from_json(doc: dict) -> ControllerFamily:
-    if doc.get("schema") != _FAMILY_SCHEMA:
-        raise InvalidRange(f"unsupported family schema {doc.get('schema')!r}")
+    """Read a family/2 document, or a family/1 one whose members are exact scaled copies."""
+    schema = doc.get("schema")
+    if schema not in (_FAMILY_SCHEMA, _FAMILY_SCHEMA_V1):
+        raise InvalidRange(f"unsupported family schema {schema!r}")
     cd = doc["certificate"]
     cert = Certificate(
         epsilon=float(cd["epsilon"]),
@@ -421,10 +465,16 @@ def family_from_json(doc: dict) -> ControllerFamily:
         gamma_a=None if cd["gamma_a"] is None else Fraction(cd["gamma_a"]),
         gamma_b=None if cd["gamma_b"] is None else Fraction(cd["gamma_b"]),
     )
-    return ControllerFamily(
-        m=int(doc["m"]),
-        controllers=tuple(RationalFunction.from_json_dict(d) for d in doc["controllers"]),
-        gammas=tuple(Fraction(t) for t in doc["gammas"]),
-        omega_bw=float(doc["omega_bw"]),
-        base_certificate=cert,
-    )
+    m, omega_bw = int(doc["m"]), float(doc["omega_bw"])
+    gammas = tuple(Fraction(t) for t in doc["gammas"])
+    if schema == _FAMILY_SCHEMA:
+        base = RationalFunction.from_json_dict(doc["controller"])
+        return ControllerFamily(m, base, gammas, omega_bw, cert)
+    members = [RationalFunction.from_json_dict(d) for d in doc["controllers"]]
+    if not members or len(members) != len(gammas) or gammas[0] <= 0:
+        raise InvalidRange("family/1 needs one stored controller per positive gamma")
+    g = gammas[0]
+    fam = ControllerFamily(m, scale_frequency(members[0], 1 / g) * g ** m, gammas, omega_bw, cert)
+    if any(fam.member(k) != ck for k, ck in enumerate(members)):
+        raise InvalidRange("family/1 members are not exact scaled copies of member 1")
+    return fam

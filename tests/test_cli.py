@@ -108,8 +108,9 @@ def test_synth_family(tmp_path, m):
     assert main(["synth", "--m", str(m), "--eps", "0.1", "--bw", "1",
                  "--count", "10", "--out", out]) == 0
     fam = json.loads(_read(os.path.join(out, "family.json")))
-    assert fam["schema"] == "family/1"
-    assert fam["count"] == 10 and len(fam["controllers"]) == 10
+    assert fam["schema"] == "family/2"
+    assert fam["count"] == 10 and len(fam["gammas"]) == 10
+    assert set(fam["controller"]) == {"num", "den"}
     assert fam["product_check"]["pass"] is True
     assert fam["product_check"]["max_product"] <= 1.1 + 1e-6
     rep = _report(out)
@@ -119,6 +120,37 @@ def test_synth_family(tmp_path, m):
     rep2 = _report(out)
     assert rep2["results"]["product_ok"] is True
     assert rep2["results"]["members_stable"] is True
+
+
+@pytest.mark.parametrize("count", [13, 25])
+def test_synth_m4_long_family(tmp_path, count):
+    # members past the 12th have coefficients of thousands of bits; the
+    # checks read the base T at scaled frequencies, so the product stays finite
+    out = str(tmp_path)
+    assert main(["synth", "--m", "4", "--count", str(count), "--out", out]) == 0
+    path = os.path.join(out, "family.json")
+    for doc in (_report(out)["results"], json.loads(_read(path))["product_check"]):
+        assert isinstance(doc["max_product"], float)
+        assert doc["max_product"] <= 1.1 + 1e-6
+    assert main(["family-check", "--file", path, "--out", out]) == 0
+
+
+def test_family_check_family1_members_must_be_scaled_copies(tmp_path):
+    from platoonctrl.synthesis import family_from_json
+    out = str(tmp_path)
+    assert main(["synth", "--m", "4", "--count", "3", "--out", out]) == 0
+    doc = json.loads(_read(os.path.join(out, "family.json")))
+    fam = family_from_json(doc)
+    doc["schema"] = "family/1"
+    del doc["controller"]
+    doc["controllers"] = [fam.member(k).to_json_dict() for k in range(3)]
+    path = tmp_path / "family1.json"
+    path.write_text(json.dumps(doc))
+    assert main(["family-check", "--file", str(path), "--out", out]) == 0
+    assert _report(out)["results"]["members_stable"] is True
+    doc["controllers"][1] = doc["controllers"][2]
+    path.write_text(json.dumps(doc))
+    assert main(["family-check", "--file", str(path), "--out", out]) == 2
 
 
 def test_family_check_reads_long_coefficients(tmp_path):

@@ -8,18 +8,21 @@ from fractions import Fraction
 
 import pytest
 
+from platoonctrl import synthesis
 from platoonctrl.errors import (BandwidthViolation, InvalidRange,
                                 PeakExceedsBudget, StabilityCheckFailed)
 from platoonctrl.freq import FrequencyGrid, rf_log_abs_jomega
 from platoonctrl.parsing import parse_rational
 from platoonctrl.poly import Polynomial
-from platoonctrl.ratfun import RationalFunction, closed_loop, internal_stability, one, s
+from platoonctrl.ratfun import (RationalFunction, closed_loop, internal_stability,
+                                one, s, scale_frequency)
 from platoonctrl.synthesis import (Certificate, ControllerFamily, band_grid,
-                                   candidate_controller, certify_controller,
-                                   family_from_json, family_grid,
-                                   family_product_check, family_to_json,
-                                   lift_order, plant, q1_shape, scaled_family,
-                                   search_parameters, verify_bandwidth,
+                                   candidate_controller, certify_closed_loop,
+                                   certify_controller, family_from_json,
+                                   family_grid, family_product_check,
+                                   family_to_json, lift_order, plant, q1_shape,
+                                   scaled_family, search_parameters,
+                                   verify_bandwidth, youla_closed_loop,
                                    youla_coprime, _scan_values)
 
 ONE = Polynomial([1])
@@ -147,6 +150,46 @@ def test_search_lands_on_scan_grid(certified_m4):
     assert cert.gamma_b / cert.gamma_a in vals
 
 
+def test_search_winner_m4_pinned():
+    assert search_parameters(4, 0.1) == (
+        Fraction("44456985251/250000000000"),
+        Fraction("702926656495390948551/125000000000000000000000"))
+
+
+def test_scan_certifies_youla_T_like_the_controller_route():
+    # the scan certifies T = N X (1 - M Q1) without building c; on a sample
+    # of candidates (the first, a few misses, the one before the m = 4
+    # winner, the winner, the one after) the controller route must agree
+    vals = _scan_values()
+    sample = [(0, 0), (0, 12), (2, 24), (3, 5), (3, 6), (3, 7)]
+
+    def outcome(route):
+        try:
+            return route()
+        except Exception as exc:  # the class is what is compared
+            return type(exc)
+
+    seen = set()
+    for i, j in sample:
+        ga, gb = vals[i], vals[i] * vals[j]
+        grid = band_grid(gb)
+        direct = outcome(lambda: certify_closed_loop(youla_closed_loop(4, ga, gb), 0.1, grid))
+        via_c = outcome(lambda: certify_controller(candidate_controller(4, ga, gb), 4, 0.1, grid))
+        assert direct == via_c, f"candidate ({i}, {j})"
+        seen.add(direct if isinstance(direct, type) else Certificate)
+    assert seen == {Certificate, PeakExceedsBudget}
+
+
+def test_search_builds_no_controller(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the scan must not build or Routh-test a controller")
+
+    monkeypatch.setattr(synthesis, "candidate_controller", forbidden)
+    monkeypatch.setattr(synthesis, "internal_stability", forbidden)
+    monkeypatch.setattr(synthesis, "closed_loop", forbidden)
+    assert search_parameters.__wrapped__(4, 0.1) == search_parameters(4, 0.1)
+
+
 def test_search_validation():
     with pytest.raises(InvalidRange):
         search_parameters(3, 0.1)
@@ -193,16 +236,24 @@ def test_family_band_adjacency(certified_m4):
 
 
 def test_family_members_scaled_correctly(certified_m4):
-    import numpy as np
     c, cert = certified_m4
     fam = scaled_family(c, cert, 4, 1.0, 3)
     T = closed_loop(plant(4), c)[1]
-    for ck, g in zip(fam.controllers, fam.gammas):
-        Tk = closed_loop(plant(4), ck)[1]
-        om = np.array([0.01, 0.1, 1.0])
-        lhs = rf_log_abs_jomega(Tk, om)
-        rhs = rf_log_abs_jomega(T, om * float(g))
-        assert np.max(np.abs(lhs - rhs)) < 1e-9, "T_k(s) must equal T(gamma_k s)"
+    for k, g in enumerate(fam.gammas):
+        ck = fam.member(k)
+        assert closed_loop(plant(4), ck)[1] == scale_frequency(T, g), \
+            "T_k(s) must equal T(gamma_k s)"
+        assert internal_stability(plant(4), ck).internally_stable
+
+
+def test_family_routh_tests_the_base_once(certified_m4, monkeypatch):
+    c, cert = certified_m4
+    calls = []
+    real = synthesis.internal_stability
+    monkeypatch.setattr(synthesis, "internal_stability",
+                        lambda p, ck: calls.append(ck) or real(p, ck))
+    fam = scaled_family(c, cert, 4, 1.0, 10)
+    assert calls == [c] and fam.base is c
 
 
 def test_family_bandwidth_holds(certified_m4):
@@ -215,7 +266,7 @@ def test_family_bandwidth_violation_detected(certified_m4):
     c, cert = certified_m4
     bad = ControllerFamily(
         4,
-        (scaled_family(c, cert, 4, 1.0, 1).controllers[0] * 1,),
+        c,
         (Fraction(cert.omega_high),),
         omega_bw=float(cert.omega_high) * 0.5,  # band now pokes above bw
         base_certificate=cert)
@@ -235,7 +286,7 @@ def test_homogeneous_family_product_compounds():
     # ten copies of the same PD loop: the peaks stack multiplicatively
     c = parse_rational("1+s")
     cert = Certificate(0.5, 1.4678898250138706, 0.0, 0.0, band_empty=True)
-    fam = ControllerFamily(2, (c,) * 10, (Fraction(1),) * 10, 1.0, cert)
+    fam = ControllerFamily(2, c, (Fraction(1),) * 10, 1.0, cert)
     max_product, ok = family_product_check(fam, 2, epsilon=0.1)
     assert max_product >= 2 ** 5
     assert not ok
@@ -253,9 +304,16 @@ def test_degenerate_certificate_family():
     c = parse_rational("1")
     cert = certify_controller(c, 1, 0.1)
     fam = scaled_family(c, cert, 1, 1.0, 5)
-    assert len(set(fam.controllers)) == 1, "ratio 1 means identical members"
+    assert len({fam.member(k) for k in range(5)}) == 1, "ratio 1 means identical members"
     max_product, ok = family_product_check(fam, 1)
     assert ok and max_product <= 1.0 + 1e-9
+
+
+def test_family_rejects_gammas_outside_double_range(certified_m4):
+    c, cert = certified_m4
+    for bad in (Fraction(10) ** 400, Fraction(1, 10 ** 400), Fraction(0), Fraction(-1)):
+        with pytest.raises(InvalidRange):
+            ControllerFamily(4, c, (Fraction(1), bad), 1.0, cert)
 
 
 def test_family_grid_covers_bands(certified_m4):
@@ -275,7 +333,7 @@ def test_family_json_round_trip(certified_m4):
     doc = family_to_json(fam, (1.05, True))
     text = json.dumps(doc, sort_keys=True)
     fam2 = family_from_json(json.loads(text))
-    assert fam2.controllers == fam.controllers
+    assert fam2.base == fam.base
     assert fam2.gammas == fam.gammas
     assert fam2.base_certificate == fam.base_certificate
 
