@@ -7,8 +7,11 @@ bidiagonal, so S_n = s^2 L_n^{-1} U_n^{-1}. That product has a closed form
 whose entries do not depend on n, so the leading blocks of S_n do not change
 as vehicles are appended. `sensitivity_matrix` builds the entries from the
 closed form and checks L_n S_n U_n = s^2 I_n exactly; `invert_bidiagonal`
-keeps the substitution route as an independent oracle. Everything here is
-exact rational arithmetic; floats only enter in the Bode sweep.
+keeps the substitution route as an independent oracle. Both identities,
+the factorization and L_n S_n U_n = s^2 I_n, are checked with the
+denominators cleared, in integer polynomial arithmetic on the coefficients
+of the very matrices they are about; `RationalMatrix` products are the test
+oracle. Everything here is exact; floats only enter in the Bode sweep.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ import numpy as np
 from .errors import (InvalidRange, NonPositiveScale, SingularDiagonal,
                      UnstableEntry)
 from .freq import FrequencyGrid, rf_log_abs_jomega
-from .poly import Polynomial, hurwitz_stable
+from .poly import (Polynomial, _int_add, _int_mul, _int_sub, _int_view,
+                   hurwitz_stable)
 from .ratfun import RationalFunction, scale_frequency
 
 _S = Polynomial([0, 1])
@@ -169,12 +173,53 @@ def build_structures(n: int) -> LemmaStructures:
     return LemmaStructures(n, X, H, U, L)
 
 
+def _int_poly_matrix(M: RationalMatrix, factor: Polynomial = _ONE):
+    """The nonzero entries of factor * M as {(i, j): integer coefficients}.
+
+    None unless every entry of factor * M is a polynomial with integer
+    coefficients.
+    """
+    out = {}
+    for i, j, f in M.entries():
+        if f.num.is_zero:
+            continue
+        q, r = divmod(f.num * factor, f.den)
+        cs = _int_view(q) if r.is_zero else None
+        if cs is None:
+            return None
+        out[i, j] = cs
+    return out
+
+
+def _int_matmul(A, B):
+    # sparse product of {(i, j): integer coefficients} matrices
+    cols = {}
+    for (k, j), b in B.items():
+        cols.setdefault(k, []).append((j, b))
+    out = {}
+    for (i, k), a in A.items():
+        for j, b in cols.get(k, ()):
+            out[i, j] = _int_add(out.get((i, j), []), _int_mul(a, b))
+    return {ij: c for ij, c in out.items() if c}
+
+
 def verify_factorization(n: int) -> bool:
-    """Exact entrywise test of s^2 (I + X H X^T) == U L."""
+    """Exact entrywise test of s^2 (I + X H X^T) == U L.
+
+    Reads X, H, U and L from `build_structures(n)` and checks the cleared
+    form s^2 I + X (s^2 H) X^T == U L in integer polynomial arithmetic.
+    False if the two sides differ or if an entry of X, s^2 H, U or L is not
+    a polynomial with integer coefficients.
+    """
     st = build_structures(n)
-    lhs = (_eye(n) + st.X @ st.H @ st.X.transpose()).map_entries(
-        lambda f: f * RationalFunction(_S * _S, _ONE))
-    return lhs == st.U @ st.L
+    X, s2H, U, L = (_int_poly_matrix(st.X), _int_poly_matrix(st.H, _S * _S),
+                    _int_poly_matrix(st.U), _int_poly_matrix(st.L))
+    if None in (X, s2H, U, L):
+        return False
+    lhs = _int_matmul(_int_matmul(X, s2H), {(j, i): c for (i, j), c in X.items()})
+    for i in range(n):
+        lhs[i, i] = _int_add(lhs.get((i, i), []), [0, 0, 1])
+    return {ij: c for ij, c in lhs.items() if c} == _int_matmul(U, L)
 
 
 def invert_bidiagonal(T: RationalMatrix, shape: str) -> RationalMatrix:
@@ -212,13 +257,37 @@ def invert_bidiagonal(T: RationalMatrix, shape: str) -> RationalMatrix:
     return inv
 
 
+def _binomial_rows(count: int):
+    """The ascending coefficients of (s+1)^p for p = 0..count-1."""
+    return [[math.comb(p, t) for t in range(p + 1)] for p in range(count)]
+
+
 def _verify_sensitivity(S: RationalMatrix) -> None:
-    """Raise unless L_n S U_n == s^2 I_n exactly, n the size of S."""
+    """Raise unless L_n S U_n == s^2 I_n exactly, n the size of S.
+
+    Entry (i, j), 0-based, must be N_ij / (s+1)^(i+j+1) with N_ij an integer
+    polynomial. With the denominators cleared, (L S U)_ij = delta_ij s^2
+    reads l_i (N_ij - N_i,j-1) - (s+1) (N_i-1,j - N_i-1,j-1)
+    == delta_ij s^2 (s+1)^(2i), where l_0 = s, l_i = s+1 otherwise, and N
+    is zero outside the matrix; that is checked in integer arithmetic.
+    """
+    fail = ArithmeticError("sensitivity verification failed; construction bug")
     n = S.n_rows
-    st = build_structures(n)
-    s2 = RationalFunction(_S * _S, _ONE)
-    if st.L @ S @ st.U != _eye(n).map_entries(lambda f: f * s2):
-        raise ArithmeticError("sensitivity verification failed; construction bug")
+    if S.n_cols != n:
+        raise fail
+    binom = _binomial_rows(2 * n)
+    N = [[_int_view(f.num) for f in row] for row in S.rows]
+    for i, j, f in S.entries():
+        if N[i][j] is None or list(f.den.coeffs) != binom[i + j + 1]:
+            raise fail
+    for i in range(n):
+        l_i = [0, 1] if i == 0 else [1, 1]
+        for j in range(n):
+            here = _int_sub(N[i][j], N[i][j - 1] if j else [])
+            above = _int_sub(N[i - 1][j], N[i - 1][j - 1] if j else []) if i else []
+            lhs = _int_sub(_int_mul(l_i, here), _int_mul([1, 1], above))
+            if lhs != ([0, 0] + binom[2 * i] if i == j else []):
+                raise fail
 
 
 @lru_cache(maxsize=None)
@@ -230,14 +299,15 @@ def sensitivity_matrix(n: int) -> RationalMatrix:
     numerator is a sum of binomial rows, the denominator the binomial row of
     (s+1)^(i+j+1). The numerator is -1 at s = -1, so the pair is coprime and
     the constructor leaves it as built. The whole matrix is then checked
-    against L_n S_n U_n = s^2 I_n.
+    against L_n S_n U_n = s^2 I_n, entry by entry with the denominators
+    cleared, in integer arithmetic (`_verify_sensitivity`).
     """
     if n < 1:
         raise InvalidRange("n must be >= 1")
     nums = [Polynomial([0, 1] + [sum(math.comb(2 * k - 1, t) for k in range(1, m + 1))
                                  for t in range(2 * m)])
             for m in range(n)]
-    dens = [Polynomial([math.comb(p, t) for t in range(p + 1)]) for p in range(2 * n)]
+    dens = [Polynomial(row) for row in _binomial_rows(2 * n)]
     S = RationalMatrix(tuple(
         tuple(RationalFunction(nums[min(i, j)], dens[i + j + 1]) for j in range(n))
         for i in range(n)))
@@ -313,7 +383,10 @@ def bode_table(Mtx: RationalMatrix, grid: FrequencyGrid) -> BodeTable:
         if f.den.degree > 0 and not hurwitz_stable(f.den):
             raise UnstableEntry(f"entry ({i + 1},{j + 1}) has an unstable pole")
     om = grid.omegas
-    bound = om / np.sqrt(1.0 + om * om)
+    # past om ~ 1.34e154, om * om overflows; there |jw/(jw+1)| rounds to 1.0
+    with np.errstate(over="ignore"):
+        sq = om * om
+    bound = np.where(np.isinf(sq), 1.0, om / np.sqrt(1.0 + sq))
     logs = np.empty((Mtx.n_rows, Mtx.n_cols, len(om)))
     worst = -math.inf
     ok = True

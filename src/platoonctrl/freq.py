@@ -34,7 +34,8 @@ class FrequencyGrid:
             raise InvalidRange("need 0 < omega_min < omega_max")
         if points_per_decade < 1:
             raise InvalidRange("points_per_decade must be >= 1")
-        decades = math.log10(omega_max / omega_min)
+        # a difference of logs: omega_max / omega_min can overflow
+        decades = math.log10(omega_max) - math.log10(omega_min)
         n = max(2, round(decades * points_per_decade) + 1)
         om = np.logspace(math.log10(omega_min), math.log10(omega_max), n)
         om[0], om[-1] = omega_min, omega_max

@@ -215,7 +215,8 @@ def _coef_str(c: Fraction) -> str:
 
 
 # ----------------------------------------------------------------------
-# exact gcd (primitive pseudo-remainder sequence over the integers)
+# integer coefficient lists: the exact gcd (primitive pseudo-remainder
+# sequence over the integers) and the cleared-denominator identity checks
 
 def _int_content(cs) -> int:
     g = 0
@@ -232,6 +233,36 @@ def _to_int_coeffs(p: Polynomial):
     for c in p.coeffs:
         den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
     return _int_primitive([int(c * den_lcm) for c in p.coeffs])
+
+def _int_view(p: Polynomial):
+    # the coefficients as a list of ints, or None unless every one is integral
+    if any(c.denominator != 1 for c in p.coeffs):
+        return None
+    return [c.numerator for c in p.coeffs]
+
+def _int_add(a, b):
+    # a + b on ascending integer coefficient lists, trailing zeros trimmed
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+def _int_sub(a, b):
+    return _int_add(a, [-c for c in b])
+
+def _int_mul(a, b):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 def _int_prem(a, b):
     # iterated pseudo-remainder: scale by lead(b) each elimination step so the

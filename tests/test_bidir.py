@@ -8,10 +8,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from platoonctrl.bidir import (RationalMatrix, bode_table, build_structures,
-                               invariance_check, invert_bidiagonal,
-                               sensitivity_matrix, time_scale,
-                               verify_factorization, _eye,
+from platoonctrl import bidir
+from platoonctrl.bidir import (LemmaStructures, RationalMatrix, bode_table,
+                               build_structures, invariance_check,
+                               invert_bidiagonal, sensitivity_matrix,
+                               time_scale, verify_factorization, _eye,
                                _verify_sensitivity)
 from platoonctrl.errors import (InvalidRange, NonPositiveScale,
                                 SingularDiagonal, UnstableEntry)
@@ -23,6 +24,36 @@ ONE = Polynomial([1])
 S = Polynomial([0, 1])
 SP1 = RationalFunction(ONE + S, ONE)
 S_RF = RationalFunction(S, ONE)
+
+
+def _factorization_by_matmul(n: int) -> bool:
+    # oracle: the identity in canonical rational-matrix products; reads the
+    # module attribute so a patched build_structures reaches it
+    st = bidir.build_structures(n)
+    lhs = (_eye(n) + st.X @ st.H @ st.X.transpose()).map_entries(
+        lambda f: f * RationalFunction(S * S, ONE))
+    return lhs == st.U @ st.L
+
+
+def _sensitivity_by_matmul(Sn: RationalMatrix) -> bool:
+    # oracle: L_n S U_n == s^2 I_n in canonical rational-matrix products
+    st = build_structures(Sn.n_rows)
+    s2 = RationalFunction(S * S, ONE)
+    return st.L @ Sn @ st.U == _eye(Sn.n_rows).map_entries(lambda f: f * s2)
+
+
+def _integer_route_accepts(Sn: RationalMatrix) -> bool:
+    try:
+        _verify_sensitivity(Sn)
+    except ArithmeticError:
+        return False
+    return True
+
+
+def _replace_entry(M: RationalMatrix, i: int, j: int, f: RationalFunction) -> RationalMatrix:
+    rows = [list(r) for r in M.rows]
+    rows[i][j] = f
+    return RationalMatrix(rows)
 
 
 def _closed_form(i: int, j: int) -> RationalFunction:
@@ -71,6 +102,29 @@ def test_structures_validation():
 def test_factorization_small_and_deep():
     for n in range(1, 41):
         assert verify_factorization(n), f"identity failed at n={n}"
+
+
+def test_factorization_agrees_with_matmul_oracle():
+    for n in range(1, 11):
+        assert verify_factorization(n) is True
+        assert _factorization_by_matmul(n) is True
+
+
+def test_factorization_rejects_wrong_diagonal(monkeypatch):
+    st = build_structures(4)
+    bad_l = _replace_entry(st.L, 2, 2, S_RF)
+    monkeypatch.setattr(bidir, "build_structures",
+                        lambda n: LemmaStructures(n, st.X, st.H, st.U, bad_l))
+    assert not _factorization_by_matmul(4)
+    assert verify_factorization(4) is False
+
+
+def test_factorization_rejects_non_polynomial_entry(monkeypatch):
+    st = build_structures(3)
+    bad_u = _replace_entry(st.U, 0, 1, one / (one + s))
+    monkeypatch.setattr(bidir, "build_structures",
+                        lambda n: LemmaStructures(n, st.X, st.H, bad_u, st.L))
+    assert verify_factorization(3) is False
 
 
 def test_factorization_entry_11_by_hand():
@@ -171,6 +225,44 @@ def test_sensitivity_verification_rejects_perturbed_entry():
     rows[1][2] = rows[1][2] + RationalFunction(ONE, (ONE + S) ** 5)
     with pytest.raises(ArithmeticError, match="construction bug"):
         _verify_sensitivity(RationalMatrix(rows))
+
+
+def test_sensitivity_verification_rejects_perturbed_numerator():
+    # N_23 + s over the same (s+1)^4: the denominator check passes, the
+    # cleared identity must not
+    Sn = sensitivity_matrix(3)
+    f = Sn.rows[1][2]
+    bad = _replace_entry(Sn, 1, 2, RationalFunction(f.num + S, f.den))
+    assert bad.rows[1][2].den == f.den
+    with pytest.raises(ArithmeticError, match="construction bug"):
+        _verify_sensitivity(bad)
+
+
+def test_sensitivity_verification_rejects_wrong_denominator_power():
+    Sn = sensitivity_matrix(3)
+    f = Sn.rows[2][0]
+    for den in (f.den * (ONE + S), f.den // (ONE + S)):
+        with pytest.raises(ArithmeticError, match="construction bug"):
+            _verify_sensitivity(_replace_entry(Sn, 2, 0, RationalFunction(f.num, den)))
+
+
+def test_sensitivity_verification_rejects_fractional_numerator():
+    Sn = sensitivity_matrix(2)
+    f = Sn.rows[0][0]
+    with pytest.raises(ArithmeticError, match="construction bug"):
+        _verify_sensitivity(_replace_entry(Sn, 0, 0, RationalFunction(f.num * Fraction(1, 2), f.den)))
+
+
+def test_sensitivity_verification_agrees_with_matmul_oracle():
+    for n in range(1, 11):
+        Sn = sensitivity_matrix(n)
+        f, g = Sn.rows[n - 1][n // 2], Sn.rows[n // 2][n - 1]
+        cases = [Sn,
+                 _replace_entry(Sn, n - 1, n // 2, RationalFunction(f.num + S * S, f.den)),
+                 _replace_entry(Sn, n // 2, n - 1, g * RationalFunction(ONE, ONE + S))]
+        verdicts = [(_integer_route_accepts(M), _sensitivity_by_matmul(M)) for M in cases]
+        assert verdicts[0] == (True, True), f"S_{n} rejected"
+        assert verdicts[1:] == [(False, False)] * 2, f"perturbed S_{n} accepted"
 
 
 def test_sensitivity_leading_entry_all_n():
@@ -286,6 +378,16 @@ def test_bode_csv_order():
     assert (second[1], second[2]) == ("1", "2"), "col varies fastest"
     n_samples = len(table.grid.omegas)
     assert len(lines) == 1 + 4 * n_samples
+
+
+def test_bode_bound_past_square_overflow():
+    # om * om overflows past ~1.34e154; the reference there is exactly 1.0
+    grid = FrequencyGrid(1e-3, 1e200, 2)
+    table = bode_table(sensitivity_matrix(2), grid)
+    assert table.bound_ok
+    assert table.worst_excess <= 1e-9
+    ref = np.exp(table.log_magnitudes[0, 0])
+    assert ref[-1] == 1.0
 
 
 def test_bode_rejects_unstable_entry():

@@ -66,6 +66,19 @@ def test_bode_artifacts(tmp_path):
     assert len(lines) == 1 + 41 * 4
 
 
+@pytest.mark.parametrize("n, wmin, wmax, ppd", [
+    ("2", "1e-3", "1e200", "2"),    # omega^2 overflows in the reference bound
+    ("4", "1e-300", "1e300", "1"),  # wmax / wmin overflows in the grid
+])
+def test_bode_extreme_ranges(tmp_path, n, wmin, wmax, ppd):
+    out = str(tmp_path)
+    assert main(["bode", "--n", n, "--wmin", wmin, "--wmax", wmax,
+                 "--ppd", ppd, "--out", out]) == 0
+    side = json.loads(_read(os.path.join(out, "bode.json")))
+    assert side["verdict"] is True
+    assert side["worst_excess"] <= 1e-9
+
+
 def test_bode_deterministic(tmp_path):
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
     for out in (a, b):

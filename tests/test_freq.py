@@ -33,6 +33,14 @@ def test_grid_construction():
     assert np.all(np.diff(np.log10(g.omegas)) > 0)
 
 
+def test_grid_wider_than_double_range():
+    # omega_max / omega_min overflows; the decade count must not
+    g = FrequencyGrid(1e-300, 1e300, 1)
+    assert len(g) == 601
+    assert (g.omegas[0], g.omegas[-1]) == (1e-300, 1e300)
+    assert np.all(np.isfinite(g.omegas))
+
+
 def test_grid_validation():
     with pytest.raises(InvalidRange):
         FrequencyGrid(1.0, 1.0, 10)
