@@ -26,10 +26,10 @@ from .ratfun import (RationalFunction, StabilityReport, closed_loop,
                      internal_stability, scale_frequency)
 from .synthesis import (Certificate, ControllerFamily, YoulaData, band_grid,
                         candidate_controller, certify_closed_loop,
-                        certify_controller, family_from_json, family_grid,
-                        family_product_check, family_to_json, lift_order,
-                        plant, q1_shape, scaled_family, search_parameters,
-                        verify_bandwidth, youla_closed_loop, youla_coprime)
+                        family_from_json, family_grid, family_product_check,
+                        family_to_json, lift_order, plant, q1_shape,
+                        scaled_family, search_parameters, youla_closed_loop,
+                        youla_coprime)
 
 __version__ = "0.1.0"
 
@@ -44,7 +44,6 @@ __all__ = [
     "StabilityReport", "UnstableEntry", "YoulaData", "ZeroDenominator",
     "ZeroPolynomial", "band_grid", "bode_table", "build_structures",
     "candidate_controller", "cascade_gain", "certify_closed_loop",
-    "certify_controller",
     "closed_loop", "default_grid", "family_from_json", "family_grid",
     "family_product_check", "family_to_json", "hinf_norm",
     "homogeneous_growth", "hurwitz_stable", "internal_stability",
@@ -52,6 +51,6 @@ __all__ = [
     "middleton_integral", "parse_rational", "pd_mistune_experiment",
     "plant", "poly_gcd", "q1_shape", "rf_abs_jomega", "rf_log_abs_jomega",
     "scale_frequency", "scaled_family", "search_parameters",
-    "sensitivity_matrix", "time_scale", "verify_bandwidth",
+    "sensitivity_matrix", "time_scale",
     "verify_factorization", "youla_closed_loop", "youla_coprime",
 ]

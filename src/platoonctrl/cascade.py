@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DivergentAtOrigin, InvalidRange, StabilityCheckFailed
 from .freq import FrequencyGrid, default_grid, hinf_norm, rf_log_abs_jomega
 from .poly import Polynomial, hurwitz_stable
-from .ratfun import RationalFunction, closed_loop, internal_stability
+from .ratfun import RationalFunction, internal_stability
 from .synthesis import plant
 
 _DB = 20.0 / math.log(10.0)
@@ -62,10 +62,11 @@ def cascade_gain(controllers: Sequence[RationalFunction], m: int,
     p = plant(m)
     total = np.zeros(len(grid.omegas))
     for i, c in enumerate(controllers, start=1):
-        if not internal_stability(p, c).internally_stable:
+        rep = internal_stability(p, c)
+        if not rep.internally_stable:
             raise StabilityCheckFailed(
                 f"controller {i} of {len(controllers)} does not internally stabilise 1/s^{m}")
-        total = total + rf_log_abs_jomega(closed_loop(p, c)[1], grid.omegas)
+        total = total + rf_log_abs_jomega(rep.gang_of_four[3], grid.omegas)
     top = int(np.argmax(total))
     return CascadeProfile(grid, total, float(np.exp(np.float64(total[top]))),
                           float(grid.omegas[top]))
@@ -174,14 +175,15 @@ def homogeneous_growth(c: RationalFunction, m: int, n_max: int,
 
     A cascade of n identical stages admits |y_n/d_1| >= |T(j omega0)|^n at
     the peak frequency, so the table is the exponential lower envelope; the
-    growth flag fires when the peak exceeds 1 (beyond float fuzz).
+    growth flag fires when the peak exceeds 1 (beyond float fuzz). An
+    unstabilising c raises StabilityCheckFailed naming the unstable maps.
     """
     if n_max < 1:
         raise InvalidRange("n_max must be >= 1")
-    p = plant(m)
-    if not internal_stability(p, c).internally_stable:
-        raise StabilityCheckFailed(f"controller does not internally stabilise 1/s^{m}")
-    res = hinf_norm(closed_loop(p, c)[1], grid if grid is not None else default_grid())
+    rep = internal_stability(plant(m), c)
+    if not rep.internally_stable:
+        raise StabilityCheckFailed(rep.diagnostic())
+    res = hinf_norm(rep.gang_of_four[3], grid if grid is not None else default_grid())
     if not res.finite:
         raise StabilityCheckFailed("closed loop has no finite peak")
     with np.errstate(over="ignore"):

@@ -25,18 +25,15 @@ from .errors import (DivergentAtOrigin, InvalidRange, ParseError,
 from .freq import FrequencyGrid, default_grid
 from .parsing import parse_rational
 from .ratfun import closed_loop, internal_stability
-from .synthesis import (band_grid, candidate_controller, certify_controller,
-                        family_from_json, family_grid, family_product_check,
-                        family_to_json, lift_order, plant, scaled_family,
-                        search_parameters, verify_bandwidth)
+from .synthesis import (candidate_controller, certify_closed_loop,
+                        family_from_json, family_product_check, family_to_json,
+                        lift_order, plant, scaled_family, search_parameters)
 
 log = logging.getLogger("platoonctrl")
 
 _RUN_SCHEMA = "run/1"
 _BODE_SCHEMA = "bode/1"
 _SENS_SCHEMA = "sensitivity/1"
-
-_GANG_NAMES = ("S", "PS", "CS", "T")
 
 
 def _setup_logging() -> None:
@@ -48,13 +45,25 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _positive_int(text: str) -> int:
+def _integer(text: str) -> int:
     try:
-        v = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+
+
+def _positive_int(text: str) -> int:
+    v = _integer(text)
     if v < 1:
         raise argparse.ArgumentTypeError(f"{text!r} must be >= 1")
+    return v
+
+
+def _seed(text: str) -> int:
+    # the seed is the 128-bit Philox key
+    v = _integer(text)
+    if not 0 <= v < 2 ** 128:
+        raise argparse.ArgumentTypeError(f"{text!r} must be in 0 .. 2**128 - 1")
     return v
 
 
@@ -172,16 +181,14 @@ def _cmd_synth(args) -> int:
         # the first-order plant is closed with unit gain; T = 1/(s+1) never
         # exceeds 1, so the certificate is degenerate and the family trivial
         c = parse_rational("1")
-        cert = certify_controller(c, 1, eps)
+        cert = certify_closed_loop(internal_stability(plant(1), c).gang_of_four[3], eps)
         gamma_info = {"gamma_a": None, "gamma_b": None, "ell": 1}
     else:
-        ga, gb = search_parameters(ell, eps)
-        c_bar = candidate_controller(ell, ga, gb)
-        cert = certify_controller(c_bar, ell, eps, band_grid(gb)).with_gammas(ga, gb)
-        c = lift_order(c_bar, ell, m)
-        gamma_info = {"gamma_a": str(ga), "gamma_b": str(gb), "ell": ell}
+        cert = search_parameters(ell, eps)
+        c = lift_order(candidate_controller(ell, cert.gamma_a, cert.gamma_b), ell, m)
+        gamma_info = {"gamma_a": str(cert.gamma_a), "gamma_b": str(cert.gamma_b), "ell": ell}
     fam = scaled_family(c, cert, m, bw, count)
-    max_product, ok = family_product_check(fam, m)
+    max_product, ok = family_product_check(fam)
     path = _write_json(args.out, "family.json", family_to_json(fam, (max_product, ok)))
     params = {"m": m, "eps": eps, "bw": bw, "count": count}
     results = {
@@ -202,13 +209,16 @@ def _cmd_synth(args) -> int:
 def _cmd_family_check(args) -> int:
     t0 = time.monotonic()
     with open(args.file, "r", encoding="utf-8") as fh:
-        fam = family_from_json(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise InvalidRange(f"{args.file} is not a JSON document: {exc}") from exc
+    fam = family_from_json(doc)
     # every member c_k = gamma_k^-m c(gamma_k s) shares the base's verdict
     stable = internal_stability(plant(fam.m), fam.base).internally_stable
     if not stable:
         log.error("the base controller fails internal stability")
-    verify_bandwidth(fam, family_grid(fam))
-    max_product, ok = family_product_check(fam, fam.m)
+    max_product, ok = family_product_check(fam)
     _write_report(args.out, "family-check",
                   {"file": args.file},
                   {"m": fam.m, "count": len(fam), "members_stable": stable,
@@ -217,23 +227,13 @@ def _cmd_family_check(args) -> int:
     return 0 if (stable and ok) else 1
 
 
-def _stability_diagnostic(p, c) -> str:
-    rep = internal_stability(p, c)
-    bad = [name for name, good in zip(_GANG_NAMES, rep.each_stable) if not good]
-    return "unstable closed-loop members: " + ", ".join(bad)
-
-
 def _cmd_homogeneous(args) -> int:
     t0 = time.monotonic()
     c = parse_rational(args.c)
-    p = plant(args.m)
-    if not internal_stability(p, c).internally_stable:
-        raise StabilityCheckFailed(_stability_diagnostic(p, c))
     table = homogeneous_growth(c, args.m, args.n)
     csv_path = _write_text(args.out, "growth.csv", table.to_csv())
-    T = closed_loop(p, c)[1]
     try:
-        mid = middleton_integral(T)
+        mid = middleton_integral(closed_loop(plant(args.m), c)[1])
         mid_doc = {"value": mid.value, "truncation_bound": mid.truncation_bound}
     except (StabilityCheckFailed, DivergentAtOrigin) as exc:
         # growth is still reportable when the integral's preconditions
@@ -250,11 +250,10 @@ def _cmd_homogeneous(args) -> int:
 
 def _cmd_middleton(args) -> int:
     t0 = time.monotonic()
-    c = parse_rational(args.c)
-    p = plant(args.m)
-    if not internal_stability(p, c).internally_stable:
-        raise StabilityCheckFailed(_stability_diagnostic(p, c))
-    res = middleton_integral(closed_loop(p, c)[1])
+    rep = internal_stability(plant(args.m), parse_rational(args.c))
+    if not rep.internally_stable:
+        raise StabilityCheckFailed(rep.diagnostic())
+    res = middleton_integral(rep.gang_of_four[3])
     _write_report(args.out, "middleton", {"m": args.m, "c": args.c},
                   {"value": res.value, "truncation_bound": res.truncation_bound},
                   [], t0)
@@ -332,7 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmin", type=_positive_float, default=0.5)
     p.add_argument("--kmax", type=_positive_float, default=2.0)
     p.add_argument("--trials", type=_positive_int, default=100)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_seed, default=42)
 
     return top
 

@@ -30,8 +30,8 @@ class FrequencyGrid:
     __slots__ = ("omega_min", "omega_max", "points_per_decade", "omegas")
 
     def __init__(self, omega_min: float, omega_max: float, points_per_decade: int = 200):
-        if not (0 < omega_min < omega_max):
-            raise InvalidRange("need 0 < omega_min < omega_max")
+        if not (0 < omega_min < omega_max < math.inf):
+            raise InvalidRange("need 0 < omega_min < omega_max < inf")
         if points_per_decade < 1:
             raise InvalidRange("points_per_decade must be >= 1")
         # a difference of logs: omega_max / omega_min can overflow

@@ -228,7 +228,8 @@ class StabilityReport:
     """Gang-of-four verdict for a plant/controller pair.
 
     gang_of_four = (S, PS, CS, T) = (1/(1+pc), p/(1+pc), c/(1+pc),
-    pc/(1+pc)). internally_stable is the conjunction of each_stable.
+    pc/(1+pc)); T equals closed_loop(p, c)[1] exactly, so a caller holding a
+    report reads T from it. internally_stable is the conjunction of each_stable.
     Properness is recorded per map but kept out of the verdict: the loop may
     legitimately contain improper PD-type controllers, and only final shipped
     controllers need properness.
@@ -239,6 +240,11 @@ class StabilityReport:
     each_proper: tuple
     internally_stable: bool
     char_poly: Polynomial
+
+    def diagnostic(self) -> str:
+        """'unstable closed-loop members: ...', naming each unstable map."""
+        bad = [name for name, good in zip(("S", "PS", "CS", "T"), self.each_stable) if not good]
+        return "unstable closed-loop members: " + ", ".join(bad)
 
 
 def internal_stability(p: RationalFunction, c: RationalFunction) -> StabilityReport:

@@ -9,10 +9,11 @@ arithmetic; floats appear only in grid sweeps and in certificate frequencies.
 
 Two identities carry the pipeline. Youla parametrisation makes
 T = N*X*(1 - M*Q1) internally stable for every stable Q1, so the scan
-certifies that T directly and a controller is built (and cross-checked)
-only for the winner. A scaled member c_k = gamma_k^{-m} c(gamma_k s) has
-T_k(s) = T(gamma_k s), so a family is stored as one base controller plus
-its gammas, and its checks evaluate the base T at gamma_k * omega.
+certifies that T directly, its certificate is the design's, and a controller
+is built (and cross-checked) only for the winner. A scaled member c_k =
+gamma_k^{-m} c(gamma_k s) has T_k(s) = T(gamma_k s), so a family is stored
+as one base controller plus its gammas, and one sweep of the base T at
+gamma_k * omega checks the members' bandwidth and their product.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import (BandwidthViolation, IllPosed, InvalidRange,
-                     PeakExceedsBudget, SearchExhausted, StabilityCheckFailed)
+                     PeakExceedsBudget, SearchExhausted, StabilityCheckFailed,
+                     ZeroDenominator)
 from .freq import FrequencyGrid, default_grid, hinf_norm, rf_log_abs_jomega
 from .poly import Polynomial
 from .ratfun import (RationalFunction, closed_loop, internal_stability,
@@ -110,9 +112,9 @@ def candidate_controller(m: int, gamma_a, gamma_b) -> RationalFunction:
     """Youla-parametrized candidate c = (X + M*Q)/(Y - N*Q) with Q = -X*Q1.
 
     Restricted to m divisible by 4 (the reduction case; lift_order covers the
-    rest). The result is verified to internally stabilise 1/s^m, and its
-    closed-loop T is verified to equal N*X*(1 - M*Q1) exactly, so the two
-    derivation routes cross-check each other on every call.
+    rest). The result is verified to internally stabilise 1/s^m, and the
+    stability report's T is verified to equal N*X*(1 - M*Q1) exactly, so the
+    two derivation routes cross-check each other on every call.
     """
     if m % 4 != 0:
         raise InvalidRange("candidate_controller requires m divisible by 4")
@@ -123,10 +125,11 @@ def candidate_controller(m: int, gamma_a, gamma_b) -> RationalFunction:
     if den_rf.num.is_zero:
         raise IllPosed("Y - N*Q is identically zero")
     c = (yd.X + yd.M * Q) / den_rf
-    if not internal_stability(plant(m), c).internally_stable:
+    rep = internal_stability(plant(m), c)
+    if not rep.internally_stable:
         raise StabilityCheckFailed(
             f"candidate (m={m}, gamma_a={gamma_a}, gamma_b={gamma_b}) failed the gang-of-four test")
-    if closed_loop(plant(m), c)[1] != youla_closed_loop(m, gamma_a, gamma_b):
+    if rep.gang_of_four[3] != youla_closed_loop(m, gamma_a, gamma_b):
         raise ArithmeticError("closed-loop and Youla expressions for T disagree; construction bug")
     return c
 
@@ -136,13 +139,14 @@ def candidate_controller(m: int, gamma_a, gamma_b) -> RationalFunction:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Grid-backed evidence for a controller: peak budget and amplification band.
+    """Grid-backed evidence for a closed loop: peak budget and amplification band.
 
     |T| <= 1 was verified at every grid sample at or below omega_low and at
     or above omega_high; peak is the refined grid supremum. band_empty marks
     the degenerate case |T| <= 1 everywhere, with omega_low = omega_high = 1
     by convention so downstream gamma ratios degenerate to 1 instead of
-    dividing by zero.
+    dividing by zero. gamma_a and gamma_b are set by search_parameters on
+    the winning candidate's certificate.
     """
 
     epsilon: float
@@ -152,9 +156,6 @@ class Certificate:
     band_empty: bool = False
     gamma_a: Optional[Fraction] = None
     gamma_b: Optional[Fraction] = None
-
-    def with_gammas(self, gamma_a, gamma_b) -> "Certificate":
-        return replace(self, gamma_a=Fraction(gamma_a), gamma_b=Fraction(gamma_b))
 
 
 def _bisect_crossing(T, a: float, b: float, keep_low: bool) -> float:
@@ -210,14 +211,6 @@ def certify_closed_loop(T: RationalFunction, epsilon: float,
     return Certificate(float(epsilon), res.norm, w_lo, w_hi, band_empty=False)
 
 
-def certify_controller(c: RationalFunction, m: int, epsilon: float,
-                       grid: FrequencyGrid | None = None) -> Certificate:
-    """Gang-of-four test of c on 1/s^m, then certify_closed_loop on its T."""
-    if not internal_stability(plant(m), c).internally_stable:
-        raise StabilityCheckFailed("controller does not internally stabilise 1/s^m")
-    return certify_closed_loop(closed_loop(plant(m), c)[1], epsilon, grid)
-
-
 # ----------------------------------------------------------------------
 # parameter scan
 
@@ -237,17 +230,17 @@ def band_grid(gamma_b) -> FrequencyGrid:
 
 
 @lru_cache(maxsize=8)
-def search_parameters(m: int, epsilon: float,
-                      grid: FrequencyGrid | None = None) -> Tuple[Fraction, Fraction]:
-    """First (gamma_a, gamma_b) on the documented scan grid whose Youla T certifies.
+def search_parameters(m: int, epsilon: float) -> Certificate:
+    """Certificate of the first (gamma_a, gamma_b) on the scan grid whose Youla T certifies.
 
     Scan order is lexicographic: gamma_a descends from 1 by quarter decades
     down to 1e-6, and for each gamma_a, gamma_b descends from gamma_a by the
-    same steps. Each candidate's youla_closed_loop is certified directly;
-    no controller is built, since Youla parametrisation already makes the
-    loop internally stable. When no grid is passed, each candidate is
-    certified on a band-aware grid (band_grid) so small-gamma bands are not
-    missed below the default sweep floor.
+    same steps. Each candidate's youla_closed_loop is certified once, on a
+    band-aware grid (band_grid(gamma_b)) so small-gamma bands are not missed
+    below the default sweep floor; no controller is built, since Youla
+    parametrisation already makes the loop internally stable. The winner's
+    certificate comes back with gamma_a and gamma_b set; it certifies
+    candidate_controller(m, gamma_a, gamma_b) too, whose T is this T.
     """
     if m % 4 != 0:
         raise InvalidRange("search_parameters requires m divisible by 4")
@@ -258,11 +251,10 @@ def search_parameters(m: int, epsilon: float,
         for step in vals:
             gb = ga * step
             try:
-                certify_closed_loop(youla_closed_loop(m, ga, gb), epsilon,
-                                    grid if grid is not None else band_grid(gb))
+                cert = certify_closed_loop(youla_closed_loop(m, ga, gb), epsilon, band_grid(gb))
             except (PeakExceedsBudget, InvalidRange):
                 continue
-            return ga, gb
+            return replace(cert, gamma_a=ga, gamma_b=gb)
     raise SearchExhausted(
         "no (gamma_a, gamma_b) certified on the quarter-decade scan down to 1e-6")
 
@@ -275,19 +267,21 @@ def lift_order(c_bar: RationalFunction, ell: int, m: int) -> RationalFunction:
 
     Requires ell = 4*ceil(m/4). The loop transfer is unchanged (p*c is
     literally the same function), so the closed-loop T is preserved exactly;
-    both that identity and internal stability for 1/s^m are verified before
-    returning.
+    both that identity, read off the two stability reports, and internal
+    stability for 1/s^m are verified before returning.
     """
     if m < 1 or ell != 4 * math.ceil(m / 4):
         raise InvalidRange("need ell = 4*ceil(m/4)")
-    if not internal_stability(plant(ell), c_bar).internally_stable:
+    rep_bar = internal_stability(plant(ell), c_bar)
+    if not rep_bar.internally_stable:
         raise StabilityCheckFailed("c_bar does not internally stabilise 1/s^ell")
     if ell == m:
         return c_bar
     lifted = c_bar * RationalFunction(_ONE, _S ** (ell - m))
-    if not internal_stability(plant(m), lifted).internally_stable:
+    rep = internal_stability(plant(m), lifted)
+    if not rep.internally_stable:
         raise StabilityCheckFailed("lifted controller failed for 1/s^m")
-    if closed_loop(plant(m), lifted)[1] != closed_loop(plant(ell), c_bar)[1]:
+    if rep.gang_of_four[3] != rep_bar.gang_of_four[3]:
         raise ArithmeticError("lifting changed the closed loop; construction bug")
     return lifted
 
@@ -315,8 +309,11 @@ class ControllerFamily:
     def __post_init__(self):
         # member checks read the base T at gamma_k * omega in double precision;
         # compared exactly first, since float() of a Fraction past that range raises
-        if not all(0 < g <= sys.float_info.max and float(g) > 0 for g in self.gammas):
-            raise InvalidRange("gammas must be positive and within double range; reduce count")
+        if not self.gammas or not all(0 < g <= sys.float_info.max and float(g) > 0
+                                      for g in self.gammas):
+            raise InvalidRange("need gammas, each positive and in double range; reduce count")
+        if not 0 < self.omega_bw < math.inf:
+            raise InvalidRange("omega_bw must be finite and positive")
 
     def __len__(self):
         return len(self.gammas)
@@ -327,30 +324,20 @@ class ControllerFamily:
         return scale_frequency(self.base, g) / g ** self.m
 
 
-def _member_log_abs(family: ControllerFamily, m: int, omegas):
-    # member k's ln|T_k(j omega)|, read as the base ln|T(j gamma_k omega)|
-    T = closed_loop(plant(m), family.base)[1]
-    for g in family.gammas:
-        yield rf_log_abs_jomega(T, omegas * float(g))
-
-
 def scaled_family(c: RationalFunction, cert: Certificate, m: int, omega_bw: float,
-                  count: int, grid: FrequencyGrid | None = None) -> ControllerFamily:
+                  count: int) -> ControllerFamily:
     """Build the geometric family off a certified controller.
 
     gamma_1 = omega_high/omega_bw and gamma_{k+1} = (omega_high/omega_low) *
     gamma_k, held as exact rationals, so adjacent amplification bands
     (omega_low/gamma_k, omega_high/gamma_k) share endpoints exactly and can
     never overlap. The base is Routh-tested once for internal stability,
-    which every member inherits, and verify_bandwidth checks the members'
-    |T_k| <= 1 at and above omega_bw on the base T at gamma_k * omega. A
-    degenerate certificate (band_empty) gives ratio 1: all members coincide
-    and the product bound is 1 everywhere. count is capped at 25: the
-    gammas grow geometrically, and the sweeps read T at gamma_k * omega in
-    double precision.
+    which every member inherits; the members' bandwidth is checked, with
+    their product, by family_product_check. A degenerate certificate
+    (band_empty) gives ratio 1: all members coincide and the product bound
+    is 1 everywhere. count is capped at 25: the gammas grow geometrically,
+    and the family sweep reads T at gamma_k * omega in double precision.
     """
-    if count < 1:
-        raise InvalidRange("count must be >= 1")
     if count > _FAMILY_CAP:
         raise InvalidRange(
             f"count capped at {_FAMILY_CAP}; the gammas grow geometrically and the "
@@ -362,32 +349,13 @@ def scaled_family(c: RationalFunction, cert: Certificate, m: int, omega_bw: floa
     gamma = Fraction(cert.omega_high) / Fraction(omega_bw)
     ratio = Fraction(cert.omega_high) / Fraction(cert.omega_low)
     gammas = tuple(gamma * ratio ** k for k in range(count))
-    fam = ControllerFamily(m, c, gammas, float(omega_bw), cert)
-    verify_bandwidth(fam, grid)
-    return fam
-
-
-def verify_bandwidth(family: ControllerFamily, grid: FrequencyGrid | None = None) -> None:
-    """Check |T_k(j omega)| <= 1 for every member at every grid omega >= omega_bw.
-
-    T_k(j omega) is read as the base T at j gamma_k omega; 1e-12 of
-    multiplicative slack absorbs the float sweep.
-    """
-    g = grid if grid is not None else default_grid()
-    om = g.omegas[g.omegas >= family.omega_bw * (1 - 1e-12)]
-    if om.size == 0:
-        raise InvalidRange("grid has no samples at or above omega_bw")
-    for k, logs in enumerate(_member_log_abs(family, family.m, om)):
-        if (logs > 1e-12).any():
-            w = float(om[int(np.argmax(logs))])
-            raise BandwidthViolation(
-                f"member {k + 1} has |T| > 1 at omega = {w:.6g} >= omega_bw")
+    return ControllerFamily(m, c, gammas, float(omega_bw), cert)
 
 
 def family_grid(family: ControllerFamily) -> FrequencyGrid:
     """Sweep grid covering every member's amplification band with margin."""
     cert = family.base_certificate
-    if cert.band_empty or not family.gammas:
+    if cert.band_empty:
         return default_grid()
     gmax, gmin = float(max(family.gammas)), float(min(family.gammas))
     wmin = min(1e-4, cert.omega_low / gmax / 10)
@@ -395,23 +363,31 @@ def family_grid(family: ControllerFamily) -> FrequencyGrid:
     return FrequencyGrid(wmin, wmax, 200)
 
 
-def family_product_check(family: ControllerFamily, m: int,
-                         grid: FrequencyGrid | None = None,
-                         epsilon: float | None = None,
-                         tol: float = 1e-6) -> Tuple[float, bool]:
-    """(grid max of prod_k |T_k(j omega)|, max <= 1 + epsilon + tol).
+def family_product_check(family: ControllerFamily) -> Tuple[float, bool]:
+    """One sweep on family_grid, reading ln|T_k(j omega)| once as the base ln|T(j gamma_k omega)|.
 
-    Each factor |T_k(j omega)| is the base |T(j gamma_k omega)|. The empty
-    product is 1. The default grid comes from family_grid so no member's
-    band falls outside the sweep.
+    A member with |T_k| > 1 (past 1e-12 of float slack) at a sample at or
+    above omega_bw raises BandwidthViolation. Otherwise the logs are summed
+    in member order, giving (grid max of prod_k |T_k(j omega)|, max <= 1 +
+    epsilon + 1e-6), with epsilon the base certificate's.
     """
-    if epsilon is None:
-        epsilon = family.base_certificate.epsilon
-    if grid is None:
-        grid = family_grid(family)
-    total = sum(_member_log_abs(family, m, grid.omegas), np.zeros(len(grid.omegas)))
+    grid = family_grid(family)
+    if not float(max(family.gammas)) * grid.omega_max < math.inf:
+        raise InvalidRange("gamma_k * omega leaves double range on the family grid")
+    above = grid.omegas >= family.omega_bw * (1 - 1e-12)
+    if not above.any():
+        raise InvalidRange("grid has no samples at or above omega_bw")
+    T = closed_loop(plant(family.m), family.base)[1]
+    total = np.zeros(len(grid.omegas))
+    for k, g in enumerate(family.gammas):
+        logs = rf_log_abs_jomega(T, grid.omegas * float(g))
+        if (logs[above] > 1e-12).any():
+            w = float(grid.omegas[above][int(np.argmax(logs[above]))])
+            raise BandwidthViolation(
+                f"member {k + 1} has |T| > 1 at omega = {w:.6g} >= omega_bw")
+        total = total + logs
     max_product = float(np.exp(np.float64(total.max())))
-    return max_product, bool(max_product <= 1 + epsilon + tol)
+    return max_product, bool(max_product <= 1 + family.base_certificate.epsilon + 1e-6)
 
 
 # ----------------------------------------------------------------------
@@ -450,28 +426,45 @@ def family_to_json(family: ControllerFamily,
     return doc
 
 
-def family_from_json(doc: dict) -> ControllerFamily:
-    """Read a family/2 document, or a family/1 one whose members are exact scaled copies."""
-    schema = doc.get("schema")
+def family_from_json(doc) -> ControllerFamily:
+    """Read a family/2 document, or a family/1 one whose members are exact scaled copies.
+
+    A malformed document raises InvalidRange: an unknown schema, a missing
+    key, a value of the wrong type, an unparsable or zero-denominator
+    coefficient, no gammas or a count other than their number, an omega_bw,
+    epsilon or band edge that is not finite and positive, or an m outside
+    1 .. 1 + deg(controller numerator), past which no base can stabilise 1/s^m.
+    """
+    schema = doc.get("schema") if isinstance(doc, dict) else None
     if schema not in (_FAMILY_SCHEMA, _FAMILY_SCHEMA_V1):
         raise InvalidRange(f"unsupported family schema {schema!r}")
-    cd = doc["certificate"]
-    cert = Certificate(
-        epsilon=float(cd["epsilon"]),
-        peak=float(cd["peak"]),
-        omega_low=float(cd["omega_low"]),
-        omega_high=float(cd["omega_high"]),
-        band_empty=bool(cd["band_empty"]),
-        gamma_a=None if cd["gamma_a"] is None else Fraction(cd["gamma_a"]),
-        gamma_b=None if cd["gamma_b"] is None else Fraction(cd["gamma_b"]),
-    )
-    m, omega_bw = int(doc["m"]), float(doc["omega_bw"])
-    gammas = tuple(Fraction(t) for t in doc["gammas"])
+    try:
+        cd = doc["certificate"]
+        cert = Certificate(
+            epsilon=float(cd["epsilon"]),
+            peak=float(cd["peak"]),
+            omega_low=float(cd["omega_low"]),
+            omega_high=float(cd["omega_high"]),
+            band_empty=bool(cd["band_empty"]),
+            gamma_a=None if cd["gamma_a"] is None else Fraction(cd["gamma_a"]),
+            gamma_b=None if cd["gamma_b"] is None else Fraction(cd["gamma_b"]),
+        )
+        if not all(0 < v < math.inf for v in (cert.epsilon, cert.omega_low, cert.omega_high)):
+            raise InvalidRange("certificate epsilon and band edges must be finite and positive")
+        if not isinstance(doc["gammas"], list) or doc["count"] != len(doc["gammas"]):
+            raise InvalidRange("count must be the number of gammas")
+        m, omega_bw = doc["m"], float(doc["omega_bw"])
+        gammas = tuple(Fraction(t) for t in doc["gammas"])
+        stored = [doc["controller"]] if schema == _FAMILY_SCHEMA else doc["controllers"]
+        members = [RationalFunction.from_json_dict(d) for d in stored]
+    except (KeyError, TypeError, ValueError, ArithmeticError, ZeroDenominator) as exc:
+        raise InvalidRange(f"malformed family document: {type(exc).__name__}: {exc}") from exc
+    # past it s^m d_c + n_c lacks s^(m-1), and 1/s^m would outgrow the document
+    if not members or type(m) is not int or not 1 <= m <= members[0].num.degree + 1:
+        raise InvalidRange("need a controller and an integer m from 1 to 1 + its numerator degree")
     if schema == _FAMILY_SCHEMA:
-        base = RationalFunction.from_json_dict(doc["controller"])
-        return ControllerFamily(m, base, gammas, omega_bw, cert)
-    members = [RationalFunction.from_json_dict(d) for d in doc["controllers"]]
-    if not members or len(members) != len(gammas) or gammas[0] <= 0:
+        return ControllerFamily(m, members[0], gammas, omega_bw, cert)
+    if len(members) != len(gammas) or gammas[0] <= 0:
         raise InvalidRange("family/1 needs one stored controller per positive gamma")
     g = gammas[0]
     fam = ControllerFamily(m, scale_frequency(members[0], 1 / g) * g ** m, gammas, omega_bw, cert)

@@ -168,6 +168,13 @@ def test_mistune_reproducible():
     assert r1.peaks == r2.peaks
 
 
+def test_mistune_builds_no_closed_loop(call_counts):
+    # each stage's T is read off the stability report that clears it
+    counts = call_counts("closed_loop", "internal_stability")
+    pd_mistune_experiment(6, 0.5, 2.0, 4, 99)
+    assert (counts["internal_stability"], counts["closed_loop"]) == (24, 0)
+
+
 def test_mistune_degenerate_distribution():
     rep = pd_mistune_experiment(5, 1.0, 1.0, 3, 11)
     hom = cascade_gain([parse_rational("1+s")] * 5, 2)

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import copy
 import json
+import logging
 import os
+from fractions import Fraction
 
 import pytest
 
+from platoonctrl import cli
 from platoonctrl.cli import _write_json, main
+from platoonctrl.synthesis import _scan_values, search_parameters
 
 
 def _read(path):
@@ -189,6 +194,83 @@ def test_family_check_rejects_bad_schema(tmp_path):
     assert main(["family-check", "--file", str(path)]) == 2
 
 
+def _set(path, value):
+    def mutate(doc):
+        *parents, key = path
+        for k in parents:
+            doc = doc[k]
+        doc[key] = value
+    return mutate
+
+
+def _drop(key):
+    def mutate(doc):
+        del doc[key]
+    return mutate
+
+
+@pytest.mark.parametrize("mutate", [
+    None,                                    # not JSON at all
+    lambda doc: [doc],                       # JSON, but not an object
+    _drop("certificate"),
+    _set(("gammas", 0), "abc"),
+    _set(("gammas",), "abc"),
+    lambda doc: doc.update(gammas=[], count=0),
+    _set(("count",), 4),
+    _set(("omega_bw",), -1),
+    _set(("omega_bw",), float("inf")),
+    _set(("certificate", "epsilon"), float("nan")),
+    _set(("certificate", "omega_high"), 1e306),  # gamma_k * omega overflows
+    _set(("certificate", "omega_high"), 1e308),  # the grid's top overflows
+    _set(("controller", "den"), ["0"]),
+    _set(("controller", "num"), "1+s"),
+    _set(("m",), "three"),
+    _set(("m",), 10 ** 9),  # no base of this numerator degree stabilises 1/s^m
+], ids=["not-json", "not-object", "no-certificate", "gamma-abc", "gammas-string",
+        "no-gammas", "count-mismatch", "omega_bw-negative", "omega_bw-inf",
+        "epsilon-nan", "omega_high-1e306", "omega_high-1e308", "zero-denominator",
+        "num-string", "m-string", "m-huge"])
+def test_family_check_malformed_file_is_a_usage_error(tmp_path, caplog, synth_m3_family, mutate):
+    doc = copy.deepcopy(synth_m3_family)
+    if mutate is None:
+        text = "{not json"
+    else:
+        doc = mutate(doc) or doc
+        text = json.dumps(doc)
+    path = tmp_path / "family.json"
+    path.write_text(text)
+    assert main(["family-check", "--file", str(path), "--out", str(tmp_path)]) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) == 1 and "\n" not in errors[0]
+
+
+def test_synth_certifies_each_candidate_once(tmp_path, monkeypatch, call_counts):
+    # the scan's certificate is the design's: nothing is certified after it,
+    # and the only closed loop formed outside a stability report is the
+    # family sweep's base T
+    monkeypatch.setattr(cli, "search_parameters", search_parameters.__wrapped__)
+    counts = call_counts("certify_closed_loop", "closed_loop", "internal_stability")
+    assert main(["synth", "--m", "3", "--count", "10", "--out", str(tmp_path)]) == 0
+    res = _report(str(tmp_path))["results"]
+    vals = _scan_values()
+    ga, gb = Fraction(res["gamma_a"]), Fraction(res["gamma_b"])
+    scanned = 25 * vals.index(ga) + vals.index(gb / ga) + 1
+    assert counts["certify_closed_loop"] == scanned
+    assert counts["closed_loop"] <= 1 and counts["internal_stability"] <= 4
+
+
+@pytest.mark.parametrize("argv, exit_code, reports, loops", [
+    (["homogeneous", "--m", "2", "--c", "1+0.7*s"], 0, 1, 1),
+    (["homogeneous", "--m", "2", "--c", "-1"], 1, 1, 0),
+    (["middleton", "--m", "2", "--c", "1+0.7*s"], 0, 1, 0),
+])
+def test_commands_read_T_off_the_stability_report(tmp_path, call_counts, argv,
+                                                   exit_code, reports, loops):
+    counts = call_counts("internal_stability", "closed_loop")
+    assert main(argv + ["--out", str(tmp_path)]) == exit_code
+    assert (counts["internal_stability"], counts["closed_loop"]) == (reports, loops)
+
+
 # ---------------------------------------------------------------- homogeneous / middleton
 
 def test_homogeneous_report(tmp_path):
@@ -245,6 +327,15 @@ def test_pd_random_deterministic(tmp_path):
     rep = _report(a)
     assert rep["results"]["scheme"].startswith("philox4x64")
     assert rep["results"]["homogeneous_peak"] > 1
+
+
+@pytest.mark.parametrize("seed, exit_code", [
+    ("-1", 2), (str(2 ** 128), 2), ("0", 0), (str(2 ** 128 - 1), 0),
+])
+def test_pd_random_seed_range(tmp_path, seed, exit_code):
+    # the seed is the 128-bit Philox key: 0 <= seed < 2**128
+    argv = ["pd-random", "--n", "1", "--trials", "1", "--seed", seed, "--out", str(tmp_path)]
+    assert main(argv) == exit_code
 
 
 def test_pd_random_seed_changes_output(tmp_path):

@@ -1,8 +1,10 @@
-"""Property test: documented in-range flags of the bidirectional commands
-exit 0 with a passing verdict and no traceback or RuntimeWarning."""
+"""Property tests: documented in-range flags of the bidirectional commands
+exit 0 with a passing verdict, and pd-random seeds and mutated family files
+get a documented exit code; never a traceback or RuntimeWarning."""
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 import tempfile
@@ -37,3 +39,49 @@ def test_bode_any_range(n, ppd, exps):
     results = _run(["bode", "--n", str(n), "--wmin", repr(wmin),
                     "--wmax", repr(wmax), "--ppd", str(ppd)])
     assert results["verdict"] is True
+
+
+@_SETTINGS
+@given(seed=st.integers(-2 ** 130, 2 ** 130))
+def test_pd_random_any_seed(seed):
+    # the seed is the 128-bit Philox key: inside the range the run succeeds,
+    # outside it is a usage error, never a traceback
+    with tempfile.TemporaryDirectory() as out:
+        argv = ["pd-random", "--n", "1", "--trials", "1", "--seed", str(seed), "--out", out]
+        assert main(argv) == (0 if 0 <= seed < 2 ** 128 else 2)
+
+
+_DELETE = object()
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
+    st.lists(st.sampled_from(["0", "1", "-1", "1/2", "x"]), max_size=4),
+    st.dictionaries(st.sampled_from(["num", "den"]), st.just(["1"])))
+
+
+@st.composite
+def _mutation(draw, doc):
+    # one key of the document (top level, certificate or controller) is
+    # deleted or replaced by an arbitrary JSON value
+    paths = ([(k,) for k in doc] + [("certificate", k) for k in doc["certificate"]]
+             + [("controller", k) for k in doc["controller"]])
+    path = draw(st.sampled_from(paths))
+    return path, draw(st.one_of(st.just(_DELETE), _JSON_VALUES))
+
+
+@_SETTINGS
+@given(data=st.data())
+def test_family_check_any_single_key_mutation(synth_m3_family, data):
+    doc = copy.deepcopy(synth_m3_family)
+    path, value = data.draw(_mutation(doc))
+    parent = doc
+    for k in path[:-1]:
+        parent = parent[k]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    with tempfile.TemporaryDirectory() as out:
+        fpath = os.path.join(out, "family.json")
+        with open(fpath, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        assert main(["family-check", "--file", fpath, "--out", out]) in (0, 1, 2)

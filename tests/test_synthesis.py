@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -18,11 +19,10 @@ from platoonctrl.ratfun import (RationalFunction, closed_loop, internal_stabilit
                                 one, s, scale_frequency)
 from platoonctrl.synthesis import (Certificate, ControllerFamily, band_grid,
                                    candidate_controller, certify_closed_loop,
-                                   certify_controller, family_from_json,
-                                   family_grid, family_product_check,
-                                   family_to_json, lift_order, plant, q1_shape,
-                                   scaled_family, search_parameters,
-                                   verify_bandwidth, youla_closed_loop,
+                                   family_from_json, family_grid,
+                                   family_product_check, family_to_json,
+                                   lift_order, plant, q1_shape, scaled_family,
+                                   search_parameters, youla_closed_loop,
                                    youla_coprime, _scan_values)
 
 ONE = Polynomial([1])
@@ -99,8 +99,13 @@ def test_candidate_internally_stabilises(certified_m4):
 
 # ---------------------------------------------------------------- certification
 
+def _plant_T(c, m):
+    # the generic route, kept as the oracle: T = pc/(1+pc) from closed_loop
+    return closed_loop(plant(m), c)[1]
+
+
 def test_certify_degenerate_band():
-    cert = certify_controller(parse_rational("1"), 1, 0.1)
+    cert = certify_closed_loop(_plant_T(parse_rational("1"), 1), 0.1)
     assert cert.band_empty
     assert cert.omega_low == cert.omega_high == 1.0
     assert cert.peak == pytest.approx(1.0, abs=1e-12)
@@ -108,12 +113,12 @@ def test_certify_degenerate_band():
 
 def test_certify_over_budget():
     with pytest.raises(PeakExceedsBudget):
-        certify_controller(parse_rational("1+s"), 2, 0.1)
+        certify_closed_loop(_plant_T(parse_rational("1+s"), 2), 0.1)
 
 
 def test_certify_rejects_destabilising():
     with pytest.raises(StabilityCheckFailed):
-        certify_controller(parse_rational("-1"), 2, 0.1)
+        certify_closed_loop(_plant_T(parse_rational("-1"), 2), 0.1)
 
 
 def test_certificate_fields(certified_m4):
@@ -151,7 +156,8 @@ def test_search_lands_on_scan_grid(certified_m4):
 
 
 def test_search_winner_m4_pinned():
-    assert search_parameters(4, 0.1) == (
+    cert = search_parameters(4, 0.1)
+    assert (cert.gamma_a, cert.gamma_b) == (
         Fraction("44456985251/250000000000"),
         Fraction("702926656495390948551/125000000000000000000000"))
 
@@ -159,7 +165,8 @@ def test_search_winner_m4_pinned():
 def test_scan_certifies_youla_T_like_the_controller_route():
     # the scan certifies T = N X (1 - M Q1) without building c; on a sample
     # of candidates (the first, a few misses, the one before the m = 4
-    # winner, the winner, the one after) the controller route must agree
+    # winner, the winner, the one after) the controller route must agree,
+    # and the scan's own certificate must be the controller route's
     vals = _scan_values()
     sample = [(0, 0), (0, 12), (2, 24), (3, 5), (3, 6), (3, 7)]
 
@@ -174,9 +181,12 @@ def test_scan_certifies_youla_T_like_the_controller_route():
         ga, gb = vals[i], vals[i] * vals[j]
         grid = band_grid(gb)
         direct = outcome(lambda: certify_closed_loop(youla_closed_loop(4, ga, gb), 0.1, grid))
-        via_c = outcome(lambda: certify_controller(candidate_controller(4, ga, gb), 4, 0.1, grid))
+        via_c = outcome(lambda: certify_closed_loop(
+            _plant_T(candidate_controller(4, ga, gb), 4), 0.1, grid))
         assert direct == via_c, f"candidate ({i}, {j})"
         seen.add(direct if isinstance(direct, type) else Certificate)
+        if (i, j) == (3, 6):
+            assert search_parameters(4, 0.1) == replace(via_c, gamma_a=ga, gamma_b=gb)
     assert seen == {Certificate, PeakExceedsBudget}
 
 
@@ -259,7 +269,7 @@ def test_family_routh_tests_the_base_once(certified_m4, monkeypatch):
 def test_family_bandwidth_holds(certified_m4):
     c, cert = certified_m4
     fam = scaled_family(c, cert, 4, 1.0, 10)
-    verify_bandwidth(fam)  # does not raise
+    family_product_check(fam)  # does not raise
 
 
 def test_family_bandwidth_violation_detected(certified_m4):
@@ -271,23 +281,24 @@ def test_family_bandwidth_violation_detected(certified_m4):
         omega_bw=float(cert.omega_high) * 0.5,  # band now pokes above bw
         base_certificate=cert)
     with pytest.raises(BandwidthViolation):
-        verify_bandwidth(bad)
+        family_product_check(bad)
 
 
 def test_family_product_within_budget(certified_m4):
     c, cert = certified_m4
     fam = scaled_family(c, cert, 4, 1.0, 10)
-    max_product, ok = family_product_check(fam, 4)
+    max_product, ok = family_product_check(fam)
     assert ok
     assert max_product <= 1.1 + 1e-6
 
 
 def test_homogeneous_family_product_compounds():
-    # ten copies of the same PD loop: the peaks stack multiplicatively
+    # ten copies of the same PD loop: the peaks stack multiplicatively;
+    # |T(j omega)| <= 1 from omega = sqrt(2) on, so omega_bw = 2 holds
     c = parse_rational("1+s")
-    cert = Certificate(0.5, 1.4678898250138706, 0.0, 0.0, band_empty=True)
-    fam = ControllerFamily(2, c, (Fraction(1),) * 10, 1.0, cert)
-    max_product, ok = family_product_check(fam, 2, epsilon=0.1)
+    cert = Certificate(0.1, 1.4678898250138706, 0.0, 0.0, band_empty=True)
+    fam = ControllerFamily(2, c, (Fraction(1),) * 10, 2.0, cert)
+    max_product, ok = family_product_check(fam)
     assert max_product >= 2 ** 5
     assert not ok
 
@@ -302,10 +313,10 @@ def test_family_count_cap(certified_m4):
 
 def test_degenerate_certificate_family():
     c = parse_rational("1")
-    cert = certify_controller(c, 1, 0.1)
+    cert = certify_closed_loop(_plant_T(c, 1), 0.1)
     fam = scaled_family(c, cert, 1, 1.0, 5)
     assert len({fam.member(k) for k in range(5)}) == 1, "ratio 1 means identical members"
-    max_product, ok = family_product_check(fam, 1)
+    max_product, ok = family_product_check(fam)
     assert ok and max_product <= 1.0 + 1e-9
 
 
