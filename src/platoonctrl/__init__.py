@@ -7,8 +7,8 @@ length-invariant leading blocks thanks to an exact UL factorization.
 """
 
 from .bidir import (BodeTable, LemmaStructures, RationalMatrix, bode_table,
-                    build_structures, invariance_check, invert_bidiagonal,
-                    sensitivity_matrix, time_scale, verify_factorization)
+                    build_structures, invariance_check, sensitivity_matrix,
+                    time_scale, verify_factorization)
 from .cascade import (CascadeProfile, GrowthTable, MiddletonResult,
                       MistuneReport, cascade_gain, homogeneous_growth,
                       middleton_integral, pd_mistune_experiment)
@@ -24,33 +24,32 @@ from .parsing import parse_rational
 from .poly import Polynomial, hurwitz_stable, poly_gcd
 from .ratfun import (RationalFunction, StabilityReport, closed_loop,
                      internal_stability, scale_frequency)
-from .synthesis import (Certificate, ControllerFamily, YoulaData, band_grid,
+from .synthesis import (Certificate, ControllerFamily, Design, band_grid,
                         candidate_controller, certify_closed_loop,
                         family_from_json, family_grid, family_product_check,
-                        family_to_json, lift_order, plant, q1_shape,
-                        scaled_family, search_parameters, youla_closed_loop,
-                        youla_coprime)
+                        family_to_json, lift_order, plant, scaled_family,
+                        search_parameters, synthesize, youla_closed_loop)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BandwidthViolation", "BodeTable", "CascadeProfile", "Certificate",
-    "ControllerFamily", "DivergentAtOrigin", "FrequencyGrid", "GrowthTable",
-    "HinfResult", "IllPosed", "InvalidRange", "LemmaStructures",
+    "ControllerFamily", "Design", "DivergentAtOrigin", "FrequencyGrid",
+    "GrowthTable", "HinfResult", "IllPosed", "InvalidRange", "LemmaStructures",
     "MiddletonResult", "MistuneReport", "NonPositiveGamma",
     "NonPositiveScale", "ParseError", "PeakExceedsBudget", "PlatoonError",
     "PoleAtPoint", "Polynomial", "RationalFunction", "RationalMatrix",
     "SearchExhausted", "SingularDiagonal", "StabilityCheckFailed",
-    "StabilityReport", "UnstableEntry", "YoulaData", "ZeroDenominator",
+    "StabilityReport", "UnstableEntry", "ZeroDenominator",
     "ZeroPolynomial", "band_grid", "bode_table", "build_structures",
     "candidate_controller", "cascade_gain", "certify_closed_loop",
     "closed_loop", "default_grid", "family_from_json", "family_grid",
     "family_product_check", "family_to_json", "hinf_norm",
     "homogeneous_growth", "hurwitz_stable", "internal_stability",
-    "invariance_check", "invert_bidiagonal", "lift_order",
+    "invariance_check", "lift_order",
     "middleton_integral", "parse_rational", "pd_mistune_experiment",
-    "plant", "poly_gcd", "q1_shape", "rf_abs_jomega", "rf_log_abs_jomega",
+    "plant", "poly_gcd", "rf_abs_jomega", "rf_log_abs_jomega",
     "scale_frequency", "scaled_family", "search_parameters",
-    "sensitivity_matrix", "time_scale",
-    "verify_factorization", "youla_closed_loop", "youla_coprime",
+    "sensitivity_matrix", "synthesize", "time_scale",
+    "verify_factorization", "youla_closed_loop",
 ]

@@ -6,12 +6,11 @@ I + X_n H_n X_n^T factors exactly as (1/s^2) U_n L_n with U_n, L_n
 bidiagonal, so S_n = s^2 L_n^{-1} U_n^{-1}. That product has a closed form
 whose entries do not depend on n, so the leading blocks of S_n do not change
 as vehicles are appended. `sensitivity_matrix` builds the entries from the
-closed form and checks L_n S_n U_n = s^2 I_n exactly; `invert_bidiagonal`
-keeps the substitution route as an independent oracle. Both identities,
+closed form and checks L_n S_n U_n = s^2 I_n exactly. Both identities,
 the factorization and L_n S_n U_n = s^2 I_n, are checked with the
 denominators cleared, in integer polynomial arithmetic on the coefficients
-of the very matrices they are about; `RationalMatrix` products are the test
-oracle. Everything here is exact; floats only enter in the Bode sweep.
+of the very matrices they are about. Everything here is exact; floats only
+enter in the Bode sweep.
 """
 
 from __future__ import annotations
@@ -24,8 +23,7 @@ from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (InvalidRange, NonPositiveScale, SingularDiagonal,
-                     UnstableEntry)
+from .errors import InvalidRange, NonPositiveScale, UnstableEntry
 from .freq import FrequencyGrid, rf_log_abs_jomega
 from .poly import (Polynomial, _int_add, _int_mul, _int_sub, _int_view,
                    hurwitz_stable)
@@ -75,35 +73,6 @@ class RationalMatrix:
     def map_entries(self, fn) -> "RationalMatrix":
         return RationalMatrix(tuple(tuple(fn(f) for f in row) for row in self.rows))
 
-    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if (self.n_rows, self.n_cols) != (other.n_rows, other.n_cols):
-            raise InvalidRange("shape mismatch in add")
-        return RationalMatrix(tuple(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.rows, other.rows)))
-
-    def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.n_cols != other.n_rows:
-            raise InvalidRange("shape mismatch in matmul")
-        # zero factors are skipped so bidiagonal products cost O(n^2)
-        out = []
-        for i in range(self.n_rows):
-            row = []
-            for j in range(other.n_cols):
-                acc = None
-                for k in range(self.n_cols):
-                    a = self.rows[i][k]
-                    if a.num.is_zero:
-                        continue
-                    b = other.rows[k][j]
-                    if b.num.is_zero:
-                        continue
-                    term = a * b
-                    acc = term if acc is None else acc + term
-                row.append(_ZERO_RF if acc is None else acc)
-            out.append(tuple(row))
-        return RationalMatrix(tuple(out))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalMatrix):
             return NotImplemented
@@ -114,12 +83,6 @@ class RationalMatrix:
 
     def __repr__(self):
         return f"RationalMatrix({self.n_rows}x{self.n_cols})"
-
-
-def _eye(n: int) -> RationalMatrix:
-    return RationalMatrix(tuple(
-        tuple(_ONE_RF if i == j else _ZERO_RF for j in range(n))
-        for i in range(n)))
 
 
 @dataclass(frozen=True)
@@ -220,41 +183,6 @@ def verify_factorization(n: int) -> bool:
     for i in range(n):
         lhs[i, i] = _int_add(lhs.get((i, i), []), [0, 0, 1])
     return {ij: c for ij, c in lhs.items() if c} == _int_matmul(U, L)
-
-
-def invert_bidiagonal(T: RationalMatrix, shape: str) -> RationalMatrix:
-    """Exact inverse of an upper or lower bidiagonal matrix.
-
-    Back (upper) or forward (lower) substitution column by column; the
-    diagonal must be nonzero. The product T times the result is checked to
-    be the identity before returning. `sensitivity_matrix` does not use it;
-    it is the independent route the tests compare that matrix against.
-    """
-    if shape not in ("upper", "lower"):
-        raise InvalidRange("shape must be 'upper' or 'lower'")
-    n = T.n_rows
-    if T.n_cols != n:
-        raise InvalidRange("matrix must be square")
-    off = +1 if shape == "upper" else -1
-    for i, j, f in T.entries():
-        if i == j:
-            if f.num.is_zero:
-                raise SingularDiagonal(f"zero diagonal entry at position {i + 1}")
-        elif j != i + off and not f.num.is_zero:
-            raise InvalidRange(f"entry ({i + 1},{j + 1}) breaks the bidiagonal shape")
-    cols = [[_ZERO_RF] * n for _ in range(n)]
-    order = range(n - 1, -1, -1) if shape == "upper" else range(n)
-    for j in range(n):
-        for i in order:
-            acc = _ONE_RF if i == j else _ZERO_RF
-            k = i + off
-            if 0 <= k < n and not T.rows[i][k].num.is_zero:
-                acc = acc - T.rows[i][k] * cols[j][k]
-            cols[j][i] = acc / T.rows[i][i]
-    inv = RationalMatrix(tuple(tuple(cols[j][i] for j in range(n)) for i in range(n)))
-    if T @ inv != _eye(n):
-        raise ArithmeticError("inverse verification failed; construction bug")
-    return inv
 
 
 def _binomial_rows(count: int):

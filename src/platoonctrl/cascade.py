@@ -155,12 +155,16 @@ def middleton_integral(T: RationalFunction, omega_lo: float = 1e-6,
 
 @dataclass(frozen=True)
 class GrowthTable:
-    """n-th powers of the closed-loop peak: the homogeneous cascade bound."""
+    """n-th powers of the closed-loop peak: the homogeneous cascade bound.
+
+    T is the closed loop the peak was read off.
+    """
 
     omega0: float
     hinf: float
     rows: Tuple[Tuple[int, float], ...]
     growth_flagged: bool
+    T: RationalFunction
 
     def to_csv(self) -> str:
         lines = ["n,gain"]
@@ -183,12 +187,13 @@ def homogeneous_growth(c: RationalFunction, m: int, n_max: int,
     rep = internal_stability(plant(m), c)
     if not rep.internally_stable:
         raise StabilityCheckFailed(rep.diagnostic())
-    res = hinf_norm(rep.gang_of_four[3], grid if grid is not None else default_grid())
+    T = rep.gang_of_four[3]
+    res = hinf_norm(T, grid if grid is not None else default_grid())
     if not res.finite:
         raise StabilityCheckFailed("closed loop has no finite peak")
     with np.errstate(over="ignore"):
         rows = tuple((n, float(np.float64(res.norm) ** n)) for n in range(1, n_max + 1))
-    return GrowthTable(res.argmax_omega, res.norm, rows, bool(res.norm > 1.0 + 1e-12))
+    return GrowthTable(res.argmax_omega, res.norm, rows, bool(res.norm > 1.0 + 1e-12), T)
 
 
 # ----------------------------------------------------------------------

@@ -24,10 +24,9 @@ from .errors import (DivergentAtOrigin, InvalidRange, ParseError,
                      PlatoonError, StabilityCheckFailed)
 from .freq import FrequencyGrid, default_grid
 from .parsing import parse_rational
-from .ratfun import closed_loop, internal_stability
-from .synthesis import (candidate_controller, certify_closed_loop,
-                        family_from_json, family_product_check, family_to_json,
-                        lift_order, plant, scaled_family, search_parameters)
+from .ratfun import internal_stability
+from .synthesis import (family_from_json, family_product_check, family_to_json,
+                        plant, scaled_family, synthesize)
 
 log = logging.getLogger("platoonctrl")
 
@@ -176,23 +175,16 @@ def _cmd_bode(args) -> int:
 def _cmd_synth(args) -> int:
     t0 = time.monotonic()
     m, eps, bw, count = args.m, args.eps, args.bw, args.count
-    ell = 4 * math.ceil(m / 4)
-    if m == 1:
-        # the first-order plant is closed with unit gain; T = 1/(s+1) never
-        # exceeds 1, so the certificate is degenerate and the family trivial
-        c = parse_rational("1")
-        cert = certify_closed_loop(internal_stability(plant(1), c).gang_of_four[3], eps)
-        gamma_info = {"gamma_a": None, "gamma_b": None, "ell": 1}
-    else:
-        cert = search_parameters(ell, eps)
-        c = lift_order(candidate_controller(ell, cert.gamma_a, cert.gamma_b), ell, m)
-        gamma_info = {"gamma_a": str(cert.gamma_a), "gamma_b": str(cert.gamma_b), "ell": ell}
-    fam = scaled_family(c, cert, m, bw, count)
-    max_product, ok = family_product_check(fam)
+    design = synthesize(m, eps)
+    cert = design.certificate
+    fam = scaled_family(design.controller, cert, m, bw, count)
+    max_product, ok = family_product_check(fam, design.T)
     path = _write_json(args.out, "family.json", family_to_json(fam, (max_product, ok)))
     params = {"m": m, "eps": eps, "bw": bw, "count": count}
     results = {
-        **gamma_info,
+        "gamma_a": None if cert.gamma_a is None else str(cert.gamma_a),
+        "gamma_b": None if cert.gamma_b is None else str(cert.gamma_b),
+        "ell": design.ell,
         "peak": cert.peak,
         "omega_low": cert.omega_low,
         "omega_high": cert.omega_high,
@@ -215,10 +207,11 @@ def _cmd_family_check(args) -> int:
             raise InvalidRange(f"{args.file} is not a JSON document: {exc}") from exc
     fam = family_from_json(doc)
     # every member c_k = gamma_k^-m c(gamma_k s) shares the base's verdict
-    stable = internal_stability(plant(fam.m), fam.base).internally_stable
+    rep = internal_stability(plant(fam.m), fam.base)
+    stable = rep.internally_stable
     if not stable:
         log.error("the base controller fails internal stability")
-    max_product, ok = family_product_check(fam)
+    max_product, ok = family_product_check(fam, rep.gang_of_four[3])
     _write_report(args.out, "family-check",
                   {"file": args.file},
                   {"m": fam.m, "count": len(fam), "members_stable": stable,
@@ -233,7 +226,7 @@ def _cmd_homogeneous(args) -> int:
     table = homogeneous_growth(c, args.m, args.n)
     csv_path = _write_text(args.out, "growth.csv", table.to_csv())
     try:
-        mid = middleton_integral(closed_loop(plant(args.m), c)[1])
+        mid = middleton_integral(table.T)
         mid_doc = {"value": mid.value, "truncation_bound": mid.truncation_bound}
     except (StabilityCheckFailed, DivergentAtOrigin) as exc:
         # growth is still reportable when the integral's preconditions

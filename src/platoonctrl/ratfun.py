@@ -142,28 +142,13 @@ class RationalFunction:
         return hash((self.num, self.den))
 
     # ------------------------------------------------------------------
-    # evaluation and series
+    # evaluation
 
     def __call__(self, z):
         dv = self.den(z)
         if dv == 0 or (not isinstance(dv, Fraction) and abs(dv) < 1e-300):
             raise PoleAtPoint(f"denominator vanishes at {z!r}")
         return self.num(z) / dv
-
-    def maclaurin(self, count: int):
-        """First `count` Taylor coefficients at s = 0."""
-        d = self.den.coeffs
-        if d[0] == 0:
-            raise PoleAtPoint("pole at the origin")
-        n = self.num.coeffs
-        out = []
-        for k in range(count):
-            acc = n[k] if k < len(n) else Fraction(0)
-            for i in range(1, k + 1):
-                di = d[i] if i < len(d) else Fraction(0)
-                acc -= di * out[k - i]
-            out.append(acc / d[0])
-        return out
 
     # ------------------------------------------------------------------
     # text and JSON forms

@@ -1,19 +1,24 @@
 """Controller synthesis for the integrator-chain plant 1/s^m.
 
-Pipeline: coprime-factor the plant over stable proper rationals, shape the
-free Youla parameter so the complementary sensitivity dips below 1 early,
-certify the peak and the amplification band on a grid, then fan the certified
-design out into a geometrically frequency-scaled family whose amplification
-bands are pairwise disjoint. Everything structural is exact rational
-arithmetic; floats appear only in grid sweeps and in certificate frequencies.
+Pipeline: shape the free Youla parameter so the complementary sensitivity
+dips below 1 early, certify the peak and the amplification band on a grid,
+then fan the certified design out into a geometrically frequency-scaled
+family whose amplification bands are pairwise disjoint. Everything
+structural is exact rational arithmetic; floats appear only in grid sweeps
+and in certificate frequencies.
 
-Two identities carry the pipeline. Youla parametrisation makes
-T = N*X*(1 - M*Q1) internally stable for every stable Q1, so the scan
-certifies that T directly, its certificate is the design's, and a controller
-is built (and cross-checked) only for the winner. A scaled member c_k =
-gamma_k^{-m} c(gamma_k s) has T_k(s) = T(gamma_k s), so a family is stored
-as one base controller plus its gammas, and one sweep of the base T at
-gamma_k * omega checks the members' bandwidth and their product.
+The Youla design for 1/s^m has closed forms. Split the binomial expansion
+X + s^m Y = (1+s)^{2m} at index m and let D1 = (s+gamma_a)(s+gamma_b)^{m-1}.
+The Youla parameter Q = -X (s+1)^m / D1 (over the coprime factors
+N = 1/(s+1)^m, M = s^m/(s+1)^m) gives the controller
+c = X (D1 - s^m) / (Y D1 + X) and the closed loop
+T = X (D1 - s^m) / ((s+1)^{2m} D1), each built as one polynomial ratio.
+That T is internally stable for positive gammas by construction, so the
+scan certifies it directly and its certificate is the design's; synthesize
+builds the winner's controller and tests the one loop it ships. A scaled
+member c_k = gamma_k^{-m} c(gamma_k s) has T_k(s) = T(gamma_k s), so a
+family is stored as one base controller plus its gammas, and one sweep of
+the base T at gamma_k * omega checks the members' bandwidth and product.
 """
 
 from __future__ import annotations
@@ -27,13 +32,11 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import (BandwidthViolation, IllPosed, InvalidRange,
-                     PeakExceedsBudget, SearchExhausted, StabilityCheckFailed,
-                     ZeroDenominator)
+from .errors import (BandwidthViolation, InvalidRange, PeakExceedsBudget,
+                     SearchExhausted, StabilityCheckFailed, ZeroDenominator)
 from .freq import FrequencyGrid, default_grid, hinf_norm, rf_log_abs_jomega
 from .poly import Polynomial
-from .ratfun import (RationalFunction, closed_loop, internal_stability,
-                     scale_frequency)
+from .ratfun import RationalFunction, internal_stability, scale_frequency
 
 _S = Polynomial([0, 1])
 _ONE = Polynomial([1])
@@ -50,88 +53,46 @@ def plant(m: int) -> RationalFunction:
 
 
 # ----------------------------------------------------------------------
-# coprime factorization
+# Youla design
 
-@dataclass(frozen=True)
-class YoulaData:
-    """Coprime factors and Bezout pair for 1/s^m, all in RH-infinity."""
+def _youla_parts(m: int, gamma_a, gamma_b) -> Tuple[Polynomial, Polynomial, Polynomial]:
+    """X, Y and D1 of the Youla design for 1/s^m.
 
-    m: int
-    N: RationalFunction
-    M: RationalFunction
-    X: RationalFunction
-    Y: RationalFunction
-
-
-@lru_cache(maxsize=None)
-def youla_coprime(m: int) -> YoulaData:
-    """N = 1/(s+1)^m, M = s^m/(s+1)^m and the Bezout pair X, Y.
-
-    X has numerator sum_{k<m} C(2m,k) s^k and Y has numerator
-    sum_{l=m..2m} C(2m,l) s^{l-m}, both over (s+1)^m; this is the split of
-    the binomial expansion of (1+s)^{2m} at index m. The identity
-    N*X + M*Y = 1 is checked exactly before returning.
+    X = sum_{k<m} C(2m,k) s^k and Y = sum_{l=m..2m} C(2m,l) s^{l-m} split
+    the binomial expansion X + s^m Y = (1+s)^{2m} at index m, and
+    D1 = (s+gamma_a)(s+gamma_b)^{m-1} is the band-shaping denominator.
     """
-    if m < 1:
-        raise InvalidRange("m must be >= 1")
-    wp = (_ONE + _S) ** m
-    data = YoulaData(
-        m,
-        N=RationalFunction(_ONE, wp),
-        M=RationalFunction(_S ** m, wp),
-        X=RationalFunction(Polynomial([math.comb(2 * m, k) for k in range(m)]), wp),
-        Y=RationalFunction(Polynomial([math.comb(2 * m, l) for l in range(m, 2 * m + 1)]), wp),
-    )
-    if data.N * data.X + data.M * data.Y != _ONE_RF:
-        raise ArithmeticError(f"Bezout identity failed for m={m}; construction bug")
-    return data
-
-
-def q1_shape(m: int, gamma_a, gamma_b) -> RationalFunction:
-    """Q1 = (s+1)^m / ((s+gamma_a)(s+gamma_b)^{m-1}), the band-shaping parameter."""
     if m < 1:
         raise InvalidRange("m must be >= 1")
     ga, gb = Fraction(gamma_a), Fraction(gamma_b)
     if ga <= 0 or gb <= 0:
         raise InvalidRange("gamma_a and gamma_b must be positive")
-    den = Polynomial([ga, 1]) * Polynomial([gb, 1]) ** (m - 1)
-    return RationalFunction((_ONE + _S) ** m, den)
+    X = Polynomial([math.comb(2 * m, k) for k in range(m)])
+    Y = Polynomial([math.comb(2 * m, l) for l in range(m, 2 * m + 1)])
+    return X, Y, Polynomial([ga, 1]) * Polynomial([gb, 1]) ** (m - 1)
 
 
 def youla_closed_loop(m: int, gamma_a, gamma_b) -> RationalFunction:
-    """T = N*X*(1 - M*Q1): the closed loop of the Youla candidate, no controller built.
+    """T = X (D1 - s^m) / ((s+1)^{2m} D1): the Youla candidate's closed loop, no controller built.
 
-    Q = -X*Q1 is stable for positive gammas, so this T belongs to an
-    internally stable loop by construction.
+    Its denominator's roots are -1, -gamma_a and -gamma_b, so for positive
+    gammas this T belongs to an internally stable loop by construction.
     """
-    yd = youla_coprime(m)
-    return yd.N * yd.X * (_ONE_RF - yd.M * q1_shape(m, gamma_a, gamma_b))
+    X, _, D1 = _youla_parts(m, gamma_a, gamma_b)
+    return RationalFunction(X * (D1 - _S ** m), (_ONE + _S) ** (2 * m) * D1)
 
 
 def candidate_controller(m: int, gamma_a, gamma_b) -> RationalFunction:
-    """Youla-parametrized candidate c = (X + M*Q)/(Y - N*Q) with Q = -X*Q1.
+    """The Youla candidate c = X (D1 - s^m) / (Y D1 + X), whose T is youla_closed_loop's.
 
     Restricted to m divisible by 4 (the reduction case; lift_order covers the
-    rest). The result is verified to internally stabilise 1/s^m, and the
-    stability report's T is verified to equal N*X*(1 - M*Q1) exactly, so the
-    two derivation routes cross-check each other on every call.
+    rest). synthesize tests the loop it ships and compares its T with
+    youla_closed_loop.
     """
     if m % 4 != 0:
         raise InvalidRange("candidate_controller requires m divisible by 4")
-    yd = youla_coprime(m)
-    q1 = q1_shape(m, gamma_a, gamma_b)
-    Q = -(yd.X * q1)
-    den_rf = yd.Y - yd.N * Q
-    if den_rf.num.is_zero:
-        raise IllPosed("Y - N*Q is identically zero")
-    c = (yd.X + yd.M * Q) / den_rf
-    rep = internal_stability(plant(m), c)
-    if not rep.internally_stable:
-        raise StabilityCheckFailed(
-            f"candidate (m={m}, gamma_a={gamma_a}, gamma_b={gamma_b}) failed the gang-of-four test")
-    if rep.gang_of_four[3] != youla_closed_loop(m, gamma_a, gamma_b):
-        raise ArithmeticError("closed-loop and Youla expressions for T disagree; construction bug")
-    return c
+    X, Y, D1 = _youla_parts(m, gamma_a, gamma_b)
+    return RationalFunction(X * (D1 - _S ** m), Y * D1 + X)
 
 
 # ----------------------------------------------------------------------
@@ -263,27 +224,61 @@ def search_parameters(m: int, epsilon: float) -> Certificate:
 # order lifting
 
 def lift_order(c_bar: RationalFunction, ell: int, m: int) -> RationalFunction:
-    """s^{m-ell} * c_bar: recover the order-m controller from the 4|ell case.
+    """c_bar / s^{ell-m}: recover the order-m controller from the 4|ell case.
 
     Requires ell = 4*ceil(m/4). The loop transfer is unchanged (p*c is
     literally the same function), so the closed-loop T is preserved exactly;
-    both that identity, read off the two stability reports, and internal
-    stability for 1/s^m are verified before returning.
+    synthesize tests the lifted loop.
     """
     if m < 1 or ell != 4 * math.ceil(m / 4):
         raise InvalidRange("need ell = 4*ceil(m/4)")
-    rep_bar = internal_stability(plant(ell), c_bar)
-    if not rep_bar.internally_stable:
-        raise StabilityCheckFailed("c_bar does not internally stabilise 1/s^ell")
     if ell == m:
         return c_bar
-    lifted = c_bar * RationalFunction(_ONE, _S ** (ell - m))
-    rep = internal_stability(plant(m), lifted)
+    return c_bar * RationalFunction(_ONE, _S ** (ell - m))
+
+
+@dataclass(frozen=True)
+class Design:
+    """The shipped base design: controller, its certificate and its closed loop T.
+
+    ell is the order the Youla design was built for, 1 for the first-order
+    plant's unit gain.
+    """
+
+    ell: int
+    controller: RationalFunction
+    certificate: Certificate
+    T: RationalFunction
+
+
+def synthesize(m: int, epsilon: float) -> Design:
+    """The certified base design for 1/s^m, its one shipped loop tested once.
+
+    m = 1 is closed with unit gain: T = 1/(s+1) never exceeds 1, so the
+    certificate is degenerate. Otherwise the scan certifies the Youla T for
+    ell = 4*ceil(m/4), and the winner's controller, lifted to 1/s^m, is
+    built. That loop gets the one internal_stability test:
+    StabilityCheckFailed unless it is internally stable, ArithmeticError
+    unless its T is the certified Youla T. The 1/s^ell loop is stable by Youla parametrisation
+    and is not shipped, so it is not tested.
+    """
+    if m < 1:
+        raise InvalidRange("m must be >= 1")
+    if m == 1:
+        ell, c = 1, _ONE_RF
+    else:
+        ell = 4 * math.ceil(m / 4)
+        cert = search_parameters(ell, epsilon)
+        c = lift_order(candidate_controller(ell, cert.gamma_a, cert.gamma_b), ell, m)
+    rep = internal_stability(plant(m), c)
     if not rep.internally_stable:
-        raise StabilityCheckFailed("lifted controller failed for 1/s^m")
-    if rep.gang_of_four[3] != rep_bar.gang_of_four[3]:
-        raise ArithmeticError("lifting changed the closed loop; construction bug")
-    return lifted
+        raise StabilityCheckFailed(rep.diagnostic())
+    T = rep.gang_of_four[3]
+    if m == 1:
+        cert = certify_closed_loop(T, epsilon)
+    elif T != youla_closed_loop(ell, cert.gamma_a, cert.gamma_b):
+        raise ArithmeticError("the shipped loop's T is not the certified Youla T; construction bug")
+    return Design(ell, c, cert, T)
 
 
 # ----------------------------------------------------------------------
@@ -331,8 +326,8 @@ def scaled_family(c: RationalFunction, cert: Certificate, m: int, omega_bw: floa
     gamma_1 = omega_high/omega_bw and gamma_{k+1} = (omega_high/omega_low) *
     gamma_k, held as exact rationals, so adjacent amplification bands
     (omega_low/gamma_k, omega_high/gamma_k) share endpoints exactly and can
-    never overlap. The base is Routh-tested once for internal stability,
-    which every member inherits; the members' bandwidth is checked, with
+    never overlap. Every member inherits the base's internal stability,
+    which synthesize tests; the members' bandwidth is checked, with
     their product, by family_product_check. A degenerate certificate
     (band_empty) gives ratio 1: all members coincide and the product bound
     is 1 everywhere. count is capped at 25: the gammas grow geometrically,
@@ -344,8 +339,6 @@ def scaled_family(c: RationalFunction, cert: Certificate, m: int, omega_bw: floa
             "family sweep grid must span every member's band in double precision")
     if omega_bw <= 0:
         raise InvalidRange("omega_bw must be positive")
-    if not internal_stability(plant(m), c).internally_stable:
-        raise StabilityCheckFailed("base controller fails internal stability")
     gamma = Fraction(cert.omega_high) / Fraction(omega_bw)
     ratio = Fraction(cert.omega_high) / Fraction(cert.omega_low)
     gammas = tuple(gamma * ratio ** k for k in range(count))
@@ -353,18 +346,23 @@ def scaled_family(c: RationalFunction, cert: Certificate, m: int, omega_bw: floa
 
 
 def family_grid(family: ControllerFamily) -> FrequencyGrid:
-    """Sweep grid covering every member's amplification band with margin."""
+    """Sweep grid covering every member's amplification band and omega_bw with margin.
+
+    A degenerate certificate (omega_low = omega_high = 1, every gamma
+    1/omega_bw) gives [min(1e-4, omega_bw/10), max(1e4, 10 omega_bw)].
+    """
     cert = family.base_certificate
-    if cert.band_empty:
-        return default_grid()
     gmax, gmin = float(max(family.gammas)), float(min(family.gammas))
     wmin = min(1e-4, cert.omega_low / gmax / 10)
     wmax = max(1e4, cert.omega_high / gmin * 10)
     return FrequencyGrid(wmin, wmax, 200)
 
 
-def family_product_check(family: ControllerFamily) -> Tuple[float, bool]:
+def family_product_check(family: ControllerFamily, T: RationalFunction) -> Tuple[float, bool]:
     """One sweep on family_grid, reading ln|T_k(j omega)| once as the base ln|T(j gamma_k omega)|.
+
+    T is the base closed loop on 1/s^family.m, read off the caller's
+    stability report of family.base.
 
     A member with |T_k| > 1 (past 1e-12 of float slack) at a sample at or
     above omega_bw raises BandwidthViolation. Otherwise the logs are summed
@@ -377,7 +375,6 @@ def family_product_check(family: ControllerFamily) -> Tuple[float, bool]:
     above = grid.omegas >= family.omega_bw * (1 - 1e-12)
     if not above.any():
         raise InvalidRange("grid has no samples at or above omega_bw")
-    T = closed_loop(plant(family.m), family.base)[1]
     total = np.zeros(len(grid.omegas))
     for k, g in enumerate(family.gammas):
         logs = rf_log_abs_jomega(T, grid.omegas * float(g))

@@ -1,0 +1,175 @@
+"""Reference routes the tests compare production code against.
+
+None of these run in a command. The Youla coprime factors and the
+factor-arithmetic forms of the controller and closed loop check the closed
+forms in `synthesis`; rational-matrix sums and products and bidiagonal
+substitution check the closed-form sensitivity matrix and the integer
+identity checks in `bidir`; `maclaurin` reads Taylor coefficients at s = 0.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+
+from platoonctrl.bidir import RationalMatrix
+from platoonctrl.errors import (IllPosed, InvalidRange, PoleAtPoint,
+                                SingularDiagonal)
+from platoonctrl.poly import Polynomial
+from platoonctrl.ratfun import RationalFunction
+
+_S = Polynomial([0, 1])
+_ONE = Polynomial([1])
+_ZERO_RF = RationalFunction(Polynomial([]), _ONE)
+_ONE_RF = RationalFunction(_ONE, _ONE)
+
+
+# ---------------------------------------------------------------- Youla factors
+
+@dataclass(frozen=True)
+class YoulaData:
+    """Coprime factors and Bezout pair for 1/s^m, all in RH-infinity."""
+
+    m: int
+    N: RationalFunction
+    M: RationalFunction
+    X: RationalFunction
+    Y: RationalFunction
+
+
+def youla_coprime(m: int) -> YoulaData:
+    """N = 1/(s+1)^m, M = s^m/(s+1)^m and the Bezout pair X, Y.
+
+    X has numerator sum_{k<m} C(2m,k) s^k and Y has numerator
+    sum_{l=m..2m} C(2m,l) s^{l-m}, both over (s+1)^m; this is the split of
+    the binomial expansion of (1+s)^{2m} at index m. The identity
+    N*X + M*Y = 1 is checked exactly before returning.
+    """
+    if m < 1:
+        raise InvalidRange("m must be >= 1")
+    wp = (_ONE + _S) ** m
+    data = YoulaData(
+        m,
+        N=RationalFunction(_ONE, wp),
+        M=RationalFunction(_S ** m, wp),
+        X=RationalFunction(Polynomial([math.comb(2 * m, k) for k in range(m)]), wp),
+        Y=RationalFunction(Polynomial([math.comb(2 * m, l) for l in range(m, 2 * m + 1)]), wp),
+    )
+    if data.N * data.X + data.M * data.Y != _ONE_RF:
+        raise ArithmeticError(f"Bezout identity failed for m={m}")
+    return data
+
+
+def q1_shape(m: int, gamma_a, gamma_b) -> RationalFunction:
+    """Q1 = (s+1)^m / ((s+gamma_a)(s+gamma_b)^{m-1}), the band-shaping parameter."""
+    if m < 1:
+        raise InvalidRange("m must be >= 1")
+    ga, gb = Fraction(gamma_a), Fraction(gamma_b)
+    if ga <= 0 or gb <= 0:
+        raise InvalidRange("gamma_a and gamma_b must be positive")
+    den = Polynomial([ga, 1]) * Polynomial([gb, 1]) ** (m - 1)
+    return RationalFunction((_ONE + _S) ** m, den)
+
+
+def youla_T_by_factors(m: int, gamma_a, gamma_b) -> RationalFunction:
+    """T = N*X*(1 - M*Q1), formed in canonical rational-function arithmetic."""
+    yd = youla_coprime(m)
+    return yd.N * yd.X * (_ONE_RF - yd.M * q1_shape(m, gamma_a, gamma_b))
+
+
+def controller_by_factors(m: int, gamma_a, gamma_b) -> RationalFunction:
+    """c = (X + M*Q)/(Y - N*Q) with Q = -X*Q1, in canonical arithmetic."""
+    yd = youla_coprime(m)
+    Q = -(yd.X * q1_shape(m, gamma_a, gamma_b))
+    den = yd.Y - yd.N * Q
+    if den.num.is_zero:
+        raise IllPosed("Y - N*Q is identically zero")
+    return (yd.X + yd.M * Q) / den
+
+
+def maclaurin(f: RationalFunction, count: int):
+    """First `count` Taylor coefficients of f at s = 0."""
+    d = f.den.coeffs
+    if d[0] == 0:
+        raise PoleAtPoint("pole at the origin")
+    n = f.num.coeffs
+    out = []
+    for k in range(count):
+        acc = n[k] if k < len(n) else Fraction(0)
+        for i in range(1, k + 1):
+            di = d[i] if i < len(d) else Fraction(0)
+            acc -= di * out[k - i]
+        out.append(acc / d[0])
+    return out
+
+
+# ---------------------------------------------------------------- rational matrices
+
+def eye(n: int) -> RationalMatrix:
+    return RationalMatrix(tuple(
+        tuple(_ONE_RF if i == j else _ZERO_RF for j in range(n))
+        for i in range(n)))
+
+
+def mat_add(A: RationalMatrix, B: RationalMatrix) -> RationalMatrix:
+    if (A.n_rows, A.n_cols) != (B.n_rows, B.n_cols):
+        raise InvalidRange("shape mismatch in add")
+    return RationalMatrix(tuple(
+        tuple(a + b for a, b in zip(ra, rb))
+        for ra, rb in zip(A.rows, B.rows)))
+
+
+def matmul(A: RationalMatrix, B: RationalMatrix, *rest: RationalMatrix) -> RationalMatrix:
+    """A B (C ...), each product in canonical rational-function arithmetic."""
+    if A.n_cols != B.n_rows:
+        raise InvalidRange("shape mismatch in matmul")
+    # zero factors are skipped so bidiagonal products cost O(n^2)
+    out = []
+    for i in range(A.n_rows):
+        row = []
+        for j in range(B.n_cols):
+            acc = None
+            for k in range(A.n_cols):
+                a, b = A.rows[i][k], B.rows[k][j]
+                if a.num.is_zero or b.num.is_zero:
+                    continue
+                acc = a * b if acc is None else acc + a * b
+            row.append(_ZERO_RF if acc is None else acc)
+        out.append(tuple(row))
+    P = RationalMatrix(tuple(out))
+    return matmul(P, *rest) if rest else P
+
+
+def invert_bidiagonal(T: RationalMatrix, shape: str) -> RationalMatrix:
+    """Exact inverse of an upper or lower bidiagonal matrix.
+
+    Back (upper) or forward (lower) substitution column by column; the
+    diagonal must be nonzero. The product T times the result is checked to
+    be the identity before returning.
+    """
+    if shape not in ("upper", "lower"):
+        raise InvalidRange("shape must be 'upper' or 'lower'")
+    n = T.n_rows
+    if T.n_cols != n:
+        raise InvalidRange("matrix must be square")
+    off = +1 if shape == "upper" else -1
+    for i, j, f in T.entries():
+        if i == j:
+            if f.num.is_zero:
+                raise SingularDiagonal(f"zero diagonal entry at position {i + 1}")
+        elif j != i + off and not f.num.is_zero:
+            raise InvalidRange(f"entry ({i + 1},{j + 1}) breaks the bidiagonal shape")
+    cols = [[_ZERO_RF] * n for _ in range(n)]
+    order = range(n - 1, -1, -1) if shape == "upper" else range(n)
+    for j in range(n):
+        for i in order:
+            acc = _ONE_RF if i == j else _ZERO_RF
+            k = i + off
+            if 0 <= k < n and not T.rows[i][k].num.is_zero:
+                acc = acc - T.rows[i][k] * cols[j][k]
+            cols[j][i] = acc / T.rows[i][i]
+    inv = RationalMatrix(tuple(tuple(cols[j][i] for j in range(n)) for i in range(n)))
+    if matmul(T, inv) != eye(n):
+        raise ArithmeticError("inverse verification failed")
+    return inv

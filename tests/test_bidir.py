@@ -11,14 +11,15 @@ import pytest
 from platoonctrl import bidir
 from platoonctrl.bidir import (LemmaStructures, RationalMatrix, bode_table,
                                build_structures, invariance_check,
-                               invert_bidiagonal, sensitivity_matrix,
-                               time_scale, verify_factorization, _eye,
-                               _verify_sensitivity)
+                               sensitivity_matrix, time_scale,
+                               verify_factorization, _verify_sensitivity)
 from platoonctrl.errors import (InvalidRange, NonPositiveScale,
                                 SingularDiagonal, UnstableEntry)
 from platoonctrl.freq import FrequencyGrid
 from platoonctrl.poly import Polynomial
 from platoonctrl.ratfun import RationalFunction, one, s
+
+from oracles import eye, invert_bidiagonal, mat_add, matmul
 
 ONE = Polynomial([1])
 S = Polynomial([0, 1])
@@ -30,16 +31,16 @@ def _factorization_by_matmul(n: int) -> bool:
     # oracle: the identity in canonical rational-matrix products; reads the
     # module attribute so a patched build_structures reaches it
     st = bidir.build_structures(n)
-    lhs = (_eye(n) + st.X @ st.H @ st.X.transpose()).map_entries(
+    lhs = mat_add(eye(n), matmul(st.X, st.H, st.X.transpose())).map_entries(
         lambda f: f * RationalFunction(S * S, ONE))
-    return lhs == st.U @ st.L
+    return lhs == matmul(st.U, st.L)
 
 
 def _sensitivity_by_matmul(Sn: RationalMatrix) -> bool:
     # oracle: L_n S U_n == s^2 I_n in canonical rational-matrix products
     st = build_structures(Sn.n_rows)
     s2 = RationalFunction(S * S, ONE)
-    return st.L @ Sn @ st.U == _eye(Sn.n_rows).map_entries(lambda f: f * s2)
+    return matmul(st.L, Sn, st.U) == eye(Sn.n_rows).map_entries(lambda f: f * s2)
 
 
 def _integer_route_accepts(Sn: RationalMatrix) -> bool:
@@ -130,9 +131,10 @@ def test_factorization_rejects_non_polynomial_entry(monkeypatch):
 def test_factorization_entry_11_by_hand():
     # s^2 (1 + (s+1)/s^2 ) = s^2 + s + 1 must equal (U L)_11 = (s+1)s + 1
     st = build_structures(2)
-    lhs = (_eye(2) + st.X @ st.H @ st.X.transpose()).rows[0][0] * RationalFunction(S * S, ONE)
+    lhs = mat_add(eye(2), matmul(st.X, st.H, st.X.transpose())).rows[0][0] \
+        * RationalFunction(S * S, ONE)
     assert lhs == RationalFunction(Polynomial([1, 1, 1]), ONE)
-    assert (st.U @ st.L).rows[0][0] == RationalFunction(Polynomial([1, 1, 1]), ONE)
+    assert matmul(st.U, st.L).rows[0][0] == RationalFunction(Polynomial([1, 1, 1]), ONE)
 
 
 # ---------------------------------------------------------------- inverses
@@ -158,8 +160,8 @@ def test_lower_inverse_closed_form():
 def test_inverse_product_identity():
     for n in (1, 5, 12, 40):
         st = build_structures(n)
-        assert st.U @ invert_bidiagonal(st.U, "upper") == _eye(n)
-        assert st.L @ invert_bidiagonal(st.L, "lower") == _eye(n)
+        assert matmul(st.U, invert_bidiagonal(st.U, "upper")) == eye(n)
+        assert matmul(st.L, invert_bidiagonal(st.L, "lower")) == eye(n)
 
 
 def test_diagonal_only_inverse():
@@ -205,7 +207,7 @@ def test_sensitivity_matches_bidiagonal_inverse_oracle():
     s2 = RationalFunction(S * S, ONE)
     for n in range(1, 13):
         st = build_structures(n)
-        oracle = invert_bidiagonal(st.L, "lower") @ invert_bidiagonal(st.U, "upper")
+        oracle = matmul(invert_bidiagonal(st.L, "lower"), invert_bidiagonal(st.U, "upper"))
         Sn = sensitivity_matrix(n)
         for i, j, f in oracle.entries():
             assert Sn.rows[i][j] == f * s2, f"entry ({i + 1},{j + 1}) of S_{n}"
@@ -274,8 +276,8 @@ def test_sensitivity_leading_entry_all_n():
 def test_sensitivity_is_the_exact_inverse():
     for n in range(1, 13):
         st = build_structures(n)
-        A = _eye(n) + st.X @ st.H @ st.X.transpose()
-        assert A @ sensitivity_matrix(n) == _eye(n), f"inverse identity failed at n={n}"
+        A = mat_add(eye(n), matmul(st.X, st.H, st.X.transpose()))
+        assert matmul(A, sensitivity_matrix(n)) == eye(n), f"inverse identity failed at n={n}"
 
 
 def test_sensitivity_poles_only_at_minus_one():
@@ -406,15 +408,15 @@ def test_matrix_shape_guards():
         RationalMatrix(())
     with pytest.raises(InvalidRange):
         RationalMatrix(((one,), (one, one)))
-    a = _eye(2)
+    a = eye(2)
     with pytest.raises(InvalidRange):
-        a @ _eye(3)
+        matmul(a, eye(3))
     with pytest.raises(InvalidRange):
-        a + _eye(3)
+        mat_add(a, eye(3))
 
 
 def test_matrix_transpose_and_eq():
     st = build_structures(3)
     assert st.U.transpose().transpose() == st.U
     assert st.X.transpose().rows[0][1] == st.X.rows[1][0]
-    assert _eye(3) @ st.U == st.U
+    assert matmul(eye(3), st.U) == st.U

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from platoonctrl import cli
+from platoonctrl import synthesis
 from platoonctrl.cli import _write_json, main
 from platoonctrl.synthesis import _scan_values, search_parameters
 
@@ -246,9 +246,9 @@ def test_family_check_malformed_file_is_a_usage_error(tmp_path, caplog, synth_m3
 
 def test_synth_certifies_each_candidate_once(tmp_path, monkeypatch, call_counts):
     # the scan's certificate is the design's: nothing is certified after it,
-    # and the only closed loop formed outside a stability report is the
-    # family sweep's base T
-    monkeypatch.setattr(cli, "search_parameters", search_parameters.__wrapped__)
+    # the one shipped loop is Routh-tested once, and the family sweep reads
+    # its T off that stability report
+    monkeypatch.setattr(synthesis, "search_parameters", search_parameters.__wrapped__)
     counts = call_counts("certify_closed_loop", "closed_loop", "internal_stability")
     assert main(["synth", "--m", "3", "--count", "10", "--out", str(tmp_path)]) == 0
     res = _report(str(tmp_path))["results"]
@@ -256,19 +256,40 @@ def test_synth_certifies_each_candidate_once(tmp_path, monkeypatch, call_counts)
     ga, gb = Fraction(res["gamma_a"]), Fraction(res["gamma_b"])
     scanned = 25 * vals.index(ga) + vals.index(gb / ga) + 1
     assert counts["certify_closed_loop"] == scanned
-    assert counts["closed_loop"] <= 1 and counts["internal_stability"] <= 4
+    assert (counts["internal_stability"], counts["closed_loop"]) == (1, 0)
 
 
 @pytest.mark.parametrize("argv, exit_code, reports, loops", [
-    (["homogeneous", "--m", "2", "--c", "1+0.7*s"], 0, 1, 1),
+    (["homogeneous", "--m", "2", "--c", "1+0.7*s"], 0, 1, 0),
     (["homogeneous", "--m", "2", "--c", "-1"], 1, 1, 0),
     (["middleton", "--m", "2", "--c", "1+0.7*s"], 0, 1, 0),
+    (["synth", "--m", "4", "--count", "16"], 0, 1, 0),
 ])
 def test_commands_read_T_off_the_stability_report(tmp_path, call_counts, argv,
                                                    exit_code, reports, loops):
     counts = call_counts("internal_stability", "closed_loop")
     assert main(argv + ["--out", str(tmp_path)]) == exit_code
     assert (counts["internal_stability"], counts["closed_loop"]) == (reports, loops)
+
+
+def test_family_check_reads_T_off_its_stability_report(tmp_path, call_counts,
+                                                       synth_m3_family):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(synth_m3_family))
+    counts = call_counts("internal_stability", "closed_loop")
+    assert main(["family-check", "--file", str(path), "--out", str(tmp_path)]) == 0
+    assert (counts["internal_stability"], counts["closed_loop"]) == (1, 0)
+
+
+@pytest.mark.parametrize("bw", ["2e4", "1e300", "1e-300"])
+def test_synth_m1_any_bandwidth(tmp_path, bw):
+    # T = 1/(s+1) never exceeds 1, so every bandwidth holds; the family grid
+    # reaches past omega_bw instead of stopping at the default 1e4
+    out = str(tmp_path)
+    assert main(["synth", "--m", "1", "--bw", bw, "--out", out]) == 0
+    assert _report(out)["results"]["product_ok"] is True
+    assert main(["family-check", "--file", os.path.join(out, "family.json"),
+                 "--out", out]) == 0
 
 
 # ---------------------------------------------------------------- homogeneous / middleton

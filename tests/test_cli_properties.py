@@ -1,6 +1,7 @@
 """Property tests: documented in-range flags of the bidirectional commands
-exit 0 with a passing verdict, and pd-random seeds and mutated family files
-get a documented exit code; never a traceback or RuntimeWarning."""
+exit 0 with a passing verdict, and pd-random seeds, synth flags and mutated
+family files get a documented exit code; never a traceback or
+RuntimeWarning."""
 
 from __future__ import annotations
 
@@ -85,3 +86,19 @@ def test_family_check_any_single_key_mutation(synth_m3_family, data):
         with open(fpath, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
         assert main(["family-check", "--file", fpath, "--out", out]) in (0, 1, 2)
+
+
+@settings(max_examples=15, deadline=None, database=None)
+@given(m=st.integers(1, 4), count=st.integers(1, 25), eps=st.sampled_from(["0.1", "1"]),
+       bw_exp=st.floats(-300, 300))
+def test_synth_any_documented_input(m, count, eps, bw_exp):
+    # m <= 4 keeps the scan at ell = 4; every run ends in a documented exit
+    # code, and a family that synth ships passes family-check
+    with tempfile.TemporaryDirectory() as out:
+        argv = ["synth", "--m", str(m), "--count", str(count), "--eps", eps,
+                "--bw", repr(10.0 ** bw_exp), "--out", out]
+        code = main(argv)
+        assert code in (0, 1, 2)
+        if code == 0:
+            fpath = os.path.join(out, "family.json")
+            assert main(["family-check", "--file", fpath, "--out", out]) == 0

@@ -1,4 +1,4 @@
-"""Synthesis chain: coprime factors, certification, scan, scaled family."""
+"""Synthesis chain: Youla closed forms, certification, scan, scaled family."""
 
 from __future__ import annotations
 
@@ -8,11 +8,12 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from platoonctrl import synthesis
 from platoonctrl.errors import (BandwidthViolation, InvalidRange,
                                 PeakExceedsBudget, StabilityCheckFailed)
-from platoonctrl.freq import FrequencyGrid, rf_log_abs_jomega
+from platoonctrl.freq import default_grid, rf_log_abs_jomega
 from platoonctrl.parsing import parse_rational
 from platoonctrl.poly import Polynomial
 from platoonctrl.ratfun import (RationalFunction, closed_loop, internal_stability,
@@ -21,9 +22,12 @@ from platoonctrl.synthesis import (Certificate, ControllerFamily, band_grid,
                                    candidate_controller, certify_closed_loop,
                                    family_from_json, family_grid,
                                    family_product_check, family_to_json,
-                                   lift_order, plant, q1_shape, scaled_family,
-                                   search_parameters, youla_closed_loop,
-                                   youla_coprime, _scan_values)
+                                   lift_order, plant, scaled_family,
+                                   search_parameters, synthesize,
+                                   youla_closed_loop, _scan_values)
+
+from oracles import (controller_by_factors, maclaurin, q1_shape,
+                     youla_coprime, youla_T_by_factors)
 
 ONE = Polynomial([1])
 S = Polynomial([0, 1])
@@ -80,7 +84,7 @@ def test_candidate_m4_maclaurin():
     ga, gb = Fraction(1, 10), Fraction(1, 100)
     c = candidate_controller(4, ga, gb)
     T = closed_loop(plant(4), c)[1]
-    coeffs = T.maclaurin(5)
+    coeffs = maclaurin(T, 5)
     assert coeffs[0] == 1
     assert coeffs[1] == coeffs[2] == coeffs[3] == 0
     assert coeffs[4] == -(70 + 1 / (ga * gb ** 3))
@@ -95,6 +99,32 @@ def test_candidate_internally_stabilises(certified_m4):
     c, _ = certified_m4
     rep = internal_stability(plant(4), c)
     assert rep.internally_stable
+
+
+_POSITIVE = st.builds(Fraction, st.integers(1, 10 ** 6), st.integers(1, 10 ** 6))
+
+
+@settings(max_examples=8, deadline=None, database=None)
+@given(m=st.sampled_from([4, 8]), ga=_POSITIVE, gb=_POSITIVE)
+def test_closed_forms_match_the_factor_route(m, ga, gb):
+    # c = X (D1 - s^m) / (Y D1 + X) and T = X (D1 - s^m) / ((s+1)^(2m) D1)
+    # against (X + M Q)/(Y - N Q) and N X (1 - M Q1) in canonical arithmetic;
+    # the stability report of c must give that T
+    c, T = candidate_controller(m, ga, gb), youla_closed_loop(m, ga, gb)
+    assert c == controller_by_factors(m, ga, gb)
+    assert T == youla_T_by_factors(m, ga, gb)
+    rep = internal_stability(plant(m), c)
+    assert rep.internally_stable and rep.gang_of_four[3] == T
+
+
+def test_closed_forms_validation():
+    for bad in ((0, 1), (1, -1)):
+        with pytest.raises(InvalidRange):
+            youla_closed_loop(4, *bad)
+        with pytest.raises(InvalidRange):
+            candidate_controller(4, *bad)
+    with pytest.raises(InvalidRange):
+        youla_closed_loop(0, 1, 1)
 
 
 # ---------------------------------------------------------------- certification
@@ -196,7 +226,6 @@ def test_search_builds_no_controller(monkeypatch):
 
     monkeypatch.setattr(synthesis, "candidate_controller", forbidden)
     monkeypatch.setattr(synthesis, "internal_stability", forbidden)
-    monkeypatch.setattr(synthesis, "closed_loop", forbidden)
     assert search_parameters.__wrapped__(4, 0.1) == search_parameters(4, 0.1)
 
 
@@ -257,19 +286,42 @@ def test_family_members_scaled_correctly(certified_m4):
 
 
 def test_family_routh_tests_the_base_once(certified_m4, monkeypatch):
+    # synthesize tests the one loop it ships; scaled_family, whose members
+    # inherit that verdict, tests nothing more
     c, cert = certified_m4
     calls = []
     real = synthesis.internal_stability
     monkeypatch.setattr(synthesis, "internal_stability",
                         lambda p, ck: calls.append(ck) or real(p, ck))
-    fam = scaled_family(c, cert, 4, 1.0, 10)
-    assert calls == [c] and fam.base is c
+    design = synthesize(4, 0.1)
+    fam = scaled_family(design.controller, design.certificate, 4, 1.0, 10)
+    assert calls == [c] and fam.base is design.controller
+    assert design.certificate == cert and design.T == _plant_T(c, 4)
+
+
+@pytest.mark.parametrize("m, ell", [(1, 1), (2, 4), (3, 4), (4, 4)])
+def test_synthesize_ships_the_certified_youla_loop(m, ell):
+    design = synthesize(m, 0.1)
+    assert design.ell == ell
+    assert design.T == _plant_T(design.controller, m)
+    if m > 1:
+        cert = design.certificate
+        assert design.T == youla_closed_loop(ell, cert.gamma_a, cert.gamma_b)
+        assert design.controller == lift_order(
+            candidate_controller(ell, cert.gamma_a, cert.gamma_b), ell, m)
+
+
+def test_synthesize_raises_unless_the_shipped_T_is_the_youla_T(monkeypatch):
+    search_parameters(4, 0.1)  # cache the real scan; the patch must not reach it
+    monkeypatch.setattr(synthesis, "youla_closed_loop", lambda m, ga, gb: one)
+    with pytest.raises(ArithmeticError):
+        synthesize(3, 0.1)
 
 
 def test_family_bandwidth_holds(certified_m4):
     c, cert = certified_m4
     fam = scaled_family(c, cert, 4, 1.0, 10)
-    family_product_check(fam)  # does not raise
+    family_product_check(fam, _plant_T(c, 4))  # does not raise
 
 
 def test_family_bandwidth_violation_detected(certified_m4):
@@ -281,13 +333,13 @@ def test_family_bandwidth_violation_detected(certified_m4):
         omega_bw=float(cert.omega_high) * 0.5,  # band now pokes above bw
         base_certificate=cert)
     with pytest.raises(BandwidthViolation):
-        family_product_check(bad)
+        family_product_check(bad, _plant_T(c, 4))
 
 
 def test_family_product_within_budget(certified_m4):
     c, cert = certified_m4
     fam = scaled_family(c, cert, 4, 1.0, 10)
-    max_product, ok = family_product_check(fam)
+    max_product, ok = family_product_check(fam, _plant_T(c, 4))
     assert ok
     assert max_product <= 1.1 + 1e-6
 
@@ -296,9 +348,10 @@ def test_homogeneous_family_product_compounds():
     # ten copies of the same PD loop: the peaks stack multiplicatively;
     # |T(j omega)| <= 1 from omega = sqrt(2) on, so omega_bw = 2 holds
     c = parse_rational("1+s")
-    cert = Certificate(0.1, 1.4678898250138706, 0.0, 0.0, band_empty=True)
+    # band_empty by convention carries omega_low = omega_high = 1
+    cert = Certificate(0.1, 1.4678898250138706, 1.0, 1.0, band_empty=True)
     fam = ControllerFamily(2, c, (Fraction(1),) * 10, 2.0, cert)
-    max_product, ok = family_product_check(fam)
+    max_product, ok = family_product_check(fam, _plant_T(c, 2))
     assert max_product >= 2 ** 5
     assert not ok
 
@@ -316,7 +369,22 @@ def test_degenerate_certificate_family():
     cert = certify_closed_loop(_plant_T(c, 1), 0.1)
     fam = scaled_family(c, cert, 1, 1.0, 5)
     assert len({fam.member(k) for k in range(5)}) == 1, "ratio 1 means identical members"
-    max_product, ok = family_product_check(fam)
+    max_product, ok = family_product_check(fam, _plant_T(c, 1))
+    assert ok and max_product <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("bw", [1e-300, 1e-3, 1.0, 1e3, 2e4, 1e300])
+def test_degenerate_family_grid_reaches_omega_bw(bw):
+    # every gamma is 1/bw: the general formula spans
+    # [min(1e-4, bw/10), max(1e4, 10 bw)], the default grid for bw in [1e-3, 1e3]
+    c = parse_rational("1")
+    fam = scaled_family(c, certify_closed_loop(_plant_T(c, 1), 0.1), 1, bw, 5)
+    g = family_grid(fam)
+    assert g.omega_min == pytest.approx(min(1e-4, bw / 10), rel=1e-12)
+    assert g.omega_max == pytest.approx(max(1e4, 10 * bw), rel=1e-12)
+    if 1e-3 <= bw <= 1e3:
+        assert g == default_grid()
+    max_product, ok = family_product_check(fam, _plant_T(c, 1))
     assert ok and max_product <= 1.0 + 1e-9
 
 
