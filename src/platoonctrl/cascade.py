@@ -20,7 +20,8 @@ from typing import NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .errors import DivergentAtOrigin, InvalidRange, StabilityCheckFailed
-from .freq import FrequencyGrid, default_grid, hinf_norm, rf_log_abs_jomega
+from .freq import (FrequencyGrid, default_grid, hinf_norm, rf_log_abs_evaluator,
+                   rf_log_abs_rows)
 from .poly import Polynomial, hurwitz_stable
 from .ratfun import RationalFunction, internal_stability
 from .synthesis import plant
@@ -47,6 +48,17 @@ class CascadeProfile:
         return "\n".join(lines) + "\n"
 
 
+def _cascade_profile(Ts: Sequence[RationalFunction], grid: FrequencyGrid) -> CascadeProfile:
+    # every stage's ln|T_k| comes from one stacked evaluation; the rows are
+    # summed in stage order, so the float sums are those of a per-stage loop
+    total = np.zeros(len(grid.omegas))
+    for row in rf_log_abs_rows(Ts, grid.omegas):
+        total = total + row
+    top = int(np.argmax(total))
+    return CascadeProfile(grid, total, float(np.exp(np.float64(total[top]))),
+                          float(grid.omegas[top]))
+
+
 def cascade_gain(controllers: Sequence[RationalFunction], m: int,
                  grid: FrequencyGrid | None = None) -> CascadeProfile:
     """Per-omega sum of log|T_k(j omega)| for the cascade of the given stages.
@@ -60,16 +72,14 @@ def cascade_gain(controllers: Sequence[RationalFunction], m: int,
     if grid is None:
         grid = default_grid()
     p = plant(m)
-    total = np.zeros(len(grid.omegas))
+    Ts = []
     for i, c in enumerate(controllers, start=1):
         rep = internal_stability(p, c)
         if not rep.internally_stable:
             raise StabilityCheckFailed(
                 f"controller {i} of {len(controllers)} does not internally stabilise 1/s^{m}")
-        total = total + rf_log_abs_jomega(rep.gang_of_four[3], grid.omegas)
-    top = int(np.argmax(total))
-    return CascadeProfile(grid, total, float(np.exp(np.float64(total[top]))),
-                          float(grid.omegas[top]))
+        Ts.append(rep.gang_of_four[3])
+    return _cascade_profile(Ts, grid)
 
 
 # ----------------------------------------------------------------------
@@ -124,10 +134,12 @@ def middleton_integral(T: RationalFunction, omega_lo: float = 1e-6,
     if t0 != 1:
         raise DivergentAtOrigin(f"T(0) = {t0} != 1")
 
+    log_abs = rf_log_abs_evaluator(T)
+
     def g(u: float) -> float:
         # integrand after omega = e^u: ln|T(j e^u)| e^{-u}
         om = math.exp(u)
-        return float(rf_log_abs_jomega(T, np.array([om]))[0]) * math.exp(-u)
+        return float(log_abs(np.array([om]))[0]) * math.exp(-u)
 
     lo_d, hi_d = math.log10(omega_lo), math.log10(omega_hi)
     edges = [lo_d]
@@ -140,7 +152,7 @@ def middleton_integral(T: RationalFunction, omega_lo: float = 1e-6,
     for a_d, b_d in zip(edges, edges[1:]):
         body += _adaptive_simpson(g, a_d * math.log(10.0), b_d * math.log(10.0), tol)
 
-    head = float(rf_log_abs_jomega(T, np.array([omega_lo]))[0]) / omega_lo
+    head = float(log_abs(np.array([omega_lo]))[0]) / omega_lo
     r = T.den.degree - T.num.degree
     lead_ratio = T.num.leading() / T.den.leading()
     ln_c = math.log(abs(float(lead_ratio)))
@@ -241,9 +253,24 @@ def pd_mistune_experiment(n: int, k_min: float, k_max: float, trials: int,
                           seed: int, grid: FrequencyGrid | None = None) -> MistuneReport:
     """Cascade peaks for n PD stages with gains drawn uniformly per vehicle.
 
-    The plant order is fixed at m=2 (each stage is 1/s^2 under c = 1 + k s,
-    stabilising for every k > 0). Deterministic: the report is a pure
-    function of (n, k_min, k_max, trials, seed, grid).
+    The plant order is fixed at m=2: stage k is 1/s^2 under c = 1 + k s,
+    whose closed loop is built from its closed form
+    T_k = (1 + k s)/(s^2 + k s + 1), with no stability test, because:
+
+    - pd_gain returns an exact k >= k_min > 0, and s^2 + k s + 1 is Hurwitz
+      for every k > 0 (a monic quadratic with positive coefficients);
+    - the characteristic polynomial s^2 * 1 + 1 * (1 + k s) is that
+      quadratic, and each gang-of-four map (S, PS, CS, T) is a polynomial
+      over it, so each reduced denominator divides it and the loop is
+      internally stable;
+    - 1 + k s and s^2 + k s + 1 are coprime, since the quadratic is
+      1/k^2 != 0 at the numerator's root s = -1/k; the monic ratio is
+      therefore already canonical, with the coefficients the gang-of-four
+      route gives its T.
+
+    Each trial's stages are evaluated as one stack (cascade_gain's profile
+    route). Deterministic: the report is a pure function of
+    (n, k_min, k_max, trials, seed, grid).
     """
     if n < 1 or trials < 1:
         raise InvalidRange("n and trials must be >= 1")
@@ -251,14 +278,13 @@ def pd_mistune_experiment(n: int, k_min: float, k_max: float, trials: int,
         raise InvalidRange("need 0 < k_min <= k_max")
     if grid is None:
         grid = default_grid()
-    s = Polynomial([0, 1])
     peaks, argmaxes = [], []
     for t in range(1, trials + 1):
-        stages = []
+        Ts = []
         for v in range(1, n + 1):
             k = pd_gain(seed, t, v, k_min, k_max)
-            stages.append(RationalFunction(Polynomial([1]) + k * s, Polynomial([1])))
-        prof = cascade_gain(stages, 2, grid)
+            Ts.append(RationalFunction(Polynomial([1, k]), Polynomial([1, k, 1])))
+        prof = _cascade_profile(Ts, grid)
         peaks.append(prof.peak)
         argmaxes.append(prof.argmax_omega)
     return MistuneReport(n, trials, seed, float(k_min), float(k_max), _SCHEME,

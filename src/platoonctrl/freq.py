@@ -9,6 +9,14 @@ therefore evaluate without overflow; terms more than about 10^308 below the
 largest coefficient underflow to zero, which is why scaled controller
 families are swept on their base closed loop at scaled frequencies rather
 than on their exact members.
+
+The engine has two steps. Scaling (_scaled_descending) reads a polynomial's
+exact coefficients once and is the costly one; evaluation (_log_abs_scaled)
+runs Horner's y = y*z + c, the sequence np.polyval runs, on one scaled row or
+on a stack of equal-degree rows at once, and is bit-identical either way.
+So a caller that evaluates one function many times scales it once
+(rf_log_abs_evaluator), and a caller that evaluates many functions on one
+grid evaluates them as stacks (rf_log_abs_rows).
 """
 
 from __future__ import annotations
@@ -85,7 +93,7 @@ def _log_abs_coeff(c: Fraction) -> float:
 
 
 def _scaled_descending(p: Polynomial):
-    """(descending float coeffs scaled to max |coeff| = 1, log of the scale)."""
+    """(descending float coeffs scaled to max |coeff| = 1, log of the scale); (None, -inf) for 0."""
     if p.is_zero:
         return None, -math.inf
     logs = [(-math.inf if c == 0 else _log_abs_coeff(c)) for c in p.coeffs]
@@ -100,30 +108,85 @@ def _scaled_descending(p: Polynomial):
     return np.array(scaled[::-1], dtype=float), top
 
 
-def poly_log_abs_jomega(p: Polynomial, omegas) -> np.ndarray:
-    """ln|p(j*omega)| per sample, safe across extreme coefficient scales."""
-    omegas = np.asarray(omegas, dtype=float)
-    if p.is_zero:
+def _horner(desc: np.ndarray, z: np.ndarray) -> np.ndarray:
+    # np.polyval's y = y*z + c, over one row of coefficients or a stack of
+    # rows; c enters as c + 0j either way, and in place it skips a cast and
+    # a temporary per step
+    c = desc.astype(complex)
+    y = np.zeros(desc.shape[:-1] + z.shape, dtype=complex)
+    for i in range(desc.shape[-1]):
+        y *= z
+        y += c[..., i, None]
+    return y
+
+
+def _log_abs_scaled(desc, top, omegas: np.ndarray) -> np.ndarray:
+    """ln|p(j*omega)| from _scaled_descending's output, per sample.
+
+    desc is one row (one polynomial, top a float) or a 2-D stack of rows of
+    one degree (top a column, one float per row), giving one result row per
+    polynomial. desc None is the zero polynomial.
+    """
+    if desc is None:
         return np.full(omegas.shape, -np.inf)
-    desc, top = _scaled_descending(p)
-    d = len(desc) - 1
+    d = desc.shape[-1] - 1
     z = 1j * omegas
-    out = np.empty(omegas.shape)
+    out = np.empty(desc.shape[:-1] + omegas.shape)
     small = omegas <= 1.0
     with np.errstate(divide="ignore"):
         if small.any():
-            out[small] = np.log(np.abs(np.polyval(desc, z[small])))
+            out[..., small] = np.log(np.abs(_horner(desc, z[small])))
         big = ~small
         if big.any():
             # p(z) = z^d * p_rev(1/z) keeps the argument inside the unit disk
-            out[big] = d * np.log(omegas[big]) + \
-                np.log(np.abs(np.polyval(desc[::-1], 1.0 / z[big])))
+            out[..., big] = d * np.log(omegas[big]) + \
+                np.log(np.abs(_horner(desc[..., ::-1], 1.0 / z[big])))
     return out + top
+
+
+def poly_log_abs_jomega(p: Polynomial, omegas) -> np.ndarray:
+    """ln|p(j*omega)| per sample, safe across extreme coefficient scales."""
+    return _log_abs_scaled(*_scaled_descending(p), np.asarray(omegas, dtype=float))
 
 
 def rf_log_abs_jomega(f: RationalFunction, omegas) -> np.ndarray:
     """ln|f(j*omega)| per sample."""
     return poly_log_abs_jomega(f.num, omegas) - poly_log_abs_jomega(f.den, omegas)
+
+
+def rf_log_abs_evaluator(f: RationalFunction):
+    """omegas -> ln|f(j*omega)|, equal to rf_log_abs_jomega(f, omegas), with f scaled once.
+
+    For callers that evaluate one f at many separate frequencies.
+    """
+    num, den = _scaled_descending(f.num), _scaled_descending(f.den)
+
+    def log_abs(omegas) -> np.ndarray:
+        omegas = np.asarray(omegas, dtype=float)
+        return _log_abs_scaled(*num, omegas) - _log_abs_scaled(*den, omegas)
+
+    return log_abs
+
+
+def _poly_log_abs_rows(ps, omegas: np.ndarray) -> np.ndarray:
+    # one row per polynomial; those of one degree are evaluated as one stack
+    out = np.full((len(ps), len(omegas)), -np.inf)
+    by_degree = {}
+    for i, p in enumerate(ps):
+        if not p.is_zero:
+            by_degree.setdefault(p.degree, []).append(i)
+    for rows in by_degree.values():
+        scaled = [_scaled_descending(ps[i]) for i in rows]
+        out[rows] = _log_abs_scaled(np.array([desc for desc, _ in scaled]),
+                                    np.array([[top] for _, top in scaled]), omegas)
+    return out
+
+
+def rf_log_abs_rows(fs, omegas) -> np.ndarray:
+    """Row k is ln|fs[k](j*omega)|, equal to rf_log_abs_jomega(fs[k], omegas) bit for bit."""
+    omegas = np.asarray(omegas, dtype=float)
+    return (_poly_log_abs_rows([f.num for f in fs], omegas)
+            - _poly_log_abs_rows([f.den for f in fs], omegas))
 
 
 def rf_abs_jomega(f: RationalFunction, omegas) -> np.ndarray:
@@ -180,14 +243,15 @@ def hinf_norm(f: RationalFunction, grid: FrequencyGrid | None = None) -> HinfRes
     if not f.is_proper or not stable:
         return HinfResult(math.inf, math.nan, False)
 
-    logs = rf_log_abs_jomega(f, grid.omegas)
+    log_abs = rf_log_abs_evaluator(f)
+    logs = log_abs(grid.omegas)
     i = int(np.argmax(logs))
     candidates = [(float(logs[i]), float(grid.omegas[i]))]
 
     lo = float(grid.omegas[max(i - 1, 0)])
     hi = float(grid.omegas[min(i + 1, len(grid.omegas) - 1)])
     if hi > lo:
-        scalar = lambda w: float(rf_log_abs_jomega(f, np.array([w]))[0])
+        scalar = lambda w: float(log_abs(np.array([w]))[0])
         w_star, g_star = _golden_max(scalar, lo, hi)
         candidates.append((g_star, w_star))
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import (BandwidthViolation, InvalidRange, PeakExceedsBudget,
                      SearchExhausted, StabilityCheckFailed, ZeroDenominator)
-from .freq import FrequencyGrid, default_grid, hinf_norm, rf_log_abs_jomega
+from .freq import FrequencyGrid, default_grid, hinf_norm, rf_log_abs_evaluator
 from .poly import Polynomial
 from .ratfun import RationalFunction, internal_stability, scale_frequency
 
@@ -119,12 +119,13 @@ class Certificate:
     gamma_b: Optional[Fraction] = None
 
 
-def _bisect_crossing(T, a: float, b: float, keep_low: bool) -> float:
-    # |T| = 1 crossing between a and b; returns the endpoint kept on the
-    # |T| <= 1 side, tightened to 1e-10 relative width
+def _bisect_crossing(log_abs, a: float, b: float, keep_low: bool) -> float:
+    # |T| = 1 crossing between a and b, log_abs being T's rf_log_abs_evaluator;
+    # returns the endpoint kept on the |T| <= 1 side, tightened to 1e-10
+    # relative width
     while (b - a) > 1e-10 * b:
         mid = math.sqrt(a * b)
-        g = float(rf_log_abs_jomega(T, np.array([mid]))[0])
+        g = float(log_abs(np.array([mid]))[0])
         if keep_low:
             if g <= 0:
                 a = mid
@@ -159,7 +160,8 @@ def certify_closed_loop(T: RationalFunction, epsilon: float,
     if res.norm > 1 + epsilon:
         raise PeakExceedsBudget(
             f"peak {res.norm:.9g} at omega {res.argmax_omega:.6g} exceeds {1 + epsilon:.6g}")
-    logs = rf_log_abs_jomega(T, grid.omegas)
+    log_abs = rf_log_abs_evaluator(T)
+    logs = log_abs(grid.omegas)
     over = logs > 0.0
     if not over.any():
         return Certificate(float(epsilon), res.norm, 1.0, 1.0, band_empty=True)
@@ -167,8 +169,8 @@ def certify_closed_loop(T: RationalFunction, epsilon: float,
     last = len(over) - 1 - int(np.argmax(over[::-1]))
     if first == 0 or last == len(over) - 1:
         raise InvalidRange("amplification band touches the grid edge; widen the grid")
-    w_lo = _bisect_crossing(T, float(grid.omegas[first - 1]), float(grid.omegas[first]), True)
-    w_hi = _bisect_crossing(T, float(grid.omegas[last]), float(grid.omegas[last + 1]), False)
+    w_lo = _bisect_crossing(log_abs, float(grid.omegas[first - 1]), float(grid.omegas[first]), True)
+    w_hi = _bisect_crossing(log_abs, float(grid.omegas[last]), float(grid.omegas[last + 1]), False)
     return Certificate(float(epsilon), res.norm, w_lo, w_hi, band_empty=False)
 
 
@@ -309,6 +311,10 @@ class ControllerFamily:
             raise InvalidRange("need gammas, each positive and in double range; reduce count")
         if not 0 < self.omega_bw < math.inf:
             raise InvalidRange("omega_bw must be finite and positive")
+        cert = self.base_certificate
+        # family_grid divides by the band edges and hands them to FrequencyGrid
+        if not all(0 < v < math.inf for v in (cert.epsilon, cert.omega_low, cert.omega_high)):
+            raise InvalidRange("certificate epsilon and band edges must be finite and positive")
 
     def __len__(self):
         return len(self.gammas)
@@ -375,9 +381,10 @@ def family_product_check(family: ControllerFamily, T: RationalFunction) -> Tuple
     above = grid.omegas >= family.omega_bw * (1 - 1e-12)
     if not above.any():
         raise InvalidRange("grid has no samples at or above omega_bw")
+    log_abs = rf_log_abs_evaluator(T)
     total = np.zeros(len(grid.omegas))
     for k, g in enumerate(family.gammas):
-        logs = rf_log_abs_jomega(T, grid.omegas * float(g))
+        logs = log_abs(grid.omegas * float(g))
         if (logs[above] > 1e-12).any():
             w = float(grid.omegas[above][int(np.argmax(logs[above]))])
             raise BandwidthViolation(
@@ -446,8 +453,6 @@ def family_from_json(doc) -> ControllerFamily:
             gamma_a=None if cd["gamma_a"] is None else Fraction(cd["gamma_a"]),
             gamma_b=None if cd["gamma_b"] is None else Fraction(cd["gamma_b"]),
         )
-        if not all(0 < v < math.inf for v in (cert.epsilon, cert.omega_low, cert.omega_high)):
-            raise InvalidRange("certificate epsilon and band edges must be finite and positive")
         if not isinstance(doc["gammas"], list) or doc["count"] != len(doc["gammas"]):
             raise InvalidRange("count must be the number of gammas")
         m, omega_bw = doc["m"], float(doc["omega_bw"])

@@ -5,6 +5,9 @@ factor-arithmetic forms of the controller and closed loop check the closed
 forms in `synthesis`; rational-matrix sums and products and bidiagonal
 substitution check the closed-form sensitivity matrix and the integer
 identity checks in `bidir`; `maclaurin` reads Taylor coefficients at s = 0.
+The np.polyval magnitude engine checks `freq`'s Horner evaluator bit for
+bit, and the per-stage PD route checks the closed-form PD cascade in
+`cascade`.
 """
 
 from __future__ import annotations
@@ -13,9 +16,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from platoonctrl.bidir import RationalMatrix
+from platoonctrl.cascade import _SCHEME, MistuneReport, cascade_gain, pd_gain
 from platoonctrl.errors import (IllPosed, InvalidRange, PoleAtPoint,
                                 SingularDiagonal)
+from platoonctrl.freq import _scaled_descending, default_grid
 from platoonctrl.poly import Polynomial
 from platoonctrl.ratfun import RationalFunction
 
@@ -173,3 +180,45 @@ def invert_bidiagonal(T: RationalMatrix, shape: str) -> RationalMatrix:
     if matmul(T, inv) != eye(n):
         raise ArithmeticError("inverse verification failed")
     return inv
+
+
+# ---------------------------------------------------------------- magnitude engine
+
+def poly_log_abs_polyval(p: Polynomial, omegas) -> np.ndarray:
+    """ln|p(j*omega)| by np.polyval on the scaled coefficients, one polynomial at a time."""
+    omegas = np.asarray(omegas, dtype=float)
+    if p.is_zero:
+        return np.full(omegas.shape, -np.inf)
+    desc, top = _scaled_descending(p)
+    d = len(desc) - 1
+    z = 1j * omegas
+    out = np.empty(omegas.shape)
+    small = omegas <= 1.0
+    with np.errstate(divide="ignore"):
+        if small.any():
+            out[small] = np.log(np.abs(np.polyval(desc, z[small])))
+        big = ~small
+        if big.any():
+            out[big] = d * np.log(omegas[big]) + \
+                np.log(np.abs(np.polyval(desc[::-1], 1.0 / z[big])))
+    return out + top
+
+
+# ---------------------------------------------------------------- PD cascade
+
+def pd_mistune_by_stages(n: int, k_min: float, k_max: float, trials: int,
+                         seed: int, grid=None) -> MistuneReport:
+    """pd_mistune_experiment through cascade_gain: each stage c = 1 + k s Routh-tested, its T read off the gang of four."""
+    if grid is None:
+        grid = default_grid()
+    s = Polynomial([0, 1])
+    peaks, argmaxes = [], []
+    for t in range(1, trials + 1):
+        stages = [RationalFunction(Polynomial([1]) + pd_gain(seed, t, v, k_min, k_max) * s)
+                  for v in range(1, n + 1)]
+        prof = cascade_gain(stages, 2, grid)
+        peaks.append(prof.peak)
+        argmaxes.append(prof.argmax_omega)
+    return MistuneReport(n, trials, seed, float(k_min), float(k_max), _SCHEME,
+                         tuple(peaks), tuple(argmaxes),
+                         float(np.median(peaks)), float(max(peaks)))

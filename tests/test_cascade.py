@@ -13,10 +13,13 @@ from platoonctrl.cascade import (CascadeProfile, cascade_gain,
                                  pd_gain, pd_mistune_experiment)
 from platoonctrl.errors import (DivergentAtOrigin, InvalidRange,
                                 StabilityCheckFailed)
-from platoonctrl.freq import FrequencyGrid, rf_abs_jomega
+from platoonctrl.freq import FrequencyGrid, rf_abs_jomega, rf_log_abs_jomega
 from platoonctrl.parsing import parse_rational
 from platoonctrl.poly import Polynomial
 from platoonctrl.ratfun import RationalFunction, closed_loop, one, s
+from platoonctrl.synthesis import youla_closed_loop
+
+from oracles import pd_mistune_by_stages
 
 PEAK_ORACLE = 1.4678898250138706
 ARGMAX_ORACLE = 0.8555996771673521
@@ -41,6 +44,18 @@ def test_log_sum_equals_direct_product():
     for c in cs:
         direct = direct * rf_abs_jomega(closed_loop(one / (s * s), c)[1], grid.omegas)
     assert np.max(np.abs(np.exp(prof.log_magnitudes) - direct) / direct) < 1e-9
+
+
+def test_profile_is_the_stage_order_sum():
+    # stages of two degree shapes, interleaved: the stacked evaluation must
+    # give each stage's row and the sum the per-stage loop's bits
+    cs = [parse_rational(t) for t in ("1+s", "(1+s)/(2+s)", "2+s", "(1+s)/(2+s)", "1+2*s")]
+    grid = FrequencyGrid(1e-3, 1e3, 30)
+    total = np.zeros(len(grid.omegas))
+    for c in cs:
+        total = total + rf_log_abs_jomega(closed_loop(one / (s * s), c)[1], grid.omegas)
+    prof = cascade_gain(cs, 2, grid)
+    assert prof.log_magnitudes.tobytes() == total.tobytes()
 
 
 def test_homogeneous_cascade_peak():
@@ -97,6 +112,17 @@ def test_middleton_zoo_nonnegative(certified_m4):
         T = closed_loop(RationalFunction(Polynomial([1]), Polynomial([0, 1]) ** m), c)[1]
         res = middleton_integral(T)
         assert res.value >= -1e-3, f"integral false-negative for m={m}"
+
+
+def test_middleton_frozen_bits(certified_m4):
+    # recorded before the integrand scaled T once; the value must not move
+    assert tuple(middleton_integral(one / (one + s))) == \
+        (-1.5707963273933725, 1.5435555008255317e-05)
+    T = RationalFunction(Polynomial([1, 1]), Polynomial([1, 1, 1]))
+    assert tuple(middleton_integral(T)) == (5.030310051151472e-10, 1.593548843624415e-05)
+    _, cert = certified_m4
+    T4 = youla_closed_loop(4, cert.gamma_a, cert.gamma_b)
+    assert tuple(middleton_integral(T4)) == (-3.273952881003195e-09, 8.662401636750969e-05)
 
 
 def test_middleton_requires_unit_dc():
@@ -169,10 +195,26 @@ def test_mistune_reproducible():
 
 
 def test_mistune_builds_no_closed_loop(call_counts):
-    # each stage's T is read off the stability report that clears it
+    # each stage's T is built from its closed form; k > 0 proves it stable
     counts = call_counts("closed_loop", "internal_stability")
     pd_mistune_experiment(6, 0.5, 2.0, 4, 99)
-    assert (counts["internal_stability"], counts["closed_loop"]) == (24, 0)
+    assert (counts["internal_stability"], counts["closed_loop"]) == (0, 0)
+
+
+@pytest.mark.parametrize("n,k_min,k_max,trials,seed", [
+    (1, 0.5, 2.0, 6, 0),
+    (7, 0.5, 2.0, 4, 3),
+    (7, 0.1, 10.0, 3, 2 ** 128 - 1),
+    (20, 0.5, 2.0, 3, 12345),
+    (7, 1.3, 1.3, 3, 99),
+])
+def test_mistune_matches_per_stage_route(n, k_min, k_max, trials, seed):
+    grid = FrequencyGrid(1e-3, 1e3, 100)
+    rep = pd_mistune_experiment(n, k_min, k_max, trials, seed, grid)
+    ref = pd_mistune_by_stages(n, k_min, k_max, trials, seed, grid)
+    assert rep.peaks == ref.peaks
+    assert rep.argmax_omegas == ref.argmax_omegas
+    assert rep.to_csv() == ref.to_csv()
 
 
 def test_mistune_degenerate_distribution():

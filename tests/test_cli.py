@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 import logging
 import os
@@ -357,6 +358,15 @@ def test_pd_random_seed_range(tmp_path, seed, exit_code):
     # the seed is the 128-bit Philox key: 0 <= seed < 2**128
     argv = ["pd-random", "--n", "1", "--trials", "1", "--seed", seed, "--out", str(tmp_path)]
     assert main(argv) == exit_code
+
+
+def test_pd_random_pinned_csv(tmp_path):
+    # sha256 recorded before the stages were built from their closed form
+    assert main(["pd-random", "--n", "5", "--trials", "10", "--seed", "3",
+                 "--out", str(tmp_path)]) == 0
+    with open(os.path.join(tmp_path, "mistune.csv"), "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    assert digest == "b3606ea286bb77cd22d729208db61d91280c1ad889b62d6659b670ac29213ec2"
 
 
 def test_pd_random_seed_changes_output(tmp_path):

@@ -15,9 +15,14 @@ import pytest
 
 from platoonctrl.errors import InvalidRange
 from platoonctrl.freq import (FrequencyGrid, default_grid, hinf_norm,
-                              rf_abs_jomega, rf_log_abs_jomega)
+                              poly_log_abs_jomega, rf_abs_jomega,
+                              rf_log_abs_evaluator, rf_log_abs_jomega,
+                              rf_log_abs_rows)
 from platoonctrl.poly import Polynomial
 from platoonctrl.ratfun import RationalFunction, one, s
+from platoonctrl.synthesis import youla_closed_loop
+
+from oracles import poly_log_abs_polyval
 
 PEAK_ORACLE = 1.4678898250138706      # sqrt((2+sqrt(3))/sqrt(3))
 ARGMAX_ORACLE = 0.8555996771673521    # sqrt(sqrt(3)-1)
@@ -86,6 +91,55 @@ def test_abs_at_unit_frequency():
     assert abs(val - math.sqrt(2)) < 1e-12
 
 
+# every case straddles omega = 1, where the engine switches to reversed
+# coefficients; coefficients run from below to past double range
+_BIG, _TINY = Fraction(10) ** 400, Fraction(1, 10 ** 400)
+_POLYS = [
+    Polynomial([1, 2]),
+    Polynomial([3, 0, 0, 1]),                        # zero interior coefficients
+    Polynomial([1e300, 0, 1]),
+    Polynomial([1e-300, 1, 1e300]),
+    Polynomial([_BIG, 1, _TINY]),
+    Polynomial([_TINY, 0, -_BIG]),
+    Polynomial([Fraction(-7, 3), 0, 0, 0, Fraction(5, 11)]),
+    Polynomial([2]),
+    Polynomial([0, 0, 1]),                           # a root at omega = 0
+]
+_OMEGAS = np.concatenate([np.logspace(-300, 300, 61), np.logspace(-3, 3, 64), [1.0]])
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+def test_engine_is_polyval_bit_for_bit():
+    with np.errstate(divide="ignore"):
+        for p in _POLYS:
+            assert _bits(poly_log_abs_jomega(p, _OMEGAS)) == _bits(poly_log_abs_polyval(p, _OMEGAS))
+
+
+def test_stacked_rows_match_one_at_a_time():
+    fs = [RationalFunction(p, q) for p in _POLYS for q in _POLYS[:4]]
+    fs.append(RationalFunction(Polynomial([]), Polynomial([1, 1])))
+    # past double range both logs can underflow to -inf, and their difference is NaN
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rows = rf_log_abs_rows(fs, _OMEGAS)
+        assert rows.shape == (len(fs), len(_OMEGAS))
+        for f, row in zip(fs, rows):
+            assert _bits(row) == _bits(rf_log_abs_jomega(f, _OMEGAS))
+        # a one-row stack
+        assert _bits(rf_log_abs_rows(fs[:1], _OMEGAS)[0]) == \
+            _bits(rf_log_abs_jomega(fs[0], _OMEGAS))
+
+
+def test_evaluator_matches_per_call_scaling():
+    f = RationalFunction(Polynomial([_BIG, 1, 3]), Polynomial([_TINY, 1, 1, 1]))
+    log_abs = rf_log_abs_evaluator(f)
+    assert _bits(log_abs(_OMEGAS)) == _bits(rf_log_abs_jomega(f, _OMEGAS))
+    for w in (1e-5, 0.5, 1.0, 2.0, 1e5):
+        assert _bits(log_abs(np.array([w]))) == _bits(rf_log_abs_jomega(f, np.array([w])))
+
+
 # ---------------------------------------------------------------- peak gain
 
 def test_hinf_frozen_oracle():
@@ -97,6 +151,16 @@ def test_hinf_frozen_oracle():
     # cross-check the frozen constants themselves
     assert PEAK_ORACLE == pytest.approx(math.sqrt((2 + math.sqrt(3)) / math.sqrt(3)), abs=1e-15)
     assert ARGMAX_ORACLE == pytest.approx(math.sqrt(math.sqrt(3) - 1), abs=1e-15)
+
+
+def test_hinf_frozen_bits(certified_m4):
+    # recorded before the golden-section refinement scaled f once
+    T = RationalFunction(Polynomial([1, 1]), Polynomial([1, 1, 1]))
+    assert tuple(hinf_norm(T)) == (1.4678898250138706, 0.8555996769937194, True)
+    assert tuple(hinf_norm(T * T)) == (2.1547005383792492, 0.8555996669947749, True)
+    _, cert = certified_m4
+    T4 = youla_closed_loop(4, cert.gamma_a, cert.gamma_b)
+    assert tuple(hinf_norm(T4)) == (1.0706257410015758, 0.02620170708372999, True)
 
 
 def test_hinf_endpoint_candidates():

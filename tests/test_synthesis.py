@@ -159,6 +159,16 @@ def test_certificate_fields(certified_m4):
     assert cert.gamma_a is not None and cert.gamma_b is not None
 
 
+def test_certificate_frozen_bits(certified_m4):
+    # recorded before the bisection scaled T once; the certificate must not move
+    _, cert = certified_m4
+    assert (cert.peak, cert.omega_low, cert.omega_high) == \
+        (1.0706257410015758, 0.0031991851737649033, 0.7227070670157537)
+    again = certify_closed_loop(youla_closed_loop(4, cert.gamma_a, cert.gamma_b), 0.1)
+    assert (again.peak, again.omega_low, again.omega_high) == \
+        (1.0706257410015758, 0.0031991851737410777, 0.7227070670123232)
+
+
 def test_certified_band_is_conservative(certified_m4):
     import numpy as np
     c, cert = certified_m4
@@ -393,6 +403,14 @@ def test_family_rejects_gammas_outside_double_range(certified_m4):
     for bad in (Fraction(10) ** 400, Fraction(1, 10 ** 400), Fraction(0), Fraction(-1)):
         with pytest.raises(InvalidRange):
             ControllerFamily(4, c, (Fraction(1), bad), 1.0, cert)
+
+
+def test_family_rejects_band_edges_outside_positive_range(certified_m4):
+    c, cert = certified_m4
+    for bad in (dict(omega_low=0.0, omega_high=0.0), dict(omega_low=0.0),
+                dict(omega_high=math.inf), dict(omega_low=math.nan), dict(epsilon=-0.1)):
+        with pytest.raises(InvalidRange):
+            ControllerFamily(4, c, (Fraction(1),), 1.0, replace(cert, **bad))
 
 
 def test_family_grid_covers_bands(certified_m4):
