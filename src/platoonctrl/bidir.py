@@ -24,7 +24,7 @@ from typing import Iterator, Sequence, Tuple
 import numpy as np
 
 from .errors import InvalidRange, NonPositiveScale, UnstableEntry
-from .freq import FrequencyGrid, rf_log_abs_jomega
+from .freq import FrequencyGrid, poly_log_abs_jomega
 from .poly import (Polynomial, _int_add, _int_mul, _int_sub, _int_view,
                    hurwitz_stable)
 from .ratfun import RationalFunction, scale_frequency
@@ -303,13 +303,18 @@ def bode_table(Mtx: RationalMatrix, grid: FrequencyGrid) -> BodeTable:
 
     The verdict is true iff every sample of every entry is at most the
     reference magnitude plus a 1e-9 absolute allowance. Entries must be
-    stable and proper to have a meaningful magnitude sweep.
+    stable and proper to have a meaningful magnitude sweep. Entries share
+    polynomials (S_n's n^2 entries have n numerators and 2n - 1
+    denominators), so each distinct one is Routh-tested and evaluated once.
     """
+    stable = set()
     for i, j, f in Mtx.entries():
         if not f.is_proper:
             raise UnstableEntry(f"entry ({i + 1},{j + 1}) is improper")
-        if f.den.degree > 0 and not hurwitz_stable(f.den):
-            raise UnstableEntry(f"entry ({i + 1},{j + 1}) has an unstable pole")
+        if f.den not in stable:
+            if f.den.degree > 0 and not hurwitz_stable(f.den):
+                raise UnstableEntry(f"entry ({i + 1},{j + 1}) has an unstable pole")
+            stable.add(f.den)
     om = grid.omegas
     # past om ~ 1.34e154, om * om overflows; there |jw/(jw+1)| rounds to 1.0
     with np.errstate(over="ignore"):
@@ -318,8 +323,12 @@ def bode_table(Mtx: RationalMatrix, grid: FrequencyGrid) -> BodeTable:
     logs = np.empty((Mtx.n_rows, Mtx.n_cols, len(om)))
     worst = -math.inf
     ok = True
+    log_abs = {}
     for i, j, f in Mtx.entries():
-        lg = rf_log_abs_jomega(f, om)
+        for p in (f.num, f.den):
+            if p not in log_abs:
+                log_abs[p] = poly_log_abs_jomega(p, om)
+        lg = log_abs[f.num] - log_abs[f.den]
         logs[i, j, :] = lg
         excess = float((np.exp(lg) - bound).max())
         worst = max(worst, excess)

@@ -201,8 +201,6 @@ def homogeneous_growth(c: RationalFunction, m: int, n_max: int,
         raise StabilityCheckFailed(rep.diagnostic())
     T = rep.gang_of_four[3]
     res = hinf_norm(T, grid if grid is not None else default_grid())
-    if not res.finite:
-        raise StabilityCheckFailed("closed loop has no finite peak")
     with np.errstate(over="ignore"):
         rows = tuple((n, float(np.float64(res.norm) ** n)) for n in range(1, n_max + 1))
     return GrowthTable(res.argmax_omega, res.norm, rows, bool(res.norm > 1.0 + 1e-12), T)

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidRange
+from .errors import InvalidRange, StabilityCheckFailed
 from .poly import Polynomial, hurwitz_stable
 from .ratfun import RationalFunction
 
@@ -201,7 +201,6 @@ def rf_abs_jomega(f: RationalFunction, omegas) -> np.ndarray:
 class HinfResult(NamedTuple):
     norm: float
     argmax_omega: float
-    finite: bool
 
 
 def _golden_max(g, lo: float, hi: float, rel_tol: float = 1e-10):
@@ -232,16 +231,14 @@ def hinf_norm(f: RationalFunction, grid: FrequencyGrid | None = None) -> HinfRes
     Candidates: every grid sample, omega = 0, omega = infinity (when
     deg num = deg den), and a golden-section refinement to 1e-10 relative
     omega-width around the best grid sample. Unstable or improper input has
-    no finite supremum and is flagged as (inf, nan, finite=False) rather
-    than raised.
+    no finite supremum and raises StabilityCheckFailed.
     """
     if grid is None:
         grid = default_grid()
     if f.num.is_zero:
-        return HinfResult(0.0, 0.0, True)
-    stable = f.den.degree == 0 or hurwitz_stable(f.den)
-    if not f.is_proper or not stable:
-        return HinfResult(math.inf, math.nan, False)
+        return HinfResult(0.0, 0.0)
+    if not f.is_proper or not (f.den.degree == 0 or hurwitz_stable(f.den)):
+        raise StabilityCheckFailed("closed loop has no finite peak")
 
     log_abs = rf_log_abs_evaluator(f)
     logs = log_abs(grid.omegas)
@@ -264,4 +261,4 @@ def hinf_norm(f: RationalFunction, grid: FrequencyGrid | None = None) -> HinfRes
 
     best_log, best_w = max(candidates)
     norm = float(np.exp(np.float64(best_log)))
-    return HinfResult(norm, best_w, True)
+    return HinfResult(norm, best_w)

@@ -32,7 +32,7 @@ def call_counts(monkeypatch):
     closed_loop``), so each is wrapped in every module that holds it.
     """
     mods = [importlib.import_module(f"platoonctrl.{m}")
-            for m in ("ratfun", "synthesis", "cascade", "cli")]
+            for m in ("poly", "freq", "ratfun", "bidir", "synthesis", "cascade", "cli")]
     counts = collections.Counter()
 
     def watch(*names):

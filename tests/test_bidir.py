@@ -15,7 +15,7 @@ from platoonctrl.bidir import (LemmaStructures, RationalMatrix, bode_table,
                                verify_factorization, _verify_sensitivity)
 from platoonctrl.errors import (InvalidRange, NonPositiveScale,
                                 SingularDiagonal, UnstableEntry)
-from platoonctrl.freq import FrequencyGrid
+from platoonctrl.freq import FrequencyGrid, rf_log_abs_jomega
 from platoonctrl.poly import Polynomial
 from platoonctrl.ratfun import RationalFunction, one, s
 
@@ -399,6 +399,25 @@ def test_bode_rejects_unstable_entry():
     improper = RationalMatrix((((s * s) / (one + s),),))
     with pytest.raises(UnstableEntry):
         bode_table(improper, FrequencyGrid(0.1, 10, 5))
+    # the row-major first offender is named, also when its denominator is an
+    # earlier entry's numerator and recurs in a later entry
+    shared = RationalMatrix((((s - one) / (one + s), one / (s - one)),
+                             (one / (s - one), one)))
+    with pytest.raises(UnstableEntry, match=r"^entry \(1,2\) has an unstable pole$"):
+        bode_table(shared, FrequencyGrid(0.1, 10, 5))
+
+
+def test_bode_tests_and_evaluates_each_polynomial_once(call_counts):
+    # S_12's 144 entries share 12 numerators and 23 denominators; each entry's
+    # row is still rf_log_abs_jomega's, bit for bit
+    grid = FrequencyGrid(1e-2, 1e2, 5)
+    S12 = sensitivity_matrix(12)
+    counts = call_counts("hurwitz_stable", "poly_log_abs_jomega")
+    table = bode_table(S12, grid)
+    assert (counts["hurwitz_stable"], counts["poly_log_abs_jomega"]) == (23, 12 + 23)
+    for i, j, f in S12.entries():
+        assert table.log_magnitudes[i, j].tobytes() == \
+            rf_log_abs_jomega(f, grid.omegas).tobytes()
 
 
 # ---------------------------------------------------------------- matrix basics

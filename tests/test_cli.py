@@ -248,9 +248,12 @@ def test_family_check_malformed_file_is_a_usage_error(tmp_path, caplog, synth_m3
 def test_synth_certifies_each_candidate_once(tmp_path, monkeypatch, call_counts):
     # the scan's certificate is the design's: nothing is certified after it,
     # the one shipped loop is Routh-tested once, and the family sweep reads
-    # its T off that stability report
+    # its T off that stability report; every rejected candidate is rejected
+    # on its grid samples, so only the winner's peak is refined and
+    # Routh-tested (1 + the shipped loop's 4 gang-of-four maps)
     monkeypatch.setattr(synthesis, "search_parameters", search_parameters.__wrapped__)
-    counts = call_counts("certify_closed_loop", "closed_loop", "internal_stability")
+    counts = call_counts("certify_closed_loop", "closed_loop", "internal_stability",
+                         "hurwitz_stable", "_golden_max")
     assert main(["synth", "--m", "3", "--count", "10", "--out", str(tmp_path)]) == 0
     res = _report(str(tmp_path))["results"]
     vals = _scan_values()
@@ -258,6 +261,7 @@ def test_synth_certifies_each_candidate_once(tmp_path, monkeypatch, call_counts)
     scanned = 25 * vals.index(ga) + vals.index(gb / ga) + 1
     assert counts["certify_closed_loop"] == scanned
     assert (counts["internal_stability"], counts["closed_loop"]) == (1, 0)
+    assert counts["hurwitz_stable"] <= 5 and counts["_golden_max"] == 1
 
 
 @pytest.mark.parametrize("argv, exit_code, reports, loops", [
@@ -294,6 +298,16 @@ def test_synth_m1_any_bandwidth(tmp_path, bw):
 
 
 # ---------------------------------------------------------------- homogeneous / middleton
+
+def test_homogeneous_improper_loop_has_no_finite_peak(tmp_path, caplog):
+    # 1/s under 1 - s closes with the constant characteristic polynomial 1,
+    # so T = 1 - s is improper: hinf_norm raises, and the error exit writes
+    # no report
+    assert main(["homogeneous", "--m", "1", "--c", "1-s", "--out", str(tmp_path)]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert errors == ["closed loop has no finite peak"]
+    assert not (tmp_path / "report.json").exists()
+
 
 def test_homogeneous_report(tmp_path):
     out = str(tmp_path)

@@ -1,7 +1,7 @@
 """Property tests: documented in-range flags of the bidirectional commands
-exit 0 with a passing verdict, and pd-random seeds, synth flags and mutated
-family files get a documented exit code; never a traceback or
-RuntimeWarning."""
+exit 0 with a passing verdict, and pd-random seeds, synth flags, mutated
+family files and homogeneous/middleton controller expressions get a
+documented exit code; never a traceback or RuntimeWarning."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import json
 import os
 import tempfile
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from platoonctrl.cli import main
 
@@ -102,3 +102,31 @@ def test_synth_any_documented_input(m, count, eps, bw_exp):
         if code == 0:
             fpath = os.path.join(out, "family.json")
             assert main(["family-check", "--file", fpath, "--out", out]) == 0
+
+
+# controller expressions: small constants and s under + - * / and unary
+# minus, with integer powers bounded to |k| <= 3 so degrees stay small
+_EXPRESSIONS = st.recursive(
+    st.sampled_from(["s", "0", "1", "2", "0.5", "10", "1e-3"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map(lambda t: f"({t[0]}{t[1]}{t[2]})"),
+        st.tuples(inner, st.integers(-3, 3)).map(lambda t: f"{t[0]}^{t[1]}"),
+        inner.map(lambda e: f"-{e}")),
+    max_leaves=6)
+
+
+def _reject_constant(token):
+    raise ValueError(f"report.json holds the non-JSON token {token}")
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@example(command="homogeneous", m=1, c="1-s")  # an improper T: no finite peak, exit 1
+@given(command=st.sampled_from(["homogeneous", "middleton"]), m=st.integers(1, 3),
+       c=_EXPRESSIONS)
+def test_homogeneous_and_middleton_any_expression(command, m, c):
+    with tempfile.TemporaryDirectory() as out:
+        code = main([command, "--m", str(m), f"--c={c}", "--out", out])
+        assert code in (0, 1, 2)
+        if code == 0:
+            with open(os.path.join(out, "report.json"), encoding="utf-8") as fh:
+                json.loads(fh.read(), parse_constant=_reject_constant)

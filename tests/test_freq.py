@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from platoonctrl.errors import InvalidRange
+from platoonctrl.errors import InvalidRange, StabilityCheckFailed
 from platoonctrl.freq import (FrequencyGrid, default_grid, hinf_norm,
                               poly_log_abs_jomega, rf_abs_jomega,
                               rf_log_abs_evaluator, rf_log_abs_jomega,
@@ -145,7 +145,6 @@ def test_evaluator_matches_per_call_scaling():
 def test_hinf_frozen_oracle():
     T = RationalFunction(Polynomial([1, 1]), Polynomial([1, 1, 1]))
     res = hinf_norm(T)
-    assert res.finite
     assert res.norm == pytest.approx(PEAK_ORACLE, rel=1e-9)
     assert res.argmax_omega == pytest.approx(ARGMAX_ORACLE, rel=1e-6)
     # cross-check the frozen constants themselves
@@ -156,11 +155,11 @@ def test_hinf_frozen_oracle():
 def test_hinf_frozen_bits(certified_m4):
     # recorded before the golden-section refinement scaled f once
     T = RationalFunction(Polynomial([1, 1]), Polynomial([1, 1, 1]))
-    assert tuple(hinf_norm(T)) == (1.4678898250138706, 0.8555996769937194, True)
-    assert tuple(hinf_norm(T * T)) == (2.1547005383792492, 0.8555996669947749, True)
+    assert tuple(hinf_norm(T)) == (1.4678898250138706, 0.8555996769937194)
+    assert tuple(hinf_norm(T * T)) == (2.1547005383792492, 0.8555996669947749)
     _, cert = certified_m4
     T4 = youla_closed_loop(4, cert.gamma_a, cert.gamma_b)
-    assert tuple(hinf_norm(T4)) == (1.0706257410015758, 0.02620170708372999, True)
+    assert tuple(hinf_norm(T4)) == (1.0706257410015758, 0.02620170708372999)
 
 
 def test_hinf_endpoint_candidates():
@@ -178,12 +177,11 @@ def test_hinf_power_identity():
 
 
 def test_hinf_unstable_and_improper_flagged():
-    res = hinf_norm(one / (s - one))
-    assert not res.finite and math.isinf(res.norm)
-    res2 = hinf_norm((s * s + 1) / (s + one))
-    assert not res2.finite
-    res3 = hinf_norm(RationalFunction(Polynomial([]), Polynomial([1, 1])))
-    assert res3.finite and res3.norm == 0.0
+    # no finite supremum: raised, not returned as a value to test
+    for f in (one / (s - one), (s * s + 1) / (s + one)):
+        with pytest.raises(StabilityCheckFailed, match="closed loop has no finite peak"):
+            hinf_norm(f)
+    assert tuple(hinf_norm(RationalFunction(Polynomial([]), Polynomial([1, 1])))) == (0.0, 0.0)
 
 
 def test_hinf_constant():

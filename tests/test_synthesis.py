@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from platoonctrl import synthesis
 from platoonctrl.errors import (BandwidthViolation, InvalidRange,
                                 PeakExceedsBudget, StabilityCheckFailed)
-from platoonctrl.freq import default_grid, rf_log_abs_jomega
+from platoonctrl.freq import default_grid, hinf_norm, rf_log_abs_jomega
 from platoonctrl.parsing import parse_rational
 from platoonctrl.poly import Polynomial
 from platoonctrl.ratfun import (RationalFunction, closed_loop, internal_stability,
@@ -228,6 +228,34 @@ def test_scan_certifies_youla_T_like_the_controller_route():
         if (i, j) == (3, 6):
             assert search_parameters(4, 0.1) == replace(via_c, gamma_a=ga, gamma_b=gb)
     assert seen == {Certificate, PeakExceedsBudget}
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.0706254])
+def test_grid_rejection_never_changes_a_verdict(eps):
+    # certify_closed_loop rejects on an over-budget grid sample before
+    # refining. hinf_norm's peak is never below the grid's, so on every
+    # m = 4 candidate up to three past the winner it must reject exactly
+    # when the refined peak is over budget. At eps 0.0706254 the eps = 0.1
+    # winner has every grid sample within budget and only its refined peak
+    # (1.07062574) over it, so the refined check rejects it on its own.
+    vals = _scan_values()
+    win = search_parameters(4, eps)
+    last = 25 * vals.index(win.gamma_a) + vals.index(win.gamma_b / win.gamma_a) + 3
+    seen = set()
+    for k in range(last + 1):
+        ga = vals[k // 25]
+        gb = ga * vals[k % 25]
+        T, grid = youla_closed_loop(4, ga, gb), band_grid(gb)
+        try:
+            certify_closed_loop(T, eps, grid)
+            rejected = False
+        except PeakExceedsBudget:
+            rejected = True
+        except InvalidRange:  # the band touches the grid edge: the peak fits
+            rejected = False
+        assert rejected == (hinf_norm(T, grid).norm > 1 + eps), f"candidate {k}"
+        seen.add(rejected)
+    assert seen == {True, False}
 
 
 def test_search_builds_no_controller(monkeypatch):
