@@ -20,9 +20,9 @@ from typing import NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .errors import DivergentAtOrigin, InvalidRange, StabilityCheckFailed
-from .freq import (FrequencyGrid, default_grid, hinf_norm, rf_log_abs_evaluator,
-                   rf_log_abs_rows)
-from .poly import Polynomial, hurwitz_stable
+from .freq import (FrequencyGrid, _log_abs_coeff, default_grid, hinf_norm,
+                   log_abs_rows, rf_log_abs_evaluator)
+from .poly import hurwitz_stable
 from .ratfun import RationalFunction, internal_stability
 from .synthesis import plant
 
@@ -48,11 +48,12 @@ class CascadeProfile:
         return "\n".join(lines) + "\n"
 
 
-def _cascade_profile(Ts: Sequence[RationalFunction], grid: FrequencyGrid) -> CascadeProfile:
-    # every stage's ln|T_k| comes from one stacked evaluation; the rows are
-    # summed in stage order, so the float sums are those of a per-stage loop
+def _cascade_profile(stages, grid: FrequencyGrid) -> CascadeProfile:
+    # stages are the T_k as (num_coeffs, den_coeffs) pairs; every stage's
+    # ln|T_k| comes from one stacked evaluation, and the rows are summed in
+    # stage order, so the float sums are those of a per-stage loop
     total = np.zeros(len(grid.omegas))
-    for row in rf_log_abs_rows(Ts, grid.omegas):
+    for row in log_abs_rows(stages, grid.omegas):
         total = total + row
     top = int(np.argmax(total))
     return CascadeProfile(grid, total, float(np.exp(np.float64(total[top]))),
@@ -72,14 +73,15 @@ def cascade_gain(controllers: Sequence[RationalFunction], m: int,
     if grid is None:
         grid = default_grid()
     p = plant(m)
-    Ts = []
+    stages = []
     for i, c in enumerate(controllers, start=1):
         rep = internal_stability(p, c)
         if not rep.internally_stable:
             raise StabilityCheckFailed(
                 f"controller {i} of {len(controllers)} does not internally stabilise 1/s^{m}")
-        Ts.append(rep.gang_of_four[3])
-    return _cascade_profile(Ts, grid)
+        T = rep.gang_of_four[3]
+        stages.append((T.num.coeffs, T.den.coeffs))
+    return _cascade_profile(stages, grid)
 
 
 # ----------------------------------------------------------------------
@@ -155,7 +157,12 @@ def middleton_integral(T: RationalFunction, omega_lo: float = 1e-6,
     head = float(log_abs(np.array([omega_lo]))[0]) / omega_lo
     r = T.den.degree - T.num.degree
     lead_ratio = T.num.leading() / T.den.leading()
-    ln_c = math.log(abs(float(lead_ratio)))
+    try:
+        ln_c = math.log(abs(float(lead_ratio)))
+    except (OverflowError, ValueError):
+        # |lead_ratio| past double range: float() overflows or gives 0.0,
+        # so the log is read off its exact numerator and denominator
+        ln_c = _log_abs_coeff(lead_ratio)
     w = omega_hi
     tail = ln_c / w - r * (math.log(w) + 1.0) / w
     bound = abs(head) + abs(tail) + tol * (len(edges) - 1)
@@ -212,6 +219,31 @@ def homogeneous_growth(c: RationalFunction, m: int, n_max: int,
 _SCHEME = "philox4x64:key=seed;counter=[trial,vehicle,0,0];one-uniform-per-draw"
 
 
+def _gain_drawer(seed: int, k_min: float, k_max: float):
+    """(trial, vehicle) -> the exact derivative gain, from one keyed generator.
+
+    Philox is counter-based (Salmon et al., SC 2011): a fresh generator with
+    key seed and counter [trial, vehicle, 0, 0] holds no buffered output, and
+    its first uniform comes from the block at the next counter. Setting one
+    generator's documented state to that counter with an empty buffer
+    (buffer_pos 4) before each draw gives the same uniform without building
+    a generator per draw.
+    """
+    bg = np.random.Philox(key=seed)
+    gen = np.random.Generator(bg)
+    state = bg.state
+    lo = Fraction(k_min)
+    width = Fraction(k_max) - lo
+
+    def draw(trial: int, vehicle: int) -> Fraction:
+        state["state"]["counter"] = [trial, vehicle, 0, 0]
+        state["buffer_pos"] = 4
+        bg.state = state
+        return lo + width * Fraction(gen.random())
+
+    return draw
+
+
 def pd_gain(seed: int, trial: int, vehicle: int, k_min: float, k_max: float) -> Fraction:
     """The derivative gain for (trial, vehicle), exact and order-independent.
 
@@ -220,9 +252,7 @@ def pd_gain(seed: int, trial: int, vehicle: int, k_min: float, k_max: float) -> 
     draw can be reproduced in isolation. The float draw is then frozen as an
     exact rational so downstream algebra stays exact.
     """
-    bg = np.random.Philox(key=seed, counter=[trial, vehicle, 0, 0])
-    u = np.random.Generator(bg).random()
-    return Fraction(k_min) + (Fraction(k_max) - Fraction(k_min)) * Fraction(u)
+    return _gain_drawer(seed, k_min, k_max)(trial, vehicle)
 
 
 @dataclass(frozen=True)
@@ -252,10 +282,11 @@ def pd_mistune_experiment(n: int, k_min: float, k_max: float, trials: int,
     """Cascade peaks for n PD stages with gains drawn uniformly per vehicle.
 
     The plant order is fixed at m=2: stage k is 1/s^2 under c = 1 + k s,
-    whose closed loop is built from its closed form
-    T_k = (1 + k s)/(s^2 + k s + 1), with no stability test, because:
+    whose closed loop is read from its closed form
+    T_k = (1 + k s)/(s^2 + k s + 1) as the coefficient pair
+    ((1, k), (1, k, 1)), with no stability test and no gcd, because:
 
-    - pd_gain returns an exact k >= k_min > 0, and s^2 + k s + 1 is Hurwitz
+    - the drawer returns an exact k >= k_min > 0, and s^2 + k s + 1 is Hurwitz
       for every k > 0 (a monic quadratic with positive coefficients);
     - the characteristic polynomial s^2 * 1 + 1 * (1 + k s) is that
       quadratic, and each gang-of-four map (S, PS, CS, T) is a polynomial
@@ -266,7 +297,8 @@ def pd_mistune_experiment(n: int, k_min: float, k_max: float, trials: int,
       therefore already canonical, with the coefficients the gang-of-four
       route gives its T.
 
-    Each trial's stages are evaluated as one stack (cascade_gain's profile
+    Every gain comes from one keyed generator (pd_gain's draws). Each
+    trial's stages are evaluated as one stack (cascade_gain's profile
     route). Deterministic: the report is a pure function of
     (n, k_min, k_max, trials, seed, grid).
     """
@@ -276,13 +308,11 @@ def pd_mistune_experiment(n: int, k_min: float, k_max: float, trials: int,
         raise InvalidRange("need 0 < k_min <= k_max")
     if grid is None:
         grid = default_grid()
+    draw = _gain_drawer(seed, k_min, k_max)
     peaks, argmaxes = [], []
     for t in range(1, trials + 1):
-        Ts = []
-        for v in range(1, n + 1):
-            k = pd_gain(seed, t, v, k_min, k_max)
-            Ts.append(RationalFunction(Polynomial([1, k]), Polynomial([1, k, 1])))
-        prof = _cascade_profile(Ts, grid)
+        ks = [draw(t, v) for v in range(1, n + 1)]
+        prof = _cascade_profile([((1, k), (1, k, 1)) for k in ks], grid)
         peaks.append(prof.peak)
         argmaxes.append(prof.argmax_omega)
     return MistuneReport(n, trials, seed, float(k_min), float(k_max), _SCHEME,

@@ -11,18 +11,19 @@ families are swept on their base closed loop at scaled frequencies rather
 than on their exact members.
 
 The engine has two steps. Scaling (_scaled_descending) reads a polynomial's
-exact coefficients once and is the costly one; evaluation (_log_abs_scaled)
-runs Horner's y = y*z + c, the sequence np.polyval runs, on one scaled row or
-on a stack of equal-degree rows at once, and is bit-identical either way.
-So a caller that evaluates one function many times scales it once
-(rf_log_abs_evaluator), and a caller that evaluates many functions on one
-grid evaluates them as stacks (rf_log_abs_rows).
+exact ascending coefficient sequence (Polynomial.coeffs, or a tuple of ints
+and Fractions a caller knows in closed form) once and is the costly one;
+evaluation (_log_abs_scaled) runs Horner's y = y*z + c, the sequence
+np.polyval runs, on one scaled row or on a stack of equal-degree rows at
+once, and is bit-identical either way. So a caller that evaluates one
+function many times scales it once (rf_log_abs_evaluator), and a caller that
+evaluates many functions on one grid evaluates them as stacks
+(log_abs_rows).
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -87,19 +88,23 @@ def default_grid() -> FrequencyGrid:
 # ----------------------------------------------------------------------
 # log-magnitude engine
 
-def _log_abs_coeff(c: Fraction) -> float:
-    """log|c| for a nonzero Fraction, immune to float overflow."""
+def _log_abs_coeff(c) -> float:
+    """log|c| for a nonzero int or Fraction, immune to float overflow."""
     return math.log(abs(c.numerator)) - math.log(c.denominator)
 
 
-def _scaled_descending(p: Polynomial):
-    """(descending float coeffs scaled to max |coeff| = 1, log of the scale); (None, -inf) for 0."""
-    if p.is_zero:
+def _scaled_descending(coeffs):
+    """(descending float coeffs scaled to max |coeff| = 1, log of the scale); (None, -inf) for 0.
+
+    coeffs is an ascending sequence of ints or Fractions without trailing
+    zeros, as Polynomial.coeffs holds it; the empty sequence is 0.
+    """
+    if not coeffs:
         return None, -math.inf
-    logs = [(-math.inf if c == 0 else _log_abs_coeff(c)) for c in p.coeffs]
+    logs = [(-math.inf if c == 0 else _log_abs_coeff(c)) for c in coeffs]
     top = max(logs)
     scaled = []
-    for c, lg in zip(p.coeffs, logs):
+    for c, lg in zip(coeffs, logs):
         if c == 0:
             scaled.append(0.0)
         else:
@@ -146,7 +151,7 @@ def _log_abs_scaled(desc, top, omegas: np.ndarray) -> np.ndarray:
 
 def poly_log_abs_jomega(p: Polynomial, omegas) -> np.ndarray:
     """ln|p(j*omega)| per sample, safe across extreme coefficient scales."""
-    return _log_abs_scaled(*_scaled_descending(p), np.asarray(omegas, dtype=float))
+    return _log_abs_scaled(*_scaled_descending(p.coeffs), np.asarray(omegas, dtype=float))
 
 
 def rf_log_abs_jomega(f: RationalFunction, omegas) -> np.ndarray:
@@ -159,7 +164,7 @@ def rf_log_abs_evaluator(f: RationalFunction):
 
     For callers that evaluate one f at many separate frequencies.
     """
-    num, den = _scaled_descending(f.num), _scaled_descending(f.den)
+    num, den = _scaled_descending(f.num.coeffs), _scaled_descending(f.den.coeffs)
 
     def log_abs(omegas) -> np.ndarray:
         omegas = np.asarray(omegas, dtype=float)
@@ -169,12 +174,13 @@ def rf_log_abs_evaluator(f: RationalFunction):
 
 
 def _poly_log_abs_rows(ps, omegas: np.ndarray) -> np.ndarray:
-    # one row per polynomial; those of one degree are evaluated as one stack
+    # one row per ascending coefficient sequence; those of one degree are
+    # evaluated as one stack
     out = np.full((len(ps), len(omegas)), -np.inf)
     by_degree = {}
     for i, p in enumerate(ps):
-        if not p.is_zero:
-            by_degree.setdefault(p.degree, []).append(i)
+        if p:
+            by_degree.setdefault(len(p), []).append(i)
     for rows in by_degree.values():
         scaled = [_scaled_descending(ps[i]) for i in rows]
         out[rows] = _log_abs_scaled(np.array([desc for desc, _ in scaled]),
@@ -182,11 +188,16 @@ def _poly_log_abs_rows(ps, omegas: np.ndarray) -> np.ndarray:
     return out
 
 
-def rf_log_abs_rows(fs, omegas) -> np.ndarray:
-    """Row k is ln|fs[k](j*omega)|, equal to rf_log_abs_jomega(fs[k], omegas) bit for bit."""
+def log_abs_rows(pairs, omegas) -> np.ndarray:
+    """Row k is ln|num_k(j*omega) / den_k(j*omega)| for pairs[k] = (num_k, den_k).
+
+    num_k and den_k are ascending coefficient sequences (Polynomial.coeffs
+    or a closed-form tuple); for f's pair (f.num.coeffs, f.den.coeffs) the
+    row equals rf_log_abs_jomega(f, omegas) bit for bit.
+    """
     omegas = np.asarray(omegas, dtype=float)
-    return (_poly_log_abs_rows([f.num for f in fs], omegas)
-            - _poly_log_abs_rows([f.den for f in fs], omegas))
+    return (_poly_log_abs_rows([num for num, _ in pairs], omegas)
+            - _poly_log_abs_rows([den for _, den in pairs], omegas))
 
 
 def rf_abs_jomega(f: RationalFunction, omegas) -> np.ndarray:

@@ -6,8 +6,8 @@ forms in `synthesis`; rational-matrix sums and products and bidiagonal
 substitution check the closed-form sensitivity matrix and the integer
 identity checks in `bidir`; `maclaurin` reads Taylor coefficients at s = 0.
 The np.polyval magnitude engine checks `freq`'s Horner evaluator bit for
-bit, and the per-stage PD route checks the closed-form PD cascade in
-`cascade`.
+bit, and the per-stage PD route, with a fresh generator per gain, checks the
+closed-form PD cascade and its one keyed generator in `cascade`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from platoonctrl.bidir import RationalMatrix
-from platoonctrl.cascade import _SCHEME, MistuneReport, cascade_gain, pd_gain
+from platoonctrl.cascade import _SCHEME, MistuneReport, cascade_gain
 from platoonctrl.errors import (IllPosed, InvalidRange, PoleAtPoint,
                                 SingularDiagonal)
 from platoonctrl.freq import _scaled_descending, default_grid
@@ -189,7 +189,7 @@ def poly_log_abs_polyval(p: Polynomial, omegas) -> np.ndarray:
     omegas = np.asarray(omegas, dtype=float)
     if p.is_zero:
         return np.full(omegas.shape, -np.inf)
-    desc, top = _scaled_descending(p)
+    desc, top = _scaled_descending(p.coeffs)
     d = len(desc) - 1
     z = 1j * omegas
     out = np.empty(omegas.shape)
@@ -206,15 +206,23 @@ def poly_log_abs_polyval(p: Polynomial, omegas) -> np.ndarray:
 
 # ---------------------------------------------------------------- PD cascade
 
+def pd_gain_fresh(seed: int, trial: int, vehicle: int, k_min: float, k_max: float) -> Fraction:
+    """The (trial, vehicle) gain from a generator built for this one draw."""
+    bg = np.random.Philox(key=seed, counter=[trial, vehicle, 0, 0])
+    u = np.random.Generator(bg).random()
+    return Fraction(k_min) + (Fraction(k_max) - Fraction(k_min)) * Fraction(u)
+
+
 def pd_mistune_by_stages(n: int, k_min: float, k_max: float, trials: int,
                          seed: int, grid=None) -> MistuneReport:
-    """pd_mistune_experiment through cascade_gain: each stage c = 1 + k s Routh-tested, its T read off the gang of four."""
+    """pd_mistune_experiment through cascade_gain: each gain drawn by pd_gain_fresh,
+    each stage c = 1 + k s Routh-tested, its T read off the gang of four."""
     if grid is None:
         grid = default_grid()
     s = Polynomial([0, 1])
     peaks, argmaxes = [], []
     for t in range(1, trials + 1):
-        stages = [RationalFunction(Polynomial([1]) + pd_gain(seed, t, v, k_min, k_max) * s)
+        stages = [RationalFunction(Polynomial([1]) + pd_gain_fresh(seed, t, v, k_min, k_max) * s)
                   for v in range(1, n + 1)]
         prof = cascade_gain(stages, 2, grid)
         peaks.append(prof.peak)

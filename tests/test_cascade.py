@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from platoonctrl.cascade import (CascadeProfile, cascade_gain,
+from platoonctrl.cascade import (CascadeProfile, _gain_drawer, cascade_gain,
                                  homogeneous_growth, middleton_integral,
                                  pd_gain, pd_mistune_experiment)
 from platoonctrl.errors import (DivergentAtOrigin, InvalidRange,
@@ -19,7 +19,7 @@ from platoonctrl.poly import Polynomial
 from platoonctrl.ratfun import RationalFunction, closed_loop, one, s
 from platoonctrl.synthesis import youla_closed_loop
 
-from oracles import pd_mistune_by_stages
+from oracles import pd_gain_fresh, pd_mistune_by_stages
 
 PEAK_ORACLE = 1.4678898250138706
 ARGMAX_ORACLE = 0.8555996771673521
@@ -187,6 +187,24 @@ def test_pd_gain_deterministic_and_bounded():
     assert pd_gain(42, 3, 8, 0.5, 2.0) != a, "distinct counters give distinct draws"
 
 
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 128 - 1])
+def test_one_generator_draws_what_a_fresh_one_draws(seed):
+    # one drawer, reset before each draw, in an order that revisits and jumps
+    # between counters, including large ones; the fresh route passes its
+    # counter through float64, so only counters exact in a double are compared
+    pairs = [(1, 1), (1, 2), (3, 7), (1, 1), (200, 20), (2 ** 63, 1), (1, 2 ** 63),
+             (2 ** 63, 2 ** 63), (2 ** 53 - 1, 2 ** 53 + 2), (2, 1)]
+    for k_min, k_max in [(0.5, 2.0), (0.1, 10.0), (1.3, 1.3)]:
+        draw = _gain_drawer(seed, k_min, k_max)
+        for t, v in pairs:
+            want = pd_gain_fresh(seed, t, v, k_min, k_max)
+            assert draw(t, v) == want
+            assert pd_gain(seed, t, v, k_min, k_max) == want
+    # the drawer keeps a counter that a double cannot hold exact
+    draw = _gain_drawer(seed, 0.5, 2.0)
+    assert draw(5, 2 ** 63 + 1) != draw(5, 2 ** 63)
+
+
 def test_mistune_reproducible():
     r1 = pd_mistune_experiment(6, 0.5, 2.0, 4, 99)
     r2 = pd_mistune_experiment(6, 0.5, 2.0, 4, 99)
@@ -194,11 +212,21 @@ def test_mistune_reproducible():
     assert r1.peaks == r2.peaks
 
 
-def test_mistune_builds_no_closed_loop(call_counts):
-    # each stage's T is built from its closed form; k > 0 proves it stable
-    counts = call_counts("closed_loop", "internal_stability")
+def test_mistune_builds_no_closed_loop(call_counts, monkeypatch):
+    # each stage's T is read from its closed form: k > 0 proves it stable and
+    # the pair coprime, so no loop is formed and no gcd taken; every gain
+    # comes from one generator
+    counts = call_counts("closed_loop", "internal_stability", "poly_gcd")
+    real_philox = np.random.Philox
+
+    def counted_philox(*args, **kwargs):
+        counts["Philox"] += 1
+        return real_philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counted_philox)
     pd_mistune_experiment(6, 0.5, 2.0, 4, 99)
-    assert (counts["internal_stability"], counts["closed_loop"]) == (0, 0)
+    assert (counts["internal_stability"], counts["closed_loop"], counts["poly_gcd"]) == (0, 0, 0)
+    assert counts["Philox"] == 1
 
 
 @pytest.mark.parametrize("n,k_min,k_max,trials,seed", [

@@ -25,6 +25,15 @@ def _report(out):
     return json.loads(_read(os.path.join(out, "report.json")))
 
 
+def _reject_constant(token):
+    raise ValueError(f"report.json holds the non-JSON token {token}")
+
+
+def _sha256(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
 # ---------------------------------------------------------------- exit codes
 
 def test_verify_lemma_pass(tmp_path):
@@ -342,6 +351,20 @@ def test_homogeneous_improper_tail_still_reports(tmp_path):
     assert "skipped" in rep["results"]["middleton"]
 
 
+@pytest.mark.parametrize("command", ["homogeneous", "middleton"])
+def test_gain_past_double_range(tmp_path, command):
+    # T's leading-coefficient ratio is 1e400, past what float() can hold: the
+    # integral's tail reads its log off the exact ratio
+    out = str(tmp_path)
+    assert main([command, "--m", "2", "--c", "1e400*(1+s)", "--out", out]) == 0
+    results = json.loads(_read(os.path.join(out, "report.json")),
+                         parse_constant=_reject_constant)["results"]
+    if command == "homogeneous":
+        assert results["hinf"] == 1.0
+        results = results["middleton"]
+    assert abs(results["value"]) <= results["truncation_bound"]
+
+
 def test_middleton_command(tmp_path):
     import math
     out = str(tmp_path)
@@ -378,9 +401,17 @@ def test_pd_random_pinned_csv(tmp_path):
     # sha256 recorded before the stages were built from their closed form
     assert main(["pd-random", "--n", "5", "--trials", "10", "--seed", "3",
                  "--out", str(tmp_path)]) == 0
-    with open(os.path.join(tmp_path, "mistune.csv"), "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
-    assert digest == "b3606ea286bb77cd22d729208db61d91280c1ad889b62d6659b670ac29213ec2"
+    assert _sha256(os.path.join(tmp_path, "mistune.csv")) == \
+        "b3606ea286bb77cd22d729208db61d91280c1ad889b62d6659b670ac29213ec2"
+
+
+def test_pd_random_pinned_csv_at_benchmark_size(tmp_path):
+    # the cascade-sweep workload's run; sha256 recorded while each draw still
+    # built its own generator and each stage its own RationalFunction
+    assert main(["pd-random", "--n", "20", "--trials", "200", "--seed", "7",
+                 "--out", str(tmp_path)]) == 0
+    assert _sha256(os.path.join(tmp_path, "mistune.csv")) == \
+        "37b0b5c119181aea7abd2d8d31feee62cde1c216f5ccf4710d9849eb10325b0a"
 
 
 def test_pd_random_seed_changes_output(tmp_path):

@@ -16,8 +16,8 @@ import pytest
 from platoonctrl.errors import InvalidRange, StabilityCheckFailed
 from platoonctrl.freq import (FrequencyGrid, default_grid, hinf_norm,
                               poly_log_abs_jomega, rf_abs_jomega,
-                              rf_log_abs_evaluator, rf_log_abs_jomega,
-                              rf_log_abs_rows)
+                              log_abs_rows, rf_log_abs_evaluator,
+                              rf_log_abs_jomega)
 from platoonctrl.poly import Polynomial
 from platoonctrl.ratfun import RationalFunction, one, s
 from platoonctrl.synthesis import youla_closed_loop
@@ -121,15 +121,21 @@ def test_engine_is_polyval_bit_for_bit():
 def test_stacked_rows_match_one_at_a_time():
     fs = [RationalFunction(p, q) for p in _POLYS for q in _POLYS[:4]]
     fs.append(RationalFunction(Polynomial([]), Polynomial([1, 1])))
+    pairs = [(f.num.coeffs, f.den.coeffs) for f in fs]
     # past double range both logs can underflow to -inf, and their difference is NaN
     with np.errstate(divide="ignore", invalid="ignore"):
-        rows = rf_log_abs_rows(fs, _OMEGAS)
+        rows = log_abs_rows(pairs, _OMEGAS)
         assert rows.shape == (len(fs), len(_OMEGAS))
         for f, row in zip(fs, rows):
             assert _bits(row) == _bits(rf_log_abs_jomega(f, _OMEGAS))
         # a one-row stack
-        assert _bits(rf_log_abs_rows(fs[:1], _OMEGAS)[0]) == \
+        assert _bits(log_abs_rows(pairs[:1], _OMEGAS)[0]) == \
             _bits(rf_log_abs_jomega(fs[0], _OMEGAS))
+    # a closed-form pair of ints and Fractions reads as its Polynomial does
+    k = Fraction(7, 3)
+    assert _bits(log_abs_rows([((1, k), (1, k, 1))], _OMEGAS)[0]) == \
+        _bits(rf_log_abs_jomega(RationalFunction(Polynomial([1, k]), Polynomial([1, k, 1])),
+                                _OMEGAS))
 
 
 def test_evaluator_matches_per_call_scaling():
