@@ -15,9 +15,8 @@ from .cascade import (CascadeProfile, GrowthTable, MiddletonResult,
 from .errors import (BandwidthViolation, DivergentAtOrigin, IllPosed,
                      InvalidRange, NonPositiveGamma, NonPositiveScale,
                      ParseError, PeakExceedsBudget, PlatoonError,
-                     PoleAtPoint, SearchExhausted, SingularDiagonal,
-                     StabilityCheckFailed, UnstableEntry, ZeroDenominator,
-                     ZeroPolynomial)
+                     PoleAtPoint, SearchExhausted, StabilityCheckFailed,
+                     ZeroDenominator, ZeroPolynomial)
 from .freq import (FrequencyGrid, HinfResult, default_grid, hinf_norm,
                    rf_abs_jomega, rf_log_abs_jomega)
 from .parsing import parse_rational
@@ -39,9 +38,8 @@ __all__ = [
     "MiddletonResult", "MistuneReport", "NonPositiveGamma",
     "NonPositiveScale", "ParseError", "PeakExceedsBudget", "PlatoonError",
     "PoleAtPoint", "Polynomial", "RationalFunction", "RationalMatrix",
-    "SearchExhausted", "SingularDiagonal", "StabilityCheckFailed",
-    "StabilityReport", "UnstableEntry", "ZeroDenominator",
-    "ZeroPolynomial", "band_grid", "bode_table", "build_structures",
+    "SearchExhausted", "StabilityCheckFailed", "StabilityReport",
+    "ZeroDenominator", "ZeroPolynomial", "band_grid", "bode_table", "build_structures",
     "candidate_controller", "cascade_gain", "certify_closed_loop",
     "closed_loop", "default_grid", "family_from_json", "family_grid",
     "family_product_check", "family_to_json", "hinf_norm",

@@ -10,7 +10,8 @@ closed form and checks L_n S_n U_n = s^2 I_n exactly. Both identities,
 the factorization and L_n S_n U_n = s^2 I_n, are checked with the
 denominators cleared, in integer polynomial arithmetic on the coefficients
 of the very matrices they are about. Everything here is exact; floats only
-enter in the Bode sweep.
+enter in the Bode sweep, which tabulates a bound that a lemma proves for
+every length (`bode_table`).
 """
 
 from __future__ import annotations
@@ -23,10 +24,9 @@ from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InvalidRange, NonPositiveScale, UnstableEntry
+from .errors import InvalidRange, NonPositiveScale
 from .freq import FrequencyGrid, poly_log_abs_jomega
-from .poly import (Polynomial, _int_add, _int_mul, _int_sub, _int_view,
-                   hurwitz_stable)
+from .poly import Polynomial, _int_add, _int_mul, _int_sub, _int_view
 from .ratfun import RationalFunction, scale_frequency
 
 _S = Polynomial([0, 1])
@@ -197,7 +197,9 @@ def _verify_sensitivity(S: RationalMatrix) -> None:
     polynomial. With the denominators cleared, (L S U)_ij = delta_ij s^2
     reads l_i (N_ij - N_i,j-1) - (s+1) (N_i-1,j - N_i-1,j-1)
     == delta_ij s^2 (s+1)^(2i), where l_0 = s, l_i = s+1 otherwise, and N
-    is zero outside the matrix; that is checked in integer arithmetic.
+    is zero outside the matrix; that is checked in integer arithmetic. So is
+    (s+2) N_ii = s (1 + (s+1)^(2i+1)), the identity `bode_table`'s lemma
+    rests on (N_ii = s P_i).
     """
     fail = ArithmeticError("sensitivity verification failed; construction bug")
     n = S.n_rows
@@ -209,6 +211,8 @@ def _verify_sensitivity(S: RationalMatrix) -> None:
         if N[i][j] is None or list(f.den.coeffs) != binom[i + j + 1]:
             raise fail
     for i in range(n):
+        if _int_mul([2, 1], N[i][i]) != [0] + _int_add([1], binom[2 * i + 1]):
+            raise fail
         l_i = [0, 1] if i == 0 else [1, 1]
         for j in range(n):
             here = _int_sub(N[i][j], N[i][j - 1] if j else [])
@@ -228,7 +232,8 @@ def sensitivity_matrix(n: int) -> RationalMatrix:
     (s+1)^(i+j+1). The numerator is -1 at s = -1, so the pair is coprime and
     the constructor leaves it as built. The whole matrix is then checked
     against L_n S_n U_n = s^2 I_n, entry by entry with the denominators
-    cleared, in integer arithmetic (`_verify_sensitivity`).
+    cleared, in integer arithmetic, together with the identity of
+    `bode_table`'s lemma (`_verify_sensitivity`).
     """
     if n < 1:
         raise InvalidRange("n must be >= 1")
@@ -273,65 +278,56 @@ def time_scale(S: RationalMatrix, T_const) -> RationalMatrix:
 # ----------------------------------------------------------------------
 # Bode sweep
 
-_BODE_TOL = 1e-9
-
-
 @dataclass(frozen=True)
 class BodeTable:
-    """Per-entry magnitude sweep with the reference-bound verdict."""
+    """Per-entry magnitude sweep of S_n, with the grid's largest excess."""
 
     grid: FrequencyGrid
-    n_rows: int
-    n_cols: int
-    log_magnitudes: np.ndarray  # shape (n_rows, n_cols, len(grid))
-    bound_ok: bool
+    n: int
+    log_magnitudes: np.ndarray  # shape (n, n, len(grid))
     worst_excess: float
 
     def to_csv(self) -> str:
         # omega-major, then row, then col; indices 1-based
         lines = ["omega,row,col,abs,abs_db"]
         for w, om in enumerate(self.grid.omegas):
-            for i in range(self.n_rows):
-                for j in range(self.n_cols):
+            for i in range(self.n):
+                for j in range(self.n):
                     lg = float(self.log_magnitudes[i, j, w])
                     lines.append(f"{float(om)!r},{i + 1},{j + 1},{math.exp(lg)!r},{lg * _DB!r}")
         return "\n".join(lines) + "\n"
 
 
-def bode_table(Mtx: RationalMatrix, grid: FrequencyGrid) -> BodeTable:
-    """Magnitudes of every entry over the grid, tested against |jw/(jw+1)|.
+def bode_table(n: int, grid: FrequencyGrid) -> BodeTable:
+    """Magnitudes of every entry of S_n over the grid.
 
-    The verdict is true iff every sample of every entry is at most the
-    reference magnitude plus a 1e-9 absolute allowance. Entries must be
-    stable and proper to have a meaningful magnitude sweep. Entries share
-    polynomials (S_n's n^2 entries have n numerators and 2n - 1
-    denominators), so each distinct one is Routh-tested and evaluated once.
+    |S_ij(jw)| <= |jw/(jw+1)| for every n, i, j and w > 0, by this lemma.
+    Entry (i, j), 0-based, is s P_m / (s+1)^(i+j+1) with m = min(i, j) and
+    P_m = 1 + s sum_{k=1..m} (s+1)^(2k-1); summing the geometric series
+    gives (s+2) P_m = 1 + (s+1)^(2m+1). Let r = |1+jw| >= 1, so
+    |2+jw| = sqrt(r^2+3). Then |S_ij| / |jw/(jw+1)| = |P_m| / r^(i+j)
+    <= |P_m| / r^(2m), since i+j >= 2m, and this is at most
+    (1 + r^(2m+1)) / (r^(2m) sqrt(r^2+3)), which is at most 1 iff
+    3 r^(2m) >= r + sqrt(r^2+3). For m >= 1 that holds, as
+    r + sqrt(r^2+3) <= 2r + 1 <= 3r <= 3r^(2m); for m = 0, P_0 = 1.
+
+    `sensitivity_matrix(n)` checks both hypotheses exactly before it
+    returns: the closed form, and the identity for each m < n. So the
+    sweep decides nothing. It tabulates the n numerators and 2n - 1
+    denominators, each evaluated once and indexed by min(i, j) and
+    i + j + 1, and reports worst_excess, the largest sampled
+    |S_ij| - |jw/(jw+1)|, as a diagnostic of the float evaluation.
     """
-    stable = set()
-    for i, j, f in Mtx.entries():
-        if not f.is_proper:
-            raise UnstableEntry(f"entry ({i + 1},{j + 1}) is improper")
-        if f.den not in stable:
-            if f.den.degree > 0 and not hurwitz_stable(f.den):
-                raise UnstableEntry(f"entry ({i + 1},{j + 1}) has an unstable pole")
-            stable.add(f.den)
+    S = sensitivity_matrix(n)
     om = grid.omegas
+    num_logs = np.array([poly_log_abs_jomega(S[m, m].num, om) for m in range(n)])
+    # row k is (s+1)^(k+1), the denominator of every entry with i + j = k
+    den_logs = np.array([poly_log_abs_jomega(S[max(0, k - n + 1), min(k, n - 1)].den, om)
+                         for k in range(2 * n - 1)])
+    idx = np.arange(n)
+    logs = num_logs[np.minimum.outer(idx, idx)] - den_logs[np.add.outer(idx, idx)]
     # past om ~ 1.34e154, om * om overflows; there |jw/(jw+1)| rounds to 1.0
     with np.errstate(over="ignore"):
         sq = om * om
     bound = np.where(np.isinf(sq), 1.0, om / np.sqrt(1.0 + sq))
-    logs = np.empty((Mtx.n_rows, Mtx.n_cols, len(om)))
-    worst = -math.inf
-    ok = True
-    log_abs = {}
-    for i, j, f in Mtx.entries():
-        for p in (f.num, f.den):
-            if p not in log_abs:
-                log_abs[p] = poly_log_abs_jomega(p, om)
-        lg = log_abs[f.num] - log_abs[f.den]
-        logs[i, j, :] = lg
-        excess = float((np.exp(lg) - bound).max())
-        worst = max(worst, excess)
-        if excess > _BODE_TOL:
-            ok = False
-    return BodeTable(grid, Mtx.n_rows, Mtx.n_cols, logs, ok, worst)
+    return BodeTable(grid, n, logs, float((np.exp(logs) - bound).max()))

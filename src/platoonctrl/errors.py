@@ -62,13 +62,5 @@ class DivergentAtOrigin(PlatoonError):
     """The sensitivity integral requires T(0) = 1."""
 
 
-class SingularDiagonal(PlatoonError):
-    """Bidiagonal inversion hit a zero diagonal entry."""
-
-
 class NonPositiveScale(PlatoonError):
     """Time scaling requires a positive constant."""
-
-
-class UnstableEntry(PlatoonError):
-    """A matrix entry headed for Bode sampling is unstable or improper."""

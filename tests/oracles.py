@@ -20,8 +20,7 @@ import numpy as np
 
 from platoonctrl.bidir import RationalMatrix
 from platoonctrl.cascade import _SCHEME, MistuneReport, cascade_gain
-from platoonctrl.errors import (IllPosed, InvalidRange, PoleAtPoint,
-                                SingularDiagonal)
+from platoonctrl.errors import IllPosed, InvalidRange, PlatoonError, PoleAtPoint
 from platoonctrl.freq import _scaled_descending, default_grid
 from platoonctrl.poly import Polynomial
 from platoonctrl.ratfun import RationalFunction
@@ -146,6 +145,10 @@ def matmul(A: RationalMatrix, B: RationalMatrix, *rest: RationalMatrix) -> Ratio
         out.append(tuple(row))
     P = RationalMatrix(tuple(out))
     return matmul(P, *rest) if rest else P
+
+
+class SingularDiagonal(PlatoonError):
+    """Bidiagonal inversion hit a zero diagonal entry."""
 
 
 def invert_bidiagonal(T: RationalMatrix, shape: str) -> RationalMatrix:

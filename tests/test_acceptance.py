@@ -63,9 +63,8 @@ def test_criterion_03_first_entry_closed_form():
 
 def test_criterion_04_bode_bound_n20():
     grid = FrequencyGrid(1e-3, 1e3, 100)
-    table = bode_table(sensitivity_matrix(20), grid)
-    assert table.bound_ok, f"worst excess {table.worst_excess:.3e}"
-    assert table.worst_excess <= 1e-9
+    table = bode_table(20, grid)
+    assert table.worst_excess <= 1e-9, f"worst excess {table.worst_excess:.3e}"
 
 
 def test_criterion_05_numeric_oracle_n8():
@@ -167,3 +166,20 @@ def test_criterion_11_deterministic_experiment(tmp_path):
     with open(os.path.join(outs[0], "report.json"), encoding="utf-8") as fh:
         rep = json.load(fh)
     assert rep["parameters"]["trials"] == 20
+
+
+def test_criterion_12_bode_lemma_identity():
+    # the Bode bound holds for every length because
+    # (s+2) P_m = 1 + (s+1)^(2m+1), P_m = 1 + s sum_{k=1..m} (s+1)^(2k-1);
+    # P_m is built here from that definition, in exact arithmetic, and
+    # matched to S_20's diagonal numerators N_mm = s P_m
+    one, s, sp1 = Polynomial([1]), Polynomial([0, 1]), Polynomial([1, 1])
+    S20 = sensitivity_matrix(20)
+    series, odd = Polynomial([]), sp1  # sum_{k=1..m} (s+1)^(2k-1), (s+1)^(2m+1)
+    for m in range(61):
+        P = one + s * series
+        assert (s + Polynomial([2])) * P == one + odd, f"m={m}"
+        if m < 20:
+            assert S20[m, m].num == s * P, f"m={m}"
+        series = series + odd
+        odd = odd * sp1 * sp1

@@ -13,13 +13,12 @@ from platoonctrl.bidir import (LemmaStructures, RationalMatrix, bode_table,
                                build_structures, invariance_check,
                                sensitivity_matrix, time_scale,
                                verify_factorization, _verify_sensitivity)
-from platoonctrl.errors import (InvalidRange, NonPositiveScale,
-                                SingularDiagonal, UnstableEntry)
+from platoonctrl.errors import InvalidRange, NonPositiveScale
 from platoonctrl.freq import FrequencyGrid, rf_log_abs_jomega
 from platoonctrl.poly import Polynomial
 from platoonctrl.ratfun import RationalFunction, one, s
 
-from oracles import eye, invert_bidiagonal, mat_add, matmul
+from oracles import SingularDiagonal, eye, invert_bidiagonal, mat_add, matmul
 
 ONE = Polynomial([1])
 S = Polynomial([0, 1])
@@ -352,8 +351,7 @@ def test_time_scale_magnitude_substitution():
 
 def test_bode_verdict_and_reference_entry():
     grid = FrequencyGrid(1e-2, 1e2, 25)
-    table = bode_table(sensitivity_matrix(5), grid)
-    assert table.bound_ok
+    table = bode_table(5, grid)
     assert table.worst_excess <= 1e-9
     # entry (1,1) is the reference itself
     ref = grid.omegas / np.sqrt(1.0 + grid.omegas ** 2)
@@ -361,7 +359,7 @@ def test_bode_verdict_and_reference_entry():
 
 
 def test_bode_hand_value_s2():
-    table = bode_table(sensitivity_matrix(2), FrequencyGrid(0.1, 10, 10))
+    table = bode_table(2, FrequencyGrid(0.1, 10, 10))
     # |(S_2)_22(j)| = 1/(2 sqrt 2): find the omega=1 sample
     idx = int(np.argmin(np.abs(table.grid.omegas - 1.0)))
     assert table.grid.omegas[idx] == pytest.approx(1.0, rel=1e-12)
@@ -371,7 +369,7 @@ def test_bode_hand_value_s2():
 
 
 def test_bode_csv_order():
-    table = bode_table(sensitivity_matrix(2), FrequencyGrid(0.5, 2.0, 2))
+    table = bode_table(2, FrequencyGrid(0.5, 2.0, 2))
     lines = table.to_csv().splitlines()
     assert lines[0] == "omega,row,col,abs,abs_db"
     first = lines[1].split(",")
@@ -385,36 +383,26 @@ def test_bode_csv_order():
 def test_bode_bound_past_square_overflow():
     # om * om overflows past ~1.34e154; the reference there is exactly 1.0
     grid = FrequencyGrid(1e-3, 1e200, 2)
-    table = bode_table(sensitivity_matrix(2), grid)
-    assert table.bound_ok
+    table = bode_table(2, grid)
     assert table.worst_excess <= 1e-9
     ref = np.exp(table.log_magnitudes[0, 0])
     assert ref[-1] == 1.0
 
 
-def test_bode_rejects_unstable_entry():
-    bad = RationalMatrix(((one / (s - one),),))
-    with pytest.raises(UnstableEntry):
-        bode_table(bad, FrequencyGrid(0.1, 10, 5))
-    improper = RationalMatrix((((s * s) / (one + s),),))
-    with pytest.raises(UnstableEntry):
-        bode_table(improper, FrequencyGrid(0.1, 10, 5))
-    # the row-major first offender is named, also when its denominator is an
-    # earlier entry's numerator and recurs in a later entry
-    shared = RationalMatrix((((s - one) / (one + s), one / (s - one)),
-                             (one / (s - one), one)))
-    with pytest.raises(UnstableEntry, match=r"^entry \(1,2\) has an unstable pole$"):
-        bode_table(shared, FrequencyGrid(0.1, 10, 5))
+def test_bode_grid_agrees_with_the_lemma_n12():
+    # the default bode grid, 1e-3..1e3 at 100 points per decade
+    assert bode_table(12, FrequencyGrid(1e-3, 1e3, 100)).worst_excess <= 1e-9
 
 
 def test_bode_tests_and_evaluates_each_polynomial_once(call_counts):
-    # S_12's 144 entries share 12 numerators and 23 denominators; each entry's
-    # row is still rf_log_abs_jomega's, bit for bit
+    # the lemma needs no Routh test; S_12's 144 entries share 12 numerators
+    # and 23 denominators, and each entry's row is still rf_log_abs_jomega's,
+    # bit for bit
     grid = FrequencyGrid(1e-2, 1e2, 5)
     S12 = sensitivity_matrix(12)
     counts = call_counts("hurwitz_stable", "poly_log_abs_jomega")
-    table = bode_table(S12, grid)
-    assert (counts["hurwitz_stable"], counts["poly_log_abs_jomega"]) == (23, 12 + 23)
+    table = bode_table(12, grid)
+    assert (counts["hurwitz_stable"], counts["poly_log_abs_jomega"]) == (0, 12 + 23)
     for i, j, f in S12.entries():
         assert table.log_magnitudes[i, j].tobytes() == \
             rf_log_abs_jomega(f, grid.omegas).tobytes()

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from platoonctrl import synthesis
+from platoonctrl import cascade_gain, default_grid, parse_rational, synthesis
 from platoonctrl.cli import _write_json, main
 from platoonctrl.synthesis import _scan_values, search_parameters
 
@@ -74,8 +74,10 @@ def test_bode_artifacts(tmp_path):
     assert main(["bode", "--n", "2", "--wmin", "1e-2", "--wmax", "1e2",
                  "--ppd", "10", "--out", out]) == 0
     side = json.loads(_read(os.path.join(out, "bode.json")))
-    assert side["schema"] == "bode/1"
+    assert side["schema"] == "bode/2"
     assert side["verdict"] is True
+    assert side["bound"] == "abs(j*omega/(j*omega+1))"
+    assert side["basis"].startswith("length-independence lemma")
     lines = _read(os.path.join(out, "bode.csv")).splitlines()
     assert lines[0] == "omega,row,col,abs,abs_db"
     assert len(lines) == 1 + 41 * 4
@@ -412,6 +414,17 @@ def test_pd_random_pinned_csv_at_benchmark_size(tmp_path):
                  "--out", str(tmp_path)]) == 0
     assert _sha256(os.path.join(tmp_path, "mistune.csv")) == \
         "37b0b5c119181aea7abd2d8d31feee62cde1c216f5ccf4710d9849eb10325b0a"
+
+
+def test_pd_random_baseline_tests_no_loop(tmp_path, call_counts):
+    # the homogeneous baseline is the PD cascade with every k = 1, read from
+    # its closed form like the trials' stages, and its peak is the one the
+    # stage-by-stage route gives
+    counts = call_counts("internal_stability", "closed_loop", "poly_gcd")
+    assert main(["pd-random", "--n", "20", "--trials", "3", "--out", str(tmp_path)]) == 0
+    assert (counts["internal_stability"], counts["closed_loop"], counts["poly_gcd"]) == (0, 0, 0)
+    want = cascade_gain([parse_rational("1+s")] * 20, 2, default_grid()).peak
+    assert _report(str(tmp_path))["results"]["homogeneous_peak"] == want
 
 
 def test_pd_random_seed_changes_output(tmp_path):

@@ -37,9 +37,13 @@ def test_verify_lemma_and_sensitivity_any_n(n):
 def test_bode_any_range(n, ppd, exps):
     wmin, wmax = sorted(10.0 ** e for e in exps)
     assume(wmin < wmax)
-    results = _run(["bode", "--n", str(n), "--wmin", repr(wmin),
-                    "--wmax", repr(wmax), "--ppd", str(ppd)])
-    assert results["verdict"] is True
+    with tempfile.TemporaryDirectory() as out:
+        assert main(["bode", "--n", str(n), "--wmin", repr(wmin), "--wmax", repr(wmax),
+                     "--ppd", str(ppd), "--out", out]) == 0
+        with open(os.path.join(out, "bode.json"), encoding="utf-8") as fh:
+            side = json.load(fh)
+    assert side["schema"] == "bode/2" and side["verdict"] is True
+    assert side["worst_excess"] <= 1e-9
 
 
 @_SETTINGS
