@@ -25,7 +25,7 @@ from .ratfun import (RationalFunction, StabilityReport, closed_loop,
                      internal_stability, scale_frequency)
 from .synthesis import (Certificate, ControllerFamily, Design, band_grid,
                         candidate_controller, certify_closed_loop,
-                        family_from_json, family_grid, family_product_check,
+                        check_certificate, family_from_json, family_product_check,
                         family_to_json, lift_order, plant, scaled_family,
                         search_parameters, synthesize, youla_closed_loop)
 
@@ -41,7 +41,7 @@ __all__ = [
     "SearchExhausted", "StabilityCheckFailed", "StabilityReport",
     "ZeroDenominator", "ZeroPolynomial", "band_grid", "bode_table", "build_structures",
     "candidate_controller", "cascade_gain", "certify_closed_loop",
-    "closed_loop", "default_grid", "family_from_json", "family_grid",
+    "check_certificate", "closed_loop", "default_grid", "family_from_json",
     "family_product_check", "family_to_json", "hinf_norm",
     "homogeneous_growth", "hurwitz_stable", "internal_stability",
     "invariance_check", "lift_order",

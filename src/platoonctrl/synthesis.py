@@ -4,8 +4,8 @@ Pipeline: shape the free Youla parameter so the complementary sensitivity
 dips below 1 early, certify the peak and the amplification band on a grid,
 then fan the certified design out into a geometrically frequency-scaled
 family whose amplification bands are pairwise disjoint. Everything
-structural is exact rational arithmetic; floats appear only in grid sweeps
-and in certificate frequencies.
+structural is exact rational arithmetic; floats appear only in the base
+certificate's grid sweep and in its frequencies.
 
 The Youla design for 1/s^m has closed forms. Split the binomial expansion
 X + s^m Y = (1+s)^{2m} at index m and let D1 = (s+gamma_a)(s+gamma_b)^{m-1}.
@@ -17,8 +17,8 @@ That T is internally stable for positive gammas by construction, so the
 scan certifies it directly and its certificate is the design's; synthesize
 builds the winner's controller and tests the one loop it ships. A scaled
 member c_k = gamma_k^{-m} c(gamma_k s) has T_k(s) = T(gamma_k s), so a
-family is stored as one base controller plus its gammas, and one sweep of
-the base T at gamma_k * omega checks the members' bandwidth and product.
+family is stored as one base controller plus its gammas, and the
+disjoint-band argument decides its bandwidth and product with no sweep.
 """
 
 from __future__ import annotations
@@ -243,7 +243,7 @@ def lift_order(c_bar: RationalFunction, ell: int, m: int) -> RationalFunction:
 
 @dataclass(frozen=True)
 class Design:
-    """The shipped base design: controller, its certificate and its closed loop T.
+    """The shipped base design: controller and its certificate.
 
     ell is the order the Youla design was built for, 1 for the first-order
     plant's unit gain.
@@ -252,7 +252,6 @@ class Design:
     ell: int
     controller: RationalFunction
     certificate: Certificate
-    T: RationalFunction
 
 
 def synthesize(m: int, epsilon: float) -> Design:
@@ -282,7 +281,7 @@ def synthesize(m: int, epsilon: float) -> Design:
         cert = certify_closed_loop(T, epsilon)
     elif T != youla_closed_loop(ell, cert.gamma_a, cert.gamma_b):
         raise ArithmeticError("the shipped loop's T is not the certified Youla T; construction bug")
-    return Design(ell, c, cert, T)
+    return Design(ell, c, cert)
 
 
 # ----------------------------------------------------------------------
@@ -293,10 +292,9 @@ class ControllerFamily:
     """Certified base controller c and the gammas of its members.
 
     Member k is c_k = gamma_k^{-m} c(gamma_k s) (member(k), built on
-    demand). For the plant 1/s^m this gives p*c_k = (p*c)(gamma_k s), so
-    T_k(s) = T(gamma_k s): every member check runs on the base T at scaled
-    frequencies, and internal stability, invariant under s -> gamma s for
-    gamma > 0, is the base's.
+    demand). For the plant 1/s^m, T_k(s) = T(gamma_k s): member k amplifies
+    only on the base band divided by gamma_k, and its internal stability,
+    invariant under s -> gamma s for gamma > 0, is the base's.
     """
 
     m: int
@@ -306,15 +304,12 @@ class ControllerFamily:
     base_certificate: Certificate
 
     def __post_init__(self):
-        # member checks read the base T at gamma_k * omega in double precision;
-        # compared exactly first, since float() of a Fraction past that range raises
-        if not self.gammas or not all(0 < g <= sys.float_info.max and float(g) > 0
-                                      for g in self.gammas):
-            raise InvalidRange("need gammas, each positive and in double range; reduce count")
+        if not self.gammas or not all(g > 0 for g in self.gammas):
+            raise InvalidRange("need gammas, each positive")
         if not 0 < self.omega_bw < math.inf:
             raise InvalidRange("omega_bw must be finite and positive")
         cert = self.base_certificate
-        # family_grid divides by the band edges and hands them to FrequencyGrid
+        # family_product_check reads the band edges as Fractions, which need finite floats
         if not all(0 < v < math.inf for v in (cert.epsilon, cert.omega_low, cert.omega_high)):
             raise InvalidRange("certificate epsilon and band edges must be finite and positive")
 
@@ -332,19 +327,14 @@ def scaled_family(c: RationalFunction, cert: Certificate, m: int, omega_bw: floa
     """Build the geometric family off a certified controller.
 
     gamma_1 = omega_high/omega_bw and gamma_{k+1} = (omega_high/omega_low) *
-    gamma_k, held as exact rationals, so adjacent amplification bands
-    (omega_low/gamma_k, omega_high/gamma_k) share endpoints exactly and can
-    never overlap. Every member inherits the base's internal stability,
-    which synthesize tests; the members' bandwidth is checked, with
-    their product, by family_product_check. A degenerate certificate
-    (band_empty) gives ratio 1: all members coincide and the product bound
-    is 1 everywhere. count is capped at 25: the gammas grow geometrically,
-    and the family sweep reads T at gamma_k * omega in double precision.
+    gamma_k, held as exact rationals, so adjacent bands share endpoints and
+    family_product_check's comparisons hold with equality; band_empty gives
+    ratio 1, all members alike. count, input from outside the program, is
+    capped at 25: the k-th gamma has about k times the band ratio's digits.
     """
     if count > _FAMILY_CAP:
-        raise InvalidRange(
-            f"count capped at {_FAMILY_CAP}; the gammas grow geometrically and the "
-            "family sweep grid must span every member's band in double precision")
+        raise InvalidRange(f"count capped at {_FAMILY_CAP}; the k-th gamma has "
+                           "about k times the band ratio's digits")
     if omega_bw <= 0:
         raise InvalidRange("omega_bw must be positive")
     gamma = Fraction(cert.omega_high) / Fraction(omega_bw)
@@ -353,61 +343,58 @@ def scaled_family(c: RationalFunction, cert: Certificate, m: int, omega_bw: floa
     return ControllerFamily(m, c, gammas, float(omega_bw), cert)
 
 
-def family_grid(family: ControllerFamily) -> FrequencyGrid:
-    """Sweep grid covering every member's amplification band and omega_bw with margin.
+def check_certificate(T: RationalFunction, cert: Certificate) -> Tuple[float, bool]:
+    """(peak, ok): T's peak on the grid synth certified on, and whether cert's claims hold there.
 
-    A degenerate certificate (omega_low = omega_high = 1, every gamma
-    1/omega_bw) gives [min(1e-4, omega_bw/10), max(1e4, 10 omega_bw)].
+    The grid is band_grid(gamma_b), or default_grid() for gamma_b None; ok means peak <=
+    1 + epsilon and log|T| <= 0 at every sample outside (omega_low, omega_high). The edges
+    are not recomputed: bisection endpoints can differ in their last bits between libm builds.
+    """
+    grid = default_grid() if cert.gamma_b is None else band_grid(cert.gamma_b)
+    logs = rf_log_abs_evaluator(T)(grid.omegas)
+    outside = (grid.omegas <= cert.omega_low) | (grid.omegas >= cert.omega_high)
+    peak = hinf_norm(T, grid).norm
+    return peak, bool(peak <= 1 + cert.epsilon and not (logs[outside] > 0).any())
+
+
+def family_product_check(family: ControllerFamily) -> Tuple[float, bool]:
+    """The disjoint-band argument, in exact Fraction comparisons; nothing is evaluated.
+
+    The certificate states peak |T| <= 1 + epsilon, and |T| <= 1 at or below omega_low
+    and at or above omega_high. Sort the gammas. If gamma_1 omega_bw >= omega_high,
+    every omega >= omega_bw has gamma_k omega >= omega_high, so no |T_k(j omega)| =
+    |T(j gamma_k omega)| exceeds 1 above the bandwidth; else BandwidthViolation. If
+    gamma_{k+1} omega_low >= gamma_k omega_high for each k, member k's open band
+    (omega_low/gamma_k, omega_high/gamma_k) meets no other's, so at every omega at most
+    one factor exceeds 1 and the product is at most peak (>= |T(0)| = 1) for every count
+    and ordering: (peak, True). Else (inf, False). band_empty (omega_low = omega_high)
+    needs no special case.
     """
     cert = family.base_certificate
-    gmax, gmin = float(max(family.gammas)), float(min(family.gammas))
-    wmin = min(1e-4, cert.omega_low / gmax / 10)
-    wmax = max(1e4, cert.omega_high / gmin * 10)
-    return FrequencyGrid(wmin, wmax, 200)
-
-
-def family_product_check(family: ControllerFamily, T: RationalFunction) -> Tuple[float, bool]:
-    """One sweep on family_grid, reading ln|T_k(j omega)| once as the base ln|T(j gamma_k omega)|.
-
-    T is the base closed loop on 1/s^family.m, read off the caller's
-    stability report of family.base.
-
-    A member with |T_k| > 1 (past 1e-12 of float slack) at a sample at or
-    above omega_bw raises BandwidthViolation. Otherwise the logs are summed
-    in member order, giving (grid max of prod_k |T_k(j omega)|, max <= 1 +
-    epsilon + 1e-6), with epsilon the base certificate's.
-    """
-    grid = family_grid(family)
-    if not float(max(family.gammas)) * grid.omega_max < math.inf:
-        raise InvalidRange("gamma_k * omega leaves double range on the family grid")
-    above = grid.omegas >= family.omega_bw * (1 - 1e-12)
-    if not above.any():
-        raise InvalidRange("grid has no samples at or above omega_bw")
-    log_abs = rf_log_abs_evaluator(T)
-    total = np.zeros(len(grid.omegas))
-    for k, g in enumerate(family.gammas):
-        logs = log_abs(grid.omegas * float(g))
-        if (logs[above] > 1e-12).any():
-            w = float(grid.omegas[above][int(np.argmax(logs[above]))])
-            raise BandwidthViolation(
-                f"member {k + 1} has |T| > 1 at omega = {w:.6g} >= omega_bw")
-        total = total + logs
-    max_product = float(np.exp(np.float64(total.max())))
-    return max_product, bool(max_product <= 1 + family.base_certificate.epsilon + 1e-6)
+    low, high = Fraction(cert.omega_low), Fraction(cert.omega_high)
+    gammas = sorted(family.gammas)
+    if gammas[0] * Fraction(family.omega_bw) < high:
+        raise BandwidthViolation(
+            f"member {family.gammas.index(gammas[0]) + 1}'s band reaches above omega_bw")
+    if any(g1 * low < g0 * high for g0, g1 in zip(gammas, gammas[1:])):
+        return math.inf, False
+    return cert.peak, True
 
 
 # ----------------------------------------------------------------------
 # JSON form
 
-_FAMILY_SCHEMA = "family/2"
-# the older form stores every member in full; it is still read, as the base
+_FAMILY_SCHEMA = "family/3"
+# family/2 differs only in product_check, a swept value there, which is not read
+_FAMILY_SCHEMA_V2 = "family/2"
+# the oldest form stores every member in full; it is still read, as the base
 # recovered from member 1, and only when every stored member is its scaled copy
 _FAMILY_SCHEMA_V1 = "family/1"
 
 
 def family_to_json(family: ControllerFamily,
                    product_check: Tuple[float, bool] | None = None) -> dict:
-    """The family/2 document: base controller, exact gammas, certificate."""
+    """The family/3 document: base controller, exact gammas, certificate, proven product bound."""
     cert = family.base_certificate
     doc = {
         "schema": _FAMILY_SCHEMA,
@@ -433,16 +420,17 @@ def family_to_json(family: ControllerFamily,
 
 
 def family_from_json(doc) -> ControllerFamily:
-    """Read a family/2 document, or a family/1 one whose members are exact scaled copies.
+    """Read a family/3 or /2 document, or a family/1 one whose members are exact scaled copies.
 
     A malformed document raises InvalidRange: an unknown schema, a missing
     key, a value of the wrong type, an unparsable or zero-denominator
     coefficient, no gammas or a count other than their number, an omega_bw,
-    epsilon or band edge that is not finite and positive, or an m outside
-    1 .. 1 + deg(controller numerator), past which no base can stabilise 1/s^m.
+    epsilon or band edge that is not finite and positive, an m outside
+    1 .. 1 + deg(controller numerator), past which no base can stabilise
+    1/s^m, or a certificate gamma_b that is not positive or past double range.
     """
     schema = doc.get("schema") if isinstance(doc, dict) else None
-    if schema not in (_FAMILY_SCHEMA, _FAMILY_SCHEMA_V1):
+    if schema not in (_FAMILY_SCHEMA, _FAMILY_SCHEMA_V2, _FAMILY_SCHEMA_V1):
         raise InvalidRange(f"unsupported family schema {schema!r}")
     try:
         cd = doc["certificate"]
@@ -459,14 +447,17 @@ def family_from_json(doc) -> ControllerFamily:
             raise InvalidRange("count must be the number of gammas")
         m, omega_bw = doc["m"], float(doc["omega_bw"])
         gammas = tuple(Fraction(t) for t in doc["gammas"])
-        stored = [doc["controller"]] if schema == _FAMILY_SCHEMA else doc["controllers"]
+        stored = doc["controllers"] if schema == _FAMILY_SCHEMA_V1 else [doc["controller"]]
         members = [RationalFunction.from_json_dict(d) for d in stored]
     except (KeyError, TypeError, ValueError, ArithmeticError, ZeroDenominator) as exc:
         raise InvalidRange(f"malformed family document: {type(exc).__name__}: {exc}") from exc
     # past it s^m d_c + n_c lacks s^(m-1), and 1/s^m would outgrow the document
     if not members or type(m) is not int or not 1 <= m <= members[0].num.degree + 1:
         raise InvalidRange("need a controller and an integer m from 1 to 1 + its numerator degree")
-    if schema == _FAMILY_SCHEMA:
+    # family-check certifies again on band_grid(gamma_b), which reads it as a float
+    if cert.gamma_b is not None and not 0 < cert.gamma_b <= sys.float_info.max:
+        raise InvalidRange("certificate gamma_b must be positive and in double range")
+    if schema != _FAMILY_SCHEMA_V1:
         return ControllerFamily(m, members[0], gammas, omega_bw, cert)
     if len(members) != len(gammas) or gammas[0] <= 0:
         raise InvalidRange("family/1 needs one stored controller per positive gamma")

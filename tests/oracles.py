@@ -6,8 +6,10 @@ forms in `synthesis`; rational-matrix sums and products and bidiagonal
 substitution check the closed-form sensitivity matrix and the integer
 identity checks in `bidir`; `maclaurin` reads Taylor coefficients at s = 0.
 The np.polyval magnitude engine checks `freq`'s Horner evaluator bit for
-bit, and the per-stage PD route, with a fresh generator per gain, checks the
-closed-form PD cascade and its one keyed generator in `cascade`.
+bit, the per-stage PD route, with a fresh generator per gain, checks the
+closed-form PD cascade and its one keyed generator in `cascade`, and the
+family sweep, reading every member's T(gamma_k s) on one float grid, checks
+the bound that `synthesis.family_product_check` proves by comparisons.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import numpy as np
 from platoonctrl.bidir import RationalMatrix
 from platoonctrl.cascade import _SCHEME, MistuneReport, cascade_gain
 from platoonctrl.errors import IllPosed, InvalidRange, PlatoonError, PoleAtPoint
-from platoonctrl.freq import _scaled_descending, default_grid
+from platoonctrl.freq import (FrequencyGrid, _scaled_descending, default_grid,
+                              rf_log_abs_evaluator)
 from platoonctrl.poly import Polynomial
 from platoonctrl.ratfun import RationalFunction
 
@@ -205,6 +208,26 @@ def poly_log_abs_polyval(p: Polynomial, omegas) -> np.ndarray:
             out[big] = d * np.log(omegas[big]) + \
                 np.log(np.abs(np.polyval(desc[::-1], 1.0 / z[big])))
     return out + top
+
+
+# ---------------------------------------------------------------- scaled family
+
+def family_sweep(family, T: RationalFunction):
+    """(grid max of prod_k |T_k(j omega)|, grid max of every member's ln|T_k| at or above omega_bw).
+
+    T is the base closed loop; member k's ln|T_k(j omega)| is read as the
+    base ln|T(j gamma_k omega)| in double precision, on a grid from a decade
+    below the lowest member band to a decade past omega_bw and the highest
+    band, so every gamma and gamma_k * omega must lie in double range.
+    """
+    cert = family.base_certificate
+    gmax, gmin = float(max(family.gammas)), float(min(family.gammas))
+    grid = FrequencyGrid(min(1e-4, cert.omega_low / gmax / 10),
+                         max(1e4, cert.omega_high / gmin * 10, family.omega_bw * 10), 200)
+    above = grid.omegas >= family.omega_bw
+    log_abs = rf_log_abs_evaluator(T)
+    members = np.array([log_abs(grid.omegas * float(g)) for g in family.gammas])
+    return float(np.exp(members.sum(axis=0).max())), float(members[:, above].max())
 
 
 # ---------------------------------------------------------------- PD cascade

@@ -138,11 +138,12 @@ def test_synth_family(tmp_path, m):
     assert main(["synth", "--m", str(m), "--eps", "0.1", "--bw", "1",
                  "--count", "10", "--out", out]) == 0
     fam = json.loads(_read(os.path.join(out, "family.json")))
-    assert fam["schema"] == "family/2"
+    assert fam["schema"] == "family/3"
     assert fam["count"] == 10 and len(fam["gammas"]) == 10
     assert set(fam["controller"]) == {"num", "den"}
     assert fam["product_check"]["pass"] is True
-    assert fam["product_check"]["max_product"] <= 1.1 + 1e-6
+    # the proven bound is the certificate's peak
+    assert fam["product_check"]["max_product"] == fam["certificate"]["peak"] <= 1.1
     rep = _report(out)
     assert rep["results"]["peak"] <= 1.1
     assert main(["family-check", "--file", os.path.join(out, "family.json"),
@@ -150,12 +151,14 @@ def test_synth_family(tmp_path, m):
     rep2 = _report(out)
     assert rep2["results"]["product_ok"] is True
     assert rep2["results"]["members_stable"] is True
+    assert rep2["results"]["certificate_ok"] is True
+    assert rep2["results"]["max_product"] == rep2["results"]["peak"] == rep["results"]["peak"]
 
 
 @pytest.mark.parametrize("count", [13, 25])
 def test_synth_m4_long_family(tmp_path, count):
     # members past the 12th have coefficients of thousands of bits; the
-    # checks read the base T at scaled frequencies, so the product stays finite
+    # verdict compares the gammas with the band edges and builds no member
     out = str(tmp_path)
     assert main(["synth", "--m", "4", "--count", str(count), "--out", out]) == 0
     path = os.path.join(out, "family.json")
@@ -181,6 +184,17 @@ def test_family_check_family1_members_must_be_scaled_copies(tmp_path):
     doc["controllers"][1] = doc["controllers"][2]
     path.write_text(json.dumps(doc))
     assert main(["family-check", "--file", str(path), "--out", out]) == 2
+
+
+def test_family_check_reads_family2(tmp_path, synth_m3_family):
+    # family/2 differs only in product_check, a swept value there, not read
+    doc = copy.deepcopy(synth_m3_family)
+    doc["schema"] = "family/2"
+    doc["product_check"]["max_product"] = 1.0706251268697307
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(doc))
+    assert main(["family-check", "--file", str(path), "--out", str(tmp_path)]) == 0
+    assert _report(str(tmp_path))["results"]["max_product"] == doc["certificate"]["peak"]
 
 
 def test_family_check_reads_long_coefficients(tmp_path):
@@ -232,15 +246,15 @@ def _drop(key):
     _set(("omega_bw",), -1),
     _set(("omega_bw",), float("inf")),
     _set(("certificate", "epsilon"), float("nan")),
-    _set(("certificate", "omega_high"), 1e306),  # gamma_k * omega overflows
-    _set(("certificate", "omega_high"), 1e308),  # the grid's top overflows
+    _set(("certificate", "gamma_b"), "1e400"),  # band_grid reads it as a float
+    _set(("certificate", "gamma_b"), "0"),
     _set(("controller", "den"), ["0"]),
     _set(("controller", "num"), "1+s"),
     _set(("m",), "three"),
     _set(("m",), 10 ** 9),  # no base of this numerator degree stabilises 1/s^m
 ], ids=["not-json", "not-object", "no-certificate", "gamma-abc", "gammas-string",
         "no-gammas", "count-mismatch", "omega_bw-negative", "omega_bw-inf",
-        "epsilon-nan", "omega_high-1e306", "omega_high-1e308", "zero-denominator",
+        "epsilon-nan", "gamma_b-1e400", "gamma_b-zero", "zero-denominator",
         "num-string", "m-string", "m-huge"])
 def test_family_check_malformed_file_is_a_usage_error(tmp_path, caplog, synth_m3_family, mutate):
     doc = copy.deepcopy(synth_m3_family)
@@ -256,10 +270,43 @@ def test_family_check_malformed_file_is_a_usage_error(tmp_path, caplog, synth_m3
     assert len(errors) == 1 and "\n" not in errors[0]
 
 
+def _overlap(doc):
+    # the third band slides a little into the second
+    doc["gammas"][2] = str(Fraction(doc["gammas"][2]) * Fraction(999, 1000))
+
+
+def _narrow(doc):
+    # band_grid samples between the new and the true omega_high have |T| > 1
+    doc["certificate"]["omega_high"] /= 2
+
+
+@pytest.mark.parametrize("mutate, reported", [
+    (_overlap, True),
+    (_narrow, True),
+    # the certificate still holds, and the bandwidth comparison fails
+    (_set(("certificate", "omega_high"), 1e306), False),
+    (_set(("certificate", "omega_high"), 1e308), False),
+], ids=["bands-overlap", "omega_high-narrowed", "omega_high-1e306", "omega_high-1e308"])
+def test_family_check_false_claim_fails(tmp_path, caplog, synth_m3_family, mutate, reported):
+    doc = copy.deepcopy(synth_m3_family)
+    mutate(doc)
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(doc))
+    assert main(["family-check", "--file", str(path), "--out", str(tmp_path)]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) == 1 and "\n" not in errors[0]
+    assert (tmp_path / "report.json").exists() == reported
+    if reported:
+        res = json.loads(_read(tmp_path / "report.json"), parse_constant=_reject_constant)
+        assert res["results"]["product_ok"] is False
+        assert res["results"]["max_product"] is None
+
+
 def test_synth_certifies_each_candidate_once(tmp_path, monkeypatch, call_counts):
     # the scan's certificate is the design's: nothing is certified after it,
-    # the one shipped loop is Routh-tested once, and the family sweep reads
-    # its T off that stability report; every rejected candidate is rejected
+    # not even for the family, whose verdict compares gammas with that
+    # certificate's band, and the one shipped loop is Routh-tested once;
+    # every rejected candidate is rejected
     # on its grid samples, so only the winner's peak is refined and
     # Routh-tested (1 + the shipped loop's 4 gang-of-four maps)
     monkeypatch.setattr(synthesis, "search_parameters", search_parameters.__wrapped__)
@@ -299,8 +346,8 @@ def test_family_check_reads_T_off_its_stability_report(tmp_path, call_counts,
 
 @pytest.mark.parametrize("bw", ["2e4", "1e300", "1e-300"])
 def test_synth_m1_any_bandwidth(tmp_path, bw):
-    # T = 1/(s+1) never exceeds 1, so every bandwidth holds; the family grid
-    # reaches past omega_bw instead of stopping at the default 1e4
+    # T = 1/(s+1) never exceeds 1, so every bandwidth holds: gamma = 1/bw
+    # exactly, whatever the range of bw
     out = str(tmp_path)
     assert main(["synth", "--m", "1", "--bw", bw, "--out", out]) == 0
     assert _report(out)["results"]["product_ok"] is True

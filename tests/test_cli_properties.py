@@ -1,5 +1,5 @@
 """Property tests: documented in-range flags of the bidirectional commands
-exit 0 with a passing verdict, and pd-random seeds, synth flags, mutated
+and of synth exit 0 with a passing verdict, and pd-random seeds, mutated
 family files and homogeneous/middleton controller expressions get a
 documented exit code; never a traceback or RuntimeWarning."""
 
@@ -10,6 +10,7 @@ import json
 import os
 import tempfile
 
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from platoonctrl.cli import main
@@ -96,16 +97,25 @@ def test_family_check_any_single_key_mutation(synth_m3_family, data):
 @given(m=st.integers(1, 4), count=st.integers(1, 25), eps=st.sampled_from(["0.1", "1"]),
        bw_exp=st.floats(-300, 300))
 def test_synth_any_documented_input(m, count, eps, bw_exp):
-    # m <= 4 keeps the scan at ell = 4; every run ends in a documented exit
-    # code, and a family that synth ships passes family-check
+    # m <= 4 keeps the scan at ell = 4; every run succeeds, whatever the
+    # range of its gammas, and the family it ships passes family-check
     with tempfile.TemporaryDirectory() as out:
         argv = ["synth", "--m", str(m), "--count", str(count), "--eps", eps,
                 "--bw", repr(10.0 ** bw_exp), "--out", out]
-        code = main(argv)
-        assert code in (0, 1, 2)
-        if code == 0:
-            fpath = os.path.join(out, "family.json")
-            assert main(["family-check", "--file", fpath, "--out", out]) == 0
+        assert main(argv) == 0
+        fpath = os.path.join(out, "family.json")
+        assert main(["family-check", "--file", fpath, "--out", out]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["--m", "4", "--bw", "1e-300", "--count", "25"],  # the last gamma past 1e355
+    ["--m", "1", "--bw", "1e-310", "--count", "3"],   # a subnormal bw: every gamma near 1e310
+])
+def test_synth_gammas_past_double_range(argv):
+    with tempfile.TemporaryDirectory() as out:
+        assert main(["synth"] + argv + ["--out", out]) == 0
+        fpath = os.path.join(out, "family.json")
+        assert main(["family-check", "--file", fpath, "--out", out]) == 0
 
 
 # controller expressions: small constants and s under + - * / and unary

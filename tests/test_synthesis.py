@@ -13,20 +13,20 @@ from hypothesis import given, settings, strategies as st
 from platoonctrl import synthesis
 from platoonctrl.errors import (BandwidthViolation, InvalidRange,
                                 PeakExceedsBudget, StabilityCheckFailed)
-from platoonctrl.freq import default_grid, hinf_norm, rf_log_abs_jomega
+from platoonctrl.freq import hinf_norm, rf_log_abs_jomega
 from platoonctrl.parsing import parse_rational
 from platoonctrl.poly import Polynomial
 from platoonctrl.ratfun import (RationalFunction, closed_loop, internal_stability,
                                 one, s, scale_frequency)
 from platoonctrl.synthesis import (Certificate, ControllerFamily, band_grid,
                                    candidate_controller, certify_closed_loop,
-                                   family_from_json, family_grid,
+                                   check_certificate, family_from_json,
                                    family_product_check, family_to_json,
                                    lift_order, plant, scaled_family,
                                    search_parameters, synthesize,
                                    youla_closed_loop, _scan_values)
 
-from oracles import (controller_by_factors, maclaurin, q1_shape,
+from oracles import (controller_by_factors, family_sweep, maclaurin, q1_shape,
                      youla_coprime, youla_T_by_factors)
 
 ONE = Polynomial([1])
@@ -334,17 +334,16 @@ def test_family_routh_tests_the_base_once(certified_m4, monkeypatch):
     design = synthesize(4, 0.1)
     fam = scaled_family(design.controller, design.certificate, 4, 1.0, 10)
     assert calls == [c] and fam.base is design.controller
-    assert design.certificate == cert and design.T == _plant_T(c, 4)
+    assert design.certificate == cert
 
 
 @pytest.mark.parametrize("m, ell", [(1, 1), (2, 4), (3, 4), (4, 4)])
 def test_synthesize_ships_the_certified_youla_loop(m, ell):
     design = synthesize(m, 0.1)
     assert design.ell == ell
-    assert design.T == _plant_T(design.controller, m)
     if m > 1:
         cert = design.certificate
-        assert design.T == youla_closed_loop(ell, cert.gamma_a, cert.gamma_b)
+        assert _plant_T(design.controller, m) == youla_closed_loop(ell, cert.gamma_a, cert.gamma_b)
         assert design.controller == lift_order(
             candidate_controller(ell, cert.gamma_a, cert.gamma_b), ell, m)
 
@@ -359,7 +358,7 @@ def test_synthesize_raises_unless_the_shipped_T_is_the_youla_T(monkeypatch):
 def test_family_bandwidth_holds(certified_m4):
     c, cert = certified_m4
     fam = scaled_family(c, cert, 4, 1.0, 10)
-    family_product_check(fam, _plant_T(c, 4))  # does not raise
+    family_product_check(fam)  # does not raise
 
 
 def test_family_bandwidth_violation_detected(certified_m4):
@@ -371,27 +370,69 @@ def test_family_bandwidth_violation_detected(certified_m4):
         omega_bw=float(cert.omega_high) * 0.5,  # band now pokes above bw
         base_certificate=cert)
     with pytest.raises(BandwidthViolation):
-        family_product_check(bad, _plant_T(c, 4))
+        family_product_check(bad)
 
 
 def test_family_product_within_budget(certified_m4):
     c, cert = certified_m4
     fam = scaled_family(c, cert, 4, 1.0, 10)
-    max_product, ok = family_product_check(fam, _plant_T(c, 4))
+    max_product, ok = family_product_check(fam)
     assert ok
-    assert max_product <= 1.1 + 1e-6
+    assert max_product == cert.peak <= 1.1
+
+
+def test_family_overlapping_bands_fail(certified_m4):
+    # a third gamma a hair below the adjacent one puts two bands on top of
+    # each other; in any order the comparisons see it, and give no bound
+    c, cert = certified_m4
+    fam = scaled_family(c, cert, 4, 1.0, 3)
+    g = fam.gammas
+    near = g[2] * Fraction(999, 1000)
+    for gammas in ((g[0], g[1], near), (near, g[0], g[1])):
+        assert family_product_check(replace(fam, gammas=gammas)) == (math.inf, False)
+    assert family_product_check(replace(fam, gammas=(g[2], g[0], g[1]))) == (cert.peak, True)
+
+
+def test_check_certificate_recomputes_the_peak(certified_m4):
+    c, cert = certified_m4
+    T = _plant_T(c, 4)
+    assert check_certificate(T, cert) == (cert.peak, True)
+    # a sample inside the band, where |T| > 1, now falls above omega_high
+    narrowed = replace(cert, omega_high=cert.omega_high / 2)
+    assert check_certificate(T, narrowed) == (cert.peak, False)
+    assert check_certificate(T, replace(cert, epsilon=0.05)) == (cert.peak, False)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 8])
+def test_family_sweep_agrees_with_the_proven_bound(m):
+    # the float sweep of every member, kept as the oracle, never exceeds the
+    # bound the comparisons prove, and finds no member above 1 past omega_bw
+    design = synthesize(m, 0.1)
+    T = _plant_T(design.controller, m)
+    for count in ((3,) if m == 8 else (3, 10, 25)):
+        fam = scaled_family(design.controller, design.certificate, m, 1.0, count)
+        max_product, ok = family_product_check(fam)
+        assert ok and max_product == design.certificate.peak
+        swept, above_bw = family_sweep(fam, T)
+        assert swept <= max_product * (1 + 1e-12), f"m={m} count={count}: {swept!r}"
+        assert above_bw <= 1e-12, f"m={m} count={count}: {above_bw!r}"
 
 
 def test_homogeneous_family_product_compounds():
     # ten copies of the same PD loop: the peaks stack multiplicatively;
-    # |T(j omega)| <= 1 from omega = sqrt(2) on, so omega_bw = 2 holds
+    # |T(j omega)| <= 1 from omega = sqrt(2) on, so omega_bw = 2 holds.
+    # The hand-built band_empty certificate (omega_low = omega_high = 1 by
+    # convention) claims |T| <= 1 everywhere, which is false, so the
+    # certificate check rejects it before the comparisons could rest on it
     c = parse_rational("1+s")
-    # band_empty by convention carries omega_low = omega_high = 1
     cert = Certificate(0.1, 1.4678898250138706, 1.0, 1.0, band_empty=True)
     fam = ControllerFamily(2, c, (Fraction(1),) * 10, 2.0, cert)
-    max_product, ok = family_product_check(fam, _plant_T(c, 2))
-    assert max_product >= 2 ** 5
+    peak, ok = check_certificate(_plant_T(c, 2), cert)
+    assert peak == pytest.approx(1.4678898250138706, rel=1e-12)
     assert not ok
+    swept, above_bw = family_sweep(fam, _plant_T(c, 2))
+    assert swept >= 2 ** 5
+    assert above_bw <= 1e-12
 
 
 def test_family_count_cap(certified_m4):
@@ -407,30 +448,31 @@ def test_degenerate_certificate_family():
     cert = certify_closed_loop(_plant_T(c, 1), 0.1)
     fam = scaled_family(c, cert, 1, 1.0, 5)
     assert len({fam.member(k) for k in range(5)}) == 1, "ratio 1 means identical members"
-    max_product, ok = family_product_check(fam, _plant_T(c, 1))
-    assert ok and max_product <= 1.0 + 1e-9
+    max_product, ok = family_product_check(fam)
+    assert ok and max_product == cert.peak == 1.0
 
 
 @pytest.mark.parametrize("bw", [1e-300, 1e-3, 1.0, 1e3, 2e4, 1e300])
 def test_degenerate_family_grid_reaches_omega_bw(bw):
-    # every gamma is 1/bw: the general formula spans
-    # [min(1e-4, bw/10), max(1e4, 10 bw)], the default grid for bw in [1e-3, 1e3]
+    # every gamma is 1/bw exactly, so gamma * omega_bw = omega_high = 1 and
+    # the bandwidth comparison holds with equality for any bw
     c = parse_rational("1")
-    fam = scaled_family(c, certify_closed_loop(_plant_T(c, 1), 0.1), 1, bw, 5)
-    g = family_grid(fam)
-    assert g.omega_min == pytest.approx(min(1e-4, bw / 10), rel=1e-12)
-    assert g.omega_max == pytest.approx(max(1e4, 10 * bw), rel=1e-12)
-    if 1e-3 <= bw <= 1e3:
-        assert g == default_grid()
-    max_product, ok = family_product_check(fam, _plant_T(c, 1))
-    assert ok and max_product <= 1.0 + 1e-9
+    cert = certify_closed_loop(_plant_T(c, 1), 0.1)
+    fam = scaled_family(c, cert, 1, bw, 5)
+    assert all(g * Fraction(bw) == 1 for g in fam.gammas)
+    max_product, ok = family_product_check(fam)
+    assert ok and max_product == cert.peak == 1.0
 
 
 def test_family_rejects_gammas_outside_double_range(certified_m4):
+    # only the sign is checked: the comparisons are exact, so gammas past
+    # double range are as good as any
     c, cert = certified_m4
-    for bad in (Fraction(10) ** 400, Fraction(1, 10 ** 400), Fraction(0), Fraction(-1)):
+    for bad in (Fraction(0), Fraction(-1)):
         with pytest.raises(InvalidRange):
             ControllerFamily(4, c, (Fraction(1), bad), 1.0, cert)
+    for far in (Fraction(10) ** 400, Fraction(1, 10 ** 400)):
+        assert ControllerFamily(4, c, (Fraction(1), far), 1.0, cert).gammas[1] == far
 
 
 def test_family_rejects_band_edges_outside_positive_range(certified_m4):
@@ -439,15 +481,6 @@ def test_family_rejects_band_edges_outside_positive_range(certified_m4):
                 dict(omega_high=math.inf), dict(omega_low=math.nan), dict(epsilon=-0.1)):
         with pytest.raises(InvalidRange):
             ControllerFamily(4, c, (Fraction(1),), 1.0, replace(cert, **bad))
-
-
-def test_family_grid_covers_bands(certified_m4):
-    c, cert = certified_m4
-    fam = scaled_family(c, cert, 4, 1.0, 10)
-    g = family_grid(fam)
-    lowest_band_edge = cert.omega_low / float(max(fam.gammas))
-    assert g.omega_min <= lowest_band_edge
-    assert g.omega_max >= 1e4
 
 
 # ---------------------------------------------------------------- JSON form
