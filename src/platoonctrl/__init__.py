@@ -8,21 +8,21 @@ length-invariant leading blocks thanks to an exact UL factorization.
 
 from .bidir import (BodeTable, LemmaStructures, RationalMatrix, bode_table,
                     build_structures, invariance_check, sensitivity_matrix,
-                    time_scale, verify_factorization)
+                    verify_factorization)
 from .cascade import (CascadeProfile, GrowthTable, MiddletonResult,
                       MistuneReport, cascade_gain, homogeneous_growth,
                       middleton_integral, pd_mistune_experiment)
 from .errors import (BandwidthViolation, DivergentAtOrigin, IllPosed,
-                     InvalidRange, NonPositiveGamma, NonPositiveScale,
-                     ParseError, PeakExceedsBudget, PlatoonError,
-                     PoleAtPoint, SearchExhausted, StabilityCheckFailed,
-                     ZeroDenominator, ZeroPolynomial)
+                     InvalidRange, NonPositiveGamma, ParseError,
+                     PeakExceedsBudget, PlatoonError, PoleAtPoint,
+                     SearchExhausted, StabilityCheckFailed, ZeroDenominator,
+                     ZeroPolynomial)
 from .freq import (FrequencyGrid, HinfResult, default_grid, hinf_norm,
-                   rf_abs_jomega, rf_log_abs_jomega)
+                   log_abs_evaluator)
 from .parsing import parse_rational
 from .poly import Polynomial, hurwitz_stable, poly_gcd
-from .ratfun import (RationalFunction, StabilityReport, closed_loop,
-                     internal_stability, scale_frequency)
+from .ratfun import (RationalFunction, StabilityReport, internal_stability,
+                     scale_frequency)
 from .synthesis import (Certificate, ControllerFamily, Design, band_grid,
                         candidate_controller, certify_closed_loop,
                         check_certificate, family_from_json, family_product_check,
@@ -34,20 +34,19 @@ __version__ = "0.1.0"
 __all__ = [
     "BandwidthViolation", "BodeTable", "CascadeProfile", "Certificate",
     "ControllerFamily", "Design", "DivergentAtOrigin", "FrequencyGrid",
-    "GrowthTable", "HinfResult", "IllPosed", "InvalidRange", "LemmaStructures",
-    "MiddletonResult", "MistuneReport", "NonPositiveGamma",
-    "NonPositiveScale", "ParseError", "PeakExceedsBudget", "PlatoonError",
+    "GrowthTable", "HinfResult", "IllPosed", "InvalidRange",
+    "LemmaStructures", "MiddletonResult", "MistuneReport",
+    "NonPositiveGamma", "ParseError", "PeakExceedsBudget", "PlatoonError",
     "PoleAtPoint", "Polynomial", "RationalFunction", "RationalMatrix",
     "SearchExhausted", "StabilityCheckFailed", "StabilityReport",
-    "ZeroDenominator", "ZeroPolynomial", "band_grid", "bode_table", "build_structures",
-    "candidate_controller", "cascade_gain", "certify_closed_loop",
-    "check_certificate", "closed_loop", "default_grid", "family_from_json",
-    "family_product_check", "family_to_json", "hinf_norm",
-    "homogeneous_growth", "hurwitz_stable", "internal_stability",
-    "invariance_check", "lift_order",
-    "middleton_integral", "parse_rational", "pd_mistune_experiment",
-    "plant", "poly_gcd", "rf_abs_jomega", "rf_log_abs_jomega",
-    "scale_frequency", "scaled_family", "search_parameters",
-    "sensitivity_matrix", "synthesize", "time_scale",
-    "verify_factorization", "youla_closed_loop",
+    "ZeroDenominator", "ZeroPolynomial", "band_grid", "bode_table",
+    "build_structures", "candidate_controller", "cascade_gain",
+    "certify_closed_loop", "check_certificate", "default_grid",
+    "family_from_json", "family_product_check", "family_to_json",
+    "hinf_norm", "homogeneous_growth", "hurwitz_stable",
+    "internal_stability", "invariance_check", "lift_order",
+    "log_abs_evaluator", "middleton_integral", "parse_rational",
+    "pd_mistune_experiment", "plant", "poly_gcd", "scale_frequency",
+    "scaled_family", "search_parameters", "sensitivity_matrix",
+    "synthesize", "verify_factorization", "youla_closed_loop",
 ]

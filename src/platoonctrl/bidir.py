@@ -18,16 +18,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InvalidRange, NonPositiveScale
-from .freq import FrequencyGrid, poly_log_abs_jomega
+from .errors import InvalidRange
+from .freq import FrequencyGrid, log_abs_evaluator
 from .poly import Polynomial, _int_add, _int_mul, _int_sub, _int_view
-from .ratfun import RationalFunction, scale_frequency
+from .ratfun import RationalFunction
 
 _S = Polynomial([0, 1])
 _ONE = Polynomial([1])
@@ -67,19 +66,10 @@ class RationalMatrix:
             for j, f in enumerate(row):
                 yield i, j, f
 
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(tuple(zip(*self.rows)))
-
-    def map_entries(self, fn) -> "RationalMatrix":
-        return RationalMatrix(tuple(tuple(fn(f) for f in row) for row in self.rows))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalMatrix):
             return NotImplemented
         return self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
 
     def __repr__(self):
         return f"RationalMatrix({self.n_rows}x{self.n_cols})"
@@ -266,15 +256,6 @@ def invariance_check(k: int, ns: Sequence[int]) -> bool:
     return all(block(n) == first for n in ns[1:])
 
 
-def time_scale(S: RationalMatrix, T_const) -> RationalMatrix:
-    """Entrywise substitution s -> s/T: the slowed-down (T > 1) design."""
-    t = Fraction(T_const)
-    if t <= 0:
-        raise NonPositiveScale("T_const must be positive")
-    gamma = Fraction(1) / t
-    return S.map_entries(lambda f: scale_frequency(f, gamma))
-
-
 # ----------------------------------------------------------------------
 # Bode sweep
 
@@ -320,12 +301,15 @@ def bode_table(n: int, grid: FrequencyGrid) -> BodeTable:
     """
     S = sensitivity_matrix(n)
     om = grid.omegas
-    num_logs = np.array([poly_log_abs_jomega(S[m, m].num, om) for m in range(n)])
-    # row k is (s+1)^(k+1), the denominator of every entry with i + j = k
-    den_logs = np.array([poly_log_abs_jomega(S[max(0, k - n + 1), min(k, n - 1)].den, om)
-                         for k in range(2 * n - 1)])
+    # row m < n is ln|s P_m|, the numerator of every entry with min(i, j) = m,
+    # and row n + k is -ln|(s+1)^(k+1)|, the denominator of every entry with
+    # i + j = k; ln|1| is exactly 0.0, so their sum is each entry's own row
+    rows = log_abs_evaluator(
+        [(S[m, m].num.coeffs, (1,)) for m in range(n)]
+        + [((1,), S[max(0, k - n + 1), min(k, n - 1)].den.coeffs) for k in range(2 * n - 1)]
+    )(om)
     idx = np.arange(n)
-    logs = num_logs[np.minimum.outer(idx, idx)] - den_logs[np.add.outer(idx, idx)]
+    logs = rows[np.minimum.outer(idx, idx)] + rows[n + np.add.outer(idx, idx)]
     # past om ~ 1.34e154, om * om overflows; there |jw/(jw+1)| rounds to 1.0
     with np.errstate(over="ignore"):
         sq = om * om

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DivergentAtOrigin, InvalidRange, StabilityCheckFailed
 from .freq import (FrequencyGrid, _log_abs_coeff, default_grid, hinf_norm,
-                   log_abs_rows, rf_log_abs_evaluator)
+                   log_abs_evaluator)
 from .poly import hurwitz_stable
 from .ratfun import RationalFunction, internal_stability
 from .synthesis import plant
@@ -53,11 +53,13 @@ def _cascade_profile(stages, grid: FrequencyGrid) -> CascadeProfile:
     # ln|T_k| comes from one stacked evaluation, and the rows are summed in
     # stage order, so the float sums are those of a per-stage loop
     total = np.zeros(len(grid.omegas))
-    for row in log_abs_rows(stages, grid.omegas):
+    for row in log_abs_evaluator(stages)(grid.omegas):
         total = total + row
     top = int(np.argmax(total))
-    return CascadeProfile(grid, total, float(np.exp(np.float64(total[top]))),
-                          float(grid.omegas[top]))
+    # a peak past double range overflows to inf
+    with np.errstate(over="ignore"):
+        peak = float(np.exp(np.float64(total[top])))
+    return CascadeProfile(grid, total, peak, float(grid.omegas[top]))
 
 
 def cascade_gain(controllers: Sequence[RationalFunction], m: int,
@@ -136,12 +138,12 @@ def middleton_integral(T: RationalFunction, omega_lo: float = 1e-6,
     if t0 != 1:
         raise DivergentAtOrigin(f"T(0) = {t0} != 1")
 
-    log_abs = rf_log_abs_evaluator(T)
+    log_abs = log_abs_evaluator([(T.num.coeffs, T.den.coeffs)])
 
     def g(u: float) -> float:
         # integrand after omega = e^u: ln|T(j e^u)| e^{-u}
         om = math.exp(u)
-        return float(log_abs(np.array([om]))[0]) * math.exp(-u)
+        return float(log_abs(np.array([om]))[0, 0]) * math.exp(-u)
 
     lo_d, hi_d = math.log10(omega_lo), math.log10(omega_hi)
     edges = [lo_d]
@@ -154,7 +156,7 @@ def middleton_integral(T: RationalFunction, omega_lo: float = 1e-6,
     for a_d, b_d in zip(edges, edges[1:]):
         body += _adaptive_simpson(g, a_d * math.log(10.0), b_d * math.log(10.0), tol)
 
-    head = float(log_abs(np.array([omega_lo]))[0]) / omega_lo
+    head = float(log_abs(np.array([omega_lo]))[0, 0]) / omega_lo
     r = T.den.degree - T.num.degree
     lead_ratio = T.num.leading() / T.den.leading()
     try:

@@ -60,7 +60,3 @@ class InvalidRange(PlatoonError):
 
 class DivergentAtOrigin(PlatoonError):
     """The sensitivity integral requires T(0) = 1."""
-
-
-class NonPositiveScale(PlatoonError):
-    """Time scaling requires a positive constant."""

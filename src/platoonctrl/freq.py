@@ -6,19 +6,14 @@ are rescaled by their largest magnitude (computed from exact big-integer
 logs when needed), and evaluation at |z| > 1 uses the reversed-coefficient
 identity p(z) = z^deg * p_rev(1/z). Coefficients beyond double range
 therefore evaluate without overflow; terms more than about 10^308 below the
-largest coefficient underflow to zero, which is why scaled controller
-families are swept on their base closed loop at scaled frequencies rather
-than on their exact members.
+largest coefficient underflow to zero.
 
-The engine has two steps. Scaling (_scaled_descending) reads a polynomial's
-exact ascending coefficient sequence (Polynomial.coeffs, or a tuple of ints
-and Fractions a caller knows in closed form) once and is the costly one;
-evaluation (_log_abs_scaled) runs Horner's y = y*z + c, the sequence
-np.polyval runs, on one scaled row or on a stack of equal-degree rows at
-once, and is bit-identical either way. So a caller that evaluates one
-function many times scales it once (rf_log_abs_evaluator), and a caller that
-evaluates many functions on one grid evaluates them as stacks
-(log_abs_rows).
+log_abs_evaluator is the engine's one entry point. It reads each exact
+ascending coefficient sequence (Polynomial.coeffs, or a tuple of ints and
+Fractions a caller knows in closed form) once and scales it, the costly
+step; each call then runs Horner's y = y*z + c, the sequence np.polyval
+runs, on a stack of the equal-degree sequences at once, bit for bit as it
+would on each alone.
 """
 
 from __future__ import annotations
@@ -29,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidRange, StabilityCheckFailed
-from .poly import Polynomial, hurwitz_stable
+from .poly import hurwitz_stable
 from .ratfun import RationalFunction
 
 
@@ -94,13 +89,11 @@ def _log_abs_coeff(c) -> float:
 
 
 def _scaled_descending(coeffs):
-    """(descending float coeffs scaled to max |coeff| = 1, log of the scale); (None, -inf) for 0.
+    """(descending float coeffs scaled to max |coeff| = 1, log of the scale).
 
-    coeffs is an ascending sequence of ints or Fractions without trailing
-    zeros, as Polynomial.coeffs holds it; the empty sequence is 0.
+    coeffs is a nonempty ascending sequence of ints or Fractions without
+    trailing zeros, as Polynomial.coeffs holds it.
     """
-    if not coeffs:
-        return None, -math.inf
     logs = [(-math.inf if c == 0 else _log_abs_coeff(c)) for c in coeffs]
     top = max(logs)
     scaled = []
@@ -114,9 +107,8 @@ def _scaled_descending(coeffs):
 
 
 def _horner(desc: np.ndarray, z: np.ndarray) -> np.ndarray:
-    # np.polyval's y = y*z + c, over one row of coefficients or a stack of
-    # rows; c enters as c + 0j either way, and in place it skips a cast and
-    # a temporary per step
+    # np.polyval's y = y*z + c, over a stack of rows of coefficients; c
+    # enters as c + 0j, and in place it skips a cast and a temporary per step
     c = desc.astype(complex)
     y = np.zeros(desc.shape[:-1] + z.shape, dtype=complex)
     for i in range(desc.shape[-1]):
@@ -125,15 +117,12 @@ def _horner(desc: np.ndarray, z: np.ndarray) -> np.ndarray:
     return y
 
 
-def _log_abs_scaled(desc, top, omegas: np.ndarray) -> np.ndarray:
-    """ln|p(j*omega)| from _scaled_descending's output, per sample.
+def _log_abs_scaled(desc: np.ndarray, top: np.ndarray, omegas: np.ndarray) -> np.ndarray:
+    """ln|p(j*omega)| per sample for a stack of _scaled_descending rows of one degree.
 
-    desc is one row (one polynomial, top a float) or a 2-D stack of rows of
-    one degree (top a column, one float per row), giving one result row per
-    polynomial. desc None is the zero polynomial.
+    desc holds one row per polynomial and top the matching column of scale
+    logs; the result has one row per polynomial.
     """
-    if desc is None:
-        return np.full(omegas.shape, -np.inf)
     d = desc.shape[-1] - 1
     z = 1j * omegas
     out = np.empty(desc.shape[:-1] + omegas.shape)
@@ -149,61 +138,48 @@ def _log_abs_scaled(desc, top, omegas: np.ndarray) -> np.ndarray:
     return out + top
 
 
-def poly_log_abs_jomega(p: Polynomial, omegas) -> np.ndarray:
-    """ln|p(j*omega)| per sample, safe across extreme coefficient scales."""
-    return _log_abs_scaled(*_scaled_descending(p.coeffs), np.asarray(omegas, dtype=float))
-
-
-def rf_log_abs_jomega(f: RationalFunction, omegas) -> np.ndarray:
-    """ln|f(j*omega)| per sample."""
-    return poly_log_abs_jomega(f.num, omegas) - poly_log_abs_jomega(f.den, omegas)
-
-
-def rf_log_abs_evaluator(f: RationalFunction):
-    """omegas -> ln|f(j*omega)|, equal to rf_log_abs_jomega(f, omegas), with f scaled once.
-
-    For callers that evaluate one f at many separate frequencies.
-    """
-    num, den = _scaled_descending(f.num.coeffs), _scaled_descending(f.den.coeffs)
-
-    def log_abs(omegas) -> np.ndarray:
-        omegas = np.asarray(omegas, dtype=float)
-        return _log_abs_scaled(*num, omegas) - _log_abs_scaled(*den, omegas)
-
-    return log_abs
-
-
-def _poly_log_abs_rows(ps, omegas: np.ndarray) -> np.ndarray:
-    # one row per ascending coefficient sequence; those of one degree are
-    # evaluated as one stack
-    out = np.full((len(ps), len(omegas)), -np.inf)
+def _stacks(seqs):
+    # the nonzero sequences grouped by degree: (their indices, the scaled
+    # stack, its column of scale logs) per degree
     by_degree = {}
-    for i, p in enumerate(ps):
-        if p:
-            by_degree.setdefault(len(p), []).append(i)
+    for k, cs in enumerate(seqs):
+        if cs:
+            by_degree.setdefault(len(cs), []).append(k)
+    out = []
     for rows in by_degree.values():
-        scaled = [_scaled_descending(ps[i]) for i in rows]
-        out[rows] = _log_abs_scaled(np.array([desc for desc, _ in scaled]),
-                                    np.array([[top] for _, top in scaled]), omegas)
+        scaled = [_scaled_descending(seqs[k]) for k in rows]
+        out.append((rows, np.array([desc for desc, _ in scaled]),
+                    np.array([[top] for _, top in scaled])))
     return out
 
 
-def log_abs_rows(pairs, omegas) -> np.ndarray:
-    """Row k is ln|num_k(j*omega) / den_k(j*omega)| for pairs[k] = (num_k, den_k).
+def log_abs_evaluator(pairs):
+    """omegas -> rows, row k being ln|num_k(j*omega) / den_k(j*omega)| for pairs[k] = (num_k, den_k).
 
-    num_k and den_k are ascending coefficient sequences (Polynomial.coeffs
-    or a closed-form tuple); for f's pair (f.num.coeffs, f.den.coeffs) the
-    row equals rf_log_abs_jomega(f, omegas) bit for bit.
+    num_k and den_k are ascending coefficient sequences, Polynomial.coeffs
+    or a closed-form tuple of ints and Fractions; the empty sequence is 0,
+    whose log is -inf. Each sequence is scaled once, here, and each call
+    evaluates the sequences of one degree as one stack, which gives each
+    sequence's row bit for bit as evaluating it alone would.
     """
-    omegas = np.asarray(omegas, dtype=float)
-    return (_poly_log_abs_rows([num for num, _ in pairs], omegas)
-            - _poly_log_abs_rows([den for _, den in pairs], omegas))
+    count = len(pairs)
+    nums = _stacks([num for num, _ in pairs])
+    dens = _stacks([den for _, den in pairs])
 
+    def rows(stacks, omegas):
+        if len(stacks) == 1 and len(stacks[0][0]) == count:
+            # one stack holds every row, in order: the common one-function call
+            return _log_abs_scaled(stacks[0][1], stacks[0][2], omegas)
+        out = np.full((count, len(omegas)), -np.inf)
+        for idx, desc, top in stacks:
+            out[idx] = _log_abs_scaled(desc, top, omegas)
+        return out
 
-def rf_abs_jomega(f: RationalFunction, omegas) -> np.ndarray:
-    """|f(j*omega)| per sample."""
-    with np.errstate(over="ignore"):
-        return np.exp(rf_log_abs_jomega(f, omegas))
+    def log_abs(omegas) -> np.ndarray:
+        omegas = np.asarray(omegas, dtype=float)
+        return rows(nums, omegas) - rows(dens, omegas)
+
+    return log_abs
 
 
 # ----------------------------------------------------------------------
@@ -251,15 +227,15 @@ def hinf_norm(f: RationalFunction, grid: FrequencyGrid | None = None) -> HinfRes
     if not f.is_proper or not (f.den.degree == 0 or hurwitz_stable(f.den)):
         raise StabilityCheckFailed("closed loop has no finite peak")
 
-    log_abs = rf_log_abs_evaluator(f)
-    logs = log_abs(grid.omegas)
+    log_abs = log_abs_evaluator([(f.num.coeffs, f.den.coeffs)])
+    logs = log_abs(grid.omegas)[0]
     i = int(np.argmax(logs))
     candidates = [(float(logs[i]), float(grid.omegas[i]))]
 
     lo = float(grid.omegas[max(i - 1, 0)])
     hi = float(grid.omegas[min(i + 1, len(grid.omegas) - 1)])
     if hi > lo:
-        scalar = lambda w: float(log_abs(np.array([w]))[0])
+        scalar = lambda w: float(log_abs(np.array([w]))[0, 0])
         w_star, g_star = _golden_max(scalar, lo, hi)
         candidates.append((g_star, w_star))
 
@@ -271,5 +247,7 @@ def hinf_norm(f: RationalFunction, grid: FrequencyGrid | None = None) -> HinfRes
                            math.inf))
 
     best_log, best_w = max(candidates)
-    norm = float(np.exp(np.float64(best_log)))
+    # a peak past double range overflows to inf
+    with np.errstate(over="ignore"):
+        norm = float(np.exp(np.float64(best_log)))
     return HinfResult(norm, best_w)

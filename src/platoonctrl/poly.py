@@ -288,8 +288,7 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 
     Implemented as a primitive pseudo-remainder sequence over the integers
     (denominators cleared, content stripped every round), which keeps the
-    intermediate coefficient growth tame for the degree ~50 inputs produced
-    by the factorization checks.
+    intermediate coefficient growth tame.
     """
     if a.is_zero:
         return b.monic() if not b.is_zero else b

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
 
 from .errors import IllPosed, NonPositiveGamma, PoleAtPoint, ZeroDenominator
 from .poly import Polynomial, hurwitz_stable, poly_gcd
@@ -57,10 +56,6 @@ class RationalFunction:
     def is_proper(self) -> bool:
         """deg(num) <= deg(den): membership in the proper real-rationals."""
         return self.num.degree <= self.den.degree
-
-    @property
-    def is_strictly_proper(self) -> bool:
-        return self.num.degree < self.den.degree
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -196,25 +191,13 @@ def scale_frequency(f: RationalFunction, gamma) -> RationalFunction:
 # ----------------------------------------------------------------------
 # feedback interconnection
 
-def closed_loop(p: RationalFunction, c: RationalFunction) -> Tuple[RationalFunction, RationalFunction]:
-    """(S, T) = (1/(1+pc), pc/(1+pc)) for the unity-feedback loop.
-
-    Both maps are formed from the cleared characteristic polynomial
-    d_p*d_c + n_p*n_c and returned canonical; S + T = 1 exactly.
-    """
-    char = p.den * c.den + p.num * c.num
-    if char.is_zero:
-        raise IllPosed("1 + p*c is identically zero")
-    return RationalFunction(p.den * c.den, char), RationalFunction(p.num * c.num, char)
-
-
 @dataclass(frozen=True)
 class StabilityReport:
     """Gang-of-four verdict for a plant/controller pair.
 
     gang_of_four = (S, PS, CS, T) = (1/(1+pc), p/(1+pc), c/(1+pc),
-    pc/(1+pc)); T equals closed_loop(p, c)[1] exactly, so a caller holding a
-    report reads T from it. internally_stable is the conjunction of each_stable.
+    pc/(1+pc)), each canonical; a caller holding a report reads T from it.
+    internally_stable is the conjunction of each_stable.
     Properness is recorded per map but kept out of the verdict: the loop may
     legitimately contain improper PD-type controllers, and only final shipped
     controllers need properness.

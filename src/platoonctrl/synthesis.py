@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import (BandwidthViolation, InvalidRange, PeakExceedsBudget,
                      SearchExhausted, StabilityCheckFailed, ZeroDenominator)
-from .freq import FrequencyGrid, default_grid, hinf_norm, rf_log_abs_evaluator
+from .freq import FrequencyGrid, default_grid, hinf_norm, log_abs_evaluator
 from .poly import Polynomial
 from .ratfun import RationalFunction, internal_stability, scale_frequency
 
@@ -120,12 +120,12 @@ class Certificate:
 
 
 def _bisect_crossing(log_abs, a: float, b: float, keep_low: bool) -> float:
-    # |T| = 1 crossing between a and b, log_abs being T's rf_log_abs_evaluator;
-    # returns the endpoint kept on the |T| <= 1 side, tightened to 1e-10
-    # relative width
+    # |T| = 1 crossing between a and b, log_abs being log_abs_evaluator's
+    # function for T's one (num, den) pair; returns the endpoint kept on the
+    # |T| <= 1 side, tightened to 1e-10 relative width
     while (b - a) > 1e-10 * b:
         mid = math.sqrt(a * b)
-        g = float(log_abs(np.array([mid]))[0])
+        g = float(log_abs(np.array([mid]))[0, 0])
         if keep_low:
             if g <= 0:
                 a = mid
@@ -155,8 +155,8 @@ def certify_closed_loop(T: RationalFunction, epsilon: float,
         raise InvalidRange("epsilon must be positive")
     if grid is None:
         grid = default_grid()
-    log_abs = rf_log_abs_evaluator(T)
-    logs = log_abs(grid.omegas)
+    log_abs = log_abs_evaluator([(T.num.coeffs, T.den.coeffs)])
+    logs = log_abs(grid.omegas)[0]
     i = int(np.argmax(logs))
     # hinf_norm's peak is never below the grid's, so an over-budget grid sample decides
     peak, w = float(np.exp(np.float64(logs[i]))), float(grid.omegas[i])
@@ -351,7 +351,7 @@ def check_certificate(T: RationalFunction, cert: Certificate) -> Tuple[float, bo
     are not recomputed: bisection endpoints can differ in their last bits between libm builds.
     """
     grid = default_grid() if cert.gamma_b is None else band_grid(cert.gamma_b)
-    logs = rf_log_abs_evaluator(T)(grid.omegas)
+    logs = log_abs_evaluator([(T.num.coeffs, T.den.coeffs)])(grid.omegas)[0]
     outside = (grid.omegas <= cert.omega_low) | (grid.omegas >= cert.omega_high)
     peak = hinf_norm(T, grid).norm
     return peak, bool(peak <= 1 + cert.epsilon and not (logs[outside] > 0).any())

@@ -29,7 +29,7 @@ def call_counts(monkeypatch):
     """watch(*names) counts calls to those platoonctrl functions.
 
     The package imports functions by name (``from .ratfun import
-    closed_loop``), so each is wrapped in every module that holds it.
+    internal_stability``), so each is wrapped in every module that holds it.
     """
     mods = [importlib.import_module(f"platoonctrl.{m}")
             for m in ("poly", "freq", "ratfun", "bidir", "synthesis", "cascade", "cli")]

@@ -1,15 +1,18 @@
 """Reference routes the tests compare production code against.
 
-None of these run in a command. The Youla coprime factors and the
+None of these run in a command. `closed_loop`, the generic unity-feedback
+interconnection, checks the T that production reads off the stability
+report or builds in closed form. The Youla coprime factors and the
 factor-arithmetic forms of the controller and closed loop check the closed
-forms in `synthesis`; rational-matrix sums and products and bidiagonal
-substitution check the closed-form sensitivity matrix and the integer
-identity checks in `bidir`; `maclaurin` reads Taylor coefficients at s = 0.
-The np.polyval magnitude engine checks `freq`'s Horner evaluator bit for
-bit, the per-stage PD route, with a fresh generator per gain, checks the
-closed-form PD cascade and its one keyed generator in `cascade`, and the
-family sweep, reading every member's T(gamma_k s) on one float grid, checks
-the bound that `synthesis.family_product_check` proves by comparisons.
+forms in `synthesis`; rational-matrix sums, products, transposes and
+bidiagonal substitution check the closed-form sensitivity matrix and the
+integer identity checks in `bidir`; `maclaurin` reads Taylor coefficients
+at s = 0. The np.polyval magnitude engine, one polynomial at a time, checks
+`freq.log_abs_evaluator`'s stacked Horner evaluation bit for bit, the
+per-stage PD route, with a fresh generator per gain, checks the closed-form
+PD cascade and its one keyed generator in `cascade`, and the family sweep,
+reading every member's T(gamma_k s) on one float grid, checks the bound
+that `synthesis.family_product_check` proves by comparisons.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from platoonctrl.bidir import RationalMatrix
 from platoonctrl.cascade import _SCHEME, MistuneReport, cascade_gain
 from platoonctrl.errors import IllPosed, InvalidRange, PlatoonError, PoleAtPoint
 from platoonctrl.freq import (FrequencyGrid, _scaled_descending, default_grid,
-                              rf_log_abs_evaluator)
+                              log_abs_evaluator)
 from platoonctrl.poly import Polynomial
 from platoonctrl.ratfun import RationalFunction
 
@@ -32,6 +35,20 @@ _S = Polynomial([0, 1])
 _ONE = Polynomial([1])
 _ZERO_RF = RationalFunction(Polynomial([]), _ONE)
 _ONE_RF = RationalFunction(_ONE, _ONE)
+
+
+# ---------------------------------------------------------------- feedback loop
+
+def closed_loop(p: RationalFunction, c: RationalFunction):
+    """(S, T) = (1/(1+pc), pc/(1+pc)) for the unity-feedback loop.
+
+    Both maps are formed from the cleared characteristic polynomial
+    d_p*d_c + n_p*n_c and returned canonical; S + T = 1 exactly.
+    """
+    char = p.den * c.den + p.num * c.num
+    if char.is_zero:
+        raise IllPosed("1 + p*c is identically zero")
+    return RationalFunction(p.den * c.den, char), RationalFunction(p.num * c.num, char)
 
 
 # ---------------------------------------------------------------- Youla factors
@@ -119,6 +136,10 @@ def eye(n: int) -> RationalMatrix:
     return RationalMatrix(tuple(
         tuple(_ONE_RF if i == j else _ZERO_RF for j in range(n))
         for i in range(n)))
+
+
+def transpose(A: RationalMatrix) -> RationalMatrix:
+    return RationalMatrix(tuple(zip(*A.rows)))
 
 
 def mat_add(A: RationalMatrix, B: RationalMatrix) -> RationalMatrix:
@@ -210,6 +231,13 @@ def poly_log_abs_polyval(p: Polynomial, omegas) -> np.ndarray:
     return out + top
 
 
+def log_abs_polyval(num, den, omegas) -> np.ndarray:
+    """ln|num(j*omega) / den(j*omega)| for two ascending coefficient sequences, as
+    the difference of their polyval rows: log_abs_evaluator's row for (num, den)."""
+    return poly_log_abs_polyval(Polynomial(num), omegas) - \
+        poly_log_abs_polyval(Polynomial(den), omegas)
+
+
 # ---------------------------------------------------------------- scaled family
 
 def family_sweep(family, T: RationalFunction):
@@ -225,8 +253,8 @@ def family_sweep(family, T: RationalFunction):
     grid = FrequencyGrid(min(1e-4, cert.omega_low / gmax / 10),
                          max(1e4, cert.omega_high / gmin * 10, family.omega_bw * 10), 200)
     above = grid.omegas >= family.omega_bw
-    log_abs = rf_log_abs_evaluator(T)
-    members = np.array([log_abs(grid.omegas * float(g)) for g in family.gammas])
+    log_abs = log_abs_evaluator([(T.num.coeffs, T.den.coeffs)])
+    members = np.array([log_abs(grid.omegas * float(g))[0] for g in family.gammas])
     return float(np.exp(members.sum(axis=0).max())), float(members[:, above].max())
 
 

@@ -11,14 +11,15 @@ import pytest
 from platoonctrl import bidir
 from platoonctrl.bidir import (LemmaStructures, RationalMatrix, bode_table,
                                build_structures, invariance_check,
-                               sensitivity_matrix, time_scale,
-                               verify_factorization, _verify_sensitivity)
-from platoonctrl.errors import InvalidRange, NonPositiveScale
-from platoonctrl.freq import FrequencyGrid, rf_log_abs_jomega
+                               sensitivity_matrix, verify_factorization,
+                               _verify_sensitivity)
+from platoonctrl.errors import InvalidRange
+from platoonctrl.freq import FrequencyGrid, log_abs_evaluator
 from platoonctrl.poly import Polynomial
 from platoonctrl.ratfun import RationalFunction, one, s
 
-from oracles import SingularDiagonal, eye, invert_bidiagonal, mat_add, matmul
+from oracles import (SingularDiagonal, eye, invert_bidiagonal, mat_add, matmul,
+                     transpose)
 
 ONE = Polynomial([1])
 S = Polynomial([0, 1])
@@ -26,20 +27,23 @@ SP1 = RationalFunction(ONE + S, ONE)
 S_RF = RationalFunction(S, ONE)
 
 
+def _times_s2(M: RationalMatrix) -> RationalMatrix:
+    s2 = RationalFunction(S * S, ONE)
+    return RationalMatrix([[f * s2 for f in row] for row in M.rows])
+
+
 def _factorization_by_matmul(n: int) -> bool:
     # oracle: the identity in canonical rational-matrix products; reads the
     # module attribute so a patched build_structures reaches it
     st = bidir.build_structures(n)
-    lhs = mat_add(eye(n), matmul(st.X, st.H, st.X.transpose())).map_entries(
-        lambda f: f * RationalFunction(S * S, ONE))
-    return lhs == matmul(st.U, st.L)
+    lhs = mat_add(eye(n), matmul(st.X, st.H, transpose(st.X)))
+    return _times_s2(lhs) == matmul(st.U, st.L)
 
 
 def _sensitivity_by_matmul(Sn: RationalMatrix) -> bool:
     # oracle: L_n S U_n == s^2 I_n in canonical rational-matrix products
     st = build_structures(Sn.n_rows)
-    s2 = RationalFunction(S * S, ONE)
-    return matmul(st.L, Sn, st.U) == eye(Sn.n_rows).map_entries(lambda f: f * s2)
+    return matmul(st.L, Sn, st.U) == _times_s2(eye(Sn.n_rows))
 
 
 def _integer_route_accepts(Sn: RationalMatrix) -> bool:
@@ -130,7 +134,7 @@ def test_factorization_rejects_non_polynomial_entry(monkeypatch):
 def test_factorization_entry_11_by_hand():
     # s^2 (1 + (s+1)/s^2 ) = s^2 + s + 1 must equal (U L)_11 = (s+1)s + 1
     st = build_structures(2)
-    lhs = mat_add(eye(2), matmul(st.X, st.H, st.X.transpose())).rows[0][0] \
+    lhs = mat_add(eye(2), matmul(st.X, st.H, transpose(st.X))).rows[0][0] \
         * RationalFunction(S * S, ONE)
     assert lhs == RationalFunction(Polynomial([1, 1, 1]), ONE)
     assert matmul(st.U, st.L).rows[0][0] == RationalFunction(Polynomial([1, 1, 1]), ONE)
@@ -275,7 +279,7 @@ def test_sensitivity_leading_entry_all_n():
 def test_sensitivity_is_the_exact_inverse():
     for n in range(1, 13):
         st = build_structures(n)
-        A = mat_add(eye(n), matmul(st.X, st.H, st.X.transpose()))
+        A = mat_add(eye(n), matmul(st.X, st.H, transpose(st.X)))
         assert matmul(A, sensitivity_matrix(n)) == eye(n), f"inverse identity failed at n={n}"
 
 
@@ -321,30 +325,6 @@ def test_invariance_validation():
         invariance_check(3, [2, 3])
     with pytest.raises(InvalidRange):
         invariance_check(1, [])
-
-
-# ---------------------------------------------------------------- time scaling
-
-def test_time_scale_identity_and_shift():
-    S1 = sensitivity_matrix(1)
-    assert time_scale(S1, 1) == S1
-    assert time_scale(S1, 10).rows[0][0] == RationalFunction(S, Polynomial([10, 1]))
-    with pytest.raises(NonPositiveScale):
-        time_scale(S1, 0)
-    with pytest.raises(NonPositiveScale):
-        time_scale(S1, -2)
-
-
-def test_time_scale_magnitude_substitution():
-    S2 = sensitivity_matrix(2)
-    scaled = time_scale(S2, 4)
-    rng = np.random.default_rng(8)
-    for om in 10.0 ** rng.uniform(-2, 2, size=10):
-        for i in range(2):
-            for j in range(2):
-                lhs = abs(scaled.rows[i][j](1j * om))
-                rhs = abs(S2.rows[i][j](1j * om / 4))
-                assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
 # ---------------------------------------------------------------- Bode sweep
@@ -396,16 +376,16 @@ def test_bode_grid_agrees_with_the_lemma_n12():
 
 def test_bode_tests_and_evaluates_each_polynomial_once(call_counts):
     # the lemma needs no Routh test; S_12's 144 entries share 12 numerators
-    # and 23 denominators, and each entry's row is still rf_log_abs_jomega's,
-    # bit for bit
+    # and 23 denominators, all in one evaluator, and each entry's row is
+    # still the one its own (num, den) pair gives, bit for bit
     grid = FrequencyGrid(1e-2, 1e2, 5)
     S12 = sensitivity_matrix(12)
-    counts = call_counts("hurwitz_stable", "poly_log_abs_jomega")
+    counts = call_counts("hurwitz_stable", "log_abs_evaluator")
     table = bode_table(12, grid)
-    assert (counts["hurwitz_stable"], counts["poly_log_abs_jomega"]) == (0, 12 + 23)
+    assert (counts["hurwitz_stable"], counts["log_abs_evaluator"]) == (0, 1)
     for i, j, f in S12.entries():
         assert table.log_magnitudes[i, j].tobytes() == \
-            rf_log_abs_jomega(f, grid.omegas).tobytes()
+            log_abs_evaluator([(f.num.coeffs, f.den.coeffs)])(grid.omegas)[0].tobytes()
 
 
 # ---------------------------------------------------------------- matrix basics
@@ -424,6 +404,6 @@ def test_matrix_shape_guards():
 
 def test_matrix_transpose_and_eq():
     st = build_structures(3)
-    assert st.U.transpose().transpose() == st.U
-    assert st.X.transpose().rows[0][1] == st.X.rows[1][0]
+    assert transpose(transpose(st.U)) == st.U
+    assert transpose(st.X).rows[0][1] == st.X.rows[1][0]
     assert matmul(eye(3), st.U) == st.U

@@ -47,11 +47,18 @@ def test_verify_lemma_pass(tmp_path):
     assert "duration_seconds" in rep["timing"]
 
 
-def test_usage_errors():
+def test_usage_errors(caplog):
     assert main(["verify-lemma", "--n", "0"]) == 2
     assert main(["verify-lemma"]) == 2
-    assert main(["bode", "--n", "2", "--wmin", "10", "--wmax", "1"]) == 2
-    assert main(["pd-random", "--n", "3", "--kmin", "2", "--kmax", "1"]) == 2
+    # the library checks these ranges, and its message is the one error line
+    for argv, message in (
+            (["bode", "--n", "2", "--wmin", "10", "--wmax", "1"],
+             "need 0 < omega_min < omega_max < inf"),
+            (["pd-random", "--n", "3", "--kmin", "2", "--kmax", "1"],
+             "need 0 < k_min <= k_max")):
+        caplog.clear()
+        assert main(argv) == 2
+        assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == [message]
     assert main(["homogeneous", "--m", "2", "--c", "1+"]) == 2
     assert main(["no-such-command"]) == 2
     assert main([]) == 2
@@ -310,7 +317,7 @@ def test_synth_certifies_each_candidate_once(tmp_path, monkeypatch, call_counts)
     # on its grid samples, so only the winner's peak is refined and
     # Routh-tested (1 + the shipped loop's 4 gang-of-four maps)
     monkeypatch.setattr(synthesis, "search_parameters", search_parameters.__wrapped__)
-    counts = call_counts("certify_closed_loop", "closed_loop", "internal_stability",
+    counts = call_counts("certify_closed_loop", "internal_stability",
                          "hurwitz_stable", "_golden_max")
     assert main(["synth", "--m", "3", "--count", "10", "--out", str(tmp_path)]) == 0
     res = _report(str(tmp_path))["results"]
@@ -318,30 +325,30 @@ def test_synth_certifies_each_candidate_once(tmp_path, monkeypatch, call_counts)
     ga, gb = Fraction(res["gamma_a"]), Fraction(res["gamma_b"])
     scanned = 25 * vals.index(ga) + vals.index(gb / ga) + 1
     assert counts["certify_closed_loop"] == scanned
-    assert (counts["internal_stability"], counts["closed_loop"]) == (1, 0)
+    assert counts["internal_stability"] == 1
     assert counts["hurwitz_stable"] <= 5 and counts["_golden_max"] == 1
 
 
-@pytest.mark.parametrize("argv, exit_code, reports, loops", [
-    (["homogeneous", "--m", "2", "--c", "1+0.7*s"], 0, 1, 0),
-    (["homogeneous", "--m", "2", "--c", "-1"], 1, 1, 0),
-    (["middleton", "--m", "2", "--c", "1+0.7*s"], 0, 1, 0),
-    (["synth", "--m", "4", "--count", "16"], 0, 1, 0),
+@pytest.mark.parametrize("argv, exit_code, reports", [
+    (["homogeneous", "--m", "2", "--c", "1+0.7*s"], 0, 1),
+    (["homogeneous", "--m", "2", "--c", "-1"], 1, 1),
+    (["middleton", "--m", "2", "--c", "1+0.7*s"], 0, 1),
+    (["synth", "--m", "4", "--count", "16"], 0, 1),
 ])
 def test_commands_read_T_off_the_stability_report(tmp_path, call_counts, argv,
-                                                   exit_code, reports, loops):
-    counts = call_counts("internal_stability", "closed_loop")
+                                                   exit_code, reports):
+    counts = call_counts("internal_stability")
     assert main(argv + ["--out", str(tmp_path)]) == exit_code
-    assert (counts["internal_stability"], counts["closed_loop"]) == (reports, loops)
+    assert counts["internal_stability"] == reports
 
 
 def test_family_check_reads_T_off_its_stability_report(tmp_path, call_counts,
                                                        synth_m3_family):
     path = tmp_path / "family.json"
     path.write_text(json.dumps(synth_m3_family))
-    counts = call_counts("internal_stability", "closed_loop")
+    counts = call_counts("internal_stability")
     assert main(["family-check", "--file", str(path), "--out", str(tmp_path)]) == 0
-    assert (counts["internal_stability"], counts["closed_loop"]) == (1, 0)
+    assert counts["internal_stability"] == 1
 
 
 @pytest.mark.parametrize("bw", ["2e4", "1e300", "1e-300"])
@@ -414,6 +421,22 @@ def test_gain_past_double_range(tmp_path, command):
     assert abs(results["value"]) <= results["truncation_bound"]
 
 
+@pytest.mark.parametrize("argv, nulls", [
+    # each stage's peak is about 1e300 and their product past double range
+    (["pd-random", "--n", "2", "--trials", "2", "--kmin", "1e-300", "--kmax", "1e-300"],
+     ("median_peak", "max_peak")),
+    # T = (1 + c s)/(s^2 + c s + 1), c = 1e-310, peaks near 1/c at omega = 1
+    (["homogeneous", "--m", "2", "--c", "1+1e-310*s", "--n", "2"], ("hinf",)),
+], ids=["pd-random", "homogeneous"])
+def test_peak_past_double_range_is_null(tmp_path, argv, nulls):
+    # the peak overflows to inf, written as null, with no overflow warning
+    out = str(tmp_path)
+    assert main(argv + ["--out", out]) == 0
+    results = json.loads(_read(os.path.join(out, "report.json")),
+                         parse_constant=_reject_constant)["results"]
+    assert all(results[key] is None for key in nulls)
+
+
 def test_middleton_command(tmp_path):
     import math
     out = str(tmp_path)
@@ -467,9 +490,9 @@ def test_pd_random_baseline_tests_no_loop(tmp_path, call_counts):
     # the homogeneous baseline is the PD cascade with every k = 1, read from
     # its closed form like the trials' stages, and its peak is the one the
     # stage-by-stage route gives
-    counts = call_counts("internal_stability", "closed_loop", "poly_gcd")
+    counts = call_counts("internal_stability", "poly_gcd")
     assert main(["pd-random", "--n", "20", "--trials", "3", "--out", str(tmp_path)]) == 0
-    assert (counts["internal_stability"], counts["closed_loop"], counts["poly_gcd"]) == (0, 0, 0)
+    assert (counts["internal_stability"], counts["poly_gcd"]) == (0, 0)
     want = cascade_gain([parse_rational("1+s")] * 20, 2, default_grid()).peak
     assert _report(str(tmp_path))["results"]["homogeneous_peak"] == want
 

@@ -15,14 +15,12 @@ import pytest
 
 from platoonctrl.errors import InvalidRange, StabilityCheckFailed
 from platoonctrl.freq import (FrequencyGrid, default_grid, hinf_norm,
-                              poly_log_abs_jomega, rf_abs_jomega,
-                              log_abs_rows, rf_log_abs_evaluator,
-                              rf_log_abs_jomega)
+                              log_abs_evaluator)
 from platoonctrl.poly import Polynomial
 from platoonctrl.ratfun import RationalFunction, one, s
 from platoonctrl.synthesis import youla_closed_loop
 
-from oracles import poly_log_abs_polyval
+from oracles import log_abs_polyval
 
 PEAK_ORACLE = 1.4678898250138706      # sqrt((2+sqrt(3))/sqrt(3))
 ARGMAX_ORACLE = 0.8555996771673521    # sqrt(sqrt(3)-1)
@@ -68,18 +66,22 @@ def test_grid_equality_and_default():
 
 # ---------------------------------------------------------------- log-magnitude engine
 
+def _log_abs(f, omegas):
+    return log_abs_evaluator([(f.num.coeffs, f.den.coeffs)])(omegas)[0]
+
+
 def test_engine_matches_direct_eval():
     f = RationalFunction(Polynomial([1, 2]), Polynomial([3, 1, 1]))
     om = np.logspace(-2, 2, 101)
     direct = np.array([abs(f(1j * w)) for w in om])
-    engine = np.exp(rf_log_abs_jomega(f, om))
+    engine = np.exp(_log_abs(f, om))
     assert np.max(np.abs(engine - direct) / direct) < 1e-12
 
 
 def test_engine_survives_extreme_coefficients():
     gam = Fraction(10) ** 25
     f = RationalFunction(Polynomial([1]), Polynomial([gam * gam, 2 * gam, 1]))
-    logs = rf_log_abs_jomega(f, np.array([1e-3, 1.0, 1e3]))
+    logs = _log_abs(f, np.array([1e-3, 1.0, 1e3]))
     assert np.all(np.isfinite(logs))
     # |1/(s+gam)^2| at omega << gam is about gam^-2
     assert logs[1] == pytest.approx(-2 * 25 * math.log(10), rel=1e-9)
@@ -87,7 +89,7 @@ def test_engine_survives_extreme_coefficients():
 
 def test_abs_at_unit_frequency():
     T = RationalFunction(Polynomial([1, 1]), Polynomial([1, 1, 1]))
-    val = float(rf_abs_jomega(T, np.array([1.0]))[0])
+    val = math.exp(_log_abs(T, np.array([1.0]))[0])
     assert abs(val - math.sqrt(2)) < 1e-12
 
 
@@ -112,38 +114,42 @@ def _bits(a):
     return np.asarray(a, dtype=float).tobytes()
 
 
+# one stack of every degree above, with the zero sequence and the constant
+# (1,) on either side; each row's oracle is the polyval difference
+_PAIRS = ([(p.coeffs, (1,)) for p in _POLYS] + [((1,), p.coeffs) for p in _POLYS]
+          + [(p.coeffs, q.coeffs) for p in _POLYS for q in _POLYS[:4]]
+          + [((), (1, 1)), ((1,), (1,))])
+
+
 def test_engine_is_polyval_bit_for_bit():
-    with np.errstate(divide="ignore"):
-        for p in _POLYS:
-            assert _bits(poly_log_abs_jomega(p, _OMEGAS)) == _bits(poly_log_abs_polyval(p, _OMEGAS))
+    # past double range both logs can underflow to -inf, and their difference is NaN
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rows = log_abs_evaluator(_PAIRS)(_OMEGAS)
+        assert rows.shape == (len(_PAIRS), len(_OMEGAS))
+        for (num, den), row in zip(_PAIRS, rows):
+            assert _bits(row) == _bits(log_abs_polyval(num, den, _OMEGAS))
 
 
 def test_stacked_rows_match_one_at_a_time():
-    fs = [RationalFunction(p, q) for p in _POLYS for q in _POLYS[:4]]
-    fs.append(RationalFunction(Polynomial([]), Polynomial([1, 1])))
-    pairs = [(f.num.coeffs, f.den.coeffs) for f in fs]
-    # past double range both logs can underflow to -inf, and their difference is NaN
     with np.errstate(divide="ignore", invalid="ignore"):
-        rows = log_abs_rows(pairs, _OMEGAS)
-        assert rows.shape == (len(fs), len(_OMEGAS))
-        for f, row in zip(fs, rows):
-            assert _bits(row) == _bits(rf_log_abs_jomega(f, _OMEGAS))
-        # a one-row stack
-        assert _bits(log_abs_rows(pairs[:1], _OMEGAS)[0]) == \
-            _bits(rf_log_abs_jomega(fs[0], _OMEGAS))
+        rows = log_abs_evaluator(_PAIRS)(_OMEGAS)
+        for pair, row in zip(_PAIRS, rows):
+            assert _bits(row) == _bits(log_abs_evaluator([pair])(_OMEGAS)[0])
     # a closed-form pair of ints and Fractions reads as its Polynomial does
     k = Fraction(7, 3)
-    assert _bits(log_abs_rows([((1, k), (1, k, 1))], _OMEGAS)[0]) == \
-        _bits(rf_log_abs_jomega(RationalFunction(Polynomial([1, k]), Polynomial([1, k, 1])),
-                                _OMEGAS))
+    f = RationalFunction(Polynomial([1, k]), Polynomial([1, k, 1]))
+    assert _bits(log_abs_evaluator([((1, k), (1, k, 1))])(_OMEGAS)) == \
+        _bits(log_abs_evaluator([(f.num.coeffs, f.den.coeffs)])(_OMEGAS))
 
 
 def test_evaluator_matches_per_call_scaling():
+    # scaled once, evaluated per call: each call gives the oracle's bits
     f = RationalFunction(Polynomial([_BIG, 1, 3]), Polynomial([_TINY, 1, 1, 1]))
-    log_abs = rf_log_abs_evaluator(f)
-    assert _bits(log_abs(_OMEGAS)) == _bits(rf_log_abs_jomega(f, _OMEGAS))
+    log_abs = log_abs_evaluator([(f.num.coeffs, f.den.coeffs)])
+    num, den = f.num.coeffs, f.den.coeffs
+    assert _bits(log_abs(_OMEGAS)[0]) == _bits(log_abs_polyval(num, den, _OMEGAS))
     for w in (1e-5, 0.5, 1.0, 2.0, 1e5):
-        assert _bits(log_abs(np.array([w]))) == _bits(rf_log_abs_jomega(f, np.array([w])))
+        assert _bits(log_abs(np.array([w]))[0]) == _bits(log_abs_polyval(num, den, np.array([w])))
 
 
 # ---------------------------------------------------------------- peak gain

@@ -1,0 +1,43 @@
+"""Source hygiene: no dead imports in the package, and a consistent __all__."""
+
+from __future__ import annotations
+
+import ast
+import pathlib
+
+import pytest
+
+import platoonctrl
+
+_SRC = pathlib.Path(platoonctrl.__file__).parent
+_MODULES = sorted(p for p in _SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _unused_imports(tree: ast.Module):
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in bound.items() if name not in used)
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=[p.stem for p in _MODULES])
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _unused_imports(tree) == []
+
+
+def test_unused_import_scan_sees_a_dead_name():
+    tree = ast.parse("from typing import Tuple, List\nimport math\nx: List[int] = []\n")
+    assert _unused_imports(tree) == [(1, "Tuple"), (2, "math")]
+
+
+def test_all_resolves_and_lists_each_name_once():
+    names = platoonctrl.__all__
+    assert [n for n in names if names.count(n) > 1] == []
+    assert [n for n in names if not hasattr(platoonctrl, n)] == []

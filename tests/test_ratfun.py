@@ -8,13 +8,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from platoonctrl.errors import PoleAtPoint, ZeroDenominator
+from platoonctrl.errors import NonPositiveGamma, PoleAtPoint, ZeroDenominator
 from platoonctrl.poly import Polynomial
-from platoonctrl.ratfun import (RationalFunction, closed_loop,
-                                internal_stability, one, s,
+from platoonctrl.ratfun import (RationalFunction, internal_stability, one, s,
                                 scale_frequency)
 
-from oracles import maclaurin
+from oracles import closed_loop, maclaurin
 
 ONE = Polynomial([1])
 S = Polynomial([0, 1])
@@ -116,6 +115,10 @@ def test_scale_frequency_exact_substitution():
     f = s / (one + s)
     g = scale_frequency(f, Fraction(1, 10))
     assert g == RationalFunction(S, Polynomial([10, 1]))
+    assert scale_frequency(f, 1) == f
+    for gamma in (0, -2):
+        with pytest.raises(NonPositiveGamma):
+            scale_frequency(f, gamma)
 
 
 def test_scale_frequency_magnitude_covariance():
