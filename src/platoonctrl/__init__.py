@@ -9,9 +9,9 @@ length-invariant leading blocks thanks to an exact UL factorization.
 from .bidir import (BodeTable, LemmaStructures, RationalMatrix, bode_table,
                     build_structures, invariance_check, sensitivity_matrix,
                     verify_factorization)
-from .cascade import (CascadeProfile, GrowthTable, MiddletonResult,
-                      MistuneReport, cascade_gain, homogeneous_growth,
-                      middleton_integral, pd_mistune_experiment)
+from .cascade import (CascadeProfile, GrowthTable, MistuneReport,
+                      cascade_gain, homogeneous_growth, middleton_integral,
+                      pd_mistune_experiment)
 from .errors import (BandwidthViolation, DivergentAtOrigin, IllPosed,
                      InvalidRange, NonPositiveGamma, ParseError,
                      PeakExceedsBudget, PlatoonError, PoleAtPoint,
@@ -35,7 +35,7 @@ __all__ = [
     "BandwidthViolation", "BodeTable", "CascadeProfile", "Certificate",
     "ControllerFamily", "Design", "DivergentAtOrigin", "FrequencyGrid",
     "GrowthTable", "HinfResult", "IllPosed", "InvalidRange",
-    "LemmaStructures", "MiddletonResult", "MistuneReport",
+    "LemmaStructures", "MistuneReport",
     "NonPositiveGamma", "ParseError", "PeakExceedsBudget", "PlatoonError",
     "PoleAtPoint", "Polynomial", "RationalFunction", "RationalMatrix",
     "SearchExhausted", "StabilityCheckFailed", "StabilityReport",

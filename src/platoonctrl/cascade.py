@@ -6,8 +6,9 @@ works with sums of log-magnitudes (safe for long cascades). The integral
 obstruction says that for a double integrator or worse, any internally
 stabilising loop has ln|T| integrating to a nonnegative value against
 1/omega^2, so |T| > 1 somewhere and a homogeneous cascade grows
-geometrically. The randomized PD experiment probes how much plain parameter
-scatter already mitigates that.
+geometrically. That integral is computed from its closed form in T'(0) and
+the right-half-plane zeros of T, not by quadrature. The randomized PD
+experiment probes how much plain parameter scatter already mitigates that.
 """
 
 from __future__ import annotations
@@ -15,12 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from .errors import DivergentAtOrigin, InvalidRange, StabilityCheckFailed
-from .freq import (FrequencyGrid, _log_abs_coeff, default_grid, hinf_norm,
+from .freq import (FrequencyGrid, _scaled_descending, default_grid, hinf_norm,
                    log_abs_evaluator)
 from .poly import hurwitz_stable
 from .ratfun import RationalFunction, internal_stability
@@ -89,47 +90,36 @@ def cascade_gain(controllers: Sequence[RationalFunction], m: int,
 # ----------------------------------------------------------------------
 # the integral obstruction
 
-class MiddletonResult(NamedTuple):
-    value: float
-    truncation_bound: float
+def middleton_integral(T: RationalFunction) -> float:
+    """The integral over (0, inf) of ln|T(j omega)| / omega^2, in closed form.
 
+    Requires T nonzero, strictly proper and stable (StabilityCheckFailed
+    otherwise), and T(0) = 1 (DivergentAtOrigin otherwise: the 1/omega^2
+    weight makes the integral diverge at the origin). Then (Middleton 1991;
+    Seiler, Pant and Hedrick 2004)
 
-def _adaptive_simpson(f, a: float, b: float, tol: float) -> float:
-    fa, fb = f(a), f(b)
-    mid = 0.5 * (a + b)
-    fm = f(mid)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_rec(f, a, b, fa, fm, fb, whole, tol, 24)
+        integral = (pi/2) T'(0) + pi * sum of Re(1/z) over the zeros z of T
+                   with Re z > 0.
 
+    Proof sketch: take one Blaschke factor (z - s)/(conj(z) + s) * conj(z)/z
+    per right-half-plane zero z of T, and write T = B T_mp with B their
+    product. Then |B(j omega)| = 1 and B(0) = T_mp(0) = 1, and T_mp has no
+    zero or pole in Re s > 0, so ln T_mp(s)/s^2 is analytic there. Integrate
+    it up the imaginary axis, indented at 0 by a small right half-circle,
+    and back round a large one. The large arc vanishes, since ln|T_mp| grows
+    only like ln|s|; on the axis the odd phase cancels and the even part
+    ln|T(j omega)| remains; the indentation passes the simple pole at 0, of
+    residue T_mp'(0). So the integral is (pi/2) T_mp'(0), and
+    differentiating ln T = ln B + ln T_mp at 0 gives
+    T_mp'(0) = T'(0) + 2 sum Re(1/z). A zero on the axis adds Re(1/z) = 0.
 
-def _simpson_rec(f, a, b, fa, fm, fb, whole, tol, depth):
-    mid = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + mid), 0.5 * (mid + b)
-    flm, frm = f(lm), f(rm)
-    left = (mid - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - mid) / 6.0 * (fm + 4.0 * frm + fb)
-    if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
-        # Richardson extrapolation of the two half-panels
-        return left + right + (left + right - whole) / 15.0
-    return (_simpson_rec(f, a, mid, fa, flm, fm, left, tol / 2.0, depth - 1)
-            + _simpson_rec(f, mid, b, fm, frm, fb, right, tol / 2.0, depth - 1))
-
-
-def middleton_integral(T: RationalFunction, omega_lo: float = 1e-6,
-                       omega_hi: float = 1e6, tol: float = 1e-8) -> MiddletonResult:
-    """Estimate of integral over (0, inf) of ln|T(j omega)| / omega^2.
-
-    Requires T stable, strictly proper, and T(0) = 1 (otherwise the integrand
-    has a non-integrable 1/omega^2 singularity at the origin and
-    DivergentAtOrigin is raised). The body is integrated per decade with
-    adaptive Simpson in u = ln(omega); below omega_lo the integrand is
-    essentially its limit value so the head is estimated as one rectangle,
-    and above omega_hi the rolloff |T| ~ C/omega^r gives a closed-form tail.
-    The reported bound is |head| + |tail| + the quadrature allowance, so the
-    estimate's distance from the true integral is controlled, not hidden.
+    T'(0) = (n1 - d1)/d0 is exact, since n0 = d0. The zero sum is empty
+    when T's numerator passes the exact Routh test; otherwise np.roots of
+    the numerator's scaled ascending coefficients gives w = 1/z for every
+    zero, and pi * max(Re w, 0) is added. That term is continuous in w, so a
+    zero near the axis whose side is misjudged moves the sum by next to
+    nothing. A value past double range is returned as +-inf.
     """
-    if not (0 < omega_lo < omega_hi):
-        raise InvalidRange("need 0 < omega_lo < omega_hi")
     if T.num.is_zero or T.num.degree >= T.den.degree:
         raise StabilityCheckFailed("T must be nonzero and strictly proper")
     if not hurwitz_stable(T.den):
@@ -137,38 +127,16 @@ def middleton_integral(T: RationalFunction, omega_lo: float = 1e-6,
     t0 = T(Fraction(0))
     if t0 != 1:
         raise DivergentAtOrigin(f"T(0) = {t0} != 1")
-
-    log_abs = log_abs_evaluator([(T.num.coeffs, T.den.coeffs)])
-
-    def g(u: float) -> float:
-        # integrand after omega = e^u: ln|T(j e^u)| e^{-u}
-        om = math.exp(u)
-        return float(log_abs(np.array([om]))[0, 0]) * math.exp(-u)
-
-    lo_d, hi_d = math.log10(omega_lo), math.log10(omega_hi)
-    edges = [lo_d]
-    k = math.floor(lo_d) + 1
-    while k < hi_d:
-        edges.append(float(k))
-        k += 1
-    edges.append(hi_d)
-    body = 0.0
-    for a_d, b_d in zip(edges, edges[1:]):
-        body += _adaptive_simpson(g, a_d * math.log(10.0), b_d * math.log(10.0), tol)
-
-    head = float(log_abs(np.array([omega_lo]))[0, 0]) / omega_lo
-    r = T.den.degree - T.num.degree
-    lead_ratio = T.num.leading() / T.den.leading()
+    n, d = T.num.coeffs, T.den.coeffs
+    slope = ((n[1] if len(n) > 1 else 0) - d[1]) / d[0]
     try:
-        ln_c = math.log(abs(float(lead_ratio)))
-    except (OverflowError, ValueError):
-        # |lead_ratio| past double range: float() overflows or gives 0.0,
-        # so the log is read off its exact numerator and denominator
-        ln_c = _log_abs_coeff(lead_ratio)
-    w = omega_hi
-    tail = ln_c / w - r * (math.log(w) + 1.0) / w
-    bound = abs(head) + abs(tail) + tol * (len(edges) - 1)
-    return MiddletonResult(head + body + tail, bound)
+        value = math.pi / 2 * float(slope)
+    except OverflowError:
+        value = math.inf if slope > 0 else -math.inf
+    if not hurwitz_stable(T.num):
+        w = np.roots(_scaled_descending(n)[0][::-1])
+        value += math.pi * float(np.maximum(w.real, 0.0).sum())
+    return value
 
 
 # ----------------------------------------------------------------------

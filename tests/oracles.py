@@ -12,7 +12,9 @@ at s = 0. The np.polyval magnitude engine, one polynomial at a time, checks
 per-stage PD route, with a fresh generator per gain, checks the closed-form
 PD cascade and its one keyed generator in `cascade`, and the family sweep,
 reading every member's T(gamma_k s) on one float grid, checks the bound
-that `synthesis.family_product_check` proves by comparisons.
+that `synthesis.family_product_check` proves by comparisons. Adaptive
+Simpson quadrature of the Middleton integrand, with its truncation bound,
+checks the closed form `cascade.middleton_integral` returns.
 """
 
 from __future__ import annotations
@@ -25,10 +27,11 @@ import numpy as np
 
 from platoonctrl.bidir import RationalMatrix
 from platoonctrl.cascade import _SCHEME, MistuneReport, cascade_gain
-from platoonctrl.errors import IllPosed, InvalidRange, PlatoonError, PoleAtPoint
-from platoonctrl.freq import (FrequencyGrid, _scaled_descending, default_grid,
-                              log_abs_evaluator)
-from platoonctrl.poly import Polynomial
+from platoonctrl.errors import (DivergentAtOrigin, IllPosed, InvalidRange,
+                                PlatoonError, PoleAtPoint, StabilityCheckFailed)
+from platoonctrl.freq import (FrequencyGrid, _log_abs_coeff, _scaled_descending,
+                              default_grid, log_abs_evaluator)
+from platoonctrl.poly import Polynomial, hurwitz_stable
 from platoonctrl.ratfun import RationalFunction
 
 _S = Polynomial([0, 1])
@@ -256,6 +259,85 @@ def family_sweep(family, T: RationalFunction):
     log_abs = log_abs_evaluator([(T.num.coeffs, T.den.coeffs)])
     members = np.array([log_abs(grid.omegas * float(g))[0] for g in family.gammas])
     return float(np.exp(members.sum(axis=0).max())), float(members[:, above].max())
+
+
+# ---------------------------------------------------------------- integral obstruction
+
+def _adaptive_simpson(f, a: float, b: float, tol: float) -> float:
+    fa, fb = f(a), f(b)
+    mid = 0.5 * (a + b)
+    fm = f(mid)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    return _simpson_rec(f, a, b, fa, fm, fb, whole, tol, 24)
+
+
+def _simpson_rec(f, a, b, fa, fm, fb, whole, tol, depth):
+    mid = 0.5 * (a + b)
+    lm, rm = 0.5 * (a + mid), 0.5 * (mid + b)
+    flm, frm = f(lm), f(rm)
+    left = (mid - a) / 6.0 * (fa + 4.0 * flm + fm)
+    right = (b - mid) / 6.0 * (fm + 4.0 * frm + fb)
+    if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
+        # Richardson extrapolation of the two half-panels
+        return left + right + (left + right - whole) / 15.0
+    return (_simpson_rec(f, a, mid, fa, flm, fm, left, tol / 2.0, depth - 1)
+            + _simpson_rec(f, mid, b, fm, frm, fb, right, tol / 2.0, depth - 1))
+
+
+def middleton_quadrature(T: RationalFunction, omega_lo: float = 1e-6,
+                         omega_hi: float = 1e6, tol: float = 1e-8):
+    """(estimate, bound) of the integral over (0, inf) of ln|T(j omega)| / omega^2.
+
+    Requires T stable, strictly proper, and T(0) = 1 (otherwise the integrand
+    has a non-integrable 1/omega^2 singularity at the origin and
+    DivergentAtOrigin is raised). The body is integrated per decade with
+    adaptive Simpson in u = ln(omega); below omega_lo the integrand is
+    essentially its limit value so the head is estimated as one rectangle,
+    and above omega_hi the rolloff |T| ~ C/omega^r gives a closed-form tail.
+    The reported bound is |head| + |tail| + the quadrature allowance, so the
+    estimate's distance from the true integral is controlled, not hidden.
+    """
+    if not (0 < omega_lo < omega_hi):
+        raise InvalidRange("need 0 < omega_lo < omega_hi")
+    if T.num.is_zero or T.num.degree >= T.den.degree:
+        raise StabilityCheckFailed("T must be nonzero and strictly proper")
+    if not hurwitz_stable(T.den):
+        raise StabilityCheckFailed("T must be stable")
+    t0 = T(Fraction(0))
+    if t0 != 1:
+        raise DivergentAtOrigin(f"T(0) = {t0} != 1")
+
+    log_abs = log_abs_evaluator([(T.num.coeffs, T.den.coeffs)])
+
+    def g(u: float) -> float:
+        # integrand after omega = e^u: ln|T(j e^u)| e^{-u}
+        om = math.exp(u)
+        return float(log_abs(np.array([om]))[0, 0]) * math.exp(-u)
+
+    lo_d, hi_d = math.log10(omega_lo), math.log10(omega_hi)
+    edges = [lo_d]
+    k = math.floor(lo_d) + 1
+    while k < hi_d:
+        edges.append(float(k))
+        k += 1
+    edges.append(hi_d)
+    body = 0.0
+    for a_d, b_d in zip(edges, edges[1:]):
+        body += _adaptive_simpson(g, a_d * math.log(10.0), b_d * math.log(10.0), tol)
+
+    head = float(log_abs(np.array([omega_lo]))[0, 0]) / omega_lo
+    r = T.den.degree - T.num.degree
+    lead_ratio = T.num.leading() / T.den.leading()
+    try:
+        ln_c = math.log(abs(float(lead_ratio)))
+    except (OverflowError, ValueError):
+        # |lead_ratio| past double range: float() overflows or gives 0.0,
+        # so the log is read off its exact numerator and denominator
+        ln_c = _log_abs_coeff(lead_ratio)
+    w = omega_hi
+    tail = ln_c / w - r * (math.log(w) + 1.0) / w
+    bound = abs(head) + abs(tail) + tol * (len(edges) - 1)
+    return head + body + tail, bound
 
 
 # ---------------------------------------------------------------- PD cascade

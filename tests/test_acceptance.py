@@ -96,8 +96,8 @@ def test_criterion_06_homogeneous_amplification():
 
 
 def test_criterion_07_frequency_weighted_integral(certified_m4):
-    res = middleton_integral(closed_loop(plant(1), ONE)[1])
-    assert abs(res.value - (-math.pi / 2)) < 1e-3
+    value = middleton_integral(closed_loop(plant(1), ONE)[1])
+    assert abs(value - (-math.pi / 2)) < 1e-3
     zoo = [
         (2, "1+s"),
         (2, "2+s"),
@@ -108,12 +108,12 @@ def test_criterion_07_frequency_weighted_integral(certified_m4):
     checked = 0
     for m, text in zoo:
         T = closed_loop(plant(m), parse_rational(text))[1]
-        res = middleton_integral(T)
-        assert res.value >= -1e-3, f"m={m} c={text}: {res.value:.6f}"
+        value = middleton_integral(T)
+        assert value >= -1e-3, f"m={m} c={text}: {value:.6f}"
         checked += 1
     c4, _ = certified_m4
-    res = middleton_integral(closed_loop(plant(4), c4)[1])
-    assert res.value >= -1e-3, f"certified member: {res.value:.6f}"
+    value = middleton_integral(closed_loop(plant(4), c4)[1])
+    assert value >= -1e-3, f"certified member: {value:.6f}"
     checked += 1
     assert checked >= 5
 

@@ -19,7 +19,8 @@ from platoonctrl.poly import Polynomial
 from platoonctrl.ratfun import RationalFunction, one, s
 from platoonctrl.synthesis import youla_closed_loop
 
-from oracles import closed_loop, pd_gain_fresh, pd_mistune_by_stages, log_abs_polyval
+from oracles import (closed_loop, log_abs_polyval, middleton_quadrature,
+                     pd_gain_fresh, pd_mistune_by_stages)
 
 PEAK_ORACLE = 1.4678898250138706
 ARGMAX_ORACLE = 0.8555996771673521
@@ -93,38 +94,51 @@ def test_profile_csv_shape():
 
 # ---------------------------------------------------------------- integral obstruction
 
+# (m, controller): loops of order m >= 2, and m = 1 loops whose T has a
+# right-half-plane zero (at s = 2, 10 and 2), which adds pi Re(1/z)
+_MIDDLETON_ZOO = [(2, "1+s"), (2, "2+s"), (2, "1+2*s"), (2, "1+0.7*s"),
+                  (2, "(1+s)/(2+s)"), (3, "(1+s)^2")]
+_NON_MINIMUM_PHASE = [(1, "(1-0.5*s)/(s+2)"), (1, "(1-0.1*s)/(1+s)"), (1, "(2-s)/(s+3)")]
+
+
+def _loop_T(m, c):
+    return closed_loop(RationalFunction(Polynomial([1]), Polynomial([0, 1]) ** m), c)[1]
+
+
 def test_middleton_analytic_oracle():
-    T = one / (one + s)
-    res = middleton_integral(T)
-    assert abs(res.value - (-math.pi / 2)) < 1e-3
-    assert abs(res.value - (-math.pi / 2)) < res.truncation_bound + 1e-7
-    assert res.truncation_bound < 1e-3
+    # the quadrature oracle meets the analytic -pi/2 for 1/(1+s) within its bound
+    value, bound = middleton_quadrature(one / (one + s))
+    assert abs(value - (-math.pi / 2)) < bound + 1e-7
+    assert bound < 1e-3
+
+
+def test_middleton_closed_form_matches_quadrature(certified_m4):
+    loops = [one / (one + s), _loop_T(4, certified_m4[0])]
+    loops += [_loop_T(m, parse_rational(c)) for m, c in _MIDDLETON_ZOO + _NON_MINIMUM_PHASE]
+    for T in loops:
+        value, bound = middleton_quadrature(T)
+        assert abs(middleton_integral(T) - value) <= bound, f"T = {T}"
 
 
 def test_middleton_zoo_nonnegative(certified_m4):
-    zoo = [(2, parse_rational("1+s")),
-           (2, parse_rational("2+s")),
-           (2, parse_rational("1+2*s")),
-           (2, parse_rational("(1+s)/(2+s)")),
-           (3, parse_rational("(1+s)^2"))]
-    c4, _ = certified_m4
-    zoo.append((4, c4))
-    assert len(zoo) >= 5
-    for m, c in zoo:
-        T = closed_loop(RationalFunction(Polynomial([1]), Polynomial([0, 1]) ** m), c)[1]
-        res = middleton_integral(T)
-        assert res.value >= -1e-3, f"integral false-negative for m={m}"
+    loops = [_loop_T(m, parse_rational(c)) for m, c in _MIDDLETON_ZOO]
+    loops.append(_loop_T(4, certified_m4[0]))
+    for T in loops:
+        assert middleton_integral(T) >= 0.0, f"integral false-negative for T = {T}"
 
 
 def test_middleton_frozen_bits(certified_m4):
-    # recorded before the integrand scaled T once; the value must not move
-    assert tuple(middleton_integral(one / (one + s))) == \
-        (-1.5707963273933725, 1.5435555008255317e-05)
+    # (pi/2) T'(0), with no right-half-plane zero in the first three cases
+    assert middleton_integral(one / (one + s)) == -math.pi / 2
     T = RationalFunction(Polynomial([1, 1]), Polynomial([1, 1, 1]))
-    assert tuple(middleton_integral(T)) == (5.030310051151472e-10, 1.593548843624415e-05)
+    assert middleton_integral(T) == 0.0
     _, cert = certified_m4
     T4 = youla_closed_loop(4, cert.gamma_a, cert.gamma_b)
-    assert tuple(middleton_integral(T4)) == (-3.273952881003195e-09, 8.662401636750969e-05)
+    assert middleton_integral(T4) == 0.0
+    # by hand: T = (2-s)/(s^2+2s+2) has T'(0) = -3/2 and one zero, at 2,
+    # so the integral is (pi/2)(-3/2) + pi/2 = -pi/4
+    T = _loop_T(1, parse_rational("(2-s)/(s+3)"))
+    assert middleton_integral(T) == pytest.approx(-math.pi / 4, rel=1e-15)
 
 
 def test_middleton_requires_unit_dc():
@@ -138,8 +152,6 @@ def test_middleton_preconditions():
         middleton_integral(one / (s - one))             # unstable
     with pytest.raises(StabilityCheckFailed):
         middleton_integral((one + s) / (one + s + s * s) * (one + s) / one)  # improper tail
-    with pytest.raises(InvalidRange):
-        middleton_integral(one / (one + s), omega_lo=1.0, omega_hi=0.1)
 
 
 # ---------------------------------------------------------------- growth table

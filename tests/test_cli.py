@@ -6,6 +6,7 @@ import copy
 import hashlib
 import json
 import logging
+import math
 import os
 from fractions import Fraction
 
@@ -409,8 +410,8 @@ def test_homogeneous_improper_tail_still_reports(tmp_path):
 
 @pytest.mark.parametrize("command", ["homogeneous", "middleton"])
 def test_gain_past_double_range(tmp_path, command):
-    # T's leading-coefficient ratio is 1e400, past what float() can hold: the
-    # integral's tail reads its log off the exact ratio
+    # T's leading-coefficient ratio is 1e400, past what float() can hold;
+    # T'(0) = 0 exactly, and the closed form reads nothing else off T
     out = str(tmp_path)
     assert main([command, "--m", "2", "--c", "1e400*(1+s)", "--out", out]) == 0
     results = json.loads(_read(os.path.join(out, "report.json")),
@@ -419,6 +420,34 @@ def test_gain_past_double_range(tmp_path, command):
         assert results["hinf"] == 1.0
         results = results["middleton"]
     assert abs(results["value"]) <= results["truncation_bound"]
+
+
+@pytest.mark.parametrize("command", ["homogeneous", "middleton"])
+@pytest.mark.parametrize("m, c, value", [
+    # T = c(1+s)/(s^2+cs+c) has T'(0) = 0 and no right-half-plane zero;
+    # adaptive Simpson once ran past 20 s on the first and 60 s on 1e-400
+    (2, "1e-300*(1+s)", 0.0),
+    (2, "1e-400*(1+s)", 0.0),
+    # quadrature read 1.24e7 here
+    (2, "1e-12*(1+s)", 0.0),
+    # T = c/(s+c): (pi/2) T'(0) = -(pi/2)/c, which for c = 1e-400 is past
+    # double range and written as null
+    (1, "1e-200", pytest.approx(-math.pi / 2 * 1e200, rel=1e-15)),
+    (1, "1e-400", None),
+    # zeros at s = +-j add Re(1/z) = 0, where quadrature met ln 0; the
+    # rounding of np.roots may leave them a hair off the axis
+    (2, "(1+s)*(1+s^2)/(1+0.1*s)^3", pytest.approx(0.0, abs=1e-12)),
+])
+def test_middleton_closed_form_value(tmp_path, command, m, c, value):
+    out = str(tmp_path)
+    assert main([command, "--m", str(m), "--c", c, "--out", out]) == 0
+    results = json.loads(_read(os.path.join(out, "report.json")),
+                         parse_constant=_reject_constant)["results"]
+    if command == "homogeneous":
+        # hinf for 1e-400*(1+s) is a grid sample that misses the +-j 1e-200
+        # poles, and is not asserted
+        results = results["middleton"]
+    assert results == {"value": value, "truncation_bound": 0.0}
 
 
 @pytest.mark.parametrize("argv, nulls", [
@@ -438,7 +467,6 @@ def test_peak_past_double_range_is_null(tmp_path, argv, nulls):
 
 
 def test_middleton_command(tmp_path):
-    import math
     out = str(tmp_path)
     assert main(["middleton", "--m", "1", "--c", "1", "--out", out]) == 0
     rep = _report(out)
