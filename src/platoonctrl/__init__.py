@@ -6,12 +6,10 @@ overlap, and a bidirectional design whose closed-loop sensitivity has
 length-invariant leading blocks thanks to an exact UL factorization.
 """
 
-from .bidir import (BodeTable, LemmaStructures, RationalMatrix, bode_table,
-                    build_structures, invariance_check, sensitivity_matrix,
+from .bidir import (BodeTable, bode_table, invariance_check, sensitivity_matrix,
                     verify_factorization)
-from .cascade import (CascadeProfile, GrowthTable, MistuneReport,
-                      cascade_gain, homogeneous_growth, middleton_integral,
-                      pd_mistune_experiment)
+from .cascade import (CascadeProfile, GrowthTable, MistuneReport, cascade_profile,
+                      homogeneous_growth, middleton_integral, pd_mistune_experiment)
 from .errors import (BandwidthViolation, DivergentAtOrigin, IllPosed,
                      InvalidRange, NonPositiveGamma, ParseError,
                      PeakExceedsBudget, PlatoonError, PoleAtPoint,
@@ -35,12 +33,12 @@ __all__ = [
     "BandwidthViolation", "BodeTable", "CascadeProfile", "Certificate",
     "ControllerFamily", "Design", "DivergentAtOrigin", "FrequencyGrid",
     "GrowthTable", "HinfResult", "IllPosed", "InvalidRange",
-    "LemmaStructures", "MistuneReport",
+    "MistuneReport",
     "NonPositiveGamma", "ParseError", "PeakExceedsBudget", "PlatoonError",
-    "PoleAtPoint", "Polynomial", "RationalFunction", "RationalMatrix",
+    "PoleAtPoint", "Polynomial", "RationalFunction",
     "SearchExhausted", "StabilityCheckFailed", "StabilityReport",
     "ZeroDenominator", "ZeroPolynomial", "band_grid", "bode_table",
-    "build_structures", "candidate_controller", "cascade_gain",
+    "candidate_controller", "cascade_profile",
     "certify_closed_loop", "check_certificate", "default_grid",
     "family_from_json", "family_product_check", "family_to_json",
     "hinf_norm", "homogeneous_growth", "hurwitz_stable",

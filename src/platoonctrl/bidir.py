@@ -8,10 +8,12 @@ whose entries do not depend on n, so the leading blocks of S_n do not change
 as vehicles are appended. `sensitivity_matrix` builds the entries from the
 closed form and checks L_n S_n U_n = s^2 I_n exactly. Both identities,
 the factorization and L_n S_n U_n = s^2 I_n, are checked with the
-denominators cleared, in integer polynomial arithmetic on the coefficients
-of the very matrices they are about. Everything here is exact; floats only
-enter in the Bode sweep, which tabulates a bound that a lemma proves for
-every length (`bode_table`).
+denominators cleared, in integer polynomial arithmetic: X_n, s^2 H_n, U_n
+and L_n are written down as sparse integer polynomial matrices from their
+displayed definitions (`_lemma_matrices`), and S_n is read through its
+integer numerators. Everything here is exact; floats only enter in the Bode
+sweep, which tabulates a bound that a lemma proves for every length
+(`bode_table`).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -28,120 +30,29 @@ from .freq import FrequencyGrid, log_abs_evaluator
 from .poly import Polynomial, _int_add, _int_mul, _int_sub, _int_view
 from .ratfun import RationalFunction
 
-_S = Polynomial([0, 1])
-_ONE = Polynomial([1])
-_ZERO_RF = RationalFunction(Polynomial([]), _ONE)
-_ONE_RF = RationalFunction(_ONE, _ONE)
 _DB = 20.0 / math.log(10.0)
 
 
-class RationalMatrix:
-    """Dense immutable matrix of rational functions, 0-based indexing."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: Sequence[Sequence[RationalFunction]]):
-        rows = tuple(tuple(r) for r in rows)
-        if not rows or not rows[0]:
-            raise InvalidRange("matrix must be nonempty")
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise InvalidRange("ragged rows")
-        self.rows = rows
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def n_cols(self) -> int:
-        return len(self.rows[0])
-
-    def __getitem__(self, ij) -> RationalFunction:
-        i, j = ij
-        return self.rows[i][j]
-
-    def entries(self) -> Iterator[Tuple[int, int, RationalFunction]]:
-        for i, row in enumerate(self.rows):
-            for j, f in enumerate(row):
-                yield i, j, f
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RationalMatrix):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __repr__(self):
-        return f"RationalMatrix({self.n_rows}x{self.n_cols})"
-
-
-@dataclass(frozen=True)
-class LemmaStructures:
-    """The four exact matrices of the factorization for a given n."""
-
-    n: int
-    X: RationalMatrix
-    H: RationalMatrix
-    U: RationalMatrix
-    L: RationalMatrix
-
-
-def build_structures(n: int) -> LemmaStructures:
-    """X_n, H_n, U_n, L_n exactly as displayed.
+def _lemma_matrices(n: int):
+    """X_n, s^2 H_n, U_n and L_n as {(i, j): ascending integer coefficients}.
 
     X_n: 1 on the diagonal, -1 on the subdiagonal. H_n: diagonal
-    ((s+1)/s^2, ..., (s+1)/s^2, 1/s), the last loop differing. U_n: s+1 on
-    the diagonal, -1 on the superdiagonal. L_n: diagonal (s, s+1, ..., s+1),
-    -1 on the subdiagonal.
+    ((s+1)/s^2, ..., (s+1)/s^2, 1/s), the last loop differing, so s^2 H_n is
+    diag(s+1, ..., s+1, s). U_n: s+1 on the diagonal, -1 on the
+    superdiagonal. L_n: diagonal (s, s+1, ..., s+1), -1 on the subdiagonal.
+    Zero entries are left out.
     """
     if n < 1:
         raise InvalidRange("n must be >= 1")
-    s2 = _S * _S
-    h_mid = RationalFunction(_ONE + _S, s2)
-    h_last = RationalFunction(_ONE, _S)
-    sp1 = RationalFunction(_ONE + _S, _ONE)
-    s_rf = RationalFunction(_S, _ONE)
-    neg1 = RationalFunction(Polynomial([-1]), _ONE)
-
-    def cell(i, j, diag, off, offset):
-        if i == j:
-            return diag(i)
-        if j == i + offset:
-            return off
-        return _ZERO_RF
-
-    X = RationalMatrix(tuple(
-        tuple(cell(i, j, lambda _: _ONE_RF, neg1, -1) for j in range(n))
-        for i in range(n)))
-    H = RationalMatrix(tuple(
-        tuple((h_last if i == n - 1 else h_mid) if i == j else _ZERO_RF
-              for j in range(n))
-        for i in range(n)))
-    U = RationalMatrix(tuple(
-        tuple(cell(i, j, lambda _: sp1, neg1, +1) for j in range(n))
-        for i in range(n)))
-    L = RationalMatrix(tuple(
-        tuple(cell(i, j, lambda i: s_rf if i == 0 else sp1, neg1, -1) for j in range(n))
-        for i in range(n)))
-    return LemmaStructures(n, X, H, U, L)
-
-
-def _int_poly_matrix(M: RationalMatrix, factor: Polynomial = _ONE):
-    """The nonzero entries of factor * M as {(i, j): integer coefficients}.
-
-    None unless every entry of factor * M is a polynomial with integer
-    coefficients.
-    """
-    out = {}
-    for i, j, f in M.entries():
-        if f.num.is_zero:
-            continue
-        q, r = divmod(f.num * factor, f.den)
-        cs = _int_view(q) if r.is_zero else None
-        if cs is None:
-            return None
-        out[i, j] = cs
-    return out
+    X, s2H, U, L = {}, {}, {}, {}
+    for i in range(n):
+        X[i, i] = [1]
+        s2H[i, i] = [0, 1] if i == n - 1 else [1, 1]
+        U[i, i] = [1, 1]
+        L[i, i] = [0, 1] if i == 0 else [1, 1]
+        if i:
+            X[i, i - 1] = U[i - 1, i] = L[i, i - 1] = [-1]
+    return X, s2H, U, L
 
 
 def _int_matmul(A, B):
@@ -159,16 +70,11 @@ def _int_matmul(A, B):
 def verify_factorization(n: int) -> bool:
     """Exact entrywise test of s^2 (I + X H X^T) == U L.
 
-    Reads X, H, U and L from `build_structures(n)` and checks the cleared
-    form s^2 I + X (s^2 H) X^T == U L in integer polynomial arithmetic.
-    False if the two sides differ or if an entry of X, s^2 H, U or L is not
-    a polynomial with integer coefficients.
+    Checks the cleared form s^2 I + X (s^2 H) X^T == U L on the integer
+    polynomial matrices of `_lemma_matrices(n)`, which hold O(n) nonzero
+    entries, so the check runs in time and memory linear in n.
     """
-    st = build_structures(n)
-    X, s2H, U, L = (_int_poly_matrix(st.X), _int_poly_matrix(st.H, _S * _S),
-                    _int_poly_matrix(st.U), _int_poly_matrix(st.L))
-    if None in (X, s2H, U, L):
-        return False
+    X, s2H, U, L = _lemma_matrices(n)
     lhs = _int_matmul(_int_matmul(X, s2H), {(j, i): c for (i, j), c in X.items()})
     for i in range(n):
         lhs[i, i] = _int_add(lhs.get((i, i), []), [0, 0, 1])
@@ -180,7 +86,7 @@ def _binomial_rows(count: int):
     return [[math.comb(p, t) for t in range(p + 1)] for p in range(count)]
 
 
-def _verify_sensitivity(S: RationalMatrix) -> None:
+def _verify_sensitivity(S: Tuple[Tuple[RationalFunction, ...], ...]) -> None:
     """Raise unless L_n S U_n == s^2 I_n exactly, n the size of S.
 
     Entry (i, j), 0-based, must be N_ij / (s+1)^(i+j+1) with N_ij an integer
@@ -192,14 +98,15 @@ def _verify_sensitivity(S: RationalMatrix) -> None:
     rests on (N_ii = s P_i).
     """
     fail = ArithmeticError("sensitivity verification failed; construction bug")
-    n = S.n_rows
-    if S.n_cols != n:
+    n = len(S)
+    if any(len(row) != n for row in S):
         raise fail
     binom = _binomial_rows(2 * n)
-    N = [[_int_view(f.num) for f in row] for row in S.rows]
-    for i, j, f in S.entries():
-        if N[i][j] is None or list(f.den.coeffs) != binom[i + j + 1]:
-            raise fail
+    N = [[_int_view(f.num) for f in row] for row in S]
+    for i, row in enumerate(S):
+        for j, f in enumerate(row):
+            if N[i][j] is None or list(f.den.coeffs) != binom[i + j + 1]:
+                raise fail
     for i in range(n):
         if _int_mul([2, 1], N[i][i]) != [0] + _int_add([1], binom[2 * i + 1]):
             raise fail
@@ -213,8 +120,8 @@ def _verify_sensitivity(S: RationalMatrix) -> None:
 
 
 @lru_cache(maxsize=None)
-def sensitivity_matrix(n: int) -> RationalMatrix:
-    """S_n = s^2 L_n^{-1} U_n^{-1}, fully canonical.
+def sensitivity_matrix(n: int) -> Tuple[Tuple[RationalFunction, ...], ...]:
+    """S_n = s^2 L_n^{-1} U_n^{-1}, fully canonical, as a tuple of row tuples.
 
     Entry (i, j), 0-based, is the closed form
     s (1 + s sum_{k=1..min(i,j)} (s+1)^(2k-1)) / (s+1)^(i+j+1): the
@@ -231,9 +138,8 @@ def sensitivity_matrix(n: int) -> RationalMatrix:
                                  for t in range(2 * m)])
             for m in range(n)]
     dens = [Polynomial(row) for row in _binomial_rows(2 * n)]
-    S = RationalMatrix(tuple(
-        tuple(RationalFunction(nums[min(i, j)], dens[i + j + 1]) for j in range(n))
-        for i in range(n)))
+    S = tuple(tuple(RationalFunction(nums[min(i, j)], dens[i + j + 1]) for j in range(n))
+              for i in range(n))
     _verify_sensitivity(S)
     return S
 
@@ -249,8 +155,7 @@ def invariance_check(k: int, ns: Sequence[int]) -> bool:
         raise InvalidRange("every n must be >= k")
 
     def block(n):
-        S = sensitivity_matrix(n)
-        return tuple(tuple(S.rows[i][j] for j in range(k)) for i in range(k))
+        return tuple(row[:k] for row in sensitivity_matrix(n)[:k])
 
     first = block(ns[0])
     return all(block(n) == first for n in ns[1:])
@@ -305,8 +210,8 @@ def bode_table(n: int, grid: FrequencyGrid) -> BodeTable:
     # and row n + k is -ln|(s+1)^(k+1)|, the denominator of every entry with
     # i + j = k; ln|1| is exactly 0.0, so their sum is each entry's own row
     rows = log_abs_evaluator(
-        [(S[m, m].num.coeffs, (1,)) for m in range(n)]
-        + [((1,), S[max(0, k - n + 1), min(k, n - 1)].den.coeffs) for k in range(2 * n - 1)]
+        [(S[m][m].num.coeffs, (1,)) for m in range(n)]
+        + [((1,), S[max(0, k - n + 1)][min(k, n - 1)].den.coeffs) for k in range(2 * n - 1)]
     )(om)
     idx = np.arange(n)
     logs = rows[np.minimum.outer(idx, idx)] + rows[n + np.add.outer(idx, idx)]

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -49,10 +49,15 @@ class CascadeProfile:
         return "\n".join(lines) + "\n"
 
 
-def _cascade_profile(stages, grid: FrequencyGrid) -> CascadeProfile:
-    # stages are the T_k as (num_coeffs, den_coeffs) pairs; every stage's
-    # ln|T_k| comes from one stacked evaluation, and the rows are summed in
-    # stage order, so the float sums are those of a per-stage loop
+def cascade_profile(stages, grid: FrequencyGrid) -> CascadeProfile:
+    """Per-omega sum of ln|T_k(j omega)| for the cascade of the given stages.
+
+    The stages are the T_k as (num_coeffs, den_coeffs) pairs of ascending
+    coefficients; the profile equals |y_n/d_1| pointwise for the n-stage
+    cascade. Every stage's ln|T_k| comes from one stacked evaluation, and the
+    rows are summed in stage order, so the float sums are those of a
+    per-stage loop.
+    """
     total = np.zeros(len(grid.omegas))
     for row in log_abs_evaluator(stages)(grid.omegas):
         total = total + row
@@ -61,30 +66,6 @@ def _cascade_profile(stages, grid: FrequencyGrid) -> CascadeProfile:
     with np.errstate(over="ignore"):
         peak = float(np.exp(np.float64(total[top])))
     return CascadeProfile(grid, total, peak, float(grid.omegas[top]))
-
-
-def cascade_gain(controllers: Sequence[RationalFunction], m: int,
-                 grid: FrequencyGrid | None = None) -> CascadeProfile:
-    """Per-omega sum of log|T_k(j omega)| for the cascade of the given stages.
-
-    Each controller must internally stabilise 1/s^m; the failure message
-    names the 1-based offender. The profile equals |y_n/d_1| pointwise for
-    the n-stage cascade.
-    """
-    if not controllers:
-        raise InvalidRange("need at least one controller")
-    if grid is None:
-        grid = default_grid()
-    p = plant(m)
-    stages = []
-    for i, c in enumerate(controllers, start=1):
-        rep = internal_stability(p, c)
-        if not rep.internally_stable:
-            raise StabilityCheckFailed(
-                f"controller {i} of {len(controllers)} does not internally stabilise 1/s^{m}")
-        T = rep.gang_of_four[3]
-        stages.append((T.num.coeffs, T.den.coeffs))
-    return _cascade_profile(stages, grid)
 
 
 # ----------------------------------------------------------------------
@@ -268,8 +249,8 @@ def pd_mistune_experiment(n: int, k_min: float, k_max: float, trials: int,
       route gives its T.
 
     Every gain comes from one keyed generator (pd_gain's draws). Each
-    trial's stages are evaluated as one stack (cascade_gain's profile
-    route). Deterministic: the report is a pure function of
+    trial's stages are evaluated as one stack (`cascade_profile`).
+    Deterministic: the report is a pure function of
     (n, k_min, k_max, trials, seed, grid).
     """
     if n < 1 or trials < 1:
@@ -282,7 +263,7 @@ def pd_mistune_experiment(n: int, k_min: float, k_max: float, trials: int,
     peaks, argmaxes = [], []
     for t in range(1, trials + 1):
         ks = [draw(t, v) for v in range(1, n + 1)]
-        prof = _cascade_profile([((1, k), (1, k, 1)) for k in ks], grid)
+        prof = cascade_profile([((1, k), (1, k, 1)) for k in ks], grid)
         peaks.append(prof.peak)
         argmaxes.append(prof.argmax_omega)
     return MistuneReport(n, trials, seed, float(k_min), float(k_max), _SCHEME,

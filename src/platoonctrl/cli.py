@@ -17,7 +17,7 @@ import sys
 import time
 
 from .bidir import bode_table, sensitivity_matrix, verify_factorization
-from .cascade import (_cascade_profile, homogeneous_growth, middleton_integral,
+from .cascade import (cascade_profile, homogeneous_growth, middleton_integral,
                       pd_mistune_experiment)
 from .errors import (DivergentAtOrigin, InvalidRange, ParseError,
                      PlatoonError, StabilityCheckFailed)
@@ -139,7 +139,7 @@ def _cmd_sensitivity(args) -> int:
         "n": args.n,
         "entries": [
             {"row": i + 1, "col": j + 1, **f.to_json_dict()}
-            for i, j, f in S.entries()
+            for i, row in enumerate(S) for j, f in enumerate(row)
         ],
     }
     path = _write_json(args.out, "sensitivity.json", doc)
@@ -270,7 +270,7 @@ def _cmd_pd_random(args) -> int:
                                 args.seed, grid)
     csv_path = _write_text(args.out, "mistune.csv", rep.to_csv())
     # every stage k = 1: pd_mistune_experiment's docstring proves the closed form
-    baseline = _cascade_profile([((1, 1), (1, 1, 1))] * args.n, grid)
+    baseline = cascade_profile([((1, 1), (1, 1, 1))] * args.n, grid)
     params = {"n": args.n, "kmin": args.kmin, "kmax": args.kmax,
               "trials": args.trials, "seed": args.seed}
     _write_report(args.out, "pd-random", params,

@@ -49,21 +49,6 @@ class FrequencyGrid:
         self.points_per_decade = int(points_per_decade)
         self.omegas = om
 
-    def __len__(self):
-        return len(self.omegas)
-
-    def __iter__(self):
-        return iter(self.omegas)
-
-    def __eq__(self, other):
-        if not isinstance(other, FrequencyGrid):
-            return NotImplemented
-        return (self.omega_min, self.omega_max, self.points_per_decade) == \
-               (other.omega_min, other.omega_max, other.points_per_decade)
-
-    def __hash__(self):
-        return hash((self.omega_min, self.omega_max, self.points_per_decade))
-
     def __repr__(self):
         return (f"FrequencyGrid({self.omega_min:g}, {self.omega_max:g}, "
                 f"{self.points_per_decade})")

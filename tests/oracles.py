@@ -4,17 +4,22 @@ None of these run in a command. `closed_loop`, the generic unity-feedback
 interconnection, checks the T that production reads off the stability
 report or builds in closed form. The Youla coprime factors and the
 factor-arithmetic forms of the controller and closed loop check the closed
-forms in `synthesis`; rational-matrix sums, products, transposes and
-bidiagonal substitution check the closed-form sensitivity matrix and the
-integer identity checks in `bidir`; `maclaurin` reads Taylor coefficients
-at s = 0. The np.polyval magnitude engine, one polynomial at a time, checks
-`freq.log_abs_evaluator`'s stacked Horner evaluation bit for bit, the
-per-stage PD route, with a fresh generator per gain, checks the closed-form
-PD cascade and its one keyed generator in `cascade`, and the family sweep,
-reading every member's T(gamma_k s) on one float grid, checks the bound
-that `synthesis.family_product_check` proves by comparisons. Adaptive
-Simpson quadrature of the Middleton integrand, with its truncation bound,
-checks the closed form `cascade.middleton_integral` returns.
+forms in `synthesis`; `maclaurin` reads Taylor coefficients at s = 0.
+`lemma_structures` writes X_n, H_n, U_n and L_n as rational matrices
+(tuples of row tuples of RationalFunction), the reference for the integer
+polynomial matrices `bidir` checks the factorization on; rational-matrix
+sums, products, transposes and bidiagonal substitution on them check the
+closed-form sensitivity matrix and the integer identity checks in `bidir`.
+The np.polyval magnitude engine, one polynomial at a time, checks
+`freq.log_abs_evaluator`'s stacked Horner evaluation bit for bit.
+`cascade_gain` Routh-tests each stage of an arbitrary controller cascade;
+with it, the per-stage PD route, with a fresh generator per gain, checks
+the closed-form PD cascade and its one keyed generator in `cascade`. The
+family sweep, reading every member's T(gamma_k s) on one float grid,
+checks the bound that `synthesis.family_product_check` proves by
+comparisons. Adaptive Simpson quadrature of the Middleton integrand, with
+its truncation bound, checks the closed form `cascade.middleton_integral`
+returns.
 """
 
 from __future__ import annotations
@@ -25,14 +30,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from platoonctrl.bidir import RationalMatrix
-from platoonctrl.cascade import _SCHEME, MistuneReport, cascade_gain
+from platoonctrl.cascade import _SCHEME, CascadeProfile, MistuneReport, cascade_profile
 from platoonctrl.errors import (DivergentAtOrigin, IllPosed, InvalidRange,
                                 PlatoonError, PoleAtPoint, StabilityCheckFailed)
 from platoonctrl.freq import (FrequencyGrid, _log_abs_coeff, _scaled_descending,
                               default_grid, log_abs_evaluator)
 from platoonctrl.poly import Polynomial, hurwitz_stable
-from platoonctrl.ratfun import RationalFunction
+from platoonctrl.ratfun import RationalFunction, internal_stability
+from platoonctrl.synthesis import plant
 
 _S = Polynomial([0, 1])
 _ONE = Polynomial([1])
@@ -134,43 +139,72 @@ def maclaurin(f: RationalFunction, count: int):
 
 
 # ---------------------------------------------------------------- rational matrices
+# a matrix is a tuple of row tuples of RationalFunction, 0-based
 
-def eye(n: int) -> RationalMatrix:
-    return RationalMatrix(tuple(
-        tuple(_ONE_RF if i == j else _ZERO_RF for j in range(n))
-        for i in range(n)))
+def lemma_structures(n: int):
+    """(X_n, H_n, U_n, L_n) exactly as displayed, as rational matrices.
+
+    X_n: 1 on the diagonal, -1 on the subdiagonal. H_n: diagonal
+    ((s+1)/s^2, ..., (s+1)/s^2, 1/s), the last loop differing. U_n: s+1 on
+    the diagonal, -1 on the superdiagonal. L_n: diagonal (s, s+1, ..., s+1),
+    -1 on the subdiagonal.
+    """
+    if n < 1:
+        raise InvalidRange("n must be >= 1")
+    h_mid = RationalFunction(_ONE + _S, _S * _S)
+    h_last = RationalFunction(_ONE, _S)
+    sp1 = RationalFunction(_ONE + _S, _ONE)
+    s_rf = RationalFunction(_S, _ONE)
+    neg1 = RationalFunction(Polynomial([-1]), _ONE)
+
+    def bidiagonal(diag, offset):
+        return tuple(
+            tuple(diag(i) if i == j else neg1 if j == i + offset else _ZERO_RF
+                  for j in range(n))
+            for i in range(n))
+
+    X = bidiagonal(lambda _: _ONE_RF, -1)
+    H = tuple(tuple((h_last if i == n - 1 else h_mid) if i == j else _ZERO_RF
+                    for j in range(n))
+              for i in range(n))
+    U = bidiagonal(lambda _: sp1, +1)
+    L = bidiagonal(lambda i: s_rf if i == 0 else sp1, -1)
+    return X, H, U, L
 
 
-def transpose(A: RationalMatrix) -> RationalMatrix:
-    return RationalMatrix(tuple(zip(*A.rows)))
+def eye(n: int):
+    return tuple(tuple(_ONE_RF if i == j else _ZERO_RF for j in range(n))
+                 for i in range(n))
 
 
-def mat_add(A: RationalMatrix, B: RationalMatrix) -> RationalMatrix:
-    if (A.n_rows, A.n_cols) != (B.n_rows, B.n_cols):
+def transpose(A):
+    return tuple(zip(*A))
+
+
+def mat_add(A, B):
+    if (len(A), len(A[0])) != (len(B), len(B[0])):
         raise InvalidRange("shape mismatch in add")
-    return RationalMatrix(tuple(
-        tuple(a + b for a, b in zip(ra, rb))
-        for ra, rb in zip(A.rows, B.rows)))
+    return tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
 
 
-def matmul(A: RationalMatrix, B: RationalMatrix, *rest: RationalMatrix) -> RationalMatrix:
+def matmul(A, B, *rest):
     """A B (C ...), each product in canonical rational-function arithmetic."""
-    if A.n_cols != B.n_rows:
+    if len(A[0]) != len(B):
         raise InvalidRange("shape mismatch in matmul")
     # zero factors are skipped so bidiagonal products cost O(n^2)
     out = []
-    for i in range(A.n_rows):
-        row = []
-        for j in range(B.n_cols):
+    for row in A:
+        out_row = []
+        for j in range(len(B[0])):
             acc = None
-            for k in range(A.n_cols):
-                a, b = A.rows[i][k], B.rows[k][j]
+            for a, b_row in zip(row, B):
+                b = b_row[j]
                 if a.num.is_zero or b.num.is_zero:
                     continue
                 acc = a * b if acc is None else acc + a * b
-            row.append(_ZERO_RF if acc is None else acc)
-        out.append(tuple(row))
-    P = RationalMatrix(tuple(out))
+            out_row.append(_ZERO_RF if acc is None else acc)
+        out.append(tuple(out_row))
+    P = tuple(out)
     return matmul(P, *rest) if rest else P
 
 
@@ -178,7 +212,7 @@ class SingularDiagonal(PlatoonError):
     """Bidiagonal inversion hit a zero diagonal entry."""
 
 
-def invert_bidiagonal(T: RationalMatrix, shape: str) -> RationalMatrix:
+def invert_bidiagonal(T, shape: str):
     """Exact inverse of an upper or lower bidiagonal matrix.
 
     Back (upper) or forward (lower) substitution column by column; the
@@ -187,26 +221,27 @@ def invert_bidiagonal(T: RationalMatrix, shape: str) -> RationalMatrix:
     """
     if shape not in ("upper", "lower"):
         raise InvalidRange("shape must be 'upper' or 'lower'")
-    n = T.n_rows
-    if T.n_cols != n:
+    n = len(T)
+    if any(len(row) != n for row in T):
         raise InvalidRange("matrix must be square")
     off = +1 if shape == "upper" else -1
-    for i, j, f in T.entries():
-        if i == j:
-            if f.num.is_zero:
-                raise SingularDiagonal(f"zero diagonal entry at position {i + 1}")
-        elif j != i + off and not f.num.is_zero:
-            raise InvalidRange(f"entry ({i + 1},{j + 1}) breaks the bidiagonal shape")
+    for i, row in enumerate(T):
+        for j, f in enumerate(row):
+            if i == j:
+                if f.num.is_zero:
+                    raise SingularDiagonal(f"zero diagonal entry at position {i + 1}")
+            elif j != i + off and not f.num.is_zero:
+                raise InvalidRange(f"entry ({i + 1},{j + 1}) breaks the bidiagonal shape")
     cols = [[_ZERO_RF] * n for _ in range(n)]
     order = range(n - 1, -1, -1) if shape == "upper" else range(n)
     for j in range(n):
         for i in order:
             acc = _ONE_RF if i == j else _ZERO_RF
             k = i + off
-            if 0 <= k < n and not T.rows[i][k].num.is_zero:
-                acc = acc - T.rows[i][k] * cols[j][k]
-            cols[j][i] = acc / T.rows[i][i]
-    inv = RationalMatrix(tuple(tuple(cols[j][i] for j in range(n)) for i in range(n)))
+            if 0 <= k < n and not T[i][k].num.is_zero:
+                acc = acc - T[i][k] * cols[j][k]
+            cols[j][i] = acc / T[i][i]
+    inv = transpose(cols)
     if matmul(T, inv) != eye(n):
         raise ArithmeticError("inverse verification failed")
     return inv
@@ -341,6 +376,29 @@ def middleton_quadrature(T: RationalFunction, omega_lo: float = 1e-6,
 
 
 # ---------------------------------------------------------------- PD cascade
+
+def cascade_gain(controllers, m: int, grid=None) -> CascadeProfile:
+    """The cascade profile of the given controllers, each Routh-tested.
+
+    Each controller must internally stabilise 1/s^m; the failure message
+    names the 1-based offender. Each stage's T is read off the gang of four
+    and the stages go to `cascade.cascade_profile`.
+    """
+    if not controllers:
+        raise InvalidRange("need at least one controller")
+    if grid is None:
+        grid = default_grid()
+    p = plant(m)
+    stages = []
+    for i, c in enumerate(controllers, start=1):
+        rep = internal_stability(p, c)
+        if not rep.internally_stable:
+            raise StabilityCheckFailed(
+                f"controller {i} of {len(controllers)} does not internally stabilise 1/s^{m}")
+        T = rep.gang_of_four[3]
+        stages.append((T.num.coeffs, T.den.coeffs))
+    return cascade_profile(stages, grid)
+
 
 def pd_gain_fresh(seed: int, trial: int, vehicle: int, k_min: float, k_max: float) -> Fraction:
     """The (trial, vehicle) gain from a generator built for this one draw."""

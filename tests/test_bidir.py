@@ -9,17 +9,16 @@ import numpy as np
 import pytest
 
 from platoonctrl import bidir
-from platoonctrl.bidir import (LemmaStructures, RationalMatrix, bode_table,
-                               build_structures, invariance_check,
-                               sensitivity_matrix, verify_factorization,
-                               _verify_sensitivity)
+from platoonctrl.bidir import (_lemma_matrices, _verify_sensitivity, bode_table,
+                               invariance_check, sensitivity_matrix,
+                               verify_factorization)
 from platoonctrl.errors import InvalidRange
 from platoonctrl.freq import FrequencyGrid, log_abs_evaluator
 from platoonctrl.poly import Polynomial
 from platoonctrl.ratfun import RationalFunction, one, s
 
-from oracles import (SingularDiagonal, eye, invert_bidiagonal, mat_add, matmul,
-                     transpose)
+from oracles import (SingularDiagonal, eye, invert_bidiagonal, lemma_structures,
+                     mat_add, matmul, transpose)
 
 ONE = Polynomial([1])
 S = Polynomial([0, 1])
@@ -27,26 +26,24 @@ SP1 = RationalFunction(ONE + S, ONE)
 S_RF = RationalFunction(S, ONE)
 
 
-def _times_s2(M: RationalMatrix) -> RationalMatrix:
+def _times_s2(M):
     s2 = RationalFunction(S * S, ONE)
-    return RationalMatrix([[f * s2 for f in row] for row in M.rows])
+    return tuple(tuple(f * s2 for f in row) for row in M)
 
 
-def _factorization_by_matmul(n: int) -> bool:
-    # oracle: the identity in canonical rational-matrix products; reads the
-    # module attribute so a patched build_structures reaches it
-    st = bidir.build_structures(n)
-    lhs = mat_add(eye(n), matmul(st.X, st.H, transpose(st.X)))
-    return _times_s2(lhs) == matmul(st.U, st.L)
+def _factorization_holds(X, H, U, L) -> bool:
+    # oracle: s^2 (I + X H X^T) == U L in canonical rational-matrix products
+    lhs = mat_add(eye(len(X)), matmul(X, H, transpose(X)))
+    return _times_s2(lhs) == matmul(U, L)
 
 
-def _sensitivity_by_matmul(Sn: RationalMatrix) -> bool:
+def _sensitivity_by_matmul(Sn) -> bool:
     # oracle: L_n S U_n == s^2 I_n in canonical rational-matrix products
-    st = build_structures(Sn.n_rows)
-    return matmul(st.L, Sn, st.U) == _times_s2(eye(Sn.n_rows))
+    _, _, U, L = lemma_structures(len(Sn))
+    return matmul(L, Sn, U) == _times_s2(eye(len(Sn)))
 
 
-def _integer_route_accepts(Sn: RationalMatrix) -> bool:
+def _integer_route_accepts(Sn) -> bool:
     try:
         _verify_sensitivity(Sn)
     except ArithmeticError:
@@ -54,10 +51,27 @@ def _integer_route_accepts(Sn: RationalMatrix) -> bool:
     return True
 
 
-def _replace_entry(M: RationalMatrix, i: int, j: int, f: RationalFunction) -> RationalMatrix:
-    rows = [list(r) for r in M.rows]
+def _replace_entry(M, i: int, j: int, f: RationalFunction):
+    rows = [list(r) for r in M]
     rows[i][j] = f
-    return RationalMatrix(rows)
+    return tuple(tuple(r) for r in rows)
+
+
+def _entries(M):
+    return ((i, j, f) for i, row in enumerate(M) for j, f in enumerate(row))
+
+
+def _cleared(M, factor: Polynomial = ONE):
+    # the nonzero entries of factor * M as {(i, j): integer coefficients};
+    # each must be a polynomial with integer coefficients
+    out = {}
+    for i, j, f in _entries(M):
+        if f.num.is_zero:
+            continue
+        q, r = divmod(f.num * factor, f.den)
+        assert r.is_zero and all(c.denominator == 1 for c in q.coeffs), (i, j)
+        out[i, j] = [int(c) for c in q.coeffs]
+    return out
 
 
 def _closed_form(i: int, j: int) -> RationalFunction:
@@ -71,34 +85,40 @@ def _closed_form(i: int, j: int) -> RationalFunction:
 # ---------------------------------------------------------------- structures
 
 def test_structures_n1():
-    st = build_structures(1)
-    assert st.U.rows[0][0] == SP1
-    assert st.L.rows[0][0] == S_RF
-    assert st.H.rows[0][0] == one / s
+    # X = 1, s^2 H = s (the last loop), U = s+1, L = s
+    assert _lemma_matrices(1) == ({(0, 0): [1]}, {(0, 0): [0, 1]},
+                                  {(0, 0): [1, 1]}, {(0, 0): [0, 1]})
 
 
 def test_structures_n2():
-    st = build_structures(2)
-    assert [[f.num.coeffs and int(f.num.coeffs[0]) or 0 for f in row]
-            for row in st.X.rows] == [[1, 0], [-1, 1]]
-    assert st.H.rows[0][0] == RationalFunction(ONE + S, S * S)
-    assert st.H.rows[1][1] == one / s
-    assert st.U.rows[0][1] == RationalFunction(Polynomial([-1]), ONE)
-    assert st.L.rows[0][0] == S_RF
-    assert st.L.rows[1][1] == SP1
+    X, s2H, U, L = _lemma_matrices(2)
+    assert X == {(0, 0): [1], (1, 0): [-1], (1, 1): [1]}
+    assert s2H == {(0, 0): [1, 1], (1, 1): [0, 1]}
+    assert U == {(0, 0): [1, 1], (0, 1): [-1], (1, 1): [1, 1]}
+    assert L == {(0, 0): [0, 1], (1, 0): [-1], (1, 1): [1, 1]}
 
 
 def test_bidiagonal_nonzero_counts():
     for n in (1, 4, 9):
-        st = build_structures(n)
-        for M in (st.U, st.L):
-            nonzeros = sum(0 if f.num.is_zero else 1 for _, _, f in M.entries())
-            assert nonzeros == 2 * n - 1
+        X, s2H, U, L = _lemma_matrices(n)
+        assert len(X) == len(U) == len(L) == 2 * n - 1
+        assert len(s2H) == n
 
 
 def test_structures_validation():
     with pytest.raises(InvalidRange):
-        build_structures(0)
+        _lemma_matrices(0)
+    with pytest.raises(InvalidRange):
+        verify_factorization(0)
+
+
+def test_lemma_matrices_are_the_rational_structures_cleared():
+    # the integer matrices the factorization is checked on are X_n, s^2 H_n,
+    # U_n and L_n as displayed, with the denominators cleared
+    for n in range(1, 41):
+        X, H, U, L = lemma_structures(n)
+        assert _lemma_matrices(n) == (_cleared(X), _cleared(H, S * S),
+                                      _cleared(U), _cleared(L)), f"n={n}"
 
 
 # ---------------------------------------------------------------- factorization
@@ -111,90 +131,83 @@ def test_factorization_small_and_deep():
 def test_factorization_agrees_with_matmul_oracle():
     for n in range(1, 11):
         assert verify_factorization(n) is True
-        assert _factorization_by_matmul(n) is True
+        assert _factorization_holds(*lemma_structures(n)) is True
 
 
 def test_factorization_rejects_wrong_diagonal(monkeypatch):
-    st = build_structures(4)
-    bad_l = _replace_entry(st.L, 2, 2, S_RF)
-    monkeypatch.setattr(bidir, "build_structures",
-                        lambda n: LemmaStructures(n, st.X, st.H, st.U, bad_l))
-    assert not _factorization_by_matmul(4)
+    # L_33 = s where s+1 belongs, in both routes
+    X, H, U, L = lemma_structures(4)
+    assert not _factorization_holds(X, H, U, _replace_entry(L, 2, 2, S_RF))
+    iX, is2H, iU, iL = _lemma_matrices(4)
+    monkeypatch.setattr(bidir, "_lemma_matrices",
+                        lambda n: (iX, is2H, iU, {**iL, (2, 2): [0, 1]}))
     assert verify_factorization(4) is False
-
-
-def test_factorization_rejects_non_polynomial_entry(monkeypatch):
-    st = build_structures(3)
-    bad_u = _replace_entry(st.U, 0, 1, one / (one + s))
-    monkeypatch.setattr(bidir, "build_structures",
-                        lambda n: LemmaStructures(n, st.X, st.H, bad_u, st.L))
-    assert verify_factorization(3) is False
 
 
 def test_factorization_entry_11_by_hand():
     # s^2 (1 + (s+1)/s^2 ) = s^2 + s + 1 must equal (U L)_11 = (s+1)s + 1
-    st = build_structures(2)
-    lhs = mat_add(eye(2), matmul(st.X, st.H, transpose(st.X))).rows[0][0] \
+    X, H, U, L = lemma_structures(2)
+    lhs = mat_add(eye(2), matmul(X, H, transpose(X)))[0][0] \
         * RationalFunction(S * S, ONE)
     assert lhs == RationalFunction(Polynomial([1, 1, 1]), ONE)
-    assert matmul(st.U, st.L).rows[0][0] == RationalFunction(Polynomial([1, 1, 1]), ONE)
+    assert matmul(U, L)[0][0] == RationalFunction(Polynomial([1, 1, 1]), ONE)
 
 
 # ---------------------------------------------------------------- inverses
 
 def test_upper_inverse_closed_form():
-    st = build_structures(2)
-    ui = invert_bidiagonal(st.U, "upper")
-    assert ui.rows[0][0] == one / SP1
-    assert ui.rows[0][1] == one / (SP1 * SP1)
-    assert ui.rows[1][0].num.is_zero
-    assert ui.rows[1][1] == one / SP1
+    _, _, U, _ = lemma_structures(2)
+    ui = invert_bidiagonal(U, "upper")
+    assert ui[0][0] == one / SP1
+    assert ui[0][1] == one / (SP1 * SP1)
+    assert ui[1][0].num.is_zero
+    assert ui[1][1] == one / SP1
 
 
 def test_lower_inverse_closed_form():
-    st = build_structures(2)
-    li = invert_bidiagonal(st.L, "lower")
-    assert li.rows[0][0] == one / S_RF
-    assert li.rows[1][0] == one / (S_RF * SP1)
-    assert li.rows[0][1].num.is_zero
-    assert li.rows[1][1] == one / SP1
+    _, _, _, L = lemma_structures(2)
+    li = invert_bidiagonal(L, "lower")
+    assert li[0][0] == one / S_RF
+    assert li[1][0] == one / (S_RF * SP1)
+    assert li[0][1].num.is_zero
+    assert li[1][1] == one / SP1
 
 
 def test_inverse_product_identity():
     for n in (1, 5, 12, 40):
-        st = build_structures(n)
-        assert matmul(st.U, invert_bidiagonal(st.U, "upper")) == eye(n)
-        assert matmul(st.L, invert_bidiagonal(st.L, "lower")) == eye(n)
+        _, _, U, L = lemma_structures(n)
+        assert matmul(U, invert_bidiagonal(U, "upper")) == eye(n)
+        assert matmul(L, invert_bidiagonal(L, "lower")) == eye(n)
 
 
 def test_diagonal_only_inverse():
-    d = RationalMatrix(((SP1, RationalFunction(Polynomial([]), ONE)),
-                        (RationalFunction(Polynomial([]), ONE), S_RF)))
+    d = ((SP1, RationalFunction(Polynomial([]), ONE)),
+         (RationalFunction(Polynomial([]), ONE), S_RF))
     inv = invert_bidiagonal(d, "upper")
-    assert inv.rows[0][0] == one / SP1
-    assert inv.rows[1][1] == one / S_RF
+    assert inv[0][0] == one / SP1
+    assert inv[1][1] == one / S_RF
 
 
 def test_inverse_rejects_singular_and_misshapen():
     zero = RationalFunction(Polynomial([]), ONE)
     with pytest.raises(SingularDiagonal):
-        invert_bidiagonal(RationalMatrix(((zero,),)), "upper")
-    full = RationalMatrix(((SP1, SP1), (SP1, SP1)))
+        invert_bidiagonal(((zero,),), "upper")
+    full = ((SP1, SP1), (SP1, SP1))
     with pytest.raises(InvalidRange):
         invert_bidiagonal(full, "upper")
     with pytest.raises(InvalidRange):
-        invert_bidiagonal(RationalMatrix(((SP1, SP1),)), "upper")
+        invert_bidiagonal(((SP1, SP1),), "upper")
     with pytest.raises(InvalidRange):
-        invert_bidiagonal(build_structures(2).U, "diagonal")
+        invert_bidiagonal(lemma_structures(2)[2], "diagonal")
 
 
 # ---------------------------------------------------------------- sensitivity matrix
 
 def test_sensitivity_known_entries():
-    assert sensitivity_matrix(1).rows[0][0] == s / (one + s)
+    assert sensitivity_matrix(1)[0][0] == s / (one + s)
     S2 = sensitivity_matrix(2)
-    assert S2.rows[0][1] == RationalFunction(S, (ONE + S) ** 2)
-    assert S2.rows[1][1] == RationalFunction(S * Polynomial([1, 1, 1]), (ONE + S) ** 3)
+    assert S2[0][1] == RationalFunction(S, (ONE + S) ** 2)
+    assert S2[1][1] == RationalFunction(S * Polynomial([1, 1, 1]), (ONE + S) ** 3)
 
 
 def test_sensitivity_closed_form_oracle():
@@ -202,50 +215,49 @@ def test_sensitivity_closed_form_oracle():
         Sn = sensitivity_matrix(n)
         for i in range(1, n + 1):
             for j in range(1, n + 1):
-                assert Sn.rows[i - 1][j - 1] == _closed_form(i, j), f"entry ({i},{j}) of S_{n}"
+                assert Sn[i - 1][j - 1] == _closed_form(i, j), f"entry ({i},{j}) of S_{n}"
 
 
 def test_sensitivity_matches_bidiagonal_inverse_oracle():
     # the substitution route: s^2 L_n^{-1} U_n^{-1}, entry for entry
     s2 = RationalFunction(S * S, ONE)
     for n in range(1, 13):
-        st = build_structures(n)
-        oracle = matmul(invert_bidiagonal(st.L, "lower"), invert_bidiagonal(st.U, "upper"))
+        _, _, U, L = lemma_structures(n)
+        oracle = matmul(invert_bidiagonal(L, "lower"), invert_bidiagonal(U, "upper"))
         Sn = sensitivity_matrix(n)
-        for i, j, f in oracle.entries():
-            assert Sn.rows[i][j] == f * s2, f"entry ({i + 1},{j + 1}) of S_{n}"
+        for i, j, f in _entries(oracle):
+            assert Sn[i][j] == f * s2, f"entry ({i + 1},{j + 1}) of S_{n}"
 
 
 def test_sensitivity_closed_form_large_n():
     n = 30
     Sn = sensitivity_matrix(n)
     for i, j in [(1, 1), (1, n), (n, 1), (n, n)] + [(k, k) for k in range(1, n + 1)]:
-        assert Sn.rows[i - 1][j - 1] == _closed_form(i, j), f"entry ({i},{j}) of S_{n}"
+        assert Sn[i - 1][j - 1] == _closed_form(i, j), f"entry ({i},{j}) of S_{n}"
 
 
 def test_sensitivity_verification_rejects_perturbed_entry():
     Sn = sensitivity_matrix(3)
     _verify_sensitivity(Sn)
-    rows = [list(r) for r in Sn.rows]
-    rows[1][2] = rows[1][2] + RationalFunction(ONE, (ONE + S) ** 5)
+    bad = _replace_entry(Sn, 1, 2, Sn[1][2] + RationalFunction(ONE, (ONE + S) ** 5))
     with pytest.raises(ArithmeticError, match="construction bug"):
-        _verify_sensitivity(RationalMatrix(rows))
+        _verify_sensitivity(bad)
 
 
 def test_sensitivity_verification_rejects_perturbed_numerator():
     # N_23 + s over the same (s+1)^4: the denominator check passes, the
     # cleared identity must not
     Sn = sensitivity_matrix(3)
-    f = Sn.rows[1][2]
+    f = Sn[1][2]
     bad = _replace_entry(Sn, 1, 2, RationalFunction(f.num + S, f.den))
-    assert bad.rows[1][2].den == f.den
+    assert bad[1][2].den == f.den
     with pytest.raises(ArithmeticError, match="construction bug"):
         _verify_sensitivity(bad)
 
 
 def test_sensitivity_verification_rejects_wrong_denominator_power():
     Sn = sensitivity_matrix(3)
-    f = Sn.rows[2][0]
+    f = Sn[2][0]
     for den in (f.den * (ONE + S), f.den // (ONE + S)):
         with pytest.raises(ArithmeticError, match="construction bug"):
             _verify_sensitivity(_replace_entry(Sn, 2, 0, RationalFunction(f.num, den)))
@@ -253,7 +265,7 @@ def test_sensitivity_verification_rejects_wrong_denominator_power():
 
 def test_sensitivity_verification_rejects_fractional_numerator():
     Sn = sensitivity_matrix(2)
-    f = Sn.rows[0][0]
+    f = Sn[0][0]
     with pytest.raises(ArithmeticError, match="construction bug"):
         _verify_sensitivity(_replace_entry(Sn, 0, 0, RationalFunction(f.num * Fraction(1, 2), f.den)))
 
@@ -261,7 +273,7 @@ def test_sensitivity_verification_rejects_fractional_numerator():
 def test_sensitivity_verification_agrees_with_matmul_oracle():
     for n in range(1, 11):
         Sn = sensitivity_matrix(n)
-        f, g = Sn.rows[n - 1][n // 2], Sn.rows[n // 2][n - 1]
+        f, g = Sn[n - 1][n // 2], Sn[n // 2][n - 1]
         cases = [Sn,
                  _replace_entry(Sn, n - 1, n // 2, RationalFunction(f.num + S * S, f.den)),
                  _replace_entry(Sn, n // 2, n - 1, g * RationalFunction(ONE, ONE + S))]
@@ -273,39 +285,39 @@ def test_sensitivity_verification_agrees_with_matmul_oracle():
 def test_sensitivity_leading_entry_all_n():
     target = s / (one + s)
     for n in range(1, 21):
-        assert sensitivity_matrix(n).rows[0][0] == target
+        assert sensitivity_matrix(n)[0][0] == target
 
 
 def test_sensitivity_is_the_exact_inverse():
     for n in range(1, 13):
-        st = build_structures(n)
-        A = mat_add(eye(n), matmul(st.X, st.H, transpose(st.X)))
+        X, H, _, _ = lemma_structures(n)
+        A = mat_add(eye(n), matmul(X, H, transpose(X)))
         assert matmul(A, sensitivity_matrix(n)) == eye(n), f"inverse identity failed at n={n}"
 
 
 def test_sensitivity_poles_only_at_minus_one():
     for n in (1, 7, 14, 20):
-        for _, _, f in sensitivity_matrix(n).entries():
+        for _, _, f in _entries(sensitivity_matrix(n)):
             assert f.den == (ONE + S) ** f.den.degree, f"unexpected pole factor in {f.den.coeffs}"
 
 
 def test_sensitivity_numeric_inversion_oracle():
     n = 8
     Sn = sensitivity_matrix(n)
-    st = build_structures(n)
+    Xr, Hr, _, _ = lemma_structures(n)
     rng = np.random.default_rng(1234)
     omegas = 10.0 ** rng.uniform(-3, 3, size=20)
     for om in omegas:
         z = 1j * om
         X = np.zeros((n, n), dtype=complex)
         H = np.zeros((n, n), dtype=complex)
-        for i, j, f in st.X.entries():
+        for i, j, f in _entries(Xr):
             if not f.num.is_zero:
                 X[i, j] = f(z)
         for i in range(n):
-            H[i, i] = st.H.rows[i][i](z)
+            H[i, i] = Hr[i][i](z)
         dense = np.linalg.inv(np.eye(n) + X @ H @ X.T)
-        sym = np.array([[Sn.rows[i][j](z) for j in range(n)] for i in range(n)])
+        sym = np.array([[Sn[i][j](z) for j in range(n)] for i in range(n)])
         rel = np.abs(sym - dense) / np.maximum(np.abs(dense), 1e-300)
         assert rel.max() <= 1e-9, f"numeric oracle disagrees at omega={om}"
 
@@ -383,7 +395,7 @@ def test_bode_tests_and_evaluates_each_polynomial_once(call_counts):
     counts = call_counts("hurwitz_stable", "log_abs_evaluator")
     table = bode_table(12, grid)
     assert (counts["hurwitz_stable"], counts["log_abs_evaluator"]) == (0, 1)
-    for i, j, f in S12.entries():
+    for i, j, f in _entries(S12):
         assert table.log_magnitudes[i, j].tobytes() == \
             log_abs_evaluator([(f.num.coeffs, f.den.coeffs)])(grid.omegas)[0].tobytes()
 
@@ -391,10 +403,6 @@ def test_bode_tests_and_evaluates_each_polynomial_once(call_counts):
 # ---------------------------------------------------------------- matrix basics
 
 def test_matrix_shape_guards():
-    with pytest.raises(InvalidRange):
-        RationalMatrix(())
-    with pytest.raises(InvalidRange):
-        RationalMatrix(((one,), (one, one)))
     a = eye(2)
     with pytest.raises(InvalidRange):
         matmul(a, eye(3))
@@ -403,7 +411,7 @@ def test_matrix_shape_guards():
 
 
 def test_matrix_transpose_and_eq():
-    st = build_structures(3)
-    assert transpose(transpose(st.U)) == st.U
-    assert transpose(st.X).rows[0][1] == st.X.rows[1][0]
-    assert matmul(eye(3), st.U) == st.U
+    X, _, U, _ = lemma_structures(3)
+    assert transpose(transpose(U)) == U
+    assert transpose(X)[0][1] == X[1][0]
+    assert matmul(eye(3), U) == U

@@ -8,8 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from platoonctrl.cascade import (CascadeProfile, _gain_drawer, cascade_gain,
-                                 homogeneous_growth, middleton_integral,
+from platoonctrl.cascade import (_gain_drawer, homogeneous_growth, middleton_integral,
                                  pd_gain, pd_mistune_experiment)
 from platoonctrl.errors import (DivergentAtOrigin, InvalidRange,
                                 StabilityCheckFailed)
@@ -19,7 +18,7 @@ from platoonctrl.poly import Polynomial
 from platoonctrl.ratfun import RationalFunction, one, s
 from platoonctrl.synthesis import youla_closed_loop
 
-from oracles import (closed_loop, log_abs_polyval, middleton_quadrature,
+from oracles import (cascade_gain, closed_loop, log_abs_polyval, middleton_quadrature,
                      pd_gain_fresh, pd_mistune_by_stages)
 
 PEAK_ORACLE = 1.4678898250138706

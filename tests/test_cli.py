@@ -12,9 +12,11 @@ from fractions import Fraction
 
 import pytest
 
-from platoonctrl import cascade_gain, default_grid, parse_rational, synthesis
+from platoonctrl import default_grid, parse_rational, synthesis
 from platoonctrl.cli import _write_json, main
 from platoonctrl.synthesis import _scan_values, search_parameters
+
+from oracles import cascade_gain
 
 
 def _read(path):
