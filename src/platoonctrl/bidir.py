@@ -8,10 +8,10 @@ whose entries do not depend on n, so the leading blocks of S_n do not change
 as vehicles are appended. `sensitivity_matrix` builds the entries from the
 closed form and checks L_n S_n U_n = s^2 I_n exactly. Both identities,
 the factorization and L_n S_n U_n = s^2 I_n, are checked with the
-denominators cleared, in integer polynomial arithmetic: X_n, s^2 H_n, U_n
-and L_n are written down as sparse integer polynomial matrices from their
+denominators cleared, in exact polynomial arithmetic: X_n, s^2 H_n, U_n
+and L_n are written down as sparse polynomial matrices from their
 displayed definitions (`_lemma_matrices`), and S_n is read through its
-integer numerators. Everything here is exact; floats only enter in the Bode
+numerators. Everything here is exact; floats only enter in the Bode
 sweep, which tabulates a bound that a lemma proves for every length
 (`bode_table`).
 """
@@ -27,14 +27,18 @@ import numpy as np
 
 from .errors import InvalidRange
 from .freq import FrequencyGrid, log_abs_evaluator
-from .poly import Polynomial, _int_add, _int_mul, _int_sub, _int_view
+from .poly import Polynomial
 from .ratfun import RationalFunction
 
 _DB = 20.0 / math.log(10.0)
+_ZERO = Polynomial()
+_ONE = Polynomial([1])
+_S = Polynomial([0, 1])
+_SP1 = Polynomial([1, 1])
 
 
 def _lemma_matrices(n: int):
-    """X_n, s^2 H_n, U_n and L_n as {(i, j): ascending integer coefficients}.
+    """X_n, s^2 H_n, U_n and L_n as sparse {(i, j): Polynomial} matrices.
 
     X_n: 1 on the diagonal, -1 on the subdiagonal. H_n: diagonal
     ((s+1)/s^2, ..., (s+1)/s^2, 1/s), the last loop differing, so s^2 H_n is
@@ -46,39 +50,39 @@ def _lemma_matrices(n: int):
         raise InvalidRange("n must be >= 1")
     X, s2H, U, L = {}, {}, {}, {}
     for i in range(n):
-        X[i, i] = [1]
-        s2H[i, i] = [0, 1] if i == n - 1 else [1, 1]
-        U[i, i] = [1, 1]
-        L[i, i] = [0, 1] if i == 0 else [1, 1]
+        X[i, i] = _ONE
+        s2H[i, i] = _S if i == n - 1 else _SP1
+        U[i, i] = _SP1
+        L[i, i] = _S if i == 0 else _SP1
         if i:
-            X[i, i - 1] = U[i - 1, i] = L[i, i - 1] = [-1]
+            X[i, i - 1] = U[i - 1, i] = L[i, i - 1] = -_ONE
     return X, s2H, U, L
 
 
-def _int_matmul(A, B):
-    # sparse product of {(i, j): integer coefficients} matrices
+def _matmul(A, B):
+    # sparse product of {(i, j): Polynomial} matrices, zero entries left out
     cols = {}
     for (k, j), b in B.items():
         cols.setdefault(k, []).append((j, b))
     out = {}
     for (i, k), a in A.items():
         for j, b in cols.get(k, ()):
-            out[i, j] = _int_add(out.get((i, j), []), _int_mul(a, b))
-    return {ij: c for ij, c in out.items() if c}
+            out[i, j] = out.get((i, j), _ZERO) + a * b
+    return {ij: c for ij, c in out.items() if not c.is_zero}
 
 
 def verify_factorization(n: int) -> bool:
     """Exact entrywise test of s^2 (I + X H X^T) == U L.
 
-    Checks the cleared form s^2 I + X (s^2 H) X^T == U L on the integer
+    Checks the cleared form s^2 I + X (s^2 H) X^T == U L on the sparse
     polynomial matrices of `_lemma_matrices(n)`, which hold O(n) nonzero
     entries, so the check runs in time and memory linear in n.
     """
     X, s2H, U, L = _lemma_matrices(n)
-    lhs = _int_matmul(_int_matmul(X, s2H), {(j, i): c for (i, j), c in X.items()})
+    lhs = _matmul(_matmul(X, s2H), {(j, i): c for (i, j), c in X.items()})
     for i in range(n):
-        lhs[i, i] = _int_add(lhs.get((i, i), []), [0, 0, 1])
-    return {ij: c for ij, c in lhs.items() if c} == _int_matmul(U, L)
+        lhs[i, i] = lhs.get((i, i), _ZERO) + _S * _S
+    return {ij: c for ij, c in lhs.items() if not c.is_zero} == _matmul(U, L)
 
 
 def _binomial_rows(count: int):
@@ -89,33 +93,30 @@ def _binomial_rows(count: int):
 def _verify_sensitivity(S: Tuple[Tuple[RationalFunction, ...], ...]) -> None:
     """Raise unless L_n S U_n == s^2 I_n exactly, n the size of S.
 
-    Entry (i, j), 0-based, must be N_ij / (s+1)^(i+j+1) with N_ij an integer
-    polynomial. With the denominators cleared, (L S U)_ij = delta_ij s^2
-    reads l_i (N_ij - N_i,j-1) - (s+1) (N_i-1,j - N_i-1,j-1)
+    Entry (i, j), 0-based, must be N_ij / (s+1)^(i+j+1). With the
+    denominators cleared, (L S U)_ij = delta_ij s^2 reads
+    l_i (N_ij - N_i,j-1) - (s+1) (N_i-1,j - N_i-1,j-1)
     == delta_ij s^2 (s+1)^(2i), where l_0 = s, l_i = s+1 otherwise, and N
-    is zero outside the matrix; that is checked in integer arithmetic. So is
-    (s+2) N_ii = s (1 + (s+1)^(2i+1)), the identity `bode_table`'s lemma
-    rests on (N_ii = s P_i).
+    is zero outside the matrix; that is checked in exact polynomial
+    arithmetic. So is (s+2) N_ii = s (1 + (s+1)^(2i+1)), the identity
+    `bode_table`'s lemma rests on (N_ii = s P_i).
     """
     fail = ArithmeticError("sensitivity verification failed; construction bug")
     n = len(S)
     if any(len(row) != n for row in S):
         raise fail
-    binom = _binomial_rows(2 * n)
-    N = [[_int_view(f.num) for f in row] for row in S]
-    for i, row in enumerate(S):
-        for j, f in enumerate(row):
-            if N[i][j] is None or list(f.den.coeffs) != binom[i + j + 1]:
-                raise fail
+    power = [Polynomial(row) for row in _binomial_rows(2 * n)]
+    if any(f.den != power[i + j + 1] for i, row in enumerate(S) for j, f in enumerate(row)):
+        raise fail
+    N = [[f.num for f in row] for row in S]
     for i in range(n):
-        if _int_mul([2, 1], N[i][i]) != [0] + _int_add([1], binom[2 * i + 1]):
+        if (_S + 2) * N[i][i] != _S * (_ONE + power[2 * i + 1]):
             raise fail
-        l_i = [0, 1] if i == 0 else [1, 1]
+        l_i = _S if i == 0 else _SP1
         for j in range(n):
-            here = _int_sub(N[i][j], N[i][j - 1] if j else [])
-            above = _int_sub(N[i - 1][j], N[i - 1][j - 1] if j else []) if i else []
-            lhs = _int_sub(_int_mul(l_i, here), _int_mul([1, 1], above))
-            if lhs != ([0, 0] + binom[2 * i] if i == j else []):
+            here = N[i][j] - N[i][j - 1] if j else N[i][j]
+            above = (N[i - 1][j] - N[i - 1][j - 1] if j else N[i - 1][j]) if i else _ZERO
+            if l_i * here - _SP1 * above != (_S * _S * power[2 * i] if i == j else _ZERO):
                 raise fail
 
 
@@ -129,7 +130,7 @@ def sensitivity_matrix(n: int) -> Tuple[Tuple[RationalFunction, ...], ...]:
     (s+1)^(i+j+1). The numerator is -1 at s = -1, so the pair is coprime and
     the constructor leaves it as built. The whole matrix is then checked
     against L_n S_n U_n = s^2 I_n, entry by entry with the denominators
-    cleared, in integer arithmetic, together with the identity of
+    cleared, in exact polynomial arithmetic, together with the identity of
     `bode_table`'s lemma (`_verify_sensitivity`).
     """
     if n < 1:
@@ -174,13 +175,22 @@ class BodeTable:
     worst_excess: float
 
     def to_csv(self) -> str:
-        # omega-major, then row, then col; indices 1-based
+        # omega-major, then row, then col; indices 1-based. bode_table's
+        # log_magnitudes is symmetric in (row, col), the same float sum either
+        # way, so each omega and each of the n(n+1)/2 distinct entries is
+        # formatted once
+        n = self.n
+        iu, ju = np.triu_indices(n)
+        at = np.empty((n, n), dtype=int)
+        at[iu, ju] = at[ju, iu] = np.arange(len(iu))
+        cells = list(zip([f"{i + 1},{j + 1}," for i in range(n) for j in range(n)],
+                         at.ravel().tolist()))
+        tri = np.moveaxis(self.log_magnitudes, 2, 0)[:, iu, ju]
         lines = ["omega,row,col,abs,abs_db"]
-        for w, om in enumerate(self.grid.omegas):
-            for i in range(self.n):
-                for j in range(self.n):
-                    lg = float(self.log_magnitudes[i, j, w])
-                    lines.append(f"{float(om)!r},{i + 1},{j + 1},{math.exp(lg)!r},{lg * _DB!r}")
+        for om, lgs, dbs in zip(self.grid.omegas.tolist(), tri, tri * _DB):
+            head = f"{om!r},"
+            vals = [f"{math.exp(lg)!r},{db!r}" for lg, db in zip(lgs.tolist(), dbs.tolist())]
+            lines.extend(head + rc + vals[k] for rc, k in cells)
         return "\n".join(lines) + "\n"
 
 

@@ -1,103 +1,120 @@
 """Polynomials in the indeterminate s with exact rational coefficients.
 
-Every coefficient is a `fractions.Fraction`, so identities (gcd reduction,
-Routh tables, factorization checks) hold bit for bit. Coefficients and scalar
-operands pass through `Fraction(c)`: ints, Fractions and decimal strings are
-read exactly, and a float is lifted to its exact binary value. Coefficients
-are kept in ascending order of degree and the zero polynomial is the empty
-coefficient tuple.
+A polynomial is integer numerators over one positive denominator in lowest
+terms (FLINT's `fmpq_poly` layout), ascending in degree, so equality is
+literal and all arithmetic, the gcd and the Routh table run on integers:
+identities hold bit for bit. `Fraction` is the edge: coefficients and
+scalar operands pass through `Fraction(c)` (ints, Fractions and decimal
+strings exactly, a float as its exact binary value), and `coeffs`,
+`leading` and evaluation hand back reduced Fractions.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, List, Tuple, Union
 
 from .errors import ZeroPolynomial
 
 Scalar = Union[int, float, Fraction]
+_SCALARS = (int, float, Fraction)
 
 
 class Polynomial:
-    """Immutable dense polynomial; ``coeffs[k]`` multiplies s^k.
+    """Immutable dense polynomial; ``ints[k] / den`` multiplies s^k.
 
-    Each coefficient is stored as ``Fraction(c)``: ints, Fractions and
+    Each coefficient given is read as ``Fraction(c)``: ints, Fractions and
     decimal strings exactly, floats as their exact binary value.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("ints", "den")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         vals = [Fraction(c) for c in coeffs]
-        while vals and vals[-1] == 0:
-            vals.pop()
-        self.coeffs = tuple(vals)
+        # the lcm of reduced denominators leaves the numerators coprime to it
+        den = math.lcm(*(c.denominator for c in vals))
+        ints = [c.numerator * (den // c.denominator) for c in vals]
+        while ints and ints[-1] == 0:
+            ints.pop()
+        self.ints = tuple(ints)
+        self.den = den
+
+    @classmethod
+    def _new(cls, ints: List[int], den: int) -> "Polynomial":
+        """ints / den (den nonzero) in lowest terms, trailing zeros dropped."""
+        while ints and ints[-1] == 0:
+            ints.pop()
+        g = math.gcd(den, *ints) if ints else abs(den)
+        g = -g if den < 0 else g
+        p = object.__new__(cls)
+        p.ints = tuple(c // g for c in ints) if g != 1 else tuple(ints)
+        p.den = den // g
+        return p
 
     # ------------------------------------------------------------------
     # basic queries
 
     @property
+    def coeffs(self) -> Tuple[Fraction, ...]:
+        """The coefficients as reduced Fractions, ascending in degree."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.ints)
+
+    @property
     def degree(self) -> int:
-        """len(coeffs) - 1; the zero polynomial reports -1."""
-        return len(self.coeffs) - 1
+        """The index of the last coefficient; the zero polynomial reports -1."""
+        return len(self.ints) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     def leading(self) -> Fraction:
         if self.is_zero:
             raise ZeroPolynomial("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.ints[-1], self.den)
 
     # ------------------------------------------------------------------
     # arithmetic
 
-    def __add__(self, other):
-        if isinstance(other, (int, float, Fraction)):
+    def _plus(self, other, sign: int):
+        # self + sign * other over the lcm of the two denominators
+        if isinstance(other, _SCALARS):
             other = Polynomial([other])
         if not isinstance(other, Polynomial):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        zero = Fraction(0)
-        out = []
-        for i in range(max(len(a), len(b))):
-            x = a[i] if i < len(a) else zero
-            y = b[i] if i < len(b) else zero
-            out.append(x + y)
-        return Polynomial(out)
+        da, db = self.den, other.den
+        g = math.gcd(da, db)
+        fa, fb = db // g, sign * (da // g)
+        a, b = self.ints, other.ints
+        out = [c * fa for c in a] + [0] * (len(b) - len(a))
+        for i, c in enumerate(b):
+            out[i] += c * fb
+        return Polynomial._new(out, da * fa)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial([-c for c in self.coeffs])
+        return Polynomial._new([-c for c in self.ints], self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, float, Fraction)):
-            other = Polynomial([other])
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, Fraction)):
+        if isinstance(other, _SCALARS):
             c = Fraction(other)
-            return Polynomial([c * x for x in self.coeffs])
+            return Polynomial._new([c.numerator * x for x in self.ints],
+                                   self.den * c.denominator)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return Polynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, x in enumerate(self.coeffs):
-            if x == 0:
-                continue
-            for j, y in enumerate(other.coeffs):
-                out[i + j] += x * y
-        return Polynomial(out)
+        return Polynomial._new(_convolve(self.ints, other.ints), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -114,30 +131,20 @@ class Polynomial:
         return result
 
     def __divmod__(self, other):
-        if isinstance(other, (int, float, Fraction)):
+        if isinstance(other, _SCALARS):
             other = Polynomial([other])
         if not isinstance(other, Polynomial):
             return NotImplemented
         if other.is_zero:
             raise ZeroPolynomial("division by the zero polynomial")
-        zero = Fraction(0)
-        dq = self.degree - other.degree
-        if dq < 0:
+        if self.degree < other.degree:
             return Polynomial(), self
-        lead = other.coeffs[-1]
-        db = other.degree
-        q = [zero] * (dq + 1)
-        rem = list(self.coeffs)
-        for k in range(dq, -1, -1):
-            top = rem[db + k]
-            if top == 0:
-                continue
-            c = top / lead
-            q[k] = c
-            for i, bc in enumerate(other.coeffs[:-1]):
-                rem[i + k] -= c * bc
-            rem[db + k] = zero
-        return Polynomial(q), Polynomial(rem)
+        # lead^k a = q b + r on the numerators, k = deg a - deg b + 1, so
+        # a/da = (q db / (lead^k da)) (b/db) + r / (lead^k da)
+        q, r = _pseudo_divmod(self.ints, other.ints)
+        scale = other.ints[-1] ** (self.degree - other.degree + 1) * self.den
+        return (Polynomial._new([c * other.den for c in q], scale),
+                Polynomial._new(r, scale))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -150,28 +157,31 @@ class Polynomial:
 
     def __call__(self, z):
         """Horner evaluation; the result type follows z (Fraction in, Fraction out)."""
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return z * 0
-        acc = z * 0 + self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
+        acc = z * 0 + coeffs[-1]
+        for c in reversed(coeffs[:-1]):
             acc = acc * z + c
         return acc
 
     def scale(self, gamma) -> "Polynomial":
         """Return p(gamma * s)."""
+        if self.is_zero:
+            return self
         g = Fraction(gamma)
-        out = []
-        gk = Fraction(1)
-        for c in self.coeffs:
-            out.append(c * gk)
-            gk *= g
-        return Polynomial(out)
+        # with gamma = u/v and d the degree, coefficient k is
+        # ints[k] u^k v^(d-k) / (den v^d)
+        u, v, d = g.numerator, g.denominator, self.degree
+        return Polynomial._new([c * u ** k * v ** (d - k) for k, c in enumerate(self.ints)],
+                               self.den * v ** d)
 
     def monic(self) -> "Polynomial":
         lc = self.leading()
         if lc == 1:
             return self
-        return Polynomial([c / lc for c in self.coeffs])
+        # ints[k]/den divided by ints[-1]/den is ints[k]/ints[-1]
+        return Polynomial._new(list(self.ints), self.ints[-1])
 
     # ------------------------------------------------------------------
     # text form
@@ -203,10 +213,10 @@ class Polynomial:
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.ints == other.ints and self.den == other.den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.ints, self.den))
 
 
 def _coef_str(c: Fraction) -> str:
@@ -215,48 +225,10 @@ def _coef_str(c: Fraction) -> str:
 
 
 # ----------------------------------------------------------------------
-# integer coefficient lists: the exact gcd (primitive pseudo-remainder
-# sequence over the integers) and the cleared-denominator identity checks
+# numerator lists: the convolution, the pseudo-division that divmod and
+# the gcd share, and content stripping
 
-def _int_content(cs) -> int:
-    g = 0
-    for c in cs:
-        g = math.gcd(g, abs(c))
-    return g or 1
-
-def _int_primitive(cs):
-    g = _int_content(cs)
-    return [c // g for c in cs] if g > 1 else list(cs)
-
-def _to_int_coeffs(p: Polynomial):
-    den_lcm = 1
-    for c in p.coeffs:
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    return _int_primitive([int(c * den_lcm) for c in p.coeffs])
-
-def _int_view(p: Polynomial):
-    # the coefficients as a list of ints, or None unless every one is integral
-    if any(c.denominator != 1 for c in p.coeffs):
-        return None
-    return [c.numerator for c in p.coeffs]
-
-def _int_add(a, b):
-    # a + b on ascending integer coefficient lists, trailing zeros trimmed
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-def _int_sub(a, b):
-    return _int_add(a, [-c for c in b])
-
-def _int_mul(a, b):
-    if not a or not b:
-        return []
+def _convolve(a, b) -> List[int]:
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -264,41 +236,50 @@ def _int_mul(a, b):
                 out[i + j] += x * y
     return out
 
-def _int_prem(a, b):
-    # iterated pseudo-remainder: scale by lead(b) each elimination step so the
-    # arithmetic stays in the integers; content is stripped by the caller
+
+def _pseudo_divmod(a, b) -> Tuple[List[int], List[int]]:
+    """(q, r) with lead(b)^k a = q b + r and deg r < deg b, k = len(a) - len(b) + 1.
+
+    Every one of the k elimination steps scales by lead(b), whether or not
+    the coefficient it eliminates is already zero, so k is fixed by the
+    degrees. r comes back without trailing zeros.
+    """
     db = len(b) - 1
     lb = b[-1]
     r = list(a)
-    while True:
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) - 1 < db:
-            return r
-        k = len(r) - 1 - db
-        lr = r[-1]
-        r = [lb * c for c in r]
-        for i, bc in enumerate(b):
-            r[i + k] -= lr * bc
-        r[db + k] = 0
+    q = []
+    for k in range(len(a) - 1 - db, -1, -1):
+        t = r.pop()
+        if lb != 1:
+            r = [lb * c for c in r]
+            q = [lb * c for c in q]
+        q.append(t)
+        if t:
+            for i in range(db):
+                r[i + k] -= t * b[i]
+    q.reverse()
+    while r and r[-1] == 0:
+        r.pop()
+    return q, r
+
+
+def _primitive(cs) -> List[int]:
+    """cs divided by the gcd of its entries (cs itself when that is 0 or 1)."""
+    g = math.gcd(*cs)
+    return [c // g for c in cs] if g > 1 else list(cs)
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd of two polynomials.
+    """Monic gcd of two polynomials; the gcd of two zeros is zero.
 
-    Implemented as a primitive pseudo-remainder sequence over the integers
-    (denominators cleared, content stripped every round), which keeps the
-    intermediate coefficient growth tame.
+    A primitive pseudo-remainder sequence on the numerators (content
+    stripped every round), which keeps the intermediate coefficient growth
+    tame; the denominators do not change the gcd.
     """
-    if a.is_zero:
-        return b.monic() if not b.is_zero else b
-    if b.is_zero:
-        return a.monic()
-    fa, fb = _to_int_coeffs(a), _to_int_coeffs(b)
+    fa, fb = _primitive(a.ints), _primitive(b.ints)
     while fb:
-        r = _int_prem(fa, fb)
-        fa, fb = fb, (_int_primitive(r) if r else r)
-    return Polynomial(fa).monic()
+        fa, fb = fb, _primitive(_pseudo_divmod(fa, fb)[1])
+    return Polynomial._new(fa, fa[-1]) if fa else Polynomial()
 
 
 # ----------------------------------------------------------------------
@@ -307,14 +288,15 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 def hurwitz_stable(p: Polynomial) -> bool:
     """Strict Hurwitz test (all roots in Re(s) < 0) via an exact Routh table.
 
-    The table is built from the exact coefficients, so the verdict carries
-    no rounding. Any zero pivot in the table means the polynomial is not
-    strictly Hurwitz and reports False; nonzero constants are vacuously
-    stable.
+    The table is fraction-free: each new row is multiplied by its positive
+    pivot and has its content stripped, which scales it by a positive
+    number and so leaves every sign, and the verdict, as in the rational
+    table. Any zero pivot in the table means the polynomial is not strictly
+    Hurwitz and reports False; nonzero constants are vacuously stable.
     """
     if p.is_zero:
         raise ZeroPolynomial("stability of the zero polynomial is undefined")
-    desc = list(reversed(p.coeffs))
+    desc = p.ints[::-1]
     if len(desc) == 1:
         return True
     if desc[0] < 0:
@@ -328,10 +310,7 @@ def hurwitz_stable(p: Polynomial) -> bool:
         pivot = cur[0]
         if pivot <= 0:
             return False
-        nxt = []
-        for i in range(len(prev) - 1):
-            top = prev[i + 1]
-            bot = cur[i + 1] if i + 1 < len(cur) else Fraction(0)
-            nxt.append(top - prev[0] * bot / pivot)
-        prev, cur = cur, nxt
+        nxt = [pivot * prev[i + 1] - prev[0] * (cur[i + 1] if i + 1 < len(cur) else 0)
+               for i in range(len(prev) - 1)]
+        prev, cur = cur, _primitive(nxt)
     return True

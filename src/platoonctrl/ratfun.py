@@ -1,10 +1,11 @@
 """Rational functions in s: the carrier for plants, controllers and
 closed-loop maps.
 
-Every value is kept gcd-reduced with a monic denominator over exact
-rational coefficients, so equality is literal coefficient equality. Scalar
-operands follow the `Polynomial` coefficient rule: they pass through
-`Fraction(c)`, so a float enters as its exact binary value.
+Every value is kept gcd-reduced with a monic denominator. Both polynomials
+hold integer numerators over one denominator in lowest terms, so equality
+is literal equality of those integers. Scalar operands follow the
+`Polynomial` coefficient rule: they pass through `Fraction(c)`, so a float
+enters as its exact binary value.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ def _canonicalize(num: Polynomial, den: Polynomial):
     if g.degree > 0:
         num = num // g
         den = den // g
-    lc = den.coeffs[-1]
+    lc = den.leading()
     if lc != 1:
         inv = 1 / lc
         num = num * inv

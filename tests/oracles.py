@@ -1,15 +1,21 @@
 """Reference routes the tests compare production code against.
 
-None of these run in a command. `closed_loop`, the generic unity-feedback
-interconnection, checks the T that production reads off the stability
-report or builds in closed form. The Youla coprime factors and the
+None of these run in a command. `FractionPolynomial`, with `fraction_gcd`
+and `fraction_hurwitz_stable`, is the tuple-of-Fractions polynomial: its
+schoolbook product, long division, Euclid gcd and rational Routh table
+check `Polynomial`'s integer numerators over one denominator, its
+pseudo-division, gcd and fraction-free Routh table. `closed_loop`, the
+generic unity-feedback interconnection, checks the T that production reads
+off the stability report or builds in closed form. The Youla coprime factors and the
 factor-arithmetic forms of the controller and closed loop check the closed
 forms in `synthesis`; `maclaurin` reads Taylor coefficients at s = 0.
 `lemma_structures` writes X_n, H_n, U_n and L_n as rational matrices
-(tuples of row tuples of RationalFunction), the reference for the integer
+(tuples of row tuples of RationalFunction), the reference for the sparse
 polynomial matrices `bidir` checks the factorization on; rational-matrix
 sums, products, transposes and bidiagonal substitution on them check the
-closed-form sensitivity matrix and the integer identity checks in `bidir`.
+closed-form sensitivity matrix and the cleared identity checks in `bidir`.
+`bode_csv_per_entry` formats every entry of a Bode table on its own, the
+text `BodeTable.to_csv` writes from the distinct entries only.
 The np.polyval magnitude engine, one polynomial at a time, checks
 `freq.log_abs_evaluator`'s stacked Horner evaluation bit for bit.
 `cascade_gain` Routh-tests each stage of an arbitrary controller cascade;
@@ -43,6 +49,99 @@ _S = Polynomial([0, 1])
 _ONE = Polynomial([1])
 _ZERO_RF = RationalFunction(Polynomial([]), _ONE)
 _ONE_RF = RationalFunction(_ONE, _ONE)
+
+
+# ---------------------------------------------------------------- exact polynomials
+
+class FractionPolynomial:
+    """Ascending tuple of Fraction coefficients, no trailing zero: the
+    reference `Polynomial`'s integer-over-one-denominator arithmetic is
+    checked against, with schoolbook products and long division in Fractions."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        vals = [Fraction(c) for c in coeffs]
+        while vals and vals[-1] == 0:
+            vals.pop()
+        self.coeffs = tuple(vals)
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        n = max(len(a), len(b))
+        a, b = a + (0,) * (n - len(a)), b + (0,) * (n - len(b))
+        return FractionPolynomial(x + y for x, y in zip(a, b))
+
+    def __neg__(self):
+        return FractionPolynomial(-c for c in self.coeffs)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not isinstance(other, FractionPolynomial):
+            c = Fraction(other)
+            return FractionPolynomial(c * x for x in self.coeffs)
+        if not self.coeffs or not other.coeffs:
+            return FractionPolynomial()
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, x in enumerate(self.coeffs):
+            for j, y in enumerate(other.coeffs):
+                out[i + j] += x * y
+        return FractionPolynomial(out)
+
+    def __pow__(self, n: int):
+        out = FractionPolynomial([1])
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __divmod__(self, other):
+        dq = len(self.coeffs) - len(other.coeffs)
+        if dq < 0:
+            return FractionPolynomial(), self
+        lead, db = other.coeffs[-1], len(other.coeffs) - 1
+        q = [Fraction(0)] * (dq + 1)
+        rem = list(self.coeffs)
+        for k in range(dq, -1, -1):
+            c = rem[db + k] / lead
+            q[k] = c
+            for i, bc in enumerate(other.coeffs):
+                rem[i + k] -= c * bc
+        return FractionPolynomial(q), FractionPolynomial(rem)
+
+    def scale(self, gamma):
+        g = Fraction(gamma)
+        return FractionPolynomial(c * g ** k for k, c in enumerate(self.coeffs))
+
+    def monic(self):
+        return self * (1 / self.coeffs[-1])
+
+
+def fraction_gcd(a: FractionPolynomial, b: FractionPolynomial) -> FractionPolynomial:
+    """Monic gcd by Euclid's algorithm in Fractions; the gcd of 0 and 0 is 0."""
+    while b.coeffs:
+        a, b = b, divmod(a, b)[1]
+    return a.monic() if a.coeffs else a
+
+
+def fraction_hurwitz_stable(p: FractionPolynomial) -> bool:
+    """The Routh table in Fractions: every pivot positive after the sign is fixed."""
+    desc = list(reversed(p.coeffs))
+    if len(desc) == 1:
+        return True
+    if desc[0] < 0:
+        desc = [-c for c in desc]
+    if any(c <= 0 for c in desc):
+        return False
+    prev, cur = desc[0::2], desc[1::2]
+    while cur:
+        if cur[0] <= 0:
+            return False
+        nxt = [prev[i + 1] - prev[0] * (cur[i + 1] if i + 1 < len(cur) else 0) / cur[0]
+               for i in range(len(prev) - 1)]
+        prev, cur = cur, nxt
+    return True
 
 
 # ---------------------------------------------------------------- feedback loop
@@ -245,6 +344,20 @@ def invert_bidiagonal(T, shape: str):
     if matmul(T, inv) != eye(n):
         raise ArithmeticError("inverse verification failed")
     return inv
+
+
+# ---------------------------------------------------------------- Bode CSV
+
+def bode_csv_per_entry(table) -> str:
+    """`BodeTable.to_csv`'s text, formatting all n^2 entries of every omega one by one."""
+    lines = ["omega,row,col,abs,abs_db"]
+    for w, om in enumerate(table.grid.omegas):
+        for i in range(table.n):
+            for j in range(table.n):
+                lg = float(table.log_magnitudes[i, j, w])
+                lines.append(f"{float(om)!r},{i + 1},{j + 1},{math.exp(lg)!r},"
+                             f"{lg * (20.0 / math.log(10.0))!r}")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------- magnitude engine

@@ -17,8 +17,8 @@ from platoonctrl.freq import FrequencyGrid, log_abs_evaluator
 from platoonctrl.poly import Polynomial
 from platoonctrl.ratfun import RationalFunction, one, s
 
-from oracles import (SingularDiagonal, eye, invert_bidiagonal, lemma_structures,
-                     mat_add, matmul, transpose)
+from oracles import (SingularDiagonal, bode_csv_per_entry, eye, invert_bidiagonal,
+                     lemma_structures, mat_add, matmul, transpose)
 
 ONE = Polynomial([1])
 S = Polynomial([0, 1])
@@ -62,15 +62,15 @@ def _entries(M):
 
 
 def _cleared(M, factor: Polynomial = ONE):
-    # the nonzero entries of factor * M as {(i, j): integer coefficients};
-    # each must be a polynomial with integer coefficients
+    # the nonzero entries of factor * M as {(i, j): Polynomial}; each must be
+    # a polynomial
     out = {}
     for i, j, f in _entries(M):
         if f.num.is_zero:
             continue
         q, r = divmod(f.num * factor, f.den)
-        assert r.is_zero and all(c.denominator == 1 for c in q.coeffs), (i, j)
-        out[i, j] = [int(c) for c in q.coeffs]
+        assert r.is_zero, (i, j)
+        out[i, j] = q
     return out
 
 
@@ -86,16 +86,16 @@ def _closed_form(i: int, j: int) -> RationalFunction:
 
 def test_structures_n1():
     # X = 1, s^2 H = s (the last loop), U = s+1, L = s
-    assert _lemma_matrices(1) == ({(0, 0): [1]}, {(0, 0): [0, 1]},
-                                  {(0, 0): [1, 1]}, {(0, 0): [0, 1]})
+    assert _lemma_matrices(1) == ({(0, 0): ONE}, {(0, 0): S},
+                                  {(0, 0): ONE + S}, {(0, 0): S})
 
 
 def test_structures_n2():
     X, s2H, U, L = _lemma_matrices(2)
-    assert X == {(0, 0): [1], (1, 0): [-1], (1, 1): [1]}
-    assert s2H == {(0, 0): [1, 1], (1, 1): [0, 1]}
-    assert U == {(0, 0): [1, 1], (0, 1): [-1], (1, 1): [1, 1]}
-    assert L == {(0, 0): [0, 1], (1, 0): [-1], (1, 1): [1, 1]}
+    assert X == {(0, 0): ONE, (1, 0): -ONE, (1, 1): ONE}
+    assert s2H == {(0, 0): ONE + S, (1, 1): S}
+    assert U == {(0, 0): ONE + S, (0, 1): -ONE, (1, 1): ONE + S}
+    assert L == {(0, 0): S, (1, 0): -ONE, (1, 1): ONE + S}
 
 
 def test_bidiagonal_nonzero_counts():
@@ -113,8 +113,8 @@ def test_structures_validation():
 
 
 def test_lemma_matrices_are_the_rational_structures_cleared():
-    # the integer matrices the factorization is checked on are X_n, s^2 H_n,
-    # U_n and L_n as displayed, with the denominators cleared
+    # the polynomial matrices the factorization is checked on are X_n,
+    # s^2 H_n, U_n and L_n as displayed, with the denominators cleared
     for n in range(1, 41):
         X, H, U, L = lemma_structures(n)
         assert _lemma_matrices(n) == (_cleared(X), _cleared(H, S * S),
@@ -140,7 +140,7 @@ def test_factorization_rejects_wrong_diagonal(monkeypatch):
     assert not _factorization_holds(X, H, U, _replace_entry(L, 2, 2, S_RF))
     iX, is2H, iU, iL = _lemma_matrices(4)
     monkeypatch.setattr(bidir, "_lemma_matrices",
-                        lambda n: (iX, is2H, iU, {**iL, (2, 2): [0, 1]}))
+                        lambda n: (iX, is2H, iU, {**iL, (2, 2): S}))
     assert verify_factorization(4) is False
 
 
@@ -415,3 +415,12 @@ def test_matrix_transpose_and_eq():
     assert transpose(transpose(U)) == U
     assert transpose(X)[0][1] == X[1][0]
     assert matmul(eye(3), U) == U
+
+
+def test_bode_csv_matches_per_entry_formatter():
+    # to_csv formats each omega and each distinct entry of the symmetric
+    # table once; the text must be the per-entry formatter's byte for byte
+    for n, grid in ((1, FrequencyGrid(1e-2, 1e2, 3)), (3, FrequencyGrid(1e-3, 1e3, 2)),
+                    (12, FrequencyGrid(0.1, 10.0, 4)), (3, FrequencyGrid(1e-300, 1e300, 1))):
+        table = bode_table(n, grid)
+        assert table.to_csv() == bode_csv_per_entry(table), f"n={n}"

@@ -1,4 +1,4 @@
-"""Source hygiene: no dead imports in the package, and a consistent __all__."""
+"""Source hygiene: no dead imports in the package or its tests, and a consistent __all__."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import platoonctrl
 
 _SRC = pathlib.Path(platoonctrl.__file__).parent
 _MODULES = sorted(p for p in _SRC.glob("*.py") if p.name != "__init__.py")
+_TESTS = sorted(pathlib.Path(__file__).parent.glob("*.py"))
 
 
 def _unused_imports(tree: ast.Module):
@@ -26,7 +27,8 @@ def _unused_imports(tree: ast.Module):
     return sorted((line, name) for name, line in bound.items() if name not in used)
 
 
-@pytest.mark.parametrize("path", _MODULES, ids=[p.stem for p in _MODULES])
+@pytest.mark.parametrize("path", _MODULES + _TESTS,
+                         ids=[p.stem for p in _MODULES] + [f"tests/{p.stem}" for p in _TESTS])
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert _unused_imports(tree) == []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +11,8 @@ import pytest
 
 from platoonctrl.errors import ZeroPolynomial
 from platoonctrl.poly import Polynomial, hurwitz_stable, poly_gcd
+
+from oracles import FractionPolynomial, fraction_gcd, fraction_hurwitz_stable
 
 ONE = Polynomial([1])
 S = Polynomial([0, 1])
@@ -47,6 +50,77 @@ def test_zero_is_mode_neutral():
     assert z + Polynomial([Fraction(3, 2)]) == Polynomial(["3/2"])
     assert z == Polynomial([0.0]) == Polynomial([0]) == Polynomial(["0"])
     assert hash(z) == hash(Polynomial([0.0]))
+
+
+# ---------------------------------------------------------------- representation
+
+def _rand_pair(rng, max_deg=5):
+    # one polynomial in both representations: zeros, floats, and rationals
+    # over denominators that share factors or are far from every other
+    cs = []
+    for _ in range(rng.randint(0, max_deg) + 1):
+        kind = rng.random()
+        if kind < 0.15:
+            cs.append(rng.uniform(-4, 4))
+        elif kind < 0.25:
+            cs.append(0)
+        else:
+            cs.append(Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 4, 6, 9, 12, 2 ** 40))))
+    return Polynomial(cs), FractionPolynomial(cs)
+
+
+def _agree(p: Polynomial, ref: FractionPolynomial):
+    # the same Fractions, read from numerators kept in lowest terms over a
+    # positive denominator with no trailing zero, the form == and hash rely on
+    assert p.coeffs == ref.coeffs
+    assert p.den > 0 and all(type(c) is int for c in p.ints)
+    if p.ints:
+        assert p.ints[-1] != 0 and math.gcd(p.den, *p.ints) == 1
+        assert p.leading() == ref.coeffs[-1]
+    else:
+        assert p.den == 1
+
+
+def test_representation_agrees_with_fraction_reference_randomized():
+    rng = random.Random(16)
+    scalars = (3, -2, 0, 0.375, -1e-3, Fraction(7, 6), Fraction(-5, 12))
+    gammas = (Fraction(3, 7), Fraction(-4, 9), 7, 2.5, 1e-3)
+    for _ in range(400):
+        (a, ra), (b, rb), (g, rg) = (_rand_pair(rng) for _ in range(3))
+        _agree(a, ra)
+        _agree(-a, -ra)
+        _agree(a + b, ra + rb)
+        _agree(a - b, ra - rb)
+        _agree(a * b, ra * rb)
+        c = rng.choice(scalars)
+        _agree(a * c, ra * c)
+        _agree(c * a, ra * c)
+        _agree(a + c, ra + FractionPolynomial([c]))
+        _agree(c - a, FractionPolynomial([c]) - ra)
+        k = rng.randint(0, 4)
+        _agree(a ** k, ra ** k)
+        gamma = rng.choice(gammas)
+        _agree(a.scale(gamma), ra.scale(gamma))
+        if not b.is_zero:
+            q, r = divmod(a * g + b, b)
+            rq, rr = divmod(ra * rg + rb, rb)
+            _agree(q, rq)
+            _agree(r, rr)
+            _agree(b.monic(), rb.monic())
+        _agree(poly_gcd(a * g, b * g), fraction_gcd(ra * rg, rb * rg))
+
+
+def test_routh_table_agrees_with_fraction_reference_randomized():
+    rng = random.Random(61)
+    for _ in range(500):
+        # positive coefficients pass the necessary condition, so the table decides
+        cs = [Fraction(rng.randint(1, 30), rng.choice((1, 2, 5, 7)))
+              for _ in range(rng.randint(1, 9))]
+        if rng.random() < 0.2:
+            cs[rng.randrange(len(cs))] *= -1
+        p, ref = Polynomial(cs), FractionPolynomial(cs)
+        assert hurwitz_stable(p) == fraction_hurwitz_stable(ref), cs
+        assert hurwitz_stable(-p) == fraction_hurwitz_stable(-ref), cs
 
 
 # ---------------------------------------------------------------- ring identities

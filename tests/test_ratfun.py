@@ -5,7 +5,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from platoonctrl.errors import NonPositiveGamma, PoleAtPoint, ZeroDenominator
