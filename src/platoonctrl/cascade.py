@@ -150,14 +150,11 @@ def homogeneous_growth(c: RationalFunction, m: int, n_max: int,
     A cascade of n identical stages admits |y_n/d_1| >= |T(j omega0)|^n at
     the peak frequency, so the table is the exponential lower envelope; the
     growth flag fires when the peak exceeds 1 (beyond float fuzz). An
-    unstabilising c raises StabilityCheckFailed naming the unstable maps.
+    unstabilising c raises StabilityCheckFailed from internal_stability.
     """
     if n_max < 1:
         raise InvalidRange("n_max must be >= 1")
-    rep = internal_stability(plant(m), c)
-    if not rep.internally_stable:
-        raise StabilityCheckFailed(rep.diagnostic())
-    T = rep.gang_of_four[3]
+    T = internal_stability(plant(m), c)
     res = hinf_norm(T, grid if grid is not None else default_grid())
     with np.errstate(over="ignore"):
         rows = tuple((n, float(np.float64(res.norm) ** n)) for n in range(1, n_max + 1))
@@ -240,13 +237,11 @@ def pd_mistune_experiment(n: int, k_min: float, k_max: float, trials: int,
     - the drawer returns an exact k >= k_min > 0, and s^2 + k s + 1 is Hurwitz
       for every k > 0 (a monic quadratic with positive coefficients);
     - the characteristic polynomial s^2 * 1 + 1 * (1 + k s) is that
-      quadratic, and each gang-of-four map (S, PS, CS, T) is a polynomial
-      over it, so each reduced denominator divides it and the loop is
-      internally stable;
+      quadratic, so the loop passes internal_stability's one Routh test;
     - 1 + k s and s^2 + k s + 1 are coprime, since the quadratic is
       1/k^2 != 0 at the numerator's root s = -1/k; the monic ratio is
-      therefore already canonical, with the coefficients the gang-of-four
-      route gives its T.
+      therefore already canonical, with the coefficients of the T that
+      internal_stability returns.
 
     Every gain comes from one keyed generator (pd_gain's draws). Each
     trial's stages are evaluated as one stack (`cascade_profile`).

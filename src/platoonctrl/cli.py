@@ -208,12 +208,15 @@ def _cmd_family_check(args) -> int:
             raise InvalidRange(f"{args.file} is not a JSON document: {exc}") from exc
     fam = family_from_json(doc)
     # every member c_k = gamma_k^-m c(gamma_k s) shares the base's verdict
-    rep = internal_stability(plant(fam.m), fam.base)
-    stable = rep.internally_stable
-    # the stored certificate is not trusted: its claims are tested on the
-    # stored controller's own T before the comparisons rest on them
-    peak, cert_ok = (check_certificate(rep.gang_of_four[3], fam.base_certificate)
-                     if stable else (math.inf, False))
+    try:
+        T = internal_stability(plant(fam.m), fam.base)
+    except StabilityCheckFailed:
+        stable, peak, cert_ok = False, math.inf, False
+    else:
+        # the stored certificate is not trusted: its claims are tested on the
+        # stored controller's own T before the comparisons rest on them
+        stable = True
+        peak, cert_ok = check_certificate(T, fam.base_certificate)
     ok = cert_ok and family_product_check(fam)[1]
     if not stable:
         log.error("the base controller fails internal stability")
@@ -253,11 +256,9 @@ def _cmd_homogeneous(args) -> int:
 
 def _cmd_middleton(args) -> int:
     t0 = time.monotonic()
-    rep = internal_stability(plant(args.m), parse_rational(args.c))
-    if not rep.internally_stable:
-        raise StabilityCheckFailed(rep.diagnostic())
+    T = internal_stability(plant(args.m), parse_rational(args.c))
     _write_report(args.out, "middleton", {"m": args.m, "c": args.c},
-                  {"value": middleton_integral(rep.gang_of_four[3]),
+                  {"value": middleton_integral(T),
                    "truncation_bound": 0.0},
                   [], t0)
     return 0

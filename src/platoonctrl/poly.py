@@ -31,10 +31,11 @@ class Polynomial:
     __slots__ = ("ints", "den")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        vals = [Fraction(c) for c in coeffs]
+        # int(): Fraction(np.int64(k)).numerator is still a fixed-width np.int64
+        vals = [(int(f.numerator), int(f.denominator)) for f in map(Fraction, coeffs)]
         # the lcm of reduced denominators leaves the numerators coprime to it
-        den = math.lcm(*(c.denominator for c in vals))
-        ints = [c.numerator * (den // c.denominator) for c in vals]
+        den = math.lcm(*(d for _, d in vals))
+        ints = [n * (den // d) for n, d in vals]
         while ints and ints[-1] == 0:
             ints.pop()
         self.ints = tuple(ints)

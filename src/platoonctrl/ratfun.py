@@ -10,10 +10,10 @@ enters as its exact binary value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import IllPosed, NonPositiveGamma, PoleAtPoint, ZeroDenominator
+from .errors import (IllPosed, NonPositiveGamma, PoleAtPoint, StabilityCheckFailed,
+                     ZeroDenominator)
 from .poly import Polynomial, hurwitz_stable, poly_gcd
 
 def _as_poly(x) -> Polynomial:
@@ -72,15 +72,6 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        # reduce by the denominator gcd up front; keeps long exact sums
-        # (shared power-form denominators) from ballooning before the
-        # constructor's canonicalization
-        if self.den.degree > 0 and other.den.degree > 0:
-            g = poly_gcd(self.den, other.den)
-            if g.degree > 0:
-                da = self.den // g
-                db = other.den // g
-                return RationalFunction(self.num * db + other.num * da, self.den * db)
         return RationalFunction(self.num * other.den + other.num * self.den,
                                 self.den * other.den)
 
@@ -192,44 +183,28 @@ def scale_frequency(f: RationalFunction, gamma) -> RationalFunction:
 # ----------------------------------------------------------------------
 # feedback interconnection
 
-@dataclass(frozen=True)
-class StabilityReport:
-    """Gang-of-four verdict for a plant/controller pair.
+def internal_stability(p: RationalFunction, c: RationalFunction) -> RationalFunction:
+    """T = pc/(1+pc) of an internally stable loop; StabilityCheckFailed otherwise.
 
-    gang_of_four = (S, PS, CS, T) = (1/(1+pc), p/(1+pc), c/(1+pc),
-    pc/(1+pc)), each canonical; a caller holding a report reads T from it.
-    internally_stable is the conjunction of each_stable.
-    Properness is recorded per map but kept out of the verdict: the loop may
-    legitimately contain improper PD-type controllers, and only final shipped
-    controllers need properness.
-    """
-
-    gang_of_four: tuple
-    each_stable: tuple
-    each_proper: tuple
-    internally_stable: bool
-    char_poly: Polynomial
-
-    def diagnostic(self) -> str:
-        """'unstable closed-loop members: ...', naming each unstable map."""
-        bad = [name for name, good in zip(("S", "PS", "CS", "T"), self.each_stable) if not good]
-        return "unstable closed-loop members: " + ", ".join(bad)
-
-
-def internal_stability(p: RationalFunction, c: RationalFunction) -> StabilityReport:
-    """Gang-of-four analysis without cancelling p-c common factors.
-
-    Each of the four maps starts from the shared unreduced characteristic
-    polynomial, is then brought to canonical form individually, and its
-    reduced denominator is Routh-tested. Skipping the p-c cancellation up
-    front is what makes hidden unstable cancellations visible in at least one
-    of the four maps.
+    With p = Np/Dp and c = Nc/Dc, each pair coprime (every RationalFunction
+    is gcd-reduced), the gang of four (S, PS, CS, T) is (Dp Dc, Np Dc,
+    Dp Nc, Np Nc) / char over char = Dp Dc + Np Nc, formed without
+    cancelling p-c common factors. Every pole of the four is a root of char.
+    Conversely, at a root z of char the four numerators cannot all vanish:
+    if Dp(z) = 0 then Np(z) != 0, so Np Dc(z) = 0 needs Dc(z) = 0, whence
+    Nc(z) != 0 and Np Nc(z) != 0; Dc(z) = 0 is symmetric, and if neither
+    vanishes then Dp Dc(z) != 0. A numerator nonzero at z keeps z a pole
+    of its map after reduction, so the loop is internally stable iff char
+    is Hurwitz (Doyle, Francis & Tannenbaum, Feedback Control Theory, 1992,
+    ch. 3): one Routh test, then one canonicalisation for T. Properness is
+    not part of the verdict: the loop may legitimately contain improper
+    PD-type controllers.
     """
     char = p.den * c.den + p.num * c.num
     if char.is_zero:
         raise IllPosed("1 + p*c is identically zero")
-    nums = (p.den * c.den, p.num * c.den, p.den * c.num, p.num * c.num)
-    four = tuple(RationalFunction(n, char) for n in nums)
-    each_stable = tuple(f.den.degree == 0 or hurwitz_stable(f.den) for f in four)
-    each_proper = tuple(f.is_proper for f in four)
-    return StabilityReport(four, each_stable, each_proper, all(each_stable), char)
+    if not hurwitz_stable(char):
+        raise StabilityCheckFailed(
+            f"the characteristic polynomial Dp Dc + Np Nc (degree {char.degree}) "
+            "has a root in Re(s) >= 0")
+    return RationalFunction(p.num * c.num, char)

@@ -5,10 +5,13 @@ and `fraction_hurwitz_stable`, is the tuple-of-Fractions polynomial: its
 schoolbook product, long division, Euclid gcd and rational Routh table
 check `Polynomial`'s integer numerators over one denominator, its
 pseudo-division, gcd and fraction-free Routh table. `closed_loop`, the
-generic unity-feedback interconnection, checks the T that production reads
-off the stability report or builds in closed form. The Youla coprime factors and the
-factor-arithmetic forms of the controller and closed loop check the closed
-forms in `synthesis`; `maclaurin` reads Taylor coefficients at s = 0.
+generic unity-feedback interconnection, checks the T that production
+builds in closed form. `gang_of_four_report` canonicalises S, PS, CS and
+T over the uncancelled characteristic polynomial and Routh-tests each
+reduced denominator, the generic route that checks
+`ratfun.internal_stability`'s one Routh test on that polynomial. The
+Youla coprime factors and the factor-arithmetic forms of the controller
+and closed loop check the closed forms in `synthesis`; `maclaurin` reads Taylor coefficients at s = 0.
 `lemma_structures` writes X_n, H_n, U_n and L_n as rational matrices
 (tuples of row tuples of RationalFunction), the reference for the sparse
 polynomial matrices `bidir` checks the factorization on; rational-matrix
@@ -18,9 +21,9 @@ closed-form sensitivity matrix and the cleared identity checks in `bidir`.
 text `BodeTable.to_csv` writes from the distinct entries only.
 The np.polyval magnitude engine, one polynomial at a time, checks
 `freq.log_abs_evaluator`'s stacked Horner evaluation bit for bit.
-`cascade_gain` Routh-tests each stage of an arbitrary controller cascade;
-with it, the per-stage PD route, with a fresh generator per gain, checks
-the closed-form PD cascade and its one keyed generator in `cascade`. The
+`cascade_gain` tests each stage of an arbitrary controller cascade by the
+gang of four; with it, the per-stage PD route, with a fresh generator
+per gain, checks the closed-form PD cascade and its one keyed generator in `cascade`. The
 family sweep, reading every member's T(gamma_k s) on one float grid,
 checks the bound that `synthesis.family_product_check` proves by
 comparisons. Adaptive Simpson quadrature of the Middleton integrand, with
@@ -42,7 +45,7 @@ from platoonctrl.errors import (DivergentAtOrigin, IllPosed, InvalidRange,
 from platoonctrl.freq import (FrequencyGrid, _log_abs_coeff, _scaled_descending,
                               default_grid, log_abs_evaluator)
 from platoonctrl.poly import Polynomial, hurwitz_stable
-from platoonctrl.ratfun import RationalFunction, internal_stability
+from platoonctrl.ratfun import RationalFunction
 from platoonctrl.synthesis import plant
 
 _S = Polynomial([0, 1])
@@ -156,6 +159,49 @@ def closed_loop(p: RationalFunction, c: RationalFunction):
     if char.is_zero:
         raise IllPosed("1 + p*c is identically zero")
     return RationalFunction(p.den * c.den, char), RationalFunction(p.num * c.num, char)
+
+
+@dataclass(frozen=True)
+class StabilityReport:
+    """Gang-of-four verdict for a plant/controller pair.
+
+    gang_of_four = (S, PS, CS, T) = (1/(1+pc), p/(1+pc), c/(1+pc),
+    pc/(1+pc)), each canonical; a caller holding a report reads T from it.
+    internally_stable is the conjunction of each_stable.
+    Properness is recorded per map but kept out of the verdict: the loop may
+    legitimately contain improper PD-type controllers, and only final shipped
+    controllers need properness.
+    """
+
+    gang_of_four: tuple
+    each_stable: tuple
+    each_proper: tuple
+    internally_stable: bool
+    char_poly: Polynomial
+
+    def diagnostic(self) -> str:
+        """'unstable closed-loop members: ...', naming each unstable map."""
+        bad = [name for name, good in zip(("S", "PS", "CS", "T"), self.each_stable) if not good]
+        return "unstable closed-loop members: " + ", ".join(bad)
+
+
+def gang_of_four_report(p: RationalFunction, c: RationalFunction) -> StabilityReport:
+    """Gang-of-four analysis without cancelling p-c common factors.
+
+    Each of the four maps starts from the shared unreduced characteristic
+    polynomial, is then brought to canonical form individually, and its
+    reduced denominator is Routh-tested. Skipping the p-c cancellation up
+    front is what makes hidden unstable cancellations visible in at least one
+    of the four maps.
+    """
+    char = p.den * c.den + p.num * c.num
+    if char.is_zero:
+        raise IllPosed("1 + p*c is identically zero")
+    nums = (p.den * c.den, p.num * c.den, p.den * c.num, p.num * c.num)
+    four = tuple(RationalFunction(n, char) for n in nums)
+    each_stable = tuple(f.den.degree == 0 or hurwitz_stable(f.den) for f in four)
+    each_proper = tuple(f.is_proper for f in four)
+    return StabilityReport(four, each_stable, each_proper, all(each_stable), char)
 
 
 # ---------------------------------------------------------------- Youla factors
@@ -504,7 +550,7 @@ def cascade_gain(controllers, m: int, grid=None) -> CascadeProfile:
     p = plant(m)
     stages = []
     for i, c in enumerate(controllers, start=1):
-        rep = internal_stability(p, c)
+        rep = gang_of_four_report(p, c)
         if not rep.internally_stable:
             raise StabilityCheckFailed(
                 f"controller {i} of {len(controllers)} does not internally stabilise 1/s^{m}")

@@ -318,7 +318,7 @@ def test_synth_certifies_each_candidate_once(tmp_path, monkeypatch, call_counts)
     # certificate's band, and the one shipped loop is Routh-tested once;
     # every rejected candidate is rejected
     # on its grid samples, so only the winner's peak is refined and
-    # Routh-tested (1 + the shipped loop's 4 gang-of-four maps)
+    # Routh-tested (1 + the shipped loop's characteristic polynomial)
     monkeypatch.setattr(synthesis, "search_parameters", search_parameters.__wrapped__)
     counts = call_counts("certify_closed_loop", "internal_stability",
                          "hurwitz_stable", "_golden_max")
@@ -329,7 +329,7 @@ def test_synth_certifies_each_candidate_once(tmp_path, monkeypatch, call_counts)
     scanned = 25 * vals.index(ga) + vals.index(gb / ga) + 1
     assert counts["certify_closed_loop"] == scanned
     assert counts["internal_stability"] == 1
-    assert counts["hurwitz_stable"] <= 5 and counts["_golden_max"] == 1
+    assert counts["hurwitz_stable"] == 2 and counts["_golden_max"] == 1
 
 
 @pytest.mark.parametrize("argv, exit_code, reports", [
@@ -337,21 +337,26 @@ def test_synth_certifies_each_candidate_once(tmp_path, monkeypatch, call_counts)
     (["homogeneous", "--m", "2", "--c", "-1"], 1, 1),
     (["middleton", "--m", "2", "--c", "1+0.7*s"], 0, 1),
     (["synth", "--m", "4", "--count", "16"], 0, 1),
+    # only PS = p/(1+pc) keeps the plant pole at 0 (c = s cancels it in T,
+    # c = 0 makes T zero), and it is a root of the characteristic polynomial
+    (["homogeneous", "--m", "2", "--c", "s"], 1, 1),
+    (["middleton", "--m", "2", "--c", "0"], 1, 1),
 ])
 def test_commands_read_T_off_the_stability_report(tmp_path, call_counts, argv,
                                                    exit_code, reports):
     counts = call_counts("internal_stability")
     assert main(argv + ["--out", str(tmp_path)]) == exit_code
     assert counts["internal_stability"] == reports
+    assert (tmp_path / "report.json").exists() == (exit_code == 0)
 
 
 def test_family_check_reads_T_off_its_stability_report(tmp_path, call_counts,
                                                        synth_m3_family):
     path = tmp_path / "family.json"
     path.write_text(json.dumps(synth_m3_family))
-    counts = call_counts("internal_stability")
+    counts = call_counts("internal_stability", "hurwitz_stable")
     assert main(["family-check", "--file", str(path), "--out", str(tmp_path)]) == 0
-    assert counts["internal_stability"] == 1
+    assert counts["internal_stability"] == 1 and counts["hurwitz_stable"] == 2
 
 
 @pytest.mark.parametrize("bw", ["2e4", "1e300", "1e-300"])

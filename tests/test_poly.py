@@ -42,6 +42,12 @@ def test_modes_and_normalization():
     assert Polynomial([1, 2]) * 0.5 == Polynomial([Fraction(1, 2), 1])
 
 
+def test_numpy_integers_enter_as_python_ints():
+    # a fixed-width numerator would wrap 2**80 to 0
+    p = Polynomial([np.int64(2 ** 40), np.int32(1)])
+    assert all(type(c) is int for c in p.ints) and type(p.den) is int
+    assert (p * p).coeffs[0] == 2 ** 80
+
 
 def test_zero_is_mode_neutral():
     # the zero polynomial is the same value whatever kind of scalar built it

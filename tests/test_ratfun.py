@@ -6,13 +6,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from platoonctrl.errors import NonPositiveGamma, PoleAtPoint, ZeroDenominator
+from platoonctrl.errors import (IllPosed, NonPositiveGamma, PoleAtPoint,
+                                StabilityCheckFailed, ZeroDenominator)
 from platoonctrl.poly import Polynomial
 from platoonctrl.ratfun import (RationalFunction, internal_stability, one, s,
                                 scale_frequency)
 
-from oracles import closed_loop, maclaurin
+from oracles import closed_loop, gang_of_four_report, maclaurin
 
 ONE = Polynomial([1])
 S = Polynomial([0, 1])
@@ -156,30 +158,71 @@ def test_closed_loop_pd_double_integrator():
     assert S_ == RationalFunction(S * S, char)
 
 
-def test_internal_stability_straight_case():
-    rep = internal_stability(one / (s * s), one + s)
-    assert rep.internally_stable
-    assert all(rep.each_stable)
-    # the PD controller is improper; properness is reported, not part of
-    # the stability verdict
+def test_internal_stability_straight_case(call_counts):
+    p, c = one / (s * s), one + s
+    counts = call_counts("hurwitz_stable", "poly_gcd")
+    T = internal_stability(p, c)
+    # one Routh test of the characteristic polynomial, one canonicalisation
+    assert (counts["hurwitz_stable"], counts["poly_gcd"]) == (1, 1)
+    rep = gang_of_four_report(p, c)
+    assert rep.internally_stable and T == rep.gang_of_four[3]
+    # the PD controller is improper; properness stays out of the verdict
     assert not all(rep.each_proper)
 
 
 def test_internal_stability_hidden_cancellation():
     # pole-zero cancellation in the right half plane: the loop looks fine
-    # from r to y but an internal map is unstable
+    # from r to y, but PS = p/(1+pc) keeps the plant pole at s = 1
     p = one / (s - one)
     c = (s - one) / (s + one)
-    rep = internal_stability(p, c)
-    assert not rep.internally_stable
-    assert rep.each_stable == (True, False, True, True)
+    assert gang_of_four_report(p, c).each_stable == (True, False, True, True)
+    with pytest.raises(StabilityCheckFailed, match="characteristic polynomial"):
+        internal_stability(p, c)
 
 
 def test_internal_stability_report_fields():
-    rep = internal_stability(one / (s * s), one + s)
-    assert len(rep.gang_of_four) == 4
-    assert rep.gang_of_four[0] + rep.gang_of_four[3] == one
+    # T over the uncancelled characteristic polynomial s^2 + s + 1, the
+    # gang of four's T, and S + T = 1
+    p, c = one / (s * s), one + s
+    rep = gang_of_four_report(p, c)
+    T = internal_stability(p, c)
     assert rep.char_poly == Polynomial([1, 1, 1])
+    assert T == rep.gang_of_four[3] == RationalFunction(ONE + S, rep.char_poly)
+    assert rep.gang_of_four[0] + T == one
+    with pytest.raises(IllPosed):
+        internal_stability(one, -one)
+
+
+_COEFFS = st.lists(st.integers(-2, 6), min_size=1, max_size=3).filter(any)
+# factors p and c share before reduction: at 0, in Re s > 0 (real and
+# complex pair), on the imaginary axis, and in Re s < 0
+_SHARED = st.sampled_from([ONE, S, S - 1, S * S - 2 * S + 5, S * S + 1, S + 2])
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(np_=_COEFFS, dp=_COEFFS, nc=_COEFFS, dc=_COEFFS, shared=_SHARED,
+       pole_in_p=st.booleans(), lift=st.integers(0, 2))
+def test_internal_stability_matches_gang_of_four(np_, dp, nc, dc, shared,
+                                                 pole_in_p, lift):
+    # the factor is a pole of one and a zero of the other; (s+1)^lift on
+    # c's numerator makes c improper as often as not
+    np_, dp, nc, dc = (Polynomial(cs) for cs in (np_, dp, nc, dc))
+    nc = nc * Polynomial([1, 1]) ** lift
+    if pole_in_p:
+        p, c = RationalFunction(np_, dp * shared), RationalFunction(nc * shared, dc)
+    else:
+        p, c = RationalFunction(np_ * shared, dp), RationalFunction(nc, dc * shared)
+    try:
+        rep = gang_of_four_report(p, c)
+    except IllPosed:
+        with pytest.raises(IllPosed):
+            internal_stability(p, c)
+        return
+    if rep.internally_stable:
+        assert internal_stability(p, c) == rep.gang_of_four[3]
+    else:
+        with pytest.raises(StabilityCheckFailed):
+            internal_stability(p, c)
 
 
 # ---------------------------------------------------------------- serialization
