@@ -143,8 +143,7 @@ class GrowthTable:
         return "\n".join(lines) + "\n"
 
 
-def homogeneous_growth(c: RationalFunction, m: int, n_max: int,
-                       grid: FrequencyGrid | None = None) -> GrowthTable:
+def homogeneous_growth(c: RationalFunction, m: int, n_max: int) -> GrowthTable:
     """Peak frequency omega0 and the gains ||T||^n for n = 1..n_max.
 
     A cascade of n identical stages admits |y_n/d_1| >= |T(j omega0)|^n at
@@ -155,7 +154,7 @@ def homogeneous_growth(c: RationalFunction, m: int, n_max: int,
     if n_max < 1:
         raise InvalidRange("n_max must be >= 1")
     T = internal_stability(plant(m), c)
-    res = hinf_norm(T, grid if grid is not None else default_grid())
+    res = hinf_norm(T)
     with np.errstate(over="ignore"):
         rows = tuple((n, float(np.float64(res.norm) ** n)) for n in range(1, n_max + 1))
     return GrowthTable(res.argmax_omega, res.norm, rows, bool(res.norm > 1.0 + 1e-12), T)

@@ -1,9 +1,12 @@
 """Command-line front end: experiments, exports, verification suites.
 
-Every command writes its data files plus a report.json under --out. Exit
-codes are a stable contract: 0 success or verdict-pass, 1 verdict-fail or
-domain failure, 2 usage error, 3 I/O failure. Diagnostics go to standard
-error (level via the LOG environment variable); files carry the data.
+Each command writes its data files under --out and returns its exit code,
+results and artifact paths; main then writes the one report.json, taking
+its command, parameters and start time from the parsed flags. A command
+that raises writes no report. Exit codes are a stable contract: 0 success
+or verdict-pass, 1 verdict-fail or domain failure, 2 usage error, 3 I/O
+failure. Diagnostics go to standard error (level via the LOG environment
+variable); files carry the data.
 """
 
 from __future__ import annotations
@@ -104,35 +107,32 @@ def _write_json(out_dir: str, name: str, doc: dict) -> str:
     return _write_text(out_dir, name, text + "\n")
 
 
-def _write_report(out_dir: str, command: str, params: dict, results: dict,
-                  artifacts: list, t0: float) -> str:
+def _write_report(args, results: dict, artifacts: list, t0: float) -> str:
     doc = {
         "schema": _RUN_SCHEMA,
-        "command": command,
-        "parameters": params,
+        "command": args.command,
+        # every flag but --out, under its argparse dest
+        "parameters": {k: v for k, v in vars(args).items()
+                       if k not in ("command", "func", "out")},
         "results": results,
         "artifacts": artifacts,
         # non-deterministic section: excluded from the byte-determinism contract
         "timing": {"duration_seconds": time.monotonic() - t0},
     }
-    return _write_json(out_dir, "report.json", doc)
+    return _write_json(args.out, "report.json", doc)
 
 
 # ----------------------------------------------------------------------
-# commands
+# commands: each returns (exit code, report results, artifact paths)
 
-def _cmd_verify_lemma(args) -> int:
-    t0 = time.monotonic()
+def _cmd_verify_lemma(args):
     verdict = verify_factorization(args.n)
-    _write_report(args.out, "verify-lemma", {"n": args.n},
-                  {"factorization_exact": verdict}, [], t0)
     if not verdict:
         log.error("factorization identity failed at n=%d", args.n)
-    return 0 if verdict else 1
+    return (0 if verdict else 1), {"factorization_exact": verdict}, []
 
 
-def _cmd_sensitivity(args) -> int:
-    t0 = time.monotonic()
+def _cmd_sensitivity(args):
     S = sensitivity_matrix(args.n)
     doc = {
         "schema": _SENS_SCHEMA,
@@ -143,13 +143,10 @@ def _cmd_sensitivity(args) -> int:
         ],
     }
     path = _write_json(args.out, "sensitivity.json", doc)
-    _write_report(args.out, "sensitivity", {"n": args.n},
-                  {"entry_count": args.n * args.n}, [path], t0)
-    return 0
+    return 0, {"entry_count": args.n * args.n}, [path]
 
 
-def _cmd_bode(args) -> int:
-    t0 = time.monotonic()
+def _cmd_bode(args):
     # bode_table returns only after sensitivity_matrix has checked the
     # lemma's hypotheses, so the verdict holds; the grid only shapes the CSV
     table = bode_table(args.n, FrequencyGrid(args.wmin, args.wmax, args.ppd))
@@ -166,22 +163,17 @@ def _cmd_bode(args) -> int:
         "worst_excess": table.worst_excess,
     }
     json_path = _write_json(args.out, "bode.json", side)
-    params = {"n": args.n, "wmin": args.wmin, "wmax": args.wmax, "ppd": args.ppd}
-    _write_report(args.out, "bode", params,
-                  {"verdict": True, "worst_excess": table.worst_excess},
-                  [csv_path, json_path], t0)
-    return 0
+    return 0, {"verdict": True, "worst_excess": table.worst_excess}, [csv_path, json_path]
 
 
-def _cmd_synth(args) -> int:
-    t0 = time.monotonic()
-    m, eps, bw, count = args.m, args.eps, args.bw, args.count
-    design = synthesize(m, eps)
+def _cmd_synth(args):
+    design = synthesize(args.m, args.eps)
     cert = design.certificate
-    fam = scaled_family(design.controller, cert, m, bw, count)
+    fam = scaled_family(design.controller, cert, args.m, args.bw, args.count)
     max_product, ok = family_product_check(fam)
     path = _write_json(args.out, "family.json", family_to_json(fam, (max_product, ok)))
-    params = {"m": m, "eps": eps, "bw": bw, "count": count}
+    if not ok:
+        log.error("member amplification bands overlap")
     results = {
         "gamma_a": None if cert.gamma_a is None else str(cert.gamma_a),
         "gamma_b": None if cert.gamma_b is None else str(cert.gamma_b),
@@ -193,14 +185,10 @@ def _cmd_synth(args) -> int:
         "max_product": max_product,
         "product_ok": ok,
     }
-    _write_report(args.out, "synth", params, results, [path], t0)
-    if not ok:
-        log.error("member amplification bands overlap")
-    return 0 if ok else 1
+    return (0 if ok else 1), results, [path]
 
 
-def _cmd_family_check(args) -> int:
-    t0 = time.monotonic()
+def _cmd_family_check(args):
     with open(args.file, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -224,19 +212,14 @@ def _cmd_family_check(args) -> int:
         log.error("the stored certificate does not hold for the stored controller")
     elif not ok:
         log.error("member amplification bands overlap")
-    _write_report(args.out, "family-check",
-                  {"file": args.file},
-                  {"m": fam.m, "count": len(fam), "members_stable": stable,
-                   "peak": peak, "certificate_ok": cert_ok,
-                   "max_product": peak if ok else math.inf, "product_ok": ok},
-                  [], t0)
-    return 0 if ok else 1
+    return (0 if ok else 1), {"m": fam.m, "count": len(fam), "members_stable": stable,
+                              "peak": peak, "certificate_ok": cert_ok,
+                              "max_product": peak if ok else math.inf,
+                              "product_ok": ok}, []
 
 
-def _cmd_homogeneous(args) -> int:
-    t0 = time.monotonic()
-    c = parse_rational(args.c)
-    table = homogeneous_growth(c, args.m, args.n)
+def _cmd_homogeneous(args):
+    table = homogeneous_growth(parse_rational(args.c), args.m, args.n)
     csv_path = _write_text(args.out, "growth.csv", table.to_csv())
     try:
         # the closed form truncates nothing, so its bound is 0
@@ -245,43 +228,27 @@ def _cmd_homogeneous(args) -> int:
         # growth is still reportable when the integral's preconditions
         # (strictly proper tail, unit DC gain) do not hold
         mid_doc = {"skipped": str(exc)}
-    params = {"m": args.m, "c": args.c, "n": args.n}
-    _write_report(args.out, "homogeneous", params,
-                  {"hinf": table.hinf, "omega0": table.omega0,
-                   "growth_flagged": table.growth_flagged,
-                   "middleton": mid_doc},
-                  [csv_path], t0)
-    return 0
+    return 0, {"hinf": table.hinf, "omega0": table.omega0,
+               "growth_flagged": table.growth_flagged, "middleton": mid_doc}, [csv_path]
 
 
-def _cmd_middleton(args) -> int:
-    t0 = time.monotonic()
+def _cmd_middleton(args):
     T = internal_stability(plant(args.m), parse_rational(args.c))
-    _write_report(args.out, "middleton", {"m": args.m, "c": args.c},
-                  {"value": middleton_integral(T),
-                   "truncation_bound": 0.0},
-                  [], t0)
-    return 0
+    return 0, {"value": middleton_integral(T), "truncation_bound": 0.0}, []
 
 
-def _cmd_pd_random(args) -> int:
-    t0 = time.monotonic()
+def _cmd_pd_random(args):
     grid = default_grid()
     rep = pd_mistune_experiment(args.n, args.kmin, args.kmax, args.trials,
                                 args.seed, grid)
     csv_path = _write_text(args.out, "mistune.csv", rep.to_csv())
     # every stage k = 1: pd_mistune_experiment's docstring proves the closed form
     baseline = cascade_profile([((1, 1), (1, 1, 1))] * args.n, grid)
-    params = {"n": args.n, "kmin": args.kmin, "kmax": args.kmax,
-              "trials": args.trials, "seed": args.seed}
-    _write_report(args.out, "pd-random", params,
-                  {"scheme": rep.scheme,
-                   "median_peak": rep.median_peak,
-                   "max_peak": rep.max_peak,
-                   "homogeneous_peak": baseline.peak,
-                   "median_below_homogeneous": rep.median_peak < baseline.peak},
-                  [csv_path], t0)
-    return 0
+    return 0, {"scheme": rep.scheme,
+               "median_peak": rep.median_peak,
+               "max_peak": rep.max_peak,
+               "homogeneous_peak": baseline.peak,
+               "median_below_homogeneous": rep.median_peak < baseline.peak}, [csv_path]
 
 
 # ----------------------------------------------------------------------
@@ -352,8 +319,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits(0) for --help; anything else is a usage error
         return 0 if exc.code == 0 else 2
+    t0 = time.monotonic()
     try:
-        return args.func(args)
+        code, results, artifacts = args.func(args)
+        _write_report(args, results, artifacts, t0)
+        return code
     except (ParseError, InvalidRange) as exc:
         log.error("%s", exc)
         return 2

@@ -133,9 +133,17 @@ def _as_int(f: RationalFunction, pos: int) -> int:
 
 
 def parse_rational(text: str) -> RationalFunction:
-    """Parse a controller expression into an exact RationalFunction."""
+    """Parse a controller expression into an exact RationalFunction.
+
+    The parser descends recursively, so an expression nested past Python's
+    recursion limit (about 200 parentheses, or a unary-minus or '^' chain
+    about a thousand long) is a ParseError too.
+    """
     parser = _Parser(_tokenize(text))
-    val = parser.parse_expr()
+    try:
+        val = parser.parse_expr()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", parser.peek()[1]) from None
     tok = parser.peek()
     if tok[0] != "end":
         raise ParseError(f"trailing input {tok[2]!r}", tok[1])

@@ -100,10 +100,11 @@ def candidate_controller(m: int, gamma_a, gamma_b) -> RationalFunction:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Grid-backed evidence for a closed loop: peak budget and amplification band.
+    """Evidence for a closed loop: peak budget and amplification band.
 
     |T| <= 1 was verified at every grid sample at or below omega_low and at
-    or above omega_high; peak is the refined grid supremum. band_empty marks
+    or above omega_high; peak is the refined grid supremum (synthesize
+    builds the m = 1 certificate from its closed form instead). band_empty marks
     the degenerate case |T| <= 1 everywhere, with omega_low = omega_high = 1
     by convention so downstream gamma ratios degenerate to 1 instead of
     dividing by zero. gamma_a and gamma_b are set by search_parameters on
@@ -257,27 +258,31 @@ class Design:
 def synthesize(m: int, epsilon: float) -> Design:
     """The certified base design for 1/s^m, its one shipped loop tested once.
 
-    m = 1 is closed with unit gain: T = 1/(s+1) never exceeds 1, so the
-    certificate is degenerate. Otherwise the scan certifies the Youla T for
+    m = 1 is closed with unit gain, T = 1/(s+1), and its certificate comes
+    from the closed form: |T(j omega)|^2 = 1/(1 + omega^2) <= 1, with
+    equality only at omega = 0, so the peak is exactly 1 <= 1 + epsilon and
+    the band is empty. Otherwise the scan certifies the Youla T for
     ell = 4*ceil(m/4), and the winner's controller, lifted to 1/s^m, is
     built. That loop gets the one internal_stability test:
     StabilityCheckFailed unless it is internally stable, ArithmeticError
-    unless its T is the certified Youla T. The 1/s^ell loop is stable by Youla parametrisation
-    and is not shipped, so it is not tested.
+    unless its T is the certified T. The 1/s^ell loop is stable by Youla
+    parametrisation and is not shipped, so it is not tested.
     """
     if m < 1:
         raise InvalidRange("m must be >= 1")
     if m == 1:
+        if epsilon <= 0:
+            raise InvalidRange("epsilon must be positive")
         ell, c = 1, _ONE_RF
+        cert = Certificate(float(epsilon), 1.0, 1.0, 1.0, band_empty=True)
+        certified = RationalFunction(_ONE, _ONE + _S)
     else:
         ell = 4 * math.ceil(m / 4)
         cert = search_parameters(ell, epsilon)
         c = lift_order(candidate_controller(ell, cert.gamma_a, cert.gamma_b), ell, m)
-    T = internal_stability(plant(m), c)
-    if m == 1:
-        cert = certify_closed_loop(T, epsilon)
-    elif T != youla_closed_loop(ell, cert.gamma_a, cert.gamma_b):
-        raise ArithmeticError("the shipped loop's T is not the certified Youla T; construction bug")
+        certified = youla_closed_loop(ell, cert.gamma_a, cert.gamma_b)
+    if internal_stability(plant(m), c) != certified:
+        raise ArithmeticError("the shipped loop's T is not the certified T; construction bug")
     return Design(ell, c, cert)
 
 

@@ -50,6 +50,45 @@ def test_verify_lemma_pass(tmp_path):
     assert "duration_seconds" in rep["timing"]
 
 
+@pytest.mark.parametrize("argv, parameters", [
+    (["verify-lemma", "--n", "3"], {"n": 3}),
+    (["sensitivity", "--n", "2"], {"n": 2}),
+    (["bode", "--n", "2", "--ppd", "2"], {"n": 2, "wmin": 1e-3, "wmax": 1e3, "ppd": 2}),
+    (["synth", "--m", "1", "--count", "3"], {"m": 1, "eps": 0.1, "bw": 1.0, "count": 3}),
+    (["family-check", "--file", "FAMILY"], {"file": "FAMILY"}),
+    (["homogeneous", "--m", "2", "--c", "1+s"], {"m": 2, "c": "1+s", "n": 20}),
+    (["middleton", "--m", "1", "--c", "1"], {"m": 1, "c": "1"}),
+    (["pd-random", "--n", "2", "--trials", "2"],
+     {"n": 2, "kmin": 0.5, "kmax": 2.0, "trials": 2, "seed": 42}),
+], ids=["verify-lemma", "sensitivity", "bode", "synth", "family-check", "homogeneous",
+        "middleton", "pd-random"])
+def test_report_echoes_every_flag_but_out(tmp_path, argv, parameters):
+    if argv[0] == "family-check":
+        # the file is synth's, written where the report is not
+        assert main(["synth", "--m", "1", "--out", str(tmp_path / "synth")]) == 0
+        argv = argv[:-1] + [str(tmp_path / "synth" / "family.json")]
+        parameters = {"file": argv[-1]}
+    out = str(tmp_path / "run")
+    assert main(argv + ["--out", out]) == 0
+    rep = _report(out)
+    assert rep["command"] == argv[0]
+    assert rep["parameters"] == parameters
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    (["homogeneous", "--m", "2", "--c", "s"], 1),
+    (["synth", "--m", "2", "--eps", "1e-9"], 1),
+    (["homogeneous", "--m", "1", "--c=" + "(" * 300 + "1" + ")" * 300], 2),
+    (["homogeneous", "--m", "1", "--c=" + "-" * 5000 + "1"], 2),
+    (["homogeneous", "--m", "1", "--c=" + "2^" * 5000 + "2"], 2),
+], ids=["unstable", "scan-exhausted", "parentheses-300", "unary-minus-5000", "power-5000"])
+def test_a_command_that_raises_writes_no_report(tmp_path, caplog, argv, exit_code):
+    assert main(argv + ["--out", str(tmp_path)]) == exit_code
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) == 1 and "\n" not in errors[0]
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_usage_errors(caplog):
     assert main(["verify-lemma", "--n", "0"]) == 2
     assert main(["verify-lemma"]) == 2
@@ -330,6 +369,14 @@ def test_synth_certifies_each_candidate_once(tmp_path, monkeypatch, call_counts)
     assert counts["certify_closed_loop"] == scanned
     assert counts["internal_stability"] == 1
     assert counts["hurwitz_stable"] == 2 and counts["_golden_max"] == 1
+
+
+def test_synth_m1_certifies_from_the_closed_form(tmp_path, call_counts):
+    # T = 1/(s+1) is certified without a grid; the shipped loop's one
+    # internal_stability test is the one Routh test
+    counts = call_counts("certify_closed_loop", "hurwitz_stable")
+    assert main(["synth", "--m", "1", "--out", str(tmp_path)]) == 0
+    assert counts["certify_closed_loop"] == 0 and counts["hurwitz_stable"] == 1
 
 
 @pytest.mark.parametrize("argv, exit_code, reports", [

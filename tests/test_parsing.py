@@ -80,3 +80,15 @@ def test_error_position():
         assert exc.position == 2
     else:
         pytest.fail("expected ParseError")
+
+
+@pytest.mark.parametrize("text", [
+    "(" * 300 + "1" + ")" * 300,
+    "-" * 5000 + "1",
+    "2^" * 5000 + "2",
+], ids=["parentheses-300", "unary-minus-5000", "power-5000"])
+def test_nesting_past_the_recursion_limit(text):
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_rational(text)
+    # nesting well inside the limit still parses
+    assert parse_rational("(" * 100 + "1" + ")" * 100) == one

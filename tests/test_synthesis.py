@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from platoonctrl import synthesis
 from platoonctrl.errors import (BandwidthViolation, InvalidRange,
                                 PeakExceedsBudget, StabilityCheckFailed)
-from platoonctrl.freq import hinf_norm
+from platoonctrl.freq import FrequencyGrid, hinf_norm
 from platoonctrl.parsing import parse_rational
 from platoonctrl.poly import Polynomial
 from platoonctrl.ratfun import (RationalFunction, internal_stability, one, s,
@@ -174,6 +174,30 @@ def test_certified_band_is_conservative(certified_m4):
     edges = np.array([cert.omega_low, cert.omega_high])
     logs = log_abs_polyval(T.num.coeffs, T.den.coeffs, edges)
     assert np.all(logs <= 1e-12), "band endpoints must sit on the |T| <= 1 side"
+
+
+def test_m4_winner_exceeds_one_inside_its_band(certified_m4):
+    # |T(j 0.601)| = 1.059 for the m = 4 winner: the band synth certifies on
+    # band_grid, (0.0032, 0.7227), holds that excursion
+    _, cert = certified_m4
+    T = youla_closed_loop(4, cert.gamma_a, cert.gamma_b)
+    assert log_abs_polyval(T.num.coeffs, T.den.coeffs, [0.601])[0] > math.log(1.05)
+    assert cert.omega_low < 0.601 < cert.omega_high
+
+
+@pytest.mark.xfail(strict=True, reason="certify_closed_loop tests |T| <= 1 only at grid "
+                   "samples: at one per decade it returns the band (0.0032, 0.0776) and "
+                   "misses |T| = 1.059 at omega 0.601")
+def test_sparse_grid_certificate_keeps_every_excursion_in_its_band(certified_m4):
+    # a three-member family on the false band passes family_product_check
+    # with bound 1.0706 while the members' product reaches 1.134
+    _, cert = certified_m4
+    T = youla_closed_loop(4, cert.gamma_a, cert.gamma_b)
+    try:
+        sparse = certify_closed_loop(T, 0.1, FrequencyGrid(1e-4, 1e4, 1))
+    except (PeakExceedsBudget, InvalidRange):
+        return
+    assert sparse.omega_low < 0.601 < sparse.omega_high
 
 
 # ---------------------------------------------------------------- parameter scan
@@ -344,6 +368,20 @@ def test_synthesize_ships_the_certified_youla_loop(m, ell):
         assert _plant_T(design.controller, m) == youla_closed_loop(ell, cert.gamma_a, cert.gamma_b)
         assert design.controller == lift_order(
             candidate_controller(ell, cert.gamma_a, cert.gamma_b), ell, m)
+
+
+@pytest.mark.parametrize("eps", [1e-9, 0.1, 1.0, 5.0])
+def test_synthesize_m1_certificate_is_the_closed_form(eps):
+    # certify_closed_loop's grid route gives T = 1/(s+1) the same fields
+    cert = synthesize(1, eps).certificate
+    assert cert == Certificate(eps, 1.0, 1.0, 1.0, band_empty=True)
+    assert cert == certify_closed_loop(_plant_T(one, 1), eps)
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.1])
+def test_synthesize_m1_rejects_nonpositive_eps(eps):
+    with pytest.raises(InvalidRange):
+        synthesize(1, eps)
 
 
 def test_synthesize_raises_unless_the_shipped_T_is_the_youla_T(monkeypatch):
