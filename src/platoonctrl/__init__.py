@@ -19,11 +19,11 @@ from .freq import (FrequencyGrid, HinfResult, default_grid, hinf_norm,
                    log_abs_evaluator)
 from .parsing import parse_rational
 from .poly import Polynomial, hurwitz_stable, poly_gcd
-from .ratfun import RationalFunction, internal_stability, scale_frequency
+from .ratfun import RationalFunction, internal_stability, plant, scale_frequency
 from .synthesis import (Certificate, ControllerFamily, Design, band_grid,
                         candidate_controller, certify_closed_loop,
                         check_certificate, family_from_json, family_product_check,
-                        family_to_json, lift_order, plant, scaled_family,
+                        family_to_json, lift_order, scaled_family,
                         search_parameters, synthesize, youla_closed_loop)
 
 __version__ = "0.1.0"

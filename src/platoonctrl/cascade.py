@@ -24,8 +24,7 @@ from .errors import DivergentAtOrigin, InvalidRange, StabilityCheckFailed
 from .freq import (FrequencyGrid, _scaled_descending, default_grid, hinf_norm,
                    log_abs_evaluator)
 from .poly import hurwitz_stable
-from .ratfun import RationalFunction, internal_stability
-from .synthesis import plant
+from .ratfun import RationalFunction, internal_stability, plant
 
 _DB = 20.0 / math.log(10.0)
 

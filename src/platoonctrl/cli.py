@@ -26,9 +26,9 @@ from .errors import (DivergentAtOrigin, InvalidRange, ParseError,
                      PlatoonError, StabilityCheckFailed)
 from .freq import FrequencyGrid, default_grid
 from .parsing import parse_rational
-from .ratfun import internal_stability
+from .ratfun import internal_stability, plant
 from .synthesis import (check_certificate, family_from_json, family_product_check,
-                        family_to_json, plant, scaled_family, synthesize)
+                        family_to_json, scaled_family, synthesize)
 
 log = logging.getLogger("platoonctrl")
 
@@ -168,24 +168,16 @@ def _cmd_bode(args):
 
 def _cmd_synth(args):
     design = synthesize(args.m, args.eps)
-    cert = design.certificate
-    fam = scaled_family(design.controller, cert, args.m, args.bw, args.count)
-    max_product, ok = family_product_check(fam)
-    path = _write_json(args.out, "family.json", family_to_json(fam, (max_product, ok)))
-    if not ok:
+    fam = scaled_family(design.controller, design.certificate, args.m, args.bw, args.count)
+    doc = family_to_json(fam, family_product_check(fam))
+    path = _write_json(args.out, "family.json", doc)
+    check = doc["product_check"]
+    if not check["pass"]:
         log.error("member amplification bands overlap")
-    results = {
-        "gamma_a": None if cert.gamma_a is None else str(cert.gamma_a),
-        "gamma_b": None if cert.gamma_b is None else str(cert.gamma_b),
-        "ell": design.ell,
-        "peak": cert.peak,
-        "omega_low": cert.omega_low,
-        "omega_high": cert.omega_high,
-        "band_empty": cert.band_empty,
-        "max_product": max_product,
-        "product_ok": ok,
-    }
-    return (0 if ok else 1), results, [path]
+    # the report restates family.json's certificate; epsilon is already a parameter
+    results = {k: v for k, v in doc["certificate"].items() if k != "epsilon"}
+    results.update(ell=design.ell, max_product=check["max_product"], product_ok=check["pass"])
+    return (0 if check["pass"] else 1), results, [path]
 
 
 def _cmd_family_check(args):

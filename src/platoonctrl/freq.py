@@ -54,15 +54,12 @@ class FrequencyGrid:
                 f"{self.points_per_decade})")
 
 
-_default = None
+_DEFAULT_GRID = FrequencyGrid(1e-4, 1e4, 200)
 
 
 def default_grid() -> FrequencyGrid:
     """The documented default sweep: 1e-4..1e4 rad/s at 200 points/decade."""
-    global _default
-    if _default is None:
-        _default = FrequencyGrid(1e-4, 1e4, 200)
-    return _default
+    return _DEFAULT_GRID
 
 
 # ----------------------------------------------------------------------
@@ -209,7 +206,7 @@ def hinf_norm(f: RationalFunction, grid: FrequencyGrid | None = None) -> HinfRes
         grid = default_grid()
     if f.num.is_zero:
         return HinfResult(0.0, 0.0)
-    if not f.is_proper or not (f.den.degree == 0 or hurwitz_stable(f.den)):
+    if not f.is_proper or not hurwitz_stable(f.den):
         raise StabilityCheckFailed("closed loop has no finite peak")
 
     log_abs = log_abs_evaluator([(f.num.coeffs, f.den.coeffs)])
@@ -219,10 +216,8 @@ def hinf_norm(f: RationalFunction, grid: FrequencyGrid | None = None) -> HinfRes
 
     lo = float(grid.omegas[max(i - 1, 0)])
     hi = float(grid.omegas[min(i + 1, len(grid.omegas) - 1)])
-    if hi > lo:
-        scalar = lambda w: float(log_abs(np.array([w]))[0, 0])
-        w_star, g_star = _golden_max(scalar, lo, hi)
-        candidates.append((g_star, w_star))
+    w_star, g_star = _golden_max(lambda w: float(log_abs(np.array([w]))[0, 0]), lo, hi)
+    candidates.append((g_star, w_star))
 
     n0 = f.num.coeffs[0]
     if n0 != 0:

@@ -11,7 +11,8 @@ and binding tighter than unary minus):
 
 Numbers are decimal literals with optional exponent ('2', '0.5', '1e-3') and
 parse to exact rationals, so '0.1' really is 1/10. Exponents must reduce to
-integer constants.
+integer constants, and a power whose |exponent| times its base's degree plus
+bit length passes _POWER_CAP is refused before it is computed.
 """
 
 from __future__ import annotations
@@ -22,6 +23,12 @@ from fractions import Fraction
 from .errors import ParseError
 from .poly import Polynomial
 from .ratfun import RationalFunction
+
+# base ** k has degree at most |k| deg(base) and integers of at most about
+# |k| (deg(base) + bits(base)) bits, bits being the largest integer's bit
+# length, so capping |k| (deg + bits) caps both, and the result at about
+# _POWER_CAP ** 2 bits
+_POWER_CAP = 10 ** 4
 
 _NUMBER = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")
 
@@ -105,6 +112,9 @@ class _Parser:
             k = _as_int(self.parse_factor(), pos)
             if k < 0 and base.num.is_zero:
                 raise ParseError("zero to a negative power", pos)
+            if abs(k) * _size(base) > _POWER_CAP:
+                raise ParseError(f"power too large: |exponent| times the base's degree plus "
+                                 f"bit length passes {_POWER_CAP}", pos)
             return base ** k
         return base
 
@@ -120,6 +130,12 @@ class _Parser:
             self.take(")")
             return val
         raise ParseError(f"unexpected {text or kind!r}", pos)
+
+
+def _size(f: RationalFunction) -> int:
+    """Degree plus the bit length of the largest integer numerator or denominator."""
+    ints = (*f.num.ints, f.num.den, *f.den.ints, f.den.den)
+    return max(f.num.degree, f.den.degree) + max(abs(c).bit_length() for c in ints)
 
 
 def _as_int(f: RationalFunction, pos: int) -> int:

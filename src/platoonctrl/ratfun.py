@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import (IllPosed, NonPositiveGamma, PoleAtPoint, StabilityCheckFailed,
-                     ZeroDenominator)
+from .errors import (IllPosed, InvalidRange, NonPositiveGamma, PoleAtPoint,
+                     StabilityCheckFailed, ZeroDenominator)
 from .poly import Polynomial, hurwitz_stable, poly_gcd
 
 def _as_poly(x) -> Polynomial:
@@ -166,6 +166,13 @@ class RationalFunction:
 
 s = RationalFunction(Polynomial([0, 1]), Polynomial([1]))
 one = RationalFunction(Polynomial([1]), Polynomial([1]))
+
+
+def plant(m: int) -> RationalFunction:
+    """The m-th order integrator chain 1/s^m."""
+    if m < 1:
+        raise InvalidRange("m must be >= 1")
+    return RationalFunction(Polynomial([1]), Polynomial([0, 1]) ** m)
 
 
 def scale_frequency(f: RationalFunction, gamma) -> RationalFunction:

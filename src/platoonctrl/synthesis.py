@@ -36,20 +36,13 @@ from .errors import (BandwidthViolation, InvalidRange, PeakExceedsBudget,
                      SearchExhausted, ZeroDenominator)
 from .freq import FrequencyGrid, default_grid, hinf_norm, log_abs_evaluator
 from .poly import Polynomial
-from .ratfun import RationalFunction, internal_stability, scale_frequency
+from .ratfun import RationalFunction, internal_stability, plant, scale_frequency
 
 _S = Polynomial([0, 1])
 _ONE = Polynomial([1])
 _ONE_RF = RationalFunction(_ONE, _ONE)
 
 _FAMILY_CAP = 25
-
-
-def plant(m: int) -> RationalFunction:
-    """The m-th order integrator chain 1/s^m."""
-    if m < 1:
-        raise InvalidRange("m must be >= 1")
-    return RationalFunction(_ONE, _S ** m)
 
 
 # ----------------------------------------------------------------------
@@ -126,17 +119,10 @@ def _bisect_crossing(log_abs, a: float, b: float, keep_low: bool) -> float:
     # |T| <= 1 side, tightened to 1e-10 relative width
     while (b - a) > 1e-10 * b:
         mid = math.sqrt(a * b)
-        g = float(log_abs(np.array([mid]))[0, 0])
-        if keep_low:
-            if g <= 0:
-                a = mid
-            else:
-                b = mid
+        if (float(log_abs(np.array([mid]))[0, 0]) <= 0) == keep_low:
+            a = mid
         else:
-            if g <= 0:
-                b = mid
-            else:
-                a = mid
+            b = mid
     return a if keep_low else b
 
 
@@ -394,11 +380,10 @@ _FAMILY_SCHEMA_V2 = "family/2"
 _FAMILY_SCHEMA_V1 = "family/1"
 
 
-def family_to_json(family: ControllerFamily,
-                   product_check: Tuple[float, bool] | None = None) -> dict:
+def family_to_json(family: ControllerFamily, product_check: Tuple[float, bool]) -> dict:
     """The family/3 document: base controller, exact gammas, certificate, proven product bound."""
     cert = family.base_certificate
-    doc = {
+    return {
         "schema": _FAMILY_SCHEMA,
         "m": family.m,
         "epsilon": cert.epsilon,
@@ -415,10 +400,8 @@ def family_to_json(family: ControllerFamily,
             "gamma_a": None if cert.gamma_a is None else str(cert.gamma_a),
             "gamma_b": None if cert.gamma_b is None else str(cert.gamma_b),
         },
+        "product_check": {"max_product": product_check[0], "pass": product_check[1]},
     }
-    if product_check is not None:
-        doc["product_check"] = {"max_product": product_check[0], "pass": product_check[1]}
-    return doc
 
 
 def family_from_json(doc) -> ControllerFamily:

@@ -81,7 +81,11 @@ def test_report_echoes_every_flag_but_out(tmp_path, argv, parameters):
     (["homogeneous", "--m", "1", "--c=" + "(" * 300 + "1" + ")" * 300], 2),
     (["homogeneous", "--m", "1", "--c=" + "-" * 5000 + "1"], 2),
     (["homogeneous", "--m", "1", "--c=" + "2^" * 5000 + "2"], 2),
-], ids=["unstable", "scan-exhausted", "parentheses-300", "unary-minus-5000", "power-5000"])
+    # each power is refused before it is computed
+    (["homogeneous", "--m", "1", "--c", "2^2^2^2^2^2"], 2),
+    (["homogeneous", "--m", "1", "--c", "s^100000000"], 2),
+], ids=["unstable", "scan-exhausted", "parentheses-300", "unary-minus-5000", "power-5000",
+        "power-tower", "power-s-1e8"])
 def test_a_command_that_raises_writes_no_report(tmp_path, caplog, argv, exit_code):
     assert main(argv + ["--out", str(tmp_path)]) == exit_code
     errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
@@ -202,6 +206,35 @@ def test_synth_family(tmp_path, m):
     assert rep2["results"]["members_stable"] is True
     assert rep2["results"]["certificate_ok"] is True
     assert rep2["results"]["max_product"] == rep2["results"]["peak"] == rep["results"]["peak"]
+
+
+@pytest.mark.parametrize("argv, ell", [
+    (["synth", "--m", "1"], 1),
+    (["synth", "--m", "3", "--count", "3"], 4),
+], ids=["m1", "m3"])
+def test_synth_report_restates_family_json(tmp_path, argv, ell):
+    out = str(tmp_path)
+    assert main(argv + ["--out", out]) == 0
+    fam = json.loads(_read(os.path.join(out, "family.json")))
+    expected = {k: v for k, v in fam["certificate"].items() if k != "epsilon"}
+    expected.update(ell=ell, max_product=fam["product_check"]["max_product"],
+                    product_ok=fam["product_check"]["pass"])
+    assert set(expected) == {"gamma_a", "gamma_b", "peak", "omega_low", "omega_high",
+                             "band_empty", "ell", "max_product", "product_ok"}
+    assert _report(out)["results"] == expected
+
+
+@pytest.mark.parametrize("argv, exit_code, message", [
+    (["synth", "--m", "2", "--eps", "2"], 2, "need 0 < epsilon <= 1"),
+    (["synth", "--m", "3", "--count", "26"], 2, "count capped at 25"),
+    # the m = 1 certificate is a closed form, valid for every epsilon > 0
+    (["synth", "--m", "1", "--eps", "2"], 0, None),
+], ids=["eps-2", "count-26", "m1-eps-2"])
+def test_synth_input_ranges(tmp_path, caplog, argv, exit_code, message):
+    assert main(argv + ["--out", str(tmp_path)]) == exit_code
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert [e.split(";")[0] for e in errors] == ([] if message is None else [message])
+    assert (tmp_path / "report.json").exists() == (exit_code == 0)
 
 
 @pytest.mark.parametrize("count", [13, 25])

@@ -92,3 +92,24 @@ def test_nesting_past_the_recursion_limit(text):
         parse_rational(text)
     # nesting well inside the limit still parses
     assert parse_rational("(" * 100 + "1" + ")" * 100) == one
+
+
+@pytest.mark.parametrize("text, position", [
+    ("2^2^2^2^2^2", 4),
+    ("s^100000000", 2),
+    ("((10^9999)^9999)^9999", 5),
+    ("(1+s)^-5001", 6),
+    ("2^5001", 2),
+], ids=["tower", "s-1e8", "nested-10^9999", "negative", "edge"])
+def test_power_past_the_size_cap(text, position):
+    # |k| (degree + bit length) of base ** k is checked before the power is
+    # computed, so none of these allocates it: 2^5001 is 2 * 5001 > 10^4
+    with pytest.raises(ParseError, match="power too large") as info:
+        parse_rational(text)
+    assert info.value.position == position
+
+
+def test_power_inside_the_size_cap():
+    assert parse_rational("2^5000") == one * 2 ** 5000
+    assert parse_rational("(1+s)^200") == (one + s) ** 200
+    assert parse_rational("(1+s)^40/(2+s)^40") == ((one + s) / (2 + s)) ** 40

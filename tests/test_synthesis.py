@@ -535,7 +535,7 @@ def test_family_json_round_trip(certified_m4):
 def test_family_json_schema_guard(certified_m4):
     c, cert = certified_m4
     fam = scaled_family(c, cert, 4, 1.0, 2)
-    doc = family_to_json(fam)
+    doc = family_to_json(fam, family_product_check(fam))
     doc["schema"] = "family/9"
     with pytest.raises(InvalidRange):
         family_from_json(doc)
