@@ -18,10 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-import numpy as np
-
+from ._lazy import np
 from .errors import DivergentAtOrigin, InvalidRange, StabilityCheckFailed
-from .freq import (FrequencyGrid, _scaled_descending, default_grid, hinf_norm,
+from .freq import (FrequencyGrid, _scaled_descending, _stable_hinf, default_grid,
                    log_abs_evaluator)
 from .poly import hurwitz_stable
 from .ratfun import RationalFunction, internal_stability, plant
@@ -149,11 +148,14 @@ def homogeneous_growth(c: RationalFunction, m: int, n_max: int) -> GrowthTable:
     the peak frequency, so the table is the exponential lower envelope; the
     growth flag fires when the peak exceeds 1 (beyond float fuzz). An
     unstabilising c raises StabilityCheckFailed from internal_stability.
+    T's denominator divides the characteristic polynomial that
+    internal_stability has just proven Hurwitz, so the peak search runs
+    without a second Routh test.
     """
     if n_max < 1:
         raise InvalidRange("n_max must be >= 1")
     T = internal_stability(plant(m), c)
-    res = hinf_norm(T)
+    res = _stable_hinf(T)
     with np.errstate(over="ignore"):
         rows = tuple((n, float(np.float64(res.norm) ** n)) for n in range(1, n_max + 1))
     return GrowthTable(res.argmax_omega, res.norm, rows, bool(res.norm > 1.0 + 1e-12), T)

@@ -18,11 +18,11 @@ would on each alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
-import numpy as np
-
+from ._lazy import np
 from .errors import InvalidRange, StabilityCheckFailed
 from .poly import hurwitz_stable
 from .ratfun import RationalFunction
@@ -54,12 +54,13 @@ class FrequencyGrid:
                 f"{self.points_per_decade})")
 
 
-_DEFAULT_GRID = FrequencyGrid(1e-4, 1e4, 200)
-
-
+@functools.cache
 def default_grid() -> FrequencyGrid:
-    """The documented default sweep: 1e-4..1e4 rad/s at 200 points/decade."""
-    return _DEFAULT_GRID
+    """The documented default sweep: 1e-4..1e4 rad/s at 200 points/decade.
+
+    Built on first use, so importing the package runs no numpy.
+    """
+    return FrequencyGrid(1e-4, 1e4, 200)
 
 
 # ----------------------------------------------------------------------
@@ -202,11 +203,22 @@ def hinf_norm(f: RationalFunction, grid: FrequencyGrid | None = None) -> HinfRes
     omega-width around the best grid sample. Unstable or improper input has
     no finite supremum and raises StabilityCheckFailed.
     """
+    if not f.num.is_zero and f.is_proper and not hurwitz_stable(f.den):
+        raise StabilityCheckFailed("closed loop has no finite peak")
+    return _stable_hinf(f, grid)
+
+
+def _stable_hinf(f: RationalFunction, grid: FrequencyGrid | None = None) -> HinfResult:
+    """hinf_norm for an f whose denominator the caller has proven Hurwitz.
+
+    Improper input still raises StabilityCheckFailed; the Routh test is the
+    one step skipped.
+    """
     if grid is None:
         grid = default_grid()
     if f.num.is_zero:
         return HinfResult(0.0, 0.0)
-    if not f.is_proper or not hurwitz_stable(f.den):
+    if not f.is_proper:
         raise StabilityCheckFailed("closed loop has no finite peak")
 
     log_abs = log_abs_evaluator([(f.num.coeffs, f.den.coeffs)])

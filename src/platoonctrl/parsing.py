@@ -12,13 +12,18 @@ and binding tighter than unary minus):
 Numbers are decimal literals with optional exponent ('2', '0.5', '1e-3') and
 parse to exact rationals, so '0.1' really is 1/10. Exponents must reduce to
 integer constants, and a power whose |exponent| times its base's degree plus
-bit length passes _POWER_CAP is refused before it is computed.
+bit length passes _POWER_CAP is refused before it is computed. So are a
+literal whose exponent E, counted as the power 10^|E|, passes it, and a sum,
+difference, product or quotient whose operands' degrees plus bit lengths
+add up past it.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .errors import ParseError
 from .poly import Polynomial
@@ -29,6 +34,8 @@ from .ratfun import RationalFunction
 # length, so capping |k| (deg + bits) caps both, and the result at about
 # _POWER_CAP ** 2 bits
 _POWER_CAP = 10 ** 4
+# _size of the constant 10: degree 0 plus its bit length
+_TEN_SIZE = (10).bit_length()
 
 _NUMBER = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")
 
@@ -60,6 +67,26 @@ def _tokenize(text: str):
     return toks
 
 
+class _Sized(NamedTuple):
+    """A parsed value and its size, the value computed only on demand.
+
+    The size of a literal or s is its _size; base^k gets |k| times its
+    computed base's _size, and a chain of + - * / the sum of its operands'
+    sizes. Every size is checked against _POWER_CAP as it is formed, so an
+    expression past the cap is refused before any of it is computed.
+    """
+
+    size: int
+    value: Callable[[], RationalFunction]
+
+
+def _known(f: RationalFunction) -> _Sized:
+    return _Sized(_size(f), lambda: f)
+
+
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
 class _Parser:
     def __init__(self, toks):
         self.toks = toks
@@ -75,56 +102,76 @@ class _Parser:
         self.i += 1
         return tok
 
-    def parse_expr(self) -> RationalFunction:
-        val = self.parse_term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
-            rhs = self.parse_term()
-            val = val + rhs if op == "+" else val - rhs
-        return val
+    def parse_expr(self) -> _Sized:
+        return self._chain(self.parse_term, "+-")
 
-    def parse_term(self) -> RationalFunction:
-        val = self.parse_factor()
-        while self.peek()[0] in ("*", "/"):
+    def parse_term(self) -> _Sized:
+        return self._chain(self.parse_factor, "*/")
+
+    def _chain(self, operand, ops: str) -> _Sized:
+        # operand (op operand)*, computed left to right in one loop, so a
+        # long sum nests no deeper than one term
+        first = operand()
+        size, steps = first.size, []
+        while self.peek()[0] in ops:
             op, pos, _ = self.take()
-            rhs = self.parse_factor()
-            if op == "*":
-                val = val * rhs
-            else:
-                if rhs.num.is_zero:
-                    raise ParseError("division by zero", pos)
-                val = val / rhs
-        return val
+            rhs = operand()
+            size += rhs.size
+            if size > _POWER_CAP:
+                raise ParseError(f"expression too large: its operands' degrees plus bit "
+                                 f"lengths add up past {_POWER_CAP}", pos)
+            steps.append((op, pos, rhs))
+        if not steps:
+            return first
 
-    def parse_factor(self) -> RationalFunction:
+        def value() -> RationalFunction:
+            val = first.value()
+            for op, pos, rhs in steps:
+                r = rhs.value()
+                if op == "/" and r.num.is_zero:
+                    raise ParseError("division by zero", pos)
+                val = _OPS[op](val, r)
+            return val
+
+        return _Sized(size, value)
+
+    def parse_factor(self) -> _Sized:
         tok = self.peek()
         if tok[0] in ("+", "-"):
             self.take()
             inner = self.parse_factor()
-            return inner if tok[0] == "+" else -inner
+            return inner if tok[0] == "+" else _Sized(inner.size, lambda: -inner.value())
         return self.parse_power()
 
-    def parse_power(self) -> RationalFunction:
+    def parse_power(self) -> _Sized:
         base = self.parse_atom()
-        if self.peek()[0] == "^":
-            self.take()
-            pos = self.peek()[1]
-            k = _as_int(self.parse_factor(), pos)
-            if k < 0 and base.num.is_zero:
-                raise ParseError("zero to a negative power", pos)
-            if abs(k) * _size(base) > _POWER_CAP:
-                raise ParseError(f"power too large: |exponent| times the base's degree plus "
-                                 f"bit length passes {_POWER_CAP}", pos)
-            return base ** k
-        return base
+        if self.peek()[0] != "^":
+            return base
+        b = base.value()
+        self.take()
+        pos = self.peek()[1]
+        k = _as_int(self.parse_factor().value(), pos)
+        if k < 0 and b.num.is_zero:
+            raise ParseError("zero to a negative power", pos)
+        if abs(k) * _size(b) > _POWER_CAP:
+            raise ParseError(f"power too large: |exponent| times the base's degree plus "
+                             f"bit length passes {_POWER_CAP}", pos)
+        return _Sized(abs(k) * _size(b), lambda: b ** k)
 
-    def parse_atom(self) -> RationalFunction:
+    def parse_atom(self) -> _Sized:
         tok = self.take()
         kind, pos, text = tok
         if kind == "num":
-            return RationalFunction(Polynomial([Fraction(text)]), Polynomial([1]))
+            # Fraction(text) computes 10^|E| for the exponent E in full, so
+            # E is capped first, as the power 10^|E| would be; an exponent
+            # with more digits than the cap is past it
+            digits = text.lower().partition("e")[2].lstrip("+-").lstrip("0")
+            if len(digits) > len(str(_POWER_CAP)) or int(digits or 0) * _TEN_SIZE > _POWER_CAP:
+                raise ParseError(f"number too large: its exponent |E| times the bit length "
+                                 f"of 10 passes {_POWER_CAP}", pos)
+            return _known(RationalFunction(Polynomial([Fraction(text)]), Polynomial([1])))
         if kind == "s":
-            return RationalFunction(Polynomial([0, 1]), Polynomial([1]))
+            return _known(RationalFunction(Polynomial([0, 1]), Polynomial([1])))
         if kind == "(":
             val = self.parse_expr()
             self.take(")")
@@ -158,9 +205,9 @@ def parse_rational(text: str) -> RationalFunction:
     parser = _Parser(_tokenize(text))
     try:
         val = parser.parse_expr()
+        tok = parser.peek()
+        if tok[0] != "end":
+            raise ParseError(f"trailing input {tok[2]!r}", tok[1])
+        return val.value()
     except RecursionError:
         raise ParseError("expression nested too deeply", parser.peek()[1]) from None
-    tok = parser.peek()
-    if tok[0] != "end":
-        raise ParseError(f"trailing input {tok[2]!r}", tok[1])
-    return val

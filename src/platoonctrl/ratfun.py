@@ -51,6 +51,22 @@ class RationalFunction:
         self.num = num
         self.den = den
 
+    @classmethod
+    def _coprime(cls, num: Polynomial, den: Polynomial, proven: bool) -> "RationalFunction":
+        """num/den stored as given, with no gcd, when the caller has proven them coprime.
+
+        The caller states its proof and passes its exact check as proven;
+        den must be monic. A failed check, a zero num or a den that is not
+        monic falls back to the canonicalising constructor, so the value is
+        always the canonical one.
+        """
+        if not proven or num.is_zero or den.is_zero or den.leading() != 1:
+            return cls(num, den)
+        f = object.__new__(cls)
+        f.num = num
+        f.den = den
+        return f
+
     # ------------------------------------------------------------------
 
     @property

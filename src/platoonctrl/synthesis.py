@@ -30,8 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Tuple
 
-import numpy as np
-
+from ._lazy import np
 from .errors import (BandwidthViolation, InvalidRange, PeakExceedsBudget,
                      SearchExhausted, ZeroDenominator)
 from .freq import FrequencyGrid, default_grid, hinf_norm, log_abs_evaluator

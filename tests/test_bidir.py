@@ -218,6 +218,18 @@ def test_sensitivity_closed_form_oracle():
                 assert Sn[i - 1][j - 1] == _closed_form(i, j), f"entry ({i},{j}) of S_{n}"
 
 
+def test_sensitivity_stores_each_entry_without_a_gcd(call_counts):
+    # each numerator is -1 at s = -1, the monic denominator's one root, so
+    # the pairs are stored as built; they are the constructor's canonical form
+    counts = call_counts("poly_gcd")
+    ns = range(1, 13)
+    built = [sensitivity_matrix.__wrapped__(n) for n in ns]
+    assert counts["poly_gcd"] == 0
+    for Sn in built:
+        assert Sn == tuple(tuple(RationalFunction(f.num, f.den) for f in row) for row in Sn)
+    assert counts["poly_gcd"] == sum(n * n for n in ns)
+
+
 def test_sensitivity_matches_bidiagonal_inverse_oracle():
     # the substitution route: s^2 L_n^{-1} U_n^{-1}, entry for entry
     s2 = RationalFunction(S * S, ONE)

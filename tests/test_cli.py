@@ -12,8 +12,9 @@ from fractions import Fraction
 
 import pytest
 
-from platoonctrl import default_grid, parse_rational, synthesis
+from platoonctrl import cascade, default_grid, parse_rational, synthesis
 from platoonctrl.cli import _write_json, main
+from platoonctrl.freq import hinf_norm
 from platoonctrl.synthesis import _scan_values, search_parameters
 
 from oracles import cascade_gain
@@ -410,6 +411,23 @@ def test_synth_m1_certifies_from_the_closed_form(tmp_path, call_counts):
     counts = call_counts("certify_closed_loop", "hurwitz_stable")
     assert main(["synth", "--m", "1", "--out", str(tmp_path)]) == 0
     assert counts["certify_closed_loop"] == 0 and counts["hurwitz_stable"] == 1
+
+
+def test_homogeneous_routh_tests_its_loop_once(tmp_path, monkeypatch, call_counts):
+    # T's denominator divides the characteristic polynomial that
+    # internal_stability proves Hurwitz, so the peak search tests nothing;
+    # (1+s)^20 makes T biproper, so the Middleton integral is skipped
+    argv = ["homogeneous", "--m", "2", "--c", "(1+s)^20"]
+    counts = call_counts("hurwitz_stable")
+    assert main(argv + ["--out", str(tmp_path / "once")]) == 0
+    assert counts["hurwitz_stable"] == 1
+    # the public hinf_norm Routh-tests T's denominator again, to the same files
+    monkeypatch.setattr(cascade, "_stable_hinf", hinf_norm)
+    assert main(argv + ["--out", str(tmp_path / "twice")]) == 0
+    assert counts["hurwitz_stable"] == 3
+    once, twice = _report(str(tmp_path / "once")), _report(str(tmp_path / "twice"))
+    assert once["results"] == twice["results"]
+    assert _read(tmp_path / "once" / "growth.csv") == _read(tmp_path / "twice" / "growth.csv")
 
 
 @pytest.mark.parametrize("argv, exit_code, reports", [

@@ -113,3 +113,50 @@ def test_power_inside_the_size_cap():
     assert parse_rational("2^5000") == one * 2 ** 5000
     assert parse_rational("(1+s)^200") == (one + s) ** 200
     assert parse_rational("(1+s)^40/(2+s)^40") == ((one + s) / (2 + s)) ** 40
+
+
+@pytest.mark.parametrize("text, position", [
+    ("1e99999999999", 0),
+    ("2+1e2501", 2),
+    ("1E-2501", 0),
+    ("1e" + "9" * 5000, 0),
+], ids=["e99999999999", "e2501", "e-2501", "5000-digit-exponent"])
+def test_literal_past_the_size_cap(text, position):
+    # Fraction(text) would compute 10^|E| in full; |E| counts as the power
+    # 10^|E|, so 4 |E| > 10^4 is refused first
+    with pytest.raises(ParseError, match="number too large") as info:
+        parse_rational(text)
+    assert info.value.position == position
+
+
+def test_literal_inside_the_size_cap():
+    for e in (300, 400, 2500):
+        assert parse_rational(f"1e{e}") == one * 10 ** e
+        assert parse_rational(f"1e-{e}") == one / 10 ** e
+    assert parse_rational("1.5E+0002") == one * 150
+
+
+def _never_computed(*args):
+    raise AssertionError("a power was computed")
+
+
+@pytest.mark.parametrize("text, position", [
+    ("(1+s)^5000*(1+s)^5000*(1+s)^5000", 10),
+    ("2^5000/2^5000", 6),
+    ("(1+s)^2500*(1+s)^2500+s", 21),
+    ("+".join(["s"] * 5001), 9999),
+], ids=["three-powers", "quotient", "sum-of-a-product", "sum-5001"])
+def test_operation_past_the_size_cap(monkeypatch, text, position):
+    # the operands' sizes add up past 10^4; every operand is sized, never
+    # computed, before the refusal
+    monkeypatch.setattr(RationalFunction, "__pow__", _never_computed)
+    with pytest.raises(ParseError, match="expression too large") as info:
+        parse_rational(text)
+    assert info.value.position == position
+
+
+def test_operation_inside_the_size_cap():
+    # sizes adding up to exactly 10^4; a long chain is computed in one loop,
+    # not nested past the recursion limit
+    assert parse_rational("+".join(["s"] * 5000)) == 5000 * s
+    assert parse_rational("2^4999*2") == one * 2 ** 5000

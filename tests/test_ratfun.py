@@ -40,6 +40,19 @@ def test_exact_cancellation():
     assert f.den == ONE
 
 
+def test_coprime_stores_a_proven_pair_and_falls_back_otherwise(call_counts):
+    counts = call_counts("poly_gcd")
+    f = RationalFunction._coprime(S, (ONE + S) ** 2, True)
+    assert (f.num, f.den) == (S, (ONE + S) ** 2) and counts["poly_gcd"] == 0
+    assert f == RationalFunction(S, (ONE + S) ** 2)
+    # a failed proof, a den that is not monic or a zero num: the constructor
+    assert RationalFunction._coprime(S * (ONE + S), (ONE + S) ** 2, False) == \
+        RationalFunction(S, ONE + S)
+    g = RationalFunction._coprime(S, (ONE + S) * 2, True)
+    assert (g.num, g.den) == (S * Fraction(1, 2), ONE + S)
+    assert RationalFunction._coprime(Polynomial(), ONE + S, True) == RationalFunction(0)
+
+
 def test_monic_denominator():
     f = RationalFunction(Polynomial([2]), Polynomial([4, 2]))
     assert f.den.leading() == 1
