@@ -19,7 +19,7 @@ from .freq import (FrequencyGrid, HinfResult, default_grid, hinf_norm,
                    log_abs_evaluator)
 from .parsing import parse_rational
 from .poly import Polynomial, hurwitz_stable, poly_gcd
-from .ratfun import RationalFunction, internal_stability, plant, scale_frequency
+from .ratfun import RationalFunction, StableLoop, internal_stability, plant, scale_frequency
 from .synthesis import (Certificate, ControllerFamily, Design, band_grid,
                         candidate_controller, certify_closed_loop,
                         check_certificate, family_from_json, family_product_check,
@@ -34,7 +34,7 @@ __all__ = [
     "GrowthTable", "HinfResult", "IllPosed", "InvalidRange",
     "MistuneReport",
     "NonPositiveGamma", "ParseError", "PeakExceedsBudget", "PlatoonError",
-    "PoleAtPoint", "Polynomial", "RationalFunction",
+    "PoleAtPoint", "Polynomial", "RationalFunction", "StableLoop",
     "SearchExhausted", "StabilityCheckFailed",
     "ZeroDenominator", "ZeroPolynomial", "band_grid", "bode_table",
     "candidate_controller", "cascade_profile",

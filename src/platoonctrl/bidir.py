@@ -126,12 +126,12 @@ def sensitivity_matrix(n: int) -> Tuple[Tuple[RationalFunction, ...], ...]:
     Entry (i, j), 0-based, is the closed form
     s (1 + s sum_{k=1..min(i,j)} (s+1)^(2k-1)) / (s+1)^(i+j+1): the
     numerator is a sum of binomial rows, the denominator the binomial row of
-    (s+1)^(i+j+1). The numerator is -1 at s = -1, the monic denominator's
-    one root, so the pair is coprime and is stored as built, with no gcd;
-    each numerator's value at -1 is checked exactly. The whole matrix is
-    then checked against L_n S_n U_n = s^2 I_n, entry by entry with the
-    denominators cleared, in exact polynomial arithmetic, together with the
-    identity of `bode_table`'s lemma (`_verify_sensitivity`).
+    (s+1)^(i+j+1). Each entry is stored as built, with no gcd; the whole
+    matrix is then checked against L_n S_n U_n = s^2 I_n, entry by entry
+    with the denominators cleared, in exact polynomial arithmetic, together
+    with `bode_table`'s lemma (s+2) N_m = s (1 + (s+1)^(2m+1))
+    (`_verify_sensitivity`). At s = -1 that gives N_m(-1) = -1, nonzero at
+    the monic denominator's one root, so every stored pair is coprime.
     """
     if n < 1:
         raise InvalidRange("n must be >= 1")
@@ -139,9 +139,7 @@ def sensitivity_matrix(n: int) -> Tuple[Tuple[RationalFunction, ...], ...]:
                                  for t in range(2 * m)])
             for m in range(n)]
     dens = [Polynomial(row) for row in _binomial_rows(2 * n)]
-    coprime = [p(-1) != 0 for p in nums]
-    S = tuple(tuple(RationalFunction._coprime(nums[min(i, j)], dens[i + j + 1],
-                                              coprime[min(i, j)])
+    S = tuple(tuple(RationalFunction._coprime(nums[min(i, j)], dens[i + j + 1])
                     for j in range(n))
               for i in range(n))
     _verify_sensitivity(S)

@@ -20,10 +20,9 @@ from typing import Tuple
 
 from ._lazy import np
 from .errors import DivergentAtOrigin, InvalidRange, StabilityCheckFailed
-from .freq import (FrequencyGrid, _scaled_descending, _stable_hinf, default_grid,
-                   log_abs_evaluator)
+from .freq import FrequencyGrid, _scaled_descending, default_grid, hinf_norm, log_abs_evaluator
 from .poly import hurwitz_stable
-from .ratfun import RationalFunction, internal_stability, plant
+from .ratfun import RationalFunction, hurwitz_denominator, internal_stability, plant
 
 _DB = 20.0 / math.log(10.0)
 
@@ -73,9 +72,10 @@ def middleton_integral(T: RationalFunction) -> float:
     """The integral over (0, inf) of ln|T(j omega)| / omega^2, in closed form.
 
     Requires T nonzero, strictly proper and stable (StabilityCheckFailed
-    otherwise), and T(0) = 1 (DivergentAtOrigin otherwise: the 1/omega^2
-    weight makes the integral diverge at the origin). Then (Middleton 1991;
-    Seiler, Pant and Hedrick 2004)
+    otherwise; a StableLoop is proven stable, a plain RationalFunction's
+    denominator is Routh-tested), and T(0) = 1 (DivergentAtOrigin otherwise:
+    the 1/omega^2 weight makes the integral diverge at the origin). Then
+    (Middleton 1991; Seiler, Pant and Hedrick 2004)
 
         integral = (pi/2) T'(0) + pi * sum of Re(1/z) over the zeros z of T
                    with Re z > 0.
@@ -101,7 +101,7 @@ def middleton_integral(T: RationalFunction) -> float:
     """
     if T.num.is_zero or T.num.degree >= T.den.degree:
         raise StabilityCheckFailed("T must be nonzero and strictly proper")
-    if not hurwitz_stable(T.den):
+    if not hurwitz_denominator(T):
         raise StabilityCheckFailed("T must be stable")
     t0 = T(Fraction(0))
     if t0 != 1:
@@ -148,14 +148,11 @@ def homogeneous_growth(c: RationalFunction, m: int, n_max: int) -> GrowthTable:
     the peak frequency, so the table is the exponential lower envelope; the
     growth flag fires when the peak exceeds 1 (beyond float fuzz). An
     unstabilising c raises StabilityCheckFailed from internal_stability.
-    T's denominator divides the characteristic polynomial that
-    internal_stability has just proven Hurwitz, so the peak search runs
-    without a second Routh test.
     """
     if n_max < 1:
         raise InvalidRange("n_max must be >= 1")
     T = internal_stability(plant(m), c)
-    res = _stable_hinf(T)
+    res = hinf_norm(T)
     with np.errstate(over="ignore"):
         rows = tuple((n, float(np.float64(res.norm) ** n)) for n in range(1, n_max + 1))
     return GrowthTable(res.argmax_omega, res.norm, rows, bool(res.norm > 1.0 + 1e-12), T)

@@ -322,6 +322,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         log.error("i/o failure: %s", exc)
         return 3
+    except MemoryError as exc:
+        log.error("out of memory: %s", str(exc) or args.command)
+        return 1
     except PlatoonError as exc:
         log.error("%s", exc)
         return 1

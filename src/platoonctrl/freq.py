@@ -24,8 +24,7 @@ from typing import NamedTuple
 
 from ._lazy import np
 from .errors import InvalidRange, StabilityCheckFailed
-from .poly import hurwitz_stable
-from .ratfun import RationalFunction
+from .ratfun import RationalFunction, hurwitz_denominator
 
 
 class FrequencyGrid:
@@ -201,25 +200,16 @@ def hinf_norm(f: RationalFunction, grid: FrequencyGrid | None = None) -> HinfRes
     Candidates: every grid sample, omega = 0, omega = infinity (when
     deg num = deg den), and a golden-section refinement to 1e-10 relative
     omega-width around the best grid sample. Unstable or improper input has
-    no finite supremum and raises StabilityCheckFailed.
+    no finite supremum and raises StabilityCheckFailed; a StableLoop's
+    denominator is proven Hurwitz, so only a plain RationalFunction's is
+    Routh-tested.
     """
-    if not f.num.is_zero and f.is_proper and not hurwitz_stable(f.den):
-        raise StabilityCheckFailed("closed loop has no finite peak")
-    return _stable_hinf(f, grid)
-
-
-def _stable_hinf(f: RationalFunction, grid: FrequencyGrid | None = None) -> HinfResult:
-    """hinf_norm for an f whose denominator the caller has proven Hurwitz.
-
-    Improper input still raises StabilityCheckFailed; the Routh test is the
-    one step skipped.
-    """
-    if grid is None:
-        grid = default_grid()
     if f.num.is_zero:
         return HinfResult(0.0, 0.0)
-    if not f.is_proper:
+    if not (f.is_proper and hurwitz_denominator(f)):
         raise StabilityCheckFailed("closed loop has no finite peak")
+    if grid is None:
+        grid = default_grid()
 
     log_abs = log_abs_evaluator([(f.num.coeffs, f.den.coeffs)])
     logs = log_abs(grid.omegas)[0]

@@ -51,18 +51,11 @@ class RationalFunction:
         self.num = num
         self.den = den
 
-    @classmethod
-    def _coprime(cls, num: Polynomial, den: Polynomial, proven: bool) -> "RationalFunction":
-        """num/den stored as given, with no gcd, when the caller has proven them coprime.
-
-        The caller states its proof and passes its exact check as proven;
-        den must be monic. A failed check, a zero num or a den that is not
-        monic falls back to the canonicalising constructor, so the value is
-        always the canonical one.
-        """
-        if not proven or num.is_zero or den.is_zero or den.leading() != 1:
-            return cls(num, den)
-        f = object.__new__(cls)
+    @staticmethod
+    def _coprime(num: Polynomial, den: Polynomial) -> "RationalFunction":
+        """num/den stored as given, with no gcd: the caller proves num nonzero,
+        den monic and the pair coprime."""
+        f = object.__new__(RationalFunction)
         f.num = num
         f.den = den
         return f
@@ -172,9 +165,25 @@ class RationalFunction:
         return {"num": [str(c) for c in self.num.coeffs],
                 "den": [str(c) for c in self.den.coeffs]}
 
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "RationalFunction":
-        return cls(Polynomial(doc["num"]), Polynomial(doc["den"]))
+    @staticmethod
+    def from_json_dict(doc: dict) -> "RationalFunction":
+        return RationalFunction(Polynomial(doc["num"]), Polynomial(doc["den"]))
+
+
+class StableLoop(RationalFunction):
+    """A T whose loop is proven internally stable, so its denominator is Hurwitz.
+
+    The class is the proof. Only internal_stability and
+    synthesis.youla_closed_loop build one, each on its own proof; arithmetic,
+    scale_frequency and from_json_dict return a plain RationalFunction.
+    """
+
+    __slots__ = ()
+
+
+def hurwitz_denominator(f: RationalFunction) -> bool:
+    """Whether f's denominator is Hurwitz: proven for a StableLoop, one Routh test otherwise."""
+    return isinstance(f, StableLoop) or hurwitz_stable(f.den)
 
 
 # ----------------------------------------------------------------------
@@ -206,7 +215,7 @@ def scale_frequency(f: RationalFunction, gamma) -> RationalFunction:
 # ----------------------------------------------------------------------
 # feedback interconnection
 
-def internal_stability(p: RationalFunction, c: RationalFunction) -> RationalFunction:
+def internal_stability(p: RationalFunction, c: RationalFunction) -> StableLoop:
     """T = pc/(1+pc) of an internally stable loop; StabilityCheckFailed otherwise.
 
     With p = Np/Dp and c = Nc/Dc, each pair coprime (every RationalFunction
@@ -219,7 +228,8 @@ def internal_stability(p: RationalFunction, c: RationalFunction) -> RationalFunc
     vanishes then Dp Dc(z) != 0. A numerator nonzero at z keeps z a pole
     of its map after reduction, so the loop is internally stable iff char
     is Hurwitz (Doyle, Francis & Tannenbaum, Feedback Control Theory, 1992,
-    ch. 3): one Routh test, then one canonicalisation for T. Properness is
+    ch. 3): one Routh test, then one canonicalisation for T, returned as a
+    StableLoop, since its denominator divides char. Properness is
     not part of the verdict: the loop may legitimately contain improper
     PD-type controllers.
     """
@@ -230,4 +240,4 @@ def internal_stability(p: RationalFunction, c: RationalFunction) -> RationalFunc
         raise StabilityCheckFailed(
             f"the characteristic polynomial Dp Dc + Np Nc (degree {char.degree}) "
             "has a root in Re(s) >= 0")
-    return RationalFunction(p.num * c.num, char)
+    return StableLoop(p.num * c.num, char)

@@ -35,7 +35,7 @@ from .errors import (BandwidthViolation, InvalidRange, PeakExceedsBudget,
                      SearchExhausted, ZeroDenominator)
 from .freq import FrequencyGrid, default_grid, hinf_norm, log_abs_evaluator
 from .poly import Polynomial
-from .ratfun import RationalFunction, internal_stability, plant, scale_frequency
+from .ratfun import RationalFunction, StableLoop, internal_stability, plant, scale_frequency
 
 _S = Polynomial([0, 1])
 _ONE = Polynomial([1])
@@ -64,14 +64,15 @@ def _youla_parts(m: int, gamma_a, gamma_b) -> Tuple[Polynomial, Polynomial, Poly
     return X, Y, Polynomial([ga, 1]) * Polynomial([gb, 1]) ** (m - 1)
 
 
-def youla_closed_loop(m: int, gamma_a, gamma_b) -> RationalFunction:
+def youla_closed_loop(m: int, gamma_a, gamma_b) -> StableLoop:
     """T = X (D1 - s^m) / ((s+1)^{2m} D1): the Youla candidate's closed loop, no controller built.
 
-    Its denominator's roots are -1, -gamma_a and -gamma_b, so for positive
-    gammas this T belongs to an internally stable loop by construction.
+    Its denominator's roots are -1, -gamma_a and -gamma_b, and _youla_parts
+    rejects gammas that are not positive, so this T belongs to an internally
+    stable loop by construction and is returned as a StableLoop.
     """
     X, _, D1 = _youla_parts(m, gamma_a, gamma_b)
-    return RationalFunction(X * (D1 - _S ** m), (_ONE + _S) ** (2 * m) * D1)
+    return StableLoop(X * (D1 - _S ** m), (_ONE + _S) ** (2 * m) * D1)
 
 
 def candidate_controller(m: int, gamma_a, gamma_b) -> RationalFunction:

@@ -12,7 +12,8 @@ from fractions import Fraction
 
 import pytest
 
-from platoonctrl import cascade, default_grid, parse_rational, synthesis
+from platoonctrl import (RationalFunction, cli, default_grid, internal_stability,
+                         middleton_integral, parse_rational, plant, synthesis)
 from platoonctrl.cli import _write_json, main
 from platoonctrl.freq import hinf_norm
 from platoonctrl.synthesis import _scan_values, search_parameters
@@ -388,10 +389,10 @@ def test_family_check_false_claim_fails(tmp_path, caplog, synth_m3_family, mutat
 def test_synth_certifies_each_candidate_once(tmp_path, monkeypatch, call_counts):
     # the scan's certificate is the design's: nothing is certified after it,
     # not even for the family, whose verdict compares gammas with that
-    # certificate's band, and the one shipped loop is Routh-tested once;
-    # every rejected candidate is rejected
-    # on its grid samples, so only the winner's peak is refined and
-    # Routh-tested (1 + the shipped loop's characteristic polynomial)
+    # certificate's band; every rejected candidate is rejected on its grid
+    # samples, so only the winner's peak is refined, and the winner's
+    # youla_closed_loop is a StableLoop, so the one Routh test is the
+    # shipped loop's characteristic polynomial
     monkeypatch.setattr(synthesis, "search_parameters", search_parameters.__wrapped__)
     counts = call_counts("certify_closed_loop", "internal_stability",
                          "hurwitz_stable", "_golden_max")
@@ -402,7 +403,7 @@ def test_synth_certifies_each_candidate_once(tmp_path, monkeypatch, call_counts)
     scanned = 25 * vals.index(ga) + vals.index(gb / ga) + 1
     assert counts["certify_closed_loop"] == scanned
     assert counts["internal_stability"] == 1
-    assert counts["hurwitz_stable"] == 2 and counts["_golden_max"] == 1
+    assert counts["hurwitz_stable"] == 1 and counts["_golden_max"] == 1
 
 
 def test_synth_m1_certifies_from_the_closed_form(tmp_path, call_counts):
@@ -413,21 +414,35 @@ def test_synth_m1_certifies_from_the_closed_form(tmp_path, call_counts):
     assert counts["certify_closed_loop"] == 0 and counts["hurwitz_stable"] == 1
 
 
-def test_homogeneous_routh_tests_its_loop_once(tmp_path, monkeypatch, call_counts):
-    # T's denominator divides the characteristic polynomial that
-    # internal_stability proves Hurwitz, so the peak search tests nothing;
-    # (1+s)^20 makes T biproper, so the Middleton integral is skipped
+def test_homogeneous_routh_tests_its_loop_once(tmp_path, call_counts):
+    # internal_stability returns a StableLoop, so the peak search tests
+    # nothing; (1+s)^20 makes T biproper, so the Middleton integral is skipped
     argv = ["homogeneous", "--m", "2", "--c", "(1+s)^20"]
     counts = call_counts("hurwitz_stable")
-    assert main(argv + ["--out", str(tmp_path / "once")]) == 0
+    assert main(argv + ["--out", str(tmp_path)]) == 0
     assert counts["hurwitz_stable"] == 1
-    # the public hinf_norm Routh-tests T's denominator again, to the same files
-    monkeypatch.setattr(cascade, "_stable_hinf", hinf_norm)
-    assert main(argv + ["--out", str(tmp_path / "twice")]) == 0
-    assert counts["hurwitz_stable"] == 3
-    once, twice = _report(str(tmp_path / "once")), _report(str(tmp_path / "twice"))
-    assert once["results"] == twice["results"]
-    assert _read(tmp_path / "once" / "growth.csv") == _read(tmp_path / "twice" / "growth.csv")
+    # a plain copy of T carries no proof: each routine Routh-tests its
+    # denominator once more, and the results are the same bits
+    T = internal_stability(plant(2), parse_rational("1+1.23*s"))
+    plain = RationalFunction(T.num, T.den)
+    # middleton_integral's one test on the StableLoop is of T's numerator
+    for routine, tests in ((hinf_norm, 0), (middleton_integral, 1)):
+        counts.clear()
+        proven = routine(T)
+        assert counts["hurwitz_stable"] == tests
+        assert repr(routine(plain)) == repr(proven)
+        assert counts["hurwitz_stable"] == 2 * tests + 1
+
+
+@pytest.mark.parametrize("argv", [["homogeneous", "--m", "2", "--c", "1+1.23*s"],
+                                  ["middleton", "--m", "2", "--c", "1+0.7*s"]],
+                         ids=["homogeneous", "middleton"])
+def test_middleton_routh_tests_the_loop_and_the_numerator(tmp_path, call_counts, argv):
+    # one test of the characteristic polynomial, whose StableLoop spares
+    # T's denominator, and one of T's numerator for the zero sum
+    counts = call_counts("hurwitz_stable")
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert counts["hurwitz_stable"] == 2
 
 
 @pytest.mark.parametrize("argv, exit_code, reports", [
@@ -454,7 +469,8 @@ def test_family_check_reads_T_off_its_stability_report(tmp_path, call_counts,
     path.write_text(json.dumps(synth_m3_family))
     counts = call_counts("internal_stability", "hurwitz_stable")
     assert main(["family-check", "--file", str(path), "--out", str(tmp_path)]) == 0
-    assert counts["internal_stability"] == 1 and counts["hurwitz_stable"] == 2
+    # check_certificate's peak search reads internal_stability's StableLoop
+    assert counts["internal_stability"] == 1 and counts["hurwitz_stable"] == 1
 
 
 @pytest.mark.parametrize("bw", ["2e4", "1e300", "1e-300"])
@@ -636,6 +652,21 @@ def test_pd_random_seed_changes_output(tmp_path):
     assert main(base + ["--seed", "1", "--out", a]) == 0
     assert main(base + ["--seed", "2", "--out", b]) == 0
     assert _read(os.path.join(a, "mistune.csv")) != _read(os.path.join(b, "mistune.csv"))
+
+
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError(), "out of memory: verify-lemma"),
+    (MemoryError("Unable to allocate 8.00 GiB"), "out of memory: Unable to allocate 8.00 GiB"),
+], ids=["bare", "numpy"])
+def test_out_of_memory_is_one_error_line(tmp_path, monkeypatch, caplog, exc, message):
+    def exhaust(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_verify_lemma", exhaust)
+    assert main(["verify-lemma", "--n", "3", "--out", str(tmp_path)]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert errors == [message]
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_log_env_smoke(tmp_path, monkeypatch):

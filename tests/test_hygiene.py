@@ -68,6 +68,37 @@ def test_package_import_scan_sees_each_form():
     assert _package_imports(tree) == {"synthesis", "freq", "bidir", "cascade", "poly"}
 
 
+def _stable_loop_builders(tree: ast.Module):
+    """The functions in which a module calls StableLoop(...), None at module level."""
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call) and getattr(
+                node.func, "id", getattr(node.func, "attr", None)) == "StableLoop":
+            found.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_the_two_proofs_build_a_stable_loop():
+    # a StableLoop spares its denominator's Routh test, so it may only be
+    # built where internal stability has just been proven
+    builders = {(path.stem, owner) for path in _MODULES
+                for owner in _stable_loop_builders(ast.parse(path.read_text(encoding="utf-8")))}
+    assert builders == {("ratfun", "internal_stability"), ("synthesis", "youla_closed_loop")}
+
+
+def test_stable_loop_scan_sees_each_call():
+    tree = ast.parse("T = StableLoop(1)\ndef f():\n    return ratfun.StableLoop(2)\n"
+                     "def g(x):\n    return isinstance(x, StableLoop)\n")
+    assert _stable_loop_builders(tree) == {None, "f"}
+
+
 def test_all_resolves_and_lists_each_name_once():
     names = platoonctrl.__all__
     assert [n for n in names if names.count(n) > 1] == []

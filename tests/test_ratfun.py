@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from platoonctrl.errors import (IllPosed, NonPositiveGamma, PoleAtPoint,
                                 StabilityCheckFailed, ZeroDenominator)
 from platoonctrl.poly import Polynomial
-from platoonctrl.ratfun import (RationalFunction, internal_stability, one, s,
+from platoonctrl.ratfun import (RationalFunction, StableLoop, internal_stability, one, s,
                                 scale_frequency)
 
 from oracles import closed_loop, gang_of_four_report, maclaurin
@@ -40,17 +40,11 @@ def test_exact_cancellation():
     assert f.den == ONE
 
 
-def test_coprime_stores_a_proven_pair_and_falls_back_otherwise(call_counts):
+def test_coprime_stores_a_proven_pair(call_counts):
     counts = call_counts("poly_gcd")
-    f = RationalFunction._coprime(S, (ONE + S) ** 2, True)
+    f = RationalFunction._coprime(S, (ONE + S) ** 2)
     assert (f.num, f.den) == (S, (ONE + S) ** 2) and counts["poly_gcd"] == 0
     assert f == RationalFunction(S, (ONE + S) ** 2)
-    # a failed proof, a den that is not monic or a zero num: the constructor
-    assert RationalFunction._coprime(S * (ONE + S), (ONE + S) ** 2, False) == \
-        RationalFunction(S, ONE + S)
-    g = RationalFunction._coprime(S, (ONE + S) * 2, True)
-    assert (g.num, g.den) == (S * Fraction(1, 2), ONE + S)
-    assert RationalFunction._coprime(Polynomial(), ONE + S, True) == RationalFunction(0)
 
 
 def test_monic_denominator():
@@ -169,6 +163,18 @@ def test_closed_loop_pd_double_integrator():
     char = Polynomial([1, 1, 1])
     assert T_ == RationalFunction(ONE + S, char)
     assert S_ == RationalFunction(S * S, char)
+
+
+def test_only_the_proof_makes_a_stable_loop():
+    # internal_stability's T carries its proof; whatever is derived from it,
+    # even through a classmethod-style call on T, is a plain RationalFunction,
+    # which a Routh test must settle again
+    T = internal_stability(one / (s * s), one + s)
+    assert type(T) is StableLoop and T == RationalFunction(ONE + S, ONE + S + S * S)
+    derived = [-T, T * T, T + 0, scale_frequency(T, Fraction(1, 3)),
+               T.from_json_dict(T.to_json_dict()), T._coprime(T.num, T.den)]
+    assert [type(f) for f in derived] == [RationalFunction] * len(derived)
+    assert derived[4] == T
 
 
 def test_internal_stability_straight_case(call_counts):
