@@ -15,7 +15,11 @@ integer constants, and a power whose |exponent| times its base's degree plus
 bit length passes _POWER_CAP is refused before it is computed. So are a
 literal whose exponent E, counted as the power 10^|E|, passes it, and a sum,
 difference, product or quotient whose operands' degrees plus bit lengths
-add up past it.
+add up past it. Inside those caps an expression can still cost minutes of
+schoolbook arithmetic, so each power, sum, difference, product and
+quotient is charged an estimate of its work, from its computed operands,
+before it is computed; the parse is refused once the charges pass
+_WORK_CAP.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Tuple
 
 from .errors import ParseError
 from .poly import Polynomial
@@ -36,6 +40,11 @@ from .ratfun import RationalFunction
 _POWER_CAP = 10 ** 4
 # _size of the constant 10: degree 0 plus its bit length
 _TEN_SIZE = (10).bit_length()
+# the work one parse may spend, in the units of _product: a unit is 3-7 ns
+# of CPython's integer arithmetic, so the cap is well under a second
+_WORK_CAP = 10 ** 8
+# the interpreter's cost of one coefficient operation, in the same units
+_STEP = 20
 
 _NUMBER = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")
 
@@ -73,7 +82,10 @@ class _Sized(NamedTuple):
     The size of a literal or s is its _size; base^k gets |k| times its
     computed base's _size, and a chain of + - * / the sum of its operands'
     sizes. Every size is checked against _POWER_CAP as it is formed, so an
-    expression past the cap is refused before any of it is computed.
+    expression past the cap is refused before any of it is computed. value
+    charges each operation's work just before computing it, so those
+    charges come after every size check, except that a power's base and
+    exponent are computed, and charged, as soon as they are parsed.
     """
 
     size: int
@@ -91,6 +103,13 @@ class _Parser:
     def __init__(self, toks):
         self.toks = toks
         self.i = 0
+        self.spent = 0
+
+    def charge(self, work: int, pos: int) -> None:
+        self.spent += work
+        if self.spent > _WORK_CAP:
+            raise ParseError(f"expression too costly: its estimated schoolbook work "
+                             f"passes {_WORK_CAP} word products", pos)
 
     def peek(self):
         return self.toks[self.i]
@@ -130,6 +149,7 @@ class _Parser:
                 r = rhs.value()
                 if op == "/" and r.num.is_zero:
                     raise ParseError("division by zero", pos)
+                self.charge(_operation_work(op, val, r), pos)
                 val = _OPS[op](val, r)
             return val
 
@@ -156,7 +176,12 @@ class _Parser:
         if abs(k) * _size(b) > _POWER_CAP:
             raise ParseError(f"power too large: |exponent| times the base's degree plus "
                              f"bit length passes {_POWER_CAP}", pos)
-        return _Sized(abs(k) * _size(b), lambda: b ** k)
+
+        def value() -> RationalFunction:
+            self.charge(_power_work(b, k), pos)
+            return b ** k
+
+        return _Sized(abs(k) * _size(b), value)
 
     def parse_atom(self) -> _Sized:
         tok = self.take()
@@ -183,6 +208,94 @@ def _size(f: RationalFunction) -> int:
     """Degree plus the bit length of the largest integer numerator or denominator."""
     ints = (*f.num.ints, f.num.den, *f.den.ints, f.den.den)
     return max(f.num.degree, f.den.degree) + max(abs(c).bit_length() for c in ints)
+
+
+# ----------------------------------------------------------------------
+# work estimates. A polynomial is sized as (length, bits), bits bounding
+# the bit length of its integer numerators and their denominator. One
+# coefficient product of a schoolbook product costs _STEP plus the product
+# of the operands' 64-bit word counts.
+
+def _shape(p: Polynomial) -> Tuple[int, int]:
+    return len(p.ints), max((p.den, *map(abs, p.ints))).bit_length()
+
+
+def _words(bits: int) -> int:
+    return 1 + bits // 64
+
+
+def _product(a: Tuple[int, int], b: Tuple[int, int]) -> Tuple[int, Tuple[int, int]]:
+    """(work, shape) of the product of polynomials shaped a and b."""
+    (la, ba), (lb, bb) = a, b
+    return (la * lb * (_STEP + _words(ba) * _words(bb)),
+            (la + lb - 1, ba + bb + (min(la, lb) - 1).bit_length()))
+
+
+def _canonical(num: Tuple[int, int], den: Tuple[int, int]) -> int:
+    """Work of RationalFunction's reduction of num/den.
+
+    With a constant side the gcd and the reduction are linear passes,
+    about a dozen coefficient operations per coefficient. Otherwise the
+    primitive remainder sequence runs about n = min(len) rounds. By the
+    subresultant bound, round j leaves n - j
+    coefficients of about (d + 2 j) b bits, d being the difference of the
+    lengths and b the inputs' bit length plus that of the longer length,
+    and spends about four coefficient operations on each (two
+    eliminations, a scaling and the content gcd):
+    4 sum_{j<n} (n - j) (_STEP + ((d + 2 j) b / 64)^2), in closed form.
+    """
+    n, hi = sorted((num[0], den[0]))
+    bits = max(num[1], den[1]) + hi.bit_length()
+    if n <= 1:
+        return 12 * (n + hi) * (_STEP + _words(bits))
+    d = hi - n
+    # sum_{j<n} (n - j) (d + 2 j)^2, from the sums of (n - j), j (n - j) and j^2 (n - j)
+    growth = (d * d * n * (n - 1) // 2 + 4 * d * (n - 1) * n * (n + 1) // 6
+              + n * n * (n * n - 1) // 3)
+    return 4 * (_STEP * n * (n - 1) // 2 + growth * bits * bits // 64 ** 2)
+
+
+def _operation_work(op: str, a: RationalFunction, b: RationalFunction) -> int:
+    """Work of a op b, for op one of + - * /: its polynomial products and its reduction."""
+    an, ad, bn, bd = map(_shape, (a.num, a.den, b.num, b.den))
+    if op in "*/":
+        # a * b pairs the numerators and the denominators, a / b crosses them
+        x, y = (bn, bd) if op == "*" else (bd, bn)
+        (w1, num), (w2, den) = _product(an, x), _product(ad, y)
+        return w1 + w2 + _canonical(num, den)
+    # (a.num b.den +- b.num a.den) / (a.den b.den), the sum over a common denominator
+    (w1, p), (w2, q), (w3, den) = _product(an, bd), _product(bn, ad), _product(ad, bd)
+    num = (max(p[0], q[0]), p[1] + q[1] + 1)
+    return w1 + w2 + w3 + (num[0] + 1) * (_STEP + _words(num[1])) + _canonical(num, den)
+
+
+def _power_work(f: RationalFunction, k: int) -> int:
+    """Work of f ** k: Polynomial.__pow__'s squarings and products on the
+    numerator and denominator, and the reduction that a negative k runs.
+
+    p^j has length j (len p - 1) + 1 and, its coefficients' absolute sum
+    being at most p's to the j, integers of at most j times the bit length
+    of that sum or of p's denominator.
+    """
+    work, shapes = 0, []
+    for p in (f.num, f.den):
+        n = max(len(p.ints) - 1, 0)
+        bits = max(p.den.bit_length(), sum(map(abs, p.ints)).bit_length())
+
+        def shape(j: int) -> Tuple[int, int]:
+            return j * n + 1, j * bits
+
+        res, base, e = 0, 1, abs(k)
+        while e:
+            if e & 1:
+                work += _product(shape(res), shape(base))[0]
+                res += base
+            if e > 1:
+                work += _product(shape(base), shape(base))[0]
+                base *= 2
+            e >>= 1
+        shapes.append(shape(res))
+    return work + (_canonical(*shapes) if k < 0 else 0)
 
 
 def _as_int(f: RationalFunction, pos: int) -> int:

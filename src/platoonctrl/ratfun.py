@@ -53,8 +53,8 @@ class RationalFunction:
 
     @staticmethod
     def _coprime(num: Polynomial, den: Polynomial) -> "RationalFunction":
-        """num/den stored as given, with no gcd: the caller proves num nonzero,
-        den monic and the pair coprime."""
+        """num/den stored as given, with no gcd: the caller proves den monic
+        and the pair coprime (so den is 1 when num is zero)."""
         f = object.__new__(RationalFunction)
         f.num = num
         f.den = den
@@ -87,7 +87,8 @@ class RationalFunction:
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
+        # negating num keeps the pair coprime and den monic
+        return RationalFunction._coprime(-self.num, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -127,7 +128,8 @@ class RationalFunction:
             if self.num.is_zero:
                 raise ZeroDenominator("zero to a negative power")
             return RationalFunction(self.den ** (-n), self.num ** (-n))
-        return RationalFunction(self.num ** n, self.den ** n)
+        # powers of a coprime pair are coprime, and a monic den's power is monic
+        return RationalFunction._coprime(self.num ** n, self.den ** n)
 
     def __eq__(self, other):
         if not isinstance(other, RationalFunction):

@@ -35,7 +35,7 @@ from .errors import (BandwidthViolation, InvalidRange, PeakExceedsBudget,
                      SearchExhausted, ZeroDenominator)
 from .freq import FrequencyGrid, default_grid, hinf_norm, log_abs_evaluator
 from .poly import Polynomial
-from .ratfun import RationalFunction, StableLoop, internal_stability, plant, scale_frequency
+from .ratfun import RationalFunction, StableLoop, internal_stability, plant
 
 _S = Polynomial([0, 1])
 _ONE = Polynomial([1])
@@ -279,8 +279,8 @@ def synthesize(m: int, epsilon: float) -> Design:
 class ControllerFamily:
     """Certified base controller c and the gammas of its members.
 
-    Member k is c_k = gamma_k^{-m} c(gamma_k s) (member(k), built on
-    demand). For the plant 1/s^m, T_k(s) = T(gamma_k s): member k amplifies
+    Member k is c_k = gamma_k^{-m} c(gamma_k s), never built: no verdict
+    needs it. For the plant 1/s^m, T_k(s) = T(gamma_k s): member k amplifies
     only on the base band divided by gamma_k, and its internal stability,
     invariant under s -> gamma s for gamma > 0, is the base's.
     """
@@ -303,11 +303,6 @@ class ControllerFamily:
 
     def __len__(self):
         return len(self.gammas)
-
-    def member(self, k: int) -> RationalFunction:
-        """The exact controller c_k = gamma_k^{-m} c(gamma_k s), k counted from 0."""
-        g = self.gammas[k]
-        return scale_frequency(self.base, g) / g ** self.m
 
 
 def scaled_family(c: RationalFunction, cert: Certificate, m: int, omega_bw: float,
@@ -375,9 +370,6 @@ def family_product_check(family: ControllerFamily) -> Tuple[float, bool]:
 _FAMILY_SCHEMA = "family/3"
 # family/2 differs only in product_check, a swept value there, which is not read
 _FAMILY_SCHEMA_V2 = "family/2"
-# the oldest form stores every member in full; it is still read, as the base
-# recovered from member 1, and only when every stored member is its scaled copy
-_FAMILY_SCHEMA_V1 = "family/1"
 
 
 def family_to_json(family: ControllerFamily, product_check: Tuple[float, bool]) -> dict:
@@ -405,17 +397,18 @@ def family_to_json(family: ControllerFamily, product_check: Tuple[float, bool]) 
 
 
 def family_from_json(doc) -> ControllerFamily:
-    """Read a family/3 or /2 document, or a family/1 one whose members are exact scaled copies.
+    """Read a family/3 or family/2 document: one base controller and its gammas.
 
-    A malformed document raises InvalidRange: an unknown schema, a missing
-    key, a value of the wrong type, an unparsable or zero-denominator
-    coefficient, no gammas or a count other than their number, an omega_bw,
-    epsilon or band edge that is not finite and positive, an m outside
-    1 .. 1 + deg(controller numerator), past which no base can stabilise
-    1/s^m, or a certificate gamma_b that is not positive or past double range.
+    A malformed document raises InvalidRange: an unknown schema, family/1
+    among them, a missing key, a value of the wrong type, an unparsable or
+    zero-denominator coefficient, no gammas or a count other than their
+    number, an omega_bw, epsilon or band edge that is not finite and
+    positive, an m outside 1 .. 1 + deg(controller numerator), past which no
+    base can stabilise 1/s^m, or a certificate gamma_b that is not positive
+    or past double range.
     """
     schema = doc.get("schema") if isinstance(doc, dict) else None
-    if schema not in (_FAMILY_SCHEMA, _FAMILY_SCHEMA_V2, _FAMILY_SCHEMA_V1):
+    if schema not in (_FAMILY_SCHEMA, _FAMILY_SCHEMA_V2):
         raise InvalidRange(f"unsupported family schema {schema!r}")
     try:
         cd = doc["certificate"]
@@ -432,22 +425,13 @@ def family_from_json(doc) -> ControllerFamily:
             raise InvalidRange("count must be the number of gammas")
         m, omega_bw = doc["m"], float(doc["omega_bw"])
         gammas = tuple(Fraction(t) for t in doc["gammas"])
-        stored = doc["controllers"] if schema == _FAMILY_SCHEMA_V1 else [doc["controller"]]
-        members = [RationalFunction.from_json_dict(d) for d in stored]
+        base = RationalFunction.from_json_dict(doc["controller"])
     except (KeyError, TypeError, ValueError, ArithmeticError, ZeroDenominator) as exc:
         raise InvalidRange(f"malformed family document: {type(exc).__name__}: {exc}") from exc
     # past it s^m d_c + n_c lacks s^(m-1), and 1/s^m would outgrow the document
-    if not members or type(m) is not int or not 1 <= m <= members[0].num.degree + 1:
-        raise InvalidRange("need a controller and an integer m from 1 to 1 + its numerator degree")
+    if type(m) is not int or not 1 <= m <= base.num.degree + 1:
+        raise InvalidRange("need an integer m from 1 to 1 + the controller's numerator degree")
     # family-check certifies again on band_grid(gamma_b), which reads it as a float
     if cert.gamma_b is not None and not 0 < cert.gamma_b <= sys.float_info.max:
         raise InvalidRange("certificate gamma_b must be positive and in double range")
-    if schema != _FAMILY_SCHEMA_V1:
-        return ControllerFamily(m, members[0], gammas, omega_bw, cert)
-    if len(members) != len(gammas) or gammas[0] <= 0:
-        raise InvalidRange("family/1 needs one stored controller per positive gamma")
-    g = gammas[0]
-    fam = ControllerFamily(m, scale_frequency(members[0], 1 / g) * g ** m, gammas, omega_bw, cert)
-    if any(fam.member(k) != ck for k, ck in enumerate(members)):
-        raise InvalidRange("family/1 members are not exact scaled copies of member 1")
-    return fam
+    return ControllerFamily(m, base, gammas, omega_bw, cert)

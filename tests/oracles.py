@@ -23,12 +23,13 @@ The np.polyval magnitude engine, one polynomial at a time, checks
 `freq.log_abs_evaluator`'s stacked Horner evaluation bit for bit.
 `cascade_gain` tests each stage of an arbitrary controller cascade by the
 gang of four; with it, the per-stage PD route, with a fresh generator
-per gain, checks the closed-form PD cascade and its one keyed generator in `cascade`. The
-family sweep, reading every member's T(gamma_k s) on one float grid,
-checks the bound that `synthesis.family_product_check` proves by
-comparisons. Adaptive Simpson quadrature of the Middleton integrand, with
-its truncation bound, checks the closed form `cascade.middleton_integral`
-returns.
+per gain, checks the closed-form PD cascade and its one keyed generator in `cascade`.
+`family_member` builds a scaled member's exact controller, whose loop the
+tests compare with T(gamma_k s); no command builds one. The family sweep,
+reading every member's T(gamma_k s) on one float grid, checks the bound
+that `synthesis.family_product_check` proves by comparisons. Adaptive
+Simpson quadrature of the Middleton integrand, with its truncation bound,
+checks the closed form `cascade.middleton_integral` returns.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from platoonctrl.errors import (DivergentAtOrigin, IllPosed, InvalidRange,
 from platoonctrl.freq import (FrequencyGrid, _log_abs_coeff, _scaled_descending,
                               default_grid, log_abs_evaluator)
 from platoonctrl.poly import Polynomial, hurwitz_stable
-from platoonctrl.ratfun import RationalFunction
+from platoonctrl.ratfun import RationalFunction, scale_frequency
 from platoonctrl.synthesis import plant
 
 _S = Polynomial([0, 1])
@@ -436,6 +437,12 @@ def log_abs_polyval(num, den, omegas) -> np.ndarray:
 
 
 # ---------------------------------------------------------------- scaled family
+
+def family_member(family, k: int) -> RationalFunction:
+    """Member k's exact controller c_k = gamma_k^{-m} c(gamma_k s), k counted from 0."""
+    g = family.gammas[k]
+    return scale_frequency(family.base, g) / g ** family.m
+
 
 def family_sweep(family, T: RationalFunction):
     """(grid max of prod_k |T_k(j omega)|, grid max of every member's ln|T_k| at or above omega_bw).

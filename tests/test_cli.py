@@ -86,8 +86,11 @@ def test_report_echoes_every_flag_but_out(tmp_path, argv, parameters):
     # each power is refused before it is computed
     (["homogeneous", "--m", "1", "--c", "2^2^2^2^2^2"], 2),
     (["homogeneous", "--m", "1", "--c", "s^100000000"], 2),
+    # inside the size cap, but each charged past the work cap before it is computed
+    (["homogeneous", "--m", "1", "--c", "(1+s)^5000"], 2),
+    (["homogeneous", "--m", "1", "--c", "(1+s)^2500*(1+s)^2500"], 2),
 ], ids=["unstable", "scan-exhausted", "parentheses-300", "unary-minus-5000", "power-5000",
-        "power-tower", "power-s-1e8"])
+        "power-tower", "power-s-1e8", "costly-power", "costly-product"])
 def test_a_command_that_raises_writes_no_report(tmp_path, caplog, argv, exit_code):
     assert main(argv + ["--out", str(tmp_path)]) == exit_code
     errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
@@ -252,24 +255,6 @@ def test_synth_m4_long_family(tmp_path, count):
     assert main(["family-check", "--file", path, "--out", out]) == 0
 
 
-def test_family_check_family1_members_must_be_scaled_copies(tmp_path):
-    from platoonctrl.synthesis import family_from_json
-    out = str(tmp_path)
-    assert main(["synth", "--m", "4", "--count", "3", "--out", out]) == 0
-    doc = json.loads(_read(os.path.join(out, "family.json")))
-    fam = family_from_json(doc)
-    doc["schema"] = "family/1"
-    del doc["controller"]
-    doc["controllers"] = [fam.member(k).to_json_dict() for k in range(3)]
-    path = tmp_path / "family1.json"
-    path.write_text(json.dumps(doc))
-    assert main(["family-check", "--file", str(path), "--out", out]) == 0
-    assert _report(out)["results"]["members_stable"] is True
-    doc["controllers"][1] = doc["controllers"][2]
-    path.write_text(json.dumps(doc))
-    assert main(["family-check", "--file", str(path), "--out", out]) == 2
-
-
 def test_family_check_reads_family2(tmp_path, synth_m3_family):
     # family/2 differs only in product_check, a swept value there, not read
     doc = copy.deepcopy(synth_m3_family)
@@ -285,9 +270,9 @@ def test_family_check_reads_long_coefficients(tmp_path):
     # D/D with a 5001-digit D: past Python's default int/str digit cap
     big = "1" + "0" * 5000
     doc = {
-        "schema": "family/1", "m": 1, "epsilon": 0.1, "omega_bw": 1.0, "count": 1,
+        "schema": "family/3", "m": 1, "epsilon": 0.1, "omega_bw": 1.0, "count": 1,
         "gammas": ["1"],
-        "controllers": [{"num": [big], "den": [big]}],
+        "controller": {"num": [big], "den": [big]},
         "certificate": {"epsilon": 0.1, "peak": 1.0, "omega_low": 1.0,
                         "omega_high": 1.0, "band_empty": True,
                         "gamma_a": None, "gamma_b": None},
@@ -336,10 +321,11 @@ def _drop(key):
     _set(("controller", "num"), "1+s"),
     _set(("m",), "three"),
     _set(("m",), 10 ** 9),  # no base of this numerator degree stabilises 1/s^m
+    _set(("schema",), "family/1"),  # stored every member; no longer read
 ], ids=["not-json", "not-object", "no-certificate", "gamma-abc", "gammas-string",
         "no-gammas", "count-mismatch", "omega_bw-negative", "omega_bw-inf",
         "epsilon-nan", "gamma_b-1e400", "gamma_b-zero", "zero-denominator",
-        "num-string", "m-string", "m-huge"])
+        "num-string", "m-string", "m-huge", "schema-family1"])
 def test_family_check_malformed_file_is_a_usage_error(tmp_path, caplog, synth_m3_family, mutate):
     doc = copy.deepcopy(synth_m3_family)
     if mutate is None:
@@ -352,6 +338,7 @@ def test_family_check_malformed_file_is_a_usage_error(tmp_path, caplog, synth_m3
     assert main(["family-check", "--file", str(path), "--out", str(tmp_path)]) == 2
     errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
     assert len(errors) == 1 and "\n" not in errors[0]
+    assert not (tmp_path / "report.json").exists()
 
 
 def _overlap(doc):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from platoonctrl import parsing
 from platoonctrl.errors import ParseError
 from platoonctrl.parsing import parse_rational
 from platoonctrl.poly import Polynomial
@@ -160,3 +161,55 @@ def test_operation_inside_the_size_cap():
     # not nested past the recursion limit
     assert parse_rational("+".join(["s"] * 5000)) == 5000 * s
     assert parse_rational("2^4999*2") == one * 2 ** 5000
+
+
+@pytest.mark.parametrize("text, position", [
+    ("(1+s)^5000", 6),
+    ("(1+s)^2500*(1+s)^2500", 6),
+    # a power's base is computed while parsing, so its charge comes first
+    ("((1+s)^2500)^1", 7),
+], ids=["power", "product-of-powers", "power-as-a-base"])
+def test_power_past_the_work_cap(monkeypatch, text, position):
+    # inside the size cap, yet minutes of schoolbook products: each power is
+    # charged its work from its computed base, and refused, before it is computed
+    monkeypatch.setattr(RationalFunction, "__pow__", _never_computed)
+    with pytest.raises(ParseError, match="too costly") as info:
+        parse_rational(text)
+    assert info.value.position == position
+
+
+@pytest.fixture
+def charges(monkeypatch):
+    """The work each parse charged, in the order charged."""
+    seen = []
+    real = parsing._Parser.charge
+
+    def charge(self, work, pos):
+        seen.append(work)
+        real(self, work, pos)
+
+    monkeypatch.setattr(parsing._Parser, "charge", charge)
+    return seen
+
+
+@pytest.mark.parametrize("text", [
+    "*".join(["(1+s)"] * 2400),
+    "*".join(["s"] * 4900),
+    "1/(1+s)^300+1/(2+s)^300",
+], ids=["product-2400", "product-s-4900", "sum-of-quotients"])
+def test_chain_past_the_work_cap(charges, text):
+    # each operation is charged before it is computed, so the parse stops at
+    # the first charge past the cap, having computed less than the cap's work
+    with pytest.raises(ParseError, match="too costly"):
+        parse_rational(text)
+    assert sum(charges[:-1]) <= parsing._WORK_CAP < sum(charges)
+
+
+@pytest.mark.parametrize("text", [
+    "(1+s)^200", "(1+s)^40/(2+s)^40", "2^5000", "2^4999*2", "1e2500",
+    "+".join(["s"] * 5000),
+])
+def test_work_inside_the_cap(charges, text):
+    # the work cap refuses none of the size cap's documented examples
+    parse_rational(text)
+    assert sum(charges) <= parsing._WORK_CAP // 10

@@ -47,6 +47,25 @@ def test_coprime_stores_a_proven_pair(call_counts):
     assert f == RationalFunction(S, (ONE + S) ** 2)
 
 
+@pytest.mark.parametrize("f", [
+    RationalFunction(S - ONE, Polynomial([2, 3, 1]) * 2),
+    RationalFunction(Polynomial([Fraction(1, 3), 2]), Polynomial([0, 0, 5])),
+    RationalFunction(Polynomial([]), ONE),
+    one,
+    internal_stability(one / (s * s), one + s),
+], ids=["plain", "rational-coefficients", "zero", "one", "stable-loop"])
+def test_negation_and_power_keep_the_reduced_pair(call_counts, f):
+    # -f and f ** k (k >= 0) of a reduced pair with a monic den are reduced
+    # and monic already, so neither runs a gcd; a StableLoop's proof does not
+    # travel to them
+    counts = call_counts("poly_gcd")
+    derived = [-f, f ** 0, f ** 1, f ** 3]
+    assert counts["poly_gcd"] == 0
+    assert derived == [RationalFunction(-f.num, f.den)] + [
+        RationalFunction(f.num ** k, f.den ** k) for k in (0, 1, 3)]
+    assert [type(g) for g in derived] == [RationalFunction] * 4
+
+
 def test_monic_denominator():
     f = RationalFunction(Polynomial([2]), Polynomial([4, 2]))
     assert f.den.leading() == 1

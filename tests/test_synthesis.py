@@ -26,8 +26,9 @@ from platoonctrl.synthesis import (Certificate, ControllerFamily, band_grid,
                                    search_parameters, synthesize,
                                    youla_closed_loop, _scan_values)
 
-from oracles import (closed_loop, controller_by_factors, family_sweep, maclaurin,
-                     q1_shape, log_abs_polyval, youla_coprime, youla_T_by_factors)
+from oracles import (closed_loop, controller_by_factors, family_member, family_sweep,
+                     maclaurin, q1_shape, log_abs_polyval, youla_coprime,
+                     youla_T_by_factors)
 
 ONE = Polynomial([1])
 S = Polynomial([0, 1])
@@ -339,7 +340,7 @@ def test_family_members_scaled_correctly(certified_m4):
     fam = scaled_family(c, cert, 4, 1.0, 3)
     T = closed_loop(plant(4), c)[1]
     for k, g in enumerate(fam.gammas):
-        ck = fam.member(k)
+        ck = family_member(fam, k)
         assert closed_loop(plant(4), ck)[1] == scale_frequency(T, g), \
             "T_k(s) must equal T(gamma_k s)"
         assert internal_stability(plant(4), ck) == scale_frequency(T, g)
@@ -483,7 +484,7 @@ def test_degenerate_certificate_family():
     c = parse_rational("1")
     cert = certify_closed_loop(_plant_T(c, 1), 0.1)
     fam = scaled_family(c, cert, 1, 1.0, 5)
-    assert len({fam.member(k) for k in range(5)}) == 1, "ratio 1 means identical members"
+    assert len({family_member(fam, k) for k in range(5)}) == 1, "ratio 1 means identical members"
     max_product, ok = family_product_check(fam)
     assert ok and max_product == cert.peak == 1.0
 
