@@ -270,13 +270,53 @@ def _primitive(cs) -> List[int]:
     return [c // g for c in cs] if g > 1 else list(cs)
 
 
+_P = (1 << 61) - 1  # a Mersenne prime: residues stay one machine word wide
+
+
+def _coprime_mod_p(a, b) -> bool:
+    """True when Euclid on the numerator lists modulo _P ends in a nonzero
+    constant, which proves a and b coprime over Q; False proves nothing.
+
+    Brown (1971): if _P does not divide lead(a), any common factor g of a
+    and b (primitive, so lead(g) divides lead(a) by Gauss's lemma) keeps
+    its degree modulo _P and divides both images, so deg gcd(a mod _P,
+    b mod _P) >= deg g. The caller checks lead(a) first.
+    """
+    p = _P
+    fa = [c % p for c in a]
+    fb = [c % p for c in b]
+    while fb and fb[-1] == 0:
+        fb.pop()
+    while len(fb) > 1:
+        # fa := fa mod fb, eliminating from the top with lead(fb)^-1
+        inv = pow(fb[-1], -1, p)
+        db = len(fb) - 1
+        for k in range(len(fa) - 1 - db, -1, -1):
+            t = fa.pop() * inv % p
+            if t:
+                for i in range(db):
+                    fa[k + i] = (fa[k + i] - t * fb[i]) % p
+        while fa and fa[-1] == 0:
+            fa.pop()
+        fa, fb = fb, fa
+    # fb is a nonzero constant (coprime) or empty (gcd fa, of degree >= 1)
+    return bool(fb)
+
+
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic gcd of two polynomials; the gcd of two zeros is zero.
 
-    A primitive pseudo-remainder sequence on the numerators (content
-    stripped every round), which keeps the intermediate coefficient growth
-    tame; the denominators do not change the gcd.
+    A nonzero constant on either side gives 1 at once. Otherwise Euclid
+    modulo a prime (`_coprime_mod_p`) tries to prove the pair coprime, and
+    only a pair it cannot prove runs a primitive pseudo-remainder sequence
+    on the numerators (content stripped every round), which keeps the
+    intermediate coefficient growth tame; the denominators do not change
+    the gcd.
     """
+    if len(a.ints) == 1 or len(b.ints) == 1:
+        return Polynomial([1])
+    if a.ints and a.ints[-1] % _P and _coprime_mod_p(a.ints, b.ints):
+        return Polynomial([1])
     fa, fb = _primitive(a.ints), _primitive(b.ints)
     while fb:
         fa, fb = fb, _primitive(_pseudo_divmod(fa, fb)[1])

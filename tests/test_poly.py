@@ -8,9 +8,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from platoonctrl.errors import ZeroPolynomial
-from platoonctrl.poly import Polynomial, hurwitz_stable, poly_gcd
+from platoonctrl.poly import _P, Polynomial, _coprime_mod_p, hurwitz_stable, poly_gcd
+from platoonctrl.ratfun import RationalFunction
 
 from oracles import FractionPolynomial, fraction_gcd, fraction_hurwitz_stable
 
@@ -190,10 +192,81 @@ def test_gcd_known_factor():
     assert d == g.monic()
 
 
-def test_gcd_with_zero_and_constants():
+def test_gcd_with_zero_and_constants(call_counts):
     assert poly_gcd(Polynomial([]), S) == S  # monic already
-    assert poly_gcd(Polynomial([5]), S) == ONE
     assert poly_gcd(S, S) == S
+    # a nonzero constant side answers 1 at once: no modular test, no
+    # pseudo-division of the other side
+    counts = call_counts("_coprime_mod_p", "_pseudo_divmod")
+    big = (ONE + S) ** 40
+    assert poly_gcd(Polynomial([5]), S) == ONE
+    assert poly_gcd(Polynomial([5]), big) == ONE
+    assert poly_gcd(big, Polynomial([Fraction(-2, 3)])) == ONE
+    assert poly_gcd(Polynomial([]), Polynomial([7])) == ONE
+    f = RationalFunction(big, Polynomial([3]))
+    assert (f.num, f.den) == (big * Fraction(1, 3), ONE)
+    assert RationalFunction(ONE, S ** 8).den == S ** 8
+    assert counts["_coprime_mod_p"] == counts["_pseudo_divmod"] == 0
+
+
+_fracs = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 6))
+_polys = st.lists(_fracs, min_size=1, max_size=5).map(Polynomial)
+_roots = st.builds(Fraction, st.integers(1, 40), st.integers(1, 6))
+# planted common factors: none (a coprime pair, unless the draw shares a
+# root), a root at 0, one in Re s > 0, and a repeated one
+_planted = st.one_of(
+    st.just(ONE),
+    st.integers(1, 3).map(lambda k: S ** k),
+    _roots.map(lambda r: S - r),
+    st.tuples(_fracs, st.integers(2, 3)).map(lambda rk: (S + rk[0]) ** rk[1]),
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_polys, _polys, _planted)
+def test_gcd_and_constructor_agree_with_fraction_euclid(a, b, g):
+    num, den = a * g, b * g
+    ra, rb = FractionPolynomial(num.coeffs), FractionPolynomial(den.coeffs)
+    d = fraction_gcd(ra, rb)
+    _agree(poly_gcd(num, den), d)
+    if den.is_zero:
+        return
+    # the constructor divides both sides by the gcd and makes den monic
+    rn, rd = divmod(ra, d)[0], divmod(rb, d)[0]
+    lead = 1 / rd.coeffs[-1]
+    f = RationalFunction(num, den)
+    _agree(f.num, rn * lead)
+    _agree(f.den, rd * lead)
+
+
+def test_gcd_mod_p_proves_a_coprime_pair_without_a_remainder_sequence(call_counts):
+    counts = call_counts("_pseudo_divmod")
+    a, b = (ONE + S) ** 6 * Polynomial([3, -1]), Polynomial([2, 5, 7]) ** 3
+    assert _coprime_mod_p(a.ints, b.ints)
+    assert poly_gcd(a, b) == ONE and counts["_pseudo_divmod"] == 0
+
+
+def test_gcd_unlucky_prime_takes_the_remainder_sequence(call_counts):
+    # s + p and s are coprime, but modulo p both are s: the modular test
+    # proves nothing and the PRS answers
+    counts = call_counts("_pseudo_divmod")
+    a = S + _P
+    assert not _coprime_mod_p(a.ints, S.ints)
+    assert poly_gcd(a, S) == ONE and counts["_pseudo_divmod"] > 0
+    # a common factor survives the unlucky images too
+    assert poly_gcd(a * (S + 1), S * (S + 1)) == S + 1
+
+
+def test_gcd_skips_the_modular_test_when_p_divides_the_leading_numerator(call_counts):
+    counts = call_counts("_coprime_mod_p", "_pseudo_divmod")
+    g = Polynomial([1, _P])  # p s + 1, which is 1 modulo p
+    assert poly_gcd(g, S + 3) == ONE
+    # the common factor vanishes modulo p, where s + 3 and s + 5 are
+    # coprime: only the leading-numerator check keeps this pair off the
+    # modular route
+    assert _coprime_mod_p((g * (S + 3)).ints, (g * (S + 5)).ints)
+    assert poly_gcd(g * (S + 3), g * (S + 5)) == g.monic()
+    assert counts["_coprime_mod_p"] == 0 and counts["_pseudo_divmod"] > 0
 
 
 def test_gcd_divides_randomized():

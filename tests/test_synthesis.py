@@ -6,6 +6,7 @@ import json
 import math
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -453,6 +454,30 @@ def test_family_sweep_agrees_with_the_proven_bound(m):
         swept, above_bw = family_sweep(fam, T)
         assert swept <= max_product * (1 + 1e-12), f"m={m} count={count}: {swept!r}"
         assert above_bw <= 1e-12, f"m={m} count={count}: {above_bw!r}"
+
+
+def test_m8_scan_runs_no_remainder_sequence(monkeypatch, call_counts):
+    # every candidate's gcd is proven 1 modulo a prime, and the plant 1/s^8
+    # has a constant side, so no pseudo-division runs; a fresh cache makes
+    # the scan run here even when an earlier test ran it
+    monkeypatch.setattr(synthesis, "search_parameters",
+                        lru_cache(maxsize=8)(search_parameters.__wrapped__))
+    counts = call_counts("_pseudo_divmod", "poly_gcd")
+    synthesize(8, 0.1)
+    assert counts["_pseudo_divmod"] == 0 and counts["poly_gcd"] > 0
+
+
+def test_m12_certifies_and_its_family_agrees_with_the_sweep():
+    design = synthesize(12, 0.1)
+    cert = design.certificate
+    assert (cert.gamma_a, cert.gamma_b) == (Fraction("177827941/100000000000"),
+                                            Fraction("177827941/10000000000000"))
+    fam = scaled_family(design.controller, cert, 12, 1.0, 3)
+    max_product, ok = family_product_check(fam)
+    assert ok and max_product == cert.peak
+    swept, above_bw = family_sweep(fam, _plant_T(design.controller, 12))
+    assert swept <= cert.peak + 1e-6, swept
+    assert above_bw <= 1e-12, above_bw
 
 
 def test_homogeneous_family_product_compounds():
