@@ -9,7 +9,8 @@ length-invariant leading blocks thanks to an exact UL factorization.
 from .bidir import (BodeTable, bode_table, invariance_check, sensitivity_matrix,
                     verify_factorization)
 from .cascade import (CascadeProfile, GrowthTable, MistuneReport, cascade_profile,
-                      homogeneous_growth, middleton_integral, pd_mistune_experiment)
+                      homogeneous_growth, middleton_integral, pd_cascade_peak,
+                      pd_mistune_experiment)
 from .errors import (BandwidthViolation, DivergentAtOrigin, IllPosed,
                      InvalidRange, NonPositiveGamma, ParseError,
                      PeakExceedsBudget, PlatoonError, PoleAtPoint,
@@ -43,7 +44,7 @@ __all__ = [
     "hinf_norm", "homogeneous_growth", "hurwitz_stable",
     "internal_stability", "invariance_check", "lift_order",
     "log_abs_evaluator", "middleton_integral", "parse_rational",
-    "pd_mistune_experiment", "plant", "poly_gcd", "scale_frequency",
+    "pd_cascade_peak", "pd_mistune_experiment", "plant", "poly_gcd", "scale_frequency",
     "scaled_family", "search_parameters", "sensitivity_matrix",
     "synthesize", "verify_factorization", "youla_closed_loop",
 ]

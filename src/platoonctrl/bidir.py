@@ -66,7 +66,9 @@ def _matmul(A, B):
     out = {}
     for (i, k), a in A.items():
         for j, b in cols.get(k, ()):
-            out[i, j] = out.get((i, j), _ZERO) + a * b
+            # the first term of an entry is stored, not added to zero
+            ab = a * b
+            out[i, j] = out[i, j] + ab if (i, j) in out else ab
     return {ij: c for ij, c in out.items() if not c.is_zero}
 
 
@@ -79,8 +81,9 @@ def verify_factorization(n: int) -> bool:
     """
     X, s2H, U, L = _lemma_matrices(n)
     lhs = _matmul(_matmul(X, s2H), {(j, i): c for (i, j), c in X.items()})
+    s2 = _S * _S
     for i in range(n):
-        lhs[i, i] = lhs.get((i, i), _ZERO) + _S * _S
+        lhs[i, i] = lhs.get((i, i), _ZERO) + s2
     return {ij: c for ij, c in lhs.items() if not c.is_zero} == _matmul(U, L)
 
 

@@ -7,12 +7,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from platoonctrl.cascade import (_gain_drawer, homogeneous_growth, middleton_integral,
-                                 pd_gain, pd_mistune_experiment)
+from platoonctrl import cascade
+from platoonctrl.cascade import (_gain_drawer, _rising_edge, homogeneous_growth,
+                                 middleton_integral, pd_gain, pd_mistune_experiment)
 from platoonctrl.errors import (DivergentAtOrigin, InvalidRange,
                                 StabilityCheckFailed)
-from platoonctrl.freq import FrequencyGrid
+from platoonctrl.freq import FrequencyGrid, default_grid
 from platoonctrl.parsing import parse_rational
 from platoonctrl.poly import Polynomial
 from platoonctrl.ratfun import RationalFunction, one, s
@@ -292,3 +294,92 @@ def test_mistune_csv_shape():
     assert lines[0] == "trial,peak,argmax_omega"
     assert len(lines) == 3
     assert lines[1].split(",")[0] == "1"
+
+
+# ---------------------------------------------------------------- the peak window
+
+def _abs2_in_x(coeffs):
+    # |p(j omega)|^2 as a polynomial in x = omega^2: with p(s) = E(s^2) + s O(s^2),
+    # it is E(-x)^2 + x O(-x)^2
+    even = Polynomial([c * (-1) ** (i // 2) for i, c in enumerate(coeffs) if i % 2 == 0])
+    odd = Polynomial([c * (-1) ** (i // 2) for i, c in enumerate(coeffs) if i % 2 == 1])
+    return even * even + Polynomial([0, 1]) * odd * odd
+
+
+def _derivative(p):
+    return Polynomial([i * c for i, c in enumerate(p.coeffs)][1:])
+
+
+_RATIONALS = st.fractions(min_value=0, max_value=100, max_denominator=10 ** 6)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(k=_RATIONALS.filter(lambda k: k > 0), x=_RATIONALS)
+def test_pd_stage_identities(k, x):
+    # |T_k|^2 = A/B in x = omega^2, read off the stage's coefficients
+    A, B = _abs2_in_x((1, k)), _abs2_in_x((1, k, 1))
+    assert A(x) / B(x) - 1 == x * (2 - x) / ((1 - x) ** 2 + k ** 2 * x)
+    # d(A/B)/dx = (A'B - AB')/B^2: the sign of its numerator
+    slope = _derivative(A)(x) * B(x) - A(x) * _derivative(B)(x)
+    assert slope == 2 - 2 * x - k ** 2 * x ** 2
+
+
+@example(k_max=1e-300)
+@example(k_max=1e300)
+@example(k_max=1.7976931348623157e308)
+@example(k_max=1e154)
+@settings(max_examples=300, deadline=None, database=None)
+@given(k_max=st.floats(-300, 300).map(lambda e: 10.0 ** e))
+def test_rising_edge_is_at_or_below_the_exact_one(k_max):
+    # w^2 <= x* iff k^2 X^2 + 2 X - 2 <= 0 for X = w^2 >= 0, x* being the
+    # quadratic's positive root; the edge sits within 1e-14 of it
+    K = Fraction(k_max)
+
+    def below(w):
+        X = Fraction(w) ** 2
+        return K * K * X * X + 2 * X - 2 <= 0
+
+    w = _rising_edge(k_max)
+    assert below(w)
+    assert w == 0.0 or not below(w * (1 + 1e-14))
+
+
+_WINDOW_GRIDS = [None, FrequencyGrid(1e-3, 0.5), FrequencyGrid(2, 100),
+                 FrequencyGrid(0.9, 1.2, 3), FrequencyGrid(1e-8, 1e8, 7)]
+
+
+@pytest.mark.parametrize("grid", _WINDOW_GRIDS, ids=repr)
+@settings(max_examples=100, deadline=None, database=None)
+@given(n=st.integers(1, 20), trials=st.integers(1, 2),
+       seed=st.one_of(st.just(2 ** 128 - 1), st.integers(0, 2 ** 128 - 1)),
+       log_k_max=st.floats(-300, 3), spread=st.floats(0, 6))
+def test_mistune_window_matches_full_grid(grid, n, trials, seed, log_k_max, spread):
+    # the window keeps, bit for bit, what the full grid reports, for every
+    # 0 < k_min <= k_max <= 1e3
+    k_max = 10.0 ** log_k_max
+    k_min = k_max * 10.0 ** -spread
+    rep = pd_mistune_experiment(n, k_min, k_max, trials, seed, grid)
+    ref = pd_mistune_by_stages(n, k_min, k_max, trials, seed, grid)
+    assert rep.peaks == ref.peaks
+    assert rep.argmax_omegas == ref.argmax_omegas
+    assert rep.to_csv() == ref.to_csv()
+
+
+def test_mistune_trial_evaluates_at_most_62_samples(monkeypatch):
+    # the default grid's window for gains in [0.5, 2] is 62 of its 1601 samples
+    sizes = []
+    real = cascade.log_abs_evaluator
+
+    def counting(pairs):
+        evaluate = real(pairs)
+
+        def log_abs(omegas):
+            sizes.append(len(omegas))
+            return evaluate(omegas)
+
+        return log_abs
+
+    monkeypatch.setattr(cascade, "log_abs_evaluator", counting)
+    pd_mistune_experiment(20, 0.5, 2.0, 30, 1)
+    assert len(sizes) == 30 and max(sizes) <= 62
+    assert len(default_grid().omegas) == 1601

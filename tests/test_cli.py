@@ -89,8 +89,13 @@ def test_report_echoes_every_flag_but_out(tmp_path, argv, parameters):
     # inside the size cap, but each charged past the work cap before it is computed
     (["homogeneous", "--m", "1", "--c", "(1+s)^5000"], 2),
     (["homogeneous", "--m", "1", "--c", "(1+s)^2500*(1+s)^2500"], 2),
+    # a length past its command's cap is refused before any work
+    (["verify-lemma", "--n", "100001"], 2),
+    (["homogeneous", "--m", "2", "--c", "1+s", "--n", "100001"], 2),
+    (["pd-random", "--n", "100000", "--trials", "1"], 2),
 ], ids=["unstable", "scan-exhausted", "parentheses-300", "unary-minus-5000", "power-5000",
-        "power-tower", "power-s-1e8", "costly-power", "costly-product"])
+        "power-tower", "power-s-1e8", "costly-power", "costly-product",
+        "verify-lemma-n-cap", "homogeneous-n-cap", "pd-random-n-cap"])
 def test_a_command_that_raises_writes_no_report(tmp_path, caplog, argv, exit_code):
     assert main(argv + ["--out", str(tmp_path)]) == exit_code
     errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
@@ -631,6 +636,34 @@ def test_pd_random_baseline_tests_no_loop(tmp_path, call_counts):
     assert (counts["internal_stability"], counts["poly_gcd"]) == (0, 0)
     want = cascade_gain([parse_rational("1+s")] * 20, 2, default_grid()).peak
     assert _report(str(tmp_path))["results"]["homogeneous_peak"] == want
+
+
+@pytest.mark.parametrize("argv, cap", [
+    (["verify-lemma"], 10 ** 5),
+    (["homogeneous", "--m", "2", "--c", "1+s"], 10 ** 5),
+    (["pd-random"], 10 ** 4),
+], ids=["verify-lemma", "homogeneous", "pd-random"])
+def test_length_cap_is_checked_before_the_command(tmp_path, monkeypatch, argv, cap):
+    # the command runs at its cap and is never called past it
+    calls = []
+    monkeypatch.setattr(cli, "_cmd_" + argv[0].replace("-", "_"),
+                        lambda args: calls.append(args.n) or (0, {}, []))
+    for n, code in [(cap, 0), (cap + 1, 2)]:
+        assert main(argv + ["--n", str(n), "--out", str(tmp_path)]) == code
+    assert calls == [cap]
+
+
+def test_pd_random_gains_past_double_resolution(tmp_path):
+    # each |T_k| exceeds 1 by under 1e-299, far below double resolution: the
+    # peak is 1.0, read inside the window, where the full grid once reported
+    # rounding noise, 1.0000000000009, at a sample past sqrt 2
+    out = str(tmp_path)
+    assert main(["pd-random", "--n", "20", "--trials", "20", "--kmin", "1e150",
+                 "--kmax", "1e300", "--out", out]) == 0
+    rows = [line.split(",") for line in _read(os.path.join(out, "mistune.csv")).splitlines()[1:]]
+    assert len(rows) == 20
+    assert all(float(peak) == 1.0 and float(omega) < math.sqrt(2) for _, peak, omega in rows)
+    assert _report(out)["results"]["max_peak"] == 1.0
 
 
 def test_pd_random_seed_changes_output(tmp_path):
