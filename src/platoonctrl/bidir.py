@@ -5,15 +5,15 @@ S_n = (I + X_n H_n X_n^T)^{-1}. The whole point of the construction is that
 I + X_n H_n X_n^T factors exactly as (1/s^2) U_n L_n with U_n, L_n
 bidiagonal, so S_n = s^2 L_n^{-1} U_n^{-1}. That product has a closed form
 whose entries do not depend on n, so the leading blocks of S_n do not change
-as vehicles are appended. `sensitivity_matrix` builds the entries from the
-closed form and checks L_n S_n U_n = s^2 I_n exactly. Both identities,
-the factorization and L_n S_n U_n = s^2 I_n, are checked with the
-denominators cleared, in exact polynomial arithmetic: X_n, s^2 H_n, U_n
-and L_n are written down as sparse polynomial matrices from their
-displayed definitions (`_lemma_matrices`), and S_n is read through its
-numerators. Everything here is exact; floats only enter in the Bode
-sweep, which tabulates a bound that a lemma proves for every length
-(`bode_table`).
+as vehicles are appended. Both identities are proven for every n, with the
+denominators cleared. Each entry of the factorization depends only on its
+row's class (first, middle or last) and its offset j - i, so one exact
+check of the sparse polynomial matrices at length min(n, 3) decides every
+length (`verify_factorization`). L_n S_n U_n = s^2 I_n telescopes to the
+closed form's definition as a partial sum, so `sensitivity_matrix` builds
+S_n from it and checks nothing. Everything here is exact; floats only
+enter in the Bode sweep, which tabulates a bound that a lemma proves for
+every length (`bode_table`).
 """
 
 from __future__ import annotations
@@ -72,81 +72,68 @@ def _matmul(A, B):
     return {ij: c for ij, c in out.items() if not c.is_zero}
 
 
-def verify_factorization(n: int) -> bool:
-    """Exact entrywise test of s^2 (I + X H X^T) == U L.
-
-    Checks the cleared form s^2 I + X (s^2 H) X^T == U L on the sparse
-    polynomial matrices of `_lemma_matrices(n)`, which hold O(n) nonzero
-    entries, so the check runs in time and memory linear in n.
-    """
+def _factorization_sides(n: int):
+    """s^2 I + X (s^2 H) X^T and U L at length n, zero entries left out."""
     X, s2H, U, L = _lemma_matrices(n)
     lhs = _matmul(_matmul(X, s2H), {(j, i): c for (i, j), c in X.items()})
     s2 = _S * _S
     for i in range(n):
         lhs[i, i] = lhs.get((i, i), _ZERO) + s2
-    return {ij: c for ij, c in lhs.items() if not c.is_zero} == _matmul(U, L)
+    return {ij: c for ij, c in lhs.items() if not c.is_zero}, _matmul(U, L)
 
 
-def _binomial_rows(count: int):
-    """The ascending coefficients of (s+1)^p for p = 0..count-1."""
-    return [[math.comb(p, t) for t in range(p + 1)] for p in range(count)]
+def verify_factorization(n: int) -> bool:
+    """Exact test of s^2 (I + X_n H_n X_n^T) == U_n L_n, for length n.
 
-
-def _verify_sensitivity(S: Tuple[Tuple[RationalFunction, ...], ...]) -> None:
-    """Raise unless L_n S U_n == s^2 I_n exactly, n the size of S.
-
-    Entry (i, j), 0-based, must be N_ij / (s+1)^(i+j+1). With the
-    denominators cleared, (L S U)_ij = delta_ij s^2 reads
-    l_i (N_ij - N_i,j-1) - (s+1) (N_i-1,j - N_i-1,j-1)
-    == delta_ij s^2 (s+1)^(2i), where l_0 = s, l_i = s+1 otherwise, and N
-    is zero outside the matrix; that is checked in exact polynomial
-    arithmetic. So is (s+2) N_ii = s (1 + (s+1)^(2i+1)), the identity
-    `bode_table`'s lemma rests on (N_ii = s P_i).
+    Both sides are tridiagonal. With the denominators cleared, entry (i, j)
+    of s^2 I + X (s^2 H) X^T sums X_ik h_k X_jk over k in
+    {i-1, i} & {j-1, j}, and entry (i, j) of U L sums U_ik L_kj over k in
+    {i, i+1} & {j, j+1}, k in 0..n-1 on both sides. Each factor is fixed by
+    k - i, j - k and whether k is 0 or n-1 (h_k = s only at k = n-1,
+    L_kk = s only at k = 0). For each offset j - i in {-1, 0, 1}, whether
+    j and each k among i-1, i, i+1 lie in 0..n-1, and which of those k are
+    0 or n-1, depends only on whether i = 0 and whether i = n-1, the row's
+    class. So every entry is one function of the row's class and j - i,
+    the same for every n. Length 1
+    has the one class that is first and last; length 3 has first, middle
+    and last, which are all the classes of any n >= 2. The cleared identity
+    at length min(n, 3), checked in exact sparse polynomial products on
+    `_lemma_matrices`, is therefore the identity at n.
     """
-    fail = ArithmeticError("sensitivity verification failed; construction bug")
-    n = len(S)
-    if any(len(row) != n for row in S):
-        raise fail
-    power = [Polynomial(row) for row in _binomial_rows(2 * n)]
-    if any(f.den != power[i + j + 1] for i, row in enumerate(S) for j, f in enumerate(row)):
-        raise fail
-    N = [[f.num for f in row] for row in S]
-    for i in range(n):
-        if (_S + 2) * N[i][i] != _S * (_ONE + power[2 * i + 1]):
-            raise fail
-        l_i = _S if i == 0 else _SP1
-        for j in range(n):
-            here = N[i][j] - N[i][j - 1] if j else N[i][j]
-            above = (N[i - 1][j] - N[i - 1][j - 1] if j else N[i - 1][j]) if i else _ZERO
-            if l_i * here - _SP1 * above != (_S * _S * power[2 * i] if i == j else _ZERO):
-                raise fail
+    lhs, rhs = _factorization_sides(min(n, 3))
+    return lhs == rhs
 
 
 @lru_cache(maxsize=None)
 def sensitivity_matrix(n: int) -> Tuple[Tuple[RationalFunction, ...], ...]:
     """S_n = s^2 L_n^{-1} U_n^{-1}, fully canonical, as a tuple of row tuples.
 
-    Entry (i, j), 0-based, is the closed form
-    s (1 + s sum_{k=1..min(i,j)} (s+1)^(2k-1)) / (s+1)^(i+j+1): the
-    numerator is a sum of binomial rows, the denominator the binomial row of
-    (s+1)^(i+j+1). Each entry is stored as built, with no gcd; the whole
-    matrix is then checked against L_n S_n U_n = s^2 I_n, entry by entry
-    with the denominators cleared, in exact polynomial arithmetic, together
-    with `bode_table`'s lemma (s+2) N_m = s (1 + (s+1)^(2m+1))
-    (`_verify_sensitivity`). At s = -1 that gives N_m(-1) = -1, nonzero at
-    the monic denominator's one root, so every stored pair is coprime.
+    Entry (i, j), 0-based, is N_m / (s+1)^(i+j+1) with m = min(i, j),
+    N_0 = s and N_m - N_(m-1) = s^2 (s+1)^(2m-1), so
+    N_m = s (1 + s sum_{k=1..m} (s+1)^(2k-1)): the numerator is a sum of
+    binomial rows, the denominator the binomial row of (s+1)^(i+j+1).
+
+    That is S_n for every n. With the denominators cleared,
+    (L_n S_n U_n)_ij = delta_ij s^2 reads
+    l_i D_ij - (s+1) D_(i-1)j == delta_ij s^2 (s+1)^(2i), where
+    D_ij = N_ij - N_i(j-1) with N_ij = N_min(i,j), l_0 = s, l_i = s+1
+    otherwise, and N is zero outside the matrix. For i < j both
+    differences are 0, since min(i, j) = min(i, j-1). For i > j they are equal and l_i = s+1. On
+    the diagonal D_(i-1)i = 0, and l_i D_ii = s^2 (s+1)^(2i) is N's
+    definition. Summing the geometric series gives
+    (s+2) N_m = s (1 + (s+1)^(2m+1)), `bode_table`'s lemma (N_m = s P_m).
+    At s = -1 that gives N_m(-1) = -1, nonzero at the monic denominator's
+    one root, so every pair is coprime and is stored as built, with no gcd.
     """
     if n < 1:
         raise InvalidRange("n must be >= 1")
     nums = [Polynomial([0, 1] + [sum(math.comb(2 * k - 1, t) for k in range(1, m + 1))
                                  for t in range(2 * m)])
             for m in range(n)]
-    dens = [Polynomial(row) for row in _binomial_rows(2 * n)]
-    S = tuple(tuple(RationalFunction._coprime(nums[min(i, j)], dens[i + j + 1])
-                    for j in range(n))
-              for i in range(n))
-    _verify_sensitivity(S)
-    return S
+    dens = [Polynomial([math.comb(p, t) for t in range(p + 1)]) for p in range(2 * n)]
+    return tuple(tuple(RationalFunction._coprime(nums[min(i, j)], dens[i + j + 1])
+                       for j in range(n))
+                 for i in range(n))
 
 
 def invariance_check(k: int, ns: Sequence[int]) -> bool:
@@ -211,12 +198,12 @@ def bode_table(n: int, grid: FrequencyGrid) -> BodeTable:
     3 r^(2m) >= r + sqrt(r^2+3). For m >= 1 that holds, as
     r + sqrt(r^2+3) <= 2r + 1 <= 3r <= 3r^(2m); for m = 0, P_0 = 1.
 
-    `sensitivity_matrix(n)` checks both hypotheses exactly before it
-    returns: the closed form, and the identity for each m < n. So the
-    sweep decides nothing. It tabulates the n numerators and 2n - 1
-    denominators, each evaluated once and indexed by min(i, j) and
-    i + j + 1, and reports worst_excess, the largest sampled
-    |S_ij| - |jw/(jw+1)|, as a diagnostic of the float evaluation.
+    Both hypotheses are proven for every m, the closed form and the
+    geometric series (`sensitivity_matrix`). So the sweep decides nothing.
+    It tabulates the n numerators and 2n - 1 denominators, each evaluated
+    once and indexed by min(i, j) and i + j + 1, and reports worst_excess,
+    the largest sampled |S_ij| - |jw/(jw+1)|, as a diagnostic of the float
+    evaluation.
     """
     S = sensitivity_matrix(n)
     om = grid.omegas

@@ -16,7 +16,10 @@ and closed loop check the closed forms in `synthesis`; `maclaurin` reads Taylor 
 (tuples of row tuples of RationalFunction), the reference for the sparse
 polynomial matrices `bidir` checks the factorization on; rational-matrix
 sums, products, transposes and bidiagonal substitution on them check the
-closed-form sensitivity matrix and the cleared identity checks in `bidir`.
+closed-form sensitivity matrix and the two cleared identities `bidir`
+proves for every length. `_verify_sensitivity` checks L_n S_n U_n = s^2 I_n
+at one length, with the denominators cleared, in exact polynomial
+arithmetic.
 `bode_csv_per_entry` formats every entry of a Bode table on its own, the
 text `BodeTable.to_csv` writes from the distinct entries only.
 The np.polyval magnitude engine, one polynomial at a time, checks
@@ -37,6 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Tuple
 
 import numpy as np
 
@@ -391,6 +395,49 @@ def invert_bidiagonal(T, shape: str):
     if matmul(T, inv) != eye(n):
         raise ArithmeticError("inverse verification failed")
     return inv
+
+
+# ---------------------------------------------------------------- sensitivity identity
+# L_n S_n U_n = s^2 I_n checked at one length, in n^2 products of degree up
+# to 2n; `bidir.sensitivity_matrix` proves it for every length
+
+_ZERO = Polynomial()
+_SP1 = Polynomial([1, 1])
+
+
+def _binomial_rows(count: int):
+    """The ascending coefficients of (s+1)^p for p = 0..count-1."""
+    return [[math.comb(p, t) for t in range(p + 1)] for p in range(count)]
+
+
+def _verify_sensitivity(S: Tuple[Tuple[RationalFunction, ...], ...]) -> None:
+    """Raise unless L_n S U_n == s^2 I_n exactly, n the size of S.
+
+    Entry (i, j), 0-based, must be N_ij / (s+1)^(i+j+1). With the
+    denominators cleared, (L S U)_ij = delta_ij s^2 reads
+    l_i (N_ij - N_i,j-1) - (s+1) (N_i-1,j - N_i-1,j-1)
+    == delta_ij s^2 (s+1)^(2i), where l_0 = s, l_i = s+1 otherwise, and N
+    is zero outside the matrix; that is checked in exact polynomial
+    arithmetic. So is (s+2) N_ii = s (1 + (s+1)^(2i+1)), the identity
+    `bode_table`'s lemma rests on (N_ii = s P_i).
+    """
+    fail = ArithmeticError("sensitivity verification failed; construction bug")
+    n = len(S)
+    if any(len(row) != n for row in S):
+        raise fail
+    power = [Polynomial(row) for row in _binomial_rows(2 * n)]
+    if any(f.den != power[i + j + 1] for i, row in enumerate(S) for j, f in enumerate(row)):
+        raise fail
+    N = [[f.num for f in row] for row in S]
+    for i in range(n):
+        if (_S + 2) * N[i][i] != _S * (_ONE + power[2 * i + 1]):
+            raise fail
+        l_i = _S if i == 0 else _SP1
+        for j in range(n):
+            here = N[i][j] - N[i][j - 1] if j else N[i][j]
+            above = (N[i - 1][j] - N[i - 1][j - 1] if j else N[i - 1][j]) if i else _ZERO
+            if l_i * here - _SP1 * above != (_S * _S * power[2 * i] if i == j else _ZERO):
+                raise fail
 
 
 # ---------------------------------------------------------------- Bode CSV

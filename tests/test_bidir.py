@@ -9,16 +9,15 @@ import numpy as np
 import pytest
 
 from platoonctrl import bidir
-from platoonctrl.bidir import (_lemma_matrices, _verify_sensitivity, bode_table,
-                               invariance_check, sensitivity_matrix,
-                               verify_factorization)
+from platoonctrl.bidir import (_lemma_matrices, bode_table, invariance_check,
+                               sensitivity_matrix, verify_factorization)
 from platoonctrl.errors import InvalidRange
 from platoonctrl.freq import FrequencyGrid, log_abs_evaluator
 from platoonctrl.poly import Polynomial
 from platoonctrl.ratfun import RationalFunction, one, s
 
-from oracles import (SingularDiagonal, bode_csv_per_entry, eye, invert_bidiagonal,
-                     lemma_structures, mat_add, matmul, transpose)
+from oracles import (SingularDiagonal, _verify_sensitivity, bode_csv_per_entry, eye,
+                     invert_bidiagonal, lemma_structures, mat_add, matmul, transpose)
 
 ONE = Polynomial([1])
 S = Polynomial([0, 1])
@@ -135,13 +134,61 @@ def test_factorization_agrees_with_matmul_oracle():
 
 
 def test_factorization_rejects_wrong_diagonal(monkeypatch):
-    # L_33 = s where s+1 belongs, in both routes
+    # L_33 = s where s+1 belongs, in both routes; it lies in the length-3
+    # matrices that decide every n >= 3
     X, H, U, L = lemma_structures(4)
     assert not _factorization_holds(X, H, U, _replace_entry(L, 2, 2, S_RF))
-    iX, is2H, iU, iL = _lemma_matrices(4)
-    monkeypatch.setattr(bidir, "_lemma_matrices",
-                        lambda n: (iX, is2H, iU, {**iL, (2, 2): S}))
+    real = bidir._lemma_matrices
+
+    def broken(n):
+        iX, is2H, iU, iL = real(n)
+        return iX, is2H, iU, {**iL, (2, 2): S}
+
+    monkeypatch.setattr(bidir, "_lemma_matrices", broken)
     assert verify_factorization(4) is False
+    assert verify_factorization(10 ** 5) is False
+
+
+def _row_class_map(M, n: int):
+    # {(row class, j - i): entry} over M's nonzero entries; every row of a
+    # class must give the same entry at each offset
+    out = {}
+    for (i, j), c in M.items():
+        key = ("first" if i == 0 else "last" if i == n - 1 else "middle", j - i)
+        assert out.setdefault(key, c) == c, (n, i, j)
+    return out
+
+
+def test_factorization_entries_depend_on_row_class_and_offset_only():
+    # the premise of verify_factorization's proof: past n = 3 neither side
+    # has an entry that length 3 does not
+    lhs3, rhs3 = bidir._factorization_sides(3)
+    assert lhs3 == rhs3
+    want = _row_class_map(lhs3, 3)
+    assert len(want) == 7
+    for n in range(3, 61):
+        lhs, rhs = bidir._factorization_sides(n)
+        assert _row_class_map(lhs, n) == _row_class_map(rhs, n) == want, f"n={n}"
+        assert lhs == rhs, f"n={n}"
+
+
+def test_factorization_holds_at_each_length_by_sparse_product():
+    # the per-length oracle: the full sparse product at every n
+    for n in list(range(1, 61)) + [1000]:
+        lhs, rhs = bidir._factorization_sides(n)
+        assert lhs == rhs, f"n={n}"
+        assert len(lhs) == 3 * n - 2
+
+
+def test_factorization_builds_at_most_three_vehicles(monkeypatch, call_counts):
+    lengths = []
+    real = bidir._lemma_matrices
+    monkeypatch.setattr(bidir, "_lemma_matrices", lambda n: lengths.append(n) or real(n))
+    counts = call_counts("_lemma_matrices", "_matmul")
+    for n in (1, 2, 3, 4, 10 ** 5):
+        assert verify_factorization(n) is True
+    assert lengths == [1, 2, 3, 3, 3]
+    assert counts["_lemma_matrices"] == 5 and counts["_matmul"] == 15
 
 
 def test_factorization_entry_11_by_hand():
@@ -292,6 +339,27 @@ def test_sensitivity_verification_agrees_with_matmul_oracle():
         verdicts = [(_integer_route_accepts(M), _sensitivity_by_matmul(M)) for M in cases]
         assert verdicts[0] == (True, True), f"S_{n} rejected"
         assert verdicts[1:] == [(False, False)] * 2, f"perturbed S_{n} accepted"
+
+
+def test_sensitivity_passes_the_per_length_oracle():
+    for n in range(1, 41):
+        _verify_sensitivity(sensitivity_matrix(n))
+
+
+def test_sensitivity_numerators_sum_the_geometric_series():
+    # (s+2) N_m = s (1 + (s+1)^(2m+1)), so N_m(-1) = -1: no numerator shares
+    # the denominators' one root
+    Sn = sensitivity_matrix(60)
+    for m in range(60):
+        N = Sn[m][m].num
+        assert (S + 2) * N == S * (ONE + (ONE + S) ** (2 * m + 1)), f"m={m}"
+        assert N(-1) == -1, f"m={m}"
+
+
+def test_sensitivity_runs_no_polynomial_product(call_counts):
+    counts = call_counts("_convolve", "poly_gcd")
+    assert len(sensitivity_matrix.__wrapped__(80)) == 80
+    assert (counts["_convolve"], counts["poly_gcd"]) == (0, 0)
 
 
 def test_sensitivity_leading_entry_all_n():

@@ -93,9 +93,10 @@ def test_report_echoes_every_flag_but_out(tmp_path, argv, parameters):
     (["verify-lemma", "--n", "100001"], 2),
     (["homogeneous", "--m", "2", "--c", "1+s", "--n", "100001"], 2),
     (["pd-random", "--n", "100000", "--trials", "1"], 2),
+    (["sensitivity", "--n", "121"], 2),
 ], ids=["unstable", "scan-exhausted", "parentheses-300", "unary-minus-5000", "power-5000",
         "power-tower", "power-s-1e8", "costly-power", "costly-product",
-        "verify-lemma-n-cap", "homogeneous-n-cap", "pd-random-n-cap"])
+        "verify-lemma-n-cap", "homogeneous-n-cap", "pd-random-n-cap", "sensitivity-n-cap"])
 def test_a_command_that_raises_writes_no_report(tmp_path, caplog, argv, exit_code):
     assert main(argv + ["--out", str(tmp_path)]) == exit_code
     errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
@@ -642,7 +643,8 @@ def test_pd_random_baseline_tests_no_loop(tmp_path, call_counts):
     (["verify-lemma"], 10 ** 5),
     (["homogeneous", "--m", "2", "--c", "1+s"], 10 ** 5),
     (["pd-random"], 10 ** 4),
-], ids=["verify-lemma", "homogeneous", "pd-random"])
+    (["sensitivity"], 120),
+], ids=["verify-lemma", "homogeneous", "pd-random", "sensitivity"])
 def test_length_cap_is_checked_before_the_command(tmp_path, monkeypatch, argv, cap):
     # the command runs at its cap and is never called past it
     calls = []
