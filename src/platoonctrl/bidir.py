@@ -11,21 +11,20 @@ row's class (first, middle or last) and its offset j - i, so one exact
 check of the sparse polynomial matrices at length min(n, 3) decides every
 length (`verify_factorization`). L_n S_n U_n = s^2 I_n telescopes to the
 closed form's definition as a partial sum, so `sensitivity_matrix` builds
-S_n from it and checks nothing. Everything here is exact; floats only
-enter in the Bode sweep, which tabulates a bound that a lemma proves for
-every length (`bode_table`).
+S_n from it and checks nothing. Everything here is exact but the Bode
+sweep (`bode_table`), which tabulates a bound a lemma proves for every
+length by evaluating the lemma's closed form in floats, without S_n.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence, Tuple
 
 from ._lazy import np
 from .errors import InvalidRange
-from .freq import FrequencyGrid, log_abs_evaluator
+from .freq import FrequencyGrid
 from .poly import Polynomial
 from .ratfun import RationalFunction
 
@@ -104,7 +103,6 @@ def verify_factorization(n: int) -> bool:
     return lhs == rhs
 
 
-@lru_cache(maxsize=None)
 def sensitivity_matrix(n: int) -> Tuple[Tuple[RationalFunction, ...], ...]:
     """S_n = s^2 L_n^{-1} U_n^{-1}, fully canonical, as a tuple of row tuples.
 
@@ -158,35 +156,47 @@ def invariance_check(k: int, ns: Sequence[int]) -> bool:
 
 @dataclass(frozen=True)
 class BodeTable:
-    """Per-entry magnitude sweep of S_n, with the grid's largest excess."""
+    """Log-magnitude rows of S_n over the grid, with the grid's largest excess.
+
+    Row m < n is ln|s P_m(jw)|, the numerator of every entry with
+    min(i, j) = m, and row n + k is -ln|(1+jw)^(k+1)|, the denominator of
+    every entry with i + j = k. ln|S_ij| is rows[min(i, j)] + rows[n + i + j].
+    """
 
     grid: FrequencyGrid
     n: int
-    log_magnitudes: np.ndarray  # shape (n, n, len(grid))
+    rows: np.ndarray  # shape (3n - 1, len(grid))
     worst_excess: float
 
-    def to_csv(self) -> str:
-        # omega-major, then row, then col; indices 1-based. bode_table's
-        # log_magnitudes is symmetric in (row, col), the same float sum either
-        # way, so each omega and each of the n(n+1)/2 distinct entries is
-        # formatted once
+    def to_csv(self):
+        """bode.csv as chunks of text of about 2^12 lines each, header first."""
+        # omega-major, then row, then col; indices 1-based. (i, j) and (j, i)
+        # share both rows, the same float sum, so each omega formats each of
+        # the n(n+1)/2 distinct entries once. A chunk is whole omegas when n^2
+        # is small, so they share one numpy call, or else whole rows of one
+        # omega, so memory stays bounded at large n
         n = self.n
         iu, ju = np.triu_indices(n)
         at = np.empty((n, n), dtype=int)
         at[iu, ju] = at[ju, iu] = np.arange(len(iu))
-        cells = list(zip([f"{i + 1},{j + 1}," for i in range(n) for j in range(n)],
-                         at.ravel().tolist()))
-        tri = np.moveaxis(self.log_magnitudes, 2, 0)[:, iu, ju]
-        lines = ["omega,row,col,abs,abs_db"]
-        for om, lgs, dbs in zip(self.grid.omegas.tolist(), tri, tri * _DB):
-            head = f"{om!r},"
-            vals = [f"{math.exp(lg)!r},{db!r}" for lg, db in zip(lgs.tolist(), dbs.tolist())]
-            lines.extend(head + rc + vals[k] for rc, k in cells)
-        return "\n".join(lines) + "\n"
+        idx = [f"{i + 1}," for i in range(n)]
+        span = max(1, 2 ** 12 // n)
+        parts = [list(zip(idx[r:r + span], at[r:r + span].tolist())) for r in range(0, n, span)]
+        step = max(1, 2 ** 12 // (n * n))
+        yield "omega,row,col,abs,abs_db\n"
+        for w in range(0, len(self.grid.omegas), step):
+            lgs = (self.rows[iu, w:w + step] + self.rows[n + iu + ju, w:w + step]).T
+            vals = [f"{math.exp(lg)!r},{db!r}\n"
+                    for lg, db in zip(lgs.ravel().tolist(), (lgs * _DB).ravel().tolist())]
+            heads = list(zip([f"{om!r}," for om in self.grid.omegas[w:w + step].tolist()],
+                             range(0, len(vals), len(iu))))
+            for part in parts:
+                yield "".join([h + r + c + vals[o + k] for h, o in heads
+                               for r, at_r in part for c, k in zip(idx, at_r)])
 
 
 def bode_table(n: int, grid: FrequencyGrid) -> BodeTable:
-    """Magnitudes of every entry of S_n over the grid.
+    """Magnitudes of every entry of S_n over the grid, from the lemma's closed form.
 
     |S_ij(jw)| <= |jw/(jw+1)| for every n, i, j and w > 0, by this lemma.
     Entry (i, j), 0-based, is s P_m / (s+1)^(i+j+1) with m = min(i, j) and
@@ -199,25 +209,30 @@ def bode_table(n: int, grid: FrequencyGrid) -> BodeTable:
     r + sqrt(r^2+3) <= 2r + 1 <= 3r <= 3r^(2m); for m = 0, P_0 = 1.
 
     Both hypotheses are proven for every m, the closed form and the
-    geometric series (`sensitivity_matrix`). So the sweep decides nothing.
-    It tabulates the n numerators and 2n - 1 denominators, each evaluated
-    once and indexed by min(i, j) and i + j + 1, and reports worst_excess,
-    the largest sampled |S_ij| - |jw/(jw+1)|, as a diagnostic of the float
-    evaluation.
+    geometric series (`sensitivity_matrix`). So the sweep decides nothing,
+    and it evaluates the closed form, not S_n's coefficients. With
+    L = ln|1+jw| = logaddexp(0, 2 ln w) / 2, so w^2 never overflows,
+    numerator row m is ln w + ln|1 + (1+jw)^(2m+1)| - ln|2+jw|. Write
+    (1+jw)^(2m+1) = e^(x + j phi), x = (2m+1) L >= 0 and
+    phi = (2m+1) atan w; then ln|1 + e^(x + j phi)| = x + ln|1 + e^-(x + j phi)|
+    and |1 + e^-(x + j phi)|^2 = expm1(-x)^2 + 4 e^-x cos^2(phi/2), a sum of
+    two terms >= 0 with e^-x <= 1, so nothing cancels or overflows.
+    Denominator row k is -(k+1) L.
+
+    worst_excess, the largest sampled |S_ij| - |jw/(jw+1)|, is a diagnostic
+    of that float evaluation. It is taken on the diagonal: L >= 0, so the
+    denominator rows fall with k, rounding included, and i + j >= 2 min(i, j)
+    puts each numerator's largest entry at i = j = m.
     """
-    S = sensitivity_matrix(n)
+    if n < 1:
+        raise InvalidRange("n must be >= 1")
     om = grid.omegas
-    # row m < n is ln|s P_m|, the numerator of every entry with min(i, j) = m,
-    # and row n + k is -ln|(s+1)^(k+1)|, the denominator of every entry with
-    # i + j = k; ln|1| is exactly 0.0, so their sum is each entry's own row
-    rows = log_abs_evaluator(
-        [(S[m][m].num.coeffs, (1,)) for m in range(n)]
-        + [((1,), S[max(0, k - n + 1)][min(k, n - 1)].den.coeffs) for k in range(2 * n - 1)]
-    )(om)
-    idx = np.arange(n)
-    logs = rows[np.minimum.outer(idx, idx)] + rows[n + np.add.outer(idx, idx)]
-    # past om ~ 1.34e154, om * om overflows; there |jw/(jw+1)| rounds to 1.0
-    with np.errstate(over="ignore"):
-        sq = om * om
-    bound = np.where(np.isinf(sq), 1.0, om / np.sqrt(1.0 + sq))
-    return BodeTable(grid, n, logs, float((np.exp(logs) - bound).max()))
+    lw = np.log(om)
+    L = np.logaddexp(0.0, 2.0 * lw) / 2.0
+    p = np.arange(1.0, 2 * n, 2.0)[:, None]  # 2m + 1
+    x, half_phi = p * L, p * np.arctan(om) / 2.0
+    num = (lw + x + np.log(np.expm1(-x) ** 2 + 4.0 * np.exp(-x) * np.cos(half_phi) ** 2) / 2.0
+           - np.logaddexp(2.0 * math.log(2.0), 2.0 * lw) / 2.0)
+    den = -np.arange(1.0, 2 * n)[:, None] * L
+    excess = np.exp(num + den[::2]) - np.exp(lw - L)
+    return BodeTable(grid, n, np.concatenate([num, den]), float(excess.max()))

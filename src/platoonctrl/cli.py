@@ -24,7 +24,7 @@ from .cascade import (homogeneous_growth, middleton_integral, pd_cascade_peak,
                       pd_mistune_experiment)
 from .errors import (DivergentAtOrigin, InvalidRange, ParseError,
                      PlatoonError, StabilityCheckFailed)
-from .freq import FrequencyGrid, default_grid
+from .freq import FrequencyGrid, default_grid, grid_samples
 from .parsing import parse_rational
 from .ratfun import internal_stability, plant
 from .synthesis import (check_certificate, family_from_json, family_product_check,
@@ -44,6 +44,10 @@ _SENS_SCHEMA = "sensitivity/1"
 # same at every length, so its cap only states the range it answers for
 _N_CAPS = {"verify-lemma": 10 ** 5, "homogeneous": 10 ** 5, "pd-random": 10 ** 4,
            "sensitivity": 120}
+# bode.csv has n^2 rows per grid sample, whose omega and n(n+1)/2 distinct
+# entries are formatted once, so its cap, with the same bounds, counts
+# (n+1)^2 rows per sample: the grid's options count as much as --n
+_BODE_ROW_CAP = 5 * 10 ** 6
 
 
 def _setup_logging() -> None:
@@ -87,13 +91,21 @@ def _positive_float(text: str) -> float:
     return v
 
 
-def _write_text(out_dir: str, name: str, text: str) -> str:
+def _write_text(out_dir: str, name: str, chunks) -> str:
+    # chunks: an iterable of strings, written in turn
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        fh.writelines(chunks)
     log.info("wrote %s", path)
     return path
+
+
+def _bode_rows(args):
+    try:
+        return (args.n + 1) ** 2 * grid_samples(args.wmin, args.wmax, args.ppd)
+    except OverflowError:  # a --ppd past double range
+        return math.inf
 
 
 def _finite_or_null(x):
@@ -109,7 +121,7 @@ def _finite_or_null(x):
 
 def _write_json(out_dir: str, name: str, doc: dict) -> str:
     text = json.dumps(_finite_or_null(doc), sort_keys=True, indent=2, allow_nan=False)
-    return _write_text(out_dir, name, text + "\n")
+    return _write_text(out_dir, name, (text, "\n"))
 
 
 def _write_report(args, results: dict, artifacts: list, t0: float) -> str:
@@ -217,7 +229,7 @@ def _cmd_family_check(args):
 
 def _cmd_homogeneous(args):
     table = homogeneous_growth(parse_rational(args.c), args.m, args.n)
-    csv_path = _write_text(args.out, "growth.csv", table.to_csv())
+    csv_path = _write_text(args.out, "growth.csv", (table.to_csv(),))
     try:
         # the closed form truncates nothing, so its bound is 0
         mid_doc = {"value": middleton_integral(table.T), "truncation_bound": 0.0}
@@ -238,7 +250,7 @@ def _cmd_pd_random(args):
     grid = default_grid()
     rep = pd_mistune_experiment(args.n, args.kmin, args.kmax, args.trials,
                                 args.seed, grid)
-    csv_path = _write_text(args.out, "mistune.csv", rep.to_csv())
+    csv_path = _write_text(args.out, "mistune.csv", (rep.to_csv(),))
     # every stage k = 1, read like the trials' stages
     homogeneous_peak, _ = pd_cascade_peak([1] * args.n, 1, grid)
     return 0, {"scheme": rep.scheme,
@@ -321,6 +333,9 @@ def main(argv=None) -> int:
         cap = _N_CAPS.get(args.command)
         if cap is not None and args.n > cap:
             raise InvalidRange(f"--n must be <= {cap} for {args.command}")
+        if args.command == "bode" and _bode_rows(args) > _BODE_ROW_CAP:
+            raise InvalidRange(f"(n+1)^2 times the grid's samples must be <= "
+                               f"{_BODE_ROW_CAP} for bode")
         code, results, artifacts = args.func(args)
         _write_report(args, results, artifacts, t0)
         return code

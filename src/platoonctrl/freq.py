@@ -37,9 +37,7 @@ class FrequencyGrid:
             raise InvalidRange("need 0 < omega_min < omega_max < inf")
         if points_per_decade < 1:
             raise InvalidRange("points_per_decade must be >= 1")
-        # a difference of logs: omega_max / omega_min can overflow
-        decades = math.log10(omega_max) - math.log10(omega_min)
-        n = max(2, round(decades * points_per_decade) + 1)
+        n = grid_samples(omega_min, omega_max, points_per_decade)
         om = np.logspace(math.log10(omega_min), math.log10(omega_max), n)
         om[0], om[-1] = omega_min, omega_max
         om.setflags(write=False)
@@ -51,6 +49,13 @@ class FrequencyGrid:
     def __repr__(self):
         return (f"FrequencyGrid({self.omega_min:g}, {self.omega_max:g}, "
                 f"{self.points_per_decade})")
+
+
+def grid_samples(omega_min: float, omega_max: float, points_per_decade: int) -> int:
+    """The number of samples FrequencyGrid(omega_min, omega_max, points_per_decade) holds."""
+    # a difference of logs: omega_max / omega_min can overflow
+    decades = math.log10(omega_max) - math.log10(omega_min)
+    return max(2, round(decades * points_per_decade) + 1)
 
 
 @functools.cache

@@ -20,6 +20,9 @@ closed-form sensitivity matrix and the two cleared identities `bidir`
 proves for every length. `_verify_sensitivity` checks L_n S_n U_n = s^2 I_n
 at one length, with the denominators cleared, in exact polynomial
 arithmetic.
+`bode_rows_by_engine` reaches the Bode table's rows the generic way, the
+exact numerators and denominators of S_n through the magnitude engine; it
+checks the lemma's closed form `bidir.bode_table` evaluates.
 `bode_csv_per_entry` formats every entry of a Bode table on its own, the
 text `BodeTable.to_csv` writes from the distinct entries only.
 The np.polyval magnitude engine, one polynomial at a time, checks
@@ -44,6 +47,7 @@ from typing import Tuple
 
 import numpy as np
 
+from platoonctrl.bidir import sensitivity_matrix
 from platoonctrl.cascade import _SCHEME, CascadeProfile, MistuneReport, cascade_profile
 from platoonctrl.errors import (DivergentAtOrigin, IllPosed, InvalidRange,
                                 PlatoonError, PoleAtPoint, StabilityCheckFailed)
@@ -440,15 +444,31 @@ def _verify_sensitivity(S: Tuple[Tuple[RationalFunction, ...], ...]) -> None:
                 raise fail
 
 
-# ---------------------------------------------------------------- Bode CSV
+# ---------------------------------------------------------------- Bode table
+
+def bode_rows_by_engine(n: int, grid: FrequencyGrid) -> np.ndarray:
+    """`BodeTable.rows` by the magnitude engine on the exact entries of S_n.
+
+    Row m < n is ln|s P_m|, the numerator of every entry with min(i, j) = m,
+    and row n + k is -ln|(s+1)^(k+1)|, the denominator of every entry with
+    i + j = k; each is read off an entry of `sensitivity_matrix(n)` and run
+    through Horner on its monomial coefficients.
+    """
+    S = sensitivity_matrix(n)
+    return log_abs_evaluator(
+        [(S[m][m].num.coeffs, (1,)) for m in range(n)]
+        + [((1,), S[max(0, k - n + 1)][min(k, n - 1)].den.coeffs) for k in range(2 * n - 1)]
+    )(grid.omegas)
+
 
 def bode_csv_per_entry(table) -> str:
     """`BodeTable.to_csv`'s text, formatting all n^2 entries of every omega one by one."""
+    n, rows = table.n, table.rows
     lines = ["omega,row,col,abs,abs_db"]
     for w, om in enumerate(table.grid.omegas):
-        for i in range(table.n):
-            for j in range(table.n):
-                lg = float(table.log_magnitudes[i, j, w])
+        for i in range(n):
+            for j in range(n):
+                lg = float(rows[min(i, j), w] + rows[n + i + j, w])
                 lines.append(f"{float(om)!r},{i + 1},{j + 1},{math.exp(lg)!r},"
                              f"{lg * (20.0 / math.log(10.0))!r}")
     return "\n".join(lines) + "\n"

@@ -94,9 +94,14 @@ def test_report_echoes_every_flag_but_out(tmp_path, argv, parameters):
     (["homogeneous", "--m", "2", "--c", "1+s", "--n", "100001"], 2),
     (["pd-random", "--n", "100000", "--trials", "1"], 2),
     (["sensitivity", "--n", "121"], 2),
+    # bode's cap counts (n+1)^2 rows per grid sample, so the grid counts too
+    (["bode", "--n", "1581", "--wmin", "1", "--wmax", "10", "--ppd", "1"], 2),
+    (["bode", "--n", "1", "--wmin", "1", "--wmax", "10", "--ppd", "1250000"], 2),
+    (["bode", "--n", "1", "--ppd", "1" + "0" * 400], 2),
 ], ids=["unstable", "scan-exhausted", "parentheses-300", "unary-minus-5000", "power-5000",
         "power-tower", "power-s-1e8", "costly-power", "costly-product",
-        "verify-lemma-n-cap", "homogeneous-n-cap", "pd-random-n-cap", "sensitivity-n-cap"])
+        "verify-lemma-n-cap", "homogeneous-n-cap", "pd-random-n-cap", "sensitivity-n-cap",
+        "bode-n-cap", "bode-ppd-cap", "bode-ppd-past-double-range"])
 def test_a_command_that_raises_writes_no_report(tmp_path, caplog, argv, exit_code):
     assert main(argv + ["--out", str(tmp_path)]) == exit_code
     errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
@@ -644,7 +649,9 @@ def test_pd_random_baseline_tests_no_loop(tmp_path, call_counts):
     (["homogeneous", "--m", "2", "--c", "1+s"], 10 ** 5),
     (["pd-random"], 10 ** 4),
     (["sensitivity"], 120),
-], ids=["verify-lemma", "homogeneous", "pd-random", "sensitivity"])
+    # two grid samples: 2 (n+1)^2 <= 5 * 10^6
+    (["bode", "--wmin", "1", "--wmax", "10", "--ppd", "1"], 1580),
+], ids=["verify-lemma", "homogeneous", "pd-random", "sensitivity", "bode"])
 def test_length_cap_is_checked_before_the_command(tmp_path, monkeypatch, argv, cap):
     # the command runs at its cap and is never called past it
     calls = []
@@ -653,6 +660,17 @@ def test_length_cap_is_checked_before_the_command(tmp_path, monkeypatch, argv, c
     for n, code in [(cap, 0), (cap + 1, 2)]:
         assert main(argv + ["--n", str(n), "--out", str(tmp_path)]) == code
     assert calls == [cap]
+
+
+def test_bode_cap_counts_the_grid(tmp_path, monkeypatch):
+    # at n = 1 a sample counts 4 rows: 1.25 * 10^6 samples are at the cap,
+    # one more is past it, and the command is never called there
+    calls = []
+    monkeypatch.setattr(cli, "_cmd_bode", lambda args: calls.append(args.ppd) or (0, {}, []))
+    for ppd, code in [(1249999, 0), (1250000, 2)]:
+        assert main(["bode", "--n", "1", "--wmin", "1", "--wmax", "10", "--ppd", str(ppd),
+                     "--out", str(tmp_path)]) == code
+    assert calls == [1249999]
 
 
 def test_pd_random_gains_past_double_resolution(tmp_path):
