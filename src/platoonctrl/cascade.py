@@ -20,7 +20,8 @@ from typing import Tuple
 
 from ._lazy import np
 from .errors import DivergentAtOrigin, InvalidRange, StabilityCheckFailed
-from .freq import FrequencyGrid, _scaled_descending, default_grid, hinf_norm, log_abs_evaluator
+from .freq import (FrequencyGrid, _log_abs_coeff, _log_abs_scaled, _scaled_descending,
+                   default_grid, hinf_norm, log_abs_evaluator)
 from .poly import hurwitz_stable
 from .ratfun import RationalFunction, hurwitz_denominator, internal_stability, plant
 
@@ -57,7 +58,7 @@ def cascade_profile(stages, grid: FrequencyGrid) -> CascadeProfile:
     per-stage loop.
     """
     total = _log_sum(stages, grid.omegas)
-    return CascadeProfile(grid, total, *_peak(total, grid.omegas))
+    return CascadeProfile(grid, total, *_peaks(total[None], grid.omegas)[0])
 
 
 def _log_sum(stages, omegas) -> np.ndarray:
@@ -68,13 +69,14 @@ def _log_sum(stages, omegas) -> np.ndarray:
     return total
 
 
-def _peak(total, omegas) -> Tuple[float, float]:
-    # (peak, its omega) at the first maximum of a summed log-magnitude
-    top = int(np.argmax(total))
-    # a peak past double range overflows to inf
+def _peaks(totals, omegas) -> list:
+    # (peak, its omega) at the first maximum of each row of summed
+    # log-magnitudes; each peak is exp'd alone, as a vector exp may round
+    # differently, and one past double range overflows to inf
+    tops = np.argmax(totals, axis=1).tolist()
     with np.errstate(over="ignore"):
-        peak = float(np.exp(np.float64(total[top])))
-    return peak, float(omegas[top])
+        return [(float(np.exp(np.float64(row[top]))), float(omegas[top]))
+                for row, top in zip(totals, tops)]
 
 
 # ----------------------------------------------------------------------
@@ -174,31 +176,56 @@ def homogeneous_growth(c: RationalFunction, m: int, n_max: int) -> GrowthTable:
 # randomized PD mistuning
 
 _SCHEME = "philox4x64:key=seed;counter=[trial,vehicle,0,0];one-uniform-per-draw"
+# stage-samples evaluated as one stack: a block of trials fills it, or is one
+# trial when that trial's stages alone pass it. At 2^14 the peak memory of
+# pd-random --n 20 --trials 200 is that of one trial a block, 37.6 MB; at
+# 2^16 it is 1 MB more
+_BLOCK_SAMPLES = 2 ** 14
 
 
-def _gain_drawer(seed: int, k_min: float, k_max: float):
+class _GainDrawer:
     """(trial, vehicle) -> the exact derivative gain, from one keyed generator.
 
     Philox is counter-based (Salmon et al., SC 2011): a fresh generator with
     key seed and counter [trial, vehicle, 0, 0] holds no buffered output, and
-    its first uniform comes from the block at the next counter. Setting one
-    generator's documented state to that counter with an empty buffer
-    (buffer_pos 4) before each draw gives the same uniform without building
-    a generator per draw.
+    its first uniform is the first word of the block at counter
+    [trial + 1, vehicle, 0, 0]. One generator whose documented state is set
+    to counter [t0, vehicle, 0, 0] with an empty buffer (buffer_pos 4) reads
+    the blocks at [t0 + 1, vehicle], [t0 + 2, vehicle], ... in turn, four
+    uniforms each, so every fourth uniform it draws is the draw of trial t0,
+    t0 + 1, ... for that vehicle: one stream per vehicle and block of trials.
+
+    A uniform is u = m / 2^53, m being the top 53 bits of the generator's
+    64-bit word, so the gain k_min + (k_max - k_min) u is (a + b m)/c, with
+    c the power of 2 that makes k_min c = a and (k_max - k_min) c / 2^53 = b
+    integers. Dividing out gcd(a + b m, c) leaves the reduced pair that
+    Fraction holds.
     """
-    bg = np.random.Philox(key=seed)
-    gen = np.random.Generator(bg)
-    state = bg.state
-    lo = Fraction(k_min)
-    width = Fraction(k_max) - lo
 
-    def draw(trial: int, vehicle: int) -> Fraction:
-        state["state"]["counter"] = [trial, vehicle, 0, 0]
-        state["buffer_pos"] = 4
-        bg.state = state
-        return lo + width * Fraction(gen.random())
+    def __init__(self, seed: int, k_min: float, k_max: float):
+        self._bg = np.random.Philox(key=seed)
+        self._state = self._bg.state
+        lo = Fraction(k_min)
+        width = Fraction(k_max) - lo
+        self._c = math.lcm(lo.denominator, width.denominator << 53)
+        self._a = lo.numerator * (self._c // lo.denominator)
+        self._b = width.numerator * (self._c // (width.denominator << 53))
 
-    return draw
+    def pairs(self, t0: int, count: int, vehicle: int):
+        """The reduced (numerator, denominator) of the gains of trials t0 .. t0 + count - 1."""
+        self._state["state"]["counter"] = [t0, vehicle, 0, 0]
+        self._state["buffer_pos"] = 4
+        self._bg.state = self._state
+        a, b, c = self._a, self._b, self._c
+        out = []
+        for m in (self._bg.random_raw(4 * count - 3)[::4] >> 11).tolist():
+            x = a + b * m
+            g = math.gcd(x, c)
+            out.append((x // g, c // g))
+        return out
+
+    def __call__(self, trial: int, vehicle: int) -> Fraction:
+        return Fraction(*self.pairs(trial, 1, vehicle)[0])
 
 
 def pd_gain(seed: int, trial: int, vehicle: int, k_min: float, k_max: float) -> Fraction:
@@ -209,7 +236,7 @@ def pd_gain(seed: int, trial: int, vehicle: int, k_min: float, k_max: float) -> 
     draw can be reproduced in isolation. The float draw is then frozen as an
     exact rational so downstream algebra stays exact.
     """
-    return _gain_drawer(seed, k_min, k_max)(trial, vehicle)
+    return _GainDrawer(seed, k_min, k_max)(trial, vehicle)
 
 
 @dataclass(frozen=True)
@@ -245,21 +272,60 @@ def _rising_edge(k_max: float) -> float:
     return math.sqrt(2.0 / (1.0 + math.hypot(1.0, _SQRT2 * k_max))) * (1.0 - 2.0 ** -49)
 
 
-def pd_cascade_peak(ks, k_max: float, grid: FrequencyGrid) -> Tuple[float, float]:
-    """(peak, argmax omega) over the grid of the cascade of PD stages with gains ks.
+def pd_window(k_max: float, grid: FrequencyGrid) -> np.ndarray:
+    """The samples of the grid that can hold a PD cascade's maximum, every gain being <= k_max.
 
-    Stage k is T_k = (1 + k s)/(s^2 + k s + 1), and every k must satisfy
-    0 < k <= k_max. Only the samples of the grid from the last one at or
-    below w*(k_max) to the last one below sqrt 2 are evaluated (at least
-    one); pd_mistune_experiment's docstring proves that the maximum lies
-    there.
+    They run from the last sample at or below w*(k_max) to the last one
+    below sqrt 2, at least one; pd_mistune_experiment's docstring proves
+    that the maximum lies there.
     """
     om = grid.omegas
     lo = max(int(np.searchsorted(om, _rising_edge(k_max), "right")) - 1, 0)
     # the float sqrt 2 lies above the exact one, so no sample below it is dropped
     hi = max(int(np.searchsorted(om, _SQRT2)), lo + 1)
-    window = om[lo:hi]
-    return _peak(_log_sum([((1, k), (1, k, 1)) for k in ks], window), window)
+    return om[lo:hi]
+
+
+def _stage_rows(log_ks):
+    """_scaled_descending's rows of (1, k) and (1, k, 1), and their scale log, per ln k.
+
+    Both sequences' largest log is top = max(0, ln k), so their rows are
+    [exp(ln k - top), exp(0 - top)] and [exp(0 - top), exp(ln k - top),
+    exp(0 - top)]: the same operations on the same floats, with no Fraction.
+    """
+    lk = np.array(log_ks)
+    top = np.maximum(lk, 0.0)
+    # math.exp, as there: numpy's exp may round differently
+    k = np.array([math.exp(x) for x in (lk - top).tolist()])
+    one = np.array([math.exp(x) for x in (0.0 - top).tolist()])
+    return np.stack([k, one], 1), np.stack([one, k, one], 1), top[:, None]
+
+
+def _trial_peaks(log_ks, n: int, window) -> list:
+    """(peak, argmax omega) over the window per trial of n stages, log_ks their ln k trial by trial.
+
+    The numerators and the denominators are each one stack for
+    freq._log_abs_scaled, which gives every row bit for bit as evaluating it
+    alone would, and each trial's rows are summed in stage order, so each
+    peak is the one a loop over the trial's stages gives.
+    """
+    nums, dens, tops = _stage_rows(log_ks)
+    rows = _log_abs_scaled(nums, tops, window) - _log_abs_scaled(dens, tops, window)
+    rows = rows.reshape(-1, n, len(window))
+    total = np.zeros((rows.shape[0], len(window)))
+    for v in range(n):
+        total = total + rows[:, v]
+    return _peaks(total, window)
+
+
+def pd_cascade_peak(ks, k_max: float, grid: FrequencyGrid) -> Tuple[float, float]:
+    """(peak, argmax omega) over the grid of the cascade of PD stages with gains ks.
+
+    Stage k is T_k = (1 + k s)/(s^2 + k s + 1); ks holds one or more ints or
+    Fractions with 0 < k <= k_max. Only pd_window's samples are evaluated,
+    the same way pd_mistune_experiment evaluates a trial.
+    """
+    return _trial_peaks([_log_abs_coeff(k) for k in ks], len(ks), pd_window(k_max, grid))[0]
 
 
 def pd_mistune_experiment(n: int, k_min: float, k_max: float, trials: int,
@@ -280,9 +346,9 @@ def pd_mistune_experiment(n: int, k_min: float, k_max: float, trials: int,
       therefore already canonical, with the coefficients of the T that
       internal_stability returns.
 
-    Every gain comes from one keyed generator (pd_gain's draws), and each
-    trial's peak is read by pd_cascade_peak from a window of the grid. With
-    x = omega^2,
+    Every gain comes from one keyed generator (pd_gain's draws), one stream
+    per vehicle and block of trials, and each block of trials is evaluated
+    on pd_window's samples of the grid as one stack. With x = omega^2,
 
         |T_k(j omega)|^2 = (1 + k^2 x)/((1 - x)^2 + k^2 x), so
         |T_k(j omega)|^2 - 1 = x (2 - x)/((1 - x)^2 + k^2 x),
@@ -319,12 +385,16 @@ def pd_mistune_experiment(n: int, k_min: float, k_max: float, trials: int,
         raise InvalidRange("need 0 < k_min <= k_max")
     if grid is None:
         grid = default_grid()
-    draw = _gain_drawer(seed, k_min, k_max)
-    peaks, argmaxes = [], []
-    for t in range(1, trials + 1):
-        peak, omega = pd_cascade_peak([draw(t, v) for v in range(1, n + 1)], k_max, grid)
-        peaks.append(peak)
-        argmaxes.append(omega)
+    window = pd_window(k_max, grid)
+    drawer = _GainDrawer(seed, k_min, k_max)
+    block = max(1, _BLOCK_SAMPLES // (n * len(window)))
+    results = []
+    for t0 in range(1, trials + 1, block):
+        # by_vehicle[v][i] is vehicle v + 1's gain in trial t0 + i, and its
+        # ln k is taken as _log_abs_coeff takes it
+        by_vehicle = [drawer.pairs(t0, min(block, trials + 1 - t0), v) for v in range(1, n + 1)]
+        results += _trial_peaks([math.log(p) - math.log(q) for stages in zip(*by_vehicle)
+                                 for p, q in stages], n, window)
+    peaks, argmaxes = zip(*results)
     return MistuneReport(n, trials, seed, float(k_min), float(k_max), _SCHEME,
-                         tuple(peaks), tuple(argmaxes),
-                         float(np.median(peaks)), float(max(peaks)))
+                         peaks, argmaxes, float(np.median(peaks)), float(max(peaks)))

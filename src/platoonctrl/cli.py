@@ -21,7 +21,7 @@ import time
 
 from .bidir import bode_table, sensitivity_matrix, verify_factorization
 from .cascade import (homogeneous_growth, middleton_integral, pd_cascade_peak,
-                      pd_mistune_experiment)
+                      pd_mistune_experiment, pd_window)
 from .errors import (DivergentAtOrigin, InvalidRange, ParseError,
                      PlatoonError, StabilityCheckFailed)
 from .freq import FrequencyGrid, default_grid, grid_samples
@@ -48,6 +48,10 @@ _N_CAPS = {"verify-lemma": 10 ** 5, "homogeneous": 10 ** 5, "pd-random": 10 ** 4
 # entries are formatted once, so its cap, with the same bounds, counts
 # (n+1)^2 rows per sample: the grid's options count as much as --n
 _BODE_ROW_CAP = 5 * 10 ** 6
+# pd-random evaluates n stages of each trial on its gain range's window of
+# the grid, so its cap, with the same bounds, counts those stage-samples:
+# --trials counts as much as --n
+_PD_SAMPLE_CAP = 10 ** 7
 
 
 def _setup_logging() -> None:
@@ -102,10 +106,11 @@ def _write_text(out_dir: str, name: str, chunks) -> str:
 
 
 def _bode_rows(args):
-    try:
-        return (args.n + 1) ** 2 * grid_samples(args.wmin, args.wmax, args.ppd)
-    except OverflowError:  # a --ppd past double range
-        return math.inf
+    return (args.n + 1) ** 2 * grid_samples(args.wmin, args.wmax, args.ppd)
+
+
+def _pd_stage_samples(args):
+    return args.n * args.trials * len(pd_window(args.kmax, default_grid()))
 
 
 def _finite_or_null(x):
@@ -336,6 +341,9 @@ def main(argv=None) -> int:
         if args.command == "bode" and _bode_rows(args) > _BODE_ROW_CAP:
             raise InvalidRange(f"(n+1)^2 times the grid's samples must be <= "
                                f"{_BODE_ROW_CAP} for bode")
+        if args.command == "pd-random" and _pd_stage_samples(args) > _PD_SAMPLE_CAP:
+            raise InvalidRange(f"n times trials times the window's samples must be <= "
+                               f"{_PD_SAMPLE_CAP} for pd-random")
         code, results, artifacts = args.func(args)
         _write_report(args, results, artifacts, t0)
         return code

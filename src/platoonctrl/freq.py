@@ -52,10 +52,16 @@ class FrequencyGrid:
 
 
 def grid_samples(omega_min: float, omega_max: float, points_per_decade: int) -> int:
-    """The number of samples FrequencyGrid(omega_min, omega_max, points_per_decade) holds."""
+    """The number of samples FrequencyGrid(omega_min, omega_max, points_per_decade) holds.
+
+    A count past double range, which no grid could hold, is InvalidRange.
+    """
     # a difference of logs: omega_max / omega_min can overflow
     decades = math.log10(omega_max) - math.log10(omega_min)
-    return max(2, round(decades * points_per_decade) + 1)
+    try:
+        return max(2, round(decades * points_per_decade) + 1)
+    except OverflowError:  # the int points_per_decade, or the product, past double range
+        raise InvalidRange("the grid's sample count must lie in double range") from None
 
 
 @functools.cache

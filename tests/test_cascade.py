@@ -10,8 +10,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from platoonctrl import cascade
-from platoonctrl.cascade import (_gain_drawer, _rising_edge, homogeneous_growth,
-                                 middleton_integral, pd_gain, pd_mistune_experiment)
+from platoonctrl.cascade import (_GainDrawer, _rising_edge, homogeneous_growth,
+                                 middleton_integral, pd_gain, pd_mistune_experiment, pd_window)
 from platoonctrl.errors import (DivergentAtOrigin, InvalidRange,
                                 StabilityCheckFailed)
 from platoonctrl.freq import FrequencyGrid, default_grid
@@ -210,14 +210,26 @@ def test_one_generator_draws_what_a_fresh_one_draws(seed):
     pairs = [(1, 1), (1, 2), (3, 7), (1, 1), (200, 20), (2 ** 63, 1), (1, 2 ** 63),
              (2 ** 63, 2 ** 63), (2 ** 53 - 1, 2 ** 53 + 2), (2, 1)]
     for k_min, k_max in [(0.5, 2.0), (0.1, 10.0), (1.3, 1.3)]:
-        draw = _gain_drawer(seed, k_min, k_max)
+        draw = _GainDrawer(seed, k_min, k_max)
         for t, v in pairs:
             want = pd_gain_fresh(seed, t, v, k_min, k_max)
             assert draw(t, v) == want
             assert pd_gain(seed, t, v, k_min, k_max) == want
     # the drawer keeps a counter that a double cannot hold exact
-    draw = _gain_drawer(seed, 0.5, 2.0)
+    draw = _GainDrawer(seed, 0.5, 2.0)
     assert draw(5, 2 ** 63 + 1) != draw(5, 2 ** 63)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 128 - 1])
+def test_block_stream_draws_what_a_fresh_generator_draws(seed):
+    # one stream per vehicle and block of trials, starting past trial 1, gives
+    # each (trial, vehicle) the reduced gain a generator built for it gives
+    for k_min, k_max in [(0.5, 2.0), (1e-300, 1e300), (1.3, 1.3)]:
+        drawer = _GainDrawer(seed, k_min, k_max)
+        for t0, count in [(2, 1), (5, 13), (2 ** 53 - 20, 7)]:
+            for v in (1, 2, 20):
+                want = [pd_gain_fresh(seed, t, v, k_min, k_max) for t in range(t0, t0 + count)]
+                assert drawer.pairs(t0, count, v) == [(k.numerator, k.denominator) for k in want]
 
 
 def test_mistune_reproducible():
@@ -365,21 +377,37 @@ def test_mistune_window_matches_full_grid(grid, n, trials, seed, log_k_max, spre
     assert rep.to_csv() == ref.to_csv()
 
 
+@pytest.mark.parametrize("n,k_min,k_max,trials,grid", [
+    (20, 0.5, 2.0, 30, None),                          # blocks of 13, 13 and 4 trials
+    (1, 0.1, 0.1, 600, None),                          # blocks of 512 and 88
+    (9, 0.01, 10.0, 40, FrequencyGrid(1e-3, 1e3, 100)),  # blocks of 29 and 11
+    (300, 0.5, 2.0, 3, None),                          # 300 x 62 samples: one trial a block
+])
+def test_mistune_blocks_match_per_stage_route(n, k_min, k_max, trials, grid):
+    # blocks of trials evaluated as one stack report what each trial's stages
+    # give one by one, across block edges and when a trial alone fills a block
+    window = pd_window(k_max, grid or default_grid())
+    block = cascade._BLOCK_SAMPLES // (n * len(window))
+    assert 1 < block < trials or (block == 0 and trials > 1)
+    rep = pd_mistune_experiment(n, k_min, k_max, trials, 5, grid)
+    ref = pd_mistune_by_stages(n, k_min, k_max, trials, 5, grid)
+    assert rep.peaks == ref.peaks
+    assert rep.argmax_omegas == ref.argmax_omegas
+    assert (rep.median_peak, rep.max_peak) == (ref.median_peak, ref.max_peak)
+
+
 def test_mistune_trial_evaluates_at_most_62_samples(monkeypatch):
-    # the default grid's window for gains in [0.5, 2] is 62 of its 1601 samples
-    sizes = []
-    real = cascade.log_abs_evaluator
+    # the default grid's window for gains in [0.5, 2] is 62 of its 1601
+    # samples, and each stage's numerator and denominator are evaluated once
+    calls = []
+    real = cascade._log_abs_scaled
 
-    def counting(pairs):
-        evaluate = real(pairs)
+    def counting(desc, top, omegas):
+        calls.append((len(desc), len(omegas)))
+        return real(desc, top, omegas)
 
-        def log_abs(omegas):
-            sizes.append(len(omegas))
-            return evaluate(omegas)
-
-        return log_abs
-
-    monkeypatch.setattr(cascade, "log_abs_evaluator", counting)
+    monkeypatch.setattr(cascade, "_log_abs_scaled", counting)
     pd_mistune_experiment(20, 0.5, 2.0, 30, 1)
-    assert len(sizes) == 30 and max(sizes) <= 62
+    assert max(samples for _, samples in calls) <= 62
+    assert sum(rows for rows, _ in calls) == 2 * 20 * 30
     assert len(default_grid().omegas) == 1601

@@ -93,6 +93,9 @@ def test_report_echoes_every_flag_but_out(tmp_path, argv, parameters):
     (["verify-lemma", "--n", "100001"], 2),
     (["homogeneous", "--m", "2", "--c", "1+s", "--n", "100001"], 2),
     (["pd-random", "--n", "100000", "--trials", "1"], 2),
+    # pd-random's cap counts n times trials times the window's samples
+    (["pd-random", "--n", "1", "--trials", "100000000"], 2),
+    (["pd-random", "--n", "10000"], 2),
     (["sensitivity", "--n", "121"], 2),
     # bode's cap counts (n+1)^2 rows per grid sample, so the grid counts too
     (["bode", "--n", "1581", "--wmin", "1", "--wmax", "10", "--ppd", "1"], 2),
@@ -100,7 +103,8 @@ def test_report_echoes_every_flag_but_out(tmp_path, argv, parameters):
     (["bode", "--n", "1", "--ppd", "1" + "0" * 400], 2),
 ], ids=["unstable", "scan-exhausted", "parentheses-300", "unary-minus-5000", "power-5000",
         "power-tower", "power-s-1e8", "costly-power", "costly-product",
-        "verify-lemma-n-cap", "homogeneous-n-cap", "pd-random-n-cap", "sensitivity-n-cap",
+        "verify-lemma-n-cap", "homogeneous-n-cap", "pd-random-n-cap",
+        "pd-random-trials-cap", "pd-random-default-trials-at-n-cap", "sensitivity-n-cap",
         "bode-n-cap", "bode-ppd-cap", "bode-ppd-past-double-range"])
 def test_a_command_that_raises_writes_no_report(tmp_path, caplog, argv, exit_code):
     assert main(argv + ["--out", str(tmp_path)]) == exit_code
@@ -647,7 +651,8 @@ def test_pd_random_baseline_tests_no_loop(tmp_path, call_counts):
 @pytest.mark.parametrize("argv, cap", [
     (["verify-lemma"], 10 ** 5),
     (["homogeneous", "--m", "2", "--c", "1+s"], 10 ** 5),
-    (["pd-random"], 10 ** 4),
+    # one trial, so that the stage-sample cap is not what refuses n + 1
+    (["pd-random", "--trials", "1"], 10 ** 4),
     (["sensitivity"], 120),
     # two grid samples: 2 (n+1)^2 <= 5 * 10^6
     (["bode", "--wmin", "1", "--wmax", "10", "--ppd", "1"], 1580),
@@ -671,6 +676,19 @@ def test_bode_cap_counts_the_grid(tmp_path, monkeypatch):
         assert main(["bode", "--n", "1", "--wmin", "1", "--wmax", "10", "--ppd", str(ppd),
                      "--out", str(tmp_path)]) == code
     assert calls == [1249999]
+
+
+def test_pd_random_cap_counts_trials_and_the_window(tmp_path, monkeypatch):
+    # gains up to 0.1 keep 32 of the default grid's samples, so 312500 trials
+    # of one stage are at the cap and one more is past it; gains up to 2 keep
+    # 62, and the same count of trials is past the cap there
+    calls = []
+    monkeypatch.setattr(cli, "_cmd_pd_random",
+                        lambda args: calls.append(args.trials) or (0, {}, []))
+    for trials, kmax, code in [(312500, "0.1", 0), (312501, "0.1", 2), (312500, "2", 2)]:
+        assert main(["pd-random", "--n", "1", "--trials", str(trials), "--kmin", "0.1",
+                     "--kmax", kmax, "--out", str(tmp_path)]) == code
+    assert calls == [312500]
 
 
 def test_pd_random_gains_past_double_resolution(tmp_path):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from platoonctrl.errors import InvalidRange, StabilityCheckFailed
-from platoonctrl.freq import (FrequencyGrid, default_grid, hinf_norm,
+from platoonctrl.freq import (FrequencyGrid, default_grid, grid_samples, hinf_norm,
                               log_abs_evaluator)
 from platoonctrl.poly import Polynomial
 from platoonctrl.ratfun import RationalFunction, one, s
@@ -53,6 +53,17 @@ def test_grid_validation():
         FrequencyGrid(-1.0, 1.0, 10)
     with pytest.raises(InvalidRange):
         FrequencyGrid(1e-2, 1e2, 0)
+
+
+@pytest.mark.parametrize("omega_min, omega_max, ppd", [
+    (1.0, 10.0, 10 ** 400),          # the int itself past double range
+    (1e-300, 1e300, 10 ** 306),      # 600 decades times it overflows to inf
+], ids=["ppd-1e400", "count-past-double-range"])
+def test_grid_size_past_double_range(omega_min, omega_max, ppd):
+    with pytest.raises(InvalidRange):
+        grid_samples(omega_min, omega_max, ppd)
+    with pytest.raises(InvalidRange):
+        FrequencyGrid(omega_min, omega_max, ppd)
 
 
 def test_default_grid():
