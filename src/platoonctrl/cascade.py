@@ -21,7 +21,7 @@ from typing import Tuple
 from ._lazy import np
 from .errors import DivergentAtOrigin, InvalidRange, StabilityCheckFailed
 from .freq import (FrequencyGrid, _log_abs_coeff, _log_abs_scaled, _scaled_descending,
-                   default_grid, hinf_norm, log_abs_evaluator)
+                   default_grid, exceeds_unity, hinf_norm, log_abs_evaluator)
 from .poly import hurwitz_stable
 from .ratfun import RationalFunction, hurwitz_denominator, internal_stability, plant
 
@@ -158,18 +158,28 @@ class GrowthTable:
 def homogeneous_growth(c: RationalFunction, m: int, n_max: int) -> GrowthTable:
     """Peak frequency omega0 and the gains ||T||^n for n = 1..n_max.
 
-    A cascade of n identical stages admits |y_n/d_1| >= |T(j omega0)|^n at
-    the peak frequency, so the table is the exponential lower envelope; the
-    growth flag fires when the peak exceeds 1 (beyond float fuzz). An
+    A cascade of n identical stages admits |y_n/d_1| = |T(j omega0)|^n at
+    the peak frequency, so the table is the exponential envelope, each row
+    the float power of hinf_norm's proven bound. The growth flag fires
+    exactly when |T| > 1 somewhere: the enclosure decides when it lies off
+    1, and freq.exceeds_unity, the sign of B - A, when it holds 1. An
     unstabilising c raises StabilityCheckFailed from internal_stability.
     """
     if n_max < 1:
         raise InvalidRange("n_max must be >= 1")
     T = internal_stability(plant(m), c)
     res = hinf_norm(T)
-    with np.errstate(over="ignore"):
-        rows = tuple((n, float(np.float64(res.norm) ** n)) for n in range(1, n_max + 1))
-    return GrowthTable(res.argmax_omega, res.norm, rows, bool(res.norm > 1.0 + 1e-12), T)
+    rows = tuple((n, _power(res.norm, n)) for n in range(1, n_max + 1))
+    flagged = res.lower > 1.0 or (res.norm > 1.0 and exceeds_unity(T))
+    return GrowthTable(res.argmax_omega, res.norm, rows, flagged, T)
+
+
+def _power(x: float, n: int) -> float:
+    # the float power, np.float64's bit for bit; past double range it is inf
+    try:
+        return x ** n
+    except OverflowError:
+        return math.inf
 
 
 # ----------------------------------------------------------------------
@@ -181,6 +191,10 @@ _SCHEME = "philox4x64:key=seed;counter=[trial,vehicle,0,0];one-uniform-per-draw"
 # pd-random --n 20 --trials 200 is that of one trial a block, 37.6 MB; at
 # 2^16 it is 1 MB more
 _BLOCK_SAMPLES = 2 ** 14
+# gains drawn per reset of the generator, n vehicles times a chunk of trials
+# that is a whole number of blocks: at 2^18 their logs take about 8 MB, and
+# pd-random --n 10000 --trials 31 resets it twice per vehicle, not 31 times
+_DRAW_GAINS = 2 ** 18
 
 
 class _GainDrawer:
@@ -193,7 +207,7 @@ class _GainDrawer:
     to counter [t0, vehicle, 0, 0] with an empty buffer (buffer_pos 4) reads
     the blocks at [t0 + 1, vehicle], [t0 + 2, vehicle], ... in turn, four
     uniforms each, so every fourth uniform it draws is the draw of trial t0,
-    t0 + 1, ... for that vehicle: one stream per vehicle and block of trials.
+    t0 + 1, ... for that vehicle: one stream per vehicle and chunk of trials.
 
     A uniform is u = m / 2^53, m being the top 53 bits of the generator's
     64-bit word, so the gain k_min + (k_max - k_min) u is (a + b m)/c, with
@@ -347,8 +361,9 @@ def pd_mistune_experiment(n: int, k_min: float, k_max: float, trials: int,
       internal_stability returns.
 
     Every gain comes from one keyed generator (pd_gain's draws), one stream
-    per vehicle and block of trials, and each block of trials is evaluated
-    on pd_window's samples of the grid as one stack. With x = omega^2,
+    per vehicle and chunk of trials, and each block of trials within a chunk
+    is evaluated on pd_window's samples of the grid as one stack. With
+    x = omega^2,
 
         |T_k(j omega)|^2 = (1 + k^2 x)/((1 - x)^2 + k^2 x), so
         |T_k(j omega)|^2 - 1 = x (2 - x)/((1 - x)^2 + k^2 x),
@@ -388,13 +403,17 @@ def pd_mistune_experiment(n: int, k_min: float, k_max: float, trials: int,
     window = pd_window(k_max, grid)
     drawer = _GainDrawer(seed, k_min, k_max)
     block = max(1, _BLOCK_SAMPLES // (n * len(window)))
+    chunk = block * max(1, _DRAW_GAINS // (n * block))
     results = []
-    for t0 in range(1, trials + 1, block):
-        # by_vehicle[v][i] is vehicle v + 1's gain in trial t0 + i, and its
-        # ln k is taken as _log_abs_coeff takes it
-        by_vehicle = [drawer.pairs(t0, min(block, trials + 1 - t0), v) for v in range(1, n + 1)]
-        results += _trial_peaks([math.log(p) - math.log(q) for stages in zip(*by_vehicle)
-                                 for p, q in stages], n, window)
+    for c0 in range(1, trials + 1, chunk):
+        # log_ks[v][i] is ln k of vehicle v + 1 in trial c0 + i, taken as
+        # _log_abs_coeff takes it
+        count = min(chunk, trials + 1 - c0)
+        log_ks = [[math.log(p) - math.log(q) for p, q in drawer.pairs(c0, count, v)]
+                  for v in range(1, n + 1)]
+        for b0 in range(0, count, block):
+            results += _trial_peaks([lk for stages in zip(*(row[b0:b0 + block] for row in log_ks))
+                                     for lk in stages], n, window)
     peaks, argmaxes = zip(*results)
     return MistuneReport(n, trials, seed, float(k_min), float(k_max), _SCHEME,
                          peaks, argmaxes, float(np.median(peaks)), float(max(peaks)))

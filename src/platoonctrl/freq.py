@@ -1,5 +1,5 @@
 """Frequency grids, overflow-safe magnitude evaluation, and the H-infinity
-norm estimator.
+norm, enclosed exactly with no grid.
 
 The magnitude engine works in log space throughout: polynomial coefficients
 are rescaled by their largest magnitude (computed from exact big-integer
@@ -20,10 +20,13 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
+from fractions import Fraction
 from typing import NamedTuple
 
 from ._lazy import np
 from .errors import InvalidRange, StabilityCheckFailed
+from .poly import _convolve, _derivative, _odd_part, _positive_roots, _root_bound_log2
 from .ratfun import RationalFunction, hurwitz_denominator
 
 
@@ -179,68 +182,246 @@ def log_abs_evaluator(pairs):
 # H-infinity norm
 
 class HinfResult(NamedTuple):
+    """The peak gain, enclosed: lower <= sup |f(j omega)| <= norm.
+
+    norm is proven, rounded up, and norm / lower - 1 <= 2^-40; argmax_omega
+    is where lower was read, 0.0 or inf when that is an end of the axis.
+    """
+
     norm: float
     argmax_omega: float
+    lower: float
 
 
-def _golden_max(g, lo: float, hi: float, rel_tol: float = 1e-10):
-    """Golden-section maximization of g over [lo, hi] in log-omega."""
-    a, b = math.log(lo), math.log(hi)
-    if not b > a:
-        return lo, g(lo)
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    gc, gd = g(math.exp(c)), g(math.exp(d))
-    while (b - a) > rel_tol:
-        if gc >= gd:
-            b, d, gd = d, c, gc
-            c = b - invphi * (b - a)
-            gc = g(math.exp(c))
-        else:
-            a, c, gc = c, d, gd
-            d = a + invphi * (b - a)
-            gd = g(math.exp(d))
-    w = math.exp(0.5 * (a + b))
-    return w, g(w)
+def _abs_squared(ints):
+    # |N(j w)|^2 = E(x)^2 + x O(x)^2 in x = w^2, for N(s) = E(-s^2) + s O(-s^2)
+    even = [c if k % 2 == 0 else -c for k, c in enumerate(ints[0::2])]
+    odd = [c if k % 2 == 0 else -c for k, c in enumerate(ints[1::2])]
+    return _plus(_convolve(even, even), [0] + _convolve(odd, odd), 1) if odd else \
+        _convolve(even, even)
 
 
-def hinf_norm(f: RationalFunction, grid: FrequencyGrid | None = None) -> HinfResult:
-    """Peak magnitude over the imaginary axis, as a certified lower bound.
+def _plus(a, b, sign):
+    # a + sign * b, without trailing zeros
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] += sign * c
+    while out and out[-1] == 0:
+        out.pop()
+    return out
 
-    Candidates: every grid sample, omega = 0, omega = infinity (when
-    deg num = deg den), and a golden-section refinement to 1e-10 relative
-    omega-width around the best grid sample. Unstable or improper input has
-    no finite supremum and raises StabilityCheckFailed; a StableLoop's
-    denominator is proven Hurwitz, so only a plain RationalFunction's is
-    Routh-tested.
+
+def _gain_squared(f: RationalFunction):
+    """(A, B), integer lists ascending in x = omega^2, with |f(j omega)|^2 = A(x)/B(x)."""
+    return ([c * f.den.den ** 2 for c in _abs_squared(f.num.ints)],
+            [c * f.num.den ** 2 for c in _abs_squared(f.den.ints)])
+
+
+def _at(cs, x: Fraction) -> int:
+    """den(x)^deg * cs(x): the sign of cs at x, as an integer."""
+    n, d = x.numerator, x.denominator
+    acc = cs[-1]
+    if d & (d - 1):
+        power = 1
+        for c in reversed(cs[:-1]):
+            power *= d
+            acc = acc * n + c * power
+        return acc
+    # a dyadic x, the bisection's: the powers of d are shifts
+    k = d.bit_length() - 1
+    for j, c in enumerate(reversed(cs[:-1]), 1):
+        acc = acc * n + (c << (k * j))
+    return acc
+
+
+def _ratio_at(A, B, x: Fraction):
+    # A(x)/B(x) as an integer pair (num, den), den > 0 since B > 0 on x >= 0
+    shift = len(B) - len(A)
+    d = x.denominator
+    if shift >= 0:
+        return _at(A, x) * d ** shift, _at(B, x)
+    return _at(A, x), _at(B, x) * d ** -shift
+
+
+def _above(v, w) -> bool:
+    return v[0] * w[1] > w[0] * v[1]
+
+
+def _midpoint(lo: Fraction, hi: Fraction, floor_log2: int) -> Fraction:
+    """A short dyadic strictly inside (lo, hi): halfway in log2 when hi > 2 lo,
+    with floor_log2 standing in for log2 lo = -inf, else halfway."""
+    if hi > 2 * lo:
+        top = hi.numerator.bit_length() - hi.denominator.bit_length()
+        bottom = lo.numerator.bit_length() - lo.denominator.bit_length() if lo else floor_log2
+        mid = Fraction(2) ** ((top + bottom) >> 1)
+        if lo < mid < hi:
+            return mid
+    # 2^-k <= (hi - lo)/4, so the half of lo + hi rounded down to 2^-k stays inside
+    width, total = hi - lo, lo + hi
+    k = max(1, width.denominator.bit_length() - width.numerator.bit_length() + 3)
+    return Fraction((total.numerator << (k - 1)) // total.denominator, 1 << k)
+
+
+class _Peak:
+    """A local maximum of A/B: a root of the stationary polynomial q isolated in
+    (lo, hi), q having the sign `rising` just right of lo, refined by bisection.
+    value is A/B at x, the best point seen."""
+
+    def __init__(self, q, lo, hi, rising, A, B, floor_log2):
+        self.q, self.lo, self.hi, self.rising = q, lo, hi, rising
+        self.A, self.B, self.floor_log2 = A, B, floor_log2
+        self.ends = _ratio_at(A, B, lo), _ratio_at(A, B, hi)
+        self.x, self.value = (hi, self.ends[1]) if _above(self.ends[1], self.ends[0]) \
+            else (lo, self.ends[0])
+
+    def refine(self, bits: int) -> None:
+        """Bisect until hi / lo - 1 <= 2^-(bits/2) and A/B at both ends lies
+        within 2^-bits of A/B at the last middle."""
+        while self.lo < self.hi:
+            mid = _midpoint(self.lo, self.hi, self.floor_log2)
+            v = _ratio_at(self.A, self.B, mid)
+            if _above(v, self.value):
+                self.x, self.value = mid, v
+            s = _at(self.q, mid)
+            if not s:
+                self.lo = self.hi = mid
+                return
+            if (s > 0) == (self.rising > 0):
+                self.lo, self.ends = mid, (v, self.ends[1])
+            else:
+                self.hi, self.ends = mid, (self.ends[0], v)
+            low = self.ends[1] if _above(self.ends[0], self.ends[1]) else self.ends[0]
+            if ((self.hi - self.lo) * 2 ** (bits >> 1) <= self.lo and v[0]
+                    and (v[0] * low[1] - low[0] * v[1]) << bits <= v[0] * low[1]):
+                return
+
+
+def _float_up(n: int, d: int) -> float:
+    """The least float >= n/d (inf past double range)."""
+    try:
+        f = n / d  # correctly rounded
+    except OverflowError:
+        return math.inf
+    fn, fd = f.as_integer_ratio()
+    return math.nextafter(f, math.inf) if fn * d < n * fd else f
+
+
+def _float_down(n: int, d: int) -> float:
+    """The greatest float <= n/d (the largest finite float past double range)."""
+    try:
+        f = n / d
+    except OverflowError:
+        return sys.float_info.max
+    fn, fd = f.as_integer_ratio()
+    return math.nextafter(f, 0.0) if fn * d > n * fd else f
+
+
+def _sqrt_floor(n: int, d: int):
+    """(r, s) with r / 2^s <= sqrt(n/d) < (r + 1) / 2^s and r of at least 64 bits."""
+    s = max(0, 66 - ((n.bit_length() - d.bit_length()) >> 1))
+    return math.isqrt((n << (2 * s)) // d), s
+
+
+def _proven_norm(A, B, value, margin: int):
+    """The least float U >= sqrt(value) (1 + 2^-margin) if U^2 B - A >= 0 on
+    x >= 0 is proven, else None.
+
+    The proof: U^2 B - A, divided by its power of x, is positive at 0 and
+    has no positive root (an empty isolation). With margin 0, U can touch
+    the peak at x = 0 or in the limit, as |T(0)| = 1 does.
+    """
+    r, s = _sqrt_floor(*value)
+    # sqrt(value) <= top / 2^s, with equality when the root is exact
+    top = r if r * r * value[1] == value[0] << (2 * s) else r + 1
+    U = _float_up(top * ((1 << margin) + 1), 1 << (s + margin)) if margin else \
+        _float_up(top, 1 << s)
+    if U == math.inf:
+        return U
+    un, ud = U.as_integer_ratio()
+    G = _plus([c * un * un for c in B], [c * ud * ud for c in A], -1)
+    if not G:
+        return U
+    G = G[next(i for i, c in enumerate(G) if c):]
+    return U if G[0] > 0 and not _positive_roots(G, first=True)[1] else None
+
+
+def hinf_norm(f: RationalFunction) -> HinfResult:
+    """Peak magnitude over the imaginary axis, enclosed in exact integer arithmetic.
+
+    With x = omega^2, |f(j omega)|^2 = A(x)/B(x) over the integers, and B > 0
+    on x >= 0. The peak is A/B at x = 0, its limit at infinity, or its value
+    at a positive root of A'B - AB' where that polynomial changes sign from +
+    to - (a local maximum). Those roots are isolated (poly._positive_roots),
+    each local maximum is bisected until A/B varies by 2^-16 across it and
+    the best one by 2^-64, and A/B at the best point seen, evaluated
+    exactly, is lower^2. norm is the least float U >= lower, proven an
+    upper bound by one count: U^2 B - A, divided by its power of x, is
+    positive at 0 and has no positive root. When the count finds one, U
+    is raised to lower (1 + 2^-56), then by a factor 2^4 more each time down
+    to 2^-42, and every maximum is refined twice as far. argmax_omega is
+    the square root of the exact x, through isqrt, so it cannot underflow.
+    Unstable or improper input has no finite supremum and raises
+    StabilityCheckFailed; a StableLoop's denominator is proven Hurwitz, so
+    only a plain RationalFunction's is Routh-tested.
     """
     if f.num.is_zero:
-        return HinfResult(0.0, 0.0)
+        return HinfResult(0.0, 0.0, 0.0)
     if not (f.is_proper and hurwitz_denominator(f)):
         raise StabilityCheckFailed("closed loop has no finite peak")
-    if grid is None:
-        grid = default_grid()
+    A, B = _gain_squared(f)
+    ends = [(Fraction(0), (A[0], B[0]))]
+    if len(A) == len(B):
+        ends.append((None, (A[-1], B[-1])))
+    P = _plus(_convolve(_derivative(A), B), _convolve(A, _derivative(B)), -1)
+    peaks = []
+    if P:
+        P = P[next(i for i, c in enumerate(P) if c):]
+        q, roots = _positive_roots(P)
+        floor_log2 = -_root_bound_log2(q[::-1]) - 1
+        # a squarefree part in place of P has its own signs: keep every root then
+        peaks = [_Peak(q, lo, hi, rising, A, B, floor_log2) for lo, hi, rising in roots
+                 if rising > 0 or lo == hi or q is not P]
+    for peak in peaks:
+        peak.refine(16)
+    if peaks:
+        max(peaks, key=lambda p: Fraction(*p.value)).refine(64)
+    bits, margin = 64, 0
+    while True:
+        x, value = ends[0]
+        for y, v in ends[1:] + [(p.x, p.value) for p in peaks]:
+            if _above(v, value):
+                x, value = y, v
+        norm = _proven_norm(A, B, value, margin)
+        if norm is not None:
+            break
+        bits, margin = 2 * bits, max(42, margin - 4) if margin else 56
+        for peak in peaks:
+            peak.refine(bits)
+    if x is None:
+        omega = math.inf
+    else:
+        r, s = _sqrt_floor(x.numerator, x.denominator)
+        omega = r / (1 << s)
+    r, s = _sqrt_floor(*value)
+    return HinfResult(norm, omega, _float_down(r, 1 << s))
 
-    log_abs = log_abs_evaluator([(f.num.coeffs, f.den.coeffs)])
-    logs = log_abs(grid.omegas)[0]
-    i = int(np.argmax(logs))
-    candidates = [(float(logs[i]), float(grid.omegas[i]))]
 
-    lo = float(grid.omegas[max(i - 1, 0)])
-    hi = float(grid.omegas[min(i + 1, len(grid.omegas) - 1)])
-    w_star, g_star = _golden_max(lambda w: float(log_abs(np.array([w]))[0, 0]), lo, hi)
-    candidates.append((g_star, w_star))
+def exceeds_unity(f: RationalFunction) -> bool:
+    """Whether |f(j omega)| > 1 at some omega >= 0 or in the limit, decided exactly.
 
-    n0 = f.num.coeffs[0]
-    if n0 != 0:
-        candidates.append((_log_abs_coeff(n0) - _log_abs_coeff(f.den.coeffs[0]), 0.0))
-    if f.num.degree == f.den.degree:
-        candidates.append((_log_abs_coeff(f.num.coeffs[-1]) - _log_abs_coeff(f.den.coeffs[-1]),
-                           math.inf))
-
-    best_log, best_w = max(candidates)
-    # a peak past double range overflows to inf
-    with np.errstate(over="ignore"):
-        norm = float(np.exp(np.float64(best_log)))
-    return HinfResult(norm, best_w)
+    That is whether A - B (see hinf_norm) is positive somewhere on x >= 0.
+    Divided by its power of x, it is when its value at 0 or its leading
+    coefficient is; otherwise it is negative at both ends, and positive
+    somewhere exactly when it has a positive root of odd multiplicity. Every
+    root is simple unless _positive_roots had to take the squarefree part, and
+    then the product of the odd-multiplicity factors is searched instead.
+    """
+    A, B = _gain_squared(f)
+    Q = _plus(A, B, -1)
+    if not Q:
+        return False
+    Q = Q[next(i for i, c in enumerate(Q) if c):]
+    if Q[0] > 0 or Q[-1] > 0:
+        return True
+    q, roots = _positive_roots(Q)
+    return bool(roots if q is Q else _positive_roots(_odd_part(Q))[1])

@@ -12,7 +12,9 @@ strings exactly, a float as its exact binary value), and `coeffs`,
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, List, Tuple, Union
 
 from .errors import ZeroPolynomial
@@ -268,6 +270,149 @@ def _primitive(cs) -> List[int]:
     """cs divided by the gcd of its entries (cs itself when that is 0 or 1)."""
     g = math.gcd(*cs)
     return [c // g for c in cs] if g > 1 else list(cs)
+
+
+# ----------------------------------------------------------------------
+# positive real roots of an integer list: Descartes' rule of signs with
+# Taylor shifts by 1 and halving (Collins and Akritas 1976)
+
+def _taylor_shift(cs) -> List[int]:
+    """The ascending coefficients of p(x + 1): Horner's synthetic division
+    by x - 1, each pass a running sum over the leading coefficients."""
+    desc = cs[::-1]
+    for m in range(len(desc), 1, -1):
+        desc[:m] = accumulate(desc[:m])
+    desc.reverse()
+    return desc
+
+
+def _sign_variations(cs) -> int:
+    signs = [c > 0 for c in cs if c]
+    return sum(map(operator.ne, signs, signs[1:]))
+
+
+def _root_bound_log2(cs) -> int:
+    """k with every positive root of cs below 2^k.
+
+    Kioustelidis (1986): the positive roots lie below twice the largest
+    |c_i / c_d|^(1/(d - i)) over the c_i of sign opposite the leading c_d.
+    Bit lengths bound each ratio by a power of 2.
+    """
+    d = len(cs) - 1
+    top = abs(cs[-1]).bit_length()
+    negative = cs[-1] < 0
+    # 1 + ceil((bits(c_i) - bits(c_d) + 1) / (d - i)) per c_i
+    return max((1 - ((top - 1 - abs(c).bit_length()) // (d - i))
+                for i, c in enumerate(cs[:-1]) if c and (c < 0) != negative), default=0)
+
+
+def _positive_roots(cs, first: bool = False):
+    """(q, roots): intervals that isolate the positive real roots of q.
+
+    cs is an integer list, ascending, with cs[0] != 0. q is cs itself when
+    every positive root of cs is simple, else cs / gcd(cs, cs'), which has
+    the same roots, each simple. Each root is (lo, hi, sign) in Fractions,
+    sorted: an open interval lo < hi holding exactly one root, with sign
+    the sign of q just right of lo, or an exact root lo = hi with sign 0.
+    With first, the search stops at the first root it finds, or at the
+    depth limit below, where it returns a root it has not proven: an empty
+    list then proves that cs has no positive root.
+
+    Every node is a polynomial r and a Möbius map x = (a t + b)/(c t + d),
+    a, b, c, d >= 0, with r(t) a positive multiple of (c t + d)^n cs(x) for
+    t > 0, so the sign variations of r bound the roots of cs between b/d
+    and a/c, and 0 or 1 variation counts them exactly (Descartes). A node
+    of two or more is split at t = 2^e, e halfway between the exponents of
+    the node's root bounds from above and from below (_root_bound_log2 of
+    r and of r reversed), so a root near 1e-400 or 1e400 takes tens of
+    splits instead of a thousand halvings. The split halves are r(2^e (1 +
+    u)), a Taylor shift of the halved r, and (1 + u)^n r(2^e / (1 + u)),
+    one of its reverse. The search ends on every polynomial whose positive
+    roots are simple. A multiple one shows as a split point that is a
+    multiple root, or as a node deeper than cs's largest coefficient has
+    bits, plus 64: then, unless cs is squarefree (proven modulo a prime
+    first), the search starts again on its squarefree part.
+    """
+    limit = max(abs(c).bit_length() for c in cs) + 64
+    unbounded = Fraction(2) ** _root_bound_log2(cs)
+    roots = []
+    stack = [(list(cs), 1, 0, 0, 1, 0)]
+    while stack:
+        r, a, b, c, d, depth = stack.pop()
+        v = _sign_variations(r)
+        if v == 1 or (v and depth > limit and first):
+            lo, hi = Fraction(b, d), (Fraction(a, c) if c else unbounded)
+            # r(0) and the leading r have the signs of cs at b/d and at a/c
+            roots.append((lo, hi, 1 if r[0] > 0 else -1) if lo < hi
+                         else (hi, lo, 1 if r[-1] > 0 else -1))
+            if first:
+                break
+            continue
+        if not v:
+            continue
+        if depth > limit:
+            limit = math.inf
+            q = _squarefree(cs)
+            if len(q) < len(cs):
+                return _positive_roots(q)
+        n = len(r) - 1
+        e = (_root_bound_log2(r) - _root_bound_log2(r[::-1])) >> 1
+        if e > 0:
+            r = [x << (e * i) for i, x in enumerate(r)]
+            a, c = a << e, c << e
+        elif e < 0:
+            r = [x << (-e * (n - i)) for i, x in enumerate(r)]
+            b, d = b << -e, d << -e
+        zeros = min((x & -x).bit_length() for x in r if x) - 1
+        if zeros:
+            r = [x >> zeros for x in r]
+        right = _taylor_shift(r)
+        left = _taylor_shift(r[::-1])
+        if not right[0]:
+            # the split point is a root: keep it, and divide it out of both halves
+            roots.append((Fraction(a + b, c + d), Fraction(a + b, c + d), 0))
+            if first:
+                break
+            if not right[1]:
+                # a multiple root
+                return _positive_roots(_squarefree(cs))
+            right, left = right[1:], left[1:]
+        stack.append((left, b, a + b, d, c + d, depth + 1))
+        stack.append((right, a, a + b, c, c + d, depth + 1))
+    roots.sort()
+    return cs, roots
+
+
+def _derivative(cs) -> List[int]:
+    return [k * c for k, c in enumerate(cs)][1:]
+
+
+def _squarefree(cs) -> List[int]:
+    """cs divided by gcd(cs, cs'): the same roots, each simple."""
+    deriv = _derivative(cs)
+    if cs[-1] % _P and _coprime_mod_p(cs, deriv):
+        return list(cs)
+    g = poly_gcd(Polynomial._new(list(cs), 1), Polynomial._new(deriv, 1))
+    return _primitive(_pseudo_divmod(cs, g.ints)[0])
+
+
+def _odd_part(cs) -> List[int]:
+    """The product of cs's squarefree factors of odd multiplicity (Yun 1976),
+    whose roots are those where cs changes sign."""
+    def deriv(p):
+        return Polynomial._new(_derivative(list(p.ints)), p.den)
+
+    f = Polynomial._new(list(cs), 1)
+    g = poly_gcd(f, deriv(f))
+    b, c = f // g, deriv(f) // g
+    out, odd = Polynomial([1]), True
+    while b.degree > 0:
+        d = c - deriv(b)
+        a = poly_gcd(b, d)  # the factor of the current multiplicity
+        if odd:
+            out = out * a
+        b, c, odd = b // a, d // a, not odd
+    return _primitive(list(out.ints))
 
 
 _P = (1 << 61) - 1  # a Mersenne prime: residues stay one machine word wide

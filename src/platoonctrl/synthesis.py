@@ -96,7 +96,7 @@ class Certificate:
     """Evidence for a closed loop: peak budget and amplification band.
 
     |T| <= 1 was verified at every grid sample at or below omega_low and at
-    or above omega_high; peak is the refined grid supremum (synthesize
+    or above omega_high; peak is hinf_norm's proven upper bound (synthesize
     builds the m = 1 certificate from its closed form instead). band_empty marks
     the degenerate case |T| <= 1 everywhere, with omega_low = omega_high = 1
     by convention so downstream gamma ratios degenerate to 1 instead of
@@ -134,7 +134,7 @@ def certify_closed_loop(T: RationalFunction, epsilon: float,
     omega_high strictly above the last, both refined by bisection while
     staying on the |T| <= 1 side, so the band is placed conservatively.
     Raises PeakExceedsBudget when the peak is over budget, judged on the
-    grid samples first and on hinf_norm's refined peak only if they fit, and
+    grid samples first and on hinf_norm's proven bound only if they fit, and
     InvalidRange when the band touches the grid edge (the grid, not the
     design, is at fault then). Internal stability is the caller's to show.
     """
@@ -148,7 +148,7 @@ def certify_closed_loop(T: RationalFunction, epsilon: float,
     # hinf_norm's peak is never below the grid's, so an over-budget grid sample decides
     peak, w = float(np.exp(np.float64(logs[i]))), float(grid.omegas[i])
     if peak <= 1 + epsilon:
-        peak, w = hinf_norm(T, grid)
+        peak, w, _ = hinf_norm(T)
     if peak > 1 + epsilon:
         raise PeakExceedsBudget(f"peak {peak:.9g} at omega {w:.6g} exceeds {1 + epsilon:.6g}")
     over = logs > 0.0
@@ -327,16 +327,17 @@ def scaled_family(c: RationalFunction, cert: Certificate, m: int, omega_bw: floa
 
 
 def check_certificate(T: RationalFunction, cert: Certificate) -> Tuple[float, bool]:
-    """(peak, ok): T's peak on the grid synth certified on, and whether cert's claims hold there.
+    """(peak, ok): T's proven peak bound, and whether cert's claims hold for it.
 
-    The grid is band_grid(gamma_b), or default_grid() for gamma_b None; ok means peak <=
-    1 + epsilon and log|T| <= 0 at every sample outside (omega_low, omega_high). The edges
-    are not recomputed: bisection endpoints can differ in their last bits between libm builds.
+    peak is hinf_norm's. The band is tested on the grid synth certified on, band_grid(gamma_b),
+    or default_grid() for gamma_b None; ok means peak <= 1 + epsilon and log|T| <= 0 at every
+    sample outside (omega_low, omega_high). The edges are not recomputed: bisection endpoints
+    can differ in their last bits between libm builds.
     """
     grid = default_grid() if cert.gamma_b is None else band_grid(cert.gamma_b)
     logs = log_abs_evaluator([(T.num.coeffs, T.den.coeffs)])(grid.omegas)[0]
     outside = (grid.omegas <= cert.omega_low) | (grid.omegas >= cert.omega_high)
-    peak = hinf_norm(T, grid).norm
+    peak = hinf_norm(T).norm
     return peak, bool(peak <= 1 + cert.epsilon and not (logs[outside] > 0).any())
 
 

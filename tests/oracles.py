@@ -27,6 +27,8 @@ checks the lemma's closed form `bidir.bode_table` evaluates.
 text `BodeTable.to_csv` writes from the distinct entries only.
 The np.polyval magnitude engine, one polynomial at a time, checks
 `freq.log_abs_evaluator`'s stacked Horner evaluation bit for bit.
+`hinf_by_grid`, the best grid sample refined by golden section, is the
+float peak that `freq.hinf_norm`'s exact enclosure must contain.
 `cascade_gain` tests each stage of an arbitrary controller cascade by the
 gang of four; with it, the per-stage PD route, with a fresh generator
 per gain, checks the closed-form PD cascade and its one keyed generator in `cascade`.
@@ -54,7 +56,7 @@ from platoonctrl.errors import (DivergentAtOrigin, IllPosed, InvalidRange,
 from platoonctrl.freq import (FrequencyGrid, _log_abs_coeff, _scaled_descending,
                               default_grid, log_abs_evaluator)
 from platoonctrl.poly import Polynomial, hurwitz_stable
-from platoonctrl.ratfun import RationalFunction, scale_frequency
+from platoonctrl.ratfun import RationalFunction, hurwitz_denominator, scale_frequency
 from platoonctrl.synthesis import plant
 
 _S = Polynomial([0, 1])
@@ -504,6 +506,66 @@ def log_abs_polyval(num, den, omegas) -> np.ndarray:
 
 
 # ---------------------------------------------------------------- scaled family
+
+def _golden_max(g, lo: float, hi: float, rel_tol: float = 1e-10):
+    """Golden-section maximization of g over [lo, hi] in log-omega."""
+    a, b = math.log(lo), math.log(hi)
+    if not b > a:
+        return lo, g(lo)
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    gc, gd = g(math.exp(c)), g(math.exp(d))
+    while (b - a) > rel_tol:
+        if gc >= gd:
+            b, d, gd = d, c, gc
+            c = b - invphi * (b - a)
+            gc = g(math.exp(c))
+        else:
+            a, c, gc = c, d, gd
+            d = a + invphi * (b - a)
+            gd = g(math.exp(d))
+    w = math.exp(0.5 * (a + b))
+    return w, g(w)
+
+
+def hinf_by_grid(f: RationalFunction, grid: FrequencyGrid | None = None) -> Tuple[float, float]:
+    """(peak, argmax omega): the float peak over a grid, refined by golden section.
+
+    Candidates: every grid sample, omega = 0, omega = infinity (when
+    deg num = deg den), and a golden-section refinement to 1e-10 relative
+    omega-width around the best grid sample. A lower bound, up to rounding.
+    """
+    if f.num.is_zero:
+        return 0.0, 0.0
+    if not (f.is_proper and hurwitz_denominator(f)):
+        raise StabilityCheckFailed("closed loop has no finite peak")
+    if grid is None:
+        grid = default_grid()
+
+    log_abs = log_abs_evaluator([(f.num.coeffs, f.den.coeffs)])
+    logs = log_abs(grid.omegas)[0]
+    i = int(np.argmax(logs))
+    candidates = [(float(logs[i]), float(grid.omegas[i]))]
+
+    lo = float(grid.omegas[max(i - 1, 0)])
+    hi = float(grid.omegas[min(i + 1, len(grid.omegas) - 1)])
+    w_star, g_star = _golden_max(lambda w: float(log_abs(np.array([w]))[0, 0]), lo, hi)
+    candidates.append((g_star, w_star))
+
+    n0 = f.num.coeffs[0]
+    if n0 != 0:
+        candidates.append((_log_abs_coeff(n0) - _log_abs_coeff(f.den.coeffs[0]), 0.0))
+    if f.num.degree == f.den.degree:
+        candidates.append((_log_abs_coeff(f.num.coeffs[-1]) - _log_abs_coeff(f.den.coeffs[-1]),
+                           math.inf))
+
+    best_log, best_w = max(candidates)
+    # a peak past double range overflows to inf
+    with np.errstate(over="ignore"):
+        norm = float(np.exp(np.float64(best_log)))
+    return norm, best_w
+
 
 def family_member(family, k: int) -> RationalFunction:
     """Member k's exact controller c_k = gamma_k^{-m} c(gamma_k s), k counted from 0."""

@@ -396,6 +396,29 @@ def test_mistune_blocks_match_per_stage_route(n, k_min, k_max, trials, grid):
     assert (rep.median_peak, rep.max_peak) == (ref.median_peak, ref.max_peak)
 
 
+@pytest.mark.parametrize("n, trials, draw_gains", [
+    (20, 40, 20 * 13 * 2),   # blocks of 13 trials, chunks of 26: both edges fall inside
+    (300, 7, 300 * 3),       # one trial a block, chunks of 3 trials
+])
+def test_mistune_gain_chunks_match_per_stage_route(monkeypatch, n, trials, draw_gains):
+    # gains drawn a chunk of whole blocks per generator reset report what
+    # each trial's stages, drawn one by one, give
+    calls = []
+    real = cascade._GainDrawer.pairs
+
+    def counting(self, t0, count, vehicle):
+        calls.append(count)
+        return real(self, t0, count, vehicle)
+
+    monkeypatch.setattr(cascade, "_DRAW_GAINS", draw_gains)
+    monkeypatch.setattr(cascade._GainDrawer, "pairs", counting)
+    rep = pd_mistune_experiment(n, 0.5, 2.0, trials, 3)
+    ref = pd_mistune_by_stages(n, 0.5, 2.0, trials, 3, None)
+    assert (rep.peaks, rep.argmax_omegas) == (ref.peaks, ref.argmax_omegas)
+    chunk = draw_gains // n
+    assert len(calls) == n * -(-trials // chunk) and max(calls) == chunk
+
+
 def test_mistune_trial_evaluates_at_most_62_samples(monkeypatch):
     # the default grid's window for gains in [0.5, 2] is 62 of its 1601
     # samples, and each stage's numerator and denominator are evaluated once

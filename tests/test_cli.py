@@ -392,12 +392,13 @@ def test_synth_certifies_each_candidate_once(tmp_path, monkeypatch, call_counts)
     # the scan's certificate is the design's: nothing is certified after it,
     # not even for the family, whose verdict compares gammas with that
     # certificate's band; every rejected candidate is rejected on its grid
-    # samples, so only the winner's peak is refined, and the winner's
-    # youla_closed_loop is a StableLoop, so the one Routh test is the
-    # shipped loop's characteristic polynomial
+    # samples, so only the winner's peak is enclosed, by one isolation of
+    # its stationary points and one count that proves the bound, and the
+    # winner's youla_closed_loop is a StableLoop, so the one Routh test is
+    # the shipped loop's characteristic polynomial
     monkeypatch.setattr(synthesis, "search_parameters", search_parameters.__wrapped__)
     counts = call_counts("certify_closed_loop", "internal_stability",
-                         "hurwitz_stable", "_golden_max")
+                         "hurwitz_stable", "_positive_roots")
     assert main(["synth", "--m", "3", "--count", "10", "--out", str(tmp_path)]) == 0
     res = _report(str(tmp_path))["results"]
     vals = _scan_values()
@@ -405,7 +406,7 @@ def test_synth_certifies_each_candidate_once(tmp_path, monkeypatch, call_counts)
     scanned = 25 * vals.index(ga) + vals.index(gb / ga) + 1
     assert counts["certify_closed_loop"] == scanned
     assert counts["internal_stability"] == 1
-    assert counts["hurwitz_stable"] == 1 and counts["_golden_max"] == 1
+    assert counts["hurwitz_stable"] == 1 and counts["_positive_roots"] == 2
 
 
 def test_synth_m1_certifies_from_the_closed_form(tmp_path, call_counts):
@@ -540,9 +541,24 @@ def test_gain_past_double_range(tmp_path, command):
     results = json.loads(_read(os.path.join(out, "report.json")),
                          parse_constant=_reject_constant)["results"]
     if command == "homogeneous":
-        assert results["hinf"] == 1.0
+        # |T|^2 - 1 = x (2c - x)/B for c = 1e400: the peak exceeds 1 by
+        # about 1e-400, so the proven bound is the next float after 1
+        assert results["hinf"] == 1.0000000000000002
+        assert results["growth_flagged"] is True
         results = results["middleton"]
     assert abs(results["value"]) <= results["truncation_bound"]
+
+
+def test_homogeneous_finds_a_resonance_far_below_the_grid(tmp_path):
+    # T = c(1+s)/(s^2+cs+c), c = 1e-400, peaks at 1e200 near omega = 1e-200,
+    # where no grid looks; a grid sample once reported 1.0, unflagged
+    out = str(tmp_path)
+    assert main(["homogeneous", "--m", "2", "--c", "1e-400*(1+s)", "--n", "3",
+                 "--out", out]) == 0
+    results = _report(out)["results"]
+    assert results["hinf"] == pytest.approx(1e200, rel=1e-12)
+    assert results["omega0"] == pytest.approx(1e-200, rel=1e-12)
+    assert results["growth_flagged"] is True
 
 
 @pytest.mark.parametrize("command", ["homogeneous", "middleton"])
@@ -567,8 +583,6 @@ def test_middleton_closed_form_value(tmp_path, command, m, c, value):
     results = json.loads(_read(os.path.join(out, "report.json")),
                          parse_constant=_reject_constant)["results"]
     if command == "homogeneous":
-        # hinf for 1e-400*(1+s) is a grid sample that misses the +-j 1e-200
-        # poles, and is not asserted
         results = results["middleton"]
     assert results == {"value": value, "truncation_bound": 0.0}
 

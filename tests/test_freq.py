@@ -12,15 +12,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from platoonctrl.errors import InvalidRange, StabilityCheckFailed
-from platoonctrl.freq import (FrequencyGrid, default_grid, grid_samples, hinf_norm,
-                              log_abs_evaluator)
+from platoonctrl.freq import (FrequencyGrid, default_grid, exceeds_unity, grid_samples,
+                              hinf_norm, log_abs_evaluator)
 from platoonctrl.poly import Polynomial
-from platoonctrl.ratfun import RationalFunction, one, s
+from platoonctrl.ratfun import RationalFunction, internal_stability, one, plant, s
 from platoonctrl.synthesis import youla_closed_loop
 
-from oracles import log_abs_polyval
+from oracles import hinf_by_grid, log_abs_polyval
 
 PEAK_ORACLE = 1.4678898250138706      # sqrt((2+sqrt(3))/sqrt(3))
 ARGMAX_ORACLE = 0.8555996771673521    # sqrt(sqrt(3)-1)
@@ -174,21 +175,21 @@ def test_hinf_frozen_oracle():
 
 
 def test_hinf_frozen_bits(certified_m4):
-    # recorded before the golden-section refinement scaled f once
+    # (norm, argmax omega, lower); each pair of bounds is the two floats
+    # either side of the exact peak, whose argmax T and T^2 share
     T = RationalFunction(Polynomial([1, 1]), Polynomial([1, 1, 1]))
-    assert tuple(hinf_norm(T)) == (1.4678898250138706, 0.8555996769937194)
-    assert tuple(hinf_norm(T * T)) == (2.1547005383792492, 0.8555996669947749)
+    assert tuple(hinf_norm(T)) == (1.4678898250138708, 0.8555996771648054, 1.4678898250138706)
+    assert tuple(hinf_norm(T * T)) == (2.154700538379252, 0.8555996771648054,
+                                       2.1547005383792515)
     _, cert = certified_m4
     T4 = youla_closed_loop(4, cert.gamma_a, cert.gamma_b)
-    assert tuple(hinf_norm(T4)) == (1.0706257410015758, 0.02620170708372999)
+    assert tuple(hinf_norm(T4)) == (1.0706257410015758, 0.02620170555477798, 1.0706257410015756)
 
 
 def test_hinf_endpoint_candidates():
-    assert hinf_norm(one / (one + s)).norm == pytest.approx(1.0, abs=1e-12)
-    assert hinf_norm(one / (one + s)).argmax_omega == 0.0
-    res = hinf_norm(s / (one + s))
-    assert res.norm == pytest.approx(1.0, abs=1e-12)
-    assert math.isinf(res.argmax_omega)
+    # a peak at omega = 0 or in the limit is exact, and proven with no margin
+    assert tuple(hinf_norm(one / (one + s))) == (1.0, 0.0, 1.0)
+    assert tuple(hinf_norm(s / (one + s))) == (1.0, math.inf, 1.0)
 
 
 def test_hinf_power_identity():
@@ -202,9 +203,72 @@ def test_hinf_unstable_and_improper_flagged():
     for f in (one / (s - one), (s * s + 1) / (s + one)):
         with pytest.raises(StabilityCheckFailed, match="closed loop has no finite peak"):
             hinf_norm(f)
-    assert tuple(hinf_norm(RationalFunction(Polynomial([]), Polynomial([1, 1])))) == (0.0, 0.0)
+    assert tuple(hinf_norm(RationalFunction(Polynomial([]), Polynomial([1, 1])))) == \
+        (0.0, 0.0, 0.0)
 
 
 def test_hinf_constant():
     res = hinf_norm(RationalFunction(Polynomial([Fraction(3, 4)]), Polynomial([1])))
     assert res.norm == pytest.approx(0.75, abs=1e-15)
+
+
+_POSITIVE = st.builds(Fraction, st.integers(1, 100), st.integers(10, 100))
+
+
+@st.composite
+def _stable_loops(draw):
+    # a Hurwitz denominator of first- and second-order factors with
+    # coefficients in [0.1, 10], and any numerator of no higher degree
+    den = Polynomial([1])
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            den = den * Polynomial([draw(_POSITIVE), 1])
+        else:
+            den = den * Polynomial([draw(_POSITIVE), draw(_POSITIVE), 1])
+    num = Polynomial([Fraction(draw(st.integers(-20, 20)), 4)
+                      for _ in range(draw(st.integers(1, den.degree + 1)))])
+    return RationalFunction(num + Fraction(1, 8), den)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(T=_stable_loops())
+def test_hinf_encloses_the_grid_peak(T):
+    # the float oracle can overshoot the true peak by its rounding (1.5e-13
+    # on (1+s)^50), hence the 1e-12
+    res = hinf_norm(T)
+    peak, _ = hinf_by_grid(T)
+    assert res.lower <= res.norm <= res.lower * (1 + 2 ** -40)
+    assert peak <= res.norm * (1 + 1e-12)
+    assert res.lower >= peak * (1 - 1e-9)
+
+
+def test_hinf_finds_a_resonance_far_below_the_grid():
+    # T = c(1+s)/(s^2+cs+c), c = 1e-400: poles near +-j 1e-200, where
+    # |T| = 1e200; the default grid starts at 1e-4 and reads 1.0
+    T = internal_stability(plant(2), RationalFunction(Polynomial([Fraction(1, 10 ** 400)] * 2),
+                                                      Polynomial([1])))
+    res = hinf_norm(T)
+    assert res.lower <= 1e200 <= res.norm
+    assert res.norm == pytest.approx(1e200, rel=1e-12)
+    assert res.argmax_omega == pytest.approx(1e-200, rel=1e-12)
+    assert hinf_by_grid(T)[0] == 1.0
+
+
+def test_hinf_touching_one_inside_the_axis():
+    # |D|^2 - |N|^2 = x (1 - x)^2 in x = w^2: |T| = 1 at w = 0 and w = 1 and
+    # below 1 elsewhere, so the bound U = 1 touches the peak and only the
+    # next float up is proven
+    T = RationalFunction(Polynomial([1, 0, 3]), Polynomial([1, 1, 3, 1]))
+    assert tuple(hinf_norm(T)) == (1.0000000000000002, 0.0, 1.0)
+    assert not exceeds_unity(T)
+
+
+def test_exceeds_unity_is_exact():
+    assert not exceeds_unity(one / (one + s))
+    assert not exceeds_unity((one - s) / (one + s))
+    assert exceeds_unity((one + s) / (s * s + s + one))
+    # |T|^2 - 1 = x (2c - x)/B for c = 1e400: above 1 by about 1e-400
+    c = Fraction(10 ** 400)
+    T = RationalFunction(Polynomial([c, c]), Polynomial([c, c, 1]))
+    res = hinf_norm(T)
+    assert res.lower == 1.0 and res.norm == 1.0000000000000002 and exceeds_unity(T)

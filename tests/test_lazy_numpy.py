@@ -22,10 +22,12 @@ _SRC = str(pathlib.Path(platoonctrl.__file__).parent.parent)
 _EXACT = [
     ["verify-lemma", "--n", "6"],
     ["sensitivity", "--n", "4"],
-    # 1 + 0.7 s is minimum phase, so the closed form needs no np.roots
+    # 1 + 0.7 s is minimum phase, so the closed form needs no np.roots, and
+    # the peak is enclosed in integer arithmetic with no grid
     ["middleton", "--m", "2", "--c", "1+0.7*s"],
+    ["homogeneous", "--m", "2", "--c", "1+0.7*s", "--n", "5"],
 ]
-_FLOAT = [["homogeneous", "--m", "2", "--c", "1+0.7*s", "--n", "5"]]
+_FLOAT = [["pd-random", "--n", "3", "--trials", "2"]]
 
 _CHILD = """
 import json, sys
@@ -75,16 +77,16 @@ def test_importing_the_cli_registers_numpy_without_loading_it():
 def test_exact_commands_never_load_numpy(tmp_path):
     lazy, lazy_files = _run(_EXACT, tmp_path / "lazy")
     eager, eager_files = _run(_EXACT, tmp_path / "eager", first="import numpy")
-    assert lazy == {"codes": [0, 0, 0], "registered": True, "loaded": False}
-    assert eager["codes"] == [0, 0, 0] and eager["loaded"]
-    assert lazy_files == eager_files and len(lazy_files) == 4
+    assert lazy == {"codes": [0, 0, 0, 0], "registered": True, "loaded": False}
+    assert eager["codes"] == [0, 0, 0, 0] and eager["loaded"]
+    assert lazy_files == eager_files and len(lazy_files) == 6
 
 
 def test_a_float_command_loads_numpy_and_matches_its_eager_run(tmp_path):
     lazy, lazy_files = _run(_FLOAT, tmp_path / "lazy")
     eager, eager_files = _run(_FLOAT, tmp_path / "eager", first="import numpy")
     assert lazy == eager == {"codes": [0], "registered": True, "loaded": True}
-    assert lazy_files == eager_files and "0/growth.csv" in lazy_files
+    assert lazy_files == eager_files and "0/mistune.csv" in lazy_files
 
 
 def test_the_lazy_module_is_the_registered_one_and_a_missing_one_still_raises():

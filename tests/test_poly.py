@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from platoonctrl.errors import ZeroPolynomial
-from platoonctrl.poly import _P, Polynomial, _coprime_mod_p, hurwitz_stable, poly_gcd
+from platoonctrl.poly import (_P, Polynomial, _coprime_mod_p, _odd_part, _positive_roots,
+                             _taylor_shift, hurwitz_stable, poly_gcd)
 from platoonctrl.ratfun import RationalFunction
 
 from oracles import FractionPolynomial, fraction_gcd, fraction_hurwitz_stable
@@ -321,3 +322,80 @@ def test_hurwitz_vs_roots_randomized():
         assert got == expected, f"disagreement on {coeffs}: routh={got} roots={roots}"
         checked += 1
     assert npr is not None
+
+
+# ---------------------------------------------------------------- positive roots
+
+def _from_roots(roots, extra=((1, 1, 1),)):
+    # the integer list with the given rational roots, times quadratics with no real root
+    p = Polynomial([1])
+    for r in roots:
+        r = Fraction(r)
+        p = p * Polynomial([-r.numerator, r.denominator])
+    for q in extra:
+        p = p * Polynomial(list(q))
+    return list(p.ints)
+
+
+def _holds(intervals, roots):
+    # each positive root, in order, in its own interval (exact ones equal)
+    want = sorted(set(Fraction(r) for r in roots if r > 0))
+    assert len(intervals) == len(want)
+    for (lo, hi, sign), r in zip(intervals, want):
+        assert lo == hi == r if sign == 0 else lo < r < hi
+
+
+def test_taylor_shift_is_p_of_x_plus_one():
+    p = Polynomial([3, -1, 4, -1, 5, 9])
+    shifted = Polynomial(_taylor_shift(list(p.ints)))
+    for x in (Fraction(-3), Fraction(0), Fraction(2, 7), Fraction(11)):
+        assert shifted(x) == p(x + 1)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(roots=st.lists(st.builds(Fraction, st.integers(-60, 60).filter(bool),
+                                st.integers(1, 60)), max_size=7, unique=True),
+       scale=st.sampled_from([0, 30, -30, 1300, -1300]))
+def test_positive_roots_isolates_each_root_once(roots, scale):
+    roots = [r * Fraction(2) ** scale for r in roots]
+    cs = _from_roots(roots)
+    q, found = _positive_roots(cs)
+    assert q is cs
+    _holds(found, roots)
+    # the sign just right of each interval's left end is cs's there
+    for lo, hi, sign in found:
+        if sign:
+            x = lo + (hi - lo) / 2 ** 80 if lo else min(hi, min(r for r in roots if r > 0)) / 2
+            assert (Polynomial(cs)(x) > 0) == (sign > 0)
+    assert bool(_positive_roots(cs, first=True)[1]) == any(r > 0 for r in roots)
+
+
+def test_positive_roots_far_apart_take_few_splits(call_counts):
+    # 1e-400, 1 and 1e400: the root bounds from both sides jump the scale
+    roots = [Fraction(1, 10 ** 400), Fraction(1), Fraction(10 ** 400)]
+    counts = call_counts("_taylor_shift")
+    _holds(_positive_roots(_from_roots(roots))[1], roots)
+    assert counts["_taylor_shift"] < 100
+
+
+def test_a_multiple_positive_root_leaves_the_squarefree_part():
+    # (x - 1)^2 (x - 2)^3 (x + 3): at a split point and off one
+    for roots in ([1, 1, 2, 2, 2, -3], [Fraction(1, 3)] * 2 + [5]):
+        cs = _from_roots(roots)
+        q, found = _positive_roots(cs)
+        assert q is not cs and len(q) < len(cs)
+        _holds(found, roots)
+        assert _positive_roots(cs, first=True)[1]
+
+
+def test_no_positive_root_is_proven_by_an_empty_list():
+    for roots in ([], [-1, -2, Fraction(-1, 10 ** 300)]):
+        cs = _from_roots(roots, extra=((1, 0, 1), (4, -1, 1)))
+        assert _positive_roots(cs) == (cs, [])
+        assert _positive_roots(cs, first=True)[1] == []
+
+
+def test_odd_part_keeps_the_sign_changes():
+    # (x - 1)^2 (x - 2)^3 (x + 3)^4 (x - 5): sign changes at 2 and 5 only
+    cs = _from_roots([1, 1, 2, 2, 2, -3, -3, -3, -3, 5], extra=())
+    assert Polynomial(_odd_part(cs)).monic() == Polynomial([10, -7, 1])

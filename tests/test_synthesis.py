@@ -257,11 +257,11 @@ def test_scan_certifies_youla_T_like_the_controller_route():
 @pytest.mark.parametrize("eps", [0.1, 0.0706254])
 def test_grid_rejection_never_changes_a_verdict(eps):
     # certify_closed_loop rejects on an over-budget grid sample before
-    # refining. hinf_norm's peak is never below the grid's, so on every
-    # m = 4 candidate up to three past the winner it must reject exactly
-    # when the refined peak is over budget. At eps 0.0706254 the eps = 0.1
-    # winner has every grid sample within budget and only its refined peak
-    # (1.07062574) over it, so the refined check rejects it on its own.
+    # enclosing the peak. hinf_norm's proven bound is never below a grid
+    # sample, so on every m = 4 candidate up to three past the winner it
+    # must reject exactly when that bound is over budget. At eps 0.0706254
+    # the eps = 0.1 winner has every grid sample within budget and only its
+    # peak (1.07062574) over it, so the exact check rejects it on its own.
     vals = _scan_values()
     win = search_parameters(4, eps)
     last = 25 * vals.index(win.gamma_a) + vals.index(win.gamma_b / win.gamma_a) + 3
@@ -277,7 +277,7 @@ def test_grid_rejection_never_changes_a_verdict(eps):
             rejected = True
         except InvalidRange:  # the band touches the grid edge: the peak fits
             rejected = False
-        assert rejected == (hinf_norm(T, grid).norm > 1 + eps), f"candidate {k}"
+        assert rejected == (hinf_norm(T).norm > 1 + eps), f"candidate {k}"
         seen.add(rejected)
     assert seen == {True, False}
 
