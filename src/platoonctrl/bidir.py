@@ -13,18 +13,21 @@ length (`verify_factorization`). L_n S_n U_n = s^2 I_n telescopes to the
 closed form's definition as a partial sum, so `sensitivity_matrix` builds
 S_n from it and checks nothing. Everything here is exact but the Bode
 sweep (`bode_table`), which tabulates a bound a lemma proves for every
-length by evaluating the lemma's closed form in floats, without S_n.
+length by evaluating the lemma's closed form in floats with `math`,
+without S_n or numpy.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from array import array
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Sequence, Tuple
 
-from ._lazy import np
 from .errors import InvalidRange
-from .freq import FrequencyGrid
+from .freq import grid_samples
 from .poly import Polynomial
 from .ratfun import RationalFunction
 
@@ -154,49 +157,100 @@ def invariance_check(k: int, ns: Sequence[int]) -> bool:
 # ----------------------------------------------------------------------
 # Bode sweep
 
+_LN2 = math.log(2.0)
+
+
+def _logaddexp(x: float, y: float) -> float:
+    """ln(e^x + e^y) by np.logaddexp's branches, in libm."""
+    if x == y:
+        return x + _LN2
+    t = x - y
+    return x + math.log1p(math.exp(-t)) if t > 0 else y + math.log1p(math.exp(t))
+
+
+def _exp10(y: float) -> float:
+    # 10.0 ** y, inf past double range as np.power gives it
+    try:
+        return 10.0 ** y
+    except OverflowError:
+        return math.inf
+
+
+def _bode_omegas(omega_min: float, omega_max: float, points_per_decade: int) -> array:
+    """FrequencyGrid's samples, by np.logspace's own recurrence in libm.
+
+    The count is `grid_samples`. With start = log10(omega_min),
+    stop = log10(omega_max) and div = count - 1, np.linspace's exponents are
+    y_k = k * step + start, step = (stop - start) / div; each sample is
+    10.0 ** y_k, and both endpoints are stored exactly. np.linspace computes
+    (k / div) * (stop - start) + start instead where step is 0, but that
+    needs stop == start (a nonzero difference of logs exceeds 1e-17, so step
+    underflows only past 1e290 samples), and then `grid_samples` gives the
+    two endpoints alone.
+    """
+    if not (0 < omega_min < omega_max < math.inf):
+        raise InvalidRange("need 0 < omega_min < omega_max < inf")
+    if points_per_decade < 1:
+        raise InvalidRange("points_per_decade must be >= 1")
+    div = grid_samples(omega_min, omega_max, points_per_decade) - 1
+    start = math.log10(omega_min)
+    step = (math.log10(omega_max) - start) / div
+    om = array("d", [omega_min])
+    om.extend(_exp10(k * step + start) for k in range(1, div))
+    om.append(omega_max)
+    return om
+
+
 @dataclass(frozen=True)
 class BodeTable:
-    """Log-magnitude rows of S_n over the grid, with the grid's largest excess.
+    """Log-magnitude rows of S_n over the samples, with the largest sampled excess.
 
     Row m < n is ln|s P_m(jw)|, the numerator of every entry with
     min(i, j) = m, and row n + k is -ln|(1+jw)^(k+1)|, the denominator of
-    every entry with i + j = k. ln|S_ij| is rows[min(i, j)] + rows[n + i + j].
+    every entry with i + j = k. ln|S_ij| is rows[min(i, j)][w] + rows[n + i + j][w].
     """
 
-    grid: FrequencyGrid
+    omegas: array
     n: int
-    rows: np.ndarray  # shape (3n - 1, len(grid))
+    rows: Tuple[array, ...]  # 3n - 1 rows of len(omegas)
     worst_excess: float
 
     def to_csv(self):
         """bode.csv as chunks of text of about 2^12 lines each, header first."""
         # omega-major, then row, then col; indices 1-based. (i, j) and (j, i)
-        # share both rows, the same float sum, so each omega formats each of
-        # the n(n+1)/2 distinct entries once. A chunk is whole omegas when n^2
-        # is small, so they share one numpy call, or else whole rows of one
-        # omega, so memory stays bounded at large n
-        n = self.n
-        iu, ju = np.triu_indices(n)
-        at = np.empty((n, n), dtype=int)
-        at[iu, ju] = at[ju, iu] = np.arange(len(iu))
+        # share both rows, the same float sum, so a chunk formats each of the
+        # n(n+1)/2 distinct entries of each of its cnt omegas once, entry by
+        # entry in the upper triangle's row-major order, where (i, j), i <= j,
+        # is first[i] + j - i: entry k at the chunk's omega t is vals[cnt k + t].
+        # A chunk is whole omegas when n^2 is small, so they share one
+        # comprehension, or else whole rows of one omega; each chunk lists
+        # its rows' places afresh, so nothing of size n^2 is built and memory
+        # stays bounded at large n
+        n, om = self.n, self.omegas
         idx = [f"{i + 1}," for i in range(n)]
+        first = [i * n - i * (i - 1) // 2 for i in range(n)]
         span = max(1, 2 ** 12 // n)
-        parts = [list(zip(idx[r:r + span], at[r:r + span].tolist())) for r in range(0, n, span)]
         step = max(1, 2 ** 12 // (n * n))
         yield "omega,row,col,abs,abs_db\n"
-        for w in range(0, len(self.grid.omegas), step):
-            lgs = (self.rows[iu, w:w + step] + self.rows[n + iu + ju, w:w + step]).T
-            vals = [f"{math.exp(lg)!r},{db!r}\n"
-                    for lg, db in zip(lgs.ravel().tolist(), (lgs * _DB).ravel().tolist())]
-            heads = list(zip([f"{om!r}," for om in self.grid.omegas[w:w + step].tolist()],
-                             range(0, len(vals), len(iu))))
-            for part in parts:
-                yield "".join([h + r + c + vals[o + k] for h, o in heads
-                               for r, at_r in part for c, k in zip(idx, at_r)])
+        for w in range(0, len(om), step):
+            cut = slice(w, w + step)
+            heads = [f"{x!r}," for x in om[cut]]
+            cnt = len(heads)
+            nums = [r[cut] for r in self.rows[:n]]
+            dens = [r[cut] for r in self.rows[n:]]
+            vals = [f"{math.exp(lg)!r},{lg * _DB!r}\n" for lg in chain.from_iterable(
+                        map(operator.add, nums[i] * (n - i), chain.from_iterable(dens[2 * i:i + n]))
+                        for i in range(n))]
+            for r in range(0, n, span):
+                part = [(idx[i], [cnt * (first[j] + i - j) for j in range(i)]
+                         + list(range(cnt * first[i], cnt * (first[i] + n - i), cnt)))
+                        for i in range(r, min(r + span, n))]
+                yield "".join([h + ri + c + vals[t + k] for t, h in enumerate(heads)
+                               for ri, ks in part for c, k in zip(idx, ks)])
 
 
-def bode_table(n: int, grid: FrequencyGrid) -> BodeTable:
-    """Magnitudes of every entry of S_n over the grid, from the lemma's closed form.
+def bode_table(n: int, omega_min: float, omega_max: float, points_per_decade: int) -> BodeTable:
+    """Magnitudes of every entry of S_n over the sweep, from the lemma's closed form.
 
     |S_ij(jw)| <= |jw/(jw+1)| for every n, i, j and w > 0, by this lemma.
     Entry (i, j), 0-based, is s P_m / (s+1)^(i+j+1) with m = min(i, j) and
@@ -210,8 +264,9 @@ def bode_table(n: int, grid: FrequencyGrid) -> BodeTable:
 
     Both hypotheses are proven for every m, the closed form and the
     geometric series (`sensitivity_matrix`). So the sweep decides nothing,
-    and it evaluates the closed form, not S_n's coefficients. With
-    L = ln|1+jw| = logaddexp(0, 2 ln w) / 2, so w^2 never overflows,
+    and it evaluates the closed form, not S_n's coefficients, in libm at
+    the samples `_bode_omegas` builds from the sweep's range and density.
+    With L = ln|1+jw| = logaddexp(0, 2 ln w) / 2, so w^2 never overflows,
     numerator row m is ln w + ln|1 + (1+jw)^(2m+1)| - ln|2+jw|. Write
     (1+jw)^(2m+1) = e^(x + j phi), x = (2m+1) L >= 0 and
     phi = (2m+1) atan w; then ln|1 + e^(x + j phi)| = x + ln|1 + e^-(x + j phi)|
@@ -226,13 +281,22 @@ def bode_table(n: int, grid: FrequencyGrid) -> BodeTable:
     """
     if n < 1:
         raise InvalidRange("n must be >= 1")
-    om = grid.omegas
-    lw = np.log(om)
-    L = np.logaddexp(0.0, 2.0 * lw) / 2.0
-    p = np.arange(1.0, 2 * n, 2.0)[:, None]  # 2m + 1
-    x, half_phi = p * L, p * np.arctan(om) / 2.0
-    num = (lw + x + np.log(np.expm1(-x) ** 2 + 4.0 * np.exp(-x) * np.cos(half_phi) ** 2) / 2.0
-           - np.logaddexp(2.0 * math.log(2.0), 2.0 * lw) / 2.0)
-    den = -np.arange(1.0, 2 * n)[:, None] * L
-    excess = np.exp(num + den[::2]) - np.exp(lw - L)
-    return BodeTable(grid, n, np.concatenate([num, den]), float(excess.max()))
+    om = _bode_omegas(omega_min, omega_max, points_per_decade)
+    log, exp, expm1, cos = math.log, math.exp, math.expm1, math.cos
+    lw = array("d", map(log, om))
+    L = array("d", (_logaddexp(0.0, 2.0 * v) / 2.0 for v in lw))
+    at = array("d", map(math.atan, om))
+    l2 = array("d", (_logaddexp(2.0 * _LN2, 2.0 * v) / 2.0 for v in lw))  # ln|2+jw|
+    bound = array("d", map(exp, map(operator.sub, lw, L)))
+    den = tuple(array("d", map(operator.mul, repeat(-k), L)) for k in map(float, range(1, 2 * n)))
+    num, worst = [], -math.inf
+    for m in range(n):
+        p = 2.0 * m + 1.0
+        row = array("d", (a + (x := p * b)
+                          + log((e := expm1(-x)) * e + 4.0 * exp(-x) * ((c := cos(p * t / 2.0)) * c))
+                          / 2.0 - d
+                          for a, b, t, d in zip(lw, L, at, l2)))
+        worst = max(worst, max(map(operator.sub, map(exp, map(operator.add, row, den[2 * m])),
+                                   bound)))
+        num.append(row)
+    return BodeTable(om, n, tuple(num) + den, worst)

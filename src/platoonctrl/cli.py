@@ -24,7 +24,7 @@ from .cascade import (homogeneous_growth, middleton_integral, pd_cascade_peak,
                       pd_mistune_experiment, pd_window)
 from .errors import (DivergentAtOrigin, InvalidRange, ParseError,
                      PlatoonError, StabilityCheckFailed)
-from .freq import FrequencyGrid, default_grid, grid_samples
+from .freq import default_grid, grid_samples
 from .parsing import parse_rational
 from .ratfun import internal_stability, plant
 from .synthesis import (check_certificate, family_from_json, family_product_check,
@@ -171,7 +171,7 @@ def _cmd_sensitivity(args):
 def _cmd_bode(args):
     # the verdict is the lemma, whose hypotheses hold for every n; the grid
     # only shapes the CSV
-    table = bode_table(args.n, FrequencyGrid(args.wmin, args.wmax, args.ppd))
+    table = bode_table(args.n, args.wmin, args.wmax, args.ppd)
     csv_path = _write_text(args.out, "bode.csv", table.to_csv())
     side = {
         "schema": _BODE_SCHEMA,

@@ -23,6 +23,10 @@ arithmetic.
 `bode_rows_by_engine` reaches the Bode table's rows the generic way, the
 exact numerators and denominators of S_n through the magnitude engine; it
 checks the lemma's closed form `bidir.bode_table` evaluates.
+`bode_rows_numpy` evaluates that closed form in numpy on a FrequencyGrid;
+`bode_table` evaluates it in `math` on samples built by np.logspace's
+recurrence, and with numpy's AVX-512 loops off (`avx512_dispatch_targets`)
+the two agree bit for bit.
 `bode_csv_per_entry` formats every entry of a Bode table on its own, the
 text `BodeTable.to_csv` writes from the distinct entries only.
 The np.polyval magnitude engine, one polynomial at a time, checks
@@ -38,6 +42,8 @@ reading every member's T(gamma_k s) on one float grid, checks the bound
 that `synthesis.family_product_check` proves by comparisons. Adaptive
 Simpson quadrature of the Middleton integrand, with its truncation bound,
 checks the closed form `cascade.middleton_integral` returns.
+`avx512_dispatch_targets` and `avx512_dispatched` read which of numpy's
+float64 loops run, since its AVX-512 ones round differently from libm.
 """
 
 from __future__ import annotations
@@ -448,7 +454,7 @@ def _verify_sensitivity(S: Tuple[Tuple[RationalFunction, ...], ...]) -> None:
 
 # ---------------------------------------------------------------- Bode table
 
-def bode_rows_by_engine(n: int, grid: FrequencyGrid) -> np.ndarray:
+def bode_rows_by_engine(n: int, omegas) -> np.ndarray:
     """`BodeTable.rows` by the magnitude engine on the exact entries of S_n.
 
     Row m < n is ln|s P_m|, the numerator of every entry with min(i, j) = m,
@@ -460,18 +466,39 @@ def bode_rows_by_engine(n: int, grid: FrequencyGrid) -> np.ndarray:
     return log_abs_evaluator(
         [(S[m][m].num.coeffs, (1,)) for m in range(n)]
         + [((1,), S[max(0, k - n + 1)][min(k, n - 1)].den.coeffs) for k in range(2 * n - 1)]
-    )(grid.omegas)
+    )(np.asarray(omegas, dtype=float))
+
+
+def bode_rows_numpy(n: int, omega_min: float, omega_max: float, points_per_decade: int):
+    """(samples, rows, worst_excess) of `bidir.bode_table`, evaluated in numpy.
+
+    The samples are FrequencyGrid's, np.logspace with both endpoints stored
+    exactly; rows is the (3n - 1, samples) array of `BodeTable.rows`, by the
+    same formulas in the same operation order, with np.logaddexp.
+    """
+    if n < 1:
+        raise InvalidRange("n must be >= 1")
+    om = FrequencyGrid(omega_min, omega_max, points_per_decade).omegas
+    lw = np.log(om)
+    L = np.logaddexp(0.0, 2.0 * lw) / 2.0
+    p = np.arange(1.0, 2 * n, 2.0)[:, None]  # 2m + 1
+    x, half_phi = p * L, p * np.arctan(om) / 2.0
+    num = (lw + x + np.log(np.expm1(-x) ** 2 + 4.0 * np.exp(-x) * np.cos(half_phi) ** 2) / 2.0
+           - np.logaddexp(2.0 * math.log(2.0), 2.0 * lw) / 2.0)
+    den = -np.arange(1.0, 2 * n)[:, None] * L
+    excess = np.exp(num + den[::2]) - np.exp(lw - L)
+    return om, np.concatenate([num, den]), float(excess.max())
 
 
 def bode_csv_per_entry(table) -> str:
     """`BodeTable.to_csv`'s text, formatting all n^2 entries of every omega one by one."""
     n, rows = table.n, table.rows
     lines = ["omega,row,col,abs,abs_db"]
-    for w, om in enumerate(table.grid.omegas):
+    for w, om in enumerate(table.omegas):
         for i in range(n):
             for j in range(n):
-                lg = float(rows[min(i, j), w] + rows[n + i + j, w])
-                lines.append(f"{float(om)!r},{i + 1},{j + 1},{math.exp(lg)!r},"
+                lg = rows[min(i, j)][w] + rows[n + i + j][w]
+                lines.append(f"{om!r},{i + 1},{j + 1},{math.exp(lg)!r},"
                              f"{lg * (20.0 / math.log(10.0))!r}")
     return "\n".join(lines) + "\n"
 
@@ -719,3 +746,28 @@ def pd_mistune_by_stages(n: int, k_min: float, k_max: float, trials: int,
     return MistuneReport(n, trials, seed, float(k_min), float(k_max), _SCHEME,
                          tuple(peaks), tuple(argmaxes),
                          float(np.median(peaks)), float(max(peaks)))
+
+
+# ---------------------------------------------------------------- numpy's CPU dispatch
+# numpy's AVX-512 float64 log, exp, expm1, log1p, arctan and power round
+# differently from libm in the last bit; with those targets off they match it
+
+def _umath():
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath
+    return _multiarray_umath
+
+
+def avx512_dispatch_targets():
+    """numpy's AVX-512 dispatch targets that run in this process, by the names
+    NPY_DISABLE_CPU_FEATURES takes to turn them off."""
+    umath = _umath()
+    return [t for t in umath.__cpu_dispatch__
+            if (t.startswith("AVX512") or t == "X86_V4") and umath.__cpu_features__.get(t)]
+
+
+def avx512_dispatched() -> bool:
+    """Whether numpy runs its AVX-512 float64 loops in this process."""
+    return bool(_umath().__cpu_features__.get("AVX512_SKX"))

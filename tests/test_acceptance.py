@@ -58,8 +58,7 @@ def test_criterion_03_first_entry_closed_form():
 
 
 def test_criterion_04_bode_bound_n20():
-    grid = FrequencyGrid(1e-3, 1e3, 100)
-    table = bode_table(20, grid)
+    table = bode_table(20, 1e-3, 1e3, 100)
     assert table.worst_excess <= 1e-9, f"worst excess {table.worst_excess:.3e}"
 
 

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -12,13 +17,12 @@ from platoonctrl import bidir
 from platoonctrl.bidir import (_lemma_matrices, bode_table, invariance_check,
                                sensitivity_matrix, verify_factorization)
 from platoonctrl.errors import InvalidRange
-from platoonctrl.freq import FrequencyGrid
 from platoonctrl.poly import Polynomial
 from platoonctrl.ratfun import RationalFunction, one, s
 
-from oracles import (SingularDiagonal, _verify_sensitivity, bode_csv_per_entry,
-                     bode_rows_by_engine, eye, invert_bidiagonal, lemma_structures,
-                     mat_add, matmul, transpose)
+from oracles import (SingularDiagonal, _verify_sensitivity, avx512_dispatch_targets,
+                     bode_csv_per_entry, bode_rows_by_engine, bode_rows_numpy, eye,
+                     invert_bidiagonal, lemma_structures, mat_add, matmul, transpose)
 
 ONE = Polynomial([1])
 S = Polynomial([0, 1])
@@ -423,8 +427,9 @@ def test_invariance_validation():
 # ---------------------------------------------------------------- Bode sweep
 
 def _bode_entry(table, i, j):
-    # ln|S_ij| over the grid, 0-based, as to_csv sums it
-    return table.rows[min(i, j)] + table.rows[table.n + i + j]
+    # ln|S_ij| over the samples, 0-based, as to_csv sums it; the rows are
+    # array('d'), whose + concatenates
+    return np.asarray(table.rows[min(i, j)]) + np.asarray(table.rows[table.n + i + j])
 
 
 def _exact_log_abs(i, j, w):
@@ -448,40 +453,39 @@ def _exact_log_abs(i, j, w):
 
 
 def test_bode_verdict_and_reference_entry():
-    grid = FrequencyGrid(1e-2, 1e2, 25)
-    table = bode_table(5, grid)
+    table = bode_table(5, 1e-2, 1e2, 25)
     assert table.worst_excess <= 1e-9
     # entry (1,1) is the reference itself
-    ref = grid.omegas / np.sqrt(1.0 + grid.omegas ** 2)
+    om = np.asarray(table.omegas)
+    ref = om / np.sqrt(1.0 + om ** 2)
     assert np.max(np.abs(np.exp(_bode_entry(table, 0, 0)) - ref)) < 1e-12
 
 
 def test_bode_hand_value_s2():
-    table = bode_table(2, FrequencyGrid(0.1, 10, 10))
+    table = bode_table(2, 0.1, 10, 10)
     # |(S_2)_22(j)| = 1/(2 sqrt 2): find the omega=1 sample
-    idx = int(np.argmin(np.abs(table.grid.omegas - 1.0)))
-    assert table.grid.omegas[idx] == pytest.approx(1.0, rel=1e-12)
+    idx = int(np.argmin(np.abs(np.asarray(table.omegas) - 1.0)))
+    assert table.omegas[idx] == pytest.approx(1.0, rel=1e-12)
     val = math.exp(_bode_entry(table, 1, 1)[idx])
     assert val == pytest.approx(1 / (2 * math.sqrt(2)), rel=1e-9)
     assert val <= 1 / math.sqrt(2)
 
 
 def test_bode_csv_order():
-    table = bode_table(2, FrequencyGrid(0.5, 2.0, 2))
+    table = bode_table(2, 0.5, 2.0, 2)
     lines = "".join(table.to_csv()).splitlines()
     assert lines[0] == "omega,row,col,abs,abs_db"
     first = lines[1].split(",")
     second = lines[2].split(",")
     assert (first[1], first[2]) == ("1", "1")
     assert (second[1], second[2]) == ("1", "2"), "col varies fastest"
-    n_samples = len(table.grid.omegas)
+    n_samples = len(table.omegas)
     assert len(lines) == 1 + 4 * n_samples
 
 
 def test_bode_bound_past_square_overflow():
     # om * om overflows past ~1.34e154; the reference there is exactly 1.0
-    grid = FrequencyGrid(1e-3, 1e200, 2)
-    table = bode_table(2, grid)
+    table = bode_table(2, 1e-3, 1e200, 2)
     assert table.worst_excess <= 1e-9
     ref = np.exp(_bode_entry(table, 0, 0))
     assert ref[-1] == 1.0
@@ -489,41 +493,100 @@ def test_bode_bound_past_square_overflow():
 
 def test_bode_grid_agrees_with_the_lemma_n12():
     # the default bode grid, 1e-3..1e3 at 100 points per decade
-    assert bode_table(12, FrequencyGrid(1e-3, 1e3, 100)).worst_excess <= 1e-9
+    assert bode_table(12, 1e-3, 1e3, 100).worst_excess <= 1e-9
 
 
 def test_bode_grid_agrees_with_the_lemma_n200():
     # the magnitude engine's Horner on S_n's coefficients broke the bound
     # from n = 50 on (an excess of 22.8 at n = 80); the closed form does not
-    assert bode_table(200, FrequencyGrid(1e-3, 1e3, 100)).worst_excess <= 1e-9
+    assert bode_table(200, 1e-3, 1e3, 100).worst_excess <= 1e-9
 
 
 def test_bode_rows_match_exact_values_n200():
     n = 200
-    for grid in (FrequencyGrid(0.3, 50, 1), FrequencyGrid(1, 3.63, 1)):
-        table = bode_table(n, grid)
+    for sweep in ((0.3, 50, 1), (1, 3.63, 1)):
+        table = bode_table(n, *sweep)
         for i, j in ((51, 51), (78, 78), (59, 69), (199, 199)):
             got = _bode_entry(table, i, j)
             for w in (0, -1):
-                want = _exact_log_abs(i, j, Fraction(float(grid.omegas[w])))
-                assert abs(got[w] - want) <= 1e-11, (i, j, grid.omegas[w])
+                want = _exact_log_abs(i, j, Fraction(table.omegas[w]))
+                assert abs(got[w] - want) <= 1e-11, (i, j, table.omegas[w])
 
 
 def test_bode_rows_agree_with_the_engine():
     # the generic route, exact S_n entries through the magnitude engine,
     # loses about m bits to cancellation; up to n = 20 it is still within 1e-9
     for n in (1, 2, 7, 20):
-        for grid in (FrequencyGrid(1e-3, 1e3, 100), FrequencyGrid(1e-6, 1e6, 7)):
-            rows = bode_table(n, grid).rows
-            assert rows.shape == (3 * n - 1, len(grid.omegas))
-            assert np.abs(rows - bode_rows_by_engine(n, grid)).max() <= 1e-9, f"n={n} {grid}"
+        for sweep in ((1e-3, 1e3, 100), (1e-6, 1e6, 7)):
+            table = bode_table(n, *sweep)
+            rows = np.array(table.rows)
+            assert rows.shape == (3 * n - 1, len(table.omegas))
+            assert np.abs(rows - bode_rows_by_engine(n, table.omegas)).max() <= 1e-9, \
+                f"n={n} {sweep}"
+
+
+# the grids bode.csv was checked on byte for byte against the numpy route,
+# and one whose endpoints share their log10, where np.linspace's step is 0
+_NUMPY_SWEEPS = [(12, 1e-3, 1e3, 100), (20, 1e-4, 1e4, 200), (3, 1e-300, 1e300, 1),
+                 (1, 0.5, 2.0, 3), (80, 1e-3, 1e3, 2),
+                 (2, 1e300, math.nextafter(1e300, math.inf), 1)]
+
+_BITS_CHILD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from oracles import avx512_dispatched
+from test_bidir import _bode_bits_agree
+print(json.dumps({"avx512": avx512_dispatched(),
+                  "agree": _bode_bits_agree(json.loads(sys.argv[2]))}))
+"""
+
+
+def _bode_bits_agree(sweeps):
+    """Per sweep, whether bode_table's samples, rows and worst_excess are the
+    numpy oracle's bit for bit."""
+    agree = []
+    for sweep in sweeps:
+        table = bode_table(*sweep)
+        om, rows, worst = bode_rows_numpy(*sweep)
+        agree.append(table.omegas.tobytes() == om.tobytes()
+                     and b"".join(r.tobytes() for r in table.rows) == rows.tobytes()
+                     and table.worst_excess == worst)
+    return agree
+
+
+def test_bode_agrees_with_the_numpy_oracle():
+    # numpy's AVX-512 loops, where they run, round differently from libm in
+    # the last bit; the samples agree relatively, across 600 decades
+    for sweep in _NUMPY_SWEEPS:
+        table = bode_table(*sweep)
+        om, rows, worst = bode_rows_numpy(*sweep)
+        assert np.all(np.abs(np.asarray(table.omegas) - om) <= 1e-12 * om), sweep
+        assert np.abs(np.array(table.rows) - rows).max() <= 1e-12, sweep
+        assert abs(table.worst_excess - worst) <= 1e-12, sweep
+
+
+def test_bode_is_the_numpy_oracle_bit_for_bit_without_avx512():
+    # libm's log, exp, expm1, log1p, atan, cos and pow are numpy's float64
+    # loops bit for bit once its AVX-512 targets are off, which only a fresh
+    # interpreter can do
+    targets = avx512_dispatch_targets()
+    if not targets:
+        assert _bode_bits_agree(_NUMPY_SWEEPS) == [True] * len(_NUMPY_SWEEPS)
+        return
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(targets))
+    src = str(pathlib.Path(bidir.__file__).parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _BITS_CHILD, str(pathlib.Path(__file__).parent),
+                           json.dumps(_NUMPY_SWEEPS)],
+                          env=env, capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout) == {"avx512": False, "agree": [True] * len(_NUMPY_SWEEPS)}
 
 
 def test_bode_builds_no_sensitivity_matrix_and_runs_no_engine(call_counts):
     # the lemma needs no Routh test, and its closed form needs neither S_n
     # nor the magnitude engine
     counts = call_counts("sensitivity_matrix", "log_abs_evaluator", "hurwitz_stable")
-    bode_table(12, FrequencyGrid(1e-2, 1e2, 5))
+    bode_table(12, 1e-2, 1e2, 5)
     assert (counts["sensitivity_matrix"], counts["log_abs_evaluator"],
             counts["hurwitz_stable"]) == (0, 0, 0)
 
@@ -549,9 +612,8 @@ def test_bode_csv_matches_per_entry_formatter():
     # to_csv formats each omega and each distinct entry of the symmetric
     # table once, in chunks of whole omegas or whole rows; the text must be
     # the per-entry formatter's byte for byte, across chunk boundaries too
-    for n, grid in ((1, FrequencyGrid(1e-2, 1e2, 3)), (3, FrequencyGrid(1e-3, 1e3, 2)),
-                    (12, FrequencyGrid(0.1, 10.0, 4)), (3, FrequencyGrid(1e-300, 1e300, 1)),
-                    (1, FrequencyGrid(1e-3, 1e3, 1000)), (5, FrequencyGrid(1e-3, 1e3, 100)),
-                    (70, FrequencyGrid(0.5, 2.0, 2))):
-        table = bode_table(n, grid)
+    for n, *sweep in ((1, 1e-2, 1e2, 3), (3, 1e-3, 1e3, 2), (12, 0.1, 10.0, 4),
+                      (3, 1e-300, 1e300, 1), (1, 1e-3, 1e3, 1000), (5, 1e-3, 1e3, 100),
+                      (70, 0.5, 2.0, 2)):
+        table = bode_table(n, *sweep)
         assert "".join(table.to_csv()) == bode_csv_per_entry(table), f"n={n}"

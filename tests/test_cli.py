@@ -18,7 +18,7 @@ from platoonctrl.cli import _write_json, main
 from platoonctrl.freq import hinf_norm
 from platoonctrl.synthesis import _scan_values, search_parameters
 
-from oracles import cascade_gain
+from oracles import avx512_dispatched, cascade_gain
 
 
 def _read(path):
@@ -634,12 +634,20 @@ def test_pd_random_seed_range(tmp_path, seed, exit_code):
     assert main(argv) == exit_code
 
 
+def _pin(avx512: str, other: str) -> str:
+    # numpy's AVX-512 float64 log and exp round differently from libm's in the
+    # last bit, so mistune.csv has one pin where numpy runs them and one,
+    # recorded with them off, where it does not
+    return avx512 if avx512_dispatched() else other
+
+
 def test_pd_random_pinned_csv(tmp_path):
     # sha256 recorded before the stages were built from their closed form
     assert main(["pd-random", "--n", "5", "--trials", "10", "--seed", "3",
                  "--out", str(tmp_path)]) == 0
-    assert _sha256(os.path.join(tmp_path, "mistune.csv")) == \
-        "b3606ea286bb77cd22d729208db61d91280c1ad889b62d6659b670ac29213ec2"
+    assert _sha256(os.path.join(tmp_path, "mistune.csv")) == _pin(
+        "b3606ea286bb77cd22d729208db61d91280c1ad889b62d6659b670ac29213ec2",
+        "885af808bd86528981f79e3b16bc17b95061a22805ae9778f4070606a43088c5")
 
 
 def test_pd_random_pinned_csv_at_benchmark_size(tmp_path):
@@ -647,8 +655,9 @@ def test_pd_random_pinned_csv_at_benchmark_size(tmp_path):
     # built its own generator and each stage its own RationalFunction
     assert main(["pd-random", "--n", "20", "--trials", "200", "--seed", "7",
                  "--out", str(tmp_path)]) == 0
-    assert _sha256(os.path.join(tmp_path, "mistune.csv")) == \
-        "37b0b5c119181aea7abd2d8d31feee62cde1c216f5ccf4710d9849eb10325b0a"
+    assert _sha256(os.path.join(tmp_path, "mistune.csv")) == _pin(
+        "37b0b5c119181aea7abd2d8d31feee62cde1c216f5ccf4710d9849eb10325b0a",
+        "a3008b31f91d7790416ff80f11d8bc73f41a288f71bf9a59fc0f5c67c3eaa6dc")
 
 
 def test_pd_random_baseline_tests_no_loop(tmp_path, call_counts):

@@ -26,6 +26,8 @@ _EXACT = [
     # the peak is enclosed in integer arithmetic with no grid
     ["middleton", "--m", "2", "--c", "1+0.7*s"],
     ["homogeneous", "--m", "2", "--c", "1+0.7*s", "--n", "5"],
+    # the lemma's closed form in math, on samples built in math
+    ["bode", "--n", "3", "--ppd", "2"],
 ]
 _FLOAT = [["pd-random", "--n", "3", "--trials", "2"]]
 
@@ -77,9 +79,9 @@ def test_importing_the_cli_registers_numpy_without_loading_it():
 def test_exact_commands_never_load_numpy(tmp_path):
     lazy, lazy_files = _run(_EXACT, tmp_path / "lazy")
     eager, eager_files = _run(_EXACT, tmp_path / "eager", first="import numpy")
-    assert lazy == {"codes": [0, 0, 0, 0], "registered": True, "loaded": False}
-    assert eager["codes"] == [0, 0, 0, 0] and eager["loaded"]
-    assert lazy_files == eager_files and len(lazy_files) == 6
+    assert lazy == {"codes": [0] * 5, "registered": True, "loaded": False}
+    assert eager["codes"] == [0] * 5 and eager["loaded"]
+    assert lazy_files == eager_files and len(lazy_files) == 9
 
 
 def test_a_float_command_loads_numpy_and_matches_its_eager_run(tmp_path):
