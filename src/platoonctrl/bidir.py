@@ -24,10 +24,10 @@ import operator
 from array import array
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Sequence, Tuple
+from typing import Tuple
 
 from .errors import InvalidRange
-from .freq import grid_samples
+from .freq import LogGrid
 from .poly import Polynomial
 from .ratfun import RationalFunction
 
@@ -137,23 +137,6 @@ def sensitivity_matrix(n: int) -> Tuple[Tuple[RationalFunction, ...], ...]:
                  for i in range(n))
 
 
-def invariance_check(k: int, ns: Sequence[int]) -> bool:
-    """True iff the leading k-by-k block of S_n agrees exactly across ns."""
-    if k < 1:
-        raise InvalidRange("k must be >= 1")
-    ns = list(ns)
-    if not ns:
-        raise InvalidRange("ns must be nonempty")
-    if any(n < k for n in ns):
-        raise InvalidRange("every n must be >= k")
-
-    def block(n):
-        return tuple(row[:k] for row in sensitivity_matrix(n)[:k])
-
-    first = block(ns[0])
-    return all(block(n) == first for n in ns[1:])
-
-
 # ----------------------------------------------------------------------
 # Bode sweep
 
@@ -166,39 +149,6 @@ def _logaddexp(x: float, y: float) -> float:
         return x + _LN2
     t = x - y
     return x + math.log1p(math.exp(-t)) if t > 0 else y + math.log1p(math.exp(t))
-
-
-def _exp10(y: float) -> float:
-    # 10.0 ** y, inf past double range as np.power gives it
-    try:
-        return 10.0 ** y
-    except OverflowError:
-        return math.inf
-
-
-def _bode_omegas(omega_min: float, omega_max: float, points_per_decade: int) -> array:
-    """FrequencyGrid's samples, by np.logspace's own recurrence in libm.
-
-    The count is `grid_samples`. With start = log10(omega_min),
-    stop = log10(omega_max) and div = count - 1, np.linspace's exponents are
-    y_k = k * step + start, step = (stop - start) / div; each sample is
-    10.0 ** y_k, and both endpoints are stored exactly. np.linspace computes
-    (k / div) * (stop - start) + start instead where step is 0, but that
-    needs stop == start (a nonzero difference of logs exceeds 1e-17, so step
-    underflows only past 1e290 samples), and then `grid_samples` gives the
-    two endpoints alone.
-    """
-    if not (0 < omega_min < omega_max < math.inf):
-        raise InvalidRange("need 0 < omega_min < omega_max < inf")
-    if points_per_decade < 1:
-        raise InvalidRange("points_per_decade must be >= 1")
-    div = grid_samples(omega_min, omega_max, points_per_decade) - 1
-    start = math.log10(omega_min)
-    step = (math.log10(omega_max) - start) / div
-    om = array("d", [omega_min])
-    om.extend(_exp10(k * step + start) for k in range(1, div))
-    om.append(omega_max)
-    return om
 
 
 @dataclass(frozen=True)
@@ -265,7 +215,7 @@ def bode_table(n: int, omega_min: float, omega_max: float, points_per_decade: in
     Both hypotheses are proven for every m, the closed form and the
     geometric series (`sensitivity_matrix`). So the sweep decides nothing,
     and it evaluates the closed form, not S_n's coefficients, in libm at
-    the samples `_bode_omegas` builds from the sweep's range and density.
+    the samples of `freq.LogGrid` over the sweep's range and density.
     With L = ln|1+jw| = logaddexp(0, 2 ln w) / 2, so w^2 never overflows,
     numerator row m is ln w + ln|1 + (1+jw)^(2m+1)| - ln|2+jw|. Write
     (1+jw)^(2m+1) = e^(x + j phi), x = (2m+1) L >= 0 and
@@ -281,7 +231,7 @@ def bode_table(n: int, omega_min: float, omega_max: float, points_per_decade: in
     """
     if n < 1:
         raise InvalidRange("n must be >= 1")
-    om = _bode_omegas(omega_min, omega_max, points_per_decade)
+    om = array("d", LogGrid(omega_min, omega_max, points_per_decade))
     log, exp, expm1, cos = math.log, math.exp, math.expm1, math.cos
     lw = array("d", map(log, om))
     L = array("d", (_logaddexp(0.0, 2.0 * v) / 2.0 for v in lw))

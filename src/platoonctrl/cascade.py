@@ -21,53 +21,15 @@ from typing import Tuple
 from ._lazy import np
 from .errors import DivergentAtOrigin, InvalidRange, StabilityCheckFailed
 from .freq import (FrequencyGrid, _log_abs_coeff, _log_abs_scaled, _scaled_descending,
-                   default_grid, exceeds_unity, hinf_norm, log_abs_evaluator)
+                   default_grid, exceeds_unity, hinf_norm)
 from .poly import hurwitz_stable
 from .ratfun import RationalFunction, hurwitz_denominator, internal_stability, plant
 
-_DB = 20.0 / math.log(10.0)
 _SQRT2 = math.sqrt(2.0)
 
 
 # ----------------------------------------------------------------------
-# cascade gain
-
-@dataclass(frozen=True)
-class CascadeProfile:
-    """Cumulative log-magnitude of prod_k T_k over a grid, with its peak."""
-
-    grid: FrequencyGrid
-    log_magnitudes: np.ndarray
-    peak: float
-    argmax_omega: float
-
-    def to_csv(self) -> str:
-        lines = ["omega,abs,abs_db"]
-        for om, lg in zip(self.grid.omegas, self.log_magnitudes):
-            lines.append(f"{float(om)!r},{math.exp(lg)!r},{float(lg) * _DB!r}")
-        return "\n".join(lines) + "\n"
-
-
-def cascade_profile(stages, grid: FrequencyGrid) -> CascadeProfile:
-    """Per-omega sum of ln|T_k(j omega)| for the cascade of the given stages.
-
-    The stages are the T_k as (num_coeffs, den_coeffs) pairs of ascending
-    coefficients; the profile equals |y_n/d_1| pointwise for the n-stage
-    cascade. Every stage's ln|T_k| comes from one stacked evaluation, and the
-    rows are summed in stage order, so the float sums are those of a
-    per-stage loop.
-    """
-    total = _log_sum(stages, grid.omegas)
-    return CascadeProfile(grid, total, *_peaks(total[None], grid.omegas)[0])
-
-
-def _log_sum(stages, omegas) -> np.ndarray:
-    # one stacked evaluation, its rows summed in stage order
-    total = np.zeros(len(omegas))
-    for row in log_abs_evaluator(stages)(omegas):
-        total = total + row
-    return total
-
+# cascade peaks
 
 def _peaks(totals, omegas) -> list:
     # (peak, its omega) at the first maximum of each row of summed

@@ -1,6 +1,11 @@
 """Frequency grids, overflow-safe magnitude evaluation, and the H-infinity
 norm, enclosed exactly with no grid.
 
+FrequencyGrid holds its samples as a numpy array for the magnitude engine;
+LogGrid computes the same log-uniform samples in libm, one index at a time,
+for the certificates in `synthesis`, which read a few samples exactly, and
+for `bode`, which reads each once; neither loads numpy.
+
 The magnitude engine works in log space throughout: polynomial coefficients
 are rescaled by their largest magnitude (computed from exact big-integer
 logs when needed), and evaluation at |z| > 1 uses the reversed-coefficient
@@ -65,6 +70,65 @@ def grid_samples(omega_min: float, omega_max: float, points_per_decade: int) -> 
         return max(2, round(decades * points_per_decade) + 1)
     except OverflowError:  # the int points_per_decade, or the product, past double range
         raise InvalidRange("the grid's sample count must lie in double range") from None
+
+
+def _exp10(y: float) -> float:
+    # 10.0 ** y, inf past double range as np.power gives it
+    try:
+        return 10.0 ** y
+    except OverflowError:
+        return math.inf
+
+
+class LogGrid:
+    """Log-uniform samples of positive frequencies (rad/s), computed in libm one index at a time.
+
+    The count N is `grid_samples`, as for FrequencyGrid. With
+    start = log10(omega_min), stop = log10(omega_max) and
+    step = (stop - start) / (N - 1), sample k is libm's
+    10.0 ** (k * step + start), inf past double range, and samples 0 and
+    N - 1 are omega_min and omega_max exactly. That is np.logspace's
+    recurrence, but numpy's SIMD power need not round as libm's pow does,
+    so each sample lies within 1 ulp of FrequencyGrid's, not always on it.
+    np.linspace takes (k / (N - 1)) * (stop - start) + start instead where
+    step is 0, which needs stop == start: a nonzero difference of logs exceeds
+    1e-17, so step underflows only past 1e290 samples, and `grid_samples`
+    gives the two endpoints alone when the logs are equal. Building one
+    loads no numpy and computes no sample; each is computed when read.
+    """
+
+    __slots__ = ("omega_min", "omega_max", "points_per_decade", "_div", "_start", "_step")
+
+    def __init__(self, omega_min: float, omega_max: float, points_per_decade: int = 200):
+        if not (0 < omega_min < omega_max < math.inf):
+            raise InvalidRange("need 0 < omega_min < omega_max < inf")
+        if points_per_decade < 1:
+            raise InvalidRange("points_per_decade must be >= 1")
+        self.omega_min = float(omega_min)
+        self.omega_max = float(omega_max)
+        self.points_per_decade = int(points_per_decade)
+        self._div = grid_samples(omega_min, omega_max, points_per_decade) - 1
+        self._start = math.log10(omega_min)
+        self._step = (math.log10(omega_max) - self._start) / self._div
+
+    def __len__(self) -> int:
+        return self._div + 1
+
+    def __getitem__(self, k: int) -> float:
+        if 0 < k < self._div:
+            return _exp10(k * self._step + self._start)
+        if k == 0:
+            return self.omega_min
+        if k == self._div:
+            return self.omega_max
+        raise IndexError("grid sample index out of range")
+
+    def __iter__(self):
+        yield self.omega_min
+        start, step = self._start, self._step
+        for k in range(1, self._div):
+            yield _exp10(k * step + start)
+        yield self.omega_max
 
 
 @functools.cache
@@ -211,6 +275,18 @@ def _plus(a, b, sign):
     return out
 
 
+def _x_divided_out(cs):
+    """cs divided by its power of x; [] stays []."""
+    return cs[next(i for i, c in enumerate(cs) if c):] if cs else cs
+
+
+def _budget_poly(A, B, U: float):
+    """U^2 B - A divided by its power of x, U read exactly: positive on
+    x > 0 exactly where A/B < U^2."""
+    un, ud = U.as_integer_ratio()
+    return _x_divided_out(_plus([c * un * un for c in B], [c * ud * ud for c in A], -1))
+
+
 def _gain_squared(f: RationalFunction):
     """(A, B), integer lists ascending in x = omega^2, with |f(j omega)|^2 = A(x)/B(x)."""
     return ([c * f.den.den ** 2 for c in _abs_squared(f.num.ints)],
@@ -337,12 +413,8 @@ def _proven_norm(A, B, value, margin: int):
         _float_up(top, 1 << s)
     if U == math.inf:
         return U
-    un, ud = U.as_integer_ratio()
-    G = _plus([c * un * un for c in B], [c * ud * ud for c in A], -1)
-    if not G:
-        return U
-    G = G[next(i for i, c in enumerate(G) if c):]
-    return U if G[0] > 0 and not _positive_roots(G, first=True)[1] else None
+    G = _budget_poly(A, B, U)
+    return U if not G or G[0] > 0 and not _positive_roots(G, first=True)[1] else None
 
 
 def hinf_norm(f: RationalFunction) -> HinfResult:
@@ -372,10 +444,9 @@ def hinf_norm(f: RationalFunction) -> HinfResult:
     ends = [(Fraction(0), (A[0], B[0]))]
     if len(A) == len(B):
         ends.append((None, (A[-1], B[-1])))
-    P = _plus(_convolve(_derivative(A), B), _convolve(A, _derivative(B)), -1)
+    P = _x_divided_out(_plus(_convolve(_derivative(A), B), _convolve(A, _derivative(B)), -1))
     peaks = []
     if P:
-        P = P[next(i for i, c in enumerate(P) if c):]
         q, roots = _positive_roots(P)
         floor_log2 = -_root_bound_log2(q[::-1]) - 1
         # a squarefree part in place of P has its own signs: keep every root then
@@ -417,10 +488,9 @@ def exceeds_unity(f: RationalFunction) -> bool:
     then the product of the odd-multiplicity factors is searched instead.
     """
     A, B = _gain_squared(f)
-    Q = _plus(A, B, -1)
+    Q = _x_divided_out(_plus(A, B, -1))
     if not Q:
         return False
-    Q = Q[next(i for i, c in enumerate(Q) if c):]
     if Q[0] > 0 or Q[-1] > 0:
         return True
     q, roots = _positive_roots(Q)

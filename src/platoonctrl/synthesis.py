@@ -3,9 +3,12 @@
 Pipeline: shape the free Youla parameter so the complementary sensitivity
 dips below 1 early, certify the peak and the amplification band on a grid,
 then fan the certified design out into a geometrically frequency-scaled
-family whose amplification bands are pairwise disjoint. Everything
-structural is exact rational arithmetic; floats appear only in the base
-certificate's grid sweep and in its frequencies.
+family whose amplification bands are pairwise disjoint. Everything is
+exact rational arithmetic: each certificate decision is the sign of an
+integer polynomial in x = omega^2, |T(j omega)|^2 = A(x)/B(x). Floats
+appear only as the grid's samples and the band edges, each read exactly
+where a decision is made, and as the reported peak, rounded up; no
+magnitude is evaluated in floating point.
 
 The Youla design for 1/s^m has closed forms. Split the binomial expansion
 X + s^m Y = (1+s)^{2m} at index m and let D1 = (s+gamma_a)(s+gamma_b)^{m-1}.
@@ -30,12 +33,13 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Tuple
 
-from ._lazy import np
 from .errors import (BandwidthViolation, InvalidRange, PeakExceedsBudget,
-                     SearchExhausted, ZeroDenominator)
-from .freq import FrequencyGrid, default_grid, hinf_norm, log_abs_evaluator
-from .poly import Polynomial
-from .ratfun import RationalFunction, StableLoop, internal_stability, plant
+                     SearchExhausted, StabilityCheckFailed, ZeroDenominator)
+from .freq import (LogGrid, _abs_squared, _at, _budget_poly, _gain_squared, _plus,
+                   _x_divided_out, hinf_norm)
+from .poly import Polynomial, _convolve, _positive_roots
+from .ratfun import (RationalFunction, StableLoop, hurwitz_denominator, internal_stability,
+                     plant)
 
 _S = Polynomial([0, 1])
 _ONE = Polynomial([1])
@@ -95,13 +99,14 @@ def candidate_controller(m: int, gamma_a, gamma_b) -> RationalFunction:
 class Certificate:
     """Evidence for a closed loop: peak budget and amplification band.
 
-    |T| <= 1 was verified at every grid sample at or below omega_low and at
-    or above omega_high; peak is hinf_norm's proven upper bound (synthesize
-    builds the m = 1 certificate from its closed form instead). band_empty marks
-    the degenerate case |T| <= 1 everywhere, with omega_low = omega_high = 1
-    by convention so downstream gamma ratios degenerate to 1 instead of
-    dividing by zero. gamma_a and gamma_b are set by search_parameters on
-    the winning candidate's certificate.
+    |T| <= 1 holds exactly at every grid sample at or below omega_low and
+    at or above omega_high, and at both edges of a nonempty band; peak is
+    hinf_norm's proven upper bound (synthesize builds the m = 1
+    certificate from its closed form instead). band_empty marks the
+    degenerate case of no grid sample with |T| > 1, with
+    omega_low = omega_high = 1 by convention so downstream gamma ratios
+    degenerate to 1 instead of dividing by zero. gamma_a and gamma_b are
+    set by search_parameters on the winning candidate's certificate.
     """
 
     epsilon: float
@@ -113,54 +118,141 @@ class Certificate:
     gamma_b: Optional[Fraction] = None
 
 
-def _bisect_crossing(log_abs, a: float, b: float, keep_low: bool) -> float:
-    # |T| = 1 crossing between a and b, log_abs being log_abs_evaluator's
-    # function for T's one (num, den) pair; returns the endpoint kept on the
-    # |T| <= 1 side, tightened to 1e-10 relative width
+def _sign_at(cs, w: float) -> int:
+    # the sign of cs at x = w^2, w read exactly
+    v = _at(cs, Fraction(w) ** 2)
+    return (v > 0) - (v < 0)
+
+
+def _over_budget(A, B, epsilon: float) -> bool:
+    """Whether A/B > U^2 somewhere on x > 0 is proven, U the float 1 + epsilon read exactly.
+
+    G = U^2 B - A, divided by its power of x, is negative near 0 or near
+    infinity when its lowest or leading coefficient is, and otherwise it
+    is negative somewhere when a root that _positive_roots(G, first=True)
+    isolates is simple: G has opposite signs at its interval's ends. A
+    root it could not prove, or one at a split point, proves nothing.
+    """
+    G = _budget_poly(A, B, 1 + epsilon)
+    if not G:
+        return False
+    if G[0] < 0 or G[-1] < 0:
+        return True
+    roots = _positive_roots(G, first=True)[1]
+    if not roots:
+        return False
+    ends = _at(G, roots[0][0]), _at(G, roots[0][1])
+    return min(ends) < 0 < max(ends)
+
+
+def _place(q, root, x: Fraction) -> int:
+    """-1, 0 or 1 as x lies below, on or above the root of q that root = (lo, hi, sign) isolates."""
+    lo, hi, sign = root
+    if lo == hi:
+        return (x > lo) - (x < lo)
+    if x <= lo:
+        return -1
+    if x >= hi:
+        return 1
+    v = _at(q, x)
+    return 0 if not v else (-1 if (v > 0) == (sign > 0) else 1)
+
+
+def _over_samples(Q, grid: LogGrid) -> Optional[Tuple[int, int]]:
+    """(first, last): the first and last sample index with Q(w^2) > 0, None if no sample has it.
+
+    Q is an integer list, ascending in x = w^2, with Q[0] != 0. Its
+    positive roots, isolated once (poly._positive_roots), cut the axis into
+    open stretches on each of which Q keeps one sign. A binary search over
+    the sample indices counts the samples below each root, placing a
+    sample inside the root's interval by the sign there of q, Q's
+    squarefree part, whose sign changes at the root; a sample on a root has
+    Q = 0. Q's sign at a stretch's first sample is its sign on the stretch.
+    """
+    q, roots = _positive_roots(Q)
+    n, k, stretches = len(grid), 0, []
+    for root in roots:
+        start, top = k, n
+        while k < top:
+            mid = (k + top) // 2
+            if _place(q, root, Fraction(grid[mid]) ** 2) < 0:
+                k = mid + 1
+            else:
+                top = mid
+        stretches.append((start, k))
+        if k < n and _place(q, root, Fraction(grid[k]) ** 2) == 0:
+            k += 1
+    stretches.append((k, n))
+    over = [(a, b) for a, b in stretches if a < b and _sign_at(Q, grid[a]) > 0]
+    return (over[0][0], over[-1][1] - 1) if over else None
+
+
+def _band_samples(A, B, grid: LogGrid):
+    """(Q, over): Q = A - B divided by its power of x, and the first and last
+    sample index where Q > 0, that is |T| > 1, None if there is none."""
+    Q = _x_divided_out(_plus(A, B, -1))
+    return Q, (_over_samples(Q, grid) if Q else None)
+
+
+def _bisect_crossing(Q, a: float, b: float, keep_low: bool) -> float:
+    # |T| = 1 crossing between a and b, Q = A - B being T's; returns the
+    # endpoint kept on the |T| <= 1 side (Q <= 0, read exactly), tightened
+    # to 1e-10 relative width, or as far as doubles between a and b allow
     while (b - a) > 1e-10 * b:
         mid = math.sqrt(a * b)
-        if (float(log_abs(np.array([mid]))[0, 0]) <= 0) == keep_low:
+        if not a < mid < b:  # a * b past double range
+            mid = math.sqrt(a) * math.sqrt(b)
+            if not a < mid < b:
+                break
+        if (_sign_at(Q, mid) <= 0) == keep_low:
             a = mid
         else:
             b = mid
     return a if keep_low else b
 
 
-def certify_closed_loop(T: RationalFunction, epsilon: float,
-                        grid: FrequencyGrid | None = None) -> Certificate:
-    """Certify peak |T| <= 1 + epsilon and extract the amplification band.
-
-    omega_low sits strictly below the first grid sample with |T| > 1 and
-    omega_high strictly above the last, both refined by bisection while
-    staying on the |T| <= 1 side, so the band is placed conservatively.
-    Raises PeakExceedsBudget when the peak is over budget, judged on the
-    grid samples first and on hinf_norm's proven bound only if they fit, and
-    InvalidRange when the band touches the grid edge (the grid, not the
-    design, is at fault then). Internal stability is the caller's to show.
-    """
-    if epsilon <= 0:
-        raise InvalidRange("epsilon must be positive")
-    if grid is None:
-        grid = default_grid()
-    log_abs = log_abs_evaluator([(T.num.coeffs, T.den.coeffs)])
-    logs = log_abs(grid.omegas)[0]
-    i = int(np.argmax(logs))
-    # hinf_norm's peak is never below the grid's, so an over-budget grid sample decides
-    peak, w = float(np.exp(np.float64(logs[i]))), float(grid.omegas[i])
-    if peak <= 1 + epsilon:
-        peak, w, _ = hinf_norm(T)
+def _certify(A, B, loop, epsilon: float, grid: LogGrid) -> Certificate:
+    # certify_closed_loop on |T|^2 = A/B, loop() building T for hinf_norm
+    if _over_budget(A, B, epsilon):
+        raise PeakExceedsBudget(f"|T| exceeds {1 + epsilon:.6g}: "
+                                f"(1 + epsilon)^2 B - A changes sign")
+    peak, w, _ = hinf_norm(loop())
     if peak > 1 + epsilon:
         raise PeakExceedsBudget(f"peak {peak:.9g} at omega {w:.6g} exceeds {1 + epsilon:.6g}")
-    over = logs > 0.0
-    if not over.any():
+    Q, over = _band_samples(A, B, grid)
+    if over is None:
         return Certificate(float(epsilon), peak, 1.0, 1.0, band_empty=True)
-    first = int(np.argmax(over))
-    last = len(over) - 1 - int(np.argmax(over[::-1]))
-    if first == 0 or last == len(over) - 1:
+    first, last = over
+    if first == 0 or last == len(grid) - 1:
         raise InvalidRange("amplification band touches the grid edge; widen the grid")
-    w_lo = _bisect_crossing(log_abs, float(grid.omegas[first - 1]), float(grid.omegas[first]), True)
-    w_hi = _bisect_crossing(log_abs, float(grid.omegas[last]), float(grid.omegas[last + 1]), False)
+    w_lo = _bisect_crossing(Q, grid[first - 1], grid[first], True)
+    w_hi = _bisect_crossing(Q, grid[last], grid[last + 1], False)
     return Certificate(float(epsilon), peak, w_lo, w_hi, band_empty=False)
+
+
+def certify_closed_loop(T: RationalFunction, epsilon: float,
+                        grid: LogGrid | None = None) -> Certificate:
+    """Certify peak |T| <= 1 + epsilon and extract the amplification band.
+
+    Every decision is the sign of an integer polynomial in x = omega^2,
+    with |T(j omega)|^2 = A(x)/B(x) (freq._gain_squared). The budget:
+    PeakExceedsBudget when a sign change of U^2 B - A is proven, U the
+    float 1 + epsilon read exactly, and otherwise when hinf_norm's proven
+    peak exceeds 1 + epsilon. The band: omega_low sits below the first
+    grid sample where A - B > 0 and omega_high above the last, each
+    bisected between two samples while staying on the A - B <= 0 side, so
+    the band is placed conservatively with respect to the grid. InvalidRange
+    when the first or last sample has A - B > 0 (the grid, not the design,
+    is at fault then) or epsilon is not positive and finite;
+    StabilityCheckFailed when T is unstable or improper. The default grid
+    is LogGrid(1e-4, 1e4, 200).
+    """
+    if not 0 < epsilon < math.inf:  # the budget reads 1 + epsilon as an exact rational
+        raise InvalidRange("epsilon must be positive and finite")
+    if not (T.is_proper and hurwitz_denominator(T)):
+        raise StabilityCheckFailed("closed loop has no finite peak")
+    A, B = _gain_squared(T)
+    return _certify(A, B, lambda: T, epsilon, band_grid(None) if grid is None else grid)
 
 
 # ----------------------------------------------------------------------
@@ -175,10 +267,44 @@ def _scan_values() -> Tuple[Fraction, ...]:
     return tuple(out)
 
 
-def band_grid(gamma_b) -> FrequencyGrid:
-    """Certification grid wide enough to see a band that scales with gamma_b."""
-    wmin = min(1e-4, float(gamma_b) * 1e-3)
-    return FrequencyGrid(wmin, 1e4, 200)
+def band_grid(gamma_b) -> LogGrid:
+    """Certification grid wide enough to see a band that scales with gamma_b.
+
+    200 samples per decade up to 1e4, from 1e-4 or gamma_b / 1000 if that
+    is lower; gamma_b None gives the default sweep from 1e-4.
+    """
+    wmin = 1e-4 if gamma_b is None else min(1e-4, float(gamma_b) * 1e-3)
+    return LogGrid(wmin, 1e4, 200)
+
+
+def _linear_power(p: int, q: int, e: int):
+    # (p + q s)^e, ascending
+    return [math.comb(e, k) * p ** (e - k) * q ** k for k in range(e + 1)]
+
+
+@lru_cache(maxsize=None)
+def _youla_fixed(m: int):
+    # |X(j omega)|^2 and (1 + x)^(2m), ascending in x = omega^2
+    return _abs_squared([math.comb(2 * m, k) for k in range(m)]), _linear_power(1, 1, 2 * m)
+
+
+def _youla_gain_squared(m: int, gamma_a: Fraction, gamma_b: Fraction):
+    """(A, B), integer lists ascending in x = omega^2, with |T(j omega)|^2 = A(x)/B(x)
+    for T = youla_closed_loop(m, gamma_a, gamma_b), built from its factors.
+
+    With gamma_a = pa/qa, gamma_b = pb/qb and K = qa qb^(m-1), K D1 is
+    (qa s + pa)(qb s + pb)^(m-1), so A = |X|^2 |K D1 - K s^m|^2 and
+    B = (1 + x)^(2m) (qa^2 x + pa^2)(qb^2 x + pb^2)^(m-1), each K^2 times
+    its factor of |T|^2. No gcd is taken: a factor T's canonical form
+    cancels divides its Hurwitz denominator, so it is positive on x >= 0
+    and changes no sign the certificate reads.
+    """
+    X2, rise = _youla_fixed(m)
+    pa, qa, pb, qb = gamma_a.numerator, gamma_a.denominator, gamma_b.numerator, gamma_b.denominator
+    KD1 = _convolve([pa, qa], _linear_power(pb, qb, m - 1))
+    KD1.pop()  # its s^m coefficient is K
+    return (_convolve(X2, _abs_squared(KD1)),
+            _convolve(rise, _convolve([pa * pa, qa * qa], _linear_power(pb * pb, qb * qb, m - 1))))
 
 
 @lru_cache(maxsize=8)
@@ -187,9 +313,11 @@ def search_parameters(m: int, epsilon: float) -> Certificate:
 
     Scan order is lexicographic: gamma_a descends from 1 by quarter decades
     down to 1e-6, and for each gamma_a, gamma_b descends from gamma_a by the
-    same steps. Each candidate's youla_closed_loop is certified once, on a
-    band-aware grid (band_grid(gamma_b)) so small-gamma bands are not missed
-    below the default sweep floor; no controller is built, since Youla
+    same steps. Each candidate is certified once, as certify_closed_loop
+    does, on |T|^2 = A/B from _youla_gain_squared, on a band-aware grid
+    (band_grid(gamma_b)) so small-gamma bands are not missed below the
+    default sweep floor; youla_closed_loop is built only for hinf_norm, on
+    the candidates within budget, and no controller is built, since Youla
     parametrisation already makes the loop internally stable. The winner's
     certificate comes back with gamma_a and gamma_b set; it certifies
     candidate_controller(m, gamma_a, gamma_b) too, whose T is this T.
@@ -203,7 +331,8 @@ def search_parameters(m: int, epsilon: float) -> Certificate:
         for step in vals:
             gb = ga * step
             try:
-                cert = certify_closed_loop(youla_closed_loop(m, ga, gb), epsilon, band_grid(gb))
+                cert = _certify(*_youla_gain_squared(m, ga, gb),
+                                lambda: youla_closed_loop(m, ga, gb), epsilon, band_grid(gb))
             except (PeakExceedsBudget, InvalidRange):
                 continue
             return replace(cert, gamma_a=ga, gamma_b=gb)
@@ -329,16 +458,19 @@ def scaled_family(c: RationalFunction, cert: Certificate, m: int, omega_bw: floa
 def check_certificate(T: RationalFunction, cert: Certificate) -> Tuple[float, bool]:
     """(peak, ok): T's proven peak bound, and whether cert's claims hold for it.
 
-    peak is hinf_norm's. The band is tested on the grid synth certified on, band_grid(gamma_b),
-    or default_grid() for gamma_b None; ok means peak <= 1 + epsilon and log|T| <= 0 at every
-    sample outside (omega_low, omega_high). The edges are not recomputed: bisection endpoints
-    can differ in their last bits between libm builds.
+    peak is hinf_norm's. The band is tested on the grid synth certified on,
+    band_grid(gamma_b): ok means peak <= 1 + epsilon and, read exactly as
+    the sign of A - B (see certify_closed_loop), |T| <= 1 at every sample
+    at or below omega_low and at or above omega_high, that is, the first
+    and last samples with |T| > 1 lie strictly inside the band. The edges
+    are not recomputed: bisection endpoints can differ in their last bits
+    between libm builds.
     """
-    grid = default_grid() if cert.gamma_b is None else band_grid(cert.gamma_b)
-    logs = log_abs_evaluator([(T.num.coeffs, T.den.coeffs)])(grid.omegas)[0]
-    outside = (grid.omegas <= cert.omega_low) | (grid.omegas >= cert.omega_high)
     peak = hinf_norm(T).norm
-    return peak, bool(peak <= 1 + cert.epsilon and not (logs[outside] > 0).any())
+    grid = band_grid(cert.gamma_b)
+    over = _band_samples(*_gain_squared(T), grid)[1]
+    inside = over is None or cert.omega_low < grid[over[0]] and grid[over[1]] < cert.omega_high
+    return peak, bool(peak <= 1 + cert.epsilon and inside)
 
 
 def family_product_check(family: ControllerFamily) -> Tuple[float, bool]:

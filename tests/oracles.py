@@ -33,9 +33,19 @@ The np.polyval magnitude engine, one polynomial at a time, checks
 `freq.log_abs_evaluator`'s stacked Horner evaluation bit for bit.
 `hinf_by_grid`, the best grid sample refined by golden section, is the
 float peak that `freq.hinf_norm`'s exact enclosure must contain.
+`abs_squared_at` reads |T(j w)|^2 exactly at one float sample, by Horner in
+Gaussian integers; sample by sample, it checks the first and last grid
+sample `synthesis` finds with |T| > 1 from one root isolation and a binary
+search. `certify_by_grid`, `certify_closed_loop` on float log-magnitudes
+(`float_over_samples`), is the route the certificate took before its
+decisions became integer signs, and agrees with it wherever a sample's
+float log-magnitude lies clear of 0. `invariance_check` compares the
+leading blocks of S_n across lengths, which `bidir.sensitivity_matrix`'s
+closed form makes equal by construction.
 `cascade_gain` tests each stage of an arbitrary controller cascade by the
-gang of four; with it, the per-stage PD route, with a fresh generator
-per gain, checks the closed-form PD cascade and its one keyed generator in `cascade`.
+gang of four and sums the stages' log-magnitudes (`cascade_profile`); with
+it, the per-stage PD route, with a fresh generator per gain, checks the
+closed-form PD cascade and its one keyed generator in `cascade`.
 `family_member` builds a scaled member's exact controller, whose loop the
 tests compare with T(gamma_k s); no command builds one. The family sweep,
 reading every member's T(gamma_k s) on one float grid, checks the bound
@@ -56,14 +66,14 @@ from typing import Tuple
 import numpy as np
 
 from platoonctrl.bidir import sensitivity_matrix
-from platoonctrl.cascade import _SCHEME, CascadeProfile, MistuneReport, cascade_profile
-from platoonctrl.errors import (DivergentAtOrigin, IllPosed, InvalidRange,
+from platoonctrl.cascade import _SCHEME, MistuneReport, _peaks
+from platoonctrl.errors import (DivergentAtOrigin, IllPosed, InvalidRange, PeakExceedsBudget,
                                 PlatoonError, PoleAtPoint, StabilityCheckFailed)
 from platoonctrl.freq import (FrequencyGrid, _log_abs_coeff, _scaled_descending,
-                              default_grid, log_abs_evaluator)
+                              default_grid, hinf_norm, log_abs_evaluator)
 from platoonctrl.poly import Polynomial, hurwitz_stable
 from platoonctrl.ratfun import RationalFunction, hurwitz_denominator, scale_frequency
-from platoonctrl.synthesis import plant
+from platoonctrl.synthesis import Certificate, plant
 
 _S = Polynomial([0, 1])
 _ONE = Polynomial([1])
@@ -452,6 +462,26 @@ def _verify_sensitivity(S: Tuple[Tuple[RationalFunction, ...], ...]) -> None:
                 raise fail
 
 
+def invariance_check(k: int, ns) -> bool:
+    """True iff the leading k-by-k block of S_n agrees exactly across ns.
+
+    `bidir.sensitivity_matrix`'s entry (i, j) has no n in it, so this holds
+    for every k and ns by construction; the check compares the blocks."""
+    if k < 1:
+        raise InvalidRange("k must be >= 1")
+    ns = list(ns)
+    if not ns:
+        raise InvalidRange("ns must be nonempty")
+    if any(n < k for n in ns):
+        raise InvalidRange("every n must be >= k")
+
+    def block(n):
+        return tuple(row[:k] for row in sensitivity_matrix(n)[:k])
+
+    first = block(ns[0])
+    return all(block(n) == first for n in ns[1:])
+
+
 # ---------------------------------------------------------------- Bode table
 
 def bode_rows_by_engine(n: int, omegas) -> np.ndarray:
@@ -530,6 +560,89 @@ def log_abs_polyval(num, den, omegas) -> np.ndarray:
     the difference of their polyval rows: log_abs_evaluator's row for (num, den)."""
     return poly_log_abs_polyval(Polynomial(num), omegas) - \
         poly_log_abs_polyval(Polynomial(den), omegas)
+
+
+# ---------------------------------------------------------------- float certificate
+
+def _bisect_log_crossing(log_abs, a: float, b: float, keep_low: bool) -> float:
+    # |T| = 1 crossing between a and b on float log-magnitudes; returns the
+    # endpoint kept on the log|T| <= 0 side, tightened to 1e-10 relative width
+    while (b - a) > 1e-10 * b:
+        mid = math.sqrt(a * b)
+        if (float(log_abs(np.array([mid]))[0, 0]) <= 0) == keep_low:
+            a = mid
+        else:
+            b = mid
+    return a if keep_low else b
+
+
+def abs_squared_at(f: RationalFunction, w: float) -> Fraction:
+    """|f(j w)|^2 in exact arithmetic, w a float read as the dyadic rational it is.
+
+    Each of f's integer coefficient lists is evaluated at j n/d, w = n/d, by
+    Horner in Gaussian integers with the powers of d cleared, and the squared
+    moduli are divided as Fractions; w = inf gives the limit of a proper f.
+    """
+    if w == math.inf:
+        return Fraction(0) if f.num.degree < f.den.degree else \
+            (f.num.leading() / f.den.leading()) ** 2
+    n, d = Fraction(w).as_integer_ratio()
+
+    def cleared(p):
+        # |d^deg p.ints(j n/d)|^2
+        ints = p.ints
+        re, im = ints[-1], 0
+        scale = 1
+        for c in reversed(ints[:-1]):
+            scale *= d
+            re, im = -im * n + c * scale, re * n
+        return re * re + im * im
+
+    if f.num.is_zero:
+        return Fraction(0)
+    shift = 2 * (f.den.degree - f.num.degree)
+    return Fraction(cleared(f.num) * f.den.den ** 2 * d ** max(shift, 0),
+                    cleared(f.den) * f.num.den ** 2 * d ** max(-shift, 0))
+
+
+def float_over_samples(T: RationalFunction, omegas):
+    """(over, logs): the first and last index with float ln|T(j omega)| > 0,
+    None if there is none, and the row of ln|T| itself."""
+    logs = log_abs_evaluator([(T.num.coeffs, T.den.coeffs)])(np.asarray(omegas, dtype=float))[0]
+    over = np.flatnonzero(logs > 0.0)
+    return ((int(over[0]), int(over[-1])) if len(over) else None), logs
+
+
+def certify_by_grid(T: RationalFunction, epsilon: float, grid: FrequencyGrid | None = None):
+    """`synthesis.certify_closed_loop` on float log-magnitudes.
+
+    The grid route `certify_closed_loop` took before its decisions became
+    integer signs: an over-budget grid sample rejects, then hinf_norm's
+    proven peak; the band is the first and last sample with float
+    log|T| > 0, each edge bisected on float log|T| <= 0.
+    """
+    if epsilon <= 0:
+        raise InvalidRange("epsilon must be positive")
+    if grid is None:
+        grid = default_grid()
+    log_abs = log_abs_evaluator([(T.num.coeffs, T.den.coeffs)])
+    over, logs = float_over_samples(T, grid.omegas)
+    i = int(np.argmax(logs))
+    peak, w = float(np.exp(np.float64(logs[i]))), float(grid.omegas[i])
+    if peak <= 1 + epsilon:
+        peak, w, _ = hinf_norm(T)
+    if peak > 1 + epsilon:
+        raise PeakExceedsBudget(f"peak {peak:.9g} at omega {w:.6g} exceeds {1 + epsilon:.6g}")
+    if over is None:
+        return Certificate(float(epsilon), peak, 1.0, 1.0, band_empty=True)
+    first, last = over
+    if first == 0 or last == len(logs) - 1:
+        raise InvalidRange("amplification band touches the grid edge; widen the grid")
+    w_lo = _bisect_log_crossing(log_abs, float(grid.omegas[first - 1]),
+                                float(grid.omegas[first]), True)
+    w_hi = _bisect_log_crossing(log_abs, float(grid.omegas[last]),
+                                float(grid.omegas[last + 1]), False)
+    return Certificate(float(epsilon), peak, w_lo, w_hi, band_empty=False)
 
 
 # ---------------------------------------------------------------- scaled family
@@ -699,12 +812,44 @@ def middleton_quadrature(T: RationalFunction, omega_lo: float = 1e-6,
 
 # ---------------------------------------------------------------- PD cascade
 
+@dataclass(frozen=True)
+class CascadeProfile:
+    """Cumulative log-magnitude of prod_k T_k over a grid, with its peak."""
+
+    grid: FrequencyGrid
+    log_magnitudes: np.ndarray
+    peak: float
+    argmax_omega: float
+
+    def to_csv(self) -> str:
+        lines = ["omega,abs,abs_db"]
+        for om, lg in zip(self.grid.omegas, self.log_magnitudes):
+            lines.append(f"{float(om)!r},{math.exp(lg)!r},{float(lg) * (20.0 / math.log(10.0))!r}")
+        return "\n".join(lines) + "\n"
+
+
+def cascade_profile(stages, grid: FrequencyGrid) -> CascadeProfile:
+    """Per-omega sum of ln|T_k(j omega)| for the cascade of the given stages.
+
+    The stages are the T_k as (num_coeffs, den_coeffs) pairs of ascending
+    coefficients; the profile equals |y_n/d_1| pointwise for the n-stage
+    cascade. Every stage's ln|T_k| comes from one stacked evaluation, and
+    the rows are summed in stage order, so the float sums are those of a
+    per-stage loop; the peak is read as `cascade.pd_mistune_experiment`
+    reads its trials'.
+    """
+    total = np.zeros(len(grid.omegas))
+    for row in log_abs_evaluator(stages)(grid.omegas):
+        total = total + row
+    return CascadeProfile(grid, total, *_peaks(total[None], grid.omegas)[0])
+
+
 def cascade_gain(controllers, m: int, grid=None) -> CascadeProfile:
     """The cascade profile of the given controllers, each Routh-tested.
 
     Each controller must internally stabilise 1/s^m; the failure message
     names the 1-based offender. Each stage's T is read off the gang of four
-    and the stages go to `cascade.cascade_profile`.
+    and the stages go to `cascade_profile`.
     """
     if not controllers:
         raise InvalidRange("need at least one controller")

@@ -18,7 +18,6 @@ from platoonctrl import (
     bode_table,
     family_product_check,
     internal_stability,
-    invariance_check,
     lift_order,
     middleton_integral,
     parse_rational,
@@ -31,8 +30,8 @@ from platoonctrl.cli import main
 from platoonctrl.poly import Polynomial
 from platoonctrl.ratfun import RationalFunction
 
-from oracles import (cascade_gain, closed_loop, family_member, lemma_structures,
-                     youla_coprime)
+from oracles import (cascade_gain, closed_loop, family_member, invariance_check,
+                     lemma_structures, youla_coprime)
 
 S_EXACT = parse_rational("s")
 ONE = parse_rational("1")

@@ -14,15 +14,16 @@ import numpy as np
 import pytest
 
 from platoonctrl import bidir
-from platoonctrl.bidir import (_lemma_matrices, bode_table, invariance_check,
-                               sensitivity_matrix, verify_factorization)
+from platoonctrl.bidir import (_lemma_matrices, bode_table, sensitivity_matrix,
+                               verify_factorization)
 from platoonctrl.errors import InvalidRange
 from platoonctrl.poly import Polynomial
 from platoonctrl.ratfun import RationalFunction, one, s
 
 from oracles import (SingularDiagonal, _verify_sensitivity, avx512_dispatch_targets,
                      bode_csv_per_entry, bode_rows_by_engine, bode_rows_numpy, eye,
-                     invert_bidiagonal, lemma_structures, mat_add, matmul, transpose)
+                     invariance_check, invert_bidiagonal, lemma_structures, mat_add, matmul,
+                     transpose)
 
 ONE = Polynomial([1])
 S = Polynomial([0, 1])

@@ -28,6 +28,10 @@ _EXACT = [
     ["homogeneous", "--m", "2", "--c", "1+0.7*s", "--n", "5"],
     # the lemma's closed form in math, on samples built in math
     ["bode", "--n", "3", "--ppd", "2"],
+    # every scan and band decision is an integer sign, on samples built in
+    # math; family-check reads the family synth wrote
+    ["synth", "--m", "3", "--count", "3"],
+    ["family-check", "--file", "{out}/5/family.json"],
 ]
 _FLOAT = [["pd-random", "--n", "3", "--trials", "2"]]
 
@@ -51,7 +55,7 @@ def _fresh(argvs, first=""):
 
 def _files(out: pathlib.Path):
     # every file each command wrote, report.json without its timing section
-    # and with artifact paths relative to the run's directory
+    # and with artifact and input paths relative to the run's directory
     files = {}
     for path in sorted(out.rglob("*")):
         if not path.is_file():
@@ -61,13 +65,16 @@ def _files(out: pathlib.Path):
             doc = json.loads(data)
             doc.pop("timing")
             doc["artifacts"] = [os.path.relpath(a, out) for a in doc["artifacts"]]
+            if "file" in doc["parameters"]:
+                doc["parameters"]["file"] = os.path.relpath(doc["parameters"]["file"], out)
             data = json.dumps(doc, sort_keys=True).encode()
         files[str(path.relative_to(out))] = data
     return files
 
 
 def _run(cmds, out: pathlib.Path, first=""):
-    argvs = [argv + ["--out", str(out / str(k))] for k, argv in enumerate(cmds)]
+    argvs = [[a.format(out=out) for a in argv] + ["--out", str(out / str(k))]
+             for k, argv in enumerate(cmds)]
     return _fresh(argvs, first), _files(out)
 
 
@@ -79,9 +86,9 @@ def test_importing_the_cli_registers_numpy_without_loading_it():
 def test_exact_commands_never_load_numpy(tmp_path):
     lazy, lazy_files = _run(_EXACT, tmp_path / "lazy")
     eager, eager_files = _run(_EXACT, tmp_path / "eager", first="import numpy")
-    assert lazy == {"codes": [0] * 5, "registered": True, "loaded": False}
-    assert eager["codes"] == [0] * 5 and eager["loaded"]
-    assert lazy_files == eager_files and len(lazy_files) == 9
+    assert lazy == {"codes": [0] * 7, "registered": True, "loaded": False}
+    assert eager["codes"] == [0] * 7 and eager["loaded"]
+    assert lazy_files == eager_files and len(lazy_files) == 12
 
 
 def test_a_float_command_loads_numpy_and_matches_its_eager_run(tmp_path):
