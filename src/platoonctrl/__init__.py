@@ -14,8 +14,7 @@ from .errors import (BandwidthViolation, DivergentAtOrigin, IllPosed,
                      PeakExceedsBudget, PlatoonError, PoleAtPoint,
                      SearchExhausted, StabilityCheckFailed, ZeroDenominator,
                      ZeroPolynomial)
-from .freq import (FrequencyGrid, HinfResult, LogGrid, default_grid, hinf_norm,
-                   log_abs_evaluator)
+from .freq import HinfResult, LogGrid, default_grid, hinf_norm
 from .parsing import parse_rational
 from .poly import Polynomial, hurwitz_stable, poly_gcd
 from .ratfun import RationalFunction, StableLoop, internal_stability, plant, scale_frequency
@@ -29,7 +28,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BandwidthViolation", "BodeTable", "Certificate",
-    "ControllerFamily", "Design", "DivergentAtOrigin", "FrequencyGrid",
+    "ControllerFamily", "Design", "DivergentAtOrigin",
     "GrowthTable", "HinfResult", "IllPosed", "InvalidRange", "LogGrid",
     "MistuneReport",
     "NonPositiveGamma", "ParseError", "PeakExceedsBudget", "PlatoonError",
@@ -41,7 +40,7 @@ __all__ = [
     "family_from_json", "family_product_check", "family_to_json",
     "hinf_norm", "homogeneous_growth", "hurwitz_stable",
     "internal_stability", "lift_order",
-    "log_abs_evaluator", "middleton_integral", "parse_rational",
+    "middleton_integral", "parse_rational",
     "pd_cascade_peak", "pd_mistune_experiment", "plant", "poly_gcd", "scale_frequency",
     "scaled_family", "search_parameters", "sensitivity_matrix",
     "synthesize", "verify_factorization", "youla_closed_loop",

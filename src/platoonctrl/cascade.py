@@ -9,6 +9,13 @@ stabilising loop has ln|T| integrating to a nonnegative value against
 geometrically. That integral is computed from its closed form in T'(0) and
 the right-half-plane zeros of T, not by quadrature. The randomized PD
 experiment probes how much plain parameter scatter already mitigates that.
+
+The experiment is the package's one float path, and its magnitude engine
+lives here, in log space: coefficients are scaled by their largest
+magnitude, from exact big-integer logs, and |z| > 1 uses
+p(z) = z^deg p_rev(1/z), so none overflows. np.polyval's Horner steps run
+on a stack of equal-degree rows at once, bit for bit as on each alone, at
+np.logspace samples of a LogGrid's range and count, both endpoints exact.
 """
 
 from __future__ import annotations
@@ -20,12 +27,76 @@ from typing import Tuple
 
 from ._lazy import np
 from .errors import DivergentAtOrigin, InvalidRange, StabilityCheckFailed
-from .freq import (FrequencyGrid, _log_abs_coeff, _log_abs_scaled, _scaled_descending,
-                   default_grid, exceeds_unity, hinf_norm)
+from .freq import LogGrid, default_grid, exceeds_unity, hinf_norm
 from .poly import hurwitz_stable
 from .ratfun import RationalFunction, hurwitz_denominator, internal_stability, plant
 
 _SQRT2 = math.sqrt(2.0)
+
+
+# ----------------------------------------------------------------------
+# log-magnitude engine
+
+def _log_abs_coeff(c) -> float:
+    """log|c| for a nonzero int or Fraction, immune to float overflow."""
+    return math.log(abs(c.numerator)) - math.log(c.denominator)
+
+
+def _scaled_descending(coeffs):
+    """(descending float coeffs scaled to max |coeff| = 1, log of the scale).
+
+    coeffs is a nonempty ascending sequence of ints or Fractions without
+    trailing zeros, as Polynomial.coeffs holds it.
+    """
+    logs = [(-math.inf if c == 0 else _log_abs_coeff(c)) for c in coeffs]
+    top = max(logs)
+    scaled = []
+    for c, lg in zip(coeffs, logs):
+        if c == 0:
+            scaled.append(0.0)
+        else:
+            mag = math.exp(lg - top)
+            scaled.append(mag if c > 0 else -mag)
+    return np.array(scaled[::-1], dtype=float), top
+
+
+def _horner(desc: np.ndarray, z: np.ndarray) -> np.ndarray:
+    # np.polyval's y = y*z + c, over a stack of rows of coefficients; c
+    # enters as c + 0j, and in place it skips a cast and a temporary per step
+    c = desc.astype(complex)
+    y = np.zeros(desc.shape[:-1] + z.shape, dtype=complex)
+    for i in range(desc.shape[-1]):
+        y *= z
+        y += c[..., i, None]
+    return y
+
+
+def _log_abs_scaled(desc: np.ndarray, top: np.ndarray, omegas: np.ndarray) -> np.ndarray:
+    """ln|p(j*omega)| per sample for a stack of _scaled_descending rows of one degree.
+
+    desc holds one row per polynomial and top the matching column of scale
+    logs; the result has one row per polynomial.
+    """
+    d = desc.shape[-1] - 1
+    z = 1j * omegas
+    out = np.empty(desc.shape[:-1] + omegas.shape)
+    small = omegas <= 1.0
+    with np.errstate(divide="ignore"):
+        if small.any():
+            out[..., small] = np.log(np.abs(_horner(desc, z[small])))
+        big = ~small
+        if big.any():
+            # p(z) = z^d * p_rev(1/z) keeps the argument inside the unit disk
+            out[..., big] = d * np.log(omegas[big]) + \
+                np.log(np.abs(_horner(desc[..., ::-1], 1.0 / z[big])))
+    return out + top
+
+
+def _samples(grid: LogGrid) -> np.ndarray:
+    # np.logspace over the grid's range and count, both endpoints exact
+    om = np.logspace(math.log10(grid.omega_min), math.log10(grid.omega_max), len(grid))
+    om[0], om[-1] = grid.omega_min, grid.omega_max
+    return om
 
 
 # ----------------------------------------------------------------------
@@ -248,14 +319,14 @@ def _rising_edge(k_max: float) -> float:
     return math.sqrt(2.0 / (1.0 + math.hypot(1.0, _SQRT2 * k_max))) * (1.0 - 2.0 ** -49)
 
 
-def pd_window(k_max: float, grid: FrequencyGrid) -> np.ndarray:
-    """The samples of the grid that can hold a PD cascade's maximum, every gain being <= k_max.
+def pd_window(k_max: float, grid: LogGrid) -> np.ndarray:
+    """The grid's np.logspace samples that can hold a PD cascade's maximum, every gain <= k_max.
 
     They run from the last sample at or below w*(k_max) to the last one
     below sqrt 2, at least one; pd_mistune_experiment's docstring proves
     that the maximum lies there.
     """
-    om = grid.omegas
+    om = _samples(grid)
     lo = max(int(np.searchsorted(om, _rising_edge(k_max), "right")) - 1, 0)
     # the float sqrt 2 lies above the exact one, so no sample below it is dropped
     hi = max(int(np.searchsorted(om, _SQRT2)), lo + 1)
@@ -281,7 +352,7 @@ def _trial_peaks(log_ks, n: int, window) -> list:
     """(peak, argmax omega) over the window per trial of n stages, log_ks their ln k trial by trial.
 
     The numerators and the denominators are each one stack for
-    freq._log_abs_scaled, which gives every row bit for bit as evaluating it
+    _log_abs_scaled, which gives every row bit for bit as evaluating it
     alone would, and each trial's rows are summed in stage order, so each
     peak is the one a loop over the trial's stages gives.
     """
@@ -294,7 +365,7 @@ def _trial_peaks(log_ks, n: int, window) -> list:
     return _peaks(total, window)
 
 
-def pd_cascade_peak(ks, k_max: float, grid: FrequencyGrid) -> Tuple[float, float]:
+def pd_cascade_peak(ks, k_max: float, grid: LogGrid) -> Tuple[float, float]:
     """(peak, argmax omega) over the grid of the cascade of PD stages with gains ks.
 
     Stage k is T_k = (1 + k s)/(s^2 + k s + 1); ks holds one or more ints or
@@ -305,7 +376,7 @@ def pd_cascade_peak(ks, k_max: float, grid: FrequencyGrid) -> Tuple[float, float
 
 
 def pd_mistune_experiment(n: int, k_min: float, k_max: float, trials: int,
-                          seed: int, grid: FrequencyGrid | None = None) -> MistuneReport:
+                          seed: int, grid: LogGrid | None = None) -> MistuneReport:
     """Cascade peaks for n PD stages with gains drawn uniformly per vehicle.
 
     The plant order is fixed at m=2: stage k is 1/s^2 under c = 1 + k s,

@@ -1,24 +1,11 @@
-"""Frequency grids, overflow-safe magnitude evaluation, and the H-infinity
-norm, enclosed exactly with no grid.
+"""Log-uniform frequency grids, and the H-infinity norm enclosed exactly with no grid.
 
-FrequencyGrid holds its samples as a numpy array for the magnitude engine;
-LogGrid computes the same log-uniform samples in libm, one index at a time,
-for the certificates in `synthesis`, which read a few samples exactly, and
-for `bode`, which reads each once; neither loads numpy.
-
-The magnitude engine works in log space throughout: polynomial coefficients
-are rescaled by their largest magnitude (computed from exact big-integer
-logs when needed), and evaluation at |z| > 1 uses the reversed-coefficient
-identity p(z) = z^deg * p_rev(1/z). Coefficients beyond double range
-therefore evaluate without overflow; terms more than about 10^308 below the
-largest coefficient underflow to zero.
-
-log_abs_evaluator is the engine's one entry point. It reads each exact
-ascending coefficient sequence (Polynomial.coeffs, or a tuple of ints and
-Fractions a caller knows in closed form) once and scales it, the costly
-step; each call then runs Horner's y = y*z + c, the sequence np.polyval
-runs, on a stack of the equal-degree sequences at once, bit for bit as it
-would on each alone.
+LogGrid computes log-uniform samples in libm, one index at a time: the
+certificates in `synthesis` read a few samples exactly, `bode` reads each
+once, and `cascade` evaluates pd-random at numpy's logspace over a grid's
+range and count. The exact layer writes |f(j omega)|^2 = A(x)/B(x) over the
+integers, x = omega^2, and reads every peak and crossing off root counts
+and signs of integer polynomials, so this module loads no numpy.
 """
 
 from __future__ import annotations
@@ -29,38 +16,13 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple
 
-from ._lazy import np
 from .errors import InvalidRange, StabilityCheckFailed
 from .poly import _convolve, _derivative, _odd_part, _positive_roots, _root_bound_log2
 from .ratfun import RationalFunction, hurwitz_denominator
 
 
-class FrequencyGrid:
-    """Log-uniform grid of positive frequencies (rad/s), endpoints included."""
-
-    __slots__ = ("omega_min", "omega_max", "points_per_decade", "omegas")
-
-    def __init__(self, omega_min: float, omega_max: float, points_per_decade: int = 200):
-        if not (0 < omega_min < omega_max < math.inf):
-            raise InvalidRange("need 0 < omega_min < omega_max < inf")
-        if points_per_decade < 1:
-            raise InvalidRange("points_per_decade must be >= 1")
-        n = grid_samples(omega_min, omega_max, points_per_decade)
-        om = np.logspace(math.log10(omega_min), math.log10(omega_max), n)
-        om[0], om[-1] = omega_min, omega_max
-        om.setflags(write=False)
-        self.omega_min = float(omega_min)
-        self.omega_max = float(omega_max)
-        self.points_per_decade = int(points_per_decade)
-        self.omegas = om
-
-    def __repr__(self):
-        return (f"FrequencyGrid({self.omega_min:g}, {self.omega_max:g}, "
-                f"{self.points_per_decade})")
-
-
 def grid_samples(omega_min: float, omega_max: float, points_per_decade: int) -> int:
-    """The number of samples FrequencyGrid(omega_min, omega_max, points_per_decade) holds.
+    """The number of samples LogGrid(omega_min, omega_max, points_per_decade) holds.
 
     A count past double range, which no grid could hold, is InvalidRange.
     """
@@ -83,13 +45,13 @@ def _exp10(y: float) -> float:
 class LogGrid:
     """Log-uniform samples of positive frequencies (rad/s), computed in libm one index at a time.
 
-    The count N is `grid_samples`, as for FrequencyGrid. With
+    The count N is `grid_samples`. With
     start = log10(omega_min), stop = log10(omega_max) and
     step = (stop - start) / (N - 1), sample k is libm's
     10.0 ** (k * step + start), inf past double range, and samples 0 and
     N - 1 are omega_min and omega_max exactly. That is np.logspace's
     recurrence, but numpy's SIMD power need not round as libm's pow does,
-    so each sample lies within 1 ulp of FrequencyGrid's, not always on it.
+    so each sample lies within 1 ulp of np.logspace's, not always on it.
     np.linspace takes (k / (N - 1)) * (stop - start) + start instead where
     step is 0, which needs stop == start: a nonzero difference of logs exceeds
     1e-17, so step underflows only past 1e290 samples, and `grid_samples`
@@ -132,114 +94,9 @@ class LogGrid:
 
 
 @functools.cache
-def default_grid() -> FrequencyGrid:
-    """The documented default sweep: 1e-4..1e4 rad/s at 200 points/decade.
-
-    Built on first use, so importing the package runs no numpy.
-    """
-    return FrequencyGrid(1e-4, 1e4, 200)
-
-
-# ----------------------------------------------------------------------
-# log-magnitude engine
-
-def _log_abs_coeff(c) -> float:
-    """log|c| for a nonzero int or Fraction, immune to float overflow."""
-    return math.log(abs(c.numerator)) - math.log(c.denominator)
-
-
-def _scaled_descending(coeffs):
-    """(descending float coeffs scaled to max |coeff| = 1, log of the scale).
-
-    coeffs is a nonempty ascending sequence of ints or Fractions without
-    trailing zeros, as Polynomial.coeffs holds it.
-    """
-    logs = [(-math.inf if c == 0 else _log_abs_coeff(c)) for c in coeffs]
-    top = max(logs)
-    scaled = []
-    for c, lg in zip(coeffs, logs):
-        if c == 0:
-            scaled.append(0.0)
-        else:
-            mag = math.exp(lg - top)
-            scaled.append(mag if c > 0 else -mag)
-    return np.array(scaled[::-1], dtype=float), top
-
-
-def _horner(desc: np.ndarray, z: np.ndarray) -> np.ndarray:
-    # np.polyval's y = y*z + c, over a stack of rows of coefficients; c
-    # enters as c + 0j, and in place it skips a cast and a temporary per step
-    c = desc.astype(complex)
-    y = np.zeros(desc.shape[:-1] + z.shape, dtype=complex)
-    for i in range(desc.shape[-1]):
-        y *= z
-        y += c[..., i, None]
-    return y
-
-
-def _log_abs_scaled(desc: np.ndarray, top: np.ndarray, omegas: np.ndarray) -> np.ndarray:
-    """ln|p(j*omega)| per sample for a stack of _scaled_descending rows of one degree.
-
-    desc holds one row per polynomial and top the matching column of scale
-    logs; the result has one row per polynomial.
-    """
-    d = desc.shape[-1] - 1
-    z = 1j * omegas
-    out = np.empty(desc.shape[:-1] + omegas.shape)
-    small = omegas <= 1.0
-    with np.errstate(divide="ignore"):
-        if small.any():
-            out[..., small] = np.log(np.abs(_horner(desc, z[small])))
-        big = ~small
-        if big.any():
-            # p(z) = z^d * p_rev(1/z) keeps the argument inside the unit disk
-            out[..., big] = d * np.log(omegas[big]) + \
-                np.log(np.abs(_horner(desc[..., ::-1], 1.0 / z[big])))
-    return out + top
-
-
-def _stacks(seqs):
-    # the nonzero sequences grouped by degree: (their indices, the scaled
-    # stack, its column of scale logs) per degree
-    by_degree = {}
-    for k, cs in enumerate(seqs):
-        if cs:
-            by_degree.setdefault(len(cs), []).append(k)
-    out = []
-    for rows in by_degree.values():
-        scaled = [_scaled_descending(seqs[k]) for k in rows]
-        out.append((rows, np.array([desc for desc, _ in scaled]),
-                    np.array([[top] for _, top in scaled])))
-    return out
-
-
-def log_abs_evaluator(pairs):
-    """omegas -> rows, row k being ln|num_k(j*omega) / den_k(j*omega)| for pairs[k] = (num_k, den_k).
-
-    num_k and den_k are ascending coefficient sequences, Polynomial.coeffs
-    or a closed-form tuple of ints and Fractions; the empty sequence is 0,
-    whose log is -inf. Each sequence is scaled once, here, and each call
-    evaluates the sequences of one degree as one stack, which gives each
-    sequence's row bit for bit as evaluating it alone would.
-    """
-    count = len(pairs)
-    nums = _stacks([num for num, _ in pairs])
-    dens = _stacks([den for _, den in pairs])
-
-    def rows(stacks, omegas):
-        if len(stacks) == 1 and len(stacks[0][0]) == count:
-            # one stack holds every row, in order: the common one-function call
-            return _log_abs_scaled(stacks[0][1], stacks[0][2], omegas)
-        out = np.full((count, len(omegas)), -np.inf)
-        for idx, desc, top in stacks:
-            out[idx] = _log_abs_scaled(desc, top, omegas)
-        return out
-
-    def log_abs(omegas) -> np.ndarray:
-        omegas = np.asarray(omegas, dtype=float)
-        return rows(nums, omegas) - rows(dens, omegas)
-
-    return log_abs
+def default_grid() -> LogGrid:
+    """The documented default sweep, one shared LogGrid: 1e-4..1e4 rad/s at 200 points/decade."""
+    return LogGrid(1e-4, 1e4, 200)
 
 
 # ----------------------------------------------------------------------

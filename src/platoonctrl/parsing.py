@@ -30,16 +30,13 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Tuple
 
 from .errors import ParseError
-from .poly import Polynomial
+from .poly import _POWER_CAP, Polynomial, _fraction
 from .ratfun import RationalFunction
 
 # base ** k has degree at most |k| deg(base) and integers of at most about
 # |k| (deg(base) + bits(base)) bits, bits being the largest integer's bit
-# length, so capping |k| (deg + bits) caps both, and the result at about
-# _POWER_CAP ** 2 bits
-_POWER_CAP = 10 ** 4
-# _size of the constant 10: degree 0 plus its bit length
-_TEN_SIZE = (10).bit_length()
+# length, so capping |k| (deg + bits) by _POWER_CAP caps both, and the
+# result at about _POWER_CAP ** 2 bits
 # the work one parse may spend, in the units of _product: a unit is 3-7 ns
 # of CPython's integer arithmetic, so the cap is well under a second
 _WORK_CAP = 10 ** 8
@@ -187,14 +184,11 @@ class _Parser:
         tok = self.take()
         kind, pos, text = tok
         if kind == "num":
-            # Fraction(text) computes 10^|E| for the exponent E in full, so
-            # E is capped first, as the power 10^|E| would be; an exponent
-            # with more digits than the cap is past it
-            digits = text.lower().partition("e")[2].lstrip("+-").lstrip("0")
-            if len(digits) > len(str(_POWER_CAP)) or int(digits or 0) * _TEN_SIZE > _POWER_CAP:
-                raise ParseError(f"number too large: its exponent |E| times the bit length "
-                                 f"of 10 passes {_POWER_CAP}", pos)
-            return _known(RationalFunction(Polynomial([Fraction(text)]), Polynomial([1])))
+            try:
+                value = _fraction(text)
+            except ValueError as exc:
+                raise ParseError(str(exc), pos) from None
+            return _known(RationalFunction(Polynomial([value]), Polynomial([1])))
         if kind == "s":
             return _known(RationalFunction(Polynomial([0, 1]), Polynomial([1])))
         if kind == "(":

@@ -21,6 +21,26 @@ from .errors import ZeroPolynomial
 
 Scalar = Union[int, float, Fraction]
 _SCALARS = (int, float, Fraction)
+# the size cap: past it a decimal string's exponent here, and a power's or an
+# operation's operands in `parsing`, are refused before the number is computed
+_POWER_CAP = 10 ** 4
+# the bit length of 10: a decimal exponent E counts as the power 10^|E|
+_TEN_SIZE = (10).bit_length()
+
+
+def _fraction(x) -> Fraction:
+    """Fraction(x), a decimal string's exponent E checked first.
+
+    Fraction computes 10^|E| in full, so an |E| whose product with the bit
+    length of 10 passes _POWER_CAP is a ValueError, as that power would be
+    refused; an exponent with more digits than the cap is past it.
+    """
+    if isinstance(x, str):
+        digits = x.lower().partition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
+        if len(digits) > len(str(_POWER_CAP)) or int(digits or 0) * _TEN_SIZE > _POWER_CAP:
+            raise ValueError(f"number too large: its exponent |E| times the bit length "
+                             f"of 10 passes {_POWER_CAP}")
+    return Fraction(x)
 
 
 class Polynomial:

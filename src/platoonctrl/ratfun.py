@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import (IllPosed, InvalidRange, NonPositiveGamma, PoleAtPoint,
                      StabilityCheckFailed, ZeroDenominator)
-from .poly import Polynomial, hurwitz_stable, poly_gcd
+from .poly import Polynomial, _fraction, hurwitz_stable, poly_gcd
 
 def _as_poly(x) -> Polynomial:
     if isinstance(x, Polynomial):
@@ -169,7 +169,9 @@ class RationalFunction:
 
     @staticmethod
     def from_json_dict(doc: dict) -> "RationalFunction":
-        return RationalFunction(Polynomial(doc["num"]), Polynomial(doc["den"]))
+        """The inverse of to_json_dict; a string past poly._fraction's cap is a ValueError."""
+        return RationalFunction(Polynomial(map(_fraction, doc["num"])),
+                                Polynomial(map(_fraction, doc["den"])))
 
 
 class StableLoop(RationalFunction):

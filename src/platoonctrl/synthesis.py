@@ -36,8 +36,8 @@ from typing import Optional, Tuple
 from .errors import (BandwidthViolation, InvalidRange, PeakExceedsBudget,
                      SearchExhausted, StabilityCheckFailed, ZeroDenominator)
 from .freq import (LogGrid, _abs_squared, _at, _budget_poly, _gain_squared, _plus,
-                   _x_divided_out, hinf_norm)
-from .poly import Polynomial, _convolve, _positive_roots
+                   _x_divided_out, default_grid, hinf_norm)
+from .poly import Polynomial, _convolve, _fraction, _positive_roots
 from .ratfun import (RationalFunction, StableLoop, hurwitz_denominator, internal_stability,
                      plant)
 
@@ -245,14 +245,14 @@ def certify_closed_loop(T: RationalFunction, epsilon: float,
     when the first or last sample has A - B > 0 (the grid, not the design,
     is at fault then) or epsilon is not positive and finite;
     StabilityCheckFailed when T is unstable or improper. The default grid
-    is LogGrid(1e-4, 1e4, 200).
+    is default_grid().
     """
     if not 0 < epsilon < math.inf:  # the budget reads 1 + epsilon as an exact rational
         raise InvalidRange("epsilon must be positive and finite")
     if not (T.is_proper and hurwitz_denominator(T)):
         raise StabilityCheckFailed("closed loop has no finite peak")
     A, B = _gain_squared(T)
-    return _certify(A, B, lambda: T, epsilon, band_grid(None) if grid is None else grid)
+    return _certify(A, B, lambda: T, epsilon, default_grid() if grid is None else grid)
 
 
 # ----------------------------------------------------------------------
@@ -270,11 +270,13 @@ def _scan_values() -> Tuple[Fraction, ...]:
 def band_grid(gamma_b) -> LogGrid:
     """Certification grid wide enough to see a band that scales with gamma_b.
 
-    200 samples per decade up to 1e4, from 1e-4 or gamma_b / 1000 if that
-    is lower; gamma_b None gives the default sweep from 1e-4.
+    The default sweep, widened down to gamma_b / 1000 when that lies below
+    its 1e-4; otherwise, and for gamma_b None, default_grid() itself.
     """
-    wmin = 1e-4 if gamma_b is None else min(1e-4, float(gamma_b) * 1e-3)
-    return LogGrid(wmin, 1e4, 200)
+    grid = default_grid()
+    if gamma_b is None or float(gamma_b) * 1e-3 >= grid.omega_min:
+        return grid
+    return LogGrid(float(gamma_b) * 1e-3, grid.omega_max, grid.points_per_decade)
 
 
 def _linear_power(p: int, q: int, e: int):
@@ -534,8 +536,9 @@ def family_from_json(doc) -> ControllerFamily:
 
     A malformed document raises InvalidRange: an unknown schema, family/1
     among them, a missing key, a value of the wrong type, an unparsable or
-    zero-denominator coefficient, no gammas or a count other than their
-    number, an omega_bw, epsilon or band edge that is not finite and
+    zero-denominator coefficient, a gamma or coefficient whose decimal
+    exponent passes poly._fraction's cap, no gammas or a count other than
+    their number, an omega_bw, epsilon or band edge that is not finite and
     positive, an m outside 1 .. 1 + deg(controller numerator), past which no
     base can stabilise 1/s^m, or a certificate gamma_b that is not positive
     or past double range.
@@ -551,13 +554,13 @@ def family_from_json(doc) -> ControllerFamily:
             omega_low=float(cd["omega_low"]),
             omega_high=float(cd["omega_high"]),
             band_empty=bool(cd["band_empty"]),
-            gamma_a=None if cd["gamma_a"] is None else Fraction(cd["gamma_a"]),
-            gamma_b=None if cd["gamma_b"] is None else Fraction(cd["gamma_b"]),
+            gamma_a=None if cd["gamma_a"] is None else _fraction(cd["gamma_a"]),
+            gamma_b=None if cd["gamma_b"] is None else _fraction(cd["gamma_b"]),
         )
         if not isinstance(doc["gammas"], list) or doc["count"] != len(doc["gammas"]):
             raise InvalidRange("count must be the number of gammas")
         m, omega_bw = doc["m"], float(doc["omega_bw"])
-        gammas = tuple(Fraction(t) for t in doc["gammas"])
+        gammas = tuple(map(_fraction, doc["gammas"]))
         base = RationalFunction.from_json_dict(doc["controller"])
     except (KeyError, TypeError, ValueError, ArithmeticError, ZeroDenominator) as exc:
         raise InvalidRange(f"malformed family document: {type(exc).__name__}: {exc}") from exc

@@ -21,16 +21,19 @@ proves for every length. `_verify_sensitivity` checks L_n S_n U_n = s^2 I_n
 at one length, with the denominators cleared, in exact polynomial
 arithmetic.
 `bode_rows_by_engine` reaches the Bode table's rows the generic way, the
-exact numerators and denominators of S_n through the magnitude engine; it
-checks the lemma's closed form `bidir.bode_table` evaluates.
-`bode_rows_numpy` evaluates that closed form in numpy on a FrequencyGrid;
-`bode_table` evaluates it in `math` on samples built by np.logspace's
-recurrence, and with numpy's AVX-512 loops off (`avx512_dispatch_targets`)
-the two agree bit for bit.
+exact numerators and denominators of S_n through np.polyval; it checks the
+lemma's closed form `bidir.bode_table` evaluates.
+`bode_rows_numpy` evaluates that closed form in numpy on np.logspace's
+samples (`logspace_samples`, a LogGrid's range and count with both
+endpoints exact, which `cascade` evaluates pd-random on too); `bode_table`
+evaluates it in `math` on samples built by np.logspace's recurrence, and
+with numpy's AVX-512 loops off (`avx512_dispatch_targets`) the two agree
+bit for bit.
 `bode_csv_per_entry` formats every entry of a Bode table on its own, the
 text `BodeTable.to_csv` writes from the distinct entries only.
-The np.polyval magnitude engine, one polynomial at a time, checks
-`freq.log_abs_evaluator`'s stacked Horner evaluation bit for bit.
+The np.polyval magnitude engine, one polynomial at a time
+(`log_abs_polyval`), checks `cascade`'s stacked Horner evaluation bit for
+bit, and is every float route below.
 `hinf_by_grid`, the best grid sample refined by golden section, is the
 float peak that `freq.hinf_norm`'s exact enclosure must contain.
 `abs_squared_at` reads |T(j w)|^2 exactly at one float sample, by Horner in
@@ -66,11 +69,10 @@ from typing import Tuple
 import numpy as np
 
 from platoonctrl.bidir import sensitivity_matrix
-from platoonctrl.cascade import _SCHEME, MistuneReport, _peaks
+from platoonctrl.cascade import _SCHEME, MistuneReport, _log_abs_coeff, _peaks, _scaled_descending
 from platoonctrl.errors import (DivergentAtOrigin, IllPosed, InvalidRange, PeakExceedsBudget,
                                 PlatoonError, PoleAtPoint, StabilityCheckFailed)
-from platoonctrl.freq import (FrequencyGrid, _log_abs_coeff, _scaled_descending,
-                              default_grid, hinf_norm, log_abs_evaluator)
+from platoonctrl.freq import LogGrid, default_grid, hinf_norm
 from platoonctrl.poly import Polynomial, hurwitz_stable
 from platoonctrl.ratfun import RationalFunction, hurwitz_denominator, scale_frequency
 from platoonctrl.synthesis import Certificate, plant
@@ -493,22 +495,21 @@ def bode_rows_by_engine(n: int, omegas) -> np.ndarray:
     through Horner on its monomial coefficients.
     """
     S = sensitivity_matrix(n)
-    return log_abs_evaluator(
-        [(S[m][m].num.coeffs, (1,)) for m in range(n)]
-        + [((1,), S[max(0, k - n + 1)][min(k, n - 1)].den.coeffs) for k in range(2 * n - 1)]
-    )(np.asarray(omegas, dtype=float))
+    return np.array([log_abs_polyval(S[m][m].num.coeffs, (1,), omegas) for m in range(n)]
+                    + [log_abs_polyval((1,), S[max(0, k - n + 1)][min(k, n - 1)].den.coeffs,
+                                       omegas) for k in range(2 * n - 1)])
 
 
 def bode_rows_numpy(n: int, omega_min: float, omega_max: float, points_per_decade: int):
     """(samples, rows, worst_excess) of `bidir.bode_table`, evaluated in numpy.
 
-    The samples are FrequencyGrid's, np.logspace with both endpoints stored
-    exactly; rows is the (3n - 1, samples) array of `BodeTable.rows`, by the
+    The samples are `logspace_samples`, np.logspace with both endpoints
+    stored exactly; rows is the (3n - 1, samples) array of `BodeTable.rows`, by the
     same formulas in the same operation order, with np.logaddexp.
     """
     if n < 1:
         raise InvalidRange("n must be >= 1")
-    om = FrequencyGrid(omega_min, omega_max, points_per_decade).omegas
+    om = logspace_samples(LogGrid(omega_min, omega_max, points_per_decade))
     lw = np.log(om)
     L = np.logaddexp(0.0, 2.0 * lw) / 2.0
     p = np.arange(1.0, 2 * n, 2.0)[:, None]  # 2m + 1
@@ -535,6 +536,14 @@ def bode_csv_per_entry(table) -> str:
 
 # ---------------------------------------------------------------- magnitude engine
 
+def logspace_samples(grid: LogGrid) -> np.ndarray:
+    """np.logspace over the grid's range and count, both endpoints set exactly;
+    each sample lies within 1 ulp of the grid's own."""
+    om = np.logspace(math.log10(grid.omega_min), math.log10(grid.omega_max), len(grid))
+    om[0], om[-1] = grid.omega_min, grid.omega_max
+    return om
+
+
 def poly_log_abs_polyval(p: Polynomial, omegas) -> np.ndarray:
     """ln|p(j*omega)| by np.polyval on the scaled coefficients, one polynomial at a time."""
     omegas = np.asarray(omegas, dtype=float)
@@ -557,7 +566,7 @@ def poly_log_abs_polyval(p: Polynomial, omegas) -> np.ndarray:
 
 def log_abs_polyval(num, den, omegas) -> np.ndarray:
     """ln|num(j*omega) / den(j*omega)| for two ascending coefficient sequences, as
-    the difference of their polyval rows: log_abs_evaluator's row for (num, den)."""
+    the difference of their polyval rows; the empty sequence is 0, whose log is -inf."""
     return poly_log_abs_polyval(Polynomial(num), omegas) - \
         poly_log_abs_polyval(Polynomial(den), omegas)
 
@@ -569,7 +578,7 @@ def _bisect_log_crossing(log_abs, a: float, b: float, keep_low: bool) -> float:
     # endpoint kept on the log|T| <= 0 side, tightened to 1e-10 relative width
     while (b - a) > 1e-10 * b:
         mid = math.sqrt(a * b)
-        if (float(log_abs(np.array([mid]))[0, 0]) <= 0) == keep_low:
+        if (float(log_abs(np.array([mid]))[0]) <= 0) == keep_low:
             a = mid
         else:
             b = mid
@@ -608,27 +617,29 @@ def abs_squared_at(f: RationalFunction, w: float) -> Fraction:
 def float_over_samples(T: RationalFunction, omegas):
     """(over, logs): the first and last index with float ln|T(j omega)| > 0,
     None if there is none, and the row of ln|T| itself."""
-    logs = log_abs_evaluator([(T.num.coeffs, T.den.coeffs)])(np.asarray(omegas, dtype=float))[0]
+    logs = log_abs_polyval(T.num.coeffs, T.den.coeffs, omegas)
     over = np.flatnonzero(logs > 0.0)
     return ((int(over[0]), int(over[-1])) if len(over) else None), logs
 
 
-def certify_by_grid(T: RationalFunction, epsilon: float, grid: FrequencyGrid | None = None):
+def certify_by_grid(T: RationalFunction, epsilon: float, grid: LogGrid | None = None):
     """`synthesis.certify_closed_loop` on float log-magnitudes.
 
     The grid route `certify_closed_loop` took before its decisions became
-    integer signs: an over-budget grid sample rejects, then hinf_norm's
-    proven peak; the band is the first and last sample with float
-    log|T| > 0, each edge bisected on float log|T| <= 0.
+    integer signs, on the grid's `logspace_samples`: an over-budget sample
+    rejects, then hinf_norm's proven peak; the band is the first and last
+    sample with float log|T| > 0, each edge bisected on float log|T| <= 0.
     """
     if epsilon <= 0:
         raise InvalidRange("epsilon must be positive")
-    if grid is None:
-        grid = default_grid()
-    log_abs = log_abs_evaluator([(T.num.coeffs, T.den.coeffs)])
-    over, logs = float_over_samples(T, grid.omegas)
+    om = logspace_samples(default_grid() if grid is None else grid)
+
+    def log_abs(w):
+        return log_abs_polyval(T.num.coeffs, T.den.coeffs, w)
+
+    over, logs = float_over_samples(T, om)
     i = int(np.argmax(logs))
-    peak, w = float(np.exp(np.float64(logs[i]))), float(grid.omegas[i])
+    peak, w = float(np.exp(np.float64(logs[i]))), float(om[i])
     if peak <= 1 + epsilon:
         peak, w, _ = hinf_norm(T)
     if peak > 1 + epsilon:
@@ -638,10 +649,8 @@ def certify_by_grid(T: RationalFunction, epsilon: float, grid: FrequencyGrid | N
     first, last = over
     if first == 0 or last == len(logs) - 1:
         raise InvalidRange("amplification band touches the grid edge; widen the grid")
-    w_lo = _bisect_log_crossing(log_abs, float(grid.omegas[first - 1]),
-                                float(grid.omegas[first]), True)
-    w_hi = _bisect_log_crossing(log_abs, float(grid.omegas[last]),
-                                float(grid.omegas[last + 1]), False)
+    w_lo = _bisect_log_crossing(log_abs, float(om[first - 1]), float(om[first]), True)
+    w_hi = _bisect_log_crossing(log_abs, float(om[last]), float(om[last + 1]), False)
     return Certificate(float(epsilon), peak, w_lo, w_hi, band_empty=False)
 
 
@@ -669,10 +678,10 @@ def _golden_max(g, lo: float, hi: float, rel_tol: float = 1e-10):
     return w, g(w)
 
 
-def hinf_by_grid(f: RationalFunction, grid: FrequencyGrid | None = None) -> Tuple[float, float]:
+def hinf_by_grid(f: RationalFunction, grid: LogGrid | None = None) -> Tuple[float, float]:
     """(peak, argmax omega): the float peak over a grid, refined by golden section.
 
-    Candidates: every grid sample, omega = 0, omega = infinity (when
+    Candidates: every one of the grid's `logspace_samples`, omega = 0, omega = infinity (when
     deg num = deg den), and a golden-section refinement to 1e-10 relative
     omega-width around the best grid sample. A lower bound, up to rounding.
     """
@@ -680,17 +689,17 @@ def hinf_by_grid(f: RationalFunction, grid: FrequencyGrid | None = None) -> Tupl
         return 0.0, 0.0
     if not (f.is_proper and hurwitz_denominator(f)):
         raise StabilityCheckFailed("closed loop has no finite peak")
-    if grid is None:
-        grid = default_grid()
+    om = logspace_samples(default_grid() if grid is None else grid)
 
-    log_abs = log_abs_evaluator([(f.num.coeffs, f.den.coeffs)])
-    logs = log_abs(grid.omegas)[0]
+    def log_abs(w):
+        return log_abs_polyval(f.num.coeffs, f.den.coeffs, w)
+
+    logs = log_abs(om)
     i = int(np.argmax(logs))
-    candidates = [(float(logs[i]), float(grid.omegas[i]))]
+    candidates = [(float(logs[i]), float(om[i]))]
 
-    lo = float(grid.omegas[max(i - 1, 0)])
-    hi = float(grid.omegas[min(i + 1, len(grid.omegas) - 1)])
-    w_star, g_star = _golden_max(lambda w: float(log_abs(np.array([w]))[0, 0]), lo, hi)
+    lo, hi = float(om[max(i - 1, 0)]), float(om[min(i + 1, len(om) - 1)])
+    w_star, g_star = _golden_max(lambda w: float(log_abs(np.array([w]))[0]), lo, hi)
     candidates.append((g_star, w_star))
 
     n0 = f.num.coeffs[0]
@@ -723,11 +732,11 @@ def family_sweep(family, T: RationalFunction):
     """
     cert = family.base_certificate
     gmax, gmin = float(max(family.gammas)), float(min(family.gammas))
-    grid = FrequencyGrid(min(1e-4, cert.omega_low / gmax / 10),
-                         max(1e4, cert.omega_high / gmin * 10, family.omega_bw * 10), 200)
-    above = grid.omegas >= family.omega_bw
-    log_abs = log_abs_evaluator([(T.num.coeffs, T.den.coeffs)])
-    members = np.array([log_abs(grid.omegas * float(g))[0] for g in family.gammas])
+    om = logspace_samples(LogGrid(min(1e-4, cert.omega_low / gmax / 10),
+                                  max(1e4, cert.omega_high / gmin * 10, family.omega_bw * 10)))
+    above = om >= family.omega_bw
+    members = np.array([log_abs_polyval(T.num.coeffs, T.den.coeffs, om * float(g))
+                        for g in family.gammas])
     return float(np.exp(members.sum(axis=0).max())), float(members[:, above].max())
 
 
@@ -777,12 +786,12 @@ def middleton_quadrature(T: RationalFunction, omega_lo: float = 1e-6,
     if t0 != 1:
         raise DivergentAtOrigin(f"T(0) = {t0} != 1")
 
-    log_abs = log_abs_evaluator([(T.num.coeffs, T.den.coeffs)])
+    def log_abs(w: float) -> float:
+        return float(log_abs_polyval(T.num.coeffs, T.den.coeffs, [w])[0])
 
     def g(u: float) -> float:
         # integrand after omega = e^u: ln|T(j e^u)| e^{-u}
-        om = math.exp(u)
-        return float(log_abs(np.array([om]))[0, 0]) * math.exp(-u)
+        return log_abs(math.exp(u)) * math.exp(-u)
 
     lo_d, hi_d = math.log10(omega_lo), math.log10(omega_hi)
     edges = [lo_d]
@@ -795,7 +804,7 @@ def middleton_quadrature(T: RationalFunction, omega_lo: float = 1e-6,
     for a_d, b_d in zip(edges, edges[1:]):
         body += _adaptive_simpson(g, a_d * math.log(10.0), b_d * math.log(10.0), tol)
 
-    head = float(log_abs(np.array([omega_lo]))[0, 0]) / omega_lo
+    head = log_abs(omega_lo) / omega_lo
     r = T.den.degree - T.num.degree
     lead_ratio = T.num.leading() / T.den.leading()
     try:
@@ -814,34 +823,34 @@ def middleton_quadrature(T: RationalFunction, omega_lo: float = 1e-6,
 
 @dataclass(frozen=True)
 class CascadeProfile:
-    """Cumulative log-magnitude of prod_k T_k over a grid, with its peak."""
+    """Cumulative log-magnitude of prod_k T_k at a grid's `logspace_samples`, with its peak."""
 
-    grid: FrequencyGrid
+    omegas: np.ndarray
     log_magnitudes: np.ndarray
     peak: float
     argmax_omega: float
 
     def to_csv(self) -> str:
         lines = ["omega,abs,abs_db"]
-        for om, lg in zip(self.grid.omegas, self.log_magnitudes):
+        for om, lg in zip(self.omegas, self.log_magnitudes):
             lines.append(f"{float(om)!r},{math.exp(lg)!r},{float(lg) * (20.0 / math.log(10.0))!r}")
         return "\n".join(lines) + "\n"
 
 
-def cascade_profile(stages, grid: FrequencyGrid) -> CascadeProfile:
+def cascade_profile(stages, grid: LogGrid) -> CascadeProfile:
     """Per-omega sum of ln|T_k(j omega)| for the cascade of the given stages.
 
     The stages are the T_k as (num_coeffs, den_coeffs) pairs of ascending
     coefficients; the profile equals |y_n/d_1| pointwise for the n-stage
-    cascade. Every stage's ln|T_k| comes from one stacked evaluation, and
-    the rows are summed in stage order, so the float sums are those of a
-    per-stage loop; the peak is read as `cascade.pd_mistune_experiment`
-    reads its trials'.
+    cascade. Each stage's ln|T_k| is its own polyval row, and the rows are
+    summed in stage order; the peak is read as
+    `cascade.pd_mistune_experiment` reads its trials'.
     """
-    total = np.zeros(len(grid.omegas))
-    for row in log_abs_evaluator(stages)(grid.omegas):
-        total = total + row
-    return CascadeProfile(grid, total, *_peaks(total[None], grid.omegas)[0])
+    om = logspace_samples(grid)
+    total = np.zeros(len(om))
+    for num, den in stages:
+        total = total + log_abs_polyval(num, den, om)
+    return CascadeProfile(om, total, *_peaks(total[None], om)[0])
 
 
 def cascade_gain(controllers, m: int, grid=None) -> CascadeProfile:

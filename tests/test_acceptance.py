@@ -14,7 +14,7 @@ import os
 import numpy as np
 
 from platoonctrl import (
-    FrequencyGrid,
+    LogGrid,
     bode_table,
     family_product_check,
     internal_stability,
@@ -31,7 +31,7 @@ from platoonctrl.poly import Polynomial
 from platoonctrl.ratfun import RationalFunction
 
 from oracles import (cascade_gain, closed_loop, family_member, invariance_check,
-                     lemma_structures, youla_coprime)
+                     lemma_structures, logspace_samples, youla_coprime)
 
 S_EXACT = parse_rational("s")
 ONE = parse_rational("1")
@@ -120,7 +120,7 @@ def test_criterion_08_certified_scaled_family(certified_m4):
     assert cert.peak <= 1.1, f"peak {cert.peak:.9f}"
     family = scaled_family(c, cert, 4, omega_bw=1.0, count=10)
     assert len(family) == 10
-    omegas = [om for om in FrequencyGrid(1.0, 1e6, 50).omegas]
+    omegas = logspace_samples(LogGrid(1.0, 1e6, 50)).tolist()
     for k in range(len(family)):
         _, Tk = closed_loop(plant(4), family_member(family, k))
         worst = max(math.log(abs(Tk(1j * om))) for om in omegas)

@@ -14,14 +14,14 @@ from platoonctrl.cascade import (_GainDrawer, _rising_edge, homogeneous_growth,
                                  middleton_integral, pd_gain, pd_mistune_experiment, pd_window)
 from platoonctrl.errors import (DivergentAtOrigin, InvalidRange,
                                 StabilityCheckFailed)
-from platoonctrl.freq import FrequencyGrid, default_grid
+from platoonctrl.freq import LogGrid, default_grid
 from platoonctrl.parsing import parse_rational
 from platoonctrl.poly import Polynomial
 from platoonctrl.ratfun import RationalFunction, one, s
 from platoonctrl.synthesis import youla_closed_loop
 
-from oracles import (cascade_gain, closed_loop, log_abs_polyval, middleton_quadrature,
-                     pd_gain_fresh, pd_mistune_by_stages)
+from oracles import (cascade_gain, closed_loop, log_abs_polyval, logspace_samples,
+                     middleton_quadrature, pd_gain_fresh, pd_mistune_by_stages)
 
 PEAK_ORACLE = 1.4678898250138706
 ARGMAX_ORACLE = 0.8555996771673521
@@ -31,33 +31,34 @@ ARGMAX_ORACLE = 0.8555996771673521
 
 def test_single_stage_equals_T():
     c = parse_rational("1+s")
-    grid = FrequencyGrid(1e-2, 1e2, 50)
-    prof = cascade_gain([c], 2, grid)
+    prof = cascade_gain([c], 2, LogGrid(1e-2, 1e2, 50))
     T = closed_loop(one / (s * s), c)[1]
-    direct = np.array([abs(T(1j * w)) for w in grid.omegas])
+    direct = np.array([abs(T(1j * w)) for w in prof.omegas])
     assert np.max(np.abs(np.exp(prof.log_magnitudes) - direct)) < 1e-12
 
 
 def test_log_sum_equals_direct_product():
     cs = [parse_rational(t) for t in ("1+s", "2+s", "1+2*s")]
-    grid = FrequencyGrid(1e-1, 1e1, 40)
-    prof = cascade_gain(cs, 2, grid)
-    direct = np.ones(len(grid.omegas))
+    prof = cascade_gain(cs, 2, LogGrid(1e-1, 1e1, 40))
+    direct = np.ones(len(prof.omegas))
     for c in cs:
         T = closed_loop(one / (s * s), c)[1]
-        direct = direct * np.array([abs(T(1j * w)) for w in grid.omegas])
+        direct = direct * np.array([abs(T(1j * w)) for w in prof.omegas])
     assert np.max(np.abs(np.exp(prof.log_magnitudes) - direct) / direct) < 1e-9
 
 
 def test_profile_is_the_stage_order_sum():
-    # stages of two degree shapes, interleaved: the stacked evaluation must
-    # give each stage's row and the sum the per-stage loop's bits
+    # stages of two degree shapes, interleaved: the sum is the per-stage
+    # loop's bits, on np.logspace's samples of the grid
     cs = [parse_rational(t) for t in ("1+s", "(1+s)/(2+s)", "2+s", "(1+s)/(2+s)", "1+2*s")]
-    grid = FrequencyGrid(1e-3, 1e3, 30)
-    total = np.zeros(len(grid.omegas))
+    grid = LogGrid(1e-3, 1e3, 30)
+    om = np.logspace(-3.0, 3.0, 181)
+    om[0], om[-1] = 1e-3, 1e3
+    assert om.tobytes() == logspace_samples(grid).tobytes()
+    total = np.zeros(len(om))
     for c in cs:
         T = closed_loop(one / (s * s), c)[1]
-        total = total + log_abs_polyval(T.num.coeffs, T.den.coeffs, grid.omegas)
+        total = total + log_abs_polyval(T.num.coeffs, T.den.coeffs, om)
     prof = cascade_gain(cs, 2, grid)
     assert prof.log_magnitudes.tobytes() == total.tobytes()
 
@@ -84,10 +85,10 @@ def test_cascade_validation():
 
 
 def test_profile_csv_shape():
-    prof = cascade_gain([parse_rational("1+s")], 2, FrequencyGrid(1e-1, 1e1, 5))
+    prof = cascade_gain([parse_rational("1+s")], 2, LogGrid(1e-1, 1e1, 5))
     lines = prof.to_csv().splitlines()
     assert lines[0] == "omega,abs,abs_db"
-    assert len(lines) == len(prof.grid.omegas) + 1
+    assert len(lines) == len(prof.omegas) + 1 == 12
     om, mag, db = lines[1].split(",")
     assert float(om) == pytest.approx(0.1)
     assert float(db) == pytest.approx(20 * math.log10(float(mag)), abs=1e-9)
@@ -264,7 +265,7 @@ def test_mistune_builds_no_closed_loop(call_counts, monkeypatch):
     (7, 1.3, 1.3, 3, 99),
 ])
 def test_mistune_matches_per_stage_route(n, k_min, k_max, trials, seed):
-    grid = FrequencyGrid(1e-3, 1e3, 100)
+    grid = LogGrid(1e-3, 1e3, 100)
     rep = pd_mistune_experiment(n, k_min, k_max, trials, seed, grid)
     ref = pd_mistune_by_stages(n, k_min, k_max, trials, seed, grid)
     assert rep.peaks == ref.peaks
@@ -281,7 +282,7 @@ def test_mistune_degenerate_distribution():
 
 
 def test_mistune_median_beats_homogeneous():
-    grid = FrequencyGrid(1e-4, 1e4, 200)
+    grid = default_grid()
     rep = pd_mistune_experiment(20, 0.5, 2.0, 100, 42, grid)
     hom = cascade_gain([parse_rational("1+s")] * 20, 2, grid)
     assert rep.median_peak < hom.peak
@@ -356,11 +357,16 @@ def test_rising_edge_is_at_or_below_the_exact_one(k_max):
     assert w == 0.0 or not below(w * (1 + 1e-14))
 
 
-_WINDOW_GRIDS = [None, FrequencyGrid(1e-3, 0.5), FrequencyGrid(2, 100),
-                 FrequencyGrid(0.9, 1.2, 3), FrequencyGrid(1e-8, 1e8, 7)]
+_WINDOW_GRIDS = [None, LogGrid(1e-3, 0.5), LogGrid(2, 100), LogGrid(0.9, 1.2, 3),
+                 LogGrid(1e-8, 1e8, 7)]
 
 
-@pytest.mark.parametrize("grid", _WINDOW_GRIDS, ids=repr)
+def _grid_id(grid):
+    return "None" if grid is None else \
+        f"LogGrid({grid.omega_min:g}, {grid.omega_max:g}, {grid.points_per_decade})"
+
+
+@pytest.mark.parametrize("grid", _WINDOW_GRIDS, ids=_grid_id)
 @settings(max_examples=100, deadline=None, database=None)
 @given(n=st.integers(1, 20), trials=st.integers(1, 2),
        seed=st.one_of(st.just(2 ** 128 - 1), st.integers(0, 2 ** 128 - 1)),
@@ -380,7 +386,7 @@ def test_mistune_window_matches_full_grid(grid, n, trials, seed, log_k_max, spre
 @pytest.mark.parametrize("n,k_min,k_max,trials,grid", [
     (20, 0.5, 2.0, 30, None),                          # blocks of 13, 13 and 4 trials
     (1, 0.1, 0.1, 600, None),                          # blocks of 512 and 88
-    (9, 0.01, 10.0, 40, FrequencyGrid(1e-3, 1e3, 100)),  # blocks of 29 and 11
+    (9, 0.01, 10.0, 40, LogGrid(1e-3, 1e3, 100)),  # blocks of 29 and 11
     (300, 0.5, 2.0, 3, None),                          # 300 x 62 samples: one trial a block
 ])
 def test_mistune_blocks_match_per_stage_route(n, k_min, k_max, trials, grid):
@@ -433,4 +439,4 @@ def test_mistune_trial_evaluates_at_most_62_samples(monkeypatch):
     pd_mistune_experiment(20, 0.5, 2.0, 30, 1)
     assert max(samples for _, samples in calls) <= 62
     assert sum(rows for rows, _ in calls) == 2 * 20 * 30
-    assert len(default_grid().omegas) == 1601
+    assert len(default_grid()) == 1601

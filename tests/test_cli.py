@@ -331,6 +331,11 @@ def _drop(key):
     _set(("omega_bw",), float("inf")),
     _set(("certificate", "epsilon"), float("nan")),
     _set(("certificate", "gamma_b"), "1e400"),  # band_grid reads it as a float
+    # Fraction would compute 10^99999999 in full: the parser's exponent cap
+    _set(("gammas", 0), "1e99999999"),
+    _set(("controller", "num", 0), "1e99999999"),
+    _set(("certificate", "gamma_a"), "1e99999999"),
+    _set(("certificate", "gamma_b"), "1e99999999"),
     _set(("certificate", "gamma_b"), "0"),
     _set(("controller", "den"), ["0"]),
     _set(("controller", "num"), "1+s"),
@@ -339,7 +344,8 @@ def _drop(key):
     _set(("schema",), "family/1"),  # stored every member; no longer read
 ], ids=["not-json", "not-object", "no-certificate", "gamma-abc", "gammas-string",
         "no-gammas", "count-mismatch", "omega_bw-negative", "omega_bw-inf",
-        "epsilon-nan", "gamma_b-1e400", "gamma_b-zero", "zero-denominator",
+        "epsilon-nan", "gamma_b-1e400", "gamma-1e99999999", "coefficient-1e99999999",
+        "gamma_a-1e99999999", "gamma_b-1e99999999", "gamma_b-zero", "zero-denominator",
         "num-string", "m-string", "m-huge", "schema-family1"])
 def test_family_check_malformed_file_is_a_usage_error(tmp_path, caplog, synth_m3_family, mutate):
     doc = copy.deepcopy(synth_m3_family)

@@ -1,4 +1,5 @@
-"""Frequency sweep engine and the peak-gain computation.
+"""Frequency grids, the float magnitude engine pd-random runs (in `cascade`), and
+the peak-gain computation.
 
 The frozen oracles here were derived by hand:
   peak of (s+1)/(s^2+s+1) is sqrt((2+sqrt(3))/sqrt(3)) at omega = sqrt(sqrt(3)-1)
@@ -14,14 +15,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from platoonctrl.cascade import _log_abs_scaled, _scaled_descending
 from platoonctrl.errors import InvalidRange, StabilityCheckFailed
-from platoonctrl.freq import (FrequencyGrid, LogGrid, default_grid, exceeds_unity,
-                              grid_samples, hinf_norm, log_abs_evaluator)
+from platoonctrl.freq import LogGrid, default_grid, exceeds_unity, grid_samples, hinf_norm
 from platoonctrl.poly import Polynomial
 from platoonctrl.ratfun import RationalFunction, internal_stability, one, plant, s
 from platoonctrl.synthesis import _scan_values, band_grid, youla_closed_loop
 
-from oracles import abs_squared_at, hinf_by_grid, log_abs_polyval
+from oracles import abs_squared_at, hinf_by_grid, log_abs_polyval, logspace_samples
 
 PEAK_ORACLE = 1.4678898250138706      # sqrt((2+sqrt(3))/sqrt(3))
 ARGMAX_ORACLE = 0.8555996771673521    # sqrt(sqrt(3)-1)
@@ -30,30 +31,18 @@ ARGMAX_ORACLE = 0.8555996771673521    # sqrt(sqrt(3)-1)
 # ---------------------------------------------------------------- grid
 
 def test_grid_construction():
-    g = FrequencyGrid(1e-2, 1e2, 10)
-    assert g.omegas[0] == pytest.approx(1e-2, rel=1e-15)
-    assert g.omegas[-1] == pytest.approx(1e2, rel=1e-15)
-    assert len(g.omegas) == 41
-    assert np.all(np.diff(np.log10(g.omegas)) > 0)
+    g = LogGrid(1e-2, 1e2, 10)
+    assert (g[0], g[len(g) - 1]) == (1e-2, 1e2)
+    assert len(g) == 41
+    assert np.all(np.diff(np.log10(list(g))) > 0)
 
 
 def test_grid_wider_than_double_range():
     # omega_max / omega_min overflows; the decade count must not
-    g = FrequencyGrid(1e-300, 1e300, 1)
-    assert len(g.omegas) == 601
-    assert (g.omegas[0], g.omegas[-1]) == (1e-300, 1e300)
-    assert np.all(np.isfinite(g.omegas))
-
-
-def test_grid_validation():
-    with pytest.raises(InvalidRange):
-        FrequencyGrid(1.0, 1.0, 10)
-    with pytest.raises(InvalidRange):
-        FrequencyGrid(10.0, 1.0, 10)
-    with pytest.raises(InvalidRange):
-        FrequencyGrid(-1.0, 1.0, 10)
-    with pytest.raises(InvalidRange):
-        FrequencyGrid(1e-2, 1e2, 0)
+    g = LogGrid(1e-300, 1e300, 1)
+    assert len(g) == 601
+    assert (g[0], g[600]) == (1e-300, 1e300)
+    assert np.all(np.isfinite(list(g)))
 
 
 @pytest.mark.parametrize("omega_min, omega_max, ppd", [
@@ -64,7 +53,7 @@ def test_grid_size_past_double_range(omega_min, omega_max, ppd):
     with pytest.raises(InvalidRange):
         grid_samples(omega_min, omega_max, ppd)
     with pytest.raises(InvalidRange):
-        FrequencyGrid(omega_min, omega_max, ppd)
+        LogGrid(omega_min, omega_max, ppd)
 
 
 _LOG_GRIDS = [(1e-4, 1e4, 200), (1e-2, 1e2, 10), (1e-300, 1e300, 1), (1e-300, 1e300, 7),
@@ -84,7 +73,7 @@ def test_log_grid_is_libms_recurrence(omega_min, omega_max, ppd):
     for k in (-1, n):
         with pytest.raises(IndexError):
             g[k]
-    numpy_samples = FrequencyGrid(omega_min, omega_max, ppd).omegas
+    numpy_samples = logspace_samples(g)
     assert np.all(np.abs(np.array(want) - numpy_samples) <= np.spacing(numpy_samples))
 
 
@@ -92,30 +81,53 @@ def test_log_grid_within_an_ulp_of_numpy_on_every_band_grid():
     vals = _scan_values()
     for gb in {a * b for a in vals for b in vals}:
         g = band_grid(gb)
-        numpy_samples = FrequencyGrid(g.omega_min, g.omega_max, g.points_per_decade).omegas
+        numpy_samples = logspace_samples(g)
         assert np.all(np.abs(np.array(list(g)) - numpy_samples) <= np.spacing(numpy_samples))
 
 
+def test_grid_validation():
+    with pytest.raises(InvalidRange):
+        LogGrid(1.0, 1.0, 10)
+    with pytest.raises(InvalidRange):
+        LogGrid(10.0, 1.0, 10)
+    with pytest.raises(InvalidRange):
+        LogGrid(-1.0, 1.0, 10)
+    with pytest.raises(InvalidRange):
+        LogGrid(1e-2, 1e2, 0)
+
+
 def test_log_grid_validation():
-    for bad in ((1.0, 1.0, 10), (10.0, 1.0, 10), (-1.0, 1.0, 10), (1e-2, 1e2, 0),
-                (1.0, math.inf, 10)):
-        with pytest.raises(InvalidRange):
-            LogGrid(*bad)
+    # an infinite end, and a sample count past double range
+    with pytest.raises(InvalidRange):
+        LogGrid(1.0, math.inf, 10)
     with pytest.raises(InvalidRange):
         LogGrid(1e-300, 1e300, 10 ** 306)
 
 
 def test_default_grid():
     g = default_grid()
+    assert isinstance(g, LogGrid) and len(g) == 1601
     assert g.omega_min == 1e-4 and g.omega_max == 1e4
     assert g.points_per_decade == 200
     assert default_grid() is g, "default grid is shared"
+    assert band_grid(None) is g and band_grid(Fraction(1, 2)) is g
 
 
 # ---------------------------------------------------------------- log-magnitude engine
 
+def _scaled_stack(seqs):
+    # equal-degree ascending sequences as one stack of _scaled_descending rows
+    scaled = [_scaled_descending(cs) for cs in seqs]
+    return np.array([desc for desc, _ in scaled]), np.array([[top] for _, top in scaled])
+
+
+def _rows(seqs, omegas):
+    # cascade's engine on one stack: a row of ln|p(j omega)| per sequence
+    return _log_abs_scaled(*_scaled_stack(seqs), np.asarray(omegas, dtype=float))
+
+
 def _log_abs(f, omegas):
-    return log_abs_evaluator([(f.num.coeffs, f.den.coeffs)])(omegas)[0]
+    return _rows([f.num.coeffs], omegas)[0] - _rows([f.den.coeffs], omegas)[0]
 
 
 def test_engine_matches_direct_eval():
@@ -162,42 +174,49 @@ def _bits(a):
     return np.asarray(a, dtype=float).tobytes()
 
 
-# one stack of every degree above, with the zero sequence and the constant
-# (1,) on either side; each row's oracle is the polyval difference
+# every polynomial above with the constant (1,) on either side, and each
+# over the first four; each difference's oracle is the polyval difference
 _PAIRS = ([(p.coeffs, (1,)) for p in _POLYS] + [((1,), p.coeffs) for p in _POLYS]
-          + [(p.coeffs, q.coeffs) for p in _POLYS for q in _POLYS[:4]]
-          + [((), (1, 1)), ((1,), (1,))])
+          + [(p.coeffs, q.coeffs) for p in _POLYS for q in _POLYS[:4]] + [((1,), (1,))])
 
 
 def test_engine_is_polyval_bit_for_bit():
     # past double range both logs can underflow to -inf, and their difference is NaN
     with np.errstate(divide="ignore", invalid="ignore"):
-        rows = log_abs_evaluator(_PAIRS)(_OMEGAS)
-        assert rows.shape == (len(_PAIRS), len(_OMEGAS))
-        for (num, den), row in zip(_PAIRS, rows):
+        for num, den in _PAIRS:
+            row = _rows([num], _OMEGAS)[0] - _rows([den], _OMEGAS)[0]
             assert _bits(row) == _bits(log_abs_polyval(num, den, _OMEGAS))
 
 
 def test_stacked_rows_match_one_at_a_time():
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rows = log_abs_evaluator(_PAIRS)(_OMEGAS)
-        for pair, row in zip(_PAIRS, rows):
-            assert _bits(row) == _bits(log_abs_evaluator([pair])(_OMEGAS)[0])
-    # a closed-form pair of ints and Fractions reads as its Polynomial does
+    # each degree's sequences as one stack: every row is the one it gets alone
+    by_degree = {}
+    for p in _POLYS + [Polynomial([-1, 5]), Polynomial([1, 1, 1])]:
+        by_degree.setdefault(p.degree, []).append(p.coeffs)
+    with np.errstate(divide="ignore"):
+        for seqs in by_degree.values():
+            rows = _rows(seqs, _OMEGAS)
+            assert rows.shape == (len(seqs), len(_OMEGAS))
+            for cs, row in zip(seqs, rows):
+                assert _bits(row) == _bits(_rows([cs], _OMEGAS)[0])
+    # a closed-form tuple of ints and Fractions reads as its Polynomial does
     k = Fraction(7, 3)
-    f = RationalFunction(Polynomial([1, k]), Polynomial([1, k, 1]))
-    assert _bits(log_abs_evaluator([((1, k), (1, k, 1))])(_OMEGAS)) == \
-        _bits(log_abs_evaluator([(f.num.coeffs, f.den.coeffs)])(_OMEGAS))
+    assert _bits(_rows([(1, k), (1, 2)], _OMEGAS)) == \
+        _bits(_rows([Polynomial([1, k]).coeffs, Polynomial([1, 2]).coeffs], _OMEGAS))
 
 
 def test_evaluator_matches_per_call_scaling():
     # scaled once, evaluated per call: each call gives the oracle's bits
     f = RationalFunction(Polynomial([_BIG, 1, 3]), Polynomial([_TINY, 1, 1, 1]))
-    log_abs = log_abs_evaluator([(f.num.coeffs, f.den.coeffs)])
     num, den = f.num.coeffs, f.den.coeffs
-    assert _bits(log_abs(_OMEGAS)[0]) == _bits(log_abs_polyval(num, den, _OMEGAS))
+    stacks = _scaled_stack([num]), _scaled_stack([den])
+
+    def log_abs(omegas):
+        return _log_abs_scaled(*stacks[0], omegas)[0] - _log_abs_scaled(*stacks[1], omegas)[0]
+
+    assert _bits(log_abs(_OMEGAS)) == _bits(log_abs_polyval(num, den, _OMEGAS))
     for w in (1e-5, 0.5, 1.0, 2.0, 1e5):
-        assert _bits(log_abs(np.array([w]))[0]) == _bits(log_abs_polyval(num, den, np.array([w])))
+        assert _bits(log_abs(np.array([w]))) == _bits(log_abs_polyval(num, den, np.array([w])))
 
 
 # ---------------------------------------------------------------- peak gain

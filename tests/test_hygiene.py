@@ -1,5 +1,5 @@
 """Source hygiene: no dead imports in the package or its tests, no domain module
-importing another, and a consistent __all__."""
+importing another, numpy in `cascade` alone, and a consistent __all__."""
 
 from __future__ import annotations
 
@@ -66,6 +66,31 @@ def test_package_import_scan_sees_each_form():
                      "import platoonctrl.bidir\nfrom platoonctrl import cascade\n"
                      "from platoonctrl.poly import Polynomial\nimport numpy\n")
     assert _package_imports(tree) == {"synthesis", "freq", "bidir", "cascade", "poly"}
+
+
+def _loads_numpy(tree: ast.Module) -> bool:
+    """Whether a module imports numpy, by name or through platoonctrl._lazy."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.append(node.module)
+    return "numpy" in {n.split(".")[0] for n in names} or "_lazy" in _package_imports(tree)
+
+
+def test_only_cascade_imports_numpy():
+    # pd-random's float engine is the one numpy user; the exact layers never touch it
+    users = {path.stem for path in _MODULES
+             if _loads_numpy(ast.parse(path.read_text(encoding="utf-8")))}
+    assert users - {"_lazy"} == {"cascade"}
+
+
+def test_numpy_scan_sees_each_form():
+    for text in ("import numpy as np\n", "from numpy.linalg import norm\n",
+                 "from ._lazy import np\n", "from platoonctrl import _lazy\n"):
+        assert _loads_numpy(ast.parse(text)), text
+    assert not _loads_numpy(ast.parse("import math\nfrom .freq import LogGrid\n"))
 
 
 def _stable_loop_builders(tree: ast.Module):

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from platoonctrl import synthesis
 from platoonctrl.errors import (BandwidthViolation, InvalidRange,
                                 PeakExceedsBudget, StabilityCheckFailed)
-from platoonctrl.freq import FrequencyGrid, LogGrid, _gain_squared, _plus, hinf_norm
+from platoonctrl.freq import LogGrid, _gain_squared, _plus, hinf_norm
 from platoonctrl.parsing import parse_rational
 from platoonctrl.poly import Polynomial, _convolve, _positive_roots
 from platoonctrl.ratfun import (RationalFunction, internal_stability, one, s,
@@ -376,8 +376,7 @@ def test_m4_certificates_agree_with_the_float_route():
         T = youla_closed_loop(4, ga, gb)
         grid = band_grid(gb)
         exact = _outcome(lambda: certify_closed_loop(T, 0.1, grid))
-        by_float = _outcome(lambda: certify_by_grid(
-            T, 0.1, FrequencyGrid(grid.omega_min, grid.omega_max, grid.points_per_decade)))
+        by_float = _outcome(lambda: certify_by_grid(T, 0.1, grid))
         assert exact == by_float, f"candidate {k}"
         seen.add(exact if isinstance(exact, type) else Certificate)
     assert seen == {Certificate, PeakExceedsBudget}
