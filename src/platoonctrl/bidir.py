@@ -141,14 +141,7 @@ def sensitivity_matrix(n: int) -> Tuple[Tuple[RationalFunction, ...], ...]:
 # Bode sweep
 
 _LN2 = math.log(2.0)
-
-
-def _logaddexp(x: float, y: float) -> float:
-    """ln(e^x + e^y) by np.logaddexp's branches, in libm."""
-    if x == y:
-        return x + _LN2
-    t = x - y
-    return x + math.log1p(math.exp(-t)) if t > 0 else y + math.log1p(math.exp(t))
+_LN4 = 2.0 * _LN2
 
 
 @dataclass(frozen=True)
@@ -232,11 +225,16 @@ def bode_table(n: int, omega_min: float, omega_max: float, points_per_decade: in
     if n < 1:
         raise InvalidRange("n must be >= 1")
     om = array("d", LogGrid(omega_min, omega_max, points_per_decade))
-    log, exp, expm1, cos = math.log, math.exp, math.expm1, math.cos
+    log, exp, expm1, cos, log1p = math.log, math.exp, math.expm1, math.cos, math.log1p
     lw = array("d", map(log, om))
-    L = array("d", (_logaddexp(0.0, 2.0 * v) / 2.0 for v in lw))
+    # L and ln|2+jw| are logaddexp(0, y)/2 and logaddexp(2 ln 2, y)/2, y = 2 ln w,
+    # inline by np.logaddexp's branches: the larger argument plus log1p(exp(-|x - y|))
+    L = array("d", ((log1p(exp(y)) if y < 0.0 else y + log1p(exp(-y)) if y > 0.0 else _LN2)
+                    / 2.0 for y in map(operator.mul, lw, repeat(2.0))))
     at = array("d", map(math.atan, om))
-    l2 = array("d", (_logaddexp(2.0 * _LN2, 2.0 * v) / 2.0 for v in lw))  # ln|2+jw|
+    l2 = array("d", ((_LN4 + log1p(exp(-t)) if (t := _LN4 - y) > 0.0 else
+                      y + log1p(exp(t)) if t < 0.0 else _LN4 + _LN2) / 2.0
+                     for y in map(operator.mul, lw, repeat(2.0))))
     bound = array("d", map(exp, map(operator.sub, lw, L)))
     den = tuple(array("d", map(operator.mul, repeat(-k), L)) for k in map(float, range(1, 2 * n)))
     num, worst = [], -math.inf

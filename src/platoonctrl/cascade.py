@@ -10,19 +10,23 @@ geometrically. That integral is computed from its closed form in T'(0) and
 the right-half-plane zeros of T, not by quadrature. The randomized PD
 experiment probes how much plain parameter scatter already mitigates that.
 
-The experiment is the package's one float path, and its magnitude engine
-lives here, in log space: coefficients are scaled by their largest
-magnitude, from exact big-integer logs, and |z| > 1 uses
-p(z) = z^deg p_rev(1/z), so none overflows. np.polyval's Horner steps run
-on a stack of equal-degree rows at once, bit for bit as on each alone, at
-np.logspace samples of a LogGrid's range and count, both endpoints exact.
+The experiment's gains come from Philox4x64-10 in Python integers, bit for
+bit numpy's stream, and each stage's ln|T_k|^2 is read in libm off its
+closed form at the grid samples where the cascade's maximum can lie. numpy
+is loaded for middleton_integral's np.roots alone.
 """
 
 from __future__ import annotations
 
 import math
+import statistics
+import sys
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
+from operator import add, mul, rshift, truediv
 from typing import Tuple
 
 from ._lazy import np
@@ -32,10 +36,11 @@ from .poly import hurwitz_stable
 from .ratfun import RationalFunction, hurwitz_denominator, internal_stability, plant
 
 _SQRT2 = math.sqrt(2.0)
+_LN_MAX = math.log(sys.float_info.max)  # exp past it is inf
 
 
 # ----------------------------------------------------------------------
-# log-magnitude engine
+# scaled coefficients
 
 def _log_abs_coeff(c) -> float:
     """log|c| for a nonzero int or Fraction, immune to float overflow."""
@@ -58,58 +63,6 @@ def _scaled_descending(coeffs):
             mag = math.exp(lg - top)
             scaled.append(mag if c > 0 else -mag)
     return np.array(scaled[::-1], dtype=float), top
-
-
-def _horner(desc: np.ndarray, z: np.ndarray) -> np.ndarray:
-    # np.polyval's y = y*z + c, over a stack of rows of coefficients; c
-    # enters as c + 0j, and in place it skips a cast and a temporary per step
-    c = desc.astype(complex)
-    y = np.zeros(desc.shape[:-1] + z.shape, dtype=complex)
-    for i in range(desc.shape[-1]):
-        y *= z
-        y += c[..., i, None]
-    return y
-
-
-def _log_abs_scaled(desc: np.ndarray, top: np.ndarray, omegas: np.ndarray) -> np.ndarray:
-    """ln|p(j*omega)| per sample for a stack of _scaled_descending rows of one degree.
-
-    desc holds one row per polynomial and top the matching column of scale
-    logs; the result has one row per polynomial.
-    """
-    d = desc.shape[-1] - 1
-    z = 1j * omegas
-    out = np.empty(desc.shape[:-1] + omegas.shape)
-    small = omegas <= 1.0
-    with np.errstate(divide="ignore"):
-        if small.any():
-            out[..., small] = np.log(np.abs(_horner(desc, z[small])))
-        big = ~small
-        if big.any():
-            # p(z) = z^d * p_rev(1/z) keeps the argument inside the unit disk
-            out[..., big] = d * np.log(omegas[big]) + \
-                np.log(np.abs(_horner(desc[..., ::-1], 1.0 / z[big])))
-    return out + top
-
-
-def _samples(grid: LogGrid) -> np.ndarray:
-    # np.logspace over the grid's range and count, both endpoints exact
-    om = np.logspace(math.log10(grid.omega_min), math.log10(grid.omega_max), len(grid))
-    om[0], om[-1] = grid.omega_min, grid.omega_max
-    return om
-
-
-# ----------------------------------------------------------------------
-# cascade peaks
-
-def _peaks(totals, omegas) -> list:
-    # (peak, its omega) at the first maximum of each row of summed
-    # log-magnitudes; each peak is exp'd alone, as a vector exp may round
-    # differently, and one past double range overflows to inf
-    tops = np.argmax(totals, axis=1).tolist()
-    with np.errstate(over="ignore"):
-        return [(float(np.exp(np.float64(row[top]))), float(omegas[top]))
-                for row, top in zip(totals, tops)]
 
 
 # ----------------------------------------------------------------------
@@ -219,57 +172,83 @@ def _power(x: float, n: int) -> float:
 # randomized PD mistuning
 
 _SCHEME = "philox4x64:key=seed;counter=[trial,vehicle,0,0];one-uniform-per-draw"
-# stage-samples evaluated as one stack: a block of trials fills it, or is one
-# trial when that trial's stages alone pass it. At 2^14 the peak memory of
-# pd-random --n 20 --trials 200 is that of one trial a block, 37.6 MB; at
-# 2^16 it is 1 MB more
+# trials times samples in one flat list per stage: a block of trials fills it
 _BLOCK_SAMPLES = 2 ** 14
-# gains drawn per reset of the generator, n vehicles times a chunk of trials
-# that is a whole number of blocks: at 2^18 their logs take about 8 MB, and
-# pd-random --n 10000 --trials 31 resets it twice per vehicle, not 31 times
+# gains drawn per pass of the generator, n vehicles times a chunk of trials;
+# each packed word of the pass takes 16 bytes a gain
 _DRAW_GAINS = 2 ** 18
+_M64 = 2 ** 64 - 1
+# Philox4x64's round multipliers and key increments
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+
+
+def _lanes(words) -> int:
+    """One int holding words[i] in bits [128 i, 128 i + 64), zeros between."""
+    z = array("Q", bytes(16 * len(words)))
+    z[0::2] = words
+    return int.from_bytes(z, "little")
+
+
+def _philox_words(key: int, t0: int, count: int, vehicles) -> array:
+    """numpy's Philox4x64-10 first word for each vehicle v, trial t0 .. t0 + count - 1 within it.
+
+    A generator steps its 256-bit counter before each block, so its first
+    word is word 0 of the block at t + 1 + 2^64 v. Each 128-bit lane of one
+    Python int holds one counter's word and fits a product of two, so a
+    round is a few whole-int multiplies, masks and xors.
+    """
+    lanes = count * len(vehicles)
+    one = _lanes(array("Q", [1]) * lanes)
+    low = _M64 * one
+    # t + 1 and v fit a lane whole, so each carry is the bit past a word
+    x0 = _lanes(array("Q", range(count)) * len(vehicles)) + (t0 + 1) * one
+    x1 = _lanes(array("Q", [v for v in vehicles for _ in range(count)])) + (x0 >> 64 & low)
+    x0, x1, x2, x3 = x0 & low, x1 & low, x1 >> 64 & low, 0
+    k0, k1 = key & _M64, key >> 64
+    for _ in range(9):
+        p0, p1 = _PHILOX_M[0] * x0, _PHILOX_M[1] * x2
+        x0, x1, x2, x3 = (p1 >> 64 & low) ^ x1 ^ k0 * one, p1 & low, \
+            (p0 >> 64 & low) ^ x3 ^ k1 * one, p0 & low
+        k0, k1 = (k0 + _PHILOX_W[0]) & _M64, (k1 + _PHILOX_W[1]) & _M64
+    # the tenth round's word 0 needs only its second product
+    x0 = (_PHILOX_M[1] * x2 >> 64 & low) ^ x1 ^ k0 * one
+    return array("Q", x0.to_bytes(16 * lanes, "little"))[0::2]
 
 
 class _GainDrawer:
     """(trial, vehicle) -> the exact derivative gain, from one keyed generator.
 
-    Philox is counter-based (Salmon et al., SC 2011): a fresh generator with
-    key seed and counter [trial, vehicle, 0, 0] holds no buffered output, and
-    its first uniform is the first word of the block at counter
-    [trial + 1, vehicle, 0, 0]. One generator whose documented state is set
-    to counter [t0, vehicle, 0, 0] with an empty buffer (buffer_pos 4) reads
-    the blocks at [t0 + 1, vehicle], [t0 + 2, vehicle], ... in turn, four
-    uniforms each, so every fourth uniform it draws is the draw of trial t0,
-    t0 + 1, ... for that vehicle: one stream per vehicle and chunk of trials.
-
-    A uniform is u = m / 2^53, m being the top 53 bits of the generator's
-    64-bit word, so the gain k_min + (k_max - k_min) u is (a + b m)/c, with
-    c the power of 2 that makes k_min c = a and (k_max - k_min) c / 2^53 = b
-    integers. Dividing out gcd(a + b m, c) leaves the reduced pair that
-    Fraction holds.
+    Philox is counter-based (Salmon et al., SC 2011): the gain of (trial,
+    vehicle) is the first uniform of numpy's Philox with key seed and
+    counter [trial, vehicle, 0, 0], its word read off `_philox_words`. That
+    is u = m / 2^53, m the word's top 53 bits, so the gain k_min +
+    (k_max - k_min) u is (a + b m)/c, with c the power of 2 that makes
+    k_min c = a and (k_max - k_min) c / 2^53 = b integers.
     """
 
     def __init__(self, seed: int, k_min: float, k_max: float):
-        self._bg = np.random.Philox(key=seed)
-        self._state = self._bg.state
+        self._key = seed
         lo = Fraction(k_min)
         width = Fraction(k_max) - lo
         self._c = math.lcm(lo.denominator, width.denominator << 53)
         self._a = lo.numerator * (self._c // lo.denominator)
         self._b = width.numerator * (self._c // (width.denominator << 53))
 
+    def _numerators(self, t0: int, count: int, vehicles):
+        # a + b m per draw, in _philox_words' order
+        words = _philox_words(self._key, t0, count, vehicles)
+        return map(add, repeat(self._a), map(mul, repeat(self._b), map(rshift, words, repeat(11))))
+
+    def gains(self, t0: int, count: int, vehicles) -> list:
+        """Each gain of trials t0 .. t0 + count - 1 rounded once to a float, vehicle by vehicle."""
+        return list(map(truediv, self._numerators(t0, count, vehicles), repeat(self._c)))
+
     def pairs(self, t0: int, count: int, vehicle: int):
         """The reduced (numerator, denominator) of the gains of trials t0 .. t0 + count - 1."""
-        self._state["state"]["counter"] = [t0, vehicle, 0, 0]
-        self._state["buffer_pos"] = 4
-        self._bg.state = self._state
-        a, b, c = self._a, self._b, self._c
-        out = []
-        for m in (self._bg.random_raw(4 * count - 3)[::4] >> 11).tolist():
-            x = a + b * m
-            g = math.gcd(x, c)
-            out.append((x // g, c // g))
-        return out
+        c = self._c
+        return [(x // g, c // g) for x in self._numerators(t0, count, (vehicle,))
+                for g in (math.gcd(x, c),)]
 
     def __call__(self, trial: int, vehicle: int) -> Fraction:
         return Fraction(*self.pairs(trial, 1, vehicle)[0])
@@ -319,60 +298,93 @@ def _rising_edge(k_max: float) -> float:
     return math.sqrt(2.0 / (1.0 + math.hypot(1.0, _SQRT2 * k_max))) * (1.0 - 2.0 ** -49)
 
 
-def pd_window(k_max: float, grid: LogGrid) -> np.ndarray:
-    """The grid's np.logspace samples that can hold a PD cascade's maximum, every gain <= k_max.
+def _falling_edge(k_min: float) -> float:
+    """A float at or above w*(k_min), as _rising_edge with the last factor raising it;
+    past about 1.27e308, where sqrt 2 k_min is inf, from x* < sqrt 2 / k_min."""
+    h = math.hypot(1.0, _SQRT2 * k_min)
+    return math.sqrt(2.0 / (1.0 + h) if h < math.inf else _SQRT2 / k_min) * (1.0 + 2.0 ** -49)
 
-    They run from the last sample at or below w*(k_max) to the last one
-    below sqrt 2, at least one; pd_mistune_experiment's docstring proves
-    that the maximum lies there.
+
+def pd_window(k_min: float, k_max: float, grid: LogGrid) -> range:
+    """The grid indices that can hold the maximum of a PD cascade with gains in [k_min, k_max].
+
+    From the last sample at or below w*(k_max), or the first, to the first at
+    or above w*(k_min), or the last, stopping before sqrt 2 unless only the
+    first is left; pd_mistune_experiment's docstring proves it.
     """
-    om = _samples(grid)
-    lo = max(int(np.searchsorted(om, _rising_edge(k_max), "right")) - 1, 0)
-    # the float sqrt 2 lies above the exact one, so no sample below it is dropped
-    hi = max(int(np.searchsorted(om, _SQRT2)), lo + 1)
-    return om[lo:hi]
+    lo = max(bisect_right(grid, _rising_edge(k_max)) - 1, 0)
+    hi = min(bisect_left(grid, _falling_edge(k_min)), bisect_left(grid, _SQRT2) - 1, len(grid) - 1)
+    return range(lo, max(hi, lo) + 1)
 
 
-def _stage_rows(log_ks):
-    """_scaled_descending's rows of (1, k) and (1, k, 1), and their scale log, per ln k.
+def _softplus(y: float) -> float:
+    # ln(1 + e^y), overflowing nowhere
+    return max(y, 0.0) + math.log1p(math.exp(-abs(y)))
 
-    Both sequences' largest log is top = max(0, ln k), so their rows are
-    [exp(ln k - top), exp(0 - top)] and [exp(0 - top), exp(ln k - top),
-    exp(0 - top)]: the same operations on the same floats, with no Fraction.
+
+def _at_unit(ks) -> list:
+    # |T_k(j)|^2 = 1 + 1/k^2, k^2 rounded as elsewhere; past 1e300 that is -ln k^2
+    return [math.log1p(1.0 / (k * k)) if k > 1e-150 else -2.0 * math.log(k) for k in ks]
+
+
+def _past_sqrt2(w: float):
+    # there |T_k|^2 = 1/(1 + s), s = x (x - 2)/(1 + k^2 x), read in logs as w^2 may overflow
+    lx = 2.0 * math.log(w)
+    ls = 2.0 * lx + math.log1p(-2.0 / (w * w))
+    return lambda ks: [-_softplus(ls - _softplus(2.0 * math.log(k) + lx)) for k in ks]
+
+
+def _trial_peaks(ks, count: int, samples):
+    """(peaks, argmax omegas) over the samples per trial; ks holds count float gains a stage.
+
+    With x = w^2, ln|T_k(j w)|^2 = log1p(C / (A + k^2)) for C = 2 - x and
+    A = (1 - x)^2 / x, 1 - x taken as (1 - w)(1 + w): below sqrt 2 no term
+    is negative, so nothing cancels, and k^2 is inf or below 1e-307 only
+    where its share of the log is below 1e-308 (A = inf where x underflows).
+    w = 1, where A = 0, and w past sqrt 2 are columns summed apart. Stages
+    are summed in stage order, and the first maximum is exp'd, past double
+    range to inf.
     """
-    lk = np.array(log_ks)
-    top = np.maximum(lk, 0.0)
-    # math.exp, as there: numpy's exp may round differently
-    k = np.array([math.exp(x) for x in (lk - top).tolist()])
-    one = np.array([math.exp(x) for x in (0.0 - top).tolist()])
-    return np.stack([k, one], 1), np.stack([one, k, one], 1), top[:, None]
+    S = len(samples)
+    a, c, columns = [], [], []
+    for j, w in enumerate(samples):
+        x = w * w
+        if w == 1.0 or w >= _SQRT2:
+            columns.append((j, _at_unit if w == 1.0 else _past_sqrt2(w)))
+            x = 0.0
+        a.append(((1.0 - w) * (1.0 + w)) ** 2 / x if x else math.inf)
+        c.append(2.0 - x)
+    k2s = list(map(mul, ks, ks))
+    block = max(1, _BLOCK_SAMPLES // S)
+    peaks, argmaxes = [], []
+    for b0 in range(0, count, block):
+        size = min(block, count - b0)
+        # sample j of trial b0 + i at j size + i
+        A, C = (list(chain.from_iterable(map(repeat, col, repeat(size)))) for col in (a, c))
+        total, sums = [0.0] * (S * size), [[0.0] * size] * len(columns)
+        for s0 in range(b0, len(ks), count):
+            total = list(map(add, total, map(math.log1p, map(
+                truediv, C, map(add, A, k2s[s0:s0 + size] * S)))))
+            sums = [list(map(add, col, f(ks[s0:s0 + size]))) for col, (_, f) in zip(sums, columns)]
+        for (j, _), col in zip(columns, sums):
+            total[j * size:(j + 1) * size] = col
+        rows = list(zip(*(total[j * size:(j + 1) * size] for j in range(S))))
+        tops = list(map(max, rows))
+        peaks += [math.exp(h) if h <= _LN_MAX else math.inf for h in map(mul, tops, repeat(0.5))]
+        argmaxes += map(samples.__getitem__, map(tuple.index, rows, tops))
+    return peaks, argmaxes
 
 
-def _trial_peaks(log_ks, n: int, window) -> list:
-    """(peak, argmax omega) over the window per trial of n stages, log_ks their ln k trial by trial.
-
-    The numerators and the denominators are each one stack for
-    _log_abs_scaled, which gives every row bit for bit as evaluating it
-    alone would, and each trial's rows are summed in stage order, so each
-    peak is the one a loop over the trial's stages gives.
-    """
-    nums, dens, tops = _stage_rows(log_ks)
-    rows = _log_abs_scaled(nums, tops, window) - _log_abs_scaled(dens, tops, window)
-    rows = rows.reshape(-1, n, len(window))
-    total = np.zeros((rows.shape[0], len(window)))
-    for v in range(n):
-        total = total + rows[:, v]
-    return _peaks(total, window)
-
-
-def pd_cascade_peak(ks, k_max: float, grid: LogGrid) -> Tuple[float, float]:
+def pd_cascade_peak(ks, grid: LogGrid) -> Tuple[float, float]:
     """(peak, argmax omega) over the grid of the cascade of PD stages with gains ks.
 
-    Stage k is T_k = (1 + k s)/(s^2 + k s + 1); ks holds one or more ints or
-    Fractions with 0 < k <= k_max. Only pd_window's samples are evaluated,
-    the same way pd_mistune_experiment evaluates a trial.
+    Stage k is T_k = (1 + k s)/(s^2 + k s + 1); ks holds one or more positive
+    ints or Fractions, each rounded once to a float and evaluated on
+    pd_window's samples as pd_mistune_experiment evaluates a trial.
     """
-    return _trial_peaks([_log_abs_coeff(k) for k in ks], len(ks), pd_window(k_max, grid))[0]
+    fs = [k.numerator / k.denominator for k in ks]
+    peaks, argmaxes = _trial_peaks(fs, 1, [grid[i] for i in pd_window(min(fs), max(fs), grid)])
+    return peaks[0], argmaxes[0]
 
 
 def pd_mistune_experiment(n: int, k_min: float, k_max: float, trials: int,
@@ -380,12 +392,11 @@ def pd_mistune_experiment(n: int, k_min: float, k_max: float, trials: int,
     """Cascade peaks for n PD stages with gains drawn uniformly per vehicle.
 
     The plant order is fixed at m=2: stage k is 1/s^2 under c = 1 + k s,
-    whose closed loop is read from its closed form
-    T_k = (1 + k s)/(s^2 + k s + 1) as the coefficient pair
-    ((1, k), (1, k, 1)), with no stability test and no gcd, because:
+    whose closed loop is T_k = (1 + k s)/(s^2 + k s + 1), read from its
+    closed form with no stability test and no gcd, because:
 
-    - the drawer returns an exact k >= k_min > 0, and s^2 + k s + 1 is Hurwitz
-      for every k > 0 (a monic quadratic with positive coefficients);
+    - each drawn k, exact or rounded once to a float, is >= k_min > 0, and
+      s^2 + k s + 1 is Hurwitz for every k > 0 (positive coefficients);
     - the characteristic polynomial s^2 * 1 + 1 * (1 + k s) is that
       quadratic, so the loop passes internal_stability's one Routh test;
     - 1 + k s and s^2 + k s + 1 are coprime, since the quadratic is
@@ -393,10 +404,9 @@ def pd_mistune_experiment(n: int, k_min: float, k_max: float, trials: int,
       therefore already canonical, with the coefficients of the T that
       internal_stability returns.
 
-    Every gain comes from one keyed generator (pd_gain's draws), one stream
-    per vehicle and chunk of trials, and each block of trials within a chunk
-    is evaluated on pd_window's samples of the grid as one stack. With
-    x = omega^2,
+    Every gain comes from one keyed generator (pd_gain's draws), one pass
+    per chunk of trials, and each trial is evaluated on pd_window's samples
+    of the grid by _trial_peaks. With x = omega^2,
 
         |T_k(j omega)|^2 = (1 + k^2 x)/((1 - x)^2 + k^2 x), so
         |T_k(j omega)|^2 - 1 = x (2 - x)/((1 - x)^2 + k^2 x),
@@ -409,20 +419,16 @@ def pd_mistune_experiment(n: int, k_min: float, k_max: float, trials: int,
       (0, sqrt 2);
     - |T_k| increases for x < x*(k) = 2/(1 + sqrt(1 + 2 k^2)), the positive
       root of k^2 x^2 + 2x - 2, and decreases after it. x*(k) < 1 falls as
-      k grows, so with every k <= k_max the cascade increases on
-      (0, x*(k_max)) and decreases on (1, inf).
+      k grows, so with every k in [k_min, k_max] the cascade increases on
+      (0, x*(k_max)] and decreases on [x*(k_min), inf).
 
-    So the grid maximum lies at or after the last sample at or below
-    w*(k_max) = sqrt(x*(k_max)), every earlier sample being smaller, and
-    before the first sample at or above sqrt 2. If no sample lies in
-    (0, sqrt 2), the grid starts at or past sqrt 2, where the cascade
-    decreases, and its first sample is the maximum. Each kept sample is
-    summed, stage by stage, from the same float rows as on the full grid,
-    and argmax takes the first maximum, so the report equals the full
-    grid's whenever its float order agrees with the exact one. It does for
-    k_max up to 1e3. From about 1e4 up, a cascade's excess over 1 falls
-    below double resolution, and the full grid's maximum is then rounding
-    noise that the window does not reproduce.
+    So every sample before the last one at or below w*(k_max) = sqrt(x*(k_max))
+    is below it, every sample after the first one at or above w*(k_min) is
+    below that one, and no sample past sqrt 2 is the maximum unless the
+    grid starts there. The grid maximum lies in pd_window's samples, each
+    summed as on the full grid, so the report is the full grid's wherever
+    the float sums order the samples as the exact values do: for k_max up
+    to 1e3, while from about 1e15 up the full grid may pick an earlier tie.
 
     Deterministic: the report is a pure function of
     (n, k_min, k_max, trials, seed, grid).
@@ -433,20 +439,14 @@ def pd_mistune_experiment(n: int, k_min: float, k_max: float, trials: int,
         raise InvalidRange("need 0 < k_min <= k_max")
     if grid is None:
         grid = default_grid()
-    window = pd_window(k_max, grid)
+    samples = [grid[i] for i in pd_window(k_min, k_max, grid)]
     drawer = _GainDrawer(seed, k_min, k_max)
-    block = max(1, _BLOCK_SAMPLES // (n * len(window)))
-    chunk = block * max(1, _DRAW_GAINS // (n * block))
-    results = []
+    chunk = max(1, _DRAW_GAINS // n)
+    peaks, argmaxes = [], []
     for c0 in range(1, trials + 1, chunk):
-        # log_ks[v][i] is ln k of vehicle v + 1 in trial c0 + i, taken as
-        # _log_abs_coeff takes it
         count = min(chunk, trials + 1 - c0)
-        log_ks = [[math.log(p) - math.log(q) for p, q in drawer.pairs(c0, count, v)]
-                  for v in range(1, n + 1)]
-        for b0 in range(0, count, block):
-            results += _trial_peaks([lk for stages in zip(*(row[b0:b0 + block] for row in log_ks))
-                                     for lk in stages], n, window)
-    peaks, argmaxes = zip(*results)
+        p, a = _trial_peaks(drawer.gains(c0, count, range(1, n + 1)), count, samples)
+        peaks += p
+        argmaxes += a
     return MistuneReport(n, trials, seed, float(k_min), float(k_max), _SCHEME,
-                         peaks, argmaxes, float(np.median(peaks)), float(max(peaks)))
+                         tuple(peaks), tuple(argmaxes), statistics.median(peaks), max(peaks))

@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import time
+from bisect import bisect_left
 
 from .bidir import bode_table, sensitivity_matrix, verify_factorization
 from .cascade import (homogeneous_growth, middleton_integral, pd_cascade_peak,
@@ -110,7 +111,9 @@ def _bode_rows(args):
 
 
 def _pd_stage_samples(args):
-    return args.n * args.trials * len(pd_window(args.kmax, default_grid()))
+    # from pd_window's start to sqrt 2 whatever kmin: a narrower bracket refuses no fewer runs
+    lo = pd_window(args.kmin, args.kmax, default_grid()).start
+    return args.n * args.trials * max(bisect_left(default_grid(), math.sqrt(2.0)) - lo, 1)
 
 
 def _finite_or_null(x):
@@ -257,7 +260,7 @@ def _cmd_pd_random(args):
                                 args.seed, grid)
     csv_path = _write_text(args.out, "mistune.csv", (rep.to_csv(),))
     # every stage k = 1, read like the trials' stages
-    homogeneous_peak, _ = pd_cascade_peak([1] * args.n, 1, grid)
+    homogeneous_peak, _ = pd_cascade_peak([1] * args.n, grid)
     return 0, {"scheme": rep.scheme,
                "median_peak": rep.median_peak,
                "max_peak": rep.max_peak,

@@ -1,11 +1,10 @@
 """Log-uniform frequency grids, and the H-infinity norm enclosed exactly with no grid.
 
 LogGrid computes log-uniform samples in libm, one index at a time: the
-certificates in `synthesis` read a few samples exactly, `bode` reads each
-once, and `cascade` evaluates pd-random at numpy's logspace over a grid's
-range and count. The exact layer writes |f(j omega)|^2 = A(x)/B(x) over the
-integers, x = omega^2, and reads every peak and crossing off root counts
-and signs of integer polynomials, so this module loads no numpy.
+certificates in `synthesis` and pd-random's bracket read a few, `bode` each
+once. The exact layer writes |f(j omega)|^2 = A(x)/B(x) over the integers,
+x = omega^2, and reads every peak and crossing off root counts and signs
+of integer polynomials, so this module loads no numpy.
 """
 
 from __future__ import annotations

@@ -62,6 +62,7 @@ float64 loops run, since its AVX-512 ones round differently from libm.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
@@ -69,7 +70,8 @@ from typing import Tuple
 import numpy as np
 
 from platoonctrl.bidir import sensitivity_matrix
-from platoonctrl.cascade import _SCHEME, MistuneReport, _log_abs_coeff, _peaks, _scaled_descending
+from platoonctrl.cascade import (_SCHEME, MistuneReport, _GainDrawer, _log_abs_coeff,
+                                 _scaled_descending, _trial_peaks)
 from platoonctrl.errors import (DivergentAtOrigin, IllPosed, InvalidRange, PeakExceedsBudget,
                                 PlatoonError, PoleAtPoint, StabilityCheckFailed)
 from platoonctrl.freq import LogGrid, default_grid, hinf_norm
@@ -821,6 +823,16 @@ def middleton_quadrature(T: RationalFunction, omega_lo: float = 1e-6,
 
 # ---------------------------------------------------------------- PD cascade
 
+def _peaks(totals, omegas) -> list:
+    # (peak, its omega) at the first maximum of each row of summed
+    # log-magnitudes; each peak is exp'd alone, as a vector exp may round
+    # differently, and one past double range overflows to inf
+    tops = np.argmax(totals, axis=1).tolist()
+    with np.errstate(over="ignore"):
+        return [(float(np.exp(np.float64(row[top]))), float(omegas[top]))
+                for row, top in zip(totals, tops)]
+
+
 @dataclass(frozen=True)
 class CascadeProfile:
     """Cumulative log-magnitude of prod_k T_k at a grid's `logspace_samples`, with its peak."""
@@ -883,6 +895,17 @@ def pd_gain_fresh(seed: int, trial: int, vehicle: int, k_min: float, k_max: floa
     return Fraction(k_min) + (Fraction(k_max) - Fraction(k_min)) * Fraction(u)
 
 
+def philox_raw(seed: int, t0: int, vehicle: int, count: int):
+    """Word 0 of each block numpy's Philox reads from counter [t0, vehicle, 0, 0] on,
+    count of them: the first word of a fresh generator for each trial t0 .. t0 + count - 1."""
+    bg = np.random.Philox(key=seed)
+    state = bg.state
+    state["state"]["counter"] = np.array([t0, vehicle, 0, 0], dtype=np.uint64)
+    state["buffer_pos"] = 4
+    bg.state = state
+    return bg.random_raw(4 * count)[::4].tolist()
+
+
 def pd_mistune_by_stages(n: int, k_min: float, k_max: float, trials: int,
                          seed: int, grid=None) -> MistuneReport:
     """pd_mistune_experiment through cascade_gain: each gain drawn by pd_gain_fresh,
@@ -900,6 +923,37 @@ def pd_mistune_by_stages(n: int, k_min: float, k_max: float, trials: int,
     return MistuneReport(n, trials, seed, float(k_min), float(k_max), _SCHEME,
                          tuple(peaks), tuple(argmaxes),
                          float(np.median(peaks)), float(max(peaks)))
+
+
+def pd_mistune_full_grid(n: int, k_min: float, k_max: float, trials: int, seed: int, grid=None):
+    """(peaks, argmax omegas) of pd_mistune_experiment's trials, its engine run on every grid sample."""
+    grid = default_grid() if grid is None else grid
+    ks = _GainDrawer(seed, k_min, k_max).gains(1, trials, range(1, n + 1))
+    return _trial_peaks(ks, trials, list(grid))
+
+
+def pd_gains(n: int, k_min: float, k_max: float, trials: int, seed: int):
+    """Each trial's exact gains, vehicle 1 first, each from a generator built for it."""
+    return [[pd_gain_fresh(seed, t, v, k_min, k_max) for v in range(1, n + 1)]
+            for t in range(1, trials + 1)]
+
+
+def pd_cascade_squared(ks, w: float) -> Fraction:
+    """prod_k |T_k(j w)|^2 for T_k = (1 + k s)/(s^2 + k s + 1), exact at the float w."""
+    x = Fraction(w) ** 2
+    out = Fraction(1)
+    for k in ks:
+        k2x = Fraction(k) ** 2 * x
+        out *= (1 + k2x) / ((1 - x) ** 2 + k2x)
+    return out
+
+
+def within_rel(value: float, exact_squared: Fraction, rel: float) -> bool:
+    """Whether value lies within rel (relative) of sqrt(exact_squared), decided exactly."""
+    if value == math.inf:
+        return exact_squared >= Fraction(sys.float_info.max) ** 2
+    v2 = Fraction(value) ** 2
+    return (1 - Fraction(rel)) ** 2 * exact_squared <= v2 <= (1 + Fraction(rel)) ** 2 * exact_squared
 
 
 # ---------------------------------------------------------------- numpy's CPU dispatch

@@ -585,10 +585,10 @@ def test_bode_is_the_numpy_oracle_bit_for_bit_without_avx512():
 
 def test_bode_builds_no_sensitivity_matrix_and_runs_no_engine(call_counts):
     # the lemma needs no Routh test, and its closed form needs neither S_n
-    # nor the magnitude engine
-    counts = call_counts("sensitivity_matrix", "_log_abs_scaled", "hurwitz_stable")
+    # nor cascade's float engine
+    counts = call_counts("sensitivity_matrix", "_trial_peaks", "hurwitz_stable")
     bode_table(12, 1e-2, 1e2, 5)
-    assert (counts["sensitivity_matrix"], counts["_log_abs_scaled"],
+    assert (counts["sensitivity_matrix"], counts["_trial_peaks"],
             counts["hurwitz_stable"]) == (0, 0, 0)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import statistics
 from fractions import Fraction
 
 import numpy as np
@@ -10,8 +11,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from platoonctrl import cascade
-from platoonctrl.cascade import (_GainDrawer, _rising_edge, homogeneous_growth,
-                                 middleton_integral, pd_gain, pd_mistune_experiment, pd_window)
+from platoonctrl.cascade import (_GainDrawer, _falling_edge, _philox_words, _rising_edge,
+                                 _trial_peaks, homogeneous_growth, middleton_integral,
+                                 pd_cascade_peak, pd_gain, pd_mistune_experiment, pd_window)
 from platoonctrl.errors import (DivergentAtOrigin, InvalidRange,
                                 StabilityCheckFailed)
 from platoonctrl.freq import LogGrid, default_grid
@@ -21,7 +23,8 @@ from platoonctrl.ratfun import RationalFunction, one, s
 from platoonctrl.synthesis import youla_closed_loop
 
 from oracles import (cascade_gain, closed_loop, log_abs_polyval, logspace_samples,
-                     middleton_quadrature, pd_gain_fresh, pd_mistune_by_stages)
+                     middleton_quadrature, pd_cascade_squared, pd_gain_fresh, pd_gains,
+                     pd_mistune_by_stages, pd_mistune_full_grid, philox_raw, within_rel)
 
 PEAK_ORACLE = 1.4678898250138706
 ARGMAX_ORACLE = 0.8555996771673521
@@ -233,6 +236,45 @@ def test_block_stream_draws_what_a_fresh_generator_draws(seed):
                 assert drawer.pairs(t0, count, v) == [(k.numerator, k.denominator) for k in want]
 
 
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 64 + 5, 2 ** 128 - 1])
+def test_packed_philox_is_numpys_stream(seed):
+    # every lane of one packed run is the word numpy's Philox reads for its
+    # (trial, vehicle), for vehicles 1 and 10000 side by side, at large
+    # counters, and where trial + 1 carries into the vehicle word and on
+    for t0, count, vehicles in [(0, 40, (1, 10000)), (2 ** 63 - 2, 5, (1, 2 ** 63 + 1)),
+                                (2 ** 64 - 3, 6, (3, 2 ** 64 - 1))]:
+        words = _philox_words(seed, t0, count, vehicles)
+        assert len(words) == count * len(vehicles)
+        for i, v in enumerate(vehicles):
+            assert list(words[i * count:(i + 1) * count]) == philox_raw(seed, t0, v, count)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 64 + 5, 2 ** 128 - 1])
+def test_chunked_gains_are_numpys_draws(monkeypatch, seed):
+    # chunks of 7 trials for 3 vehicles, and of 1 trial for 10000: each gain
+    # the engine gets is the exact gain a fresh numpy generator gives, rounded
+    # once, across every chunk edge
+    for n, trials, draw_gains in [(3, 17, 21), (10000, 2, 10000)]:
+        got = []
+        real = cascade._trial_peaks
+
+        def recording(ks, count, samples):
+            got.append((ks, count))
+            return real(ks, count, samples)
+
+        monkeypatch.setattr(cascade, "_DRAW_GAINS", draw_gains)
+        monkeypatch.setattr(cascade, "_trial_peaks", recording)
+        pd_mistune_experiment(n, 0.5, 2.0, trials, seed)
+        monkeypatch.undo()
+        assert [count for _, count in got] == ([7, 7, 3] if n == 3 else [1, 1])
+        by_trial = [trial for ks, count in got
+                    for trial in zip(*(ks[v * count:(v + 1) * count] for v in range(n)))]
+        vehicles = (1, 2, 3) if n == 3 else (1, 10000)
+        for t, stages in enumerate(by_trial, start=1):
+            for v in vehicles:
+                assert stages[v - 1] == float(pd_gain_fresh(seed, t, v, 0.5, 2.0))
+
+
 def test_mistune_reproducible():
     r1 = pd_mistune_experiment(6, 0.5, 2.0, 4, 99)
     r2 = pd_mistune_experiment(6, 0.5, 2.0, 4, 99)
@@ -243,8 +285,8 @@ def test_mistune_reproducible():
 def test_mistune_builds_no_closed_loop(call_counts, monkeypatch):
     # each stage's T is read from its closed form: k > 0 proves it stable and
     # the pair coprime, so no loop is formed and no gcd taken; every gain
-    # comes from one generator
-    counts = call_counts("internal_stability", "poly_gcd")
+    # comes from one generator, and numpy's Philox is never built
+    counts = call_counts("internal_stability", "poly_gcd", "_GainDrawer")
     real_philox = np.random.Philox
 
     def counted_philox(*args, **kwargs):
@@ -254,7 +296,21 @@ def test_mistune_builds_no_closed_loop(call_counts, monkeypatch):
     monkeypatch.setattr(np.random, "Philox", counted_philox)
     pd_mistune_experiment(6, 0.5, 2.0, 4, 99)
     assert (counts["internal_stability"], counts["poly_gcd"]) == (0, 0)
-    assert counts["Philox"] == 1
+    assert (counts["_GainDrawer"], counts["Philox"]) == (1, 0)
+
+
+def _assert_exact_peaks(rep, grid):
+    # each peak lies within 1e-12 of the exact cascade at its sample, and no
+    # sample pd_window keeps exceeds it by more than that
+    grid = grid or default_grid()
+    samples = [grid[i] for i in pd_window(rep.k_min, rep.k_max, grid)]
+    for peak, w, ks in zip(rep.peaks, rep.argmax_omegas,
+                           pd_gains(rep.n, rep.k_min, rep.k_max, rep.trials, rep.seed)):
+        assert w in samples
+        assert within_rel(peak, pd_cascade_squared(ks, w), 1e-12), (ks, w, peak)
+        if peak < math.inf:
+            bound = (Fraction(peak) * (1 + Fraction(1, 10 ** 12))) ** 2
+            assert all(pd_cascade_squared(ks, x) <= bound for x in samples)
 
 
 @pytest.mark.parametrize("n,k_min,k_max,trials,seed", [
@@ -265,12 +321,49 @@ def test_mistune_builds_no_closed_loop(call_counts, monkeypatch):
     (7, 1.3, 1.3, 3, 99),
 ])
 def test_mistune_matches_per_stage_route(n, k_min, k_max, trials, seed):
+    # the same gains as the numpy polyval route, each peak exact to 1e-12 at
+    # its sample, and that route's argmax sample wherever its best sample
+    # leads the next by more than 1e-12
     grid = LogGrid(1e-3, 1e3, 100)
     rep = pd_mistune_experiment(n, k_min, k_max, trials, seed, grid)
     ref = pd_mistune_by_stages(n, k_min, k_max, trials, seed, grid)
-    assert rep.peaks == ref.peaks
-    assert rep.argmax_omegas == ref.argmax_omegas
-    assert rep.to_csv() == ref.to_csv()
+    _assert_exact_peaks(rep, grid)
+    for t, ks in enumerate(pd_gains(n, k_min, k_max, trials, seed)):
+        logs = cascade_gain([RationalFunction(Polynomial([1, k])) for k in ks], 2, grid).log_magnitudes
+        second, first = np.sort(logs)[-2:]
+        assert rep.peaks[t] == pytest.approx(ref.peaks[t], rel=1e-12)
+        if first - second > 1e-12:
+            assert rep.argmax_omegas[t] == grid[int(np.argmax(logs))]
+
+
+@pytest.mark.parametrize("n,k_min,k_max,trials,grid", [
+    (20, 0.5, 2.0, 5, None),
+    (1, 1e-300, 1e-300, 3, None),                     # k^2 = 0: the w = 1 column
+    (1, 1e-160, 1e-155, 3, None),                     # k^2 subnormal
+    (2, 1e-300, 1e-300, 2, None),                     # peaks past double range
+    (20, 1e150, 1e300, 3, None),                      # k^2 past double range
+    (4, 1e300, 1e300, 2, LogGrid(1e-300, 1e300, 1)),  # x underflows below 1e-162
+    (3, 1e-300, 1e300, 2, LogGrid(1e-300, 1e300, 1)),
+    (7, 0.5, 2.0, 3, LogGrid(2, 100)),                # one sample, past sqrt 2
+    (5, 0.01, 10.0, 3, LogGrid(1e-8, 1e8, 7)),
+    (5, 1e-3, 1e3, 3, LogGrid(0.9, 1.2, 3)),
+])
+def test_mistune_peaks_are_exact(n, k_min, k_max, trials, grid):
+    _assert_exact_peaks(pd_mistune_experiment(n, k_min, k_max, trials, 11, grid), grid)
+
+
+@pytest.mark.parametrize("n", [1, 20, 100])
+def test_homogeneous_peak_is_exact(n):
+    # every k = 1: the peak at the grid sample next to sqrt(sqrt 3 - 1), exact to 1e-12
+    grid = default_grid()
+    peak, w = pd_cascade_peak([1] * n, grid)
+    assert within_rel(peak, pd_cascade_squared([1] * n, w), 1e-12)
+    assert len(pd_window(1.0, 1.0, grid)) == 2
+    for i in pd_window(1.0, 1.0, grid):
+        assert pd_cascade_squared([1] * n, grid[i]) <= (Fraction(peak) * (1 + Fraction(1, 10 ** 12))) ** 2
+    prof = cascade_gain([parse_rational("1+s")] * n, 2, grid)
+    assert w == grid[int(np.argmax(prof.log_magnitudes))]
+    assert peak == pytest.approx(prof.peak, rel=1e-12)
 
 
 def test_mistune_degenerate_distribution():
@@ -337,6 +430,13 @@ def test_pd_stage_identities(k, x):
     assert slope == 2 - 2 * x - k ** 2 * x ** 2
 
 
+def _peak_side(k: float, w: float) -> Fraction:
+    # k^2 X^2 + 2 X - 2 for X = w^2 >= 0: w^2 <= x* iff it is <= 0, x* being
+    # the quadratic's positive root
+    K, X = Fraction(k), Fraction(w) ** 2
+    return K * K * X * X + 2 * X - 2
+
+
 @example(k_max=1e-300)
 @example(k_max=1e300)
 @example(k_max=1.7976931348623157e308)
@@ -344,17 +444,24 @@ def test_pd_stage_identities(k, x):
 @settings(max_examples=300, deadline=None, database=None)
 @given(k_max=st.floats(-300, 300).map(lambda e: 10.0 ** e))
 def test_rising_edge_is_at_or_below_the_exact_one(k_max):
-    # w^2 <= x* iff k^2 X^2 + 2 X - 2 <= 0 for X = w^2 >= 0, x* being the
-    # quadratic's positive root; the edge sits within 1e-14 of it
-    K = Fraction(k_max)
-
-    def below(w):
-        X = Fraction(w) ** 2
-        return K * K * X * X + 2 * X - 2 <= 0
-
+    # the edge sits within 1e-14 of the exact one
     w = _rising_edge(k_max)
-    assert below(w)
-    assert w == 0.0 or not below(w * (1 + 1e-14))
+    assert _peak_side(k_max, w) <= 0
+    assert w == 0.0 or _peak_side(k_max, w * (1 + 1e-14)) > 0
+
+
+@example(k_min=5e-324)
+@example(k_min=1e-300)
+@example(k_min=1e154)
+@example(k_min=1.3e308)
+@example(k_min=1.7976931348623157e308)
+@settings(max_examples=300, deadline=None, database=None)
+@given(k_min=st.floats(-300, 300).map(lambda e: 10.0 ** e))
+def test_falling_edge_is_at_or_above_the_exact_one(k_min):
+    # the mirror of the rising edge: at or past w*(k_min), within 1e-14 of it
+    w = _falling_edge(k_min)
+    assert _peak_side(k_min, w) >= 0
+    assert _peak_side(k_min, w * (1 - 1e-14)) < 0
 
 
 _WINDOW_GRIDS = [None, LogGrid(1e-3, 0.5), LogGrid(2, 100), LogGrid(0.9, 1.2, 3),
@@ -367,76 +474,86 @@ def _grid_id(grid):
 
 
 @pytest.mark.parametrize("grid", _WINDOW_GRIDS, ids=_grid_id)
+@example(n=20, trials=1, seed=2 ** 128 - 1, log_k_max=15.75, spread=0.0)  # a tie on 7 per decade
 @settings(max_examples=100, deadline=None, database=None)
 @given(n=st.integers(1, 20), trials=st.integers(1, 2),
        seed=st.one_of(st.just(2 ** 128 - 1), st.integers(0, 2 ** 128 - 1)),
-       log_k_max=st.floats(-300, 3), spread=st.floats(0, 6))
+       log_k_max=st.floats(-300, 300), spread=st.floats(0, 6))
 def test_mistune_window_matches_full_grid(grid, n, trials, seed, log_k_max, spread):
-    # the window keeps, bit for bit, what the full grid reports, for every
-    # 0 < k_min <= k_max <= 1e3
+    # the window keeps, bit for bit, what the same engine reports on the full
+    # grid, for every 0 < k_min <= k_max <= 1e300. Past k_max = 1e3 (first
+    # seen near 1e15 on the sparsest grid) two samples' sums can tie in
+    # floats where their exact values differ by less than rounding; the full
+    # grid then picks the first, outside the window, and it is that tie
     k_max = 10.0 ** log_k_max
     k_min = k_max * 10.0 ** -spread
     rep = pd_mistune_experiment(n, k_min, k_max, trials, seed, grid)
-    ref = pd_mistune_by_stages(n, k_min, k_max, trials, seed, grid)
-    assert rep.peaks == ref.peaks
-    assert rep.argmax_omegas == ref.argmax_omegas
-    assert rep.to_csv() == ref.to_csv()
+    peaks, argmaxes = pd_mistune_full_grid(n, k_min, k_max, trials, seed, grid)
+    assert rep.peaks == tuple(peaks)
+    for t, (got, full) in enumerate(zip(rep.argmax_omegas, argmaxes)):
+        if got != full:
+            assert k_max > 1e3 and full < got
+            ks = pd_gains(n, k_min, k_max, trials, seed)[t]
+            tie = pd_cascade_squared(ks, full) / pd_cascade_squared(ks, got)
+            assert 1 - Fraction(1, 10 ** 12) <= tie <= 1
 
 
 @pytest.mark.parametrize("n,k_min,k_max,trials,grid", [
-    (20, 0.5, 2.0, 30, None),                          # blocks of 13, 13 and 4 trials
-    (1, 0.1, 0.1, 600, None),                          # blocks of 512 and 88
-    (9, 0.01, 10.0, 40, LogGrid(1e-3, 1e3, 100)),  # blocks of 29 and 11
-    (300, 0.5, 2.0, 3, None),                          # 300 x 62 samples: one trial a block
+    (20, 0.5, 2.0, 30, None),
+    (1, 0.1, 0.1, 600, None),
+    (9, 0.01, 10.0, 40, LogGrid(1e-3, 1e3, 100)),
+    (300, 0.5, 2.0, 3, None),
 ])
-def test_mistune_blocks_match_per_stage_route(n, k_min, k_max, trials, grid):
-    # blocks of trials evaluated as one stack report what each trial's stages
-    # give one by one, across block edges and when a trial alone fills a block
-    window = pd_window(k_max, grid or default_grid())
-    block = cascade._BLOCK_SAMPLES // (n * len(window))
-    assert 1 < block < trials or (block == 0 and trials > 1)
-    rep = pd_mistune_experiment(n, k_min, k_max, trials, 5, grid)
-    ref = pd_mistune_by_stages(n, k_min, k_max, trials, 5, grid)
-    assert rep.peaks == ref.peaks
-    assert rep.argmax_omegas == ref.argmax_omegas
-    assert (rep.median_peak, rep.max_peak) == (ref.median_peak, ref.max_peak)
+def test_mistune_blocks_match_per_stage_route(monkeypatch, n, k_min, k_max, trials, grid):
+    # blocks of 1, 13 and every trial evaluated as one flat list report what
+    # each trial's stages give alone, across block edges
+    samples = [(grid or default_grid())[i] for i in pd_window(k_min, k_max, grid or default_grid())]
+    ks = _GainDrawer(5, k_min, k_max).gains(1, trials, range(1, n + 1))
+    alone = [_trial_peaks(ks[t::trials], 1, samples) for t in range(trials)]
+    want = (tuple(p[0] for p, _ in alone), tuple(a[0] for _, a in alone))
+    for block in (1, 13, trials):
+        monkeypatch.setattr(cascade, "_BLOCK_SAMPLES", block * len(samples))
+        rep = pd_mistune_experiment(n, k_min, k_max, trials, 5, grid)
+        assert (rep.peaks, rep.argmax_omegas) == want
+    assert (rep.median_peak, rep.max_peak) == (statistics.median(want[0]), max(want[0]))
 
 
 @pytest.mark.parametrize("n, trials, draw_gains", [
-    (20, 40, 20 * 13 * 2),   # blocks of 13 trials, chunks of 26: both edges fall inside
-    (300, 7, 300 * 3),       # one trial a block, chunks of 3 trials
+    (20, 40, 20 * 13 * 2),  # chunks of 26 trials: the edge falls inside
+    (300, 7, 300 * 3),      # chunks of 3 trials
 ])
 def test_mistune_gain_chunks_match_per_stage_route(monkeypatch, n, trials, draw_gains):
-    # gains drawn a chunk of whole blocks per generator reset report what
-    # each trial's stages, drawn one by one, give
+    # gains drawn a chunk of trials per pass of the generator report what one
+    # pass over every trial gives
+    want = pd_mistune_experiment(n, 0.5, 2.0, trials, 3)
     calls = []
-    real = cascade._GainDrawer.pairs
+    real = cascade._GainDrawer.gains
 
-    def counting(self, t0, count, vehicle):
+    def counting(self, t0, count, vehicles):
         calls.append(count)
-        return real(self, t0, count, vehicle)
+        return real(self, t0, count, vehicles)
 
     monkeypatch.setattr(cascade, "_DRAW_GAINS", draw_gains)
-    monkeypatch.setattr(cascade._GainDrawer, "pairs", counting)
+    monkeypatch.setattr(cascade._GainDrawer, "gains", counting)
     rep = pd_mistune_experiment(n, 0.5, 2.0, trials, 3)
-    ref = pd_mistune_by_stages(n, 0.5, 2.0, trials, 3, None)
-    assert (rep.peaks, rep.argmax_omegas) == (ref.peaks, ref.argmax_omegas)
+    assert (rep.peaks, rep.argmax_omegas) == (want.peaks, want.argmax_omegas)
     chunk = draw_gains // n
-    assert len(calls) == n * -(-trials // chunk) and max(calls) == chunk
+    assert len(calls) == -(-trials // chunk) and max(calls) == chunk
 
 
 def test_mistune_trial_evaluates_at_most_62_samples(monkeypatch):
-    # the default grid's window for gains in [0.5, 2] is 62 of its 1601
-    # samples, and each stage's numerator and denominator are evaluated once
+    # the default grid's window for gains in [0.5, 2] is 28 of its 1601
+    # samples, 62 before it kept only the proven bracket, and each stage of
+    # each trial is evaluated once
     calls = []
-    real = cascade._log_abs_scaled
+    real = cascade._trial_peaks
 
-    def counting(desc, top, omegas):
-        calls.append((len(desc), len(omegas)))
-        return real(desc, top, omegas)
+    def counting(ks, count, samples):
+        calls.append((len(ks), len(samples)))
+        return real(ks, count, samples)
 
-    monkeypatch.setattr(cascade, "_log_abs_scaled", counting)
+    monkeypatch.setattr(cascade, "_trial_peaks", counting)
     pd_mistune_experiment(20, 0.5, 2.0, 30, 1)
-    assert max(samples for _, samples in calls) <= 62
-    assert sum(rows for rows, _ in calls) == 2 * 20 * 30
+    assert max(samples for _, samples in calls) == 28
+    assert sum(gains for gains, _ in calls) == 20 * 30
     assert len(default_grid()) == 1601

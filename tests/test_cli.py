@@ -18,7 +18,7 @@ from platoonctrl.cli import _write_json, main
 from platoonctrl.freq import hinf_norm
 from platoonctrl.synthesis import _scan_values, search_parameters
 
-from oracles import avx512_dispatched, cascade_gain
+from oracles import cascade_gain, pd_cascade_squared, within_rel
 
 
 def _read(path):
@@ -642,41 +642,35 @@ def test_pd_random_seed_range(tmp_path, seed, exit_code):
     assert main(argv) == exit_code
 
 
-def _pin(avx512: str, other: str) -> str:
-    # numpy's AVX-512 float64 log and exp round differently from libm's in the
-    # last bit, so mistune.csv has one pin where numpy runs them and one,
-    # recorded with them off, where it does not
-    return avx512 if avx512_dispatched() else other
-
-
 def test_pd_random_pinned_csv(tmp_path):
-    # sha256 recorded before the stages were built from their closed form
+    # sha256 recorded when the gains came from integer Philox and the stage
+    # logs from libm; no numpy routine reaches the file
     assert main(["pd-random", "--n", "5", "--trials", "10", "--seed", "3",
                  "--out", str(tmp_path)]) == 0
-    assert _sha256(os.path.join(tmp_path, "mistune.csv")) == _pin(
-        "b3606ea286bb77cd22d729208db61d91280c1ad889b62d6659b670ac29213ec2",
-        "885af808bd86528981f79e3b16bc17b95061a22805ae9778f4070606a43088c5")
+    assert _sha256(os.path.join(tmp_path, "mistune.csv")) == \
+        "d866adc2ba555f747bd0314cecd2962864931ddfde57e45f8dc3d8f5b6c9810e"
 
 
 def test_pd_random_pinned_csv_at_benchmark_size(tmp_path):
-    # the cascade-sweep workload's run; sha256 recorded while each draw still
-    # built its own generator and each stage its own RationalFunction
+    # the cascade-sweep workload's run, recorded as above
     assert main(["pd-random", "--n", "20", "--trials", "200", "--seed", "7",
                  "--out", str(tmp_path)]) == 0
-    assert _sha256(os.path.join(tmp_path, "mistune.csv")) == _pin(
-        "37b0b5c119181aea7abd2d8d31feee62cde1c216f5ccf4710d9849eb10325b0a",
-        "a3008b31f91d7790416ff80f11d8bc73f41a288f71bf9a59fc0f5c67c3eaa6dc")
+    assert _sha256(os.path.join(tmp_path, "mistune.csv")) == \
+        "c1a22ea7272965751b80ed56947aac07d079366061ff7ae0be2cf1fec68c6fe3"
 
 
 def test_pd_random_baseline_tests_no_loop(tmp_path, call_counts):
     # the homogeneous baseline is the PD cascade with every k = 1, read from
-    # its closed form like the trials' stages, and its peak is the one the
-    # stage-by-stage route gives
+    # its closed form like the trials' stages: exact to 1e-12 at its sample,
+    # which is the stage-by-stage route's
     counts = call_counts("internal_stability", "poly_gcd")
     assert main(["pd-random", "--n", "20", "--trials", "3", "--out", str(tmp_path)]) == 0
     assert (counts["internal_stability"], counts["poly_gcd"]) == (0, 0)
-    want = cascade_gain([parse_rational("1+s")] * 20, 2, default_grid()).peak
-    assert _report(str(tmp_path))["results"]["homogeneous_peak"] == want
+    prof = cascade_gain([parse_rational("1+s")] * 20, 2, default_grid())
+    w = default_grid()[prof.log_magnitudes.argmax()]
+    peak = _report(str(tmp_path))["results"]["homogeneous_peak"]
+    assert within_rel(peak, pd_cascade_squared([1] * 20, w), 1e-12)
+    assert peak == pytest.approx(prof.peak, rel=1e-12)
 
 
 @pytest.mark.parametrize("argv, cap", [

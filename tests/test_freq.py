@@ -1,4 +1,4 @@
-"""Frequency grids, the float magnitude engine pd-random runs (in `cascade`), and
+"""Frequency grids, the polyval magnitude oracle the grid oracles read, and
 the peak-gain computation.
 
 The frozen oracles here were derived by hand:
@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from platoonctrl.cascade import _log_abs_scaled, _scaled_descending
 from platoonctrl.errors import InvalidRange, StabilityCheckFailed
 from platoonctrl.freq import LogGrid, default_grid, exceeds_unity, grid_samples, hinf_norm
 from platoonctrl.poly import Polynomial
@@ -113,21 +112,12 @@ def test_default_grid():
     assert band_grid(None) is g and band_grid(Fraction(1, 2)) is g
 
 
-# ---------------------------------------------------------------- log-magnitude engine
-
-def _scaled_stack(seqs):
-    # equal-degree ascending sequences as one stack of _scaled_descending rows
-    scaled = [_scaled_descending(cs) for cs in seqs]
-    return np.array([desc for desc, _ in scaled]), np.array([[top] for _, top in scaled])
-
-
-def _rows(seqs, omegas):
-    # cascade's engine on one stack: a row of ln|p(j omega)| per sequence
-    return _log_abs_scaled(*_scaled_stack(seqs), np.asarray(omegas, dtype=float))
-
+# ---------------------------------------------------------------- log-magnitude oracle
+# np.polyval on cascade._scaled_descending rows, the float route the grid
+# oracles read every magnitude from
 
 def _log_abs(f, omegas):
-    return _rows([f.num.coeffs], omegas)[0] - _rows([f.den.coeffs], omegas)[0]
+    return log_abs_polyval(f.num.coeffs, f.den.coeffs, np.asarray(omegas, dtype=float))
 
 
 def test_engine_matches_direct_eval():
@@ -151,72 +141,6 @@ def test_abs_at_unit_frequency():
     T = RationalFunction(Polynomial([1, 1]), Polynomial([1, 1, 1]))
     val = math.exp(_log_abs(T, np.array([1.0]))[0])
     assert abs(val - math.sqrt(2)) < 1e-12
-
-
-# every case straddles omega = 1, where the engine switches to reversed
-# coefficients; coefficients run from below to past double range
-_BIG, _TINY = Fraction(10) ** 400, Fraction(1, 10 ** 400)
-_POLYS = [
-    Polynomial([1, 2]),
-    Polynomial([3, 0, 0, 1]),                        # zero interior coefficients
-    Polynomial([1e300, 0, 1]),
-    Polynomial([1e-300, 1, 1e300]),
-    Polynomial([_BIG, 1, _TINY]),
-    Polynomial([_TINY, 0, -_BIG]),
-    Polynomial([Fraction(-7, 3), 0, 0, 0, Fraction(5, 11)]),
-    Polynomial([2]),
-    Polynomial([0, 0, 1]),                           # a root at omega = 0
-]
-_OMEGAS = np.concatenate([np.logspace(-300, 300, 61), np.logspace(-3, 3, 64), [1.0]])
-
-
-def _bits(a):
-    return np.asarray(a, dtype=float).tobytes()
-
-
-# every polynomial above with the constant (1,) on either side, and each
-# over the first four; each difference's oracle is the polyval difference
-_PAIRS = ([(p.coeffs, (1,)) for p in _POLYS] + [((1,), p.coeffs) for p in _POLYS]
-          + [(p.coeffs, q.coeffs) for p in _POLYS for q in _POLYS[:4]] + [((1,), (1,))])
-
-
-def test_engine_is_polyval_bit_for_bit():
-    # past double range both logs can underflow to -inf, and their difference is NaN
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for num, den in _PAIRS:
-            row = _rows([num], _OMEGAS)[0] - _rows([den], _OMEGAS)[0]
-            assert _bits(row) == _bits(log_abs_polyval(num, den, _OMEGAS))
-
-
-def test_stacked_rows_match_one_at_a_time():
-    # each degree's sequences as one stack: every row is the one it gets alone
-    by_degree = {}
-    for p in _POLYS + [Polynomial([-1, 5]), Polynomial([1, 1, 1])]:
-        by_degree.setdefault(p.degree, []).append(p.coeffs)
-    with np.errstate(divide="ignore"):
-        for seqs in by_degree.values():
-            rows = _rows(seqs, _OMEGAS)
-            assert rows.shape == (len(seqs), len(_OMEGAS))
-            for cs, row in zip(seqs, rows):
-                assert _bits(row) == _bits(_rows([cs], _OMEGAS)[0])
-    # a closed-form tuple of ints and Fractions reads as its Polynomial does
-    k = Fraction(7, 3)
-    assert _bits(_rows([(1, k), (1, 2)], _OMEGAS)) == \
-        _bits(_rows([Polynomial([1, k]).coeffs, Polynomial([1, 2]).coeffs], _OMEGAS))
-
-
-def test_evaluator_matches_per_call_scaling():
-    # scaled once, evaluated per call: each call gives the oracle's bits
-    f = RationalFunction(Polynomial([_BIG, 1, 3]), Polynomial([_TINY, 1, 1, 1]))
-    num, den = f.num.coeffs, f.den.coeffs
-    stacks = _scaled_stack([num]), _scaled_stack([den])
-
-    def log_abs(omegas):
-        return _log_abs_scaled(*stacks[0], omegas)[0] - _log_abs_scaled(*stacks[1], omegas)[0]
-
-    assert _bits(log_abs(_OMEGAS)) == _bits(log_abs_polyval(num, den, _OMEGAS))
-    for w in (1e-5, 0.5, 1.0, 2.0, 1e5):
-        assert _bits(log_abs(np.array([w]))) == _bits(log_abs_polyval(num, den, np.array([w])))
 
 
 # ---------------------------------------------------------------- peak gain

@@ -80,7 +80,8 @@ def _loads_numpy(tree: ast.Module) -> bool:
 
 
 def test_only_cascade_imports_numpy():
-    # pd-random's float engine is the one numpy user; the exact layers never touch it
+    # middleton's np.roots, on a right-half-plane zero, is the one numpy use;
+    # every other layer, pd-random's included, never touches it
     users = {path.stem for path in _MODULES
              if _loads_numpy(ast.parse(path.read_text(encoding="utf-8")))}
     assert users - {"_lazy"} == {"cascade"}

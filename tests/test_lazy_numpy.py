@@ -32,8 +32,14 @@ _EXACT = [
     # math; family-check reads the family synth wrote
     ["synth", "--m", "3", "--count", "3"],
     ["family-check", "--file", "{out}/5/family.json"],
+    # integer Philox and libm stage logs; a refusal by the stage-sample cap,
+    # and a usage error, load nothing either
+    ["pd-random", "--n", "3", "--trials", "2"],
+    ["pd-random", "--n", "1", "--trials", "100000000"],
+    ["pd-random", "--n", "3", "--kmin", "2", "--kmax", "1"],
 ]
-_FLOAT = [["pd-random", "--n", "3", "--trials", "2"]]
+# a right-half-plane zero sends middleton's closed form to np.roots
+_FLOAT = [["middleton", "--m", "1", "--c", "(1-0.5*s)/(s+2)"]]
 
 _CHILD = """
 import json, sys
@@ -86,16 +92,16 @@ def test_importing_the_cli_registers_numpy_without_loading_it():
 def test_exact_commands_never_load_numpy(tmp_path):
     lazy, lazy_files = _run(_EXACT, tmp_path / "lazy")
     eager, eager_files = _run(_EXACT, tmp_path / "eager", first="import numpy")
-    assert lazy == {"codes": [0] * 7, "registered": True, "loaded": False}
-    assert eager["codes"] == [0] * 7 and eager["loaded"]
-    assert lazy_files == eager_files and len(lazy_files) == 12
+    assert lazy == {"codes": [0] * 8 + [2, 2], "registered": True, "loaded": False}
+    assert eager["codes"] == [0] * 8 + [2, 2] and eager["loaded"]
+    assert lazy_files == eager_files and len(lazy_files) == 14
 
 
 def test_a_float_command_loads_numpy_and_matches_its_eager_run(tmp_path):
     lazy, lazy_files = _run(_FLOAT, tmp_path / "lazy")
     eager, eager_files = _run(_FLOAT, tmp_path / "eager", first="import numpy")
     assert lazy == eager == {"codes": [0], "registered": True, "loaded": True}
-    assert lazy_files == eager_files and "0/mistune.csv" in lazy_files
+    assert lazy_files == eager_files and "0/report.json" in lazy_files
 
 
 def test_the_lazy_module_is_the_registered_one_and_a_missing_one_still_raises():
