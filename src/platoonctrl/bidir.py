@@ -13,8 +13,7 @@ length (`verify_factorization`). L_n S_n U_n = s^2 I_n telescopes to the
 closed form's definition as a partial sum, so `sensitivity_matrix` builds
 S_n from it and checks nothing. Everything here is exact but the Bode
 sweep (`bode_table`), which tabulates a bound a lemma proves for every
-length by evaluating the lemma's closed form in floats with `math`,
-without S_n or numpy.
+length by evaluating the lemma's closed form in floats, without S_n.
 """
 
 from __future__ import annotations

@@ -7,13 +7,13 @@ obstruction says that for a double integrator or worse, any internally
 stabilising loop has ln|T| integrating to a nonnegative value against
 1/omega^2, so |T| > 1 somewhere and a homogeneous cascade grows
 geometrically. That integral is computed from its closed form in T'(0) and
-the right-half-plane zeros of T, not by quadrature. The randomized PD
+the right-half-plane zeros of T, found by Aberth iteration on the exact
+squarefree factors of T's numerator, not by quadrature. The randomized PD
 experiment probes how much plain parameter scatter already mitigates that.
 
 The experiment's gains come from Philox4x64-10 in Python integers, bit for
 bit numpy's stream, and each stage's ln|T_k|^2 is read in libm off its
-closed form at the grid samples where the cascade's maximum can lie. numpy
-is loaded for middleton_integral's np.roots alone.
+closed form at the grid samples where the cascade's maximum can lie.
 """
 
 from __future__ import annotations
@@ -29,40 +29,13 @@ from itertools import chain, repeat
 from operator import add, mul, rshift, truediv
 from typing import Tuple
 
-from ._lazy import np
 from .errors import DivergentAtOrigin, InvalidRange, StabilityCheckFailed
 from .freq import LogGrid, default_grid, exceeds_unity, hinf_norm
-from .poly import hurwitz_stable
+from .poly import _aberth, _yun, hurwitz_stable
 from .ratfun import RationalFunction, hurwitz_denominator, internal_stability, plant
 
 _SQRT2 = math.sqrt(2.0)
 _LN_MAX = math.log(sys.float_info.max)  # exp past it is inf
-
-
-# ----------------------------------------------------------------------
-# scaled coefficients
-
-def _log_abs_coeff(c) -> float:
-    """log|c| for a nonzero int or Fraction, immune to float overflow."""
-    return math.log(abs(c.numerator)) - math.log(c.denominator)
-
-
-def _scaled_descending(coeffs):
-    """(descending float coeffs scaled to max |coeff| = 1, log of the scale).
-
-    coeffs is a nonempty ascending sequence of ints or Fractions without
-    trailing zeros, as Polynomial.coeffs holds it.
-    """
-    logs = [(-math.inf if c == 0 else _log_abs_coeff(c)) for c in coeffs]
-    top = max(logs)
-    scaled = []
-    for c, lg in zip(coeffs, logs):
-        if c == 0:
-            scaled.append(0.0)
-        else:
-            mag = math.exp(lg - top)
-            scaled.append(mag if c > 0 else -mag)
-    return np.array(scaled[::-1], dtype=float), top
 
 
 # ----------------------------------------------------------------------
@@ -92,12 +65,12 @@ def middleton_integral(T: RationalFunction) -> float:
     differentiating ln T = ln B + ln T_mp at 0 gives
     T_mp'(0) = T'(0) + 2 sum Re(1/z). A zero on the axis adds Re(1/z) = 0.
 
-    T'(0) = (n1 - d1)/d0 is exact, since n0 = d0. The zero sum is empty
-    when T's numerator passes the exact Routh test; otherwise np.roots of
-    the numerator's scaled ascending coefficients gives w = 1/z for every
-    zero, and pi * max(Re w, 0) is added. That term is continuous in w, so a
-    zero near the axis whose side is misjudged moves the sum by next to
-    nothing. A value past double range is returned as +-inf.
+    T'(0) = (n1 - d1)/d0 is exact, since n0 = d0. The zero sum is empty if T's
+    numerator passes the exact Routh test; else each exact squarefree factor f
+    of multiplicity k adds pi k max(Re w, 0) over the roots w = 1/z of f
+    reversed (Aberth iteration). That term is continuous in w, so a zero near
+    the axis on the wrong side moves the sum by next to nothing. Past double
+    range the value is +-inf, or nan past a zero's.
     """
     if T.num.is_zero or T.num.degree >= T.den.degree:
         raise StabilityCheckFailed("T must be nonzero and strictly proper")
@@ -113,8 +86,8 @@ def middleton_integral(T: RationalFunction) -> float:
     except OverflowError:
         value = math.inf if slope > 0 else -math.inf
     if not hurwitz_stable(T.num):
-        w = np.roots(_scaled_descending(n)[0][::-1])
-        value += math.pi * float(np.maximum(w.real, 0.0).sum())
+        value += math.pi * sum(k * sum(max(w.real, 0.0) for w in _aberth(f[::-1]))
+                               for f, k in _yun(T.num.ints))
     return value
 
 

@@ -4,7 +4,7 @@ LogGrid computes log-uniform samples in libm, one index at a time: the
 certificates in `synthesis` and pd-random's bracket read a few, `bode` each
 once. The exact layer writes |f(j omega)|^2 = A(x)/B(x) over the integers,
 x = omega^2, and reads every peak and crossing off root counts and signs
-of integer polynomials, so this module loads no numpy.
+of integer polynomials.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import InvalidRange, StabilityCheckFailed
-from .poly import _convolve, _derivative, _odd_part, _positive_roots, _root_bound_log2
+from .poly import _convolve, _derivative, _positive_roots, _root_bound_log2, _yun
 from .ratfun import RationalFunction, hurwitz_denominator
 
 
@@ -341,7 +341,7 @@ def exceeds_unity(f: RationalFunction) -> bool:
     coefficient is; otherwise it is negative at both ends, and positive
     somewhere exactly when it has a positive root of odd multiplicity. Every
     root is simple unless _positive_roots had to take the squarefree part, and
-    then the product of the odd-multiplicity factors is searched instead.
+    then the squarefree factors of odd multiplicity (poly._yun) are searched.
     """
     A, B = _gain_squared(f)
     Q = _x_divided_out(_plus(A, B, -1))
@@ -350,4 +350,4 @@ def exceeds_unity(f: RationalFunction) -> bool:
     if Q[0] > 0 or Q[-1] > 0:
         return True
     q, roots = _positive_roots(Q)
-    return bool(roots if q is Q else _positive_roots(_odd_part(Q))[1])
+    return bool(roots if q is Q else any(_positive_roots(g)[1] for g, k in _yun(Q) if k % 2))

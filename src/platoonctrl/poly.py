@@ -11,9 +11,11 @@ strings exactly, a float as its exact binary value), and `coeffs`,
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate
 from typing import Iterable, List, Tuple, Union
 
@@ -330,7 +332,7 @@ def _positive_roots(cs, first: bool = False):
     """(q, roots): intervals that isolate the positive real roots of q.
 
     cs is an integer list, ascending, with cs[0] != 0. q is cs itself when
-    every positive root of cs is simple, else cs / gcd(cs, cs'), which has
+    every positive root of cs is simple, else its squarefree part, which has
     the same roots, each simple. Each root is (lo, hi, sign) in Fractions,
     sorted: an open interval lo < hi holding exactly one root, with sign
     the sign of q just right of lo, or an exact root lo = hi with sign 0.
@@ -408,31 +410,84 @@ def _derivative(cs) -> List[int]:
 
 
 def _squarefree(cs) -> List[int]:
-    """cs divided by gcd(cs, cs'): the same roots, each simple."""
-    deriv = _derivative(cs)
-    if cs[-1] % _P and _coprime_mod_p(cs, deriv):
-        return list(cs)
-    g = poly_gcd(Polynomial._new(list(cs), 1), Polynomial._new(deriv, 1))
-    return _primitive(_pseudo_divmod(cs, g.ints)[0])
+    """The product of cs's squarefree factors (_yun): the same roots, each simple."""
+    return reduce(_convolve, (f for f, _ in _yun(cs)), [1])
 
 
-def _odd_part(cs) -> List[int]:
-    """The product of cs's squarefree factors of odd multiplicity (Yun 1976),
-    whose roots are those where cs changes sign."""
-    def deriv(p):
-        return Polynomial._new(_derivative(list(p.ints)), p.den)
-
-    f = Polynomial._new(list(cs), 1)
-    g = poly_gcd(f, deriv(f))
-    b, c = f // g, deriv(f) // g
-    out, odd = Polynomial([1]), True
+def _yun(cs):
+    """(f, k) for each squarefree factor f, primitive, of multiplicity k in cs (Yun 1976)."""
+    f, df = Polynomial._new(list(cs), 1), Polynomial._new(_derivative(cs), 1)
+    g = poly_gcd(f, df)
+    b, c, k = f // g, df // g, 1
     while b.degree > 0:
-        d = c - deriv(b)
-        a = poly_gcd(b, d)  # the factor of the current multiplicity
-        if odd:
-            out = out * a
-        b, c, odd = b // a, d // a, not odd
-    return _primitive(list(out.ints))
+        d = c - Polynomial._new(_derivative(b.ints), b.den)
+        a = poly_gcd(b, d)  # the factor of multiplicity k
+        if a.degree > 0:
+            yield _primitive(list(a.ints)), k
+        b, c, k = b // a, d // a, k + 1
+
+
+# ----------------------------------------------------------------------
+# complex roots of a squarefree integer list: Aberth-Ehrlich iteration
+
+_TINY = 2.0 ** -960  # an end coefficient below it, relative to the largest, counts as 0
+
+
+def _newton(cs, z: complex) -> complex:
+    """p(z)/p'(z) for the integer list cs at the float z, exact but for one rounding, or nan."""
+    (a, da), (b, db) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    d = max(da, db)  # both powers of 2, so z = (x + i y)/d
+    x, y = a * (d // da), b * (d // db)
+    # d^(n-k) times the k-th Horner partial of p, and d^(n-k-1) times p''s
+    pr, pi, qr, qi, scale = cs[-1], 0, 0, 0, 1
+    for c in reversed(cs[:-1]):
+        scale *= d
+        qr, qi = qr * x - qi * y + pr, qr * y + qi * x + pi
+        pr, pi = pr * x - pi * y + c * scale, pr * y + pi * x
+    m = d * (qr * qr + qi * qi)  # p/p' = P / (d Q) for the scaled partials P and Q
+    try:
+        return complex((pr * qr + pi * qi) / m, (pi * qr - pr * qi) / m)
+    except (ZeroDivisionError, OverflowError):  # p' = 0, or a ratio past double range
+        return complex(math.nan, math.nan)
+
+
+def _aberth(cs) -> List[complex]:
+    """The len(cs) - 1 complex roots of the squarefree integer list cs.
+
+    End entries below _TINY of the largest count as 0, their roots as 0 or,
+    past 2^960, nan. The rest start on Bini's (1996) circles, one per edge of
+    the upper hull of (i, ln|c_i|), and each sweep moves each z_i by the
+    Aberth-Ehrlich step N_i / (1 - N_i sum_{j != i} 1/(z_i - z_j)), N_i =
+    p(z_i)/p'(z_i) from _newton, so a root settles within rounding even in a
+    tight cluster. A root stops when its step no longer moves it, all after
+    100 sweeps; a nan step, or one past 2^1000, is skipped.
+    """
+    top = max(map(abs, cs))
+    kept = [i for i, c in enumerate(cs) if abs(c / top) >= _TINY]
+    g = cs[kept[0]:kept[-1] + 1]
+    n = len(g) - 1
+    hull = []
+    for p in ((i, math.log(abs(c))) for i, c in enumerate(g) if c):
+        while len(hull) > 1 and ((hull[-1][1] - hull[-2][1]) * (p[0] - hull[-2][0])
+                                 <= (p[1] - hull[-2][1]) * (hull[-1][0] - hull[-2][0])):
+            hull.pop()
+        hull.append(p)
+    z = [cmath.rect(math.exp((a - b) / (j - i)), 2 * math.pi * (k / (j - i) + i / n) + 0.7)
+         for (i, a), (j, b) in zip(hull, hull[1:]) for k in range(j - i)]
+    done = [False] * n
+    for _ in range(100):  # the sweep cap, which ends every run
+        for i, zi in enumerate(z):
+            if done[i]:
+                continue
+            N = _newton(g, zi)
+            den = 1 - N * sum(1 / (zi - zj) for zj in z if zj != zi)
+            step = N / den if den else math.nan
+            if abs(zi.real - step.real) < 2.0 ** 1000 and abs(zi.imag - step.imag) < 2.0 ** 1000:
+                z[i] = zi - step
+                done[i] = abs(step) <= 2.0 ** -52 * abs(z[i])
+        if all(done):
+            break
+    return [0j] * kept[0] + z + [complex(math.nan, math.nan)] * (len(cs) - 1 - kept[-1])
 
 
 _P = (1 << 61) - 1  # a Mersenne prime: residues stay one machine word wide

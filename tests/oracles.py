@@ -32,8 +32,8 @@ bit for bit.
 `bode_csv_per_entry` formats every entry of a Bode table on its own, the
 text `BodeTable.to_csv` writes from the distinct entries only.
 The np.polyval magnitude engine, one polynomial at a time
-(`log_abs_polyval`), checks `cascade`'s stacked Horner evaluation bit for
-bit, and is every float route below.
+(`log_abs_polyval`, on coefficients scaled once from exact logs by
+`_scaled_descending`), is every float route below.
 `hinf_by_grid`, the best grid sample refined by golden section, is the
 float peak that `freq.hinf_norm`'s exact enclosure must contain.
 `abs_squared_at` reads |T(j w)|^2 exactly at one float sample, by Horner in
@@ -70,8 +70,7 @@ from typing import Tuple
 import numpy as np
 
 from platoonctrl.bidir import sensitivity_matrix
-from platoonctrl.cascade import (_SCHEME, MistuneReport, _GainDrawer, _log_abs_coeff,
-                                 _scaled_descending, _trial_peaks)
+from platoonctrl.cascade import _SCHEME, MistuneReport, _GainDrawer, _trial_peaks
 from platoonctrl.errors import (DivergentAtOrigin, IllPosed, InvalidRange, PeakExceedsBudget,
                                 PlatoonError, PoleAtPoint, StabilityCheckFailed)
 from platoonctrl.freq import LogGrid, default_grid, hinf_norm
@@ -544,6 +543,29 @@ def logspace_samples(grid: LogGrid) -> np.ndarray:
     om = np.logspace(math.log10(grid.omega_min), math.log10(grid.omega_max), len(grid))
     om[0], om[-1] = grid.omega_min, grid.omega_max
     return om
+
+
+def _log_abs_coeff(c) -> float:
+    """log|c| for a nonzero int or Fraction, immune to float overflow."""
+    return math.log(abs(c.numerator)) - math.log(c.denominator)
+
+
+def _scaled_descending(coeffs):
+    """(descending float coeffs scaled to max |coeff| = 1, log of the scale).
+
+    coeffs is a nonempty ascending sequence of ints or Fractions without
+    trailing zeros, as Polynomial.coeffs holds it.
+    """
+    logs = [(-math.inf if c == 0 else _log_abs_coeff(c)) for c in coeffs]
+    top = max(logs)
+    scaled = []
+    for c, lg in zip(coeffs, logs):
+        if c == 0:
+            scaled.append(0.0)
+        else:
+            mag = math.exp(lg - top)
+            scaled.append(mag if c > 0 else -mag)
+    return np.array(scaled[::-1], dtype=float), top
 
 
 def poly_log_abs_polyval(p: Polynomial, omegas) -> np.ndarray:

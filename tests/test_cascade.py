@@ -144,6 +144,11 @@ def test_middleton_frozen_bits(certified_m4):
     # so the integral is (pi/2)(-3/2) + pi/2 = -pi/4
     T = _loop_T(1, parse_rational("(2-s)/(s+3)"))
     assert middleton_integral(T) == pytest.approx(-math.pi / 4, rel=1e-15)
+    # T'(0) = 399 - 202 and one zero, at 1: the 200-fold zero at -1/2 is one
+    # exact squarefree factor, where np.roots' scattered cluster read 466.79
+    T = RationalFunction(Polynomial([1, -1]) * Polynomial([1, 2]) ** 200,
+                         Polynomial([1, 1]) ** 202)
+    assert middleton_integral(T) == pytest.approx(math.pi / 2 * 199, rel=1e-14)
 
 
 def test_middleton_requires_unit_dc():

@@ -581,9 +581,12 @@ def test_homogeneous_finds_a_resonance_far_below_the_grid(tmp_path):
     # double range and written as null
     (1, "1e-200", pytest.approx(-math.pi / 2 * 1e200, rel=1e-15)),
     (1, "1e-400", None),
-    # zeros at s = +-j add Re(1/z) = 0, where quadrature met ln 0; the
-    # rounding of np.roots may leave them a hair off the axis
+    # zeros at s = +-j add Re(1/z) = 0, where quadrature met ln 0; Aberth
+    # iteration in floats may leave them a hair off the axis
     (2, "(1+s)*(1+s^2)/(1+0.1*s)^3", pytest.approx(0.0, abs=1e-12)),
+    # T'(0) = -10, and the double zeros at +-j, one squarefree factor
+    # counted twice, add 0; np.roots split each pair: -15.707963267931063
+    (1, "0.1*(1+s^2)^2/(1+s)^4", pytest.approx(-5 * math.pi, rel=1e-15)),
 ])
 def test_middleton_closed_form_value(tmp_path, command, m, c, value):
     out = str(tmp_path)

@@ -113,7 +113,7 @@ def test_default_grid():
 
 
 # ---------------------------------------------------------------- log-magnitude oracle
-# np.polyval on cascade._scaled_descending rows, the float route the grid
+# np.polyval on oracles._scaled_descending rows, the float route the grid
 # oracles read every magnitude from
 
 def _log_abs(f, omegas):

@@ -1,5 +1,5 @@
 """Source hygiene: no dead imports in the package or its tests, no domain module
-importing another, numpy in `cascade` alone, and a consistent __all__."""
+importing another, numpy in none, and a consistent __all__."""
 
 from __future__ import annotations
 
@@ -69,27 +69,25 @@ def test_package_import_scan_sees_each_form():
 
 
 def _loads_numpy(tree: ast.Module) -> bool:
-    """Whether a module imports numpy, by name or through platoonctrl._lazy."""
+    """Whether a module imports numpy."""
     names = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             names += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and not node.level:
             names.append(node.module)
-    return "numpy" in {n.split(".")[0] for n in names} or "_lazy" in _package_imports(tree)
+    return "numpy" in {n.split(".")[0] for n in names}
 
 
-def test_only_cascade_imports_numpy():
-    # middleton's np.roots, on a right-half-plane zero, is the one numpy use;
-    # every other layer, pd-random's included, never touches it
+def test_no_module_imports_numpy():
+    # numpy is a test dependency only: every command runs without it
     users = {path.stem for path in _MODULES
              if _loads_numpy(ast.parse(path.read_text(encoding="utf-8")))}
-    assert users - {"_lazy"} == {"cascade"}
+    assert users == set()
 
 
 def test_numpy_scan_sees_each_form():
-    for text in ("import numpy as np\n", "from numpy.linalg import norm\n",
-                 "from ._lazy import np\n", "from platoonctrl import _lazy\n"):
+    for text in ("import numpy as np\n", "from numpy.linalg import norm\n"):
         assert _loads_numpy(ast.parse(text)), text
     assert not _loads_numpy(ast.parse("import math\nfrom .freq import LogGrid\n"))
 

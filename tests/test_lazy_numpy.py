@@ -1,4 +1,4 @@
-"""numpy loads on first float use: the exact commands never import it.
+"""No command imports numpy: each runs, and writes the same files, with numpy blocked.
 
 Each check runs in a fresh interpreter, since this test process has long
 imported numpy itself.
@@ -12,42 +12,43 @@ import pathlib
 import subprocess
 import sys
 
-import pytest
-
 import platoonctrl
-from platoonctrl._lazy import _lazy, np
 
 _SRC = str(pathlib.Path(platoonctrl.__file__).parent.parent)
 
+# (argv, exit code)
 _EXACT = [
-    ["verify-lemma", "--n", "6"],
-    ["sensitivity", "--n", "4"],
-    # 1 + 0.7 s is minimum phase, so the closed form needs no np.roots, and
+    (["verify-lemma", "--n", "6"], 0),
+    (["sensitivity", "--n", "4"], 0),
+    # 1 + 0.7 s is minimum phase, so the closed form has no zero sum, and
     # the peak is enclosed in integer arithmetic with no grid
-    ["middleton", "--m", "2", "--c", "1+0.7*s"],
-    ["homogeneous", "--m", "2", "--c", "1+0.7*s", "--n", "5"],
+    (["middleton", "--m", "2", "--c", "1+0.7*s"], 0),
+    (["homogeneous", "--m", "2", "--c", "1+0.7*s", "--n", "5"], 0),
     # the lemma's closed form in math, on samples built in math
-    ["bode", "--n", "3", "--ppd", "2"],
+    (["bode", "--n", "3", "--ppd", "2"], 0),
     # every scan and band decision is an integer sign, on samples built in
     # math; family-check reads the family synth wrote
-    ["synth", "--m", "3", "--count", "3"],
-    ["family-check", "--file", "{out}/5/family.json"],
+    (["synth", "--m", "3", "--count", "3"], 0),
+    (["family-check", "--file", "{out}/5/family.json"], 0),
     # integer Philox and libm stage logs; a refusal by the stage-sample cap,
-    # and a usage error, load nothing either
-    ["pd-random", "--n", "3", "--trials", "2"],
-    ["pd-random", "--n", "1", "--trials", "100000000"],
-    ["pd-random", "--n", "3", "--kmin", "2", "--kmax", "1"],
+    # and a usage error, exit 2
+    (["pd-random", "--n", "3", "--trials", "2"], 0),
+    (["pd-random", "--n", "1", "--trials", "100000000"], 2),
+    (["pd-random", "--n", "3", "--kmin", "2", "--kmax", "1"], 2),
 ]
-# a right-half-plane zero sends middleton's closed form to np.roots
-_FLOAT = [["middleton", "--m", "1", "--c", "(1-0.5*s)/(s+2)"]]
+# a right-half-plane zero, at s = 2: the zero sum comes from the numerator's
+# Yun factors and Aberth iteration in complex floats
+_RHP_ZERO = [
+    (["middleton", "--m", "1", "--c", "(1-0.5*s)/(s+2)"], 0),
+    (["homogeneous", "--m", "1", "--c", "(1-0.5*s)/(s+2)", "--n", "3"], 0),
+]
 
 _CHILD = """
 import json, sys
 {first}
 from platoonctrl.cli import main
 codes = [main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps({{"codes": codes, "registered": "numpy" in sys.modules,
-                   "loaded": "numpy._core" in sys.modules}}))
+print(json.dumps({{"codes": codes, "loaded": sys.modules.get("numpy") is not None}}))
 """
 
 
@@ -80,32 +81,23 @@ def _files(out: pathlib.Path):
 
 def _run(cmds, out: pathlib.Path, first=""):
     argvs = [[a.format(out=out) for a in argv] + ["--out", str(out / str(k))]
-             for k, argv in enumerate(cmds)]
+             for k, (argv, _) in enumerate(cmds)]
     return _fresh(argvs, first), _files(out)
 
 
-def test_importing_the_cli_registers_numpy_without_loading_it():
-    state = _fresh([])
-    assert state == {"codes": [], "registered": True, "loaded": False}
+def _blocked_and_free(cmds, out: pathlib.Path):
+    # a None entry in sys.modules makes `import numpy` raise ImportError
+    blocked, blocked_files = _run(cmds, out / "blocked", first='sys.modules["numpy"] = None')
+    free, free_files = _run(cmds, out / "free")
+    assert blocked == free == {"codes": [code for _, code in cmds], "loaded": False}
+    assert blocked_files == free_files
+    return blocked_files
 
 
 def test_exact_commands_never_load_numpy(tmp_path):
-    lazy, lazy_files = _run(_EXACT, tmp_path / "lazy")
-    eager, eager_files = _run(_EXACT, tmp_path / "eager", first="import numpy")
-    assert lazy == {"codes": [0] * 8 + [2, 2], "registered": True, "loaded": False}
-    assert eager["codes"] == [0] * 8 + [2, 2] and eager["loaded"]
-    assert lazy_files == eager_files and len(lazy_files) == 14
+    assert len(_blocked_and_free(_EXACT, tmp_path)) == 14
 
 
-def test_a_float_command_loads_numpy_and_matches_its_eager_run(tmp_path):
-    lazy, lazy_files = _run(_FLOAT, tmp_path / "lazy")
-    eager, eager_files = _run(_FLOAT, tmp_path / "eager", first="import numpy")
-    assert lazy == eager == {"codes": [0], "registered": True, "loaded": True}
-    assert lazy_files == eager_files and "0/report.json" in lazy_files
-
-
-def test_the_lazy_module_is_the_registered_one_and_a_missing_one_still_raises():
-    assert _lazy("numpy") is np is sys.modules["numpy"]
-    with pytest.raises(ModuleNotFoundError):
-        _lazy("platoonctrl_no_such_module")
-    assert "platoonctrl_no_such_module" not in sys.modules
+def test_a_right_half_plane_zero_runs_with_numpy_blocked(tmp_path):
+    files = _blocked_and_free(_RHP_ZERO, tmp_path)
+    assert sorted(files) == ["0/report.json", "1/growth.csv", "1/report.json"]

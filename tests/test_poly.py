@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from platoonctrl.errors import ZeroPolynomial
-from platoonctrl.poly import (_P, Polynomial, _coprime_mod_p, _odd_part, _positive_roots,
-                             _taylor_shift, hurwitz_stable, poly_gcd)
+from platoonctrl.poly import (_P, Polynomial, _aberth, _coprime_mod_p, _positive_roots,
+                             _taylor_shift, _yun, hurwitz_stable, poly_gcd)
 from platoonctrl.ratfun import RationalFunction
 
 from oracles import FractionPolynomial, fraction_gcd, fraction_hurwitz_stable
@@ -396,6 +396,58 @@ def test_no_positive_root_is_proven_by_an_empty_list():
 
 
 def test_odd_part_keeps_the_sign_changes():
-    # (x - 1)^2 (x - 2)^3 (x + 3)^4 (x - 5): sign changes at 2 and 5 only
+    # (x - 1)^2 (x - 2)^3 (x + 3)^4 (x - 5): sign changes at 2 and 5 only,
+    # the roots of the factors of odd multiplicity
     cs = _from_roots([1, 1, 2, 2, 2, -3, -3, -3, -3, 5], extra=())
-    assert Polynomial(_odd_part(cs)).monic() == Polynomial([10, -7, 1])
+    factors = {k: Polynomial(f).monic() for f, k in _yun(cs)}
+    assert factors == {1: Polynomial([-5, 1]), 2: Polynomial([-1, 1]),
+                       3: Polynomial([-2, 1]), 4: Polynomial([3, 1])}
+    # a factor of multiplicity 200 next to a simple one
+    cs = (Polynomial([1, -1]) * Polynomial([1, 2]) ** 200).ints
+    assert list(_yun(cs)) == [([-1, 1], 1), ([1, 2], 200)]
+
+
+def _positive_real_sum(roots):
+    return sum(max(w.real, 0.0) for w in roots)
+
+
+def test_aberth_matches_np_roots():
+    # seeded squarefree integer lists of degree 1 to 12, (1 - 10^100 s)(1 + s),
+    # (1 - 1000 s)(1 + s/1000), cleared, and roots -1, 0.997, 0.998, 0.999
+    # and 1.004, where Horner in floats left the cluster's sum 1e-8 off
+    rng = random.Random(34)
+    lists = [[1, 1 - 10 ** 100, -10 ** 100], [1000, -999999, -1000],
+             [124748379747, -374498375003, 250001620250, 249498375000, -374750000000,
+              125000000000]]
+    while len(lists) < 200:
+        cs = [rng.randint(-20, 20) for _ in range(rng.randint(2, 13))]
+        if cs[0] and cs[-1] and [k for _, k in _yun(cs)] == [1]:
+            lists.append(cs)
+    for cs in lists:
+        roots = _aberth(cs)
+        want = np.roots(cs[::-1])
+        assert len(roots) == len(want) == len(cs) - 1
+        size = sum(abs(w) for w in want)
+        assert abs(_positive_real_sum(roots) - _positive_real_sum(want)) <= 1e-12 * size, cs
+        assert _backward_error(cs, roots) <= 1e-13, cs
+
+
+def _backward_error(cs, roots):
+    # the largest |p(w)| over the sum of |c_i| |w|^i, on cs scaled to its top
+    top = max(map(abs, cs))
+    f = [c / top for c in cs]
+    return max(abs(sum(c * w ** i for i, c in enumerate(f))) /
+               sum(abs(c) * abs(w) ** i for i, c in enumerate(f)) for w in roots)
+
+
+def test_aberth_ends_on_every_input():
+    # coefficients past double range of the largest: a root at 0, and one
+    # past 2^960 whose side is unknown
+    assert _aberth([1, 10 ** 400]) == [0j]
+    assert [math.isnan(w.real) for w in _aberth([10 ** 400, 1])] == [True]
+    # Wilkinson's 20 roots at 1, ..., 20, ill-conditioned in floats: exact
+    # Newton ratios settle each within rounding, and the run is deterministic
+    cs = _from_roots(range(1, 21), extra=())
+    roots = sorted(_aberth(cs), key=lambda w: w.real)
+    assert roots == sorted(_aberth(cs), key=lambda w: w.real)
+    assert all(abs(w - k) <= 1e-13 * k for k, w in enumerate(roots, start=1))
