@@ -136,13 +136,6 @@ def _x_divided_out(cs):
     return cs[next(i for i, c in enumerate(cs) if c):] if cs else cs
 
 
-def _budget_poly(A, B, U: float):
-    """U^2 B - A divided by its power of x, U read exactly: positive on
-    x > 0 exactly where A/B < U^2."""
-    un, ud = U.as_integer_ratio()
-    return _x_divided_out(_plus([c * un * un for c in B], [c * ud * ud for c in A], -1))
-
-
 def _gain_squared(f: RationalFunction):
     """(A, B), integer lists ascending in x = omega^2, with |f(j omega)|^2 = A(x)/B(x)."""
     return ([c * f.den.den ** 2 for c in _abs_squared(f.num.ints)],
@@ -254,49 +247,78 @@ def _sqrt_floor(n: int, d: int):
     return math.isqrt((n << (2 * s)) // d), s
 
 
-def _proven_norm(A, B, value, margin: int):
-    """The least float U >= sqrt(value) (1 + 2^-margin) if U^2 B - A >= 0 on
-    x >= 0 is proven, else None.
+def _level(A, B, U: float) -> int:
+    """The sign of G = U^2 B - A on x > 0, U read exactly, as far as one count shows it.
 
-    The proof: U^2 B - A, divided by its power of x, is positive at 0 and
-    has no positive root (an empty isolation). With margin 0, U can touch
-    the peak at x = 0 or in the limit, as |T(0)| = 1 does.
+    G is divided by its power of x first. 1: G is zero, or it has no
+    positive root (poly._positive_roots(G, first=True) isolates none) and
+    so is positive, that is A/B <= U^2 on x >= 0. -1: G is negative near 0
+    or near infinity, where its lowest or leading coefficient is, or at an
+    end of the first interval that count isolates, the other end being
+    positive: A/B > U^2 somewhere. 0: the count found a root whose
+    interval ends do not have opposite signs (one at a split point, or past
+    its depth limit), which proves no sign.
+    """
+    un, ud = U.as_integer_ratio()
+    G = _x_divided_out(_plus([c * un * un for c in B], [c * ud * ud for c in A], -1))
+    if not G:
+        return 1
+    if G[0] < 0 or G[-1] < 0:
+        return -1
+    roots = _positive_roots(G, first=True)[1]
+    if not roots:
+        return 1
+    ends = _at(G, roots[0][0]), _at(G, roots[0][1])
+    return -1 if min(ends) < 0 < max(ends) else 0
+
+
+def _proven_norm(A, B, value, margin: int):
+    """The least float U >= sqrt(value) (1 + 2^-margin) if A/B <= U^2 on
+    x >= 0 is proven (_level), else None.
+
+    With margin 0, U can touch the peak at x = 0 or in the limit, as
+    |T(0)| = 1 does.
     """
     r, s = _sqrt_floor(*value)
     # sqrt(value) <= top / 2^s, with equality when the root is exact
     top = r if r * r * value[1] == value[0] << (2 * s) else r + 1
     U = _float_up(top * ((1 << margin) + 1), 1 << (s + margin)) if margin else \
         _float_up(top, 1 << s)
-    if U == math.inf:
-        return U
-    G = _budget_poly(A, B, U)
-    return U if not G or G[0] > 0 and not _positive_roots(G, first=True)[1] else None
+    return U if U == math.inf or _level(A, B, U) > 0 else None
 
 
 def hinf_norm(f: RationalFunction) -> HinfResult:
     """Peak magnitude over the imaginary axis, enclosed in exact integer arithmetic.
 
-    With x = omega^2, |f(j omega)|^2 = A(x)/B(x) over the integers, and B > 0
-    on x >= 0. The peak is A/B at x = 0, its limit at infinity, or its value
-    at a positive root of A'B - AB' where that polynomial changes sign from +
-    to - (a local maximum). Those roots are isolated (poly._positive_roots),
-    each local maximum is bisected until A/B varies by 2^-16 across it and
-    the best one by 2^-64, and A/B at the best point seen, evaluated
-    exactly, is lower^2. norm is the least float U >= lower, proven an
-    upper bound by one count: U^2 B - A, divided by its power of x, is
-    positive at 0 and has no positive root. When the count finds one, U
-    is raised to lower (1 + 2^-56), then by a factor 2^4 more each time down
-    to 2^-42, and every maximum is refined twice as far. argmax_omega is
-    the square root of the exact x, through isqrt, so it cannot underflow.
-    Unstable or improper input has no finite supremum and raises
-    StabilityCheckFailed; a StableLoop's denominator is proven Hurwitz, so
-    only a plain RationalFunction's is Routh-tested.
+    The checked wrapper of _enclose on |f(j omega)|^2 = A(x)/B(x)
+    (_gain_squared). Unstable or improper input has no finite supremum and
+    raises StabilityCheckFailed; a StableLoop's denominator is proven
+    Hurwitz, so only a plain RationalFunction's is Routh-tested.
     """
-    if f.num.is_zero:
-        return HinfResult(0.0, 0.0, 0.0)
     if not (f.is_proper and hurwitz_denominator(f)):
         raise StabilityCheckFailed("closed loop has no finite peak")
-    A, B = _gain_squared(f)
+    return _enclose(*_gain_squared(f))
+
+
+def _enclose(A, B) -> HinfResult:
+    """The peak of sqrt(A/B) on x = omega^2 >= 0, A and B integer lists
+    ascending in x with B > 0 on x >= 0; A = [] gives (0.0, 0.0, 0.0).
+
+    The peak is A/B at x = 0, its limit at infinity, or its value at a
+    positive root of A'B - AB' where that polynomial changes sign from + to
+    - (a local maximum). Those roots are isolated (poly._positive_roots),
+    each local maximum is bisected until A/B varies by 2^-16 across it and
+    the best one by 2^-64, and A/B at the best point seen, evaluated
+    exactly, is lower^2. norm is the least float U >= lower that _level
+    proves an upper bound. When it does not, U is raised to
+    lower (1 + 2^-56), then by a factor 2^4 more each time down to 2^-42,
+    and every maximum is refined twice as far. argmax_omega is the square
+    root of the exact x, through isqrt, so it cannot underflow. A and B
+    need not be coprime: a common factor positive on x >= 0 moves no
+    local maximum of A/B.
+    """
+    if not A:
+        return HinfResult(0.0, 0.0, 0.0)
     ends = [(Fraction(0), (A[0], B[0]))]
     if len(A) == len(B):
         ends.append((None, (A[-1], B[-1])))
@@ -336,18 +358,16 @@ def hinf_norm(f: RationalFunction) -> HinfResult:
 def exceeds_unity(f: RationalFunction) -> bool:
     """Whether |f(j omega)| > 1 at some omega >= 0 or in the limit, decided exactly.
 
-    That is whether A - B (see hinf_norm) is positive somewhere on x >= 0.
-    Divided by its power of x, it is when its value at 0 or its leading
-    coefficient is; otherwise it is negative at both ends, and positive
-    somewhere exactly when it has a positive root of odd multiplicity. Every
-    root is simple unless _positive_roots had to take the squarefree part, and
-    then the squarefree factors of odd multiplicity (poly._yun) are searched.
+    That is whether A - B (_gain_squared) is positive somewhere on x > 0,
+    which _level(A, B, 1.0) answers unless its count meets a root it cannot
+    classify. Then A - B, divided by its power of x, is negative at both
+    ends, and positive somewhere exactly when it has a positive root of odd
+    multiplicity: its squarefree factors of odd multiplicity (poly._yun)
+    are searched.
     """
     A, B = _gain_squared(f)
+    level = _level(A, B, 1.0)
+    if level:
+        return level < 0
     Q = _x_divided_out(_plus(A, B, -1))
-    if not Q:
-        return False
-    if Q[0] > 0 or Q[-1] > 0:
-        return True
-    q, roots = _positive_roots(Q)
-    return bool(roots if q is Q else any(_positive_roots(g)[1] for g, k in _yun(Q) if k % 2))
+    return any(_positive_roots(g)[1] for g, k in _yun(Q) if k % 2)

@@ -1,13 +1,13 @@
 """Controller synthesis for the integrator-chain plant 1/s^m.
 
 Pipeline: shape the free Youla parameter so the complementary sensitivity
-dips below 1 early, certify the peak and the amplification band on a grid,
-then fan the certified design out into a geometrically frequency-scaled
-family whose amplification bands are pairwise disjoint. Everything is
-exact rational arithmetic: each certificate decision is the sign of an
-integer polynomial in x = omega^2, |T(j omega)|^2 = A(x)/B(x). Floats
-appear only as the grid's samples and the band edges, each read exactly
-where a decision is made, and as the reported peak, rounded up; no
+dips below 1 early, certify the peak with no grid and the amplification
+band on a grid, then fan the certified design out into a geometrically
+frequency-scaled family whose amplification bands are pairwise disjoint.
+Everything is exact rational arithmetic: each certificate decision is the
+sign of an integer polynomial in x = omega^2, |T(j omega)|^2 = A(x)/B(x).
+Floats appear only as the grid's samples and the band edges, each read
+exactly where a decision is made, and as the reported peak, rounded up; no
 magnitude is evaluated in floating point.
 
 The Youla design for 1/s^m has closed forms. Split the binomial expansion
@@ -17,11 +17,12 @@ N = 1/(s+1)^m, M = s^m/(s+1)^m) gives the controller
 c = X (D1 - s^m) / (Y D1 + X) and the closed loop
 T = X (D1 - s^m) / ((s+1)^{2m} D1), each built as one polynomial ratio.
 That T is internally stable for positive gammas by construction, so the
-scan certifies it directly and its certificate is the design's; synthesize
-builds the winner's controller and tests the one loop it ships. A scaled
-member c_k = gamma_k^{-m} c(gamma_k s) has T_k(s) = T(gamma_k s), so a
-family is stored as one base controller plus its gammas, and the
-disjoint-band argument decides its bandwidth and product with no sweep.
+scan certifies its |T|^2 = A/B, built from the Youla factors with no T
+built, and that certificate is the design's; synthesize builds the
+winner's controller and tests the one loop it ships. A scaled member
+c_k = gamma_k^{-m} c(gamma_k s) has T_k(s) = T(gamma_k s), so a family is
+stored as one base controller plus its gammas, and the disjoint-band
+argument decides its bandwidth and product with no sweep.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Optional, Tuple
 
 from .errors import (BandwidthViolation, InvalidRange, PeakExceedsBudget,
                      SearchExhausted, StabilityCheckFailed, ZeroDenominator)
-from .freq import (LogGrid, _abs_squared, _at, _budget_poly, _gain_squared, _plus,
+from .freq import (LogGrid, _abs_squared, _at, _enclose, _gain_squared, _level, _plus,
                    _x_divided_out, default_grid, hinf_norm)
 from .poly import Polynomial, _convolve, _fraction, _positive_roots
 from .ratfun import (RationalFunction, StableLoop, hurwitz_denominator, internal_stability,
@@ -101,9 +102,9 @@ class Certificate:
 
     |T| <= 1 holds exactly at every grid sample at or below omega_low and
     at or above omega_high, and at both edges of a nonempty band; peak is
-    hinf_norm's proven upper bound (synthesize builds the m = 1
-    certificate from its closed form instead). band_empty marks the
-    degenerate case of no grid sample with |T| > 1, with
+    the proven upper bound of freq._enclose, hinf_norm's core (synthesize
+    builds the m = 1 certificate from its closed form instead). band_empty
+    marks the degenerate case of no grid sample with |T| > 1, with
     omega_low = omega_high = 1 by convention so downstream gamma ratios
     degenerate to 1 instead of dividing by zero. gamma_a and gamma_b are
     set by search_parameters on the winning candidate's certificate.
@@ -122,27 +123,6 @@ def _sign_at(cs, w: float) -> int:
     # the sign of cs at x = w^2, w read exactly
     v = _at(cs, Fraction(w) ** 2)
     return (v > 0) - (v < 0)
-
-
-def _over_budget(A, B, epsilon: float) -> bool:
-    """Whether A/B > U^2 somewhere on x > 0 is proven, U the float 1 + epsilon read exactly.
-
-    G = U^2 B - A, divided by its power of x, is negative near 0 or near
-    infinity when its lowest or leading coefficient is, and otherwise it
-    is negative somewhere when a root that _positive_roots(G, first=True)
-    isolates is simple: G has opposite signs at its interval's ends. A
-    root it could not prove, or one at a split point, proves nothing.
-    """
-    G = _budget_poly(A, B, 1 + epsilon)
-    if not G:
-        return False
-    if G[0] < 0 or G[-1] < 0:
-        return True
-    roots = _positive_roots(G, first=True)[1]
-    if not roots:
-        return False
-    ends = _at(G, roots[0][0]), _at(G, roots[0][1])
-    return min(ends) < 0 < max(ends)
 
 
 def _place(q, root, x: Fraction) -> int:
@@ -211,12 +191,12 @@ def _bisect_crossing(Q, a: float, b: float, keep_low: bool) -> float:
     return a if keep_low else b
 
 
-def _certify(A, B, loop, epsilon: float, grid: LogGrid) -> Certificate:
-    # certify_closed_loop on |T|^2 = A/B, loop() building T for hinf_norm
-    if _over_budget(A, B, epsilon):
+def _certify(A, B, epsilon: float, grid: LogGrid) -> Certificate:
+    # certify_closed_loop on |T|^2 = A/B, A and B not necessarily coprime
+    if _level(A, B, 1 + epsilon) < 0:
         raise PeakExceedsBudget(f"|T| exceeds {1 + epsilon:.6g}: "
                                 f"(1 + epsilon)^2 B - A changes sign")
-    peak, w, _ = hinf_norm(loop())
+    peak, w, _ = _enclose(A, B)
     if peak > 1 + epsilon:
         raise PeakExceedsBudget(f"peak {peak:.9g} at omega {w:.6g} exceeds {1 + epsilon:.6g}")
     Q, over = _band_samples(A, B, grid)
@@ -235,24 +215,23 @@ def certify_closed_loop(T: RationalFunction, epsilon: float,
     """Certify peak |T| <= 1 + epsilon and extract the amplification band.
 
     Every decision is the sign of an integer polynomial in x = omega^2,
-    with |T(j omega)|^2 = A(x)/B(x) (freq._gain_squared). The budget:
-    PeakExceedsBudget when a sign change of U^2 B - A is proven, U the
-    float 1 + epsilon read exactly, and otherwise when hinf_norm's proven
-    peak exceeds 1 + epsilon. The band: omega_low sits below the first
-    grid sample where A - B > 0 and omega_high above the last, each
-    bisected between two samples while staying on the A - B <= 0 side, so
-    the band is placed conservatively with respect to the grid. InvalidRange
-    when the first or last sample has A - B > 0 (the grid, not the design,
-    is at fault then) or epsilon is not positive and finite;
-    StabilityCheckFailed when T is unstable or improper. The default grid
-    is default_grid().
+    with |T(j omega)|^2 = A(x)/B(x) (freq._gain_squared), formed once. The
+    budget: PeakExceedsBudget when freq._level proves U^2 B - A negative
+    somewhere, U the float 1 + epsilon read exactly, and otherwise when the
+    proven peak (freq._enclose, as in hinf_norm) exceeds 1 + epsilon. The
+    band: omega_low sits below the first grid sample where A - B > 0 and
+    omega_high above the last, each bisected between two samples while
+    staying on the A - B <= 0 side, so the band is placed conservatively
+    with respect to the grid. InvalidRange when the first or last sample
+    has A - B > 0 (the grid, not the design, is at fault then) or epsilon
+    is not positive and finite; StabilityCheckFailed when T is unstable or
+    improper. The default grid is default_grid().
     """
     if not 0 < epsilon < math.inf:  # the budget reads 1 + epsilon as an exact rational
         raise InvalidRange("epsilon must be positive and finite")
     if not (T.is_proper and hurwitz_denominator(T)):
         raise StabilityCheckFailed("closed loop has no finite peak")
-    A, B = _gain_squared(T)
-    return _certify(A, B, lambda: T, epsilon, default_grid() if grid is None else grid)
+    return _certify(*_gain_squared(T), epsilon, default_grid() if grid is None else grid)
 
 
 # ----------------------------------------------------------------------
@@ -318,8 +297,8 @@ def search_parameters(m: int, epsilon: float) -> Certificate:
     same steps. Each candidate is certified once, as certify_closed_loop
     does, on |T|^2 = A/B from _youla_gain_squared, on a band-aware grid
     (band_grid(gamma_b)) so small-gamma bands are not missed below the
-    default sweep floor; youla_closed_loop is built only for hinf_norm, on
-    the candidates within budget, and no controller is built, since Youla
+    default sweep floor. Neither T nor a controller is built: the budget
+    test and the peak's enclosure read the same factored A and B, and Youla
     parametrisation already makes the loop internally stable. The winner's
     certificate comes back with gamma_a and gamma_b set; it certifies
     candidate_controller(m, gamma_a, gamma_b) too, whose T is this T.
@@ -333,8 +312,7 @@ def search_parameters(m: int, epsilon: float) -> Certificate:
         for step in vals:
             gb = ga * step
             try:
-                cert = _certify(*_youla_gain_squared(m, ga, gb),
-                                lambda: youla_closed_loop(m, ga, gb), epsilon, band_grid(gb))
+                cert = _certify(*_youla_gain_squared(m, ga, gb), epsilon, band_grid(gb))
             except (PeakExceedsBudget, InvalidRange):
                 continue
             return replace(cert, gamma_a=ga, gamma_b=gb)

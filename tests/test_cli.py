@@ -399,21 +399,23 @@ def test_synth_certifies_each_candidate_once(tmp_path, monkeypatch, call_counts)
     # not even for the family, whose verdict compares gammas with that
     # certificate's band. Each scanned candidate gets one budget count, a
     # root isolation of U^2 B - A, and every rejected candidate is rejected
-    # by it, so only the winner's peak is enclosed, by one isolation of its
-    # stationary points and one count that proves the bound, and only the
-    # winner's band isolates the roots of A - B. The winner's
-    # youla_closed_loop is a StableLoop, so the one Routh test is the
+    # by it, so only the winner's peak is enclosed, on the factored A/B, by
+    # one isolation of its stationary points and one count that proves the
+    # bound, and only the winner's band isolates the roots of A - B. The
+    # scan builds no T: youla_closed_loop runs once, for synthesize's check
+    # of the shipped loop, and is a StableLoop, so the one Routh test is the
     # shipped loop's characteristic polynomial
     monkeypatch.setattr(synthesis, "search_parameters", search_parameters.__wrapped__)
     counts = call_counts("_certify", "certify_closed_loop", "internal_stability",
-                         "hurwitz_stable", "_positive_roots", "hinf_norm")
+                         "hurwitz_stable", "_positive_roots", "_enclose", "youla_closed_loop")
     assert main(["synth", "--m", "3", "--count", "10", "--out", str(tmp_path)]) == 0
     res = _report(str(tmp_path))["results"]
     vals = _scan_values()
     ga, gb = Fraction(res["gamma_a"]), Fraction(res["gamma_b"])
     scanned = 25 * vals.index(ga) + vals.index(gb / ga) + 1
     assert counts["_certify"] == scanned and counts["certify_closed_loop"] == 0
-    assert counts["internal_stability"] == 1 and counts["hinf_norm"] == 1
+    assert counts["internal_stability"] == 1 and counts["_enclose"] == 1
+    assert counts["youla_closed_loop"] == 1
     assert counts["hurwitz_stable"] == 1 and counts["_positive_roots"] == scanned + 1 + 2
 
 

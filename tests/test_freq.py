@@ -16,7 +16,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from platoonctrl.errors import InvalidRange, StabilityCheckFailed
-from platoonctrl.freq import LogGrid, default_grid, exceeds_unity, grid_samples, hinf_norm
+from platoonctrl.freq import (LogGrid, _gain_squared, _level, default_grid, exceeds_unity,
+                              grid_samples, hinf_norm)
 from platoonctrl.poly import Polynomial
 from platoonctrl.ratfun import RationalFunction, internal_stability, one, plant, s
 from platoonctrl.synthesis import _scan_values, band_grid, youla_closed_loop
@@ -246,6 +247,32 @@ def test_hinf_touching_one_inside_the_axis():
     T = RationalFunction(Polynomial([1, 0, 3]), Polynomial([1, 1, 3, 1]))
     assert tuple(hinf_norm(T)) == (1.0000000000000002, 0.0, 1.0)
     assert not exceeds_unity(T)
+
+
+def test_level_outcomes():
+    # 1: U^2 B - A has no positive root; -1 from an end coefficient, or from
+    # the first isolated root's ends; 0 on the touching loop above, where
+    # (1 - x)^2 has its double root at a split point
+    peaked = _gain_squared(RationalFunction(Polynomial([1, 1]), Polynomial([1, 1, 1])))
+    assert _level(*peaked, 1.5) == 1 and _level(*_gain_squared(one / (one + s)), 1.0) == 1
+    assert _level(*peaked, 1.0) == -1  # B - A = x^2 - 2x, negative near 0
+    assert _level(*peaked, 1.2) == -1  # positive at both ends, negative between
+    touching = RationalFunction(Polynomial([1, 0, 3]), Polynomial([1, 1, 3, 1]))
+    assert _level(*_gain_squared(touching), 1.0) == 0
+    assert _level([], [1], 1.0) == 1 and _level([1], [1], 1.0) == 1
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(T=_stable_loops(), scale=st.one_of(st.just(1.0), st.floats(0.5, 2.0)))
+def test_level_agrees_with_the_enclosure(T, scale):
+    # U near the peak, on it, and at the enclosure's own lower end
+    res = hinf_norm(T)
+    U = res.lower * scale
+    level = _level(*_gain_squared(T), U)
+    if level < 0:
+        assert res.norm > U
+    if level > 0:
+        assert res.lower <= U
 
 
 def test_exceeds_unity_is_exact():

@@ -136,10 +136,12 @@ def _plant_T(c, m):
 
 
 def test_certify_degenerate_band():
-    cert = certify_closed_loop(_plant_T(parse_rational("1"), 1), 0.1)
-    assert cert.band_empty
-    assert cert.omega_low == cert.omega_high == 1.0
-    assert cert.peak == pytest.approx(1.0, abs=1e-12)
+    # T = 0 has A = [], which the enclosure reads as peak 0
+    for T, peak in ((_plant_T(parse_rational("1"), 1), 1.0), (RationalFunction(0), 0.0)):
+        cert = certify_closed_loop(T, 0.1)
+        assert cert.band_empty
+        assert cert.omega_low == cert.omega_high == 1.0
+        assert cert.peak == pytest.approx(peak, abs=1e-12)
 
 
 def test_certify_over_budget():
@@ -346,12 +348,14 @@ def test_exact_band_samples_agree_with_each_sample_read_exactly(m, k):
     # sample the same way wherever its ln|T| lies past 1e-12 of 0, and so
     # finds the same first and last sample unless one of its own or of the
     # exact ones lies within that; T(0) = 1, so the samples below the band
-    # often do
+    # often do. The peak enclosed on the factored pair, as the scan does, is
+    # the one enclosed on T's canonical form
     ga, gb = _candidate(k)
     T = youla_closed_loop(m, ga, gb)
     A, B = synthesis._youla_gain_squared(m, ga, gb)
     A2, B2 = _gain_squared(T)
     assert _convolve(A, B2) == _convolve(A2, B)
+    assert synthesis._enclose(A, B) == hinf_norm(T)
     Q = _plus(A, B, -1)
     Q = Q[next(i for i, c in enumerate(Q) if c):]
     grid = band_grid(gb)
@@ -382,7 +386,21 @@ def test_m4_certificates_agree_with_the_float_route():
     assert seen == {Certificate, PeakExceedsBudget}
 
 
+# gamma_a, peak, omega_low and omega_high of search_parameters(ell, 0.1), as the
+# route that enclosed each peak on the canonical T gave them
+_SHIPPED = {
+    4: ("44456985251/250000000000", 1.0706257410015758, 0.0031991851737649033,
+        0.7227070670157537),
+    8: ("177827941/10000000000", 1.0944872635437943, 7.19845517784984e-05,
+        0.009079767149284265),
+    12: ("177827941/100000000000", 1.086512769453163, 2.554409648755155e-06,
+         0.9794462198265348),
+    16: ("1/10000", 1.0690099608680126, 5.9082060828413626e-08, 4.176131761781708e-05),
+}
+
+
 @pytest.mark.parametrize("ell, gamma_b, old_low", [
+    (4, "702926656495390948551/125000000000000000000000", None),
     # the float edge rule rejected this candidate: its first sample's
     # ln|T| read 7.1e-15, and exactly |T| < 1 there
     (8, "31622776600299481/100000000000000000000", None),
@@ -393,7 +411,9 @@ def test_m4_certificates_agree_with_the_float_route():
 ])
 def test_exact_scan_winners_past_m4(ell, gamma_b, old_low):
     cert = search_parameters(ell, 0.1)
-    assert cert.gamma_b == Fraction(gamma_b)
+    gamma_a, peak, low, high = _SHIPPED[ell]
+    assert (cert.gamma_a, cert.gamma_b) == (Fraction(gamma_a), Fraction(gamma_b))
+    assert (cert.peak, cert.omega_low, cert.omega_high, cert.band_empty) == (peak, low, high, False)
     T = youla_closed_loop(ell, cert.gamma_a, cert.gamma_b)
     grid = band_grid(cert.gamma_b)
     assert abs_squared_at(T, grid[0]) <= 1 and abs_squared_at(T, grid[len(grid) - 1]) <= 1
@@ -425,12 +445,18 @@ def test_shipped_band_holds_between_the_samples(ell):
 
 
 def test_search_builds_no_controller(monkeypatch):
+    # nor T, nor any other RationalFunction: every candidate is read off
+    # the factored |T|^2 = A/B
+    expected = search_parameters(4, 0.1)
+
     def forbidden(*args, **kwargs):
-        raise AssertionError("the scan must not build or Routh-test a controller")
+        raise AssertionError("the scan must not build a rational function or Routh-test a loop")
 
     monkeypatch.setattr(synthesis, "candidate_controller", forbidden)
     monkeypatch.setattr(synthesis, "internal_stability", forbidden)
-    assert search_parameters.__wrapped__(4, 0.1) == search_parameters(4, 0.1)
+    monkeypatch.setattr(synthesis, "youla_closed_loop", forbidden)
+    monkeypatch.setattr(RationalFunction, "__init__", forbidden)
+    assert search_parameters.__wrapped__(4, 0.1) == expected
 
 
 def test_search_validation():
